@@ -10,7 +10,7 @@ GO ?= go
 TMFLINT := bin/tmflint
 TMFLINT_SRC := $(wildcard cmd/tmflint/*.go internal/analysis/*/*.go)
 
-.PHONY: all build test check lint race fuzz chaos-short stress-short crash-matrix crash-matrix-short bench bench-json bench-compare experiments soak soak-short load-short profile
+.PHONY: all build test bench-test check lint race fuzz chaos-short stress-short crash-matrix crash-matrix-short bench bench-json bench-compare experiments soak soak-short load-short profile
 
 all: check
 
@@ -19,6 +19,12 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# bench/ is a nested module, so the root `go test ./...` never reaches its
+# unit tests (quantiles, schedule determinism, workload mix, BENCHMARK.json
+# agreement).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The vettool is rebuilt only when its sources change; `go vet` then runs
 # all tmflint analyzers over the whole tree in one pass. Deliberate
@@ -47,7 +53,7 @@ lint: $(TMFLINT)
 # under -race).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
-	$(GO) test -race -run 'TestChaosTraceOracle|TestBatchingKnobStateEquivalence' .
+	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle' .
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips and the audit trail's segment codec ('go test
@@ -101,8 +107,8 @@ soak-short:
 	$(GO) run -race ./cmd/dst -seed $(SOAK_START) -schedules 100
 
 # A few seconds of open-loop terminal load under the race detector, with
-# every batching knob on and the Figure-3 trace oracle validating a sample
-# of the traces afterwards (TestLoadShortOpenLoop in load_test.go).
+# the Figure-3 trace oracle validating every captured trace afterwards
+# (TestLoadShortOpenLoop in load_test.go).
 load-short:
 	$(GO) test -race -short -run TestLoadShortOpenLoop -count=1 .
 
@@ -112,6 +118,7 @@ check: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(MAKE) bench-test
 	$(MAKE) race
 	$(MAKE) fuzz
 	$(MAKE) chaos-short

@@ -1,6 +1,7 @@
 package encompass
 
 import (
+	"fmt"
 	"time"
 
 	"encompass/internal/appserver"
@@ -18,33 +19,23 @@ type ServerClassConfig struct {
 	Handler      Handler
 	MinInstances int
 	MaxInstances int
-	// DispatchShards splits the class's link manager into per-CPU
-	// dispatcher shards (see appserver.Config.DispatchShards). 0 inherits
-	// the system-wide Config.DispatchShards; both default to the seed's
-	// single-dispatcher behaviour.
-	DispatchShards int
 }
 
 // StartServerClass launches a class of context-free application servers on
 // the node, managed by application control (dynamic instance creation and
 // deletion).
 func (n *Node) StartServerClass(cfg ServerClassConfig) (*appserver.Class, error) {
-	shards := cfg.DispatchShards
-	if shards == 0 {
-		shards = n.dispatchShards
-	}
 	return appserver.Start(n.Msg, appserver.Config{
-		Class:          cfg.Class,
-		Handler:        cfg.Handler,
-		MinInstances:   cfg.MinInstances,
-		MaxInstances:   cfg.MaxInstances,
-		DispatchShards: shards,
+		Class:        cfg.Class,
+		Handler:      cfg.Handler,
+		MinInstances: cfg.MinInstances,
+		MaxInstances: cfg.MaxInstances,
 	})
 }
 
 // CallServerFrom is CallServer with an explicit originating CPU, so load
-// generators can exercise per-CPU sharded dispatch instead of funnelling
-// every request through the first up processor.
+// generators can spread requests over the node's processors instead of
+// funnelling every one through the first up processor.
 func (n *Node) CallServerFrom(cpu int, node, class string, tx txid.ID, fields map[string]string, timeout time.Duration) (map[string]string, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -58,18 +49,13 @@ func (n *Node) CallServerFrom(cpu int, node, class string, tx txid.ID, fields ma
 }
 
 // CallServer sends one transaction request to a server class (node may be
-// empty for the local node), as the SEND verb does.
+// empty for the local node), as the SEND verb does, from the first up CPU.
 func (n *Node) CallServer(node, class string, tx txid.ID, fields map[string]string, timeout time.Duration) (map[string]string, error) {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
+	up := n.HW.UpCPUs()
+	if len(up) == 0 {
+		return nil, fmt.Errorf("encompass: node %s has no up CPUs", n.Name)
 	}
-	cpu := n.HW.UpCPUs()[0]
-	if !tx.IsZero() && node != "" && node != n.Name {
-		if err := n.TMF.NoteRemoteSend(tx, node); err != nil {
-			return nil, err
-		}
-	}
-	return appserver.CallTimeout(n.Msg, cpu, node, class, tx, fields, timeout)
+	return n.CallServerFrom(up[0], node, class, tx, fields, timeout)
 }
 
 // TCPConfig configures a Terminal Control Process on a node.

@@ -6,7 +6,6 @@ package encompass_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,55 +105,6 @@ func BenchmarkAblationAuditGroupShared(b *testing.B) { benchAuditGroups(b, true)
 // BenchmarkAblationAuditGroupSeparate: one trail per volume — phase one
 // pays a force per trail.
 func BenchmarkAblationAuditGroupSeparate(b *testing.B) { benchAuditGroups(b, false) }
-
-// benchBatchWindow measures concurrent committers against one audit trail
-// with and without the group-commit coalescing window. Even at zero window
-// the in-flight write coalesces overlapping forces; the window trades a
-// little commit latency for bigger batches (fewer physical writes).
-func benchBatchWindow(b *testing.B, window time.Duration) {
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{{
-			Name: "alpha", CPUs: 4,
-			Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 1024}},
-		}},
-		AuditForceDelay:  200 * time.Microsecond,
-		AuditBatchWindow: window,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := sys.Node("alpha")
-	node.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1"))
-	var keys atomic.Uint64
-	// Forces are simulated (sleep) I/O: run more committers than GOMAXPROCS
-	// so they overlap on any host.
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			tx, err := node.Begin()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Insert("f", fmt.Sprintf("k%09d", keys.Add(1)), []byte("v")); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	st := node.Volumes["v1"].Trail.ForceStats()
-	b.ReportMetric(float64(st.Forces)/float64(b.N), "forces/tx")
-}
-
-// BenchmarkAblationBatchWindowOff: group commit by write-overlap only.
-func BenchmarkAblationBatchWindowOff(b *testing.B) { benchBatchWindow(b, 0) }
-
-// BenchmarkAblationBatchWindow200us: the leader waits 200µs before writing
-// so more committers join each batch.
-func BenchmarkAblationBatchWindow200us(b *testing.B) { benchBatchWindow(b, 200*time.Microsecond) }
 
 // BenchmarkAblationCompression measures the prefix-compression codec on a
 // realistic key-sequenced run and reports the achieved ratio.

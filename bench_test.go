@@ -282,7 +282,7 @@ func BenchmarkF1TakeoverLatency(b *testing.B) {
 // benchFanoutSystem builds nodes each carrying several audited volumes in
 // separate audit groups (own trail each), so one transaction touching every
 // file has many participants to force and visit at commit.
-func benchFanoutSystem(b *testing.B, nodes, vols, fanout int, auditDelay time.Duration) (*encompass.System, []string, []string) {
+func benchFanoutSystem(b *testing.B, nodes, vols int, auditDelay time.Duration) (*encompass.System, []string, []string) {
 	b.Helper()
 	var specs []encompass.NodeSpec
 	var names, files []string
@@ -298,7 +298,7 @@ func benchFanoutSystem(b *testing.B, nodes, vols, fanout int, auditDelay time.Du
 		specs = append(specs, encompass.NodeSpec{Name: name, CPUs: 4, Volumes: vspecs})
 	}
 	sys, err := encompass.Build(encompass.Config{
-		Nodes: specs, AuditForceDelay: auditDelay, CommitFanout: fanout,
+		Nodes: specs, AuditForceDelay: auditDelay,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -315,8 +315,10 @@ func benchFanoutSystem(b *testing.B, nodes, vols, fanout int, auditDelay time.Du
 	return sys, names, files
 }
 
-func benchCommitFanout(b *testing.B, fanout int) {
-	sys, names, files := benchFanoutSystem(b, 3, 3, fanout, 200*time.Microsecond)
+// BenchmarkT9ParallelCommit fans phase one and phase two out across
+// all nine participants concurrently.
+func BenchmarkT9ParallelCommit(b *testing.B) {
+	sys, names, files := benchFanoutSystem(b, 3, 3, 200*time.Microsecond)
 	home := sys.Node(names[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,17 +337,11 @@ func benchCommitFanout(b *testing.B, fanout int) {
 	}
 }
 
-// BenchmarkT9CommitFanoutSequential drives the commit protocol one
-// participant at a time (the seed behaviour); ...Parallel fans phase one
-// and phase two out across all nine participants concurrently.
-func BenchmarkT9CommitFanoutSequential(b *testing.B) { benchCommitFanout(b, 1) }
-func BenchmarkT9CommitFanoutParallel(b *testing.B)   { benchCommitFanout(b, 0) }
-
 // BenchmarkT9GroupCommit runs concurrent single-volume committers against
 // one audit trail: the group-commit machinery lets one simulated disc write
 // cover many committers, reported as forces/tx (1.0 = no sharing).
 func BenchmarkT9GroupCommit(b *testing.B) {
-	sys, names, files := benchFanoutSystem(b, 1, 1, 0, 200*time.Microsecond)
+	sys, names, files := benchFanoutSystem(b, 1, 1, 200*time.Microsecond)
 	node := sys.Node(names[0])
 	var keys atomic.Uint64
 	// The simulated disc force is a sleep, not CPU work: scale the committer

@@ -9,7 +9,6 @@
 //	tmfbench -exp F4       # one experiment: F1-F4 (figures), T1-T15 (claims)
 //	tmfbench -exp T9,T10,T11                        # a comma-separated subset
 //	tmfbench -list         # list experiments
-//	tmfbench -exp T9 -fanout 4 -batchwindow 200us   # tune T9's knobs
 //	tmfbench -exp T10 -loss 0.2 -dup 0.1            # tune T10's fault profile
 //	tmfbench -exp T11 -discworkers 16               # tune T11's worker depth
 //	tmfbench -exp T12 -seed 7 -schedules 24         # tune the DST throughput run
@@ -55,7 +54,7 @@ var descriptions = []struct{ id, title string }{
 	{"T12", "DST explorer throughput: full fault schedules audited per second"},
 	{"T13", "ROLLFORWARD recovery time vs audit-trail length (streamed replay)"},
 	{"T14", "disposition under coordinator failure: blocking 2PC vs Paxos Commit (F=1)"},
-	{"T15", "terminal-scale open-loop throughput and batching ablation"},
+	{"T15", "terminal-scale open-loop throughput"},
 }
 
 // jsonDoc is the envelope written by -json; see EXPERIMENTS.md for the
@@ -93,8 +92,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	asJSON := flag.Bool("json", false, "emit one JSON document instead of text tables (schema in EXPERIMENTS.md)")
 	out := flag.String("out", "", "write output to this file instead of stdout")
-	fanout := flag.Int("fanout", 0, "T9: bound on concurrent commit protocol calls (0 = one goroutine per participant)")
-	batchWindow := flag.Duration("batchwindow", 0, "T9: group-commit coalescing window (0 = write immediately)")
 	loss := flag.Float64("loss", experiments.T10Loss, "T10: per-frame loss probability on every line")
 	dup := flag.Float64("dup", experiments.T10Dup, "T10: per-frame duplication probability on every line")
 	discWorkers := flag.Int("discworkers", 0, "T11: DISCPROCESS worker-pool depth for the parallel runs (0 = the default depth)")
@@ -103,12 +100,10 @@ func run() int {
 	window := flag.Duration("t14window", experiments.T14Window, "T14: how long the killed coordinator stays dead while the participant is probed")
 	rate := flag.Float64("rate", experiments.T15Rate, "T15: aggregate offered open-loop load, tx/sec")
 	terminals := flag.Int("terminals", experiments.T15Terminals, "T15: simulated terminal count (one goroutine each)")
-	loadDur := flag.Duration("loadduration", experiments.T15Duration, "T15: measured open-loop window per configuration")
+	loadDur := flag.Duration("loadduration", experiments.T15Duration, "T15: measured open-loop window")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	flag.Parse()
-	experiments.T9Fanout = *fanout
-	experiments.T9BatchWindow = *batchWindow
 	experiments.T10Loss = *loss
 	experiments.T10Dup = *dup
 	experiments.T11Workers = *discWorkers

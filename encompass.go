@@ -81,20 +81,11 @@ type Config struct {
 	AuditForceDelay time.Duration
 	// MonitorForceDelay simulates the commit-record force latency.
 	MonitorForceDelay time.Duration
-	// CommitFanout bounds concurrent calls per commit/abort protocol step
-	// (phase-one flushes and child requests, phase-two releases, freezes,
-	// undo sends). 0 = one goroutine per participant (the default,
-	// fastest); 1 = the sequential seed behaviour, kept for ablation.
-	CommitFanout int
 	// DiscWorkers bounds each DISCPROCESS's conflict-aware worker pool:
 	// non-conflicting operations on a volume run concurrently up to this
 	// depth. 0 = discproc.DefaultDiscWorkers (the default); 1 = the
 	// single-threaded seed behaviour, kept for ablation.
 	DiscWorkers int
-	// AuditBatchWindow is an optional group-commit coalescing window: a
-	// trail force leader waits this long before writing so more
-	// concurrent committers join the batch. 0 writes immediately.
-	AuditBatchWindow time.Duration
 	// TraceCapacity enables per-transaction lifecycle tracing on every
 	// node, retaining up to this many distinct transaction traces each
 	// (obs.DefaultTraceCapacity when negative; 0 disables tracing). The
@@ -118,20 +109,6 @@ type Config struct {
 	// CommitAcceptors is the Paxos Commit acceptor count per home node
 	// (2F+1, odd; 0 means 3).
 	CommitAcceptors int
-	// MailboxCoalesce switches every node's message system to drain-many
-	// mailboxes: a receiver wakeup drains the whole queued batch under one
-	// lock hand-off instead of one channel operation per message. False
-	// (the default) is the seed's channel-per-message behaviour, kept for
-	// the batching ablation benchmark.
-	MailboxCoalesce bool
-	// PiggybackBroadcasts defers each transaction's BEGIN 'active' state
-	// broadcast so it rides the END/abort broadcast as one batched frame
-	// per CPU (see tmf.Config.PiggybackBroadcasts). False = seed.
-	PiggybackBroadcasts bool
-	// DispatchShards is the default per-CPU dispatcher shard count for
-	// server classes started via StartServerClass (overridable per class).
-	// 0 or 1 = the seed's single link-manager process per class.
-	DispatchShards int
 }
 
 // Volume bundles the running pieces serving one disc volume.
@@ -154,9 +131,6 @@ type Node struct {
 
 	netw     *expand.Network
 	beginCPU atomic.Uint64
-
-	// dispatchShards is the system-wide default for StartServerClass.
-	dispatchShards int
 }
 
 // System is the running simulation: all nodes plus the network.
@@ -214,9 +188,6 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	sys := msg.NewSystem(hwNode)
-	if cfg.MailboxCoalesce {
-		sys.SetMailboxCoalesce(true)
-	}
 	net.Attach(sys)
 
 	// One registry and (optionally) one tracer per node, shared by the TMF
@@ -234,25 +205,22 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 		MonitorTrailForceDelay: cfg.MonitorForceDelay,
 		TMPPrimaryCPU:          0,
 		TMPBackupCPU:           1 % ns.CPUs,
-		CommitFanout:           cfg.CommitFanout,
 		Registry:               reg,
 		Tracer:                 tracer,
 		StrictStateCheck:       cfg.StrictStateCheck,
 		CommitProtocol:         cfg.CommitProtocol,
 		CommitAcceptors:        cfg.CommitAcceptors,
-		PiggybackBroadcasts:    cfg.PiggybackBroadcasts,
 	})
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		Name:           ns.Name,
-		HW:             hwNode,
-		Msg:            sys,
-		TMF:            mon,
-		Volumes:        make(map[string]*Volume),
-		netw:           net,
-		dispatchShards: cfg.DispatchShards,
+		Name:    ns.Name,
+		HW:      hwNode,
+		Msg:     sys,
+		TMF:     mon,
+		Volumes: make(map[string]*Volume),
+		netw:    net,
 	}
 
 	// One AUDITPROCESS + trail per audit group.
@@ -268,7 +236,6 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 			trail = trails[group]
 			if trail == nil {
 				trail = audit.NewTrail("audit-"+group, cfg.AuditForceDelay)
-				trail.SetBatchWindow(cfg.AuditBatchWindow)
 				trail.SetObs(reg)
 				trails[group] = trail
 				pcpu := i % ns.CPUs

@@ -293,6 +293,22 @@ func TestConcurrentTransactionsSeparateKeys(t *testing.T) {
 	}
 }
 
+// TestCallServerTotalNodeFailure: a SEND from a node whose every processor
+// is down fails with an error, like Begin does, instead of indexing an
+// empty up-CPU list.
+func TestCallServerTotalNodeFailure(t *testing.T) {
+	sys := oneNode(t)
+	n := sys.Node("alpha")
+	for cpu := 0; cpu < n.HW.NumCPUs(); cpu++ {
+		if err := n.HW.FailCPU(cpu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.CallServer("", "nobody", txid.ID{}, nil, time.Second); err == nil {
+		t.Error("CallServer with every CPU down returned no error")
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	if _, err := encompass.Build(encompass.Config{}); err == nil {
 		t.Error("empty config should fail")

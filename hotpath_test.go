@@ -2,7 +2,6 @@ package encompass_test
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -12,58 +11,47 @@ import (
 	"encompass/internal/txid"
 )
 
-// TestBatchingKnobStateEquivalence is the correctness oracle for the three
-// hot-path batching knobs: the same seeded mix of conflicting and
-// non-conflicting transactions runs once with every knob at its seed
-// default and once per knob (plus all together), under whatever detector
-// the invocation selects (`make race` runs it with -race). Batching may
-// change timing and message counts, never outcomes: each run must leave
-// byte-identical volume contents and every captured trace must pass the
-// Figure 3 oracle with zero runtime-checker violations.
+// TestHotPathMixScheduleOracle runs a seeded mix of conflicting and
+// non-conflicting transactions over the whole hot path — requester,
+// server class, message system, DISCPROCESS, audit, TMF — under whatever
+// detector the invocation selects (`make race` runs it with -race) and
+// checks the volume's final contents against the state computed from the
+// (worker, iteration) schedule itself. Under strict 2PL the final state is
+// order-independent: every committed delta is applied exactly once, every
+// planned abort leaves nothing behind. Every captured trace must also pass
+// the Figure 3 oracle with zero runtime-checker violations.
 //
-// The mix mirrors the DiscWorkers oracle (order-independent final state
-// under strict 2PL) and adds a server-class leg: a third of the hot-key
-// updates run inside an application-server handler reached through
-// CallServerFrom, so the DispatchShards knob sits on the exercised path
-// rather than beside it.
-func TestBatchingKnobStateEquivalence(t *testing.T) {
-	seed := runBatchMix(t, "seed", nil)
-	knobs := []struct {
-		name string
-		mut  func(*encompass.Config)
-	}{
-		{"MailboxCoalesce", func(c *encompass.Config) { c.MailboxCoalesce = true }},
-		{"PiggybackBroadcasts", func(c *encompass.Config) { c.PiggybackBroadcasts = true }},
-		{"DispatchShards", func(c *encompass.Config) { c.DispatchShards = 4 }},
-		{"AllBatching", func(c *encompass.Config) {
-			c.MailboxCoalesce = true
-			c.PiggybackBroadcasts = true
-			c.DispatchShards = 4
-		}},
+// The mix mirrors the DiscWorkers oracle and adds a server-class leg: a
+// third of the hot-key updates run inside an application-server handler
+// reached through CallServerFrom, so the link manager sits on the
+// exercised path rather than beside it.
+func TestHotPathMixScheduleOracle(t *testing.T) {
+	got := runBatchMix(t)["batch"]
+
+	want := make(map[string][]byte)
+	hot := make([]int, batchHotKeys)
+	for w := 0; w < batchGoroutines; w++ {
+		for i := 0; i < batchIters(); i++ {
+			if batchAborts(i) {
+				continue
+			}
+			hot[(w+i)%batchHotKeys] += batchDelta(w, i)
+			want[batchPrivKey(w, i)] = batchPrivVal(w, i)
+		}
 	}
-	for _, k := range knobs {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			got := runBatchMix(t, k.name, k.mut)
-			if reflect.DeepEqual(seed, got) {
-				return
-			}
-			for file, keys := range seed {
-				for key, v := range keys {
-					if gv, ok := got[file][key]; !ok || string(gv) != string(v) {
-						t.Errorf("%s/%s: seed=%q %s=%q", file, key, v, k.name, gv)
-					}
-				}
-			}
-			for file, keys := range got {
-				for key := range keys {
-					if _, ok := seed[file][key]; !ok {
-						t.Errorf("%s/%s: present only under %s", file, key, k.name)
-					}
-				}
-			}
-			t.Fatalf("%s: final volume state diverged from the all-knobs-off run", k.name)
-		})
+	for h, n := range hot {
+		want[batchHotKey(h)] = []byte(strconv.Itoa(n))
+	}
+
+	for key, v := range want {
+		if gv, ok := got[key]; !ok || string(gv) != string(v) {
+			t.Errorf("batch/%s: schedule says %q, volume holds %q", key, v, gv)
+		}
+	}
+	for key := range got {
+		if _, ok := want[key]; !ok {
+			t.Errorf("batch/%s: on the volume but not in the schedule's committed set", key)
+		}
 	}
 }
 
@@ -79,20 +67,15 @@ func batchIters() int {
 	return 36
 }
 
-// runBatchMix runs the seeded mix under one knob configuration and returns
-// the volume's final contents.
-func runBatchMix(t *testing.T, label string, mut func(*encompass.Config)) map[string]map[string][]byte {
+// runBatchMix runs the seeded mix and returns the volume's final contents.
+func runBatchMix(t *testing.T) map[string]map[string][]byte {
 	t.Helper()
-	cfg := encompass.Config{
+	sys, err := encompass.Build(encompass.Config{
 		Nodes: []encompass.NodeSpec{
 			{Name: "solo", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 256}}},
 		},
 		TraceCapacity: 32768,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	sys, err := encompass.Build(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +85,8 @@ func runBatchMix(t *testing.T, label string, mut func(*encompass.Config)) map[st
 	}
 	// The server-class leg: apply a commutative delta to a hot record
 	// inside the CALLER's transaction — the handler shape mfg's
-	// apply-replica uses. Requests reach it via CallServerFrom, so under
-	// DispatchShards every originating CPU routes through its own shard.
+	// apply-replica uses. Requests reach it via CallServerFrom from every
+	// CPU of the node.
 	if _, err := node.StartServerClass(encompass.ServerClassConfig{
 		Class:        "mixer",
 		MinInstances: 2,
@@ -149,7 +132,7 @@ func runBatchMix(t *testing.T, label string, mut func(*encompass.Config)) map[st
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				if err := batchIteration(node, w, i); err != nil {
-					errs <- fmt.Errorf("%s worker %d iter %d: %w", label, w, i, err)
+					errs <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return
 				}
 			}
@@ -173,7 +156,7 @@ func runBatchMix(t *testing.T, label string, mut func(*encompass.Config)) map[st
 // batchIteration runs one transaction of the mix, retrying on lock
 // timeout: hot-key delta (every third iteration through the server class),
 // a disjoint private insert, and a fixed abort subset whose backout must
-// erase the work identically under every knob.
+// erase the work.
 func batchIteration(node *encompass.Node, w, i int) error {
 	for attempt := 0; ; attempt++ {
 		tx, err := node.Begin()
@@ -182,7 +165,7 @@ func batchIteration(node *encompass.Node, w, i int) error {
 		}
 		retry, err := func() (bool, error) {
 			hot := batchHotKey((w + i) % batchHotKeys)
-			delta := w*31 + i%7 + 1
+			delta := batchDelta(w, i)
 			if i%3 == 0 {
 				if _, err := node.CallServerFrom(w%4, "", "mixer", tx.ID, map[string]string{
 					"KEY": hot, "DELTA": strconv.Itoa(delta),
@@ -202,10 +185,10 @@ func batchIteration(node *encompass.Node, w, i int) error {
 					return true, tx.Abort("update refused, retrying")
 				}
 			}
-			if err := tx.Insert("batch", batchPrivKey(w, i), []byte(fmt.Sprintf("w%d-i%d", w, i))); err != nil {
+			if err := tx.Insert("batch", batchPrivKey(w, i), batchPrivVal(w, i)); err != nil {
 				return true, tx.Abort("insert refused, retrying")
 			}
-			if i%8 == 3 { // fixed abort subset
+			if batchAborts(i) {
 				return false, tx.Abort("planned abort")
 			}
 			return false, tx.Commit()
@@ -222,5 +205,10 @@ func batchIteration(node *encompass.Node, w, i int) error {
 	}
 }
 
+// The schedule: what transaction (w, i) does, shared by the run and by the
+// expected-state computation.
 func batchHotKey(h int) string     { return fmt.Sprintf("bhot-%d", h) }
 func batchPrivKey(w, i int) string { return fmt.Sprintf("bown-w%d-i%03d", w, i) }
+func batchPrivVal(w, i int) []byte { return []byte(fmt.Sprintf("w%d-i%d", w, i)) }
+func batchDelta(w, i int) int      { return w*31 + i%7 + 1 }
+func batchAborts(i int) bool       { return i%8 == 3 } // fixed abort subset

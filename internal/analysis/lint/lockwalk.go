@@ -29,9 +29,8 @@ const (
 // MutexOp classifies call as a sync.Mutex/sync.RWMutex operation. Matching
 // is by receiver type name so analyzer testdata can use the real sync
 // package without path games. Lock/Unlock promoted from an embedded
-// sync.Mutex (the msg.System drainMax pattern) are recognized too: the
-// key/rank then name the embedding struct, which is the expression the
-// code actually locks through.
+// sync.Mutex are recognized too: the key/rank then name the embedding
+// struct, which is the expression the code actually locks through.
 func MutexOp(info *types.Info, call *ast.CallExpr) (kind MutexOpKind, key, rank string) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {

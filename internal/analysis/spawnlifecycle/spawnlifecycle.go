@@ -2,7 +2,7 @@
 // the paper's respawn/takeover machinery: every spawned process has an
 // owner that notices its death. A bare `go` statement whose goroutine can
 // end (or leak) without any registered exit path is invisible to takeover
-// — exactly the sharded-dispatcher starvation family PR 9 debugged
+// — exactly the respawned-dispatcher starvation family PR 9 debugged
 // dynamically, where instances died with their CPU and nothing respawned
 // or drained them.
 //

@@ -65,13 +65,6 @@ type Config struct {
 	MaxInstances int
 	// CPUs lists processors to spread instances over; defaults to all.
 	CPUs []int
-	// DispatchShards splits the link manager into per-CPU shards: shard i
-	// runs on CPUs[i] and serves requests originating on the CPUs it is
-	// aliased to, each shard managing its own slice of the instance pool.
-	// 0 or 1 (the default) is the seed behaviour — one dispatcher process
-	// through which every request of the class funnels. Values above
-	// len(CPUs) are clamped: more shards than processors buys nothing.
-	DispatchShards int
 }
 
 // Stats counts class activity.
@@ -86,36 +79,10 @@ type Stats struct {
 // ClassName returns the registered dispatcher name for a class.
 func ClassName(class string) string { return "svc-" + class }
 
-// shardName returns the registered name of dispatcher shard i (shard 0 of
-// a sharded class also answers to the plain ClassName, so remote nodes and
-// shard-unaware callers keep working).
-func shardName(class string, i int) string {
-	if i == 0 {
-		return ClassName(class)
-	}
-	return fmt.Sprintf("%s#s%d", ClassName(class), i)
-}
-
-// cpuAlias is the per-CPU routing alias: a sharded class registers one per
-// processor, pointing at the shard serving that CPU's requests. Callers
-// resolve their own CPU's alias with one name lookup — no shard count
-// needs to be known at the call site, and an unsharded class (no aliases
-// registered) falls back to the plain class name.
-func cpuAlias(class string, cpu int) string {
-	return fmt.Sprintf("%s@cpu%d", ClassName(class), cpu)
-}
-
 type instance struct {
 	name string
 	cpu  int
 	busy bool
-}
-
-// shard is one dispatcher shard: its registered name and current CPU.
-type shard struct {
-	id   int
-	name string
-	cpu  atomic.Int64
 }
 
 // Class is a running server class.
@@ -123,13 +90,12 @@ type Class struct {
 	sys *msg.System
 	cfg Config
 
-	shards []*shard
-
-	dispatched atomic.Uint64
-	created    atomic.Uint64
-	retired    atomic.Uint64
-	queuedPeak atomic.Uint64
-	instCount  atomic.Int64
+	dispatched    atomic.Uint64
+	dispatcherCPU atomic.Int64
+	created       atomic.Uint64
+	retired       atomic.Uint64
+	queuedPeak    atomic.Uint64
+	instCount     atomic.Int64
 }
 
 // Start launches the class: its dispatcher and MinInstances servers. The
@@ -151,79 +117,33 @@ func Start(sys *msg.System, cfg Config) (*Class, error) {
 	if len(cfg.CPUs) == 0 {
 		cfg.CPUs = sys.Node().UpCPUs()
 	}
-	if cfg.DispatchShards < 1 {
-		cfg.DispatchShards = 1
-	}
-	if cfg.DispatchShards > len(cfg.CPUs) {
-		cfg.DispatchShards = len(cfg.CPUs)
-	}
 	c := &Class{sys: sys, cfg: cfg}
-	for i := 0; i < cfg.DispatchShards; i++ {
-		sh := &shard{id: i, name: shardName(cfg.Class, i)}
-		c.shards = append(c.shards, sh)
-		if err := c.startDispatcher(sh, c.shardCPUs(i)[0]); err != nil {
-			return nil, err
-		}
+	if err := c.startDispatcher(cfg.CPUs[0]); err != nil {
+		return nil, err
 	}
 	sys.Node().Watch(c.onHWEvent)
 	return c, nil
 }
 
-// shardCPUs returns the processors shard i spreads its dispatcher and
-// instances over: every CPU whose index within cfg.CPUs is congruent to i
-// modulo the shard count. With one shard this is the whole list — the
-// seed's placement.
-func (c *Class) shardCPUs(i int) []int {
-	var cpus []int
-	for j, cpu := range c.cfg.CPUs {
-		if j%c.cfg.DispatchShards == i {
-			cpus = append(cpus, cpu)
-		}
-	}
-	if len(cpus) == 0 {
-		cpus = c.cfg.CPUs
-	}
-	return cpus
-}
-
-func (c *Class) startDispatcher(sh *shard, cpu int) error {
-	p, err := c.sys.Spawn(cpu, sh.name, func(p *msg.Process) { c.dispatcherLoop(p, sh) })
+func (c *Class) startDispatcher(cpu int) error {
+	p, err := c.sys.Spawn(cpu, ClassName(c.cfg.Class), c.dispatcherLoop)
 	if err != nil {
 		return err
 	}
-	sh.cpu.Store(int64(p.PID().CPU))
-	// Per-CPU routing aliases: requests from CPU k resolve to the shard
-	// whose index is k's position mod the shard count. A single-shard
-	// class registers no aliases and keeps the seed's one-name routing.
-	if c.cfg.DispatchShards > 1 {
-		for j, cpuj := range c.cfg.CPUs {
-			if j%c.cfg.DispatchShards == sh.id {
-				c.sys.Register(cpuAlias(c.cfg.Class, cpuj), p)
-			}
-		}
-	}
+	c.dispatcherCPU.Store(int64(p.PID().CPU))
 	return nil
 }
 
-// onHWEvent restarts a dispatcher shard (application-control monitoring)
-// when its processor fails. The shard's instances died with their
-// dispatcher's bookkeeping; the respawned dispatcher rebuilds its minimum
-// pool and re-registers the shard's routing aliases.
+// onHWEvent restarts the dispatcher (application-control monitoring) when
+// its processor fails. The instances died with their dispatcher's
+// bookkeeping; the respawned dispatcher rebuilds its minimum pool.
 func (c *Class) onHWEvent(e hw.Event) {
-	if e.Kind != hw.EventCPUDown {
+	if e.Kind != hw.EventCPUDown || int64(e.CPU) != c.dispatcherCPU.Load() {
 		return
 	}
-	for _, sh := range c.shards {
-		if sh.cpu.Load() != int64(e.CPU) {
-			continue
-		}
-		for _, cpu := range append(c.shardCPUs(sh.id), c.sys.Node().UpCPUs()...) {
-			if up, err := c.sys.Node().CPU(cpu); err != nil || !up.Up() {
-				continue
-			}
-			if c.startDispatcher(sh, cpu) == nil {
-				break
-			}
+	for _, cpu := range c.sys.Node().UpCPUs() {
+		if c.startDispatcher(cpu) == nil {
+			return
 		}
 	}
 }
@@ -239,27 +159,21 @@ func (c *Class) Stats() Stats {
 	}
 }
 
-// dispatcherLoop is the link manager for one shard: it queues requests and
-// relays each to an idle instance, growing and shrinking the shard's slice
-// of the instance pool. A single-shard class runs exactly the seed's loop.
-func (c *Class) dispatcherLoop(p *msg.Process, sh *shard) {
+// dispatcherLoop is the link manager: it queues requests and relays each
+// to an idle instance, growing and shrinking the instance pool.
+func (c *Class) dispatcherLoop(p *msg.Process) {
 	var instances []*instance
 	var queue []msg.Message
-	cpus := c.shardCPUs(sh.id)
-	// Each shard owns a proportional slice of the pool, rounded up so a
-	// shard is never stuck at zero capacity.
-	minInst := (c.cfg.MinInstances + c.cfg.DispatchShards - 1) / c.cfg.DispatchShards
-	maxInst := (c.cfg.MaxInstances + c.cfg.DispatchShards - 1) / c.cfg.DispatchShards
 	nextCPU := 0
 	seq := 0
 
 	spawn := func() *instance {
-		// Prefer the shard's own processors; when every one of them is down
-		// (the shard dispatcher itself was respawned elsewhere after a CPU
+		// Prefer the configured processors; when every one of them is down
+		// (the dispatcher itself was respawned elsewhere after a CPU
 		// failure) fall back to any up CPU rather than queueing forever.
 		cpu := -1
-		for try := 0; try < len(cpus); try++ {
-			cand := cpus[nextCPU%len(cpus)]
+		for range c.cfg.CPUs {
+			cand := c.cfg.CPUs[nextCPU%len(c.cfg.CPUs)]
 			nextCPU++
 			if up, err := c.sys.Node().CPU(cand); err == nil && up.Up() {
 				cpu = cand
@@ -274,9 +188,9 @@ func (c *Class) dispatcherLoop(p *msg.Process, sh *shard) {
 			}
 		}
 		seq++
-		name := fmt.Sprintf("%s#%d", sh.name, seq)
+		name := fmt.Sprintf("%s#%d", ClassName(c.cfg.Class), seq)
 		inst := &instance{name: name, cpu: cpu}
-		_, err := c.sys.Spawn(cpu, name, func(ip *msg.Process) { c.instanceLoop(ip, sh.name) })
+		_, err := c.sys.Spawn(cpu, name, c.instanceLoop)
 		if err != nil {
 			return nil
 		}
@@ -284,7 +198,7 @@ func (c *Class) dispatcherLoop(p *msg.Process, sh *shard) {
 		c.instCount.Add(1)
 		return inst
 	}
-	for i := 0; i < minInst; i++ {
+	for i := 0; i < c.cfg.MinInstances; i++ {
 		if inst := spawn(); inst != nil {
 			instances = append(instances, inst)
 		}
@@ -300,7 +214,7 @@ func (c *Class) dispatcherLoop(p *msg.Process, sh *shard) {
 				}
 			}
 			if idle == nil {
-				if len(instances) < maxInst {
+				if len(instances) < c.cfg.MaxInstances {
 					if inst := spawn(); inst != nil {
 						instances = append(instances, inst)
 						idle = inst
@@ -348,7 +262,7 @@ func (c *Class) dispatcherLoop(p *msg.Process, sh *shard) {
 			}
 			// Shrink: retire an idle instance when over the minimum and
 			// nothing is waiting.
-			if len(queue) == 0 && len(instances) > minInst {
+			if len(queue) == 0 && len(instances) > c.cfg.MinInstances {
 				for i, in := range instances {
 					if !in.busy && in.name == name {
 						if err := p.Send(msg.Addr{Name: in.name}, "server.retire", nil); err != nil {
@@ -378,9 +292,8 @@ func removeInst(list []*instance, in *instance) []*instance {
 }
 
 // instanceLoop is one server process: read request, perform the data base
-// function, reply — context-free. dispatcher is the registered name of the
-// shard that owns this instance; completion notices go back to it.
-func (c *Class) instanceLoop(p *msg.Process, dispatcher string) {
+// function, reply — context-free.
+func (c *Class) instanceLoop(p *msg.Process) {
 	for {
 		m, err := p.Recv(context.Background())
 		if err != nil {
@@ -403,7 +316,7 @@ func (c *Class) instanceLoop(p *msg.Process, dispatcher string) {
 					p.Reply(orig, Resp{Fields: fields})
 				}
 			}
-			if err := p.Send(msg.Addr{Name: dispatcher}, kindDone, p.Name()); err != nil {
+			if err := p.Send(msg.Addr{Name: ClassName(c.cfg.Class)}, kindDone, p.Name()); err != nil {
 				// The dispatcher never learns this instance is free, so no
 				// further work can reach it: exit instead of leaking a
 				// permanently-busy server.
@@ -419,11 +332,6 @@ func Call(ctx context.Context, sys *msg.System, fromCPU int, node, class string,
 	addr := msg.Addr{Name: ClassName(class)}
 	if node != "" && node != sys.Node().Name() {
 		addr.Node = node
-	} else if _, err := sys.Lookup(cpuAlias(class, fromCPU)); err == nil {
-		// Sharded class on the local node: route to the dispatcher shard
-		// serving this CPU. Unsharded classes register no aliases, so the
-		// lookup fails and the seed's single-name routing applies.
-		addr.Name = cpuAlias(class, fromCPU)
 	}
 	r, err := sys.ClientCall(ctx, fromCPU, addr, KindRequest, Req{Tx: tx, Fields: fields})
 	if err != nil {

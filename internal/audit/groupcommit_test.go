@@ -74,38 +74,3 @@ func TestForceAlreadyDurableIsFree(t *testing.T) {
 		t.Errorf("redundant force changed stats: %+v -> %+v", before, after)
 	}
 }
-
-// TestBatchWindowCoalescesStaggeredCommitters checks the optional coalescing
-// window: committers arriving a few milliseconds apart — too spread out to
-// overlap a bare write — are still gathered into one physical force when the
-// leader waits out the window before writing.
-func TestBatchWindowCoalescesStaggeredCommitters(t *testing.T) {
-	const committers = 5
-	tr := NewTrail("a1", time.Millisecond)
-	tr.SetBatchWindow(60 * time.Millisecond)
-	var wg sync.WaitGroup
-	for i := 0; i < committers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			time.Sleep(time.Duration(i) * 5 * time.Millisecond)
-			lsn := tr.Append(img(tx(uint64(i+1)), "k", ImageInsert))
-			tr.Force(lsn)
-			if !tr.Forced(lsn) {
-				t.Errorf("committer %d not durable after Force", i)
-			}
-		}()
-	}
-	wg.Wait()
-	st := tr.ForceStats()
-	if st.Forces != 1 {
-		t.Errorf("physical forces = %d, want 1 (window should gather all %d committers)", st.Forces, committers)
-	}
-	if st.Requests != committers {
-		t.Errorf("requests = %d, want %d", st.Requests, committers)
-	}
-	if st.MaxBatch != committers {
-		t.Errorf("max batch = %d, want %d", st.MaxBatch, committers)
-	}
-}

@@ -177,10 +177,8 @@ type Node struct {
 	watchers []func(Event)
 
 	// busTraffic counts messages carried per bus, for the broadcast-cost
-	// experiment (T6 in DESIGN.md). busPiggybacked counts logical messages
-	// that shared an existing frame via TransferBatch.
-	busTraffic     [numBuses]atomic.Uint64
-	busPiggybacked atomic.Uint64
+	// experiment (T6 in DESIGN.md).
+	busTraffic [numBuses]atomic.Uint64
 }
 
 // NewNode creates a node with the given name and CPU count. The CPU count
@@ -319,17 +317,6 @@ func (n *Node) BusTraffic() (x, y uint64) {
 // It returns ErrCPUDown if either endpoint is down and ErrBusesDown if both
 // buses have failed.
 func (n *Node) Transfer(from, to int, deliver func()) error {
-	return n.TransferBatch(from, to, 1, deliver)
-}
-
-// TransferBatch carries count piggybacked interprocessor messages between
-// two CPUs in one bus operation: endpoint and bus validation happen once,
-// a single deliver callback installs every payload, and the chosen bus is
-// charged for one physical message. This is the hardware seam the batching
-// knobs ride — a TMF state-change broadcast that piggybacks k transitions,
-// or a mailbox sender coalescing k queued messages, pays one arbitration
-// instead of k. With count == 1 it is exactly Transfer.
-func (n *Node) TransferBatch(from, to, count int, deliver func()) error {
 	cf, err := n.CPU(from)
 	if err != nil {
 		return err
@@ -358,17 +345,7 @@ func (n *Node) TransferBatch(from, to, count int, deliver func()) error {
 		}
 		n.mu.Unlock()
 		n.busTraffic[bus].Add(1)
-		if count > 1 {
-			n.busPiggybacked.Add(uint64(count - 1))
-		}
 	}
 	deliver()
 	return nil
-}
-
-// BusPiggybacked returns the number of logical messages that rode an
-// existing bus frame via TransferBatch instead of paying their own
-// arbitration — the hardware-level measure of the batching knobs' win.
-func (n *Node) BusPiggybacked() uint64 {
-	return n.busPiggybacked.Load()
 }

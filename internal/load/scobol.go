@@ -13,8 +13,8 @@ import (
 // shape: the program ACCEPTs the supplied terminal input, brackets its
 // SENDs in BEGIN/END-TRANSACTION, and the interpreter's restart logic
 // re-drives it when the system aborts. Each terminal routes its server
-// SENDs from its own CPU (terminal mod CPU count), so per-CPU sharded
-// dispatch sees a realistic spread of request origins.
+// SENDs from its own CPU (terminal mod CPU count), so requests originate
+// on every processor of the node as a terminal population's would.
 func ScobolTx(node *encompass.Node, src string, inputs map[string]string) (Tx, error) {
 	prog, err := scobol.Parse(src)
 	if err != nil {

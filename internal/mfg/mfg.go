@@ -113,24 +113,6 @@ type App struct {
 
 	skMu        sync.Mutex
 	suspenseSeq map[string]uint64
-
-	// drainBatch is the suspense-drain batching knob: how many queued
-	// deferred updates for one target a single drain transaction carries.
-	// 0 or 1 (the default) is the seed's one-transaction-per-entry
-	// behaviour; k>1 pays one BEGIN/END and one commit protocol round for
-	// up to k applies, cutting the per-update TMF overhead k-fold.
-	drainBatch atomic.Int64
-}
-
-// SetDrainBatch sets the suspense-drain batch size (entries per drain
-// transaction, per target). Values below 1 mean 1 — the seed behaviour.
-func (a *App) SetDrainBatch(n int) { a.drainBatch.Store(int64(n)) }
-
-func (a *App) drainBatchSize() int {
-	if n := int(a.drainBatch.Load()); n > 1 {
-		return n
-	}
-	return 1
 }
 
 // nextSuspenseKey allocates the next suspense-file key at a node;
@@ -531,82 +513,67 @@ func (m *suspenseMonitor) run() {
 
 // drain applies queued deferred updates in suspense-file order. Order per
 // target node is preserved: a blocked node blocks its later entries but
-// not other nodes'. With a drain batch size above 1, up to that many
-// consecutive entries for one target share a single TMF transaction (one
-// BEGIN/END and commit round for the whole chunk); an abort anywhere in
-// the chunk backs out all of it, leaving every entry queued for the next
-// tick — the at-least-once convergence argument is unchanged.
+// not other nodes'.
 func (m *suspenseMonitor) drain() {
 	recs, err := m.node.FS.ReadRange(suspenseFile, "", "", 0)
 	if err != nil {
 		return
 	}
-	batch := m.app.drainBatchSize()
-	type entry struct {
-		suspKey   string // suspense-file key
-		file, key string
-		val       []byte
-	}
-	var order []string
-	perTarget := make(map[string][]entry)
+	blocked := make(map[string]bool)
+	retried := make(map[string]bool)
 	for _, rec := range recs {
 		target, file, key, val, err := decodeSuspense(rec.Val)
 		if err != nil {
 			continue
 		}
-		if _, ok := perTarget[target]; !ok {
-			order = append(order, target)
+		if blocked[target] {
+			continue
 		}
-		perTarget[target] = append(perTarget[target], entry{rec.Key, file, key, val})
-	}
-	for _, target := range order {
 		ready, isRetry := m.targetReady(target)
 		if !ready {
+			blocked[target] = true
 			m.app.stats.deferredBackoffSkips.Add(1)
 			continue
 		}
-		if isRetry {
+		if isRetry && !retried[target] {
+			retried[target] = true
 			m.app.stats.deferredRetries.Add(1)
 		}
 		if !m.app.sys.Network.Reachable(m.node.Name, target) {
+			blocked[target] = true
 			m.app.stats.deferredBlocked.Add(1)
 			m.noteFailure(target)
 			continue
 		}
-		entries := perTarget[target]
-	chunks:
-		for start := 0; start < len(entries); start += batch {
-			chunk := entries[start:min(start+batch, len(entries))]
-			// "The suspense monitor executes a TMF transaction which sends
-			// the update to a server at the non-master node and deletes the
-			// suspense file entry."
-			t, err := m.node.Begin()
-			if err != nil {
-				return
-			}
-			for _, e := range chunk {
-				if _, err := m.node.CallServer(target, serverClass, t.ID, map[string]string{
-					"OP": "apply-replica", "FILE": e.file, "KEY": e.key, "VALUE": string(e.val),
-				}, 5*time.Second); err != nil {
-					t.Abort("deferred apply failed")
-					m.app.stats.deferredBlocked.Add(1)
-					m.noteFailure(target)
-					break chunks // stop this target; later entries stay queued
-				}
-				if _, err := t.ReadLock(suspenseFile, e.suspKey); err != nil {
-					t.Abort("suspense entry lock failed")
-					continue chunks
-				}
-				if err := m.node.FS.Delete(t.ID, suspenseFile, e.suspKey); err != nil {
-					t.Abort("suspense delete failed")
-					continue chunks
-				}
-			}
-			if err := t.Commit(); err != nil {
-				continue
-			}
-			m.noteSuccess(target)
-			m.app.stats.deferredApplied.Add(uint64(len(chunk)))
+		// "The suspense monitor executes a TMF transaction which sends the
+		// update to a server at the non-master node and deletes the
+		// suspense file entry."
+		t, err := m.node.Begin()
+		if err != nil {
+			return
 		}
+		_, err = m.node.CallServer(target, serverClass, t.ID, map[string]string{
+			"OP": "apply-replica", "FILE": file, "KEY": key, "VALUE": string(val),
+		}, 5*time.Second)
+		if err != nil {
+			t.Abort("deferred apply failed")
+			blocked[target] = true
+			m.app.stats.deferredBlocked.Add(1)
+			m.noteFailure(target)
+			continue
+		}
+		if _, err := t.ReadLock(suspenseFile, rec.Key); err != nil {
+			t.Abort("suspense entry lock failed")
+			continue
+		}
+		if err := m.node.FS.Delete(t.ID, suspenseFile, rec.Key); err != nil {
+			t.Abort("suspense delete failed")
+			continue
+		}
+		if err := t.Commit(); err != nil {
+			continue
+		}
+		m.noteSuccess(target)
+		m.app.stats.deferredApplied.Add(1)
 	}
 }

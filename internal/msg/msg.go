@@ -125,79 +125,8 @@ const inboxDepth = 1024
 
 // inboxFullTimeout bounds how long a sender waits on a full inbox before
 // dropping the message (the destination is stuck; the caller's timeout
-// fires). Shared by the channel and coalesced mailbox variants.
+// fires).
 const inboxFullTimeout = 5 * time.Second
-
-// mailbox is the coalesced inbox variant: a mutex-guarded queue with a
-// one-slot wakeup channel. Senders append under the mutex and post at most
-// one wakeup; the receiver drains the whole queue in one swap per wakeup
-// ("drain-many") instead of paying one channel operation per message. At
-// high arrival rates this collapses thousands of goroutine wakeups per
-// second into a handful of drains. FIFO order is total over the queue,
-// exactly like the channel it replaces.
-type mailbox struct {
-	mu    sync.Mutex
-	q     []Message     // guarded by mu
-	wake  chan struct{} // cap 1: receiver wakeup
-	space chan struct{} // cap 1: sender wakeup after a full-queue drain
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{wake: make(chan struct{}, 1), space: make(chan struct{}, 1)}
-}
-
-// put enqueues m, waiting up to inboxFullTimeout for space when the queue
-// is at inboxDepth. It reports whether the message was accepted.
-func (b *mailbox) put(m Message, p *Process) bool {
-	deadline := time.Now().Add(inboxFullTimeout)
-	for {
-		b.mu.Lock()
-		if len(b.q) < inboxDepth {
-			b.q = append(b.q, m)
-			b.mu.Unlock()
-			select {
-			case b.wake <- struct{}{}:
-			default: // a wakeup is already pending; the drain will see us
-			}
-			return true
-		}
-		b.mu.Unlock()
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return false
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-b.space:
-			t.Stop()
-		case <-p.ctx.Done():
-			t.Stop()
-			return false
-		case <-p.done:
-			t.Stop()
-			return false
-		case <-t.C:
-			return false
-		}
-	}
-}
-
-// drain swaps the queued messages out in one mutex acquisition. The
-// receiver hands back its spent buffer so the two slices ping-pong without
-// reallocating.
-func (b *mailbox) drain(spent []Message) []Message {
-	b.mu.Lock()
-	q := b.q
-	b.q = spent[:0]
-	b.mu.Unlock()
-	if len(q) > 0 {
-		select {
-		case b.space <- struct{}{}:
-		default:
-		}
-	}
-	return q
-}
 
 // Process is a simulated Guardian process: a goroutine with an inbox,
 // hosted on one CPU incarnation. A CPU failure halts every process it
@@ -214,15 +143,8 @@ type Process struct {
 	ctx context.Context
 
 	inbox chan Message
-	// mbox, when non-nil, replaces inbox with the coalesced drain-many
-	// mailbox (System.SetMailboxCoalesce). drained is the receiver-local
-	// batch being served; only the process goroutine touches it.
-	mbox      *mailbox
-	drained   []Message
-	drainedAt int
-
-	done chan struct{}
-	dead atomic.Bool
+	done  chan struct{}
+	dead  atomic.Bool
 }
 
 // PID returns the process identifier.
@@ -257,9 +179,6 @@ func (p *Process) Recv(ctx context.Context) (Message, error) {
 	if p.halted() {
 		return Message{}, ErrProcessDead
 	}
-	if p.mbox != nil {
-		return p.recvCoalesced(ctx)
-	}
 	select {
 	case m := <-p.inbox:
 		if p.halted() {
@@ -270,38 +189,6 @@ func (p *Process) Recv(ctx context.Context) (Message, error) {
 		return Message{}, ErrProcessDead
 	case <-ctx.Done():
 		return Message{}, ctx.Err()
-	}
-}
-
-// recvCoalesced serves from the receiver-local drained batch, refilling it
-// with one mailbox swap per wakeup. A wakeup that finds k queued messages
-// costs one mutex acquisition and one channel receive for all k, instead
-// of k channel operations.
-func (p *Process) recvCoalesced(ctx context.Context) (Message, error) {
-	for {
-		if p.drainedAt < len(p.drained) {
-			m := p.drained[p.drainedAt]
-			p.drained[p.drainedAt] = Message{} // no payload retention
-			p.drainedAt++
-			if p.halted() {
-				return Message{}, ErrProcessDead
-			}
-			return m, nil
-		}
-		batch := p.mbox.drain(p.drained)
-		if len(batch) > 0 {
-			p.drained, p.drainedAt = batch, 0
-			p.sys.noteDrain(uint64(len(batch)))
-			continue
-		}
-		p.drained, p.drainedAt = batch, 0
-		select {
-		case <-p.mbox.wake:
-		case <-p.ctx.Done():
-			return Message{}, ErrProcessDead
-		case <-ctx.Done():
-			return Message{}, ctx.Err()
-		}
 	}
 }
 
@@ -366,43 +253,6 @@ type System struct {
 	waiters  map[uint64]chan Message // guarded by waitMu
 
 	remote RemoteSender
-
-	// coalesce selects the drain-many mailbox for subsequently spawned
-	// processes; the counters below measure how much it batches.
-	coalesce       atomic.Bool
-	drainWakeups   atomic.Uint64
-	drainMessages  atomic.Uint64
-	drainMaxLocked struct {
-		sync.Mutex
-		max uint64
-	}
-}
-
-// SetMailboxCoalesce selects the inbox variant for processes spawned after
-// the call: false (the default) is the seed's buffered channel, one channel
-// operation per message; true is the coalesced mailbox, which drains every
-// queued message per receiver wakeup. Set it before spawning services —
-// already-running processes keep the inbox they were born with.
-func (s *System) SetMailboxCoalesce(on bool) { s.coalesce.Store(on) }
-
-// CoalesceStats reports the drain-many mailbox activity: receiver wakeups
-// that found work, messages moved, and the largest single drain. With
-// coalescing off all three are zero.
-func (s *System) CoalesceStats() (wakeups, messages, maxBatch uint64) {
-	s.drainMaxLocked.Lock()
-	mb := s.drainMaxLocked.max
-	s.drainMaxLocked.Unlock()
-	return s.drainWakeups.Load(), s.drainMessages.Load(), mb
-}
-
-func (s *System) noteDrain(n uint64) {
-	s.drainWakeups.Add(1)
-	s.drainMessages.Add(n)
-	s.drainMaxLocked.Lock()
-	if n > s.drainMaxLocked.max {
-		s.drainMaxLocked.max = n
-	}
-	s.drainMaxLocked.Unlock()
 }
 
 // NewSystem creates the message system for a node.
@@ -440,17 +290,13 @@ func (s *System) Spawn(cpu int, name string, fn func(p *Process)) (*Process, err
 	s.mu.Lock()
 	s.nextPID++
 	p := &Process{
-		sys:  s,
-		pid:  PID{Node: s.node.Name(), CPU: cpu, Seq: s.nextPID},
-		cpu:  c,
-		name: name,
-		ctx:  c.Context(), // this incarnation's context, permanently
-		done: make(chan struct{}),
-	}
-	if s.coalesce.Load() {
-		p.mbox = newMailbox()
-	} else {
-		p.inbox = make(chan Message, inboxDepth)
+		sys:   s,
+		pid:   PID{Node: s.node.Name(), CPU: cpu, Seq: s.nextPID},
+		cpu:   c,
+		name:  name,
+		ctx:   c.Context(), // this incarnation's context, permanently
+		inbox: make(chan Message, inboxDepth),
+		done:  make(chan struct{}),
 	}
 	s.procs[p.pid.Seq] = p
 	if name != "" {
@@ -561,11 +407,14 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 		return fmt.Errorf("%w: %s", ErrProcessDead, p.pid)
 	}
 	return s.node.Transfer(fromCPU, p.pid.CPU, func() {
-		if p.mbox != nil {
-			// Coalesced mailbox: append under its mutex; a full queue for
-			// inboxFullTimeout drops the message like the channel path.
-			p.mbox.put(m, p)
+		// The inbox almost always has room: try a plain send first so the
+		// common delivery does not arm the full-inbox timer below. A
+		// message queued to a halted process is never served — Recv
+		// re-checks halted() after every dequeue.
+		select {
+		case p.inbox <- m:
 			return
+		default:
 		}
 		select {
 		case p.inbox <- m:

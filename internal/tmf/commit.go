@@ -181,16 +181,8 @@ func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
 
 // phase1 runs both halves of phase one — forcing this node's audit trails
 // and the critical-response request to child nodes — in parallel. Both
-// must succeed for the commit to proceed; the first error wins. With
-// CommitFanout == 1 the halves run sequentially, reproducing the seed's
-// latency for the ablation benchmark.
+// must succeed for the commit to proceed; the first error wins.
 func (m *Monitor) phase1(tx txid.ID) error {
-	if m.fanout == 1 {
-		if err := m.phase1Local(tx); err != nil {
-			return err
-		}
-		return m.phase1Children(tx)
-	}
 	errc := make(chan error, 2)
 	go func() { errc <- m.phase1Local(tx) }()
 	go func() { errc <- m.phase1Children(tx) }()
@@ -211,7 +203,7 @@ func (m *Monitor) phase1Local(tx txid.ID) error {
 	if err != nil {
 		return err
 	}
-	return fanOut(m.fanout, vols, func(vi VolumeInfo) error {
+	return fanOut(vols, func(vi VolumeInfo) error {
 		start := time.Now()
 		err := m.callVolume(vi, discproc.KindFlush, discproc.FlushReq{Tx: tx})
 		ev := obs.Event{Tx: tx, Kind: obs.EvForce, Node: m.node,
@@ -239,7 +231,7 @@ func (m *Monitor) phase1Children(tx txid.ID) error {
 	if err != nil {
 		return err
 	}
-	return fanOut(m.fanout, children, func(child string) error {
+	return fanOut(children, func(child string) error {
 		if err := m.tmpCall(child, kindPhase1, tmpReq{Tx: tx}); err != nil {
 			return fmt.Errorf("phase one to %s: %w", child, err)
 		}
@@ -258,7 +250,7 @@ func (m *Monitor) releaseLocal(tx txid.ID) {
 	if err != nil {
 		return
 	}
-	_ = fanOut(m.fanout, vols, func(vi VolumeInfo) error {
+	_ = fanOut(vols, func(vi VolumeInfo) error {
 		start := time.Now()
 		err := m.callVolumeRetry(vi, discproc.KindEndTx, discproc.EndTxReq{Tx: tx})
 		ev := obs.Event{Tx: tx, Kind: obs.EvPhase2Release, Node: m.node,
@@ -281,7 +273,7 @@ func (m *Monitor) freezeLocal(tx txid.ID) {
 	if err != nil {
 		return
 	}
-	_ = fanOut(m.fanout, vols, func(vi VolumeInfo) error {
+	_ = fanOut(vols, func(vi VolumeInfo) error {
 		_ = m.callVolumeRetry(vi, discproc.KindFreeze, discproc.EndTxReq{Tx: tx})
 		return nil
 	})
@@ -465,7 +457,7 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 			targets = append(targets, v)
 		}
 	}
-	undoErr := fanOut(m.fanout, targets, func(v *volImages) error {
+	undoErr := fanOut(targets, func(v *volImages) error {
 		rev := make([]audit.Image, len(v.images))
 		for i, img := range v.images {
 			rev[len(v.images)-1-i] = img

@@ -2,46 +2,29 @@ package tmf
 
 import "sync"
 
-// fanOut runs fn over items concurrently, at most limit calls in flight
-// (limit <= 0 means one goroutine per item; limit == 1 degrades to the
-// sequential seed behaviour, kept for the fan-out ablation). It always
+// fanOut runs fn over items concurrently, one goroutine per item. It always
 // waits for every call to finish before returning — the commit/abort
 // protocol holds protoMu across its steps, and the invariant that no
 // protocol work outlives the step that issued it depends on this barrier.
 // The first error observed is returned; remaining calls still run to
 // completion (a phase-one force that already started must not be
 // abandoned half-acknowledged).
-func fanOut[T any](limit int, items []T, fn func(T) error) error {
-	switch {
-	case len(items) == 0:
+func fanOut[T any](items []T, fn func(T) error) error {
+	switch len(items) {
+	case 0:
 		return nil
-	case len(items) == 1:
+	case 1:
 		return fn(items[0])
-	case limit == 1:
-		for _, it := range items {
-			if err := fn(it); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		first error
-		sem   chan struct{}
 	)
-	if limit > 0 && limit < len(items) {
-		sem = make(chan struct{}, limit)
-	}
 	for _, it := range items {
 		wg.Add(1)
 		go func(it T) {
 			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
 			if err := fn(it); err != nil {
 				mu.Lock()
 				if first == nil {

@@ -34,8 +34,8 @@ type multiVolNode struct {
 }
 
 // buildMultiVolNode creates a node with nvols audited volumes whose
-// trails carry forceDelay, attached to net, with the given commit fan-out.
-func buildMultiVolNode(t *testing.T, net *expand.Network, name string, nvols int, forceDelay time.Duration, fanout int) *multiVolNode {
+// trails carry forceDelay, attached to net.
+func buildMultiVolNode(t *testing.T, net *expand.Network, name string, nvols int, forceDelay time.Duration) *multiVolNode {
 	t.Helper()
 	n, err := hw.NewNode(name, 4)
 	if err != nil {
@@ -44,7 +44,7 @@ func buildMultiVolNode(t *testing.T, net *expand.Network, name string, nvols int
 	sys := msg.NewSystem(n)
 	net.Attach(sys)
 	mn := &multiVolNode{name: name, hw: n, sys: sys}
-	mn.mon, err = New(Config{System: sys, Network: net, TMPPrimaryCPU: 0, TMPBackupCPU: 1, CommitFanout: fanout})
+	mn.mon, err = New(Config{System: sys, Network: net, TMPPrimaryCPU: 0, TMPBackupCPU: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestParallelPhase1MultiVolume(t *testing.T) {
 		delay = 10 * time.Millisecond
 	)
 	net := expand.NewNetwork(0)
-	mn := buildMultiVolNode(t, net, "a", nvols, delay, 0)
+	mn := buildMultiVolNode(t, net, "a", nvols, delay)
 	tx, err := mn.mon.Begin(2)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +132,8 @@ func TestParallelPhase1MultiVolume(t *testing.T) {
 // Trail.
 func TestCommitSlowVolumeFailingChild(t *testing.T) {
 	net := expand.NewNetwork(0)
-	a := buildMultiVolNode(t, net, "a", 2, 5*time.Millisecond, 0)
-	b := buildMultiVolNode(t, net, "b", 1, 0, 0)
+	a := buildMultiVolNode(t, net, "a", 2, 5*time.Millisecond)
+	b := buildMultiVolNode(t, net, "b", 1, 0)
 	if err := net.AddLink("a", "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCommitSlowVolumeFailingChild(t *testing.T) {
 func TestAbortRacingCommit(t *testing.T) {
 	const rounds = 16
 	net := expand.NewNetwork(0)
-	mn := buildMultiVolNode(t, net, "a", 2, time.Millisecond, 0)
+	mn := buildMultiVolNode(t, net, "a", 2, time.Millisecond)
 	for i := 0; i < rounds; i++ {
 		tx, err := mn.mon.Begin(i % 4)
 		if err != nil {
@@ -222,7 +222,7 @@ func TestAbortRacingCommit(t *testing.T) {
 // instead of being silently dropped.
 func TestReleaseFailureCounted(t *testing.T) {
 	net := expand.NewNetwork(0)
-	mn := buildMultiVolNode(t, net, "a", 1, 0, 0)
+	mn := buildMultiVolNode(t, net, "a", 1, 0)
 	// A registered volume whose DISCPROCESS name resolves to nothing:
 	// every call to it fails, as with a hung or dead process.
 	mn.mon.AddVolume(VolumeInfo{Name: "ghost", DiscName: "no-such-disc"})
@@ -255,7 +255,7 @@ func TestReleaseFailureCounted(t *testing.T) {
 // its images.
 func TestBackoutScanFailureSurfaced(t *testing.T) {
 	net := expand.NewNetwork(0)
-	mn := buildMultiVolNode(t, net, "a", 1, 0, 0)
+	mn := buildMultiVolNode(t, net, "a", 1, 0)
 	// A volume claiming an AUDITPROCESS that does not exist: backout's
 	// scan of that trail can never succeed.
 	mn.mon.AddVolume(VolumeInfo{Name: "ghost", DiscName: mn.discs[0], AuditName: "no-such-audit"})

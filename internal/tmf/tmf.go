@@ -133,18 +133,9 @@ type Monitor struct {
 	seq     map[int]uint64        // guarded by mu; per-CPU BEGIN sequence numbers
 	volumes map[string]VolumeInfo // guarded by mu
 
-	// tabMu guards the per-CPU replicated state tables and, under the
-	// piggyback knob, the pending set of deferred 'active' replications.
-	tabMu   sync.Mutex
-	tables  []map[txid.ID]txid.State // guarded by tabMu
-	pending map[txid.ID]txid.State   // guarded by tabMu
-
-	// piggyback defers the BEGIN 'active' table broadcast so it rides the
-	// transaction's next state-change frame (END or abort) as one
-	// TransferBatch per CPU — short transactions pay one bus arbitration
-	// per processor instead of two or more. Off (the default) reproduces
-	// the seed's broadcast-per-transition behaviour.
-	piggyback bool
+	// tabMu guards the per-CPU replicated state tables.
+	tabMu  sync.Mutex
+	tables []map[txid.ID]txid.State // guarded by tabMu
 
 	// transitions is the Figure 3 conformance log.
 	trMu        sync.Mutex
@@ -173,10 +164,6 @@ type Monitor struct {
 	cSafeRetries                              *obs.Counter
 	cStateViolations                          *obs.Counter
 	hBeginToEnded, hPhase1, hPhase2, hBackout *obs.Histogram
-
-	// fanout bounds concurrent protocol calls per commit/abort step
-	// (0 = one goroutine per participant, 1 = sequential).
-	fanout int
 
 	tmpPair *tmpApp
 	tmpCPU  func() int
@@ -223,12 +210,6 @@ type Config struct {
 	MonitorTrail *audit.MonitorTrail
 	// TMPPrimaryCPU / TMPBackupCPU host the TMP pair.
 	TMPPrimaryCPU, TMPBackupCPU int
-	// CommitFanout bounds how many concurrent calls each step of the
-	// commit/abort protocol issues (phase-one flushes and child requests,
-	// phase-two releases, freezes and undo sends). 0 means one goroutine
-	// per participant; 1 reproduces the sequential seed behaviour and is
-	// kept for the fan-out ablation benchmark.
-	CommitFanout int
 	// Registry receives the monitor's activity counters and per-phase
 	// latency histograms; nil creates a private registry (Stats and
 	// Registry() still work).
@@ -251,14 +232,6 @@ type Config struct {
 	// 0 means 3, tolerating one failure). One acceptor process runs per
 	// configured CPU of the home node (slot i on CPU i mod NumCPUs).
 	CommitAcceptors int
-	// PiggybackBroadcasts defers the BEGIN 'active' state-table broadcast
-	// and piggybacks it on the transaction's next state-change frame (the
-	// END or abort broadcast), one batched transfer per CPU. Transition
-	// logging, tracing and the Figure 3 checker still see every transition
-	// at emission time, and Monitor.State falls back to the pending set,
-	// so only physical bus traffic changes. False (the default) is the
-	// seed's one-frame-per-transition behaviour.
-	PiggybackBroadcasts bool
 }
 
 // New creates and starts the node's TMF monitor, including its TMP pair.
@@ -282,9 +255,6 @@ func New(cfg Config) (*Monitor, error) {
 		volumes:   make(map[string]VolumeInfo),
 		safeQueue: make(map[string][]safeMsg),
 		tables:    make([]map[txid.ID]txid.State, node.NumCPUs()),
-		pending:   make(map[txid.ID]txid.State),
-		piggyback: cfg.PiggybackBroadcasts,
-		fanout:    cfg.CommitFanout,
 		reg:       reg,
 		tracer:    cfg.Tracer,
 		checker:   obs.NewStateMachineChecker(cfg.StrictStateCheck),
@@ -453,28 +423,22 @@ func (m *Monitor) closeToNewWork(tx txid.ID) {
 }
 
 // State returns the transaction's state as replicated on the
-// lowest-numbered up CPU of the node. A transaction whose 'active'
-// broadcast is deferred under the piggyback knob reads as active here —
-// the logical state machine is knob-independent.
+// lowest-numbered up CPU of the node.
 func (m *Monitor) State(tx txid.ID) txid.State {
 	m.tabMu.Lock()
 	defer m.tabMu.Unlock()
 	return m.stateLocked(tx)
 }
 
-// stateLocked is State with tabMu already held: the replica of the
-// lowest-numbered up CPU, falling back to the pending deferred-broadcast
-// set. Internal sweeps (unreachable-participant and CPU-down aborts) use
-// it so piggybacked transactions don't dodge them.
+// stateLocked is State with tabMu already held, for the internal sweeps
+// (unreachable-participant and CPU-down aborts) that peek without
+// broadcasting.
 func (m *Monitor) stateLocked(tx txid.ID) txid.State {
 	up := m.sys.Node().UpCPUs()
 	if len(up) == 0 {
 		return txid.StateNone
 	}
-	if st := m.tables[up[0]][tx]; st != txid.StateNone {
-		return st
-	}
-	return m.pending[tx]
+	return m.tables[up[0]][tx]
 }
 
 // StateOnCPU returns the state replica held by one CPU's table.
@@ -508,35 +472,14 @@ func (m *Monitor) broadcast(tx txid.ID, to txid.State) {
 	_ = m.checker.Observe(m.node, tx, from, to)
 
 	node := m.sys.Node()
-	if m.piggyback && to == txid.StateActive {
-		// Defer the table replication: the 'active' entry rides the
-		// transaction's next state-change frame. The transition was logged,
-		// traced and checked above, so observability is unchanged; reads go
-		// through stateLocked, which consults the pending set.
-		m.tabMu.Lock()
-		m.pending[tx] = to
-		m.tabMu.Unlock()
-		return
-	}
-	count := 1
-	m.tabMu.Lock()
-	if _, deferred := m.pending[tx]; deferred {
-		delete(m.pending, tx)
-		count = 2 // the deferred 'active' rides this frame
-	}
-	m.tabMu.Unlock()
 	for _, cpu := range node.UpCPUs() {
 		cpu := cpu
-		err := node.TransferBatch(srcCPU, cpu, count, func() {
+		err := node.Transfer(srcCPU, cpu, func() {
+			// "Once the 'ended'/'aborted' state has completed, the transid
+			// leaves the system." Terminal states stay in the table briefly
+			// for observability; Forget clears them.
 			m.tabMu.Lock()
-			if to.Terminal() {
-				// "Once the 'ended'/'aborted' state has completed, the
-				// transid leaves the system." We keep terminal states in
-				// the table briefly for observability; Forget clears them.
-				m.tables[cpu][tx] = to
-			} else {
-				m.tables[cpu][tx] = to
-			}
+			m.tables[cpu][tx] = to
 			m.tabMu.Unlock()
 		})
 		if err == nil {
@@ -587,7 +530,6 @@ func (m *Monitor) Forget(tx txid.ID) {
 			delete(tab, tx)
 		}
 	}
-	delete(m.pending, tx)
 	m.tabMu.Unlock()
 	m.mu.Lock()
 	delete(m.txs, tx)

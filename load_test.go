@@ -11,13 +11,12 @@ import (
 )
 
 // TestLoadShortOpenLoop is the `make load-short` gate: a short open-loop
-// terminal run under the race detector with every batching knob on —
-// mailbox coalescing, piggybacked state broadcasts, per-CPU sharded
-// dispatch — followed by the Figure 3 trace oracle over every captured
-// transaction. It checks the harness's own bookkeeping (issued =
-// committed + failed, one histogram observation per issued transaction,
-// Elapsed covers the straggler drain) and that the batched hot paths
-// leave the transaction state machine observably correct under load.
+// terminal run under the race detector, followed by the Figure 3 trace
+// oracle over every captured transaction. It checks the harness's own
+// bookkeeping (issued = committed + failed, one histogram observation per
+// issued transaction, Elapsed covers the straggler drain) and that the
+// hot path leaves the transaction state machine observably correct under
+// load.
 func TestLoadShortOpenLoop(t *testing.T) {
 	terminals, rate := 150, 900.0
 	duration, warmup := 1200*time.Millisecond, 200*time.Millisecond
@@ -32,10 +31,7 @@ func TestLoadShortOpenLoop(t *testing.T) {
 				{Name: "v2", Audited: true, CacheSize: 1024},
 			},
 		}},
-		MailboxCoalesce:     true,
-		PiggybackBroadcasts: true,
-		DispatchShards:      4,
-		TraceCapacity:       1 << 16,
+		TraceCapacity: 1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +107,6 @@ func TestLoadShortOpenLoop(t *testing.T) {
 	// the tail quiet), longer when stragglers drain past it.
 	if res.Elapsed < duration/2 {
 		t.Errorf("Elapsed = %v, want >= %v (half the measured window)", res.Elapsed, duration/2)
-	}
-
-	// The batched paths must actually have been exercised.
-	if wakeups, messages, _ := node.Msg.CoalesceStats(); wakeups == 0 || messages == 0 {
-		t.Errorf("coalesced mailboxes idle: wakeups=%d messages=%d", wakeups, messages)
-	}
-	if pb := node.HW.BusPiggybacked(); pb == 0 {
-		t.Error("no state broadcast ever rode an existing bus frame despite PiggybackBroadcasts")
 	}
 
 	// Figure 3 oracle over every captured trace, zero checker violations.
