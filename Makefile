@@ -10,7 +10,7 @@ GO ?= go
 TMFLINT := bin/tmflint
 TMFLINT_SRC := $(wildcard cmd/tmflint/*.go internal/analysis/*/*.go)
 
-.PHONY: all build test bench-test check lint race fuzz chaos-short stress-short crash-matrix crash-matrix-short bench bench-json bench-compare experiments soak soak-short load-short profile
+.PHONY: all build test bench-test check lint race fuzz chaos-short stress-short crash-matrix crash-matrix-short bench experiments soak soak-short load-short profile
 
 all: check
 
@@ -130,36 +130,11 @@ check: build
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Machine-readable benchmark snapshot: the perf experiments (commit
-# fan-out + group commit, lossy-line convergence, multithreaded
-# DISCPROCESS ablation, DST explorer throughput, recovery time vs trail
-# length, open-loop terminal-scale throughput) as one JSON document
-# stamped with the root seed and git revision. Schema in EXPERIMENTS.md.
-BENCH_OUT ?= BENCH_PR9.json
-# The leading "-" keeps the snapshot usable even when an experiment's
-# qualitative claim fails (tmfbench exits 1 after writing the document).
-bench-json:
-	-$(GO) run ./cmd/tmfbench -exp T9,T10,T11,T12,T13,T14,T15 -json -out $(BENCH_OUT)
-
-# Metric-by-metric diff of two bench snapshots with a regression
-# threshold; informational by default. CI gates on it with
-# BENCH_DIFF_FLAGS="-fail-on-regress -gate-metrics failed,violations,..."
-# so unambiguous-direction correctness counters and pass-flag flips fail
-# the build while noisy throughput/latency stay advisory. Closes the
-# ROADMAP's "machine-comparable trajectory" gap.
-BENCH_OLD ?= BENCH_PR8.json
-BENCH_NEW ?= BENCH_PR9.json
-BENCH_DIFF_FLAGS ?=
-bench-compare:
-	$(GO) run ./cmd/benchdiff $(BENCH_DIFF_FLAGS) $(BENCH_OLD) $(BENCH_NEW)
-
-# One-command hot-path hunt: run the open-loop load experiment under the
-# CPU profiler and print the top consumers. PROFILE_EXP/PROFILE_FLAGS tune
-# which experiment and knobs get profiled.
-PROFILE_EXP ?= T15
-PROFILE_FLAGS ?=
+# One-command hot-path hunt through the standard toolchain: run one root
+# benchmark under the CPU and heap profilers and print the top consumers.
+PROFILE_BENCH ?= BenchmarkT1CommitSingleNode
 profile:
-	-$(GO) run ./cmd/tmfbench -exp $(PROFILE_EXP) $(PROFILE_FLAGS) -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -run '^$$' -bench $(PROFILE_BENCH) -cpuprofile cpu.pprof -memprofile mem.pprof .
 	$(GO) tool pprof -top -nodecount 20 cpu.pprof
 
 experiments:

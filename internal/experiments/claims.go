@@ -39,8 +39,6 @@ func buildChain(n int, auditDelay time.Duration) (*encompass.System, []string, e
 // participant count; the single-node case needs no network at all.
 func T1() *Report {
 	r := &Report{
-		ID:      "T1",
-		Title:   "commit cost vs participant count (abbreviated vs distributed 2PC)",
 		Columns: []string{"participants", "avg commit latency", "p95", "net frames/tx"},
 	}
 	const txs = 40
@@ -119,8 +117,6 @@ func percentile(d []time.Duration, p int) time.Duration {
 // pays one per commit.
 func T2() *Report {
 	r := &Report{
-		ID:      "T2",
-		Title:   "checkpoint-instead-of-WAL ablation",
 		Columns: []string{"discipline", "txs", "updates/tx", "elapsed", "tx/s", "trail forces"},
 	}
 	const (
@@ -194,8 +190,6 @@ func max64(a, b uint64) uint64 {
 // reverse (before-images applied newest-first).
 func T3() *Report {
 	r := &Report{
-		ID:      "T3",
-		Title:   "backout cost vs transaction size",
 		Columns: []string{"updates", "abort latency", "restored"},
 	}
 	sys, err := encompass.Build(encompass.Config{
@@ -260,8 +254,6 @@ func T3() *Report {
 // workload live.
 func T4() *Report {
 	r := &Report{
-		ID:      "T4",
-		Title:   "hot-spot contention: deadlock by timeout + restart",
 		Columns: []string{"concurrency", "committed", "retries", "lock timeouts", "tx/s"},
 	}
 	pass := true
@@ -304,8 +296,6 @@ func T4() *Report {
 // replay; recovered state is complete.
 func T5() *Report {
 	r := &Report{
-		ID:      "T5",
-		Title:   "ROLLFORWARD recovery vs committed-history length",
 		Columns: []string{"committed txs", "images replayed", "recovery time", "records verified"},
 	}
 	pass := true
@@ -360,8 +350,6 @@ func recoveryGrowth(prev, cur time.Duration) bool { return cur >= prev/4 }
 // bus), while network traffic stays proportional to participants only.
 func T6() *Report {
 	r := &Report{
-		ID:      "T6",
-		Title:   "state-change broadcast cost vs CPUs; participant-only across network",
 		Columns: []string{"config", "txs", "bus msgs/tx", "net frames/tx"},
 	}
 	const txs = 30
@@ -426,8 +414,6 @@ func T6() *Report {
 // synchronous replication.
 func T7() *Report {
 	r := &Report{
-		ID:      "T7",
-		Title:   "update availability under partition: master+suspense vs synchronous",
 		Columns: []string{"scheme", "phase", "attempted", "succeeded"},
 	}
 	var specs []encompass.NodeSpec

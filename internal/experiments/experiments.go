@@ -1,33 +1,30 @@
 // Package experiments implements the reproduction harness: one function
-// per figure (F1-F4) and per textual claim (T1-T7) from DESIGN.md. Each
-// experiment builds its own simulated system, drives it, and returns a
-// Report whose rows are the "table" the paper's figure or claim implies.
+// per figure and per textual claim from DESIGN.md, listed once in
+// Registry. Each experiment builds its own simulated system, drives it,
+// and returns a Report whose rows are the "table" the paper's figure or
+// claim implies and whose Pass says whether the claim held. Performance
+// numbers are bench/'s job (BENCHMARK.json), not this package's.
 //
-// cmd/tmfbench prints the reports; the root bench_test.go wraps the same
-// code paths in testing.B benchmarks.
+// cmd/tmfbench prints the reports.
 package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
 
-// Report is one experiment's regenerated table. The JSON form (tmfbench
-// -json) is documented in EXPERIMENTS.md.
+// Report is one experiment's regenerated table. Run fills ID and Title
+// from the Registry entry.
 type Report struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-	// Metrics holds machine-readable scalars (durations in nanoseconds,
-	// rates in ops/sec) for JSON consumers; the Rows render the same
-	// numbers for humans.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	ID      string
+	Title   string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 	// Pass records whether the experiment's qualitative claim held.
-	Pass bool `json:"pass"`
+	Pass bool
 }
 
 // String renders the report as an aligned text table.
@@ -76,74 +73,70 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// All runs every experiment and returns the reports in ID order.
-func All() []*Report {
-	reports := []*Report{
-		F1(), F2(), F3(), F4(),
-		T1(), T2(), T3(), T4(), T5(), T6(), T7(), T8(), T9(), T10(), T11(), T12(), T13(), T14(), T15(),
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
-	return reports
+// Experiment is one entry of the registry: the ID tmfbench -exp takes,
+// the title -list prints, and the function that regenerates the table.
+type Experiment struct {
+	ID    string
+	Title string
+	Run   func() *Report
 }
 
-// Run executes experiments by ID ("F1".."T12", case-insensitive), a
-// comma-separated list of IDs ("T9,T10,T11"), or all of them for "all".
-func Run(id string) ([]*Report, error) {
-	if strings.Contains(id, ",") {
-		var out []*Report
-		for _, one := range strings.Split(id, ",") {
-			rs, err := Run(strings.TrimSpace(one))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rs...)
+// Registry lists every experiment once, in the order "all" runs them:
+// the figures, then the claims by number. T12 (DST explorer throughput)
+// and T15 (open-loop terminal load) were retired and their IDs stay
+// unused, because EXPERIMENTS.md and the frozen BENCH_PR*.json name them.
+var Registry = []Experiment{
+	{"F1", "single-module failure tolerance (Figure 1)", F1},
+	{"F2", "typical ENCOMPASS configuration (Figure 2)", F2},
+	{"F3", "transaction state transitions (Figure 3)", F3},
+	{"F4", "manufacturing network: autonomy and convergence (Figure 4)", F4},
+	{"T1", "commit cost vs participant count (abbreviated vs distributed 2PC)", T1},
+	{"T2", "checkpoint-instead-of-WAL ablation", T2},
+	{"T3", "backout cost vs transaction size", T3},
+	{"T4", "hot-spot contention: deadlock by timeout + restart", T4},
+	{"T5", "ROLLFORWARD recovery vs committed-history length", T5},
+	{"T6", "state-change broadcast cost vs CPUs; participant-only across network", T6},
+	{"T7", "update availability under partition: master+suspense vs synchronous", T7},
+	{"T8", "availability through processor failure: NonStop vs conventional restart", T8},
+	{"T9", "parallel commit fan-out and audit group commit", T9},
+	{"T10", "suspense convergence over flaky lines (lossy partition heal)", T10},
+	{"T11", "multithreaded DISCPROCESS: conflict-aware intra-volume parallelism", T11},
+	{"T13", "ROLLFORWARD recovery time vs audit-trail length (streamed replay)", T13},
+	{"T14", "disposition under coordinator failure: blocking 2PC vs Paxos Commit (F=1)", T14},
+}
+
+// pick resolves an ID (case-insensitive), a comma-separated list of IDs
+// ("T9,T10,T11"), or "all" (the whole Registry, in order) to entries.
+func pick(ids string) ([]Experiment, error) {
+	var picked []Experiment
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if id == "ALL" {
+			picked = append(picked, Registry...)
+			continue
 		}
-		return out, nil
+		i := slices.IndexFunc(Registry, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (tmfbench -list names them; or all)", id)
+		}
+		picked = append(picked, Registry[i])
 	}
-	switch strings.ToUpper(id) {
-	case "ALL":
-		return All(), nil
-	case "F1":
-		return []*Report{F1()}, nil
-	case "F2":
-		return []*Report{F2()}, nil
-	case "F3":
-		return []*Report{F3()}, nil
-	case "F4":
-		return []*Report{F4()}, nil
-	case "T1":
-		return []*Report{T1()}, nil
-	case "T2":
-		return []*Report{T2()}, nil
-	case "T3":
-		return []*Report{T3()}, nil
-	case "T4":
-		return []*Report{T4()}, nil
-	case "T5":
-		return []*Report{T5()}, nil
-	case "T6":
-		return []*Report{T6()}, nil
-	case "T7":
-		return []*Report{T7()}, nil
-	case "T8":
-		return []*Report{T8()}, nil
-	case "T9":
-		return []*Report{T9()}, nil
-	case "T10":
-		return []*Report{T10()}, nil
-	case "T11":
-		return []*Report{T11()}, nil
-	case "T12":
-		return []*Report{T12()}, nil
-	case "T13":
-		return []*Report{T13()}, nil
-	case "T14":
-		return []*Report{T14()}, nil
-	case "T15":
-		return []*Report{T15()}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want F1-F4, T1-T15, all)", id)
+	return picked, nil
+}
+
+// Run executes the experiments pick resolves ids to, stamping each
+// report with its Registry ID and Title.
+func Run(ids string) ([]*Report, error) {
+	picked, err := pick(ids)
+	if err != nil {
+		return nil, err
 	}
+	reports := make([]*Report, len(picked))
+	for i, e := range picked {
+		reports[i] = e.Run()
+		reports[i].ID, reports[i].Title = e.ID, e.Title
+	}
+	return reports, nil
 }
 
 func dur(d time.Duration) string {

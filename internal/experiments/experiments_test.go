@@ -6,57 +6,90 @@ import (
 )
 
 // Each experiment is the regeneration harness for one figure or claim;
-// these tests pin that every experiment runs to completion and its
+// these tests pin that every Registry entry runs to completion and its
 // qualitative claim (Report.Pass) holds.
 
-func check(t *testing.T, r *Report) {
+// slow names the experiments -short skips, with the reason.
+var slow = map[string]string{
+	"T5":  "long history replay",
+	"T8":  "long workload run",
+	"T14": "three dead-coordinator windows of wall-clock waiting",
+}
+
+// ran holds each experiment's report so TestRegistry's subtests and the
+// top-level TestF1..TestT14 (names the tier-1 floor lists) share one run.
+var ran = map[string]*Report{}
+
+func check(t *testing.T, id string) {
 	t.Helper()
+	if why := slow[id]; why != "" && testing.Short() {
+		t.Skip(why)
+	}
+	r := ran[id]
+	if r == nil {
+		rs, err := Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = rs[0]
+		ran[id] = r
+	}
 	t.Log("\n" + r.String())
 	if !r.Pass {
-		t.Errorf("%s did not pass", r.ID)
+		t.Errorf("%s did not pass", id)
 	}
 	if len(r.Rows) == 0 {
-		t.Errorf("%s produced no rows", r.ID)
+		t.Errorf("%s produced no rows", id)
 	}
 }
 
-func TestF1(t *testing.T) { check(t, F1()) }
-func TestF2(t *testing.T) { check(t, F2()) }
-func TestF3(t *testing.T) { check(t, F3()) }
-func TestF4(t *testing.T) { check(t, F4()) }
-func TestT1(t *testing.T) { check(t, T1()) }
-func TestT2(t *testing.T) { check(t, T2()) }
-func TestT3(t *testing.T) { check(t, T3()) }
-func TestT4(t *testing.T) { check(t, T4()) }
-func TestT5(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long history replay")
+// TestRegistry is the guard that every experiment has a test: a new
+// Registry entry is run here without anyone adding a function for it.
+func TestRegistry(t *testing.T) {
+	for _, e := range Registry {
+		t.Run(e.ID, func(t *testing.T) { check(t, e.ID) })
 	}
-	check(t, T5())
-}
-func TestT6(t *testing.T) { check(t, T6()) }
-func TestT7(t *testing.T) { check(t, T7()) }
-func TestT8(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long workload run")
-	}
-	check(t, T8())
-}
-func TestT9(t *testing.T) { check(t, T9()) }
-func TestT14(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three dead-coordinator windows of wall-clock waiting")
-	}
-	check(t, T14())
 }
 
+func TestF1(t *testing.T)  { check(t, "F1") }
+func TestF2(t *testing.T)  { check(t, "F2") }
+func TestF3(t *testing.T)  { check(t, "F3") }
+func TestF4(t *testing.T)  { check(t, "F4") }
+func TestT1(t *testing.T)  { check(t, "T1") }
+func TestT2(t *testing.T)  { check(t, "T2") }
+func TestT3(t *testing.T)  { check(t, "T3") }
+func TestT4(t *testing.T)  { check(t, "T4") }
+func TestT5(t *testing.T)  { check(t, "T5") }
+func TestT6(t *testing.T)  { check(t, "T6") }
+func TestT7(t *testing.T)  { check(t, "T7") }
+func TestT8(t *testing.T)  { check(t, "T8") }
+func TestT9(t *testing.T)  { check(t, "T9") }
+func TestT14(t *testing.T) { check(t, "T14") }
+
+// TestRunDispatch pins that -exp accepts exactly the IDs -list prints
+// (both read Registry), in Registry order for "all", plus comma lists.
 func TestRunDispatch(t *testing.T) {
-	if _, err := Run("bogus"); err == nil {
-		t.Error("unknown id should error")
+	for _, bad := range []string{"bogus", "T12", "T15", "F1,bogus", ""} {
+		if _, err := pick(bad); err == nil {
+			t.Errorf("pick(%q) should error", bad)
+		}
 	}
-	rs, err := Run("f3")
-	if err != nil || len(rs) != 1 || rs[0].ID != "F3" {
-		t.Errorf("Run(f3) = %v, %v", rs, err)
+	all, err := pick("all")
+	if err != nil || len(all) != len(Registry) {
+		t.Fatalf("pick(all) = %d entries, %v; want %d", len(all), err, len(Registry))
+	}
+	seen := map[string]bool{}
+	for i, e := range Registry {
+		got, err := pick(strings.ToLower(e.ID))
+		if err != nil || len(got) != 1 || got[0].ID != e.ID || all[i].ID != e.ID || seen[e.ID] {
+			t.Errorf("pick(%q) = %v, %v (duplicate ID: %v)", e.ID, got, err, seen[e.ID])
+		}
+		seen[e.ID] = true
+	}
+	rs, err := Run("f3, F2")
+	if err != nil || len(rs) != 2 || rs[0].ID != "F3" || rs[1].ID != "F2" ||
+		rs[0].Title != Registry[2].Title {
+		t.Errorf("Run(f3, F2) = %v, %v", rs, err)
 	}
 }
 

@@ -20,8 +20,6 @@ import (
 // directly involved with a failed module is backed out (and retried).
 func F1() *Report {
 	r := &Report{
-		ID:      "F1",
-		Title:   "single-module failure tolerance (Figure 1)",
 		Columns: []string{"phase", "committed", "aborted", "retries", "invariant"},
 	}
 	sys, err := encompass.Build(encompass.Config{
@@ -86,8 +84,6 @@ func F1() *Report {
 // one node, exercised by Screen COBOL terminals end to end.
 func F2() *Report {
 	r := &Report{
-		ID:      "F2",
-		Title:   "typical ENCOMPASS configuration (Figure 2)",
 		Columns: []string{"component", "kind", "primary CPU", "backup CPU"},
 	}
 	sys, err := encompass.Build(encompass.Config{
@@ -193,8 +189,6 @@ END-PROC.
 // the observed transitions are tabulated against the figure's legal set.
 func F3() *Report {
 	r := &Report{
-		ID:      "F3",
-		Title:   "transaction state transitions (Figure 3)",
 		Columns: []string{"transition", "observed", "legal"},
 	}
 	sys, err := encompass.Build(encompass.Config{
@@ -301,8 +295,6 @@ func classifyTransitions(counts map[[2]txid.State]int) (rows [][]string, illegal
 // replication, partition tolerance and post-heal convergence.
 func F4() *Report {
 	r := &Report{
-		ID:      "F4",
-		Title:   "manufacturing network: autonomy and convergence (Figure 4)",
 		Columns: []string{"step", "outcome"},
 	}
 	var specs []encompass.NodeSpec

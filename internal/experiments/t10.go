@@ -9,12 +9,10 @@ import (
 	"encompass/internal/mfg"
 )
 
-// T10 knobs, settable from tmfbench flags (-loss, -dup).
-var (
-	// T10Loss is the per-frame loss probability on every line.
-	T10Loss = 0.12
-	// T10Dup is the per-frame duplication probability on every line.
-	T10Dup = 0.06
+// Per-frame loss and duplication probability on every line.
+const (
+	t10Loss = 0.12
+	t10Dup  = 0.06
 )
 
 // T10 replays the Figure-4 suspense-file convergence claim over flaky
@@ -27,8 +25,6 @@ var (
 // that turns retransmission on.
 func T10() *Report {
 	r := &Report{
-		ID:      "T10",
-		Title:   "suspense convergence over flaky lines (lossy partition heal)",
 		Columns: []string{"step", "outcome"},
 	}
 	var specs []encompass.NodeSpec
@@ -43,7 +39,7 @@ func T10() *Report {
 		{"reston", "neufahrn"}, {"neufahrn", "cupertino"},
 	}
 	profile := expand.FaultProfile{
-		Loss: T10Loss, Duplicate: T10Dup, Reorder: 0.2, Corrupt: 0.02,
+		Loss: t10Loss, Duplicate: t10Dup, Reorder: 0.2, Corrupt: 0.02,
 		JitterMax: time.Millisecond, Seed: 1081,
 	}
 	sys, err := encompass.Build(encompass.Config{
@@ -97,7 +93,7 @@ func T10() *Report {
 
 	as := app.Stats()
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("fault profile per line: loss=%.0f%% dup=%.0f%% reorder=20%% corrupt=2%%", T10Loss*100, T10Dup*100),
+		fmt.Sprintf("fault profile per line: loss=%.0f%% dup=%.0f%% reorder=20%% corrupt=2%%", t10Loss*100, t10Dup*100),
 		fmt.Sprintf("net: frames=%d lost=%d retransmits=%d dups_dropped=%d corrupt=%d give_ups=%d",
 			st.Frames, st.FramesLost, st.Retransmits, st.DupsDropped, st.CorruptFrames, st.GiveUps),
 		fmt.Sprintf("mfg: %+v", as))

@@ -13,11 +13,6 @@ import (
 	"encompass/internal/obs"
 )
 
-// T11Workers is the parallel worker-pool depth for the ablation's
-// multithreaded runs, settable from cmd/tmfbench (-discworkers).
-// 0 = discproc.DefaultDiscWorkers.
-var T11Workers = 0
-
 const (
 	t11Accounts    = 256
 	t11HotKeys     = 4
@@ -178,17 +173,11 @@ func t11Write(node *encompass.Node, g, i int) error {
 // byte-identical volume contents to its single-threaded twin, pass the
 // Figure 3 trace oracle, and record zero in-flight footprint violations.
 func T11() *Report {
-	workers := T11Workers
-	if workers <= 0 {
-		workers = discproc.DefaultDiscWorkers
-	}
+	const workers = discproc.DefaultDiscWorkers
 	r := &Report{
-		ID:    "T11",
-		Title: "multithreaded DISCPROCESS: conflict-aware intra-volume parallelism",
 		Columns: []string{
 			"mix", "discworkers", "ops", "elapsed", "ops/sec", "speedup", "state vs serial",
 		},
-		Metrics: map[string]float64{},
 	}
 	fail := func(err error) *Report {
 		r.Notes = append(r.Notes, err.Error())
@@ -196,8 +185,8 @@ func T11() *Report {
 	}
 	ops := t11Goroutines * t11OpsPer
 	pass := true
+	var readSpeedup float64
 	for mi, mix := range t11Mixes {
-		slug := []string{"read_heavy", "write_heavy"}[mi]
 		serial, serialSnap, _, _, err := t11Run(mix, 1)
 		if err != nil {
 			return fail(err)
@@ -211,6 +200,9 @@ func T11() *Report {
 			pass = false
 		}
 		speedup := float64(serial) / float64(max1(par))
+		if mi == 0 {
+			readSpeedup = speedup
+		}
 		rate := func(d time.Duration) string {
 			return f2s(float64(ops) / d.Seconds())
 		}
@@ -219,18 +211,10 @@ func T11() *Report {
 			[]string{mix.name, i2s(workers), i2s(ops), dur(par), rate(par),
 				fmt.Sprintf("%.1fx", speedup), map[bool]string{true: "identical", false: "DIVERGED"}[stateOK]},
 		)
-		r.Metrics[slug+".serial_ns"] = float64(serial)
-		r.Metrics[slug+".parallel_ns"] = float64(par)
-		r.Metrics[slug+".speedup"] = speedup
-		r.Metrics[slug+".ops_per_sec_serial"] = float64(ops) / serial.Seconds()
-		r.Metrics[slug+".ops_per_sec_parallel"] = float64(ops) / par.Seconds()
 		qw := reg.Histogram(obs.MDiscQueueWait("vt11")).Snapshot()
 		r.Notes = append(r.Notes, fmt.Sprintf("%s: queue wait (workers=%d) %s; %d traces validated",
 			mix.name, workers, qw.Summary(), validated))
-		r.Metrics[slug+".queue_wait_p50_ns"] = float64(qw.Quantile(0.50))
-		r.Metrics[slug+".queue_wait_p95_ns"] = float64(qw.Quantile(0.95))
 	}
-	readSpeedup := r.Metrics["read_heavy.speedup"]
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"browse fast path overlaps the %s simulated disc reads; read-heavy speedup %.1fx at %d workers (claim: >= 2x)",
 		t11MissPenalty, readSpeedup, workers))

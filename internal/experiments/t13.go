@@ -14,9 +14,9 @@ import (
 	"encompass/internal/txid"
 )
 
-// T13Sizes are the trail lengths (records) the recovery-time experiment
-// measures, settable from cmd/tmfbench for quick runs.
-var T13Sizes = []int{10_000, 100_000, 1_000_000}
+// t13Sizes are the trail lengths (records) the recovery-time experiment
+// measures.
+var t13Sizes = []int{10_000, 100_000, 1_000_000}
 
 // T13 shape parameters: a hot working set far smaller than the trail, so
 // the replay keeps overwriting the same records (the realistic RTO case —
@@ -38,8 +38,6 @@ const (
 // recovered state at every size.
 func T13() *Report {
 	r := &Report{
-		ID:    "T13",
-		Title: "ROLLFORWARD recovery time vs audit-trail length (streamed replay)",
 		Columns: []string{
 			"records", "trail", "recover", "records/sec", "peak extra heap", "heap/trail", "state",
 		},
@@ -48,39 +46,25 @@ func T13() *Report {
 				t13Keys, t13ImagesPerTx, t13AbortEvery),
 			"pass bound: peak extra heap during recovery < 0.5x trail bytes at the largest size",
 		},
-		Metrics: map[string]float64{},
 	}
 	r.Pass = true
-	for _, n := range T13Sizes {
-		row, m, ok := t13One(n)
+	for _, n := range t13Sizes {
+		row, ratio, ok := t13One(n)
 		r.Rows = append(r.Rows, row)
 		if !ok {
 			r.Pass = false
 		}
-		if n == T13Sizes[len(T13Sizes)-1] && m.ratio >= 0.5 {
+		if n == t13Sizes[len(t13Sizes)-1] && ratio >= 0.5 {
 			r.Pass = false
 		}
-		prefix := fmt.Sprintf("t13.%d.", n)
-		r.Metrics[prefix+"recover_ns"] = float64(m.elapsed.Nanoseconds())
-		r.Metrics[prefix+"records_per_sec"] = float64(n) / m.elapsed.Seconds()
-		r.Metrics[prefix+"trail_bytes"] = float64(m.trailBytes)
-		r.Metrics[prefix+"peak_extra_heap_bytes"] = float64(m.extraHeap)
-		r.Metrics[prefix+"heap_trail_ratio"] = m.ratio
 	}
 	return r
 }
 
-// t13Metrics carries one size's machine-readable results.
-type t13Metrics struct {
-	elapsed    time.Duration
-	trailBytes int64
-	extraHeap  int64
-	ratio      float64
-}
-
 // t13One builds an n-record trail, recovers it, and returns the table
-// row, the measured metrics, and whether the recovered state was exact.
-func t13One(n int) ([]string, t13Metrics, bool) {
+// row, the peak-extra-heap / trail-bytes ratio, and whether the recovered
+// state was exact.
+func t13One(n int) ([]string, float64, bool) {
 	vol := disk.NewVolume("v13")
 	trail := audit.NewTrail("a13", 0)
 	mat := audit.NewMonitorTrail(0)
@@ -196,20 +180,15 @@ func t13One(n int) ([]string, t13Metrics, bool) {
 	if extra < 0 {
 		extra = 0
 	}
-	m := t13Metrics{
-		elapsed:    elapsed,
-		trailBytes: trailBytes,
-		extraHeap:  extra,
-		ratio:      float64(extra) / float64(trailBytes),
-	}
+	ratio := float64(extra) / float64(trailBytes)
 	row := []string{
 		i2s(n),
 		fmt.Sprintf("%.1f MiB", float64(trailBytes)/(1<<20)),
 		dur(elapsed),
 		fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds()),
 		fmt.Sprintf("%.1f MiB", float64(extra)/(1<<20)),
-		fmt.Sprintf("%.2f", m.ratio),
+		fmt.Sprintf("%.2f", ratio),
 		state,
 	}
-	return row, m, state == "exact"
+	return row, ratio, state == "exact"
 }

@@ -9,13 +9,12 @@ import (
 	"encompass/internal/txid"
 )
 
-// T14Window is how long the killed coordinator stays dead while the
-// participant is probed, settable from cmd/tmfbench for quick runs. It
-// must exceed the in-doubt watcher's first few probe delays (120ms base,
-// doubling) or Paxos Commit cannot demonstrate resolution inside it.
-var T14Window = 1200 * time.Millisecond
-
 const (
+	// t14Window is how long the killed coordinator stays dead while the
+	// participant is probed. It must exceed the in-doubt watcher's first
+	// few probe delays (120ms base, doubling) or Paxos Commit cannot
+	// demonstrate resolution inside it.
+	t14Window       = 1200 * time.Millisecond
 	t14HealthyTxs   = 20
 	t14LockTimeout  = 150 * time.Millisecond
 	t14PollInterval = 10 * time.Millisecond
@@ -33,16 +32,13 @@ const (
 // participant is watched for resolution and probed for lock availability.
 func T14() *Report {
 	r := &Report{
-		ID:    "T14",
-		Title: "disposition under coordinator failure: blocking 2PC vs Paxos Commit (F=1)",
 		Columns: []string{
 			"protocol", "healthy/commit", "resolved while dead", "resolve latency", "in-doubt at end", "participant lock",
 		},
 		Notes: []string{
-			fmt.Sprintf("coordinator CPU killed between phase one and the commit record; window %s, participant lock probe timeout %s", T14Window, t14LockTimeout),
+			fmt.Sprintf("coordinator CPU killed between phase one and the commit record; window %s, participant lock probe timeout %s", t14Window, t14LockTimeout),
 			"pass bound: Paxos participants reach the disposition and release locks while the coordinator is dead; abbreviated 2PC participants stay in doubt holding locks",
 		},
-		Metrics: map[string]float64{},
 	}
 	type protoCase struct {
 		name      string
@@ -67,7 +63,7 @@ func T14() *Report {
 		}
 		results[pc.name] = k
 
-		resolved, latency := "no (blocked)", "> "+T14Window.String()
+		resolved, latency := "no (blocked)", "> "+t14Window.String()
 		if k.resolved {
 			resolved = "yes"
 			latency = dur(k.resolveLatency)
@@ -79,14 +75,6 @@ func T14() *Report {
 		r.Rows = append(r.Rows, []string{
 			pc.name, dur(healthy), resolved, latency, i2s(k.inDoubtAtEnd), lock,
 		})
-
-		prefix := "t14." + pc.name + "."
-		r.Metrics[prefix+"healthy_per_commit_ns"] = float64(healthy)
-		r.Metrics[prefix+"resolved"] = b2f(k.resolved)
-		r.Metrics[prefix+"resolve_ns"] = float64(k.resolveLatency)
-		r.Metrics[prefix+"indoubt_at_window_end"] = float64(k.inDoubtAtEnd)
-		r.Metrics[prefix+"lock_available"] = b2f(k.lockAvailable)
-		r.Metrics[prefix+"lock_wait_ns"] = float64(k.lockWait)
 		r.Notes = append(r.Notes, fmt.Sprintf("%s: coordinator outcome after revival: %s", pc.name, k.finalOutcome))
 	}
 
@@ -202,7 +190,7 @@ func t14KillRun(proto string, acceptors int) (*t14Kill, error) {
 
 	// Watch the participant while the coordinator is dead.
 	k := &t14Kill{}
-	deadline := killedAt.Add(T14Window)
+	deadline := killedAt.Add(t14Window)
 	for {
 		if len(b.TMF.InDoubt()) == 0 {
 			k.resolved = true
@@ -238,11 +226,4 @@ func t14KillRun(proto string, acceptors int) (*t14Kill, error) {
 		k.finalOutcome = a.TMF.State(tx.ID).String()
 	}
 	return k, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

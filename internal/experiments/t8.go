@@ -26,8 +26,6 @@ import (
 // does not.
 func T8() *Report {
 	r := &Report{
-		ID:      "T8",
-		Title:   "availability through processor failure: NonStop vs conventional restart",
 		Columns: []string{"system", "committed txs", "history at failure", "service interruption"},
 	}
 	const (

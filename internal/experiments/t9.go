@@ -95,12 +95,9 @@ func t9Run() (time.Duration, *obs.Registry, error) {
 // along instead of issuing their own.
 func T9() *Report {
 	r := &Report{
-		ID:    "T9",
-		Title: "parallel commit fan-out and audit group commit",
 		Columns: []string{
 			"configuration", "txs", "participants/tx", "elapsed", "per-commit",
 		},
-		Metrics: map[string]float64{},
 	}
 	fail := func(err error) *Report {
 		r.Notes = append(r.Notes, err.Error())
@@ -118,14 +115,12 @@ func T9() *Report {
 	})
 
 	// Per-phase latency histograms from the home node's registry.
-	for _, h := range []struct{ label, slug, metric string }{
-		{"phase one", "phase_one", obs.MPhaseOne},
-		{"phase two", "phase_two", obs.MPhaseTwo},
-		{"begin→ENDED", "begin_to_ended", obs.MBeginToEnded},
+	for _, h := range []struct{ label, metric string }{
+		{"phase one", obs.MPhaseOne},
+		{"phase two", obs.MPhaseTwo},
+		{"begin→ENDED", obs.MBeginToEnded},
 	} {
-		snap := reg.Histogram(h.metric).Snapshot()
-		r.Notes = append(r.Notes, fmt.Sprintf("%-12s %s", h.label, snap.Summary()))
-		r.Metrics[h.slug+".parallel_p95_ns"] = float64(snap.Quantile(0.95))
+		r.Notes = append(r.Notes, fmt.Sprintf("%-12s %s", h.label, reg.Histogram(h.metric).Snapshot().Summary()))
 	}
 	// The fan-out claim is checked against its own inputs: a phase one
 	// that forced the participants' trails one after another would take at
@@ -133,10 +128,6 @@ func T9() *Report {
 	// only come from overlapped forces.
 	phase1Mean := reg.Histogram(obs.MPhaseOne).Snapshot().Mean()
 	seqBound := time.Duration(participants) * t9ForceDelay
-	r.Metrics["phase_one.mean_ns"] = float64(phase1Mean)
-	r.Metrics["phase_one.sequential_bound_ns"] = float64(seqBound)
-	r.Metrics["fanout.parallel_ns"] = float64(elapsed)
-	r.Metrics["fanout.tx_per_sec_parallel"] = t9Txs / max1(elapsed).Seconds()
 
 	// --- Group commit: concurrent committers share physical forces. ---
 	sys, err := encompass.Build(encompass.Config{
@@ -197,10 +188,6 @@ func T9() *Report {
 		fmt.Sprintf("group commit: %d force requests satisfied by %d physical writes (max batch %d)",
 			st.Requests, st.Forces, st.MaxBatch),
 	)
-	r.Metrics["group_commit.tx_per_sec"] = float64(gcTxs) / max1(gcElapsed).Seconds()
-	r.Metrics["group_commit.force_requests"] = float64(st.Requests)
-	r.Metrics["group_commit.physical_forces"] = float64(st.Forces)
-	r.Metrics["group_commit.max_batch"] = float64(st.MaxBatch)
 	r.Pass = phase1Mean > 0 && phase1Mean < seqBound && st.Forces < st.Requests
 	return r
 }

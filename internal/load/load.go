@@ -60,7 +60,7 @@ type Config struct {
 	// Tx is the transaction body.
 	Tx Tx
 	// Hist, when non-nil, receives the coordinated-omission-safe commit
-	// latencies (obs.FineLatencyBuckets recommended at high rates).
+	// latencies.
 	Hist *obs.Histogram
 	// Now and Sleep inject a clock for tests; nil means the real one.
 	Now   func() time.Time

@@ -76,7 +76,7 @@ func TestThroughputEdgeCases(t *testing.T) {
 func runClocked(t *testing.T, arrival string, seed int64, warmup time.Duration, stallSeq int, stall time.Duration) Result {
 	t.Helper()
 	clock := newFakeClock()
-	hist := obs.NewHistogram(obs.FineLatencyBuckets)
+	hist := obs.NewHistogram()
 	res, err := Run(Config{
 		Terminals: 1,
 		Rate:      1000, // mean gap 1ms
@@ -130,7 +130,7 @@ func TestFixedScheduleDeterministic(t *testing.T) {
 // correct, none of those failures is visible in the Result.
 func TestWarmupExcluded(t *testing.T) {
 	clock := newFakeClock()
-	hist := obs.NewHistogram(obs.FineLatencyBuckets)
+	hist := obs.NewHistogram()
 	res, err := Run(Config{
 		Terminals: 1,
 		Rate:      1000,
@@ -169,13 +169,9 @@ func TestWarmupExcluded(t *testing.T) {
 // above d (a conservative undercount when d falls inside a bucket).
 func atLeast(s obs.HistogramSnapshot, d time.Duration) uint64 {
 	var n uint64
-	for i, c := range s.Counts {
-		lower := time.Duration(0)
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		if lower >= d {
-			n += c
+	for _, b := range s.Buckets {
+		if b.Lo >= d {
+			n += b.N
 		}
 	}
 	return n

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -34,84 +36,53 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// DefaultLatencyBuckets are the fixed histogram bucket upper bounds used
-// for protocol phase latencies, spanning the simulation's range from
-// in-memory calls to multi-node commits with simulated disc forces.
-var DefaultLatencyBuckets = []time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	1 * time.Second,
-}
+// Histogram bucket layout: durations below histSub nanoseconds get one
+// bucket each; above that every power of two is cut into histSub equal
+// sub-buckets, so a bucket is never wider than 1/histSub of its lower
+// edge and one table covers the whole non-negative int64 range.
+const (
+	histSubBits = 4
+	histSub     = 1 << histSubBits
+	histBuckets = (64 - histSubBits) * histSub
+)
 
-// FineLatencyBuckets resolve per-commit latency at six-figure transaction
-// rates: DefaultLatencyBuckets' first bound is 50µs, so at 100k tx/sec an
-// entire open-loop latency distribution can land in two buckets. The fine
-// set keeps sub-100µs resolution (1µs..100µs) and still spans the stall
-// tail the coordinated-omission guard surfaces (seconds).
-var FineLatencyBuckets = []time.Duration{
-	1 * time.Microsecond,
-	2 * time.Microsecond,
-	5 * time.Microsecond,
-	10 * time.Microsecond,
-	20 * time.Microsecond,
-	40 * time.Microsecond,
-	60 * time.Microsecond,
-	80 * time.Microsecond,
-	100 * time.Microsecond,
-	150 * time.Microsecond,
-	250 * time.Microsecond,
-	400 * time.Microsecond,
-	650 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	1 * time.Second,
-	2500 * time.Millisecond,
-	5 * time.Second,
-}
-
-// Histogram is a fixed-bucket latency histogram. Observations above the
-// last bound land in an implicit +Inf bucket. A nil *Histogram discards
-// observations.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []time.Duration
-	counts []uint64 // len(bounds)+1; last is +Inf
-	count  uint64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
-}
-
-// NewHistogram creates a histogram with the given ascending bucket upper
-// bounds (nil selects DefaultLatencyBuckets).
-func NewHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
+// bucketOf returns the index of the bucket holding d (d >= 0).
+func bucketOf(d time.Duration) int {
+	if d < histSub {
+		return int(d)
 	}
-	b := append([]time.Duration(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	shift := bits.Len64(uint64(d)) - 1 - histSubBits
+	return (shift+1)*histSub + int(d>>shift)&(histSub-1)
 }
 
-// Observe records one duration.
+// bucketBounds returns the inclusive range of durations bucket i holds.
+func bucketBounds(i int) (lo, hi time.Duration) {
+	if i < histSub {
+		return time.Duration(i), time.Duration(i)
+	}
+	shift := i/histSub - 1
+	lo = time.Duration(histSub+i%histSub) << shift
+	return lo, lo + 1<<shift - 1
+}
+
+// Histogram is a log-linear latency histogram: every quantile it reports
+// is within 1/16 of the true value, from 1 ns up. Observe is lock-free
+// and does not allocate. A nil *Histogram discards observations.
+type Histogram struct {
+	buckets [histBuckets]atomic.Uint64
+	sum     atomic.Int64
+	min     atomic.Int64
+	max     atomic.Int64
+}
+
+// NewHistogram creates an empty histogram.
+func NewHistogram() *Histogram {
+	h := &Histogram{}
+	h.min.Store(math.MaxInt64)
+	return h
+}
+
+// Observe records one duration; a negative one counts as zero.
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
@@ -119,45 +90,58 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.mu.Lock()
-	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
-	h.counts[i]++
-	h.count++
-	h.sum += d
-	if h.count == 1 || d < h.min {
-		h.min = d
+	for cur := h.min.Load(); int64(d) < cur; cur = h.min.Load() {
+		if h.min.CompareAndSwap(cur, int64(d)) {
+			break
+		}
 	}
-	if d > h.max {
-		h.max = d
+	for cur := h.max.Load(); int64(d) > cur; cur = h.max.Load() {
+		if h.max.CompareAndSwap(cur, int64(d)) {
+			break
+		}
 	}
-	h.mu.Unlock()
+	h.sum.Add(int64(d))
+	// The bucket goes last: a Snapshot that counts this observation also
+	// sees its Min, Max and Sum.
+	h.buckets[bucketOf(d)].Add(1)
 }
 
-// HistogramSnapshot is a consistent copy of a histogram's state.
+// Bucket is one non-empty histogram bucket: N observations in [Lo, Hi].
+type Bucket struct {
+	Lo, Hi time.Duration
+	N      uint64
+}
+
+// HistogramSnapshot is a copy of a histogram's state. Sum, Min and Max
+// are exact. Taken while writers are active, Sum, Min and Max may already
+// include an observation that Count and Buckets do not yet.
 type HistogramSnapshot struct {
-	Bounds []time.Duration
-	Counts []uint64 // len(Bounds)+1; last is +Inf
-	Count  uint64
-	Sum    time.Duration
-	Min    time.Duration
-	Max    time.Duration
+	Buckets []Bucket // non-empty buckets, ascending
+	Count   uint64
+	Sum     time.Duration
+	Min     time.Duration
+	Max     time.Duration
 }
 
 // Snapshot returns a copy of the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	var s HistogramSnapshot
 	if h == nil {
-		return HistogramSnapshot{}
+		return s
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramSnapshot{
-		Bounds: append([]time.Duration(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Count:  h.count,
-		Sum:    h.sum,
-		Min:    h.min,
-		Max:    h.max,
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			lo, hi := bucketBounds(i)
+			s.Buckets = append(s.Buckets, Bucket{Lo: lo, Hi: hi, N: n})
+			s.Count += n
+		}
 	}
+	if s.Count > 0 {
+		s.Sum = time.Duration(h.sum.Load())
+		s.Min = time.Duration(h.min.Load())
+		s.Max = time.Duration(h.max.Load())
+	}
+	return s
 }
 
 // Mean returns the average observed duration (zero when empty).
@@ -168,25 +152,19 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) from the buckets: the
-// upper bound of the bucket containing the target rank (Max for the +Inf
-// bucket). Coarse by construction, but monotone and bounded.
+// Quantile returns the q-th quantile (0 < q <= 1) by nearest rank: the
+// upper edge of the bucket holding observation number ceil(q*Count),
+// capped at Max. It overestimates the true value by at most 1/16.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(s.Count))
+	rank := uint64(math.Ceil(q * float64(s.Count)))
 	if rank == 0 {
 		rank = 1
 	}
 	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
+	for _, b := range s.Buckets {
+		cum += b.N
 		if cum >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return s.Max
+			return min(b.Hi, s.Max)
 		}
 	}
 	return s.Max
@@ -206,32 +184,41 @@ func (s HistogramSnapshot) Summary() string {
 		s.Max.Round(time.Microsecond))
 }
 
-// String renders the snapshot as a multi-line bucket table with bars, for
-// tmfctl metrics and the tmfbench per-phase latency report.
+// String renders the snapshot as the summary line plus a bar table for
+// tmfctl metrics, one row per non-empty power of two (the 16 sub-buckets
+// of a power of two are added up so the table stays readable).
 func (s HistogramSnapshot) String() string {
 	var sb strings.Builder
 	sb.WriteString(s.Summary())
-	if s.Count == 0 {
-		return sb.String()
+	type row struct {
+		below time.Duration
+		n     uint64
 	}
+	var rows []row
 	var peak uint64
-	for _, c := range s.Counts {
-		if c > peak {
-			peak = c
+	for _, b := range s.Buckets {
+		below := time.Duration(1) << bits.Len64(uint64(b.Lo|(histSub-1)))
+		if len(rows) == 0 || rows[len(rows)-1].below != below {
+			rows = append(rows, row{below: below})
 		}
+		r := &rows[len(rows)-1]
+		r.n += b.N
+		peak = max(peak, r.n)
 	}
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		label := "+Inf"
-		if i < len(s.Bounds) {
-			label = s.Bounds[i].String()
-		}
-		bar := strings.Repeat("#", int(1+19*c/peak))
-		fmt.Fprintf(&sb, "\n  <= %-8s %6d %s", label, c, bar)
+	for _, r := range rows {
+		bar := strings.Repeat("#", int(1+19*r.n/peak))
+		fmt.Fprintf(&sb, "\n  < %-9s %6d %s", round3(r.below), r.n, bar)
 	}
 	return sb.String()
+}
+
+// round3 rounds d to three significant digits (1.048576ms -> 1.05ms).
+func round3(d time.Duration) time.Duration {
+	unit := time.Duration(1)
+	for d/unit >= 1000 {
+		unit *= 10
+	}
+	return d.Round(unit)
 }
 
 // Registry is a named collection of counters and histograms: the node's
@@ -267,19 +254,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Histogram returns the named histogram, creating it with the default
-// latency buckets on first use.
+// Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramWithBuckets(name, nil)
-}
-
-// HistogramWithBuckets returns the named histogram, creating it with the
-// given bucket bounds on first use (nil selects DefaultLatencyBuckets).
-// The bucket set is selectable per histogram: a registry can serve coarse
-// protocol-phase histograms and fine open-loop latency histograms side by
-// side. Bounds are fixed at creation; a later caller naming different
-// bounds gets the existing histogram unchanged.
-func (r *Registry) HistogramWithBuckets(name string, bounds []time.Duration) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -287,7 +263,7 @@ func (r *Registry) HistogramWithBuckets(name string, bounds []time.Duration) *Hi
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(bounds)
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h

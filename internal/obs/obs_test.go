@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -243,42 +246,90 @@ func TestTracerRecordsAndEvicts(t *testing.T) {
 	}
 }
 
+// within16 reports whether got overestimates want by at most 1/16, the
+// histogram's stated quantile error.
+func within16(got, want time.Duration) bool {
+	return got >= want && got-want <= want/16
+}
+
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond})
-	for _, d := range []time.Duration{
-		500 * time.Microsecond, 2 * time.Millisecond, 5 * time.Millisecond, 50 * time.Millisecond,
-	} {
+	h := NewHistogram()
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
 		h.Observe(d)
 	}
-	h.Observe(-time.Second) // clamped to zero, lands in first bucket
 	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("count = %d", s.Count)
+	if q := s.Quantile(0.5); !within16(q, 2*time.Millisecond) {
+		t.Errorf("p50 of {1,2,3ms} = %v, want within 1/16 of 2ms (nearest rank rounds up)", q)
 	}
-	if s.Counts[0] != 2 || s.Counts[1] != 2 || s.Counts[2] != 1 {
-		t.Fatalf("bucket counts = %v", s.Counts)
+	h.Observe(-time.Second) // clamped to zero
+	s = h.Snapshot()
+	if s.Count != 4 || s.Sum != 6*time.Millisecond || s.Min != 0 || s.Max != 3*time.Millisecond {
+		t.Errorf("count/sum/min/max = %d/%v/%v/%v, want 4/6ms/0/3ms", s.Count, s.Sum, s.Min, s.Max)
 	}
-	if s.Max != 50*time.Millisecond {
-		t.Fatalf("max = %v", s.Max)
+	if q := s.Quantile(1.0); q != s.Max {
+		t.Errorf("p100 = %v, want the max %v", q, s.Max)
 	}
-	if s.Min != 0 {
-		t.Fatalf("min = %v", s.Min)
+	if !strings.Contains(s.Summary(), "n=4") || !strings.Contains(s.String(), "#") {
+		t.Errorf("rendering:\n%s", s.String())
 	}
-	if q := s.Quantile(0.5); q != time.Millisecond {
-		t.Fatalf("p50 = %v, want 1ms (upper bound of covering bucket)", q)
+
+	// A constant stream reads back as itself, not as a bucket edge.
+	c := NewHistogram()
+	for i := 0; i < 1000; i++ {
+		c.Observe(300 * time.Microsecond)
 	}
-	if q := s.Quantile(1.0); q != 50*time.Millisecond {
-		t.Fatalf("p100 = %v, want the max", q)
+	cs := c.Snapshot()
+	for _, q := range []float64{0.5, 0.99} {
+		if got := cs.Quantile(q); !within16(got, 300*time.Microsecond) {
+			t.Errorf("constant 300µs: q%.2f = %v", q, got)
+		}
 	}
-	if !strings.Contains(s.Summary(), "n=5") {
-		t.Fatalf("summary: %q", s.Summary())
+	if cs.Min != 300*time.Microsecond || cs.Max != cs.Min || len(cs.Buckets) != 1 {
+		t.Errorf("constant 300µs: min %v max %v buckets %v", cs.Min, cs.Max, cs.Buckets)
 	}
-	if !strings.Contains(s.String(), "#") {
-		t.Fatalf("string lacks bars:\n%s", s.String())
+
+	empty := NewHistogram().Snapshot()
+	if empty.Summary() != "n=0" || empty.String() != "n=0" || empty.Mean() != 0 || empty.Quantile(0.9) != 0 || empty.Min != 0 {
+		t.Error("empty histogram rendering wrong")
 	}
-	empty := NewHistogram(nil).Snapshot()
-	if empty.Summary() != "n=0" || empty.Mean() != 0 || empty.Quantile(0.9) != 0 {
-		t.Fatal("empty histogram rendering wrong")
+	if n := testing.AllocsPerRun(100, func() { h.Observe(time.Millisecond) }); n != 0 {
+		t.Errorf("Observe allocates %.0f times", n)
+	}
+}
+
+// TestHistogramRelativeError checks every quantile of a seeded log-uniform
+// sample from 100ns to 10s against the sorted sample itself, and that the
+// rendered table has at most one row per power of two.
+func TestHistogramRelativeError(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	h := NewHistogram()
+	sample := make([]time.Duration, 20000)
+	var sum time.Duration
+	for i := range sample {
+		sample[i] = time.Duration(100 * math.Pow(1e8, rng.Float64()))
+		sum += sample[i]
+		h.Observe(sample[i])
+	}
+	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	s := h.Snapshot()
+	if s.Count != uint64(len(sample)) || s.Sum != sum || s.Min != sample[0] || s.Max != sample[len(sample)-1] {
+		t.Errorf("count/sum/min/max = %d/%v/%v/%v, want %d/%v/%v/%v",
+			s.Count, s.Sum, s.Min, s.Max, len(sample), sum, sample[0], sample[len(sample)-1])
+	}
+	for _, q := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
+		want := sample[int(math.Ceil(q*float64(len(sample))))-1]
+		if got := s.Quantile(q); !within16(got, want) {
+			t.Errorf("q%v = %v, exact %v: off by more than 1/16", q, got, want)
+		}
+	}
+	for i, b := range s.Buckets {
+		if b.N == 0 || b.Hi < b.Lo || b.Hi-b.Lo > b.Lo/16 || (i > 0 && b.Lo <= s.Buckets[i-1].Hi) {
+			t.Fatalf("bucket %d = %+v (previous %+v)", i, b, s.Buckets[max(i-1, 0)])
+		}
+	}
+	// 100ns..10s spans 27 powers of two.
+	if rows := strings.Count(s.String(), "\n"); rows > 28 {
+		t.Errorf("%d table rows for 27 powers of two:\n%s", rows, s.String())
 	}
 }
 

@@ -60,7 +60,7 @@ func TestLoadShortOpenLoop(t *testing.T) {
 		}
 	}
 
-	hist := obs.NewHistogram(obs.FineLatencyBuckets)
+	hist := obs.NewHistogram()
 	res, err := load.Run(load.Config{
 		Terminals: terminals,
 		Rate:      rate,
