@@ -83,6 +83,9 @@ func run() error {
 	if err := tx4.Commit(); err != nil {
 		return err
 	}
+	// Commit returns at the commit point; east learns the outcome from the
+	// safe-delivery behind it.
+	west.TMF.WaitSafeQueueEmpty(time.Second)
 	wo, _ := west.TMF.Outcome(tx4.ID)
 	eo, _ := east.TMF.Outcome(tx4.ID)
 	fmt.Printf("distributed transaction %s: west says %s, east says %s\n", tx4.ID, wo, eo)

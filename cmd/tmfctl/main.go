@@ -61,7 +61,7 @@ func main() {
 	case "disposition":
 		err = runDisposition(args)
 	case "metrics":
-		err = runMetrics()
+		err = runMetrics(os.Stdout)
 	case "verify-trail":
 		err = runVerifyTrail(os.Stdout, len(args) > 0 && args[0] == "-corrupt")
 	case "help", "-h", "--help":
@@ -213,20 +213,20 @@ func runDisposition(args []string) error {
 // — the counters and per-phase latency histograms the TMF recorded —
 // followed by the EXPAND network's frame-level counters (retransmits,
 // duplicates dropped, frames lost to injected faults or failed lines).
-func runMetrics() error {
+func runMetrics(w io.Writer) error {
 	sys, _, err := scenario(false)
 	if err != nil {
 		return err
 	}
 	for _, n := range sys.Nodes() {
-		fmt.Printf("--- node %s ---\n%s\n", n.Name, n.TMF.Registry())
+		fmt.Fprintf(w, "--- node %s ---\n%s\n", n.Name, n.TMF.Registry())
 	}
 	st := sys.Network.Stats()
-	fmt.Printf("--- network ---\n")
-	fmt.Printf("%-28s %d\n", "net.frames", st.Frames)
-	fmt.Printf("%-28s %d\n", "net.bytes", st.Bytes)
-	fmt.Printf("%-28s %d\n", "net.no_path", st.NoPath)
-	fmt.Print(sys.NetObs)
+	fmt.Fprintf(w, "--- network ---\n")
+	fmt.Fprintf(w, "%-28s %d\n", "net.frames", st.Frames)
+	fmt.Fprintf(w, "%-28s %d\n", "net.bytes", st.Bytes)
+	fmt.Fprintf(w, "%-28s %d\n", "net.no_path", st.NoPath)
+	fmt.Fprint(w, sys.NetObs)
 	return nil
 }
 
@@ -313,7 +313,9 @@ func scenario(verbose bool) (*encompass.System, txid.ID, error) {
 	out("verification: dispositions agree: home=%s branch=%s\n", ho, bo)
 
 	sys.Heal()
-	time.Sleep(20 * time.Millisecond) // let queued safe-deliveries drain
+	if !home.TMF.WaitSafeQueueEmpty(2 * time.Second) {
+		return nil, txid.ID{}, fmt.Errorf("phase two still outstanding after heal")
+	}
 	out("network healed; queued safe-delivery messages drained\n")
 	if bo != ho {
 		return nil, txid.ID{}, fmt.Errorf("dispositions diverged")

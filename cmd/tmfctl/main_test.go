@@ -30,3 +30,16 @@ func TestVerifyTrailDetectsCorruption(t *testing.T) {
 		t.Fatalf("corruption went undetected:\n%s", out.String())
 	}
 }
+
+// TestMetricsShowsPhase2Outstanding requires the metrics dump to carry the
+// phase-two-outstanding gauge, back at zero once the scenario has healed
+// the partition and drained.
+func TestMetricsShowsPhase2Outstanding(t *testing.T) {
+	var out bytes.Buffer
+	if err := runMetrics(&out); err != nil {
+		t.Fatalf("metrics: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "tmf.phase2_outstanding       0\n") {
+		t.Fatalf("metrics dump has no drained tmf.phase2_outstanding line:\n%s", out.String())
+	}
+}

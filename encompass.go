@@ -415,7 +415,10 @@ func (t *Tx) Append(file string, val []byte) (string, error) {
 // LockFile takes a file-granularity lock.
 func (t *Tx) LockFile(file string) error { return t.node.FS.LockFile(t.ID, file) }
 
-// Commit runs END-TRANSACTION: the two-phase commit protocol.
+// Commit runs END-TRANSACTION: the two-phase commit protocol. It returns at
+// the commit point; child nodes release the transaction's locks when the
+// phase-two safe-delivery reaches them (Node.TMF.WaitSafeQueueEmpty waits
+// for that).
 func (t *Tx) Commit() error { return t.node.TMF.End(t.ID) }
 
 // Abort runs ABORT-TRANSACTION: back out all updates.

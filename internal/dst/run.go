@@ -266,6 +266,17 @@ func runRound(sys *encompass.System, bank *workload.Bank, spec *Spec, step int, 
 		}
 	}
 	wg.Wait()
+	// END-TRANSACTION answers at the commit point, so the round is over
+	// only when the phase-two deliveries its commits left in flight have
+	// been answered or queued (each attempt is bounded by the TMP call
+	// timeout). The next step's fault events then find the protocol at
+	// rest, as they did when End itself waited, and the run stays
+	// deterministic at step granularity.
+	for _, n := range sys.Nodes() {
+		for n.TMF.Stats().Phase2Outstanding > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	return
 }
 

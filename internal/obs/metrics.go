@@ -36,6 +36,28 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// Gauge is a metric that goes up and down: work in flight, not work done.
+// A nil *Gauge discards adds and reads zero.
+type Gauge struct {
+	v atomic.Int64
+}
+
+// Add moves the gauge by n (negative to lower it).
+func (g *Gauge) Add(n int64) {
+	if g == nil {
+		return
+	}
+	g.v.Add(n)
+}
+
+// Value returns the current level.
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
+
 // Histogram bucket layout: durations below histSub nanoseconds get one
 // bucket each; above that every power of two is cut into histSub equal
 // sub-buckets, so a bucket is never wider than 1/histSub of its lower
@@ -221,13 +243,14 @@ func round3(d time.Duration) time.Duration {
 	return d.Round(unit)
 }
 
-// Registry is a named collection of counters and histograms: the node's
+// Registry is a named collection of counters, gauges and histograms: the node's
 // single source of truth for TMF activity metrics. Metric handles are
 // created on first use and stable thereafter. A nil *Registry hands out
 // nil handles, which safely discard updates.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
+	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -235,6 +258,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -252,6 +276,21 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Gauge returns the named gauge, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g, ok := r.gauges[name]
+	if !ok {
+		g = &Gauge{}
+		r.gauges[name] = g
+	}
+	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -284,6 +323,21 @@ func (r *Registry) CounterNames() []string {
 	return names
 }
 
+// GaugeNames returns the registered gauge names, sorted.
+func (r *Registry) GaugeNames() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.gauges))
+	for n := range r.gauges {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // HistogramNames returns the registered histogram names, sorted.
 func (r *Registry) HistogramNames() []string {
 	if r == nil {
@@ -299,8 +353,8 @@ func (r *Registry) HistogramNames() []string {
 	return names
 }
 
-// String renders every metric, counters first then histograms, sorted by
-// name.
+// String renders every metric — counters, then gauges, then histograms —
+// sorted by name within each kind.
 func (r *Registry) String() string {
 	if r == nil {
 		return ""
@@ -308,6 +362,9 @@ func (r *Registry) String() string {
 	var sb strings.Builder
 	for _, n := range r.CounterNames() {
 		fmt.Fprintf(&sb, "%-28s %d\n", n, r.Counter(n).Value())
+	}
+	for _, n := range r.GaugeNames() {
+		fmt.Fprintf(&sb, "%-28s %d\n", n, r.Gauge(n).Value())
 	}
 	for _, n := range r.HistogramNames() {
 		fmt.Fprintf(&sb, "%-28s %s\n", n, r.Histogram(n).Snapshot().String())
@@ -340,6 +397,13 @@ const (
 	// Safe-delivery retry counter: messages re-sent from the TMF safe queue
 	// by the bounded-backoff retry loop or a topology-change flush.
 	MSafeRetries = "tmf.safe_retries"
+
+	// Gauge: transactions whose outcome (ENDED or ABORTING) is durable on
+	// this node while its first delivery to the children is still in
+	// flight. A child that could not be reached moves to the safe queue
+	// (Stats.SafeQueueDepth); the two together are the children that may
+	// still hold the transaction's locks.
+	MPhase2Outstanding = "tmf.phase2_outstanding"
 
 	// EXPAND unreliable-network counters (see expand.Network.SetObs).
 	MNetRetransmits    = "net.retransmits"

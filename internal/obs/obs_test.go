@@ -198,13 +198,18 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter not inert")
 	}
+	var g *Gauge
+	g.Add(2)
+	if g.Value() != 0 {
+		t.Fatal("nil gauge not inert")
+	}
 	var h *Histogram
 	h.Observe(time.Millisecond)
 	if h.Snapshot().Count != 0 {
 		t.Fatal("nil histogram not inert")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Histogram("x") != nil || r.CounterNames() != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil || r.CounterNames() != nil {
 		t.Fatal("nil registry handed out live handles")
 	}
 	var ck *StateMachineChecker
@@ -343,12 +348,17 @@ func TestRegistry(t *testing.T) {
 	if got := r.Histogram(MPhaseOne).Snapshot().Count; got != 1 {
 		t.Fatalf("histogram count = %d", got)
 	}
+	r.Gauge(MPhase2Outstanding).Add(2)
+	r.Gauge(MPhase2Outstanding).Add(-1)
+	if got := r.Gauge(MPhase2Outstanding).Value(); got != 1 {
+		t.Fatalf("gauge = %d, want 1", got)
+	}
 	names := r.CounterNames()
 	if len(names) != 1 || names[0] != MBegun {
 		t.Fatalf("counter names = %v", names)
 	}
 	out := r.String()
-	if !strings.Contains(out, MBegun) || !strings.Contains(out, MPhaseOne) {
+	if !strings.Contains(out, MBegun) || !strings.Contains(out, MPhase2Outstanding+"       1") || !strings.Contains(out, MPhaseOne) {
 		t.Fatalf("registry render missing metrics:\n%s", out)
 	}
 }

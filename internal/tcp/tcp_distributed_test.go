@@ -83,6 +83,11 @@ END-PROC.
 			t.Fatalf("terminal %d: %v", i, err)
 		}
 	}
+	// END-TRANSACTION answers at the commit point; the back node applies
+	// ENDED once front's phase-two delivery has drained.
+	if !front.TMF.WaitSafeQueueEmpty(5 * time.Second) {
+		t.Fatal("front: phase two did not drain")
+	}
 	recs, err := back.FS.ReadRange("orders", "", "", 0)
 	if err != nil {
 		t.Fatal(err)

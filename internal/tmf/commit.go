@@ -63,9 +63,14 @@ func (m *Monitor) lockProto(tx txid.ID) (*tcb, error) {
 }
 
 // End runs END-TRANSACTION: the two-phase commit protocol. It must be
-// called on the transaction's home node. On success the transaction is
-// durably committed everywhere; on failure it has been aborted and backed
-// out, and the caller (typically a TCP) may restart the transaction.
+// called on the transaction's home node. It returns at the commit point:
+// on success the commit record is forced, ENDED is broadcast and the home
+// node's locks are released, while the child nodes — bound by their
+// phase-one votes — learn the outcome from a safe-delivery that is still
+// on its way (Stats.Phase2Outstanding counts it; WaitSafeQueueEmpty waits
+// for it). On failure the transaction has been aborted and backed out on
+// every reachable participant, and the caller (typically a TCP) may
+// restart it.
 func (m *Monitor) End(tx txid.ID) error {
 	t, err := m.lockProto(tx)
 	if err != nil {
@@ -135,11 +140,14 @@ func (m *Monitor) End(tx txid.ID) error {
 	// agrees with the trail no matter how far phase two has progressed.
 	m.recordOutcome(tx, audit.OutcomeCommitted)
 	m.broadcast(tx, txid.StateEnded)
-	// Phase two: release locks locally; safe-delivery to children.
+	// Phase two: release locks locally; safe-delivery to children, which is
+	// "guaranteed, but not time-critical" — the application's answer does
+	// not wait for it.
 	p2Start := time.Now()
 	m.releaseLocal(tx)
-	m.safeDeliverChildren(tx, kindEnded)
-	m.hPhase2.Observe(time.Since(p2Start))
+	if d := m.safeDeliverChildren(tx, kindEnded, p2Start); d != nil {
+		go d.send()
+	}
 	m.observeBeginToEnded(tx)
 	return nil
 }
@@ -318,9 +326,12 @@ func (m *Monitor) abortInternal(tx txid.ID, reason string) {
 // "aborting", freeze, backout of local updates via before-images, abort
 // record, state "aborted", lock release, safe-delivery of the abort to
 // child nodes (each node backs out its own updates from its own trails,
-// "without the need for communication with other nodes"). A backout that
-// could not read every trail or apply every undo is surfaced in the
-// recorded abort reason rather than dropped.
+// "without the need for communication with other nodes"). Unlike End it
+// waits for the children's first answers: an abort returning means every
+// reachable participant has backed out, which is what lets a caller read
+// the before-images straight after. A backout that could not read every
+// trail or apply every undo is surfaced in the recorded abort reason
+// rather than dropped.
 func (m *Monitor) abortLocked(tx txid.ID, reason string) {
 	if st := m.State(tx); st == txid.StateAborting || st.Terminal() {
 		return
@@ -366,7 +377,7 @@ func (m *Monitor) abortLocked(tx txid.ID, reason string) {
 	}
 	m.mu.Unlock()
 	m.releaseLocal(tx)
-	m.safeDeliverChildren(tx, kindAborting)
+	m.safeDeliverChildren(tx, kindAborting, time.Time{}).send()
 }
 
 // AbortReason returns the reason recorded when tx was aborted on this
@@ -516,7 +527,9 @@ func (m *Monitor) ForceDisposition(tx txid.ID, commit bool) error {
 }
 
 // applyEnded performs the phase-two work on this node for a committed
-// transaction and propagates to children via safe-delivery.
+// transaction and propagates to children via safe-delivery, waiting for
+// their first answers: this node's reply to its parent means its whole
+// reachable subtree has released.
 func (m *Monitor) applyEnded(tx txid.ID) {
 	t, err := m.lockProto(tx)
 	if err != nil {
@@ -535,8 +548,7 @@ func (m *Monitor) applyEndedLocked(tx txid.ID) {
 	m.broadcast(tx, txid.StateEnded)
 	p2Start := time.Now()
 	m.releaseLocal(tx)
-	m.safeDeliverChildren(tx, kindEnded)
-	m.hPhase2.Observe(time.Since(p2Start))
+	m.safeDeliverChildren(tx, kindEnded, p2Start).send()
 	m.observeBeginToEnded(tx)
 }
 

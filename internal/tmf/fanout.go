@@ -5,7 +5,9 @@ import "sync"
 // fanOut runs fn over items concurrently, one goroutine per item. It always
 // waits for every call to finish before returning — the commit/abort
 // protocol holds protoMu across its steps, and the invariant that no
-// protocol work outlives the step that issued it depends on this barrier.
+// protocol work outlives the step that issued it depends on this barrier
+// (End's ENDED delivery is the one step that outlives its caller, and it
+// does so as a whole: delivery.send runs this barrier behind the reply).
 // The first error observed is returned; remaining calls still run to
 // completion (a phase-one force that already started must not be
 // abandoned half-acknowledged).

@@ -20,7 +20,7 @@ import (
 // returns its id.
 func commitDistributed(t *testing.T, nodes map[string]*testNode) txid.ID {
 	t.Helper()
-	a, b := nodes["a"], nodes["b"]
+	a := nodes["a"]
 	tx, err := a.mon.Begin(1)
 	if err != nil {
 		t.Fatal(err)
@@ -33,9 +33,7 @@ func commitDistributed(t *testing.T, nodes map[string]*testNode) txid.ID {
 	if err := a.mon.End(tx); err != nil {
 		t.Fatal(err)
 	}
-	if !b.mon.WaitSafeQueueEmpty(5 * time.Second) {
-		t.Fatal("safe queue did not drain")
-	}
+	a.drain(t)
 	return tx
 }
 

@@ -39,6 +39,7 @@ func TestDistributedCommitEveryProtocol(t *testing.T) {
 			if err := a.mon.End(tx); err != nil {
 				t.Fatalf("End under %s: %v", pc.name, err)
 			}
+			a.drain(t)
 			for _, n := range []*testNode{a, b} {
 				if o, ok := n.mon.Outcome(tx); !ok || o != audit.OutcomeCommitted {
 					t.Errorf("%s outcome = %v, %v", n.name, o, ok)

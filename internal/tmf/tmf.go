@@ -26,6 +26,8 @@ package tmf
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,13 +100,15 @@ type tcb struct {
 	// abort can never interleave with a commit in progress. Holding it
 	// across TMP calls is safe because the transmission graph is a tree
 	// (remote-begin reports "already known", so a node gains exactly one
-	// parent) and protocol calls only flow parent → child.
+	// parent) and protocol calls only flow parent → child. END-TRANSACTION
+	// drops it at the commit point: the ENDED delivery to children runs
+	// after End has returned, under no lock (see delivery).
 	protoMu sync.Mutex
 }
 
 // Stats counts TMF activity on a node. Every field except SafeQueueDepth
-// is a thin alias over the node's obs.Registry counters (the single source
-// of truth); new code should read the registry directly via
+// is a thin alias over the node's obs.Registry counters and gauges (the
+// single source of truth); new code should read the registry directly via
 // Monitor.Registry() and the obs.M* metric names.
 type Stats struct {
 	Begun         uint64
@@ -118,7 +122,14 @@ type Stats struct {
 	// BackoutScanFailures counts audit-trail scans the BACKOUTPROCESS
 	// could not complete after bounded retry (backout incomplete).
 	BackoutScanFailures uint64
-	SafeQueueDepth      int
+	// SafeQueueDepth counts the safe-delivery messages waiting for a retry
+	// or being retried right now.
+	SafeQueueDepth int
+	// Phase2Outstanding counts transactions whose outcome is durable here
+	// while its first delivery to the children is in flight; with
+	// SafeQueueDepth (children queued for retry) it bounds the children
+	// that may still hold a resolved transaction's locks.
+	Phase2Outstanding int
 }
 
 // Monitor is the per-node TMF instance.
@@ -147,6 +158,7 @@ type Monitor struct {
 	// event that may never come (e.g. a lossy-but-up link).
 	sqMu         sync.Mutex
 	safeQueue    map[string][]safeMsg // guarded by sqMu
+	sqRetrying   int                  // guarded by sqMu; messages a flush took off the queue and has not yet delivered or re-queued
 	sqRetryArmed bool                 // guarded by sqMu
 	sqRetryDelay time.Duration        // guarded by sqMu
 
@@ -163,6 +175,7 @@ type Monitor struct {
 	cBroadcast, cUnreleased, cScanFails       *obs.Counter
 	cSafeRetries                              *obs.Counter
 	cStateViolations                          *obs.Counter
+	gP2Outstanding                            *obs.Gauge
 	hBeginToEnded, hPhase1, hPhase2, hBackout *obs.Histogram
 
 	tmpPair *tmpApp
@@ -268,6 +281,7 @@ func New(cfg Config) (*Monitor, error) {
 		cScanFails:       reg.Counter(obs.MBackoutScanFailures),
 		cSafeRetries:     reg.Counter(obs.MSafeRetries),
 		cStateViolations: reg.Counter(obs.MStateViolations),
+		gP2Outstanding:   reg.Gauge(obs.MPhase2Outstanding),
 		hBeginToEnded:    reg.Histogram(obs.MBeginToEnded),
 		hPhase1:          reg.Histogram(obs.MPhaseOne),
 		hPhase2:          reg.Histogram(obs.MPhaseTwo),
@@ -555,8 +569,13 @@ func (m *Monitor) Stats() Stats {
 		BroadcastMsgs:       m.cBroadcast.Value(),
 		UnreleasedVolumes:   m.cUnreleased.Value(),
 		BackoutScanFailures: m.cScanFails.Value(),
+		Phase2Outstanding:   int(m.gP2Outstanding.Value()),
 	}
+	// The queue is read after the gauge above: a message only ever moves
+	// from a first attempt (gauge) to the queue, joining the queue before it
+	// leaves the gauge, so the two never both miss it.
 	m.sqMu.Lock()
+	s.SafeQueueDepth = m.sqRetrying
 	for _, q := range m.safeQueue {
 		s.SafeQueueDepth += len(q)
 	}
@@ -597,7 +616,9 @@ func (m *Monitor) tcb(tx txid.ID) (*tcb, error) {
 }
 
 // snapshotTx copies the fields needed by protocol steps without holding
-// the monitor lock across network calls.
+// the monitor lock across network calls. Children and volumes come back
+// sorted by name, so delivery order, trace order and DST replays do not
+// depend on map iteration.
 func (m *Monitor) snapshotTx(tx txid.ID) (isHome bool, source string, children []string, vols []VolumeInfo, phase1Acked bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -613,5 +634,7 @@ func (m *Monitor) snapshotTx(tx txid.ID) (isHome bool, source string, children [
 			vols = append(vols, vi)
 		}
 	}
+	slices.Sort(children)
+	slices.SortFunc(vols, func(a, b VolumeInfo) int { return strings.Compare(a.Name, b.Name) })
 	return t.isHome, t.source, children, vols, t.phase1Acked, nil
 }

@@ -236,6 +236,7 @@ func TestDistributedCommitTwoNodes(t *testing.T) {
 	if net.Stats().Frames == framesBefore {
 		t.Error("distributed commit exchanged no network frames")
 	}
+	a.drain(t)
 	// Both nodes recorded the commit and reached ended.
 	for _, n := range []*testNode{a, b} {
 		if o, ok := n.mon.Outcome(tx); !ok || o != audit.OutcomeCommitted {
@@ -620,6 +621,16 @@ func TestNoteRemoteSendUnreachable(t *testing.T) {
 	}
 	net.HealAll()
 	a.mon.Abort(tx, "cleanup")
+}
+
+// drain waits until the node has no outcome left to deliver: End returns
+// at the commit point, so "the children have applied it" is a state to
+// wait for, not a consequence of End returning.
+func (tn *testNode) drain(t *testing.T) {
+	t.Helper()
+	if !tn.mon.WaitSafeQueueEmpty(5 * time.Second) {
+		t.Fatalf("%s: phase two did not drain", tn.name)
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

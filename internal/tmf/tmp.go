@@ -65,6 +65,13 @@ type tmpApp struct {
 	m *Monitor
 }
 
+// Handle serves one TMP request. Phase one and the two outcome messages
+// block for trail forces, lock releases and hops to this node's own
+// children, so they run on their own goroutine and reply from there:
+// served inline, one transaction's Monitor-Audit-Trail force would stall
+// the remote-begin and phase one of every other transaction behind it in
+// this single-goroutine TMP. The goroutines touch only the Monitor, whose
+// tcb.protoMu keeps each transaction's protocol steps in order.
 func (a *tmpApp) Handle(ctx *pair.Ctx, req msg.Message) {
 	switch req.Kind {
 	case kindRemoteBegin:
@@ -75,19 +82,25 @@ func (a *tmpApp) Handle(ctx *pair.Ctx, req msg.Message) {
 		ctx.Reply(beginResp{AlreadyKnown: known})
 	case kindPhase1:
 		r := req.Payload.(tmpReq)
-		if err := a.m.phase1Inbound(r.Tx); err != nil {
-			ctx.ReplyErr(err)
-			return
-		}
-		ctx.Reply(nil)
+		go func() {
+			if err := a.m.phase1Inbound(r.Tx); err != nil {
+				ctx.ReplyErr(err)
+				return
+			}
+			ctx.Reply(nil)
+		}()
 	case kindEnded:
 		r := req.Payload.(tmpReq)
-		a.m.applyEnded(r.Tx)
-		ctx.Reply(nil)
+		go func() {
+			a.m.applyEnded(r.Tx)
+			ctx.Reply(nil)
+		}()
 	case kindAborting:
 		r := req.Payload.(tmpReq)
-		a.m.applyAborting(r.Tx)
-		ctx.Reply(nil)
+		go func() {
+			a.m.applyAborting(r.Tx)
+			ctx.Reply(nil)
+		}()
 	case kindQuery:
 		r := req.Payload.(tmpReq)
 		resp := QueryResp{State: a.m.State(r.Tx), Protocol: a.m.proto.Name()}
@@ -320,20 +333,70 @@ type safeMsg struct {
 	req  tmpReq
 }
 
-// safeDeliverChildren sends a safe-delivery message to each child node,
-// queueing for retry any that are unreachable. "The sending of
-// safe-delivery messages — whenever transmission becomes possible — is
-// guaranteed, but their delivery is not time-critical."
-func (m *Monitor) safeDeliverChildren(tx txid.ID, kind string) {
+// delivery is one transaction's outcome message (ENDED or ABORTING) on its
+// first attempt at the children this node transmitted the transid to. It
+// is outstanding — counted in the tmf.phase2_outstanding gauge — from the
+// moment the outcome is durable here until every child has either
+// answered or been handed to the safe queue, which owns the message from
+// then on.
+type delivery struct {
+	m        *Monitor
+	kind     string
+	req      tmpReq
+	children []string
+	start    time.Time // phase-two start; read for kindEnded only
+}
+
+// safeDeliverChildren prepares the safe-delivery of a transaction's
+// outcome to each child node. "The sending of safe-delivery messages —
+// whenever transmission becomes possible — is guaranteed, but their
+// delivery is not time-critical": the caller decides whether to wait for
+// send (abort, a child applying its parent's ENDED) or let it run behind
+// the reply (End). A transaction with no children has nothing to deliver:
+// the result is nil and phase two ends here. start anchors the phase-two
+// histogram, which times commits only.
+func (m *Monitor) safeDeliverChildren(tx txid.ID, kind string, start time.Time) *delivery {
 	_, _, children, _, _, err := m.snapshotTx(tx)
 	if err != nil {
+		return nil
+	}
+	if len(children) == 0 {
+		if kind == kindEnded {
+			m.hPhase2.Observe(time.Since(start))
+		}
+		return nil
+	}
+	m.gP2Outstanding.Add(1)
+	return &delivery{m: m, kind: kind, req: tmpReq{Tx: tx, Source: m.node},
+		children: children, start: start}
+}
+
+// send attempts every child concurrently, queueing for retry any that are
+// unreachable, and returns once the slowest has answered or been queued.
+// A nil delivery (no children) sends nothing.
+func (d *delivery) send() {
+	if d == nil {
 		return
 	}
-	for _, child := range children {
-		m.safeDeliver(safeMsg{dest: child, kind: kind, req: tmpReq{Tx: tx, Source: m.node}})
+	defer d.Done()
+	_ = fanOut(d.children, func(child string) error {
+		d.m.safeDeliver(safeMsg{dest: child, kind: d.kind, req: d.req})
+		return nil
+	})
+}
+
+// Done ends the delivery's phase two: it is no longer outstanding, and a
+// commit's phase-two time — that of its slowest child — is observed.
+func (d *delivery) Done() {
+	d.m.gP2Outstanding.Add(-1)
+	if d.kind == kindEnded {
+		d.m.hPhase2.Observe(time.Since(d.start))
 	}
 }
 
+// safeDeliver makes one attempt at one child; a failure (traced by
+// tmpCallResp as a child-reply event carrying the error, whichever
+// goroutine made the attempt) queues the message for retry.
 func (m *Monitor) safeDeliver(sm safeMsg) {
 	if err := m.tmpCall(sm.dest, sm.kind, sm.req); err != nil {
 		m.sqMu.Lock()
@@ -381,19 +444,31 @@ func (m *Monitor) scheduleSafeRetry() {
 
 // FlushSafeQueue retries queued safe-delivery messages; invoked on
 // topology change, by the backoff retry loop, and callable directly
-// (tests, tmfctl). Messages that fail again re-queue and re-arm the
-// backoff; a full drain resets it.
+// (tests, tmfctl). Destinations are retried concurrently, each in FIFO
+// order, so a child that is still unreachable — every attempt at it can
+// take criticalCallTimeout — does not hold back the outcomes queued for
+// the children that are back. Messages that fail again re-queue and
+// re-arm the backoff; a full drain resets it.
 func (m *Monitor) FlushSafeQueue() {
 	m.sqMu.Lock()
 	queued := m.safeQueue
 	m.safeQueue = make(map[string][]safeMsg)
+	dests := make([]string, 0, len(queued))
+	for dest, q := range queued {
+		dests = append(dests, dest)
+		m.sqRetrying += len(q)
+	}
 	m.sqMu.Unlock()
-	for _, q := range queued {
-		for _, sm := range q {
+	_ = fanOut(dests, func(dest string) error {
+		for _, sm := range queued[dest] {
 			m.cSafeRetries.Inc()
 			m.safeDeliver(sm)
+			m.sqMu.Lock()
+			m.sqRetrying--
+			m.sqMu.Unlock()
 		}
-	}
+		return nil
+	})
 	m.sqMu.Lock()
 	if len(m.safeQueue) == 0 {
 		m.sqRetryDelay = 0
@@ -486,12 +561,15 @@ func (m *Monitor) onHWEvent(e hw.Event) {
 	}
 }
 
-// Allow time for queued safe deliveries in tests without exporting the
-// queue: WaitSafeQueueEmpty polls until empty or timeout.
+// WaitSafeQueueEmpty polls until this node has no outcome left to deliver
+// — no first attempt in flight behind an End that already returned and
+// nothing in the safe queue — or the timeout passes. After it reports true
+// every child this node owed an outcome has applied it and released its
+// locks.
 func (m *Monitor) WaitSafeQueueEmpty(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if m.Stats().SafeQueueDepth == 0 {
+		if st := m.Stats(); st.Phase2Outstanding == 0 && st.SafeQueueDepth == 0 {
 			return true
 		}
 		time.Sleep(time.Millisecond)

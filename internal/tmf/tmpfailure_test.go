@@ -54,6 +54,7 @@ func TestHomeTMPPrimaryFailureBeforeCommit(t *testing.T) {
 	if err := a.mon.End(tx); err != nil {
 		t.Fatalf("commit after home TMP takeover: %v", err)
 	}
+	a.drain(t)
 	for _, n := range []*testNode{a, b} {
 		if o, ok := n.mon.Outcome(tx); !ok || o != audit.OutcomeCommitted {
 			t.Errorf("%s outcome = %v, %v", n.name, o, ok)
