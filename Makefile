@@ -46,13 +46,15 @@ lint: $(TMFLINT)
 
 # Race-detector runs over the packages with real concurrency: the TMF
 # commit/abort fan-out, the audit trail's group commit, the striped lock
-# manager, the DISCPROCESS scheduler and its handlers, the observability
-# layer they all record into, the simulated EXPAND network and its fault
-# injector, the process-pair runtime, and the trace-oracle chaos test (the
-# long soak stays race-free via the package run above, but is too slow
-# under -race).
+# manager, the DISCPROCESS scheduler and its handlers (admission property
+# test, browse-starvation and stale-fill regressions, takeover
+# re-completion), the record cache whose fill races those handlers'
+# writes, the observability layer they all record into, the simulated
+# EXPAND network and its fault injector, the process-pair runtime, and the
+# trace-oracle chaos test (the long soak stays race-free via the package
+# run above, but is too slow under -race).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
+	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle' .
 
 # Fuzz smoke: a few seconds per target over the transid and message
@@ -74,9 +76,10 @@ chaos-short:
 	$(GO) test -race -short -run TestChaosLossyLink -count=1 .
 
 # Short, race-enabled run of the DiscWorkers determinism oracle: the same
-# conflicting/non-conflicting mix at DiscWorkers=8 must leave volume
-# contents byte-identical to the DiscWorkers=1 serial run, with every
-# trace passing the Figure 3 oracle.
+# conflicting/non-conflicting mix at DiscWorkers=8 — once with a roomy
+# cache, once with a pressed cache, a miss penalty and dedicated browsers —
+# must leave volume contents byte-identical to the DiscWorkers=1 serial
+# run, with every trace passing the Figure 3 oracle.
 stress-short:
 	$(GO) test -race -short -run TestDiscWorkersStressOracle -count=1 .
 

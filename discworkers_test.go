@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"encompass"
 )
@@ -30,9 +31,23 @@ import (
 //     the before-image taken under the lock, so aborted deltas and
 //     inserts vanish deterministically;
 //   - unlocked browse reads ride alongside to exercise the fast path.
+//
+// The DiscWorkers=8 side runs twice: once with a cache that holds the whole
+// key set, and once pressed — a cache far smaller than the key set, a miss
+// penalty, and dedicated browse goroutines — so that misses, evictions and
+// fills race real updates, inserts and backouts. What the cache serves
+// afterwards must be what the volume holds.
 func TestDiscWorkersStressOracle(t *testing.T) {
-	serial := runStressMix(t, 1)
-	parallel := runStressMix(t, 8)
+	serial := runStressMix(t, 1, stressRoomy)
+	for _, shape := range []stressShape{stressRoomy, stressPressed} {
+		t.Run(shape.name, func(t *testing.T) {
+			requireSameVolume(t, serial, runStressMix(t, 8, shape))
+		})
+	}
+}
+
+func requireSameVolume(t *testing.T, serial, parallel map[string]map[string][]byte) {
+	t.Helper()
 	if !reflect.DeepEqual(serial, parallel) {
 		for file, keys := range serial {
 			for k, v := range keys {
@@ -57,6 +72,20 @@ const (
 	stressGoroutines = 6
 )
 
+// stressShape is what the mix runs against: the record cache, the price of
+// a miss, and how many goroutines do nothing but browse.
+type stressShape struct {
+	name        string
+	cacheSize   int
+	missPenalty time.Duration
+	browsers    int
+}
+
+var (
+	stressRoomy   = stressShape{name: "cache-holds-all", cacheSize: 256}
+	stressPressed = stressShape{name: "cache-pressed", cacheSize: 8, missPenalty: 200 * time.Microsecond, browsers: 3}
+)
+
 func stressIters() int {
 	if testing.Short() {
 		return 15
@@ -66,11 +95,13 @@ func stressIters() int {
 
 // runStressMix runs the seeded mix at the given worker depth and returns
 // the volume's final contents.
-func runStressMix(t *testing.T, workers int) map[string]map[string][]byte {
+func runStressMix(t *testing.T, workers int, shape stressShape) map[string]map[string][]byte {
 	t.Helper()
 	sys, err := encompass.Build(encompass.Config{
 		Nodes: []encompass.NodeSpec{
-			{Name: "solo", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 256}}},
+			{Name: "solo", CPUs: 4, Volumes: []encompass.VolumeSpec{{
+				Name: "v1", Audited: true, CacheSize: shape.cacheSize, MissPenalty: shape.missPenalty,
+			}}},
 		},
 		DiscWorkers:   workers,
 		TraceCapacity: 32768,
@@ -97,7 +128,29 @@ func runStressMix(t *testing.T, workers int) map[string]map[string][]byte {
 
 	iters := stressIters()
 	var wg sync.WaitGroup
-	errs := make(chan error, stressGoroutines*iters)
+	errs := make(chan error, stressGoroutines*iters+shape.browsers)
+	// Browsers sweep every key of the mix, present or not, until the
+	// writers are done. Only the hot records are sure to exist.
+	writersDone := make(chan struct{})
+	var browsing sync.WaitGroup
+	for b := 0; b < shape.browsers; b++ {
+		browsing.Add(1)
+		go func(b int) {
+			defer browsing.Done()
+			for n := b; ; n++ {
+				select {
+				case <-writersDone:
+					return
+				default:
+				}
+				if _, err := node.FS.Read("accts", hotKey(n%stressHotKeys)); err != nil {
+					errs <- fmt.Errorf("browser %d: %w", b, err)
+					return
+				}
+				_, _ = node.FS.Read("accts", privKey(n%stressGoroutines, (n/stressGoroutines)%iters))
+			}
+		}(b)
+	}
 	for w := 0; w < stressGoroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -111,6 +164,8 @@ func runStressMix(t *testing.T, workers int) map[string]map[string][]byte {
 		}(w)
 	}
 	wg.Wait()
+	close(writersDone)
+	browsing.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
@@ -133,7 +188,25 @@ func runStressMix(t *testing.T, workers int) map[string]map[string][]byte {
 	if validated := validateAllTraces(t, sys); validated == 0 {
 		t.Fatal("no traces captured")
 	}
-	return node.Volumes["v1"].Disk.Snapshot()
+	// Cache coherence: with everything at rest, a read through the cache
+	// returns what the volume holds — no fill left a replaced value behind,
+	// none resurrected a backed-out insert.
+	disk := node.Volumes["v1"].Disk.Snapshot()
+	for w := 0; w < stressGoroutines; w++ {
+		for i := 0; i < iters; i++ {
+			key := privKey(w, i)
+			got, err := node.FS.Read("accts", key)
+			if want, ok := disk["accts"][key]; ok != (err == nil) || string(got) != string(want) {
+				t.Errorf("workers=%d %s: read through the cache = %q (%v), volume holds %q (present=%v)", workers, key, got, err, want, ok)
+			}
+		}
+	}
+	for h := 0; h < stressHotKeys; h++ {
+		if got, err := node.FS.Read("accts", hotKey(h)); err != nil || string(got) != string(disk["accts"][hotKey(h)]) {
+			t.Errorf("workers=%d %s: read through the cache = %q (%v), volume holds %q", workers, hotKey(h), got, err, disk["accts"][hotKey(h)])
+		}
+	}
+	return disk
 }
 
 // stressIteration runs one transaction of the mix, retrying on lock

@@ -75,6 +75,29 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 func (c *Cache) Put(key string, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, val)
+}
+
+// Fill serves a miss on cacheKey: it reads key from f and installs the
+// value, both under the cache mutex. Writers change the file first and the
+// cache second (Put after a write, Invalidate after a delete), so the whole
+// fill is ordered either before a writer's cache step, which then replaces
+// what it installed, or after it, and then the read already saw the
+// writer's file step. Read-then-Put as two steps has neither guarantee: the
+// Put can land after the writer's and leave the replaced value cached.
+// Lock order is cache, then file; no File method calls into a Cache.
+func (c *Cache) Fill(cacheKey string, f *File, key string) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	val, err := f.Read(key)
+	if err != nil {
+		return nil, err
+	}
+	c.putLocked(cacheKey, val)
+	return val, nil
+}
+
+func (c *Cache) putLocked(key string, val []byte) {
 	if c.capacity <= 0 {
 		return
 	}

@@ -1,7 +1,9 @@
 package dbfile
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -99,5 +101,80 @@ func TestCacheHitRatioRisesWithCapacity(t *testing.T) {
 	small, large := run(10), run(100)
 	if large <= small {
 		t.Errorf("hit ratio: capacity 100 = %.3f should exceed capacity 10 = %.3f", large, small)
+	}
+}
+
+func TestCacheFill(t *testing.T) {
+	f := NewFile("f", KeySequenced)
+	f.ForceWrite("k", []byte("v"))
+	c := NewCache(2)
+	v, err := c.Fill(CacheKey("f", "k"), f, "k")
+	if err != nil || string(v) != "v" {
+		t.Fatalf("Fill = %q, %v", v, err)
+	}
+	if got, ok := c.Get(CacheKey("f", "k")); !ok || string(got) != "v" {
+		t.Errorf("after Fill, Get = %q, %v", got, ok)
+	}
+	if _, err := c.Fill(CacheKey("f", "absent"), f, "absent"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Fill of an absent record: err = %v, want ErrNotFound", err)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d: a failed fill installed something", c.Len())
+	}
+	// A disabled cache still serves the read.
+	if v, err := NewCache(0).Fill(CacheKey("f", "k"), f, "k"); err != nil || string(v) != "v" {
+		t.Errorf("disabled cache Fill = %q, %v", v, err)
+	}
+}
+
+// TestCacheFillNeverLeavesReplacedValue races fills against writers that
+// follow the DISCPROCESS order — file first, cache second — over a cache
+// too small for the key set, so entries are evicted and refilled while
+// they are being rewritten and deleted. When everything has stopped, every
+// cached record must be the record the file holds. (Get, File.Read, Put as
+// three steps fails this: the Put can land after a writer's.)
+func TestCacheFillNeverLeavesReplacedValue(t *testing.T) {
+	const nKeys, rounds = 3, 400
+	f := NewFile("f", KeySequenced)
+	c := NewCache(2)
+	key := func(k int) string { return fmt.Sprintf("k%d", k) }
+	var wg sync.WaitGroup
+	for k := 0; k < nKeys; k++ { // one writer per key, as under the record lock
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if (r+k)%5 == 4 {
+					f.ForceDelete(key(k))
+					c.Invalidate(CacheKey("f", key(k)))
+					continue
+				}
+				val := []byte(fmt.Sprintf("%d-%d", k, r))
+				f.ForceWrite(key(k), val)
+				c.Put(CacheKey("f", key(k)), val)
+			}
+		}(k)
+	}
+	for r := 0; r < 4; r++ { // readers: consult, fill on a miss
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; n < rounds*nKeys; n++ {
+				ck := CacheKey("f", key((n+r)%nKeys))
+				if _, ok := c.Get(ck); !ok {
+					_, _ = c.Fill(ck, f, key((n+r)%nKeys))
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for k := 0; k < nKeys; k++ {
+		cached, ok := c.Get(CacheKey("f", key(k)))
+		if !ok {
+			continue
+		}
+		if held, err := f.Read(key(k)); err != nil || string(held) != string(cached) {
+			t.Errorf("%s: cache holds %q, file holds %q (%v)", key(k), cached, held, err)
+		}
 	}
 }

@@ -73,9 +73,17 @@ type resumeNote struct {
 // conflict-aware scheduler (sched.go) dispatches non-conflicting requests
 // concurrently, so the shared transaction-tracking maps are guarded by
 // small mutexes; the file structures, record cache, lock manager, volume
-// and audit client are all internally synchronized. The file table and ACL
-// maps need no lock: only volume-wide operations mutate them, and those
-// are admitted alone (after browses drain).
+// and audit client are all internally synchronized. The file table, the
+// ACL map and the cache and locks pointers need no lock: only the wide
+// operations (create, reload) mutate them, and those are admitted alone,
+// after browses drain. Everything else — including the transaction-scoped
+// flush, endtx, freeze and undo, which run beside other transactions'
+// work — only reads them.
+//
+// Writers keep the record cache coherent by order: file structure first,
+// cache second (applyOp). A read miss relies on that order to fill the
+// cache without ever installing a value a writer has since replaced
+// (dbfile.Cache.Fill).
 type app struct {
 	proc  *Proc
 	sched *scheduler // nil in serial (DiscWorkers = 1) mode
@@ -105,7 +113,10 @@ type app struct {
 
 	// lastCk buffers the most recent checkpoint absorbed as backup, so a
 	// takeover can re-complete the in-flight operation (re-append images,
-	// re-apply to the shared volume) idempotently.
+	// re-apply to the shared volume) idempotently. A transaction's endtx or
+	// freeze checkpoint retires it only if it is that transaction's: the
+	// primary runs endtx(T) beside update(U), and U's operation may still
+	// be in flight when T's release passes.
 	lastCk *ckRecord
 }
 
@@ -153,8 +164,8 @@ func (a *app) Handle(ctx *pair.Ctx, m msg.Message) {
 	}
 	fp, browse := classify(m)
 	if browse {
-		a.sched.startBrowse()
 		go func() {
+			a.sched.startBrowse()
 			defer a.sched.endBrowse()
 			a.dispatch(ctx, m)
 		}()
@@ -485,18 +496,19 @@ func (a *app) applyVolume(op *ckOp) error {
 // takeover completion.
 func (a *app) ApplyCheckpoint(cp any) {
 	ck := cp.(ckRecord)
-	if ck.Freeze {
+	if ck.Freeze || ck.EndTx {
 		a.markEnded(ck.Tx)
-		a.lastCk = nil
-		return
-	}
-	if ck.EndTx {
-		a.markEnded(ck.Tx)
-		a.locks.ReleaseAll(ck.Tx)
-		a.stateMu.Lock()
-		delete(a.participated, ck.Tx)
-		a.stateMu.Unlock()
-		a.lastCk = nil
+		if ck.EndTx {
+			a.locks.ReleaseAll(ck.Tx)
+			a.stateMu.Lock()
+			delete(a.participated, ck.Tx)
+			a.stateMu.Unlock()
+		}
+		// The transaction's own operations all completed before this was
+		// admitted; another transaction's buffered operation may not have.
+		if a.lastCk != nil && a.lastCk.Tx == ck.Tx {
+			a.lastCk = nil
+		}
 		return
 	}
 	for _, k := range ck.Locks {

@@ -28,6 +28,15 @@ type env struct {
 
 func newEnv(t *testing.T, cpus int, audited bool) *env {
 	t.Helper()
+	return newEnvCfg(t, cpus, audited, nil)
+}
+
+// newEnvCfg builds a one-node env serving volume v1 from a DISCPROCESS pair
+// on CPUs 0/1 (with its AUDITPROCESS beside it when audited); tune, when
+// non-nil, adjusts the env and the DISCPROCESS configuration before the
+// pair starts.
+func newEnvCfg(t *testing.T, cpus int, audited bool, tune func(*env, *Config)) *env {
+	t.Helper()
 	node, err := hw.NewNode("n", cpus)
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +60,9 @@ func newEnv(t *testing.T, cpus int, audited bool) *env {
 		}
 		cfg.Audit = audit.NewClient(sys, "audit-1")
 	}
+	if tune != nil {
+		tune(e, &cfg)
+	}
 	e.proc, err = Start(sys, "disc-v1", 0, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +72,69 @@ func newEnv(t *testing.T, cpus int, audited bool) *env {
 
 func (e *env) call(t *testing.T, kind string, payload any) (msg.Message, error) {
 	t.Helper()
+	return e.callWithin(5*time.Second, kind, payload)
+}
+
+func (e *env) callWithin(d time.Duration, kind string, payload any) (msg.Message, error) {
 	cpu := e.sys.Node().NumCPUs() - 1
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
 	return e.sys.ClientCall(ctx, cpu, msg.Addr{Name: "disc-v1"}, kind, payload)
+}
+
+// promptly fails the test unless the (idempotent) request is served within
+// bound. It gets three attempts, so that one scheduling hiccup on a loaded
+// host is not a failure; a starved request is not served at all.
+func (e *env) promptly(t *testing.T, bound time.Duration, kind string, payload any) {
+	t.Helper()
+	var err error
+	for try := 0; try < 3; try++ {
+		if _, err = e.callWithin(bound, kind, payload); err == nil {
+			return
+		}
+	}
+	t.Fatalf("%s not served within %v: %v", kind, bound, err)
+}
+
+// waitFor polls cond until it holds, failing the test after two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// loopBrowsers keeps n unlocked reads of f/key in flight, started a
+// fraction of stagger apart so they overlap, until the returned stop
+// function is called; it returns once every browser has a read under way.
+// With the cache off every one of them is a miss.
+func (e *env) loopBrowsers(t *testing.T, n int, stagger time.Duration, file, key string) (stop func()) {
+	t.Helper()
+	started := e.proc.Stats().Sched.BrowseOps
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := e.call(t, KindRead, ReadReq{File: file, Key: key}); err != nil {
+					t.Errorf("browse: %v", err)
+					return
+				}
+			}
+		}()
+		time.Sleep(stagger / time.Duration(n))
+	}
+	waitFor(t, "the browsers to start", func() bool { return e.proc.Stats().Sched.BrowseOps >= started+uint64(n) })
+	return func() { close(done); wg.Wait() }
 }
 
 func (e *env) mustCall(t *testing.T, kind string, payload any) msg.Message {
@@ -314,6 +385,86 @@ func TestTakeoverPreservesDataAndLocks(t *testing.T) {
 	r = e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
 	if string(r.Payload.(ReadResp).Val) != "v2" {
 		t.Errorf("read after post-takeover update = %q", r.Payload.(ReadResp).Val)
+	}
+}
+
+// TestApplyCheckpointKeepsOtherTransactionsOp: the backup buffers the last
+// operation checkpoint so a takeover can re-complete it. Another
+// transaction's endtx or freeze passing meanwhile must leave it buffered;
+// the owning transaction's retires it.
+func TestApplyCheckpointKeepsOtherTransactionsOp(t *testing.T) {
+	for _, release := range []ckRecord{{Tx: tx(2), EndTx: true}, {Tx: tx(2), Freeze: true}} {
+		b := newApp(&Proc{cfg: Config{Volume: disk.NewVolume("v1")}})
+		b.ApplyCheckpoint(ckRecord{Op: &ckOp{Kind: opCreate, File: "f"}})
+		b.ApplyCheckpoint(ckRecord{Tx: tx(1), Op: &ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}})
+		b.ApplyCheckpoint(release)
+		if b.lastCk == nil || b.lastCk.Tx != tx(1) {
+			t.Fatalf("%+v of another transaction dropped the buffered operation", release)
+		}
+		release.Tx = tx(1)
+		b.ApplyCheckpoint(release)
+		if b.lastCk != nil {
+			t.Fatalf("%+v of the owning transaction left its operation buffered", release)
+		}
+	}
+}
+
+// TestTakeoverRecompletesOpBesideAnotherEndTx kills the primary's CPU while
+// transaction U's update sits between its checkpoint and its apply (held
+// there by a forced audit write) and after transaction T's endtx — which
+// runs beside it — has checkpointed. The new primary must still re-complete
+// U's update: images on the trail again, volume written, lock held, and a
+// backout of U restoring the before-image.
+func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
+	const force = 400 * time.Millisecond
+	e := newEnvCfg(t, 4, false, func(e *env, c *Config) {
+		e.trail = audit.NewTrail("a1", force)
+		if _, err := audit.StartProcess(e.sys, "audit-1", 0, 1, e.trail); err != nil {
+			t.Fatal(err)
+		}
+		c.Audit = audit.NewClient(e.sys, "audit-1")
+		c.DiscWorkers, c.ForceEveryUpdate = 8, true
+	})
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")}) // pays one force
+	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	T, U := tx(2), tx(3)
+	e.mustCall(t, KindLockRec, LockReq{Tx: T, File: "f", Key: "t"})
+	e.mustCall(t, KindLockRec, LockReq{Tx: U, File: "f", Key: "k"})
+	go e.callWithin(force, KindUpdate, WriteReq{Tx: U, File: "f", Key: "k", Val: []byte("new")})
+	// The image is appended after the checkpoint and before the force.
+	waitFor(t, "U's update to reach the audit trail", func() bool { return len(e.trail.ImagesForUnforced(U)) > 0 })
+	if _, err := e.callWithin(force/4, KindEndTx, EndTxReq{Tx: T}); err != nil {
+		t.Fatalf("endtx(T) beside U's in-flight update: %v", err)
+	}
+	if v, _ := e.vol.Read("f", "k"); string(v) != "old" {
+		t.Fatalf("volume k = %q before the failure, want old (U's update is not applied yet)", v)
+	}
+
+	e.sys.Node().FailCPU(0)
+
+	// The first request promotes the backup, which completes U's operation.
+	if _, err := e.call(t, KindRead, ReadReq{Tx: tx(4), File: "f", Key: "k", WithLock: true, LockTimeout: 20 * time.Millisecond}); err == nil {
+		t.Error("U's lock on k did not survive the takeover")
+	}
+	if v, _ := e.vol.Read("f", "k"); string(v) != "new" {
+		t.Errorf("volume k = %q after takeover, want new: U's checkpointed update was not re-completed", v)
+	}
+	imgs := e.trail.ImagesForUnforced(U)
+	if len(imgs) != 2 {
+		t.Errorf("%d images of U on the trail, want 2 (the primary's append and the takeover's)", len(imgs))
+	}
+	if held := e.proc.LocksSnapshot()[T]; len(held) != 0 {
+		t.Errorf("T still holds %v after its endtx", held)
+	}
+	e.mustCall(t, KindFreeze, EndTxReq{Tx: U})
+	e.mustCall(t, KindUndo, UndoReq{Tx: U, Images: imgs[:1]})
+	e.mustCall(t, KindEndTx, EndTxReq{Tx: U})
+	if v := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"}).Payload.(ReadResp).Val; string(v) != "old" {
+		t.Errorf("k = %q after backout of U, want old", v)
+	}
+	if v, _ := e.vol.Read("f", "k"); string(v) != "old" {
+		t.Errorf("volume k = %q after backout of U, want old", v)
 	}
 }
 

@@ -83,19 +83,23 @@ func (a *app) handleRead(ctx *pair.Ctx, m msg.Message) {
 	}
 	a.proc.reads.Add(1)
 	// Cache consult: a hit avoids the simulated disc read cost.
-	if v, ok := a.cache.Get(dbfile.CacheKey(req.File, req.Key)); ok {
+	ck := dbfile.CacheKey(req.File, req.Key)
+	if v, ok := a.cache.Get(ck); ok {
 		ctx.Reply(ReadResp{Val: v})
 		return
 	}
-	v, err := f.Read(req.Key)
+	// A miss pays the disc first and reads afterwards, in one step with the
+	// cache install: an unlocked read is not ordered against writers by the
+	// scheduler, and a value read before the sleep would overwrite, in the
+	// cache, whatever an update or delete installed during it.
+	if a.proc.cfg.MissPenalty > 0 {
+		time.Sleep(a.proc.cfg.MissPenalty)
+	}
+	v, err := a.cache.Fill(ck, f, req.Key)
 	if err != nil {
 		ctx.ReplyErr(err)
 		return
 	}
-	if a.proc.cfg.MissPenalty > 0 {
-		time.Sleep(a.proc.cfg.MissPenalty)
-	}
-	a.cache.Put(dbfile.CacheKey(req.File, req.Key), v)
 	ctx.Reply(ReadResp{Val: v})
 }
 

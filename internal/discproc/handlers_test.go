@@ -8,11 +8,7 @@ import (
 
 	"encompass/internal/audit"
 	"encompass/internal/dbfile"
-	"encompass/internal/disk"
-	"encompass/internal/hw"
-	"encompass/internal/msg"
 	"encompass/internal/obs"
-	"encompass/internal/txid"
 )
 
 // newTracedEnv builds an env like newEnv but with a configurable audit
@@ -21,26 +17,15 @@ import (
 // audit call fail fast, modelling a dead audit path.
 func newTracedEnv(t *testing.T, forceDelay time.Duration, auditName string) (*env, *obs.Tracer) {
 	t.Helper()
-	node, err := hw.NewNode("n", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := msg.NewSystem(node)
-	e := &env{sys: sys, vol: disk.NewVolume("v1"), participants: make(map[txid.ID][]string)}
-	e.trail = audit.NewTrail("a1", forceDelay)
-	if _, err := audit.StartProcess(sys, "audit-1", 0, 1, e.trail); err != nil {
-		t.Fatal(err)
-	}
 	tracer := obs.NewTracer(0)
-	e.proc, err = Start(sys, "disc-v1", 0, 1, Config{
-		Volume:    e.vol,
-		CacheSize: 64,
-		Audit:     audit.NewClient(sys, auditName),
-		Obs:       tracer,
+	e := newEnvCfg(t, 3, false, func(e *env, c *Config) {
+		e.trail = audit.NewTrail("a1", forceDelay)
+		if _, err := audit.StartProcess(e.sys, "audit-1", 0, 1, e.trail); err != nil {
+			t.Fatal(err)
+		}
+		c.Audit = audit.NewClient(e.sys, auditName)
+		c.Obs = tracer
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return e, tracer
 }
 
@@ -212,5 +197,66 @@ func TestUndoEmitsTraceEvent(t *testing.T) {
 	r := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "a"})
 	if string(r.Payload.(ReadResp).Val) != "orig" {
 		t.Errorf("a = %q after undo, want orig", r.Payload.(ReadResp).Val)
+	}
+}
+
+// TestReadMissNeverInstallsReplacedValue is the stale-fill regression. An
+// unlocked read is not ordered against writers by the scheduler, and its
+// miss path sleeps through the simulated disc read; a value read before
+// the sleep and installed after it would replace, in the cache, what an
+// update (or a delete, or a backout) of the same record installed in
+// between — and the next locked read would be served the replaced value.
+func TestReadMissNeverInstallsReplacedValue(t *testing.T) {
+	const penalty = 50 * time.Millisecond
+	for _, writer := range []string{"update", "delete", "undo"} {
+		t.Run(writer, func(t *testing.T) {
+			e := newEnvCfg(t, 4, true, func(_ *env, c *Config) {
+				c.DiscWorkers, c.CacheSize, c.MissPenalty = 8, 1, penalty
+			})
+			e.create(t, "f", dbfile.KeySequenced)
+			e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")})
+			e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "other", Val: []byte("x")})
+			e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+			// The one cache slot now holds "other": a read of k misses.
+			e.mustCall(t, KindLockRec, LockReq{Tx: tx(2), File: "f", Key: "k"})
+			if writer == "undo" {
+				e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("dirty")})
+				e.mustCall(t, KindRead, ReadReq{File: "f", Key: "other"}) // push k out of the slot again
+			}
+			misses := e.proc.Stats().CacheStats.Misses
+			browsed := make(chan error, 1)
+			go func() {
+				_, err := e.call(t, KindRead, ReadReq{File: "f", Key: "k"})
+				browsed <- err
+			}()
+			// Once the miss is counted the browse is in its penalty, 50 ms
+			// that the writer below needs a fraction of.
+			waitFor(t, "the browse to miss", func() bool { return e.proc.Stats().CacheStats.Misses > misses })
+			want := "new"
+			switch writer {
+			case "update":
+				e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("new")})
+			case "delete":
+				e.mustCall(t, KindDelete, DeleteReq{Tx: tx(2), File: "f", Key: "k"})
+				want = ""
+			case "undo":
+				e.mustCall(t, KindFreeze, EndTxReq{Tx: tx(2)})
+				e.mustCall(t, KindUndo, UndoReq{Tx: tx(2), Images: e.trail.ImagesForUnforced(tx(2))})
+				want = "old"
+			}
+			e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(2)})
+			if err := <-browsed; err != nil && writer != "delete" {
+				t.Fatalf("browse: %v", err)
+			}
+			r, err := e.call(t, KindRead, ReadReq{Tx: tx(3), File: "f", Key: "k", WithLock: true})
+			switch {
+			case want == "" && err == nil:
+				t.Fatalf("locked read after delete returned %q: the browse's fill resurrected the record", r.Payload.(ReadResp).Val)
+			case want != "" && err != nil:
+				t.Fatalf("locked read: %v", err)
+			case want != "" && string(r.Payload.(ReadResp).Val) != want:
+				t.Fatalf("locked read after %s = %q, want %q: the browse's fill replaced the writer's value", writer, r.Payload.(ReadResp).Val, want)
+			}
+		})
 	}
 }

@@ -7,43 +7,90 @@ import (
 	"encompass/internal/msg"
 	"encompass/internal/obs"
 	"encompass/internal/pair"
+	"encompass/internal/txid"
 )
 
 // This file implements the conflict-aware request scheduler that makes the
 // DISCPROCESS multithreaded. The paper's DISCPROCESS serves a whole volume
-// from one thread; here incoming requests are classified by their
-// (file, key) footprint and non-conflicting operations run concurrently on
-// a bounded worker pool, while conflicting operations and volume-wide ones
-// (create, endtx, undo, flush, freeze, reload) serialize behind per-file
-// sequence barriers. The checkpoint-before-update discipline is preserved
-// per operation: a worker ships the operation's checkpoint to the backup
-// before applying it, and because conflicting operations are admitted in
-// arrival order, the backup observes conflicting checkpoints in execution
-// order (non-conflicting ones commute).
+// from one thread; here every incoming request is put in one of three
+// conflict classes and requests that do not conflict run concurrently on a
+// bounded worker pool:
+//
+//   - keyed: record-granularity operations carry (file, key) — appends
+//     carry the file alone — and conflict when they touch the same record;
+//   - transaction-scoped: flush, endtx, freeze and undo act on one
+//     transaction's audit records, locks and updated records, so they
+//     conflict with requests of that transaction only. A transaction's own
+//     operations therefore still run — and reach the backup as checkpoints
+//     — in arrival order (endtx(T) neither overtakes nor runs beside an
+//     earlier update(T)), while phase one and phase two of T wait behind
+//     nobody else's work;
+//   - wide: create and reload replace the file table, the ACL map and the
+//     cache / lock-manager pointers, which every other request reads
+//     without a lock, so they run alone.
+//
+// The transaction-scoped class is safe beside other transactions' keyed
+// work because none of its four members touches what wide exclusivity
+// protects: endtx and freeze use stateMu and the internally locked lock
+// manager, flush touches only the audit client, and undo rewrites records
+// on which its transaction still holds the locks (strict 2PL), so no other
+// transaction's keyed operation can pass its lock check on them.
+//
+// Conflicting requests are admitted in arrival order. The
+// checkpoint-before-update discipline is preserved per operation: a worker
+// ships the operation's checkpoint to the backup before applying it, so the
+// backup observes conflicting checkpoints in execution order
+// (non-conflicting ones commute).
 //
 // Browse accesses (ReadRange, ReadAlt, unlocked Read) bypass the write
 // pipeline entirely: they run on their own goroutine against the dbfile
 // structures (internally guarded by a per-file RWMutex) and the record
-// cache, never touching the lock manager. Volume-wide operations still
-// wait for in-flight browses to drain, so a reload or create never mutates
-// the file table under a reader.
+// cache, never touching the lock manager. A wide operation waits for
+// in-flight browses to drain, so a reload or create never mutates the file
+// table under a reader, and while one is queued (or a Snapshot has the
+// pool quiesced) new browses wait at the door until it has run: overlapping
+// browses cannot starve it, and a browse waits for at most one such
+// operation.
 
-// footprint describes the region of the volume one request touches.
+// scope is a footprint's conflict class.
+type scope uint8
+
+const (
+	scopeKeyed scope = iota // one record, or one whole file (key == "")
+	scopeTx                 // everything of one transaction on this volume
+	scopeWide               // the whole volume
+)
+
+// footprint describes what one request touches. tx is the requesting
+// transaction in every class that has one; file and key are set for keyed
+// requests only.
 type footprint struct {
-	file string
-	key  string // empty = whole file (appends: allocator position)
-	wide bool   // volume-wide: conflicts with everything
+	file  string
+	key   string // empty = whole file (appends: allocator position)
+	tx    txid.ID
+	scope scope
 }
 
 // overlaps reports whether two footprints must not run concurrently.
 func (a footprint) overlaps(b footprint) bool {
-	if a.wide || b.wide {
+	switch {
+	case a.scope == scopeWide || b.scope == scopeWide:
 		return true
-	}
-	if a.file != b.file {
+	case a.scope == scopeTx || b.scope == scopeTx:
+		return a.tx == b.tx
+	case a.file != b.file:
 		return false
 	}
 	return a.key == "" || b.key == "" || a.key == b.key
+}
+
+// txScoped is the footprint of a request that acts on tx as a whole. With
+// no transaction to scope it to, it falls back to wide.
+func txScoped(tx txid.ID) footprint {
+	if tx.IsZero() {
+		return footprint{scope: scopeWide}
+	}
+	return footprint{tx: tx, scope: scopeTx}
 }
 
 // classify derives a request's footprint. browse requests bypass the
@@ -56,7 +103,7 @@ func classify(m msg.Message) (fp footprint, browse bool) {
 			if !req.WithLock {
 				return footprint{}, true
 			}
-			return footprint{file: req.File, key: req.Key}, false
+			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
 		}
 	case KindReadRange:
 		if _, ok := m.Payload.(ReadRangeReq); ok {
@@ -68,27 +115,40 @@ func classify(m msg.Message) (fp footprint, browse bool) {
 		}
 	case KindInsert, KindUpdate:
 		if req, ok := m.Payload.(WriteReq); ok {
-			return footprint{file: req.File, key: req.Key}, false
+			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
 		}
 	case KindDelete:
 		if req, ok := m.Payload.(DeleteReq); ok {
-			return footprint{file: req.File, key: req.Key}, false
+			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
 		}
 	case KindAppend:
 		// Appends allocate the next entry-sequence key, so they serialize
 		// per file: two concurrent appends would race on the allocator.
 		if req, ok := m.Payload.(AppendReq); ok {
-			return footprint{file: req.File}, false
+			return footprint{file: req.File, tx: req.Tx}, false
 		}
 	case KindLockFile, KindLockRec:
 		if req, ok := m.Payload.(LockReq); ok {
-			return footprint{file: req.File, key: req.Key}, false
+			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
+		}
+	case KindEndTx, KindFreeze:
+		if req, ok := m.Payload.(EndTxReq); ok {
+			return txScoped(req.Tx), false
+		}
+	case KindFlush:
+		if req, ok := m.Payload.(FlushReq); ok {
+			return txScoped(req.Tx), false
+		}
+	case KindUndo:
+		if req, ok := m.Payload.(UndoReq); ok {
+			return txScoped(req.Tx), false
 		}
 	}
-	return footprint{wide: true}, false
+	return footprint{scope: scopeWide}, false
 }
 
-// job is one scheduled request.
+// job is one scheduled request, allocated per request: with the transid in
+// its footprint it sits just inside the 256-byte size class.
 type job struct {
 	m        msg.Message
 	fp       footprint
@@ -102,7 +162,7 @@ type SchedStats struct {
 	Enqueued       uint64
 	Admitted       uint64
 	BrowseOps      uint64
-	WideOps        uint64
+	WideOps        uint64 // create, reload and unclassifiable requests only
 	ConflictStalls uint64
 	MaxInflight    uint64
 	MaxQueued      uint64
@@ -126,6 +186,7 @@ type scheduler struct {
 	queue    []*job     // guarded by mu
 	inflight []*job     // guarded by mu
 	browsing int        // guarded by mu; browse fast-path operations currently running
+	wide     int        // guarded by mu; wide jobs enqueued and not yet finished
 	paused   bool       // guarded by mu; quiesce() for Snapshot
 	spawned  bool       // guarded by mu
 	closed   bool       // guarded by mu
@@ -176,7 +237,8 @@ func (s *scheduler) enqueue(ctx *pair.Ctx, m msg.Message, fp footprint) {
 	}
 	s.queue = append(s.queue, j)
 	s.stats.Enqueued++
-	if fp.wide {
+	if fp.scope == scopeWide {
+		s.wide++
 		s.stats.WideOps++
 	}
 	if n := uint64(len(s.queue)); n > s.stats.MaxQueued {
@@ -184,7 +246,7 @@ func (s *scheduler) enqueue(ctx *pair.Ctx, m msg.Message, fp footprint) {
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	if fp.wide {
+	if fp.scope == scopeWide {
 		s.wideOps.Inc()
 	}
 }
@@ -222,6 +284,9 @@ func (s *scheduler) run(base *pair.Ctx) {
 		s.a.dispatch(pair.NewCtx(base, j.m), j.m)
 		s.mu.Lock()
 		s.inflight = remove(s.inflight, j)
+		if j.fp.scope == scopeWide {
+			s.wide--
+		}
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}
@@ -231,12 +296,13 @@ func (s *scheduler) run(base *pair.Ctx) {
 // in-flight job nor an earlier-queued one (FIFO per conflict class: two
 // conflicting requests are always admitted in arrival order, while later
 // non-conflicting requests may overtake a stalled head). Wide jobs are
-// admitted only alone, and only once in-flight browses have drained.
+// admitted only alone, and only once in-flight browses have drained;
+// transaction-scoped jobs wait for neither browses nor other transactions.
 // Caller holds s.mu.
 func (s *scheduler) pickLocked() *job {
 	for i, j := range s.queue {
 		blocked := false
-		if j.fp.wide && (len(s.inflight) > 0 || s.browsing > 0) {
+		if j.fp.scope == scopeWide && (len(s.inflight) > 0 || s.browsing > 0) {
 			blocked = true
 		}
 		if !blocked {
@@ -260,13 +326,13 @@ func (s *scheduler) pickLocked() *job {
 				j.stalled = true
 				s.stats.ConflictStalls++
 				s.stalls.Inc()
-				if !j.fp.wide {
+				if j.fp.scope == scopeKeyed {
 					s.fileStallLocked(j.fp.file).Inc()
 				}
 			}
 			continue
 		}
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		s.queue = removeAt(s.queue, i)
 		// In-flight footprint assertion: admission must never overlap a
 		// running job. Redundant with the checks above by construction;
 		// counted (not assumed) so the property test can verify it.
@@ -297,17 +363,33 @@ func (s *scheduler) fileStallLocked(file string) *obs.Counter {
 func remove(js []*job, j *job) []*job {
 	for i, x := range js {
 		if x == j {
-			return append(js[:i:i], js[i+1:]...)
+			return removeAt(js, i)
 		}
 	}
 	return js
 }
 
-// startBrowse/endBrowse bracket a browse fast-path operation. Browses are
-// never queued — they start immediately — but wide operations wait for
-// them to drain before mutating the file table.
+// removeAt shifts js[i+1:] down in place: the queue and the in-flight list
+// are only ever touched under s.mu, so no reader holds the old backing
+// array and a removal need not allocate.
+func removeAt(js []*job, i int) []*job {
+	copy(js[i:], js[i+1:])
+	js[len(js)-1] = nil
+	return js[:len(js)-1]
+}
+
+// startBrowse/endBrowse bracket a browse fast-path operation, on the
+// browse's own goroutine. Browses are never queued behind other requests,
+// but wide operations wait for them to drain before mutating the file
+// table, and in return a browse that arrives while a wide job is waiting
+// or running (or while a Snapshot has the pool quiesced) waits here until
+// it is done — otherwise overlapping browses would keep `browsing` above
+// zero for ever. A closed pool (the member's CPU is down) holds nobody.
 func (s *scheduler) startBrowse() {
 	s.mu.Lock()
+	for (s.wide > 0 || s.paused) && !s.closed {
+		s.cond.Wait()
+	}
 	s.browsing++
 	s.stats.BrowseOps++
 	s.mu.Unlock()

@@ -10,8 +10,6 @@ import (
 
 	"encompass/internal/audit"
 	"encompass/internal/dbfile"
-	"encompass/internal/disk"
-	"encompass/internal/hw"
 	"encompass/internal/msg"
 	"encompass/internal/obs"
 	"encompass/internal/txid"
@@ -20,35 +18,7 @@ import (
 // newEnvWorkers builds an env with an explicit worker-pool depth.
 func newEnvWorkers(t *testing.T, cpus int, audited bool, workers int) *env {
 	t.Helper()
-	node, err := hw.NewNode("n", cpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := msg.NewSystem(node)
-	e := &env{sys: sys, vol: disk.NewVolume("v1"), participants: make(map[txid.ID][]string)}
-	cfg := Config{
-		Volume:      e.vol,
-		CacheSize:   64,
-		DiscWorkers: workers,
-		OnParticipate: func(tx txid.ID, vol string) error {
-			e.mu.Lock()
-			e.participants[tx] = append(e.participants[tx], vol)
-			e.mu.Unlock()
-			return nil
-		},
-	}
-	if audited {
-		e.trail = audit.NewTrail("a1", 0)
-		if _, err := audit.StartProcess(sys, "audit-1", 0, 1, e.trail); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Audit = audit.NewClient(sys, "audit-1")
-	}
-	e.proc, err = Start(sys, "disc-v1", 0, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return newEnvCfg(t, cpus, audited, func(_ *env, c *Config) { c.DiscWorkers = workers })
 }
 
 func newBareScheduler() *scheduler {
@@ -57,68 +27,172 @@ func newBareScheduler() *scheduler {
 	return s
 }
 
+// schedReq is the property test's own description of a request: the message
+// handed to classify is built from it, and so is the reference conflict
+// relation the scheduler is checked against.
+type schedReq struct {
+	class     scope
+	file, key string // keyed only
+	tx        uint64 // 0 = no transaction
+}
+
+// message renders r as one of the request kinds of its class.
+func (r schedReq) message(rng *rand.Rand) msg.Message {
+	id := txid.ID{}
+	if r.tx != 0 {
+		id = tx(r.tx)
+	}
+	switch r.class {
+	case scopeKeyed:
+		if r.key == "" {
+			if rng.Intn(2) == 0 {
+				return msg.Message{Kind: KindAppend, Payload: AppendReq{Tx: id, File: r.file}}
+			}
+			return msg.Message{Kind: KindLockFile, Payload: LockReq{Tx: id, File: r.file}}
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return msg.Message{Kind: KindRead, Payload: ReadReq{Tx: id, File: r.file, Key: r.key, WithLock: true}}
+		case 1:
+			return msg.Message{Kind: KindUpdate, Payload: WriteReq{Tx: id, File: r.file, Key: r.key}}
+		case 2:
+			return msg.Message{Kind: KindDelete, Payload: DeleteReq{Tx: id, File: r.file, Key: r.key}}
+		}
+		return msg.Message{Kind: KindLockRec, Payload: LockReq{Tx: id, File: r.file, Key: r.key}}
+	case scopeTx:
+		switch rng.Intn(4) {
+		case 0:
+			return msg.Message{Kind: KindFlush, Payload: FlushReq{Tx: id}}
+		case 1:
+			return msg.Message{Kind: KindFreeze, Payload: EndTxReq{Tx: id}}
+		case 2:
+			return msg.Message{Kind: KindUndo, Payload: UndoReq{Tx: id}}
+		}
+		return msg.Message{Kind: KindEndTx, Payload: EndTxReq{Tx: id}}
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return msg.Message{Kind: KindCreate, Payload: CreateReq{File: "h"}}
+	case 1:
+		return msg.Message{Kind: KindReload}
+	case 2:
+		return msg.Message{Kind: KindEndTx, Payload: EndTxReq{}} // nothing to scope it to
+	}
+	return msg.Message{Kind: KindUpdate, Payload: "malformed"}
+}
+
+// conflicts is the specification: wide conflicts with everything, a
+// transaction-scoped request with the requests of its transaction, keyed
+// requests with each other on the same record (or whole file).
+func (r schedReq) conflicts(o schedReq) bool {
+	switch {
+	case r.class == scopeWide || o.class == scopeWide:
+		return true
+	case r.class == scopeTx || o.class == scopeTx:
+		return r.tx == o.tx
+	}
+	return r.file == o.file && (r.key == "" || o.key == "" || r.key == o.key)
+}
+
 // TestSchedulerAdmissionInvariant is the in-flight footprint property test:
-// over random queues of classified footprints and random completion
-// orders, pickLocked never admits a job whose footprint overlaps an
-// in-flight one, admits conflicting jobs in arrival order, and wide jobs
-// run alone.
+// over random queues of classified requests, random completion orders and
+// browses coming and going, pickLocked never admits a job that conflicts
+// with an in-flight one, admits conflicting jobs in arrival order — so a
+// transaction-scoped job neither overtakes nor runs beside an earlier job
+// of its transaction — runs wide jobs alone and only with no browse in
+// flight, and holds back nothing else: a transaction-scoped job goes in
+// beside other transactions' keyed jobs and beside browses.
 func TestSchedulerAdmissionInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	files := []string{"f", "g"}
 	keys := []string{"", "k1", "k2", "k3"}
-	for round := 0; round < 300; round++ {
+	var txBesideBrowse, txBesideKeyed int
+	for round := 0; round < 400; round++ {
 		sched := newBareScheduler()
+		desc := make(map[*job]schedReq)
 		var arrivals []*job
-		n := 2 + rng.Intn(12)
+		n := 2 + rng.Intn(14)
 		for i := 0; i < n; i++ {
-			var fp footprint
-			if rng.Intn(10) == 0 {
-				fp = footprint{wide: true}
-			} else {
-				fp = footprint{file: files[rng.Intn(len(files))], key: keys[rng.Intn(len(keys))]}
+			r := schedReq{tx: uint64(1 + rng.Intn(4))}
+			switch p := rng.Intn(20); {
+			case p == 0:
+				r = schedReq{class: scopeWide}
+			case p < 6:
+				r.class = scopeTx
+			default:
+				r.class, r.file, r.key = scopeKeyed, files[rng.Intn(len(files))], keys[rng.Intn(len(keys))]
 			}
-			j := &job{fp: fp, enqueued: time.Now()}
+			m := r.message(rng)
+			fp, browse := classify(m)
+			if browse || fp.scope != r.class {
+				t.Fatalf("classify(%s %+v) = %+v browse=%v, want class %d", m.Kind, m.Payload, fp, browse, r.class)
+			}
+			j := &job{m: m, fp: fp, enqueued: time.Now()}
+			desc[j] = r
 			arrivals = append(arrivals, j)
 			sched.queue = append(sched.queue, j)
 		}
-		pos := func(j *job) int {
-			for i, a := range arrivals {
-				if a == j {
-					return i
+		admitted := make(map[*job]bool)
+		// blocked restates the admission rule from the specification.
+		blocked := func(q *job) bool {
+			if desc[q].class == scopeWide && (len(sched.inflight) > 0 || sched.browsing > 0) {
+				return true
+			}
+			for _, f := range sched.inflight {
+				if desc[q].conflicts(desc[f]) {
+					return true
 				}
 			}
-			return -1
+			for _, e := range arrivals {
+				if e == q {
+					break
+				}
+				if !admitted[e] && desc[q].conflicts(desc[e]) {
+					return true
+				}
+			}
+			return false
 		}
-		admitted := make(map[*job]bool)
 		for len(sched.queue) > 0 || len(sched.inflight) > 0 {
+			if rng.Intn(3) == 0 {
+				sched.browsing = rng.Intn(4)
+			}
 			j := sched.pickLocked()
 			if j != nil {
+				// The job is already in sched.inflight; judge it against the
+				// state it was admitted into.
+				sched.inflight = sched.inflight[:len(sched.inflight)-1]
+				if blocked(j) {
+					t.Fatalf("round %d: admitted %s %+v against the rule (in flight %d, browsing %d)",
+						round, j.m.Kind, desc[j], len(sched.inflight), sched.browsing)
+				}
+				if desc[j].class == scopeTx {
+					if sched.browsing > 0 {
+						txBesideBrowse++
+					}
+					if len(sched.inflight) > 0 {
+						txBesideKeyed++
+					}
+				}
+				sched.inflight = append(sched.inflight, j)
 				admitted[j] = true
-				// Invariant 1: no overlap with other in-flight jobs.
-				for _, f := range sched.inflight {
-					if f != j && j.fp.overlaps(f.fp) {
-						t.Fatalf("round %d: admitted %+v overlapping in-flight %+v", round, j.fp, f.fp)
-					}
-				}
-				// Invariant 2: wide jobs run alone.
-				if j.fp.wide && len(sched.inflight) != 1 {
-					t.Fatalf("round %d: wide job admitted with %d in flight", round, len(sched.inflight))
-				}
-				// Invariant 3: FIFO per conflict class — every earlier
-				// arrival that conflicts with j was admitted before j.
-				for _, e := range arrivals {
-					if pos(e) < pos(j) && e.fp.overlaps(j.fp) && !admitted[e] {
-						t.Fatalf("round %d: %+v admitted before earlier conflicting %+v", round, j.fp, e.fp)
-					}
-				}
 				if len(sched.inflight) < sched.workers && rng.Intn(2) == 0 {
 					continue // try to admit more before completing anything
 				}
+			} else {
+				for _, q := range sched.queue {
+					if !blocked(q) {
+						t.Fatalf("round %d: %s %+v held back with nothing in its way (in flight %d, browsing %d)",
+							round, q.m.Kind, desc[q], len(sched.inflight), sched.browsing)
+					}
+				}
 			}
-			if len(sched.inflight) > 0 {
-				v := sched.inflight[rng.Intn(len(sched.inflight))]
-				sched.inflight = remove(sched.inflight, v)
-			} else if j == nil {
+			switch {
+			case len(sched.inflight) > 0:
+				sched.inflight = remove(sched.inflight, sched.inflight[rng.Intn(len(sched.inflight))])
+			case j == nil && sched.browsing > 0:
+				sched.browsing = 0 // only a wide head can be waiting: let the browses drain
+			case j == nil:
 				t.Fatalf("round %d: scheduler stuck with %d queued", round, len(sched.queue))
 			}
 		}
@@ -126,12 +200,19 @@ func TestSchedulerAdmissionInvariant(t *testing.T) {
 			t.Fatalf("round %d: %d in-flight footprint violations", round, sched.stats.Violations)
 		}
 	}
+	if txBesideBrowse == 0 || txBesideKeyed == 0 {
+		t.Fatalf("vacuous run: transaction-scoped admissions beside browses = %d, beside in-flight jobs = %d",
+			txBesideBrowse, txBesideKeyed)
+	}
 }
 
 // TestConflictingOpsNeverConcurrent drives mixed conflicting and
-// non-conflicting operations through a DiscWorkers=8 process and asserts
+// non-conflicting operations through a DiscWorkers=8 process — keyed work,
+// browses, and every transaction-scoped request: each transaction ends by
+// flush + endtx or, every third one, by freeze + undo + endtx — and asserts
 // the scheduler's own in-flight footprint assertion stayed at zero while
-// real parallel admission happened.
+// real parallel admission happened, that no backed-out value survived, and
+// that only the create counted as a wide barrier.
 func TestConflictingOpsNeverConcurrent(t *testing.T) {
 	e := newEnvWorkers(t, 4, true, 8)
 	e.create(t, "f", dbfile.KeySequenced)
@@ -144,7 +225,7 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 	const workers = 8
 	const iters = 20
 	var wg sync.WaitGroup
-	errs := make(chan error, workers*iters*3)
+	errs := make(chan error, workers*iters*5)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -152,7 +233,8 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := tx(uint64(1 + w*iters + i))
 				key := kname((w + i) % keys) // overlapping key sets conflict across goroutines
-				if _, err := e.call(t, KindRead, ReadReq{Tx: id, File: "f", Key: key, WithLock: true, LockTimeout: 2 * time.Second}); err != nil {
+				r, err := e.call(t, KindRead, ReadReq{Tx: id, File: "f", Key: key, WithLock: true, LockTimeout: 2 * time.Second})
+				if err != nil {
 					// Lock timeouts under contention are legal (deadlock
 					// prevention by timeout); the transaction just ends.
 					if _, err := e.call(t, KindEndTx, EndTxReq{Tx: id}); err != nil {
@@ -160,12 +242,29 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 					}
 					continue
 				}
-				if _, err := e.call(t, KindUpdate, WriteReq{Tx: id, File: "f", Key: key, Val: []byte(fmt.Sprintf("w%di%d", w, i))}); err != nil {
+				before := r.Payload.(ReadResp).Val
+				abort := i%3 == 2
+				val := fmt.Sprintf("w%di%d", w, i)
+				if abort {
+					val = "aborted-" + val
+				}
+				if _, err := e.call(t, KindUpdate, WriteReq{Tx: id, File: "f", Key: key, Val: []byte(val)}); err != nil {
 					errs <- fmt.Errorf("update: %w", err)
 				}
 				// Browse traffic rides alongside the write pipeline.
 				if _, err := e.call(t, KindReadRange, ReadRangeReq{File: "f", Limit: 4}); err != nil {
 					errs <- fmt.Errorf("readrange: %w", err)
+				}
+				if abort {
+					if _, err := e.call(t, KindFreeze, EndTxReq{Tx: id}); err != nil {
+						errs <- fmt.Errorf("freeze: %w", err)
+					}
+					undo := UndoReq{Tx: id, Images: []audit.Image{{Tx: id, Volume: "v1", File: "f", Key: key, Kind: audit.ImageUpdate, Before: before}}}
+					if _, err := e.call(t, KindUndo, undo); err != nil {
+						errs <- fmt.Errorf("undo: %w", err)
+					}
+				} else if _, err := e.call(t, KindFlush, FlushReq{Tx: id}); err != nil {
+					errs <- fmt.Errorf("flush: %w", err)
 				}
 				if _, err := e.call(t, KindEndTx, EndTxReq{Tx: id}); err != nil {
 					errs <- fmt.Errorf("endtx: %w", err)
@@ -188,6 +287,91 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 	if st.Sched.Workers != 8 {
 		t.Fatalf("Workers = %d, want 8", st.Sched.Workers)
 	}
+	if st.Sched.WideOps != 1 {
+		t.Fatalf("WideOps = %d, want 1 (the create): transaction-scoped requests are not wide", st.Sched.WideOps)
+	}
+	recs := e.mustCall(t, KindReadRange, ReadRangeReq{File: "f"}).Payload.(ReadRangeResp).Recs
+	if len(recs) != keys {
+		t.Fatalf("%d records, want %d", len(recs), keys)
+	}
+	for _, rec := range recs {
+		if strings.HasPrefix(string(rec.Val), "aborted-") {
+			t.Errorf("%s = %q: a backed-out value survived", rec.Key, rec.Val)
+		}
+		if v, err := e.vol.Read("f", rec.Key); err != nil || string(v) != string(rec.Val) {
+			t.Errorf("%s: volume holds %q (%v), file %q", rec.Key, v, err, rec.Val)
+		}
+	}
+}
+
+// TestTxScopedOpsDoNotWaitForBrowses is the liveness regression for the
+// transaction-scoped class: with three browses overlapping in their miss
+// penalty the volume is never browse-free, and flush, freeze, undo and
+// endtx — which used to wait for exactly that — are served at once.
+func TestTxScopedOpsDoNotWaitForBrowses(t *testing.T) {
+	const penalty = 3 * time.Millisecond
+	e := newEnvCfg(t, 4, true, func(_ *env, c *Config) {
+		c.DiscWorkers, c.CacheSize, c.MissPenalty = 8, 0, penalty
+	})
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "browsed", Val: []byte("b")})
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("orig")})
+	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindLockRec, LockReq{Tx: tx(2), File: "f", Key: "k"})
+	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("dirty")})
+	undo := UndoReq{Tx: tx(2), Images: e.trail.ImagesForUnforced(tx(2))}
+
+	stop := e.loopBrowsers(t, 3, penalty, "f", "browsed")
+	defer stop()
+	const bound = 50 * time.Millisecond
+	e.promptly(t, bound, KindFlush, FlushReq{Tx: tx(2)})
+	e.promptly(t, bound, KindFreeze, EndTxReq{Tx: tx(2)})
+	e.promptly(t, bound, KindUndo, undo)
+	e.promptly(t, bound, KindEndTx, EndTxReq{Tx: tx(2)})
+
+	if v := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"}).Payload.(ReadResp).Val; string(v) != "orig" {
+		t.Errorf("k = %q after backout, want orig", v)
+	}
+	if held := e.proc.LocksSnapshot(); len(held) != 0 {
+		t.Errorf("locks still held after endtx: %v", held)
+	}
+}
+
+// TestWideOpsNotStarvedByBrowses: what stays wide still has to wait for
+// browses to drain, so a queued wide job and a quiesce hold new browses at
+// the door. Four browses overlapping in a 3 ms miss penalty used to keep a
+// create — and a Snapshot, when a new backup is seeded — waiting for as
+// long as they kept coming.
+func TestWideOpsNotStarvedByBrowses(t *testing.T) {
+	const penalty = 3 * time.Millisecond
+	e := newEnvCfg(t, 4, true, func(_ *env, c *Config) {
+		c.DiscWorkers, c.CacheSize, c.MissPenalty = 8, 0, penalty
+	})
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "browsed", Val: []byte("b")})
+	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+
+	stop := e.loopBrowsers(t, 4, penalty, "f", "browsed")
+	defer stop()
+	const bound = 100 * time.Millisecond
+	if _, err := e.callWithin(bound, KindCreate, CreateReq{File: "g", Org: dbfile.KeySequenced}); err != nil {
+		t.Fatalf("create under looping browses not served within %v: %v", bound, err)
+	}
+	snapped := make(chan struct{})
+	go func() {
+		e.proc.primApp.Load().Snapshot()
+		close(snapped)
+	}()
+	select {
+	case <-snapped:
+	case <-time.After(bound):
+		t.Fatalf("Snapshot under looping browses not taken within %v", bound)
+	}
+	// The door opens again afterwards: browses are still being served.
+	before := e.proc.Stats().Sched.BrowseOps
+	waitFor(t, "a browse to be served after the wide operations ran", func() bool {
+		return e.proc.Stats().Sched.BrowseOps > before
+	})
 }
 
 func kname(k int) string { return fmt.Sprintf("k%03d", k) }
