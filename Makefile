@@ -50,12 +50,14 @@ lint: $(TMFLINT)
 # test, browse-starvation and stale-fill regressions, takeover
 # re-completion), the record cache whose fill races those handlers'
 # writes, the observability layer they all record into, the simulated
-# EXPAND network and its fault injector, the process-pair runtime, and the
+# EXPAND network and its fault injector, the process-pair runtime, the
 # trace-oracle chaos test (the long soak stays race-free via the package
-# run above, but is too slow under -race).
+# run above, but is too slow under -race), and the node lifecycle — Crash,
+# Recover and Stop swap a node's monitor, File System client and
+# DISCPROCESSes through one start path and one halt path.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
-	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle' .
+	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine' .
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips and the audit trail's segment codec ('go test
@@ -97,8 +99,10 @@ crash-matrix-short:
 # Deterministic fault-schedule exploration (the DST harness). `make soak`
 # explores SOAK_SEEDS consecutive seeds starting at SOAK_START, minimizing
 # any failure by delta debugging; `make soak-short` is the race-enabled
-# 100-seed gate that runs as part of `make check`. Any failing seed
-# reproduces exactly with: go run ./cmd/dst -seed <seed> -v
+# 100-seed gate that runs as part of `make check`, followed by 24 seeds of
+# the total-failure shape (one mixed schedule in four has an outage; every
+# total-failure schedule restarts a node). Any failing seed reproduces
+# exactly with: go run ./cmd/dst -seed <seed> [-shape total-failure] -v
 SOAK_SEEDS ?= 1000
 SOAK_START ?= 1
 SOAK_CORPUS ?=
@@ -108,6 +112,7 @@ soak:
 
 soak-short:
 	$(GO) run -race ./cmd/dst -seed $(SOAK_START) -schedules 100
+	$(GO) run ./cmd/dst -seed $(SOAK_START) -schedules 24 -shape total-failure
 
 # A few seconds of open-loop terminal load under the race detector, with
 # the Figure-3 trace oracle validating every captured trace afterwards

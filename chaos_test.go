@@ -235,7 +235,9 @@ func TestChaosTraceOracle(t *testing.T) {
 		}
 	}
 
-	operatorSweep(sys)
+	if err := dst.OperatorSweep(sys); err != nil {
+		t.Fatal(err)
+	}
 
 	if committed == 0 {
 		t.Fatal("nothing committed through the chaos")
@@ -251,10 +253,6 @@ func TestChaosTraceOracle(t *testing.T) {
 	t.Logf("trace oracle: %d traces validated (%d committed, %d voluntary aborts)",
 		validated, committed, voluntaryAborts)
 }
-
-// operatorSweep resolves stragglers the way an operator would. The DST
-// runner and the chaos tests share one implementation.
-func operatorSweep(sys *encompass.System) { dst.OperatorSweep(sys) }
 
 // validateAllTraces feeds every captured transaction trace through the
 // Figure 3 oracle and checks the runtime checker saw no illegal broadcast.
@@ -352,7 +350,9 @@ func TestChaosLossyLink(t *testing.T) {
 	<-flapperDone
 	sys.Network.HealLink("west", "east")
 
-	operatorSweep(sys)
+	if err := dst.OperatorSweep(sys); err != nil {
+		t.Fatal(err)
+	}
 
 	if committed == 0 {
 		t.Fatal("nothing committed over the lossy line")

@@ -17,7 +17,7 @@
 //	    Nodes: []encompass.NodeSpec{{Name: "alpha", CPUs: 4,
 //	        Volumes: []encompass.VolumeSpec{{Name: "data1", Audited: true}}}},
 //	})
-//	defer sys.Stop()
+//	defer sys.Stop() // halts every node; the simulation's goroutines exit
 //	node := sys.Node("alpha")
 //	_ = node.FS.Create(fsys.FileInfo{ ... })
 //	tx, _ := node.Begin()
@@ -26,6 +26,7 @@
 package encompass
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -92,9 +93,6 @@ type Config struct {
 	// node's tracer is shared between its TMF monitor and DISCPROCESSes
 	// and is exposed via Node.TMF.Tracer().
 	TraceCapacity int
-	// StrictStateCheck turns each monitor's Figure 3 checker into a
-	// runtime assertion: an illegal state-change broadcast panics.
-	StrictStateCheck bool
 	// LinkFault, when non-zero, applies the same fault profile (loss,
 	// duplication, reorder, corruption, jitter) to every link, switching
 	// EXPAND into its reliable-session mode. Per-link profiles can still
@@ -129,7 +127,13 @@ type Node struct {
 
 	Volumes map[string]*Volume
 
-	netw     *expand.Network
+	// What Build gave the node; every start runs from these.
+	spec   NodeSpec
+	cfg    Config
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	netw   *expand.Network
+
 	beginCPU atomic.Uint64
 }
 
@@ -179,6 +183,8 @@ func Build(cfg Config) (*System, error) {
 	return s, nil
 }
 
+// buildNode creates the node's hardware and what of it is durable — the
+// disc volumes and the audit trails — then starts its software.
 func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 	if ns.CPUs == 0 {
 		ns.CPUs = 4
@@ -187,92 +193,140 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := msg.NewSystem(hwNode)
-	net.Attach(sys)
-
 	// One registry and (optionally) one tracer per node, shared by the TMF
 	// monitor, the audit trails and the DISCPROCESSes, so a transaction's
 	// trace interleaves all three and metrics land in one place.
-	reg := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if cfg.TraceCapacity != 0 {
-		tracer = obs.NewTracer(cfg.TraceCapacity)
-	}
-
-	mon, err := tmf.New(tmf.Config{
-		System:                 sys,
-		Network:                net,
-		MonitorTrailForceDelay: cfg.MonitorForceDelay,
-		TMPPrimaryCPU:          0,
-		TMPBackupCPU:           1 % ns.CPUs,
-		Registry:               reg,
-		Tracer:                 tracer,
-		StrictStateCheck:       cfg.StrictStateCheck,
-		CommitProtocol:         cfg.CommitProtocol,
-		CommitAcceptors:        cfg.CommitAcceptors,
-	})
-	if err != nil {
-		return nil, err
-	}
 	n := &Node{
 		Name:    ns.Name,
 		HW:      hwNode,
-		Msg:     sys,
-		TMF:     mon,
+		Msg:     msg.NewSystem(hwNode),
 		Volumes: make(map[string]*Volume),
+		spec:    ns,
+		cfg:     cfg,
+		reg:     obs.NewRegistry(),
 		netw:    net,
 	}
+	if cfg.TraceCapacity != 0 {
+		n.tracer = obs.NewTracer(cfg.TraceCapacity)
+	}
+	net.Attach(n.Msg)
 
-	// One AUDITPROCESS + trail per audit group.
+	// One trail per audit group.
 	trails := make(map[string]*audit.Trail)
-	for i, vs := range ns.Volumes {
-		group := vs.AuditGroup
-		if group == "" {
-			group = vs.Name
-		}
-		var cl *audit.Client
-		var trail *audit.Trail
+	for _, vs := range ns.Volumes {
+		v := &Volume{Spec: vs, Disk: disk.NewVolume(vs.Name)}
 		if vs.Audited {
-			trail = trails[group]
-			if trail == nil {
-				trail = audit.NewTrail("audit-"+group, cfg.AuditForceDelay)
-				trail.SetObs(reg)
-				trails[group] = trail
-				pcpu := i % ns.CPUs
-				bcpu := (i + 1) % ns.CPUs
-				if _, err := audit.StartProcess(sys, "audit-"+group, pcpu, bcpu, trail); err != nil {
-					return nil, err
+			group := vs.AuditGroup
+			if group == "" {
+				group = vs.Name
+			}
+			if trails[group] == nil {
+				trails[group] = audit.NewTrail("audit-"+group, cfg.AuditForceDelay)
+				trails[group].SetObs(n.reg)
+			}
+			v.Trail = trails[group]
+		}
+		n.Volumes[vs.Name] = v
+	}
+	return n, n.start(nil)
+}
+
+// start brings the node's software up over whatever its discs, its trails
+// and its previous monitor hold: nothing on a new node, the durable state
+// after total node failure. TMF starts first, over the Monitor Audit Trail
+// and decision logs of the halted monitor if there was one, so that repair
+// (ROLLFORWARD, on a restart) can negotiate dispositions with remote TMPs;
+// then one AUDITPROCESS per trail and one DISCPROCESS per volume, in
+// configuration order, each loading its file structures from its volume;
+// then the File System client, keeping the catalog and the settings of the
+// one it replaces. Everything else is rebuilt from what Build was given.
+func (n *Node) start(repair func(*tmf.Monitor) error) error {
+	cpus := n.HW.NumCPUs()
+	mon, err := tmf.New(tmf.Config{
+		System:                 n.Msg,
+		Network:                n.netw,
+		MonitorTrailForceDelay: n.cfg.MonitorForceDelay,
+		Previous:               n.TMF,
+		TMPPrimaryCPU:          0,
+		TMPBackupCPU:           1 % cpus,
+		Registry:               n.reg,
+		Tracer:                 n.tracer,
+		CommitProtocol:         n.cfg.CommitProtocol,
+		CommitAcceptors:        n.cfg.CommitAcceptors,
+	})
+	if err != nil {
+		return err
+	}
+	n.TMF = mon
+	if repair != nil {
+		if err := repair(mon); err != nil {
+			return err
+		}
+	}
+
+	started := make(map[*audit.Trail]bool)
+	for i, vs := range n.spec.Volumes {
+		v := n.Volumes[vs.Name]
+		pcpu, bcpu := i%cpus, (i+1)%cpus
+		var cl *audit.Client
+		auditName := ""
+		if v.Trail != nil {
+			auditName = v.Trail.Name()
+			if !started[v.Trail] {
+				started[v.Trail] = true
+				if _, err := audit.StartProcess(n.Msg, auditName, pcpu, bcpu, v.Trail); err != nil {
+					return err
 				}
 			}
-			cl = audit.NewClient(sys, "audit-"+group)
+			cl = audit.NewClient(n.Msg, auditName)
 		}
-		vol := disk.NewVolume(vs.Name)
 		discName := "disc-" + vs.Name
-		pcpu := i % ns.CPUs
-		bcpu := (i + 1) % ns.CPUs
-		proc, err := discproc.Start(sys, discName, pcpu, bcpu, discproc.Config{
-			Volume:           vol,
+		v.Proc, err = discproc.Start(n.Msg, discName, pcpu, bcpu, discproc.Config{
+			Volume:           v.Disk,
 			Audit:            cl,
 			OnParticipate:    mon.RegisterLocalVolume,
 			CacheSize:        vs.CacheSize,
 			MissPenalty:      vs.MissPenalty,
 			ForceEveryUpdate: vs.ForceEveryUpdate,
-			Obs:              tracer,
-			DiscWorkers:      cfg.DiscWorkers,
-			Registry:         reg,
+			Obs:              n.tracer,
+			DiscWorkers:      n.cfg.DiscWorkers,
+			Registry:         n.reg,
 		})
 		if err != nil {
-			return nil, err
-		}
-		auditName := ""
-		if vs.Audited {
-			auditName = "audit-" + group
+			return err
 		}
 		mon.AddVolume(tmf.VolumeInfo{Name: vs.Name, DiscName: discName, AuditName: auditName})
-		n.Volumes[vs.Name] = &Volume{Spec: vs, Disk: vol, Proc: proc, Trail: trail}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err = n.Msg.ClientCall(ctx, pcpu, msg.Addr{Name: discName}, discproc.KindReload, discproc.EndTxReq{})
+		cancel()
+		if err != nil {
+			return fmt.Errorf("encompass: reload %s: %w", vs.Name, err)
+		}
 	}
-	n.FS = fsys.New(sys, mon)
-	return n, nil
+
+	fs := fsys.New(n.Msg, mon)
+	if old := n.FS; old != nil {
+		fs.CallCPU, fs.Timeout, fs.LockTimeout = old.CallCPU, old.Timeout, old.LockTimeout
+		for _, fi := range old.Files() {
+			if err := fs.Define(fi); err != nil {
+				return err
+			}
+		}
+	}
+	n.FS = fs
+	return nil
+}
+
+// halt stops the node's software, all of it: every processor fails, which
+// cancels every process on it, and the listeners this incarnation left with
+// the hardware and the network are detached, so that nothing wakes it when
+// the processors come back and nothing keeps it reachable.
+func (n *Node) halt() {
+	for _, cpu := range n.HW.UpCPUs() {
+		n.HW.FailCPU(cpu)
+	}
+	n.HW.Unwatch()
+	n.netw.UnwatchTopology(n.Name)
 }
 
 // Node returns a node by name, or nil.
@@ -293,10 +347,13 @@ func (s *System) Partition(group ...string) { s.Network.Partition(group...) }
 // Heal restores all failed links.
 func (s *System) Heal() { s.Network.HealAll() }
 
-// Stop is a placeholder for symmetry with long-running deployments; the
-// simulation's goroutines are owned by CPU contexts and stop when the
-// process exits.
-func (s *System) Stop() {}
+// Stop halts every node. The simulation's goroutines are owned by CPU
+// contexts and exit once their processors have failed.
+func (s *System) Stop() {
+	for _, n := range s.nodes {
+		n.halt()
+	}
+}
 
 // CreateFileEverywhere defines a file in every node's catalog and creates
 // its partitions once. Applications on any node can then access it.

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -59,9 +58,9 @@ type DecisionRecord struct {
 }
 
 // DecisionLog is an append-only, hash-chained, checksummed log of
-// DecisionRecords — the same per-record framing discipline as the audit
-// trail's segments (u32 length | u64 LSN | body | SHA-256 chain |
-// CRC-32C), so the acceptor's durable state carries the integrity
+// DecisionRecords, framed by the audit trail's own record codec (u32
+// length | u64 LSN | body | SHA-256 chain | CRC-32C; appendFrame and
+// readFrame), so the acceptor's durable state carries the integrity
 // properties the trail format established: a reload replays only records
 // whose CRC and chain verify, and VerifyChain can audit the whole
 // history at any time.
@@ -129,19 +128,8 @@ func decodeDecisionBody(b []byte) (DecisionRecord, error) {
 func (l *DecisionLog) Append(r DecisionRecord) uint64 {
 	l.mu.Lock()
 	r.LSN = uint64(len(l.recs)) + 1
-	body := encodeDecisionBody(&r)
-	payload := make([]byte, 0, 8+len(body))
-	payload = putU64(payload, r.LSN)
-	payload = append(payload, body...)
-	chain := chainHash(l.chain, payload)
-
 	l.starts = append(l.starts, len(l.buf))
-	l.buf = putU32(l.buf, uint32(len(payload)+chainLen+4))
-	start := len(l.buf)
-	l.buf = append(l.buf, payload...)
-	l.buf = append(l.buf, chain[:]...)
-	l.buf = putU32(l.buf, crc32.Checksum(l.buf[start:], castagnoli))
-	l.chain = chain
+	l.buf, l.chain = appendFrame(l.buf, r.LSN, encodeDecisionBody(&r), l.chain)
 	l.recs = append(l.recs, r)
 	delay := l.forceDelay
 	l.mu.Unlock()
@@ -178,11 +166,15 @@ func (l *DecisionLog) VerifyChain() (int, error) {
 	var prev [chainLen]byte
 	off := 0
 	for i := range want {
-		rec, chain, n, err := decodeDecisionRecord(buf[off:], prev, uint64(i)+1)
+		lsn, body, chain, n, err := readFrame(buf[off:], prev, uint64(i)+1)
+		var rec DecisionRecord
+		if err == nil {
+			rec, err = decodeDecisionBody(body)
+		}
 		if err != nil {
 			return i, fmt.Errorf("%s: record %d: %w", l.name, i+1, err)
 		}
-		if rec != want[i] {
+		if rec.LSN = lsn; rec != want[i] {
 			return i, fmt.Errorf("%s: record %d decoded %+v, memory holds %+v", l.name, i+1, rec, want[i])
 		}
 		prev, off = chain, off+n
@@ -204,43 +196,4 @@ func (l *DecisionLog) Corrupt(lsn uint64) bool {
 	}
 	l.buf[l.starts[i]+4+8] ^= 0x40 // first body byte, past length prefix and LSN
 	return true
-}
-
-// decodeDecisionRecord parses one framed record at the head of b,
-// verifying length, CRC, chain continuity and the expected LSN.
-func decodeDecisionRecord(b []byte, prev [chainLen]byte, wantLSN uint64) (DecisionRecord, [chainLen]byte, int, error) {
-	var zero [chainLen]byte
-	if len(b) < 4 {
-		return DecisionRecord{}, zero, 0, fmt.Errorf("audit: torn decision record")
-	}
-	recLen := int(u32at(b, 0))
-	if recLen < recOverhead || recLen > maxRecordLen || 4+recLen > len(b) {
-		return DecisionRecord{}, zero, 0, fmt.Errorf("audit: bad decision record length %d", recLen)
-	}
-	frame := b[4 : 4+recLen]
-	if crc32.Checksum(frame[:recLen-4], castagnoli) != u32at(frame, recLen-4) {
-		return DecisionRecord{}, zero, 0, fmt.Errorf("audit: decision record CRC mismatch")
-	}
-	payload := frame[:recLen-chainLen-4]
-	var chain [chainLen]byte
-	copy(chain[:], frame[recLen-chainLen-4:recLen-4])
-	if chainHash(prev, payload) != chain {
-		return DecisionRecord{}, zero, 0, fmt.Errorf("audit: decision hash chain broken")
-	}
-	br := &blobReader{b: payload}
-	lsn := br.u64()
-	if br.err != nil || (wantLSN != 0 && lsn != wantLSN) {
-		return DecisionRecord{}, zero, 0, fmt.Errorf("audit: decision LSN %d where %d expected", lsn, wantLSN)
-	}
-	rec, err := decodeDecisionBody(payload[8:])
-	if err != nil {
-		return DecisionRecord{}, zero, 0, err
-	}
-	rec.LSN = lsn
-	return rec, chain, 4 + recLen, nil
-}
-
-// u32at reads a little-endian u32 at offset i.
-func u32at(b []byte, i int) uint32 {
-	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
 }

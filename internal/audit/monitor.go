@@ -41,10 +41,11 @@ type Completion struct {
 type MonitorTrail struct {
 	forceDelay time.Duration
 
-	mu      sync.Mutex
-	records []Completion        // guarded by mu
-	bySeq   map[txid.ID]Outcome // guarded by mu
-	nextSeq uint64              // guarded by mu
+	mu       sync.Mutex
+	records  []Completion        // guarded by mu
+	bySeq    map[txid.ID]Outcome // guarded by mu
+	nextSeq  uint64              // guarded by mu
+	restarts uint64              // guarded by mu
 }
 
 // NewMonitorTrail creates an empty monitor trail with the given simulated
@@ -73,6 +74,16 @@ func (m *MonitorTrail) Append(tx txid.ID, o Outcome) (Outcome, bool) {
 		time.Sleep(m.forceDelay)
 	}
 	return o, true
+}
+
+// NoteRestart durably counts one more start of a TMF monitor over a trail
+// that survived total node failure, and returns the count: the incarnation
+// number the monitor qualifies its transids with.
+func (m *MonitorTrail) NoteRestart() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.restarts++
+	return m.restarts
 }
 
 // OutcomeOf returns a transaction's recorded completion, if any.

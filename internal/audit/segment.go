@@ -180,12 +180,13 @@ func decodeBody(b []byte) (Image, error) {
 	return img, nil
 }
 
-// encodeRecord appends the framed record for img to dst and returns the
-// extended buffer plus the advanced chain value. img.LSN must be set.
-func encodeRecord(dst []byte, img *Image, prev [chainLen]byte) ([]byte, [chainLen]byte) {
-	body := encodeBody(img)
+// appendFrame appends one framed record — length, LSN, body, chain, CRC,
+// as laid out above — to dst, and returns the extended buffer plus the
+// advanced chain value. It is the one writer of the record format: audit
+// trail segments and decision logs both frame through it.
+func appendFrame(dst []byte, lsn uint64, body []byte, prev [chainLen]byte) ([]byte, [chainLen]byte) {
 	payload := make([]byte, 0, 8+len(body))
-	payload = putU64(payload, img.LSN)
+	payload = putU64(payload, lsn)
 	payload = append(payload, body...)
 	chain := chainHash(prev, payload)
 
@@ -199,43 +200,61 @@ func encodeRecord(dst []byte, img *Image, prev [chainLen]byte) ([]byte, [chainLe
 	return dst, chain
 }
 
-// decodeRecord parses and fully verifies one record at the head of b:
-// length sanity, CRC, chain continuity from prev, and (when wantLSN != 0)
-// the expected LSN. It returns the image, the advanced chain, and the
-// total framed size consumed.
-func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64) (Image, [chainLen]byte, int, error) {
-	var zero [chainLen]byte
+// readFrame fully verifies one framed record at the head of b: length
+// sanity, CRC, chain continuity from prev, and (when wantLSN != 0) the
+// expected LSN. It returns the LSN, the body (aliasing b), the advanced
+// chain, and the total framed size consumed.
+func readFrame(b []byte, prev [chainLen]byte, wantLSN uint64) (lsn uint64, body []byte, chain [chainLen]byte, n int, err error) {
+	fail := func(format string, a ...any) (uint64, []byte, [chainLen]byte, int, error) {
+		return 0, nil, [chainLen]byte{}, 0, fmt.Errorf(format, a...)
+	}
 	if len(b) < 4 {
-		return Image{}, zero, 0, fmt.Errorf("audit: torn record: %d bytes where a length prefix belongs", len(b))
+		return fail("audit: torn record: %d bytes where a length prefix belongs", len(b))
 	}
 	recLen := int(binary.LittleEndian.Uint32(b))
 	if recLen < recOverhead || recLen > maxRecordLen {
-		return Image{}, zero, 0, fmt.Errorf("audit: bad record length %d", recLen)
+		return fail("audit: bad record length %d", recLen)
 	}
 	if 4+recLen > len(b) {
-		return Image{}, zero, 0, fmt.Errorf("audit: torn record: length %d overruns remaining %d bytes", recLen, len(b)-4)
+		return fail("audit: torn record: length %d overruns remaining %d bytes", recLen, len(b)-4)
 	}
 	frame := b[4 : 4+recLen]
 	wantCRC := binary.LittleEndian.Uint32(frame[recLen-4:])
 	if crc32.Checksum(frame[:recLen-4], castagnoli) != wantCRC {
-		return Image{}, zero, 0, fmt.Errorf("audit: record CRC mismatch")
+		return fail("audit: record CRC mismatch")
 	}
 	payload := frame[:recLen-chainLen-4]
-	var chain [chainLen]byte
 	copy(chain[:], frame[recLen-chainLen-4:recLen-4])
 	if chainHash(prev, payload) != chain {
-		return Image{}, zero, 0, fmt.Errorf("audit: hash chain broken")
+		return fail("audit: hash chain broken")
 	}
-	lsn := binary.LittleEndian.Uint64(payload)
+	lsn = binary.LittleEndian.Uint64(payload)
 	if wantLSN != 0 && lsn != wantLSN {
-		return Image{}, zero, 0, fmt.Errorf("audit: LSN %d where %d expected", lsn, wantLSN)
+		return fail("audit: LSN %d where %d expected", lsn, wantLSN)
 	}
-	img, err := decodeBody(payload[8:])
+	return lsn, payload[8:], chain, 4 + recLen, nil
+}
+
+// encodeRecord appends the framed record for img to dst and returns the
+// extended buffer plus the advanced chain value. img.LSN must be set.
+func encodeRecord(dst []byte, img *Image, prev [chainLen]byte) ([]byte, [chainLen]byte) {
+	return appendFrame(dst, img.LSN, encodeBody(img), prev)
+}
+
+// decodeRecord parses and fully verifies (readFrame) one record at the
+// head of b. It returns the image, the advanced chain, and the total
+// framed size consumed.
+func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64) (Image, [chainLen]byte, int, error) {
+	lsn, body, chain, n, err := readFrame(b, prev, wantLSN)
+	var img Image
+	if err == nil {
+		img, err = decodeBody(body)
+	}
 	if err != nil {
-		return Image{}, zero, 0, err
+		return Image{}, [chainLen]byte{}, 0, err
 	}
 	img.LSN = lsn
-	return img, chain, 4 + recLen, nil
+	return img, chain, n, nil
 }
 
 // segment is one numbered trail file: an append-only byte buffer of

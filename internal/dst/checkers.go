@@ -53,6 +53,10 @@ func checkAtomicity(sys *encompass.System, bank *workload.Bank, spec *Spec) erro
 func checkTraceOracle(sys *encompass.System, bank *workload.Bank, spec *Spec) error {
 	validated := 0
 	for _, n := range sys.Nodes() {
+		ids, err := tracedTxs(n)
+		if err != nil {
+			return err
+		}
 		tr := n.TMF.Tracer()
 		if ev := tr.Evicted(); ev > 0 {
 			return fmt.Errorf("tracer on %s evicted %d traces; raise TraceCapacity", n.Name, ev)
@@ -60,7 +64,7 @@ func checkTraceOracle(sys *encompass.System, bank *workload.Bank, spec *Spec) er
 		if vs := n.TMF.Checker().Violations(); len(vs) > 0 {
 			return fmt.Errorf("runtime checker on %s: %d violations; first: %s", n.Name, len(vs), vs[0])
 		}
-		for _, id := range tr.Transactions() {
+		for _, id := range ids {
 			if err := obs.CheckTrace(tr.Trace(id)); err != nil {
 				return fmt.Errorf("%v\n%s", err, tr.Dump(id))
 			}
@@ -119,7 +123,11 @@ func checkMATAgreement(sys *encompass.System, bank *workload.Bank, spec *Spec) e
 // no transaction may leave the run in ACTIVE/ENDING/ABORTING limbo.
 func checkNoStuckTx(sys *encompass.System, bank *workload.Bank, spec *Spec) error {
 	for _, n := range sys.Nodes() {
-		for _, id := range n.TMF.Tracer().Transactions() {
+		ids, err := tracedTxs(n)
+		if err != nil {
+			return err
+		}
+		for _, id := range ids {
 			if st := n.TMF.State(id); st != txid.StateNone && !st.Terminal() {
 				return fmt.Errorf("%s stuck in %s on %s after sweep", id, st, n.Name)
 			}

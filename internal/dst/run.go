@@ -41,9 +41,6 @@ import (
 type Options struct {
 	// Log, when non-nil, receives a step-by-step execution narrative.
 	Log io.Writer
-	// KeepSystem leaves the simulated cluster running after the verdict
-	// (the default scuttles every CPU so the run's goroutines exit).
-	KeepSystem bool
 }
 
 // CheckResult is one invariant checker's verdict.
@@ -112,14 +109,6 @@ func ReproCommand(s *Schedule) string {
 // Step names, and all workload record content derives from the
 // schedule's seeds.
 func Run(s Schedule, opt Options) (*Verdict, error) {
-	v, _, _, err := runKeep(s, opt)
-	return v, err
-}
-
-// runKeep is Run plus access to the built cluster and workload, for tests
-// and forensics that inspect post-run state. With opt.KeepSystem the
-// caller owns the cluster and must Scuttle it.
-func runKeep(s Schedule, opt Options) (*Verdict, *encompass.System, *workload.Bank, error) {
 	logf := func(format string, args ...any) {
 		if opt.Log != nil {
 			fmt.Fprintf(opt.Log, format+"\n", args...)
@@ -135,11 +124,11 @@ func runKeep(s Schedule, opt Options) (*Verdict, *encompass.System, *workload.Ba
 	}
 	sys, err := encompass.Build(cfg)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dst: build cluster: %w", err)
+		return nil, fmt.Errorf("dst: build cluster: %w", err)
 	}
-	if !opt.KeepSystem {
-		defer Scuttle(sys)
-	}
+	// Soak mode executes thousands of schedules in one process; each
+	// cluster's goroutines must exit with its run.
+	defer sys.Stop()
 
 	placement := make([]workload.Placement, spec.Nodes)
 	for i := range placement {
@@ -156,7 +145,7 @@ func runKeep(s Schedule, opt Options) (*Verdict, *encompass.System, *workload.Ba
 		Seed:           spec.WorkloadSeed,
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dst: setup bank: %w", err)
+		return nil, fmt.Errorf("dst: setup bank: %w", err)
 	}
 
 	v := &Verdict{Seed: s.Seed}
@@ -189,7 +178,9 @@ func runKeep(s Schedule, opt Options) (*Verdict, *encompass.System, *workload.Ba
 	ap.DisarmHooks(sys)
 
 	HealEverything(sys)
-	OperatorSweep(sys)
+	if err := OperatorSweep(sys); err != nil {
+		ap.Errs = append(ap.Errs, err.Error())
+	}
 	v.Checks = append([]CheckResult{{Name: "apply", Err: strings.Join(ap.Errs, "; ")}},
 		runCheckers(sys, bank, &spec)...)
 	if spec.CommitProtocol == tmf.ProtoPaxos {
@@ -199,7 +190,7 @@ func runKeep(s Schedule, opt Options) (*Verdict, *encompass.System, *workload.Ba
 		logf("phase1-kill hooks fired on %d coordinator(s)", ap.NBKills())
 	}
 	logf("verdict: %s", v.Summary())
-	return v, sys, bank, nil
+	return v, nil
 }
 
 // traceCapacity sizes each node's tracer so no trace is evicted: every
@@ -574,14 +565,34 @@ func Settle(sys *encompass.System) {
 	time.Sleep(200 * time.Millisecond)
 }
 
+// tracedTxs returns the transactions the node's tracer holds. The sweep
+// and the checkers that walk traces see a node only through them, so a node
+// with no tracer, or one that began transactions and holds no trace, is an
+// error rather than nothing to check.
+func tracedTxs(n *encompass.Node) ([]txid.ID, error) {
+	tr := n.TMF.Tracer()
+	if tr == nil {
+		return nil, fmt.Errorf("%s has no tracer", n.Name)
+	}
+	ids := tr.Transactions()
+	if begun := n.TMF.Stats().Begun; len(ids) == 0 && begun > 0 {
+		return nil, fmt.Errorf("%s began %d transactions and holds no trace", n.Name, begun)
+	}
+	return ids, nil
+}
+
 // OperatorSweep resolves stragglers the way an operator would: abort live
 // home transactions, then force each remaining participant to its home
 // node's recorded disposition. The chaos tests and the DST runner share
 // this end-of-run procedure.
-func OperatorSweep(sys *encompass.System) {
+func OperatorSweep(sys *encompass.System) error {
 	Settle(sys)
 	for _, n := range sys.Nodes() {
-		for _, id := range n.TMF.Tracer().Transactions() {
+		ids, err := tracedTxs(n)
+		if err != nil {
+			return fmt.Errorf("operator sweep: %w", err)
+		}
+		for _, id := range ids {
 			if id.Home == n.Name && !n.TMF.State(id).Terminal() {
 				n.TMF.Abort(id, "end-of-run sweep")
 			}
@@ -598,18 +609,7 @@ func OperatorSweep(sys *encompass.System) {
 		}
 	}
 	Settle(sys)
-}
-
-// Scuttle fails every CPU of every node, cancelling the process contexts
-// so a finished run's goroutines exit. Soak mode executes thousands of
-// schedules in one process; without this each cluster would leak its
-// processes forever.
-func Scuttle(sys *encompass.System) {
-	for _, n := range sys.Nodes() {
-		for cpu := 0; cpu < n.HW.NumCPUs(); cpu++ {
-			n.HW.FailCPU(cpu)
-		}
-	}
+	return nil
 }
 
 // volumesOf returns the node's volumes in name order.

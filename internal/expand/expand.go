@@ -13,6 +13,7 @@ package expand
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,7 @@ type Network struct {
 	systems  map[string]*msg.System
 	links    map[linkKey]*link
 	faults   map[linkKey]*linkFault
-	watchers []func()
+	watchers []topoWatcher
 
 	// unreliable flips on when any line has a fault profile; all traffic
 	// then rides the reliable-session layer (fault.go).
@@ -218,22 +219,36 @@ func (n *Network) HealAll() {
 	}
 }
 
-// WatchTopology registers a callback invoked whenever link state changes.
-// Callbacks run synchronously with the change; they should be quick and may
-// query Reachable.
-func (n *Network) WatchTopology(fn func()) {
+// topoWatcher is one topology callback and the node whose software
+// registered it.
+type topoWatcher struct {
+	node string
+	fn   func()
+}
+
+// WatchTopology registers a callback, on behalf of the named node, invoked
+// whenever link state changes. Callbacks run synchronously with the change;
+// they should be quick and may query Reachable.
+func (n *Network) WatchTopology(node string, fn func()) {
 	n.mu.Lock()
-	n.watchers = append(n.watchers, fn)
+	n.watchers = append(n.watchers, topoWatcher{node, fn})
+	n.mu.Unlock()
+}
+
+// UnwatchTopology drops the callbacks registered on behalf of the named
+// node: its software halted and must not hear of topology changes again.
+func (n *Network) UnwatchTopology(node string) {
+	n.mu.Lock()
+	n.watchers = slices.DeleteFunc(n.watchers, func(w topoWatcher) bool { return w.node == node })
 	n.mu.Unlock()
 }
 
 func (n *Network) notifyTopology() {
 	n.mu.Lock()
-	ws := make([]func(), len(n.watchers))
-	copy(ws, n.watchers)
+	ws := slices.Clone(n.watchers)
 	n.mu.Unlock()
 	for _, w := range ws {
-		w()
+		w.fn()
 	}
 	// Wake the reliable sessions: frames queued for retransmission should
 	// cross a healed line immediately rather than waiting out the backoff.

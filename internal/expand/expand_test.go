@@ -139,7 +139,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	spawnEcho(t, sys["d"], "echo")
 
 	topoChanges := 0
-	net.WatchTopology(func() { topoChanges++ })
+	net.WatchTopology("a", func() { topoChanges++ })
 
 	net.Partition("c", "d")
 	if net.Reachable("a", "d") {

@@ -237,6 +237,15 @@ func (n *Node) Watch(fn func(Event)) {
 	n.mu.Unlock()
 }
 
+// Unwatch drops every registered watcher. Total node failure leaves no
+// process for an event to reach; the software that restarts the node
+// registers its own.
+func (n *Node) Unwatch() {
+	n.mu.Lock()
+	n.watchers = nil
+	n.mu.Unlock()
+}
+
 func (n *Node) notify(e Event) {
 	n.mu.Lock()
 	ws := make([]func(Event), len(n.watchers))

@@ -23,26 +23,19 @@ func (v Violation) String() string {
 // legal relation of the paper's Figure 3. It serves two roles:
 //
 //   - runtime assertion: the monitor feeds every state-change broadcast
-//     through Observe (opt-in via tmf.Config); violations are counted,
-//     retained, and — in strict mode — panic immediately;
+//     through Observe; violations are counted and retained;
 //   - test oracle: CheckTrace statically validates a captured trace,
 //     including the terminal-state requirement (every transaction must
 //     finish in ENDED or ABORTED).
 //
 // A nil *StateMachineChecker ignores observations.
 type StateMachineChecker struct {
-	strict bool // panic on an illegal transition
-
 	mu         sync.Mutex
 	violations []Violation
 }
 
-// NewStateMachineChecker creates a checker. In strict mode an illegal
-// transition panics at the point of emission (a runtime assertion for
-// tests and debugging); otherwise violations are only recorded.
-func NewStateMachineChecker(strict bool) *StateMachineChecker {
-	return &StateMachineChecker{strict: strict}
-}
+// NewStateMachineChecker creates a checker.
+func NewStateMachineChecker() *StateMachineChecker { return &StateMachineChecker{} }
 
 // Observe validates one state-change broadcast. It returns the violation
 // error (and records it) when the transition is illegal, nil otherwise.
@@ -57,9 +50,6 @@ func (c *StateMachineChecker) Observe(node string, tx txid.ID, from, to txid.Sta
 	c.mu.Lock()
 	c.violations = append(c.violations, v)
 	c.mu.Unlock()
-	if c.strict {
-		panic("obs: " + v.String())
-	}
 	return fmt.Errorf("obs: %s", v)
 }
 

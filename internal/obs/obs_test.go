@@ -160,7 +160,7 @@ func TestCheckTraceRejectsBackwardsTime(t *testing.T) {
 }
 
 func TestStateMachineChecker(t *testing.T) {
-	c := NewStateMachineChecker(false)
+	c := NewStateMachineChecker()
 	if err := c.Observe("alpha", tx(1), txid.StateActive, txid.StateEnding); err != nil {
 		t.Fatalf("legal transition flagged: %v", err)
 	}
@@ -174,16 +174,6 @@ func TestStateMachineChecker(t *testing.T) {
 	if !strings.Contains(vs[0].String(), "illegal transition") {
 		t.Fatalf("violation string: %q", vs[0])
 	}
-}
-
-func TestStateMachineCheckerStrictPanics(t *testing.T) {
-	c := NewStateMachineChecker(true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("strict checker did not panic on an illegal transition")
-		}
-	}()
-	_ = c.Observe("alpha", tx(1), txid.StateEnded, txid.StateAborting)
 }
 
 func TestNilSafety(t *testing.T) {

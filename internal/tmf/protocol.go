@@ -68,17 +68,26 @@ type DispositionProtocol interface {
 }
 
 // newProtocol builds the configured protocol for a monitor. Paxos also
-// starts the node's acceptor set.
-func newProtocol(m *Monitor, name string, acceptors int) (DispositionProtocol, error) {
+// starts the node's acceptor set. logs, when non-nil, are the decision
+// logs of the node's previous incarnation (Monitor.AcceptorLogs): the
+// protocol resumes from them instead of starting empty.
+func newProtocol(m *Monitor, name string, acceptors int, logs []*audit.DecisionLog) (DispositionProtocol, error) {
 	switch name {
 	case "", ProtoAbbreviated:
 		return abbreviatedProto{}, nil
 	case ProtoFull2PC:
-		return &full2pcProto{
-			m:        m,
-			log:      audit.NewDecisionLog(m.node+".2pc", 0),
-			outcomes: make(map[txid.ID]audit.Outcome),
-		}, nil
+		p := &full2pcProto{m: m, outcomes: make(map[txid.ID]audit.Outcome)}
+		if len(logs) > 0 {
+			p.log = logs[0]
+			for _, r := range p.log.Records() {
+				if r.Kind == audit.DecisionOutcome {
+					p.outcomes[r.Tx] = audit.Outcome(r.Value)
+				}
+			}
+		} else {
+			p.log = audit.NewDecisionLog(m.node+".2pc", 0)
+		}
+		return p, nil
 	case ProtoPaxos:
 		if acceptors == 0 {
 			acceptors = 3
@@ -86,7 +95,7 @@ func newProtocol(m *Monitor, name string, acceptors int) (DispositionProtocol, e
 		if acceptors%2 == 0 {
 			return nil, fmt.Errorf("tmf: CommitAcceptors must be odd (2F+1), got %d", acceptors)
 		}
-		set, err := paxoscommit.Start(m.sys, acceptors, nil)
+		set, err := paxoscommit.Start(m.sys, acceptors, logs)
 		if err != nil {
 			return nil, fmt.Errorf("tmf: starting commit acceptors: %w", err)
 		}
@@ -151,13 +160,9 @@ func (p *full2pcProto) VoteSelf(tx txid.ID) error {
 }
 
 func (p *full2pcProto) Decide(tx txid.ID, proposed audit.Outcome) (audit.Outcome, error) {
-	v := uint8(2)
-	if proposed == audit.OutcomeCommitted {
-		v = 1
-	}
 	p.mu.Lock()
 	if _, done := p.outcomes[tx]; !done {
-		p.log.Append(audit.DecisionRecord{Tx: tx, Kind: audit.DecisionOutcome, Value: v})
+		p.log.Append(audit.DecisionRecord{Tx: tx, Kind: audit.DecisionOutcome, Value: uint8(proposed)})
 		p.outcomes[tx] = proposed
 	}
 	got := p.outcomes[tx]

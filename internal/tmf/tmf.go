@@ -217,10 +217,11 @@ type Config struct {
 	Network *expand.Network
 	// MonitorTrailForceDelay simulates the commit-record force latency.
 	MonitorTrailForceDelay time.Duration
-	// MonitorTrail, when non-nil, reuses an existing Monitor Audit Trail —
-	// the durable completion history survives total node failure and a
-	// recovering node's fresh Monitor must see it.
-	MonitorTrail *audit.MonitorTrail
+	// Previous, when non-nil, is the node's halted monitor: the new one
+	// starts over what of it was durable — the Monitor Audit Trail and the
+	// disposition protocol's decision logs survive total node failure, and
+	// a recovering node's fresh Monitor must see both.
+	Previous *Monitor
 	// TMPPrimaryCPU / TMPBackupCPU host the TMP pair.
 	TMPPrimaryCPU, TMPBackupCPU int
 	// Registry receives the monitor's activity counters and per-phase
@@ -231,10 +232,6 @@ type Config struct {
 	// The facade shares one tracer across the monitor and the node's
 	// DISCPROCESSes so a transaction's trace interleaves both sides.
 	Tracer *obs.Tracer
-	// StrictStateCheck turns the Figure 3 checker into a runtime
-	// assertion: an illegal state-change broadcast panics at emission.
-	// Violations are always counted and retained either way.
-	StrictStateCheck bool
 	// CommitProtocol selects the disposition protocol for distributed
 	// transactions: ProtoAbbreviated (default — the paper's abbreviated
 	// 2PC, byte-identical to the seed), ProtoFull2PC (presumed-nothing
@@ -247,12 +244,18 @@ type Config struct {
 	CommitAcceptors int
 }
 
+// restartSeqShift places the Monitor Audit Trail's restart count above the
+// per-CPU sequence number in a transid's Seq: 2^32 transactions per
+// processor per incarnation.
+const restartSeqShift = 32
+
 // New creates and starts the node's TMF monitor, including its TMP pair.
 func New(cfg Config) (*Monitor, error) {
 	node := cfg.System.Node()
-	mat := cfg.MonitorTrail
-	if mat == nil {
-		mat = audit.NewMonitorTrail(cfg.MonitorTrailForceDelay)
+	mat, checker := audit.NewMonitorTrail(cfg.MonitorTrailForceDelay), obs.NewStateMachineChecker()
+	var logs []*audit.DecisionLog
+	if prev := cfg.Previous; prev != nil {
+		mat, checker, logs = prev.mat, prev.checker, prev.AcceptorLogs()
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -270,7 +273,7 @@ func New(cfg Config) (*Monitor, error) {
 		tables:    make([]map[txid.ID]txid.State, node.NumCPUs()),
 		reg:       reg,
 		tracer:    cfg.Tracer,
-		checker:   obs.NewStateMachineChecker(cfg.StrictStateCheck),
+		checker:   checker,
 
 		cBegun:           reg.Counter(obs.MBegun),
 		cCommitted:       reg.Counter(obs.MCommitted),
@@ -290,17 +293,18 @@ func New(cfg Config) (*Monitor, error) {
 	for i := range m.tables {
 		m.tables[i] = make(map[txid.ID]txid.State)
 	}
-	// When reusing a Monitor Audit Trail after total node failure, resume
-	// per-CPU sequence numbers past everything the trail has seen, so a
-	// recovered node never re-issues a pre-crash transid.
-	if cfg.MonitorTrail != nil {
-		for _, rec := range mat.Records() {
-			if rec.Tx.Home == m.node && rec.Tx.Seq > m.seq[rec.Tx.CPU] {
-				m.seq[rec.Tx.CPU] = rec.Tx.Seq
-			}
+	// A recovered node must never re-issue a pre-crash transid, and the
+	// trail's records cannot say which were issued: a transaction active at
+	// the failure left none, yet its images are in the audit trails and a
+	// child node may still hold it. So the trail counts restarts, and each
+	// incarnation numbers its transactions from its own range.
+	if cfg.Previous != nil {
+		base := mat.NoteRestart() << restartSeqShift
+		for cpu := range m.tables {
+			m.seq[cpu] = base
 		}
 	}
-	proto, err := newProtocol(m, cfg.CommitProtocol, cfg.CommitAcceptors)
+	proto, err := newProtocol(m, cfg.CommitProtocol, cfg.CommitAcceptors, logs)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +313,7 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	if m.net != nil {
-		m.net.WatchTopology(m.onTopologyChange)
+		m.net.WatchTopology(m.node, m.onTopologyChange)
 	}
 	node.Watch(m.onHWEvent)
 	return m, nil
@@ -481,8 +485,6 @@ func (m *Monitor) broadcast(tx txid.ID, to txid.State) {
 	srcCPU := m.tmpCPUOrFirstUp()
 	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvState, From: from, To: to,
 		Node: m.node, CPU: srcCPU})
-	// Runtime Figure 3 assertion: panics here in strict mode, at the exact
-	// point the illegal broadcast is emitted.
 	_ = m.checker.Observe(m.node, tx, from, to)
 
 	node := m.sys.Node()

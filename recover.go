@@ -1,34 +1,34 @@
 package encompass
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"encompass/internal/audit"
-	"encompass/internal/discproc"
 	"encompass/internal/disk"
-	"encompass/internal/fsys"
-	"encompass/internal/msg"
 	"encompass/internal/rollforward"
 	"encompass/internal/tmf"
 	"encompass/internal/txid"
 )
 
+// audited returns the node's audited volumes and their trails by name:
+// what ROLLFORWARD archives and repairs.
+func (n *Node) audited() (map[string]*disk.Volume, map[string]*audit.Trail) {
+	vols := make(map[string]*disk.Volume)
+	trails := make(map[string]*audit.Trail)
+	for name, v := range n.Volumes {
+		if v.Trail != nil {
+			vols[name] = v.Disk
+			trails[v.Trail.Name()] = v.Trail
+		}
+	}
+	return vols, trails
+}
+
 // TakeArchive produces a ROLLFORWARD archive of the node's audited
 // volumes: snapshot copies plus the trail replay positions. It can run
 // during normal transaction processing.
 func (n *Node) TakeArchive() *rollforward.Archive {
-	vols := make(map[string]*disk.Volume)
-	trails := make(map[string]*audit.Trail)
-	for name, v := range n.Volumes {
-		if v.Spec.Audited {
-			vols[name] = v.Disk
-			if v.Trail != nil {
-				trails[v.Trail.Name()] = v.Trail
-			}
-		}
-	}
+	vols, trails := n.audited()
 	return rollforward.Take(n.Name, vols, trails, n.TMF.MonitorTrail())
 }
 
@@ -39,16 +39,12 @@ func (n *Node) TakeArchive() *rollforward.Archive {
 // segments remaining.
 func (n *Node) PurgeAuditTrails(a *rollforward.Archive) int {
 	remaining := 0
-	seen := make(map[string]bool)
-	for _, v := range n.Volumes {
-		if v.Trail == nil || seen[v.Trail.Name()] {
-			continue
+	_, trails := n.audited()
+	for name, t := range trails {
+		if lsn, ok := a.TrailLSNs[name]; ok {
+			t.TrimBefore(lsn)
 		}
-		seen[v.Trail.Name()] = true
-		if lsn, ok := a.TrailLSNs[v.Trail.Name()]; ok {
-			v.Trail.TrimBefore(lsn)
-		}
-		remaining += len(v.Trail.Segments())
+		remaining += len(t.Segments())
 	}
 	return remaining
 }
@@ -59,31 +55,26 @@ func (n *Node) PurgeAuditTrails(a *rollforward.Archive) int {
 // mirrored discs survive but may carry updates of transactions that can no
 // longer be backed out.
 func (n *Node) Crash() {
-	for _, cpu := range n.HW.UpCPUs() {
-		n.HW.FailCPU(cpu)
-	}
+	n.halt()
 	// Fence the discs: stragglers from dying processors must not touch
 	// them between the failure and the ROLLFORWARD repair.
 	for _, v := range n.Volumes {
 		v.Disk.SetFenced(true)
 	}
-	seen := make(map[string]bool)
-	for _, v := range n.Volumes {
-		if v.Trail != nil && !seen[v.Trail.Name()] {
-			seen[v.Trail.Name()] = true
-			v.Trail.CrashLoseUnforced()
-		}
+	_, trails := n.audited()
+	for _, t := range trails {
+		t.CrashLoseUnforced()
 	}
 }
 
-// Recover brings a crashed node back: revive the processors, run
+// Recover brings a crashed node back: halt whatever of the old software
+// still runs, revive the processors, and start the node again around
 // ROLLFORWARD (restore the archive, redo committed after-images,
 // negotiating with other nodes about transactions whose disposition the
-// local Monitor Audit Trail does not record), restart the TMF monitor and
-// every process-pair, and reload the DISCPROCESS file structures from the
-// recovered volumes.
+// local Monitor Audit Trail does not record).
 func (n *Node) Recover(a *rollforward.Archive) (rollforward.Stats, error) {
 	var st rollforward.Stats
+	n.halt()
 	// Give any straggler goroutines from the dead processors time to
 	// observe their cancelled contexts and exit against the fence.
 	time.Sleep(10 * time.Millisecond)
@@ -95,101 +86,22 @@ func (n *Node) Recover(a *rollforward.Archive) (rollforward.Stats, error) {
 	for _, v := range n.Volumes {
 		v.Disk.SetFenced(false)
 	}
-
-	// Restart TMF first (reusing the durable Monitor Audit Trail) so the
-	// resolver can negotiate with remote TMPs.
-	var netw = n.netw
-	mon, err := tmf.New(tmf.Config{
-		System:        n.Msg,
-		Network:       netw,
-		MonitorTrail:  n.TMF.MonitorTrail(),
-		TMPPrimaryCPU: 0,
-		TMPBackupCPU:  1 % n.HW.NumCPUs(),
+	err := n.start(func(mon *tmf.Monitor) (err error) {
+		resolve := func(tx txid.ID) (bool, error) {
+			if tx.Home == n.Name {
+				// We are the home node and our Monitor Audit Trail has no
+				// commit record: the transaction never committed.
+				return false, nil
+			}
+			r, err := mon.QueryRemote(tx.Home, tx)
+			if err != nil {
+				return false, err
+			}
+			return r.Known && r.Committed, nil
+		}
+		vols, trails := n.audited()
+		st, err = rollforward.Recover(a, vols, trails, mon.MonitorTrail(), resolve)
+		return err
 	})
-	if err != nil {
-		return st, err
-	}
-	oldVolumes := n.TMF.Volumes()
-	n.TMF = mon
-	for _, vi := range oldVolumes {
-		mon.AddVolume(vi)
-	}
-
-	// ROLLFORWARD the audited volumes.
-	vols := make(map[string]*disk.Volume)
-	trails := make(map[string]*audit.Trail)
-	for name, v := range n.Volumes {
-		if v.Spec.Audited {
-			vols[name] = v.Disk
-			if v.Trail != nil {
-				trails[v.Trail.Name()] = v.Trail
-			}
-		}
-	}
-	resolve := func(tx txid.ID) (bool, error) {
-		if tx.Home == n.Name {
-			// We are the home node and our Monitor Audit Trail has no
-			// commit record: the transaction never committed.
-			return false, nil
-		}
-		r, err := mon.QueryRemote(tx.Home, tx)
-		if err != nil {
-			return false, err
-		}
-		return r.Known && r.Committed, nil
-	}
-	st, err = rollforward.Recover(a, vols, trails, mon.MonitorTrail(), resolve)
-	if err != nil {
-		return st, err
-	}
-
-	// Restart AUDITPROCESSes and DISCPROCESSes, then reload file
-	// structures from the recovered volumes.
-	started := make(map[string]bool)
-	i := 0
-	for name, v := range n.Volumes {
-		pcpu := i % n.HW.NumCPUs()
-		bcpu := (i + 1) % n.HW.NumCPUs()
-		i++
-		var cl *audit.Client
-		if v.Spec.Audited && v.Trail != nil {
-			if !started[v.Trail.Name()] {
-				started[v.Trail.Name()] = true
-				if _, err := audit.StartProcess(n.Msg, v.Trail.Name(), pcpu, bcpu, v.Trail); err != nil {
-					return st, err
-				}
-			}
-			cl = audit.NewClient(n.Msg, v.Trail.Name())
-		}
-		proc, err := discproc.Start(n.Msg, "disc-"+name, pcpu, bcpu, discproc.Config{
-			Volume:           v.Disk,
-			Audit:            cl,
-			OnParticipate:    mon.RegisterLocalVolume,
-			CacheSize:        v.Spec.CacheSize,
-			MissPenalty:      v.Spec.MissPenalty,
-			ForceEveryUpdate: v.Spec.ForceEveryUpdate,
-		})
-		if err != nil {
-			return st, err
-		}
-		v.Proc = proc
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_, err = n.Msg.ClientCall(ctx, pcpu, msg.Addr{Name: "disc-" + name}, discproc.KindReload, discproc.EndTxReq{})
-		cancel()
-		if err != nil {
-			return st, fmt.Errorf("encompass: reload %s: %w", name, err)
-		}
-	}
-
-	// Rebuild the File System client over the new monitor, keeping the
-	// catalog.
-	catalog := n.FS.Files()
-	fs := fsys.New(n.Msg, mon)
-	for _, fi := range catalog {
-		if err := fs.Define(fi); err != nil {
-			return st, err
-		}
-	}
-	n.FS = fs
-	return st, nil
+	return st, err
 }
