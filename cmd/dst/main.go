@@ -35,7 +35,7 @@ func main() {
 	minRuns := flag.Int("minruns", 60, "max executions the minimizer may spend per failure")
 	corpusDir := flag.String("corpus", "", "write minimized failing schedules into this directory")
 	replay := flag.String("replay", "", "replay one serialized schedule or corpus entry (JSON file)")
-	shapeName := flag.String("shape", string(dst.ShapeMixed), "schedule shape: mixed, total-failure (archive -> total node failure -> ROLLFORWARD), coord-kill (Paxos Commit coordinator killed between phase one and the commit record), or phase-partition (interconnect severed at a phase boundary, any protocol)")
+	shapeName := flag.String("shape", string(dst.ShapeMixed), "schedule shape: mixed, total-failure (archive -> total node failure -> ROLLFORWARD), coord-kill (Paxos Commit coordinator killed between phase one and the commit record), or phase-partition (interconnect severed at a phase boundary, abbreviated or paxos by seed)")
 	verbose := flag.Bool("v", false, "narrate each schedule's events and rounds")
 	flag.Parse()
 

@@ -100,13 +100,10 @@ type Config struct {
 	LinkFault expand.FaultProfile
 	// CommitProtocol selects the disposition protocol for distributed
 	// transactions on every node: tmf.ProtoAbbreviated (default — the
-	// paper's abbreviated 2PC), tmf.ProtoFull2PC (presumed-nothing 2PC
-	// with per-node decision logs), or tmf.ProtoPaxos (Paxos Commit,
-	// non-blocking under F failures). Must be uniform across the cluster.
+	// paper's abbreviated 2PC) or tmf.ProtoPaxos (Paxos Commit over three
+	// acceptors per home node, non-blocking under one failure). Must be
+	// uniform across the cluster.
 	CommitProtocol string
-	// CommitAcceptors is the Paxos Commit acceptor count per home node
-	// (2F+1, odd; 0 means 3).
-	CommitAcceptors int
 }
 
 // Volume bundles the running pieces serving one disc volume.
@@ -252,7 +249,6 @@ func (n *Node) start(repair func(*tmf.Monitor) error) error {
 		Registry:               n.reg,
 		Tracer:                 n.tracer,
 		CommitProtocol:         n.cfg.CommitProtocol,
-		CommitAcceptors:        n.cfg.CommitAcceptors,
 	})
 	if err != nil {
 		return err

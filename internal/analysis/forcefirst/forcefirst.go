@@ -14,7 +14,7 @@
 //     precede the force), safeDeliverChildren (disposition delivery down
 //     the transmission tree), and any MonitorTrail.Append outside the
 //     blessed recordOutcome wrapper. Forcers are DecisionLog.Append, any
-//     .Force, protocol Decide, and recordOutcome itself.
+//     .Force, the acceptor client's RecordOutcome, and recordOutcome itself.
 //
 //   - paxoscommit: externalizers are Process.Reply (acks to the
 //     coordinator or learners; ReplyErr carries no outcome and is always
@@ -47,7 +47,7 @@ var Analyzer = &lint.Analyzer{
 var blessedForcers = map[string]bool{
 	"recordOutcome": true, // tmf: the single MAT-write path (append + force)
 	"accept":        true, // paxoscommit: log-then-mutate acceptor wrapper
-	"Decide":        true, // DispositionProtocol: logs the decision (or is the abbreviated protocol's no-op, where recordOutcome follows immediately)
+	"RecordOutcome": true, // tmf → paxoscommit.Client: the acceptors log the chosen outcome before they acknowledge it
 }
 
 // exempt functions either ARE the blessed forcing path or re-apply an

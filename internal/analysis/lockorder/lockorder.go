@@ -49,10 +49,9 @@ var rank = map[string]int{
 	// that locks mu or tabMu.
 	"Monitor.watchMu": 130,
 
-	// Disposition-protocol guards (internal/tmf): each protects only its
-	// own outcome/client cache and is never held across a Monitor lock.
-	"full2pcProto.mu": 140,
-	"paxosProto.mu":   145,
+	// The Paxos Commit client cache's guard (internal/tmf): protects only
+	// the map and is never held across a Monitor lock.
+	"paxosCommit.mu": 145,
 
 	// internal/paxoscommit: the set guard orders before the per-slot
 	// acceptor guard (respawn scans the set, then locks one acceptor).

@@ -2,12 +2,11 @@
 // single blessed transition path. The paper replicates a transaction's
 // state to every processor of a node by broadcasting each change over the
 // interprocessor bus; in this codebase Monitor.broadcast is that path,
-// and it is also where the transition is logged, traced, and checked
-// against Figure 3 (obs.StateMachineChecker). A direct write to the
-// replicated per-CPU tables would bypass the conformance log, the tracer
-// and the runtime checker at once — the dynamic oracles of PRs 2–4 would
-// simply not see the edge. This analyzer makes that bypass impossible to
-// compile into package tmf:
+// and it is also where the transition is traced and checked against
+// Figure 3 (obs.StateMachineChecker). A direct write to the replicated
+// per-CPU tables would bypass the tracer and the runtime checker at once —
+// the dynamic oracles of PRs 2–4 would simply not see the edge. This
+// analyzer makes that bypass impossible to compile into package tmf:
 //
 //   - assignments into a transaction-state map (any map[txid.ID]txid.State,
 //     however reached — including through a range alias) are flagged

@@ -44,16 +44,6 @@ func (t *Trail) Generation() uint64 {
 	return t.gen
 }
 
-// Catalog returns a copy of the generation catalog, oldest first. Entries
-// whose segments were all purged are dropped with them.
-func (t *Trail) Catalog() []GenEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]GenEntry, len(t.catalog))
-	copy(out, t.catalog)
-	return out
-}
-
 // GenFirstLSN returns the first LSN of generation gen, or 0 when the
 // generation is unknown (never opened, or purged along with its
 // segments).

@@ -9,12 +9,11 @@ import (
 )
 
 // DecisionKind classifies the records of a DecisionLog: the durable
-// disposition-protocol history a commit acceptor (Paxos Commit) or a
-// presumed-nothing coordinator (full 2PC) must survive a processor
-// reload with. The kinds mirror the protocol messages: an instance
-// joining the transaction's participant set, an acceptor's ballot
-// promise (1b), an accepted ballot/value (2b), the final disposition,
-// and the 2PC coordinator's prepare-intent record.
+// disposition-protocol history a Paxos Commit acceptor must survive a
+// processor reload with. The kinds mirror the protocol messages: an
+// instance joining the transaction's participant set, an acceptor's
+// ballot promise (1b), an accepted ballot/value (2b) and the final
+// disposition.
 type DecisionKind uint8
 
 // The decision-log record kinds.
@@ -23,7 +22,6 @@ const (
 	DecisionPromise
 	DecisionAccept
 	DecisionOutcome
-	DecisionPrepare
 )
 
 // String names the kind for logs and the tmfctl disposition view.
@@ -37,8 +35,6 @@ func (k DecisionKind) String() string {
 		return "accept"
 	case DecisionOutcome:
 		return "outcome"
-	case DecisionPrepare:
-		return "prepare"
 	default:
 		return fmt.Sprintf("decision(%d)", int(k))
 	}

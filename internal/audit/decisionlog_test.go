@@ -10,7 +10,7 @@ import (
 func decisionFixture() []DecisionRecord {
 	tx := txid.ID{Home: "alpha", CPU: 2, Seq: 7}
 	return []DecisionRecord{
-		{Tx: tx, Kind: DecisionPrepare, Instance: "alpha"},
+		{Tx: tx, Kind: DecisionJoin, Instance: "alpha"},
 		{Tx: tx, Kind: DecisionJoin, Instance: "beta"},
 		{Tx: tx, Kind: DecisionPromise, Instance: "beta", Ballot: 257},
 		{Tx: tx, Kind: DecisionAccept, Instance: "beta", Ballot: 257, Value: 1},
@@ -87,7 +87,7 @@ func TestDecisionRecordRoundTrip(t *testing.T) {
 func TestDecisionKindStrings(t *testing.T) {
 	for k, want := range map[DecisionKind]string{
 		DecisionJoin: "join", DecisionPromise: "promise", DecisionAccept: "accept",
-		DecisionOutcome: "outcome", DecisionPrepare: "prepare",
+		DecisionOutcome: "outcome",
 	} {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)

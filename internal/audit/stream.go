@@ -10,9 +10,8 @@ package audit
 // Records purged after the reader passed them do not disturb it; purging
 // records *ahead* of the reader surfaces as ErrTrimmed on the next call.
 type Reader struct {
-	t        *Trail
-	next     uint64 // LSN the next call returns
-	unforced bool   // include records not yet durable
+	t    *Trail
+	next uint64 // LSN the next call returns
 }
 
 // Stream returns a reader over the durable records with LSN >= from
@@ -30,18 +29,6 @@ func (t *Trail) Stream(from uint64) (*Reader, error) {
 	return &Reader{t: t, next: from}, nil
 }
 
-// StreamAll is Stream including not-yet-forced records; the archive's
-// fuzzy-dump bookkeeping uses it to see writes of still-live
-// transactions.
-func (t *Trail) StreamAll(from uint64) (*Reader, error) {
-	r, err := t.Stream(from)
-	if err != nil {
-		return nil, err
-	}
-	r.unforced = true
-	return r, nil
-}
-
 // Next returns the next record. ok=false means the reader reached the
 // trail's (durable) tail; a later Next may return more if the trail grew.
 // A record that fails to decode (damaged media) is skipped, consistent
@@ -52,11 +39,7 @@ func (r *Reader) Next() (Image, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		limit := t.forced
-		if r.unforced {
-			limit = t.nextLSN
-		}
-		if r.next >= limit {
+		if r.next >= t.forced {
 			return Image{}, false, nil
 		}
 		if r.next < t.trimmed {

@@ -29,7 +29,7 @@ func (r *TornReport) String() string {
 }
 
 // OpenTrail reconstructs a trail from segment media images (as produced
-// by DumpSegments or ArchiveDump, or as left on the audit volume by a
+// by DumpSegments, or as left on the audit volume by a
 // crash). It never panics on arbitrary bytes. The tail is scanned
 // record-by-record; at the first record that fails its length, CRC,
 // chain, or LSN check the trail is truncated there and a TornReport says

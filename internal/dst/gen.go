@@ -283,7 +283,7 @@ func GenerateShaped(seed int64, shape Shape) Schedule {
 				{Step: step + 2, Op: OpReviveCPU, Node: node, Index: 0},
 			}
 		case ShapePhasePartition:
-			protos := []string{tmf.ProtoAbbreviated, tmf.ProtoFull2PC, tmf.ProtoPaxos}
+			protos := []string{tmf.ProtoAbbreviated, tmf.ProtoPaxos}
 			spec.CommitProtocol = protos[phRng.Intn(len(protos))]
 			li := phRng.Intn(spec.Nodes - 1)
 			a, b := NodeName(li), NodeName(li+1)

@@ -3,6 +3,8 @@ package dst
 import (
 	"bytes"
 	"testing"
+
+	"encompass/internal/tmf"
 )
 
 // TestGenerateDeterministic: the schedule is a pure function of the root
@@ -104,5 +106,28 @@ func TestSubSeedIndependence(t *testing.T) {
 	}
 	if SubSeed(root+1, "injector") == a {
 		t.Error("different roots yielded the same child seed")
+	}
+}
+
+// TestPhasePartitionDrawsBuildableProtocols: the phase-partition shape
+// picks its protocol by seed, and every pick — like the spec each corpus
+// entry carries, which TestReplayCorpus replays — must be one tmf.New
+// still builds, with both drawn across a spread of seeds.
+func TestPhasePartitionDrawsBuildableProtocols(t *testing.T) {
+	drawn := map[string]int{}
+	for seed := int64(1); seed <= 40; seed++ {
+		drawn[GenerateShaped(seed, ShapePhasePartition).Spec.CommitProtocol]++
+	}
+	entries, err := LoadCorpus("corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if p := e.Schedule.Spec.CommitProtocol; p != "" {
+			drawn[p]++
+		}
+	}
+	if len(drawn) != 2 || drawn[tmf.ProtoAbbreviated] == 0 || drawn[tmf.ProtoPaxos] == 0 {
+		t.Errorf("protocols drawn by 40 seeds and the corpus: %v, want abbreviated and paxos only", drawn)
 	}
 }

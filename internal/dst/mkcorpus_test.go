@@ -35,7 +35,7 @@ func TestWriteCorpusEntries(t *testing.T) {
 
 	if err := SaveCorpusEntry("corpus", CorpusEntry{
 		Name:        "seed3-coord-kill",
-		Description: "Coordinator-kill shape under Paxos Commit: the phase1-kill hook crashes the coordinator CPU between phase one and the commit record of a distributed END and holds it dead for the rest of the run. The nonblocking check requires every in-doubt participant to learn the disposition from the acceptor quorum while the coordinator is still down — the exact scenario where abbreviated and full 2PC block holding locks.",
+		Description: "Coordinator-kill shape under Paxos Commit: the phase1-kill hook crashes the coordinator CPU between phase one and the commit record of a distributed END and holds it dead for the rest of the run. The nonblocking check requires every in-doubt participant to learn the disposition from the acceptor quorum while the coordinator is still down — the exact scenario where the abbreviated protocol blocks holding locks.",
 		Schedule:    GenerateShaped(3, ShapeCoordKill),
 	}); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestWriteCorpusEntries(t *testing.T) {
 
 	if err := SaveCorpusEntry("corpus", CorpusEntry{
 		Name:        "seed5-phase-partition",
-		Description: "Phase-boundary partition shape: the interconnect between a coordinator and its neighbor is severed between phase one and the commit record of a distributed END (the paper's manual-override window), healed a step or two later. Runs under a seed-chosen protocol; all three must converge to one disposition after the heal with no lost locks.",
+		Description: "Phase-boundary partition shape: the interconnect between a coordinator and its neighbor is severed between phase one and the commit record of a distributed END (the paper's manual-override window), healed a step or two later. Runs under a seed-chosen protocol; both must converge to one disposition after the heal with no lost locks.",
 		Schedule:    GenerateShaped(5, ShapePhasePartition),
 	}); err != nil {
 		t.Fatal(err)

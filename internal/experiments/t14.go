@@ -23,45 +23,37 @@ const (
 // T14 measures disposition-protocol behaviour when the coordinator dies
 // in the in-doubt window: after every participant has acknowledged phase
 // one but before the commit record is written. The paper's abbreviated
-// protocol (and full presumed-nothing 2PC) leaves participants in doubt,
-// holding locks, until an operator intervenes; Paxos Commit's acceptor
-// quorum lets participants learn the disposition with the coordinator
-// still dead. Each protocol runs twice: a healthy pass timing the
-// protocol's per-commit cost, and a kill pass where a phase-one hook
-// crashes the coordinator CPU and parks the END mid-protocol while the
-// participant is watched for resolution and probed for lock availability.
+// protocol — the "2PC" row of Gray & Lamport's comparison — leaves
+// participants in doubt, holding locks, until an operator intervenes;
+// Paxos Commit's acceptor quorum lets participants learn the disposition
+// with the coordinator still dead. Each protocol runs twice: a healthy
+// pass measuring the protocol's per-commit cost in time and in network
+// frames, and a kill pass where a phase-one hook crashes the coordinator
+// CPU and parks the END mid-protocol while the participant is watched for
+// resolution and probed for lock availability.
 func T14() *Report {
 	r := &Report{
 		Columns: []string{
-			"protocol", "healthy/commit", "resolved while dead", "resolve latency", "in-doubt at end", "participant lock",
+			"protocol", "healthy/commit", "net frames/commit", "resolved while dead", "resolve latency", "in-doubt at end", "participant lock",
 		},
 		Notes: []string{
 			fmt.Sprintf("coordinator CPU killed between phase one and the commit record; window %s, participant lock probe timeout %s", t14Window, t14LockTimeout),
 			"pass bound: Paxos participants reach the disposition and release locks while the coordinator is dead; abbreviated 2PC participants stay in doubt holding locks",
 		},
 	}
-	type protoCase struct {
-		name      string
-		acceptors int
-	}
-	cases := []protoCase{
-		{tmf.ProtoAbbreviated, 0},
-		{tmf.ProtoFull2PC, 0},
-		{tmf.ProtoPaxos, 3},
-	}
 	results := map[string]*t14Kill{}
-	for _, pc := range cases {
-		healthy, err := t14Healthy(pc.name, pc.acceptors)
+	for _, proto := range []string{tmf.ProtoAbbreviated, tmf.ProtoPaxos} {
+		healthy, frames, err := t14Healthy(proto)
 		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s healthy run: %v", pc.name, err))
+			r.Notes = append(r.Notes, fmt.Sprintf("%s healthy run: %v", proto, err))
 			return r
 		}
-		k, err := t14KillRun(pc.name, pc.acceptors)
+		k, err := t14KillRun(proto)
 		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s kill run: %v", pc.name, err))
+			r.Notes = append(r.Notes, fmt.Sprintf("%s kill run: %v", proto, err))
 			return r
 		}
-		results[pc.name] = k
+		results[proto] = k
 
 		resolved, latency := "no (blocked)", "> "+t14Window.String()
 		if k.resolved {
@@ -73,9 +65,9 @@ func T14() *Report {
 			lock = fmt.Sprintf("available (%s)", dur(k.lockWait))
 		}
 		r.Rows = append(r.Rows, []string{
-			pc.name, dur(healthy), resolved, latency, i2s(k.inDoubtAtEnd), lock,
+			proto, dur(healthy), f2s(frames), resolved, latency, i2s(k.inDoubtAtEnd), lock,
 		})
-		r.Notes = append(r.Notes, fmt.Sprintf("%s: coordinator outcome after revival: %s", pc.name, k.finalOutcome))
+		r.Notes = append(r.Notes, fmt.Sprintf("%s: coordinator outcome after revival: %s", proto, k.finalOutcome))
 	}
 
 	ab, px := results[tmf.ProtoAbbreviated], results[tmf.ProtoPaxos]
@@ -87,14 +79,13 @@ func T14() *Report {
 
 // t14Build assembles the two-node cluster: a (coordinator home) and b
 // (participant), one audited volume and one key-sequenced file each.
-func t14Build(proto string, acceptors int) (*encompass.System, error) {
+func t14Build(proto string) (*encompass.System, error) {
 	sys, err := encompass.Build(encompass.Config{
 		Nodes: []encompass.NodeSpec{
 			{Name: "a", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "va", Audited: true, CacheSize: 1024}}},
 			{Name: "b", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "vb", Audited: true, CacheSize: 1024}}},
 		},
-		CommitProtocol:  proto,
-		CommitAcceptors: acceptors,
+		CommitProtocol: proto,
 	})
 	if err != nil {
 		return nil, err
@@ -107,32 +98,41 @@ func t14Build(proto string, acceptors int) (*encompass.System, error) {
 	return sys, nil
 }
 
-// t14Healthy times t14HealthyTxs distributed commits (one record on each
-// node per transaction) and returns the per-commit latency.
-func t14Healthy(proto string, acceptors int) (time.Duration, error) {
-	sys, err := t14Build(proto, acceptors)
+// t14Healthy runs t14HealthyTxs distributed commits (one record on each
+// node per transaction) and returns the per-commit latency and the EXPAND
+// frames each commit put on the a–b line, phase two included: the insert
+// on b and the TMP-to-TMP messages under both protocols, plus the
+// participant's vote to the home node's acceptors under Paxos Commit.
+func t14Healthy(proto string) (perCommit time.Duration, framesPerCommit float64, err error) {
+	sys, err := t14Build(proto)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	home := sys.Node("a")
+	framesBefore := sys.Network.Stats().Frames
 	start := time.Now()
 	for i := 0; i < t14HealthyTxs; i++ {
 		tx, err := home.Begin()
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		key := fmt.Sprintf("k%04d", i)
 		if err := tx.Insert("fa", key, []byte("v")); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := tx.Insert("fb", key, []byte("v")); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := tx.Commit(); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return time.Since(start) / t14HealthyTxs, nil
+	perCommit = time.Since(start) / t14HealthyTxs
+	if !home.TMF.WaitSafeQueueEmpty(5 * time.Second) {
+		return 0, 0, fmt.Errorf("phase two still outstanding after the healthy pass")
+	}
+	frames := sys.Network.Stats().Frames - framesBefore
+	return perCommit, float64(frames) / t14HealthyTxs, nil
 }
 
 // t14Kill carries one protocol's coordinator-kill measurements.
@@ -148,8 +148,8 @@ type t14Kill struct {
 // t14KillRun drives one distributed transaction into the in-doubt window,
 // kills the coordinator CPU there, and measures the participant while the
 // coordinator stays dead.
-func t14KillRun(proto string, acceptors int) (*t14Kill, error) {
-	sys, err := t14Build(proto, acceptors)
+func t14KillRun(proto string) (*t14Kill, error) {
+	sys, err := t14Build(proto)
 	if err != nil {
 		return nil, err
 	}

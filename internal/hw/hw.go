@@ -307,13 +307,6 @@ func (n *Node) ReviveBus(b BusID) {
 	}
 }
 
-// BusUp reports whether the given bus is up.
-func (n *Node) BusUp(b BusID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.busUp[b]
-}
-
 // BusTraffic returns the number of messages carried by each bus since the
 // node was created. Used by the broadcast-cost experiment.
 func (n *Node) BusTraffic() (x, y uint64) {

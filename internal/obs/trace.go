@@ -164,14 +164,15 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Record appends one event to its transaction's trace. The timestamp is
-// assigned here (monotonic, relative to the tracer's start). Safe on a nil
-// tracer.
+// assigned here (monotonic, relative to the tracer's start) and under the
+// lock, so two goroutines recording at once cannot append out of timestamp
+// order. Safe on a nil tracer.
 func (t *Tracer) Record(ev Event) {
 	if t == nil {
 		return
 	}
-	ev.At = time.Since(t.start)
 	t.mu.Lock()
+	ev.At = time.Since(t.start)
 	if _, ok := t.traces[ev.Tx]; !ok {
 		if len(t.order) >= t.cap {
 			oldest := t.order[0]

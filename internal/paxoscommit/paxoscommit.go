@@ -53,6 +53,12 @@ const (
 	kindOutcome = "paxos.outcome"
 )
 
+// Acceptors is the acceptor count every node of a cluster runs: 2F+1 with
+// F = 1, so the loss of one acceptor — or of the coordinator, or of the CPU
+// they share — blocks nobody. Start and NewClient still take the count:
+// this package's tests run F = 2.
+const Acceptors = 3
+
 // AcceptorName returns the registered process name of acceptor slot i.
 func AcceptorName(i int) string { return fmt.Sprintf("paxos.acceptor.%d", i) }
 

@@ -108,8 +108,9 @@ func (m *Monitor) End(tx txid.ID) error {
 	// last ballot-0 fast-path accept — after it succeeds, every instance
 	// of the transaction is chosen Prepared and no recovery ballot can
 	// decide anything but commit.
-	if m.protoActive(tx) {
-		if err := m.proto.VoteSelf(tx); err != nil {
+	acceptors := m.paxosCoordinator(tx)
+	if acceptors != nil {
+		if err := acceptors.Vote(tx, m.node, true); err != nil {
 			m.abortLocked(tx, fmt.Sprintf("disposition vote failed: %v", err))
 			return fmt.Errorf("%w: %s: disposition vote failed: %v", ErrAborted, tx, err)
 		}
@@ -120,20 +121,12 @@ func (m *Monitor) End(tx txid.ID) error {
 		// used by the in-doubt experiments.
 		(*hp)(tx)
 	}
-	// The disposition decision. Abbreviated 2PC decides by fiat (writing
-	// the commit record below IS the decision); the logged protocols run
-	// their decide step first and must be obeyed if a recovery ballot got
-	// there first with the opposite outcome.
-	if m.protoActive(tx) {
-		out, err := m.proto.Decide(tx, audit.OutcomeCommitted)
-		if err != nil {
-			m.abortLocked(tx, fmt.Sprintf("disposition decide failed: %v", err))
-			return fmt.Errorf("%w: %s: disposition decide failed: %v", ErrAborted, tx, err)
-		}
-		if out == audit.OutcomeAborted {
-			m.abortLocked(tx, "disposition protocol decided abort")
-			return fmt.Errorf("%w: %s: disposition protocol decided abort", ErrAborted, tx)
-		}
+	// Abbreviated 2PC decides by fiat: writing the commit record below IS
+	// the decision. Under Paxos Commit the votes already chose Committed;
+	// recording that with the acceptors lets a learner resolve in one round
+	// trip instead of collecting every instance.
+	if acceptors != nil {
+		acceptors.RecordOutcome(tx, audit.OutcomeCommitted)
 	}
 	// Commit point: the commit record in the Monitor Audit Trail. The
 	// committed counter moves with the record (recordOutcome), so Stats
@@ -207,7 +200,7 @@ func (m *Monitor) phase1(tx txid.ID) error {
 // sum of the forces; the fan-out pays the max, and flushes that share a
 // trail are coalesced by the trail's group commit).
 func (m *Monitor) phase1Local(tx txid.ID) error {
-	_, _, _, vols, _, err := m.snapshotTx(tx)
+	vols, err := m.volumesOf(tx)
 	if err != nil {
 		return err
 	}
@@ -235,7 +228,7 @@ func (m *Monitor) phase1Local(tx txid.ID) error {
 // are independent subtrees of the transmission tree, so their phase-one
 // work (which recurses to their own children) proceeds concurrently.
 func (m *Monitor) phase1Children(tx txid.ID) error {
-	_, _, children, _, _, err := m.snapshotTx(tx)
+	children, err := m.childrenOf(tx)
 	if err != nil {
 		return err
 	}
@@ -254,7 +247,7 @@ func (m *Monitor) phase1Children(tx txid.ID) error {
 // manual intervention. A volume that still fails after the retries is
 // counted in Stats.UnreleasedVolumes.
 func (m *Monitor) releaseLocal(tx txid.ID) {
-	_, _, _, vols, _, err := m.snapshotTx(tx)
+	vols, err := m.volumesOf(tx)
 	if err != nil {
 		return
 	}
@@ -277,7 +270,7 @@ func (m *Monitor) releaseLocal(tx txid.ID) {
 // so no straggler operation can interleave with the undo. Freezes fan out
 // in parallel with bounded retry.
 func (m *Monitor) freezeLocal(tx txid.ID) {
-	_, _, _, vols, _, err := m.snapshotTx(tx)
+	vols, err := m.volumesOf(tx)
 	if err != nil {
 		return
 	}
@@ -343,24 +336,21 @@ func (m *Monitor) abortLocked(tx txid.ID, reason string) {
 	if o, ok := m.mat.OutcomeOf(tx); ok && o == audit.OutcomeCommitted {
 		return
 	}
-	// A home-node abort of a transaction that entered a logged disposition
-	// protocol must run the protocol's decide step: a recovery ballot may
-	// already have chosen Commit (every participant's vote landed before
-	// the coordinator stalled), in which case aborting here would diverge
-	// from what the rest of the network has learned. An unreachable
-	// decision quorum falls through to the local abort — availability over
-	// waiting, matching the paper's manual-override semantics — with the
-	// failure recorded in the abort reason.
-	m.mu.Lock()
-	tt, known := m.txs[tx]
-	decideViaProto := known && tt.isHome && tt.protoBegun
-	m.mu.Unlock()
-	if decideViaProto {
-		if out, derr := m.proto.Decide(tx, audit.OutcomeAborted); derr == nil && out == audit.OutcomeCommitted {
+	// A home-node abort of a transaction that entered Paxos Commit must
+	// resolve it with the acceptors: a recovery ballot may already have
+	// chosen Commit (every participant's vote landed before the coordinator
+	// stalled), in which case aborting here would diverge from what the rest
+	// of the network has learned; otherwise the ballot drives the free
+	// instances to Aborted, once, for every future learner. An unreachable
+	// quorum falls through to the local abort — availability over waiting,
+	// matching the paper's manual-override semantics — with the failure
+	// recorded in the abort reason.
+	if acceptors := m.paxosCoordinator(tx); acceptors != nil {
+		if out, _, rerr := acceptors.Resolve(tx); rerr == nil && out == audit.OutcomeCommitted {
 			m.applyEndedLocked(tx)
 			return
-		} else if derr != nil {
-			reason = fmt.Sprintf("%s (decision quorum unavailable: %v)", reason, derr)
+		} else if rerr != nil {
+			reason = fmt.Sprintf("%s (decision quorum unavailable: %v)", reason, rerr)
 		}
 	}
 	m.closeToNewWork(tx)
@@ -401,7 +391,7 @@ func (m *Monitor) AbortReason(tx txid.ID) string {
 // its own images in reverse LSN order), best-effort with every failure
 // collected into the returned error.
 func (m *Monitor) backoutLocal(tx txid.ID) error {
-	_, _, _, vols, _, err := m.snapshotTx(tx)
+	vols, err := m.volumesOf(tx)
 	if err != nil || len(vols) == 0 {
 		return nil
 	}

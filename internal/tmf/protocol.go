@@ -1,12 +1,12 @@
 package tmf
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"encompass/internal/audit"
+	"encompass/internal/msg"
 	"encompass/internal/obs"
 	"encompass/internal/paxoscommit"
 	"encompass/internal/txid"
@@ -20,12 +20,6 @@ const (
 	// node holds its locks until the network heals or an operator forces
 	// the disposition — the availability hole the paper concedes.
 	ProtoAbbreviated = "abbreviated"
-	// ProtoFull2PC is presumed-nothing two-phase commit: every protocol
-	// step (prepare intent, participant joins, votes, outcome) is force-
-	// logged to a per-node decision log before it is acted on. Recovery
-	// after a coordinator reload can consult the log — but a dead
-	// coordinator still blocks its participants, exactly as in the paper.
-	ProtoFull2PC = "full2pc"
 	// ProtoPaxos is Gray & Lamport's Paxos Commit: the disposition is
 	// decided by 2F+1 acceptor processes spread over the home node's
 	// CPUs. Participants' phase-one votes double as ballot-0 accepts, and
@@ -35,287 +29,93 @@ const (
 	ProtoPaxos = "paxos"
 )
 
-// ErrDispositionUnknown is returned by Learn/Resolve when the protocol
-// cannot determine the transaction's disposition.
-var ErrDispositionUnknown = errors.New("tmf: disposition not determined by protocol")
-
-// DispositionProtocol is the pluggable commit/abort decision procedure.
-// The Monitor drives it at fixed points of END-TRANSACTION and the abort
-// path; the abbreviated implementation is a no-op at every point, keeping
-// the seed's behavior byte-identical at the default setting.
+// paxosCommit is a node's part in Paxos Commit: the acceptor set that
+// decides the transactions homed here, and one client per home node whose
+// acceptors this node registers with, votes at and learns from. A Monitor
+// holds one under ProtoPaxos and nil under ProtoAbbreviated, where the
+// Monitor Audit Trail is the only decision procedure; that nil is the one
+// thing the commit and abort paths test.
 //
-// Call discipline (enforced by the Monitor): Begin and Join run on a node
-// before it first transmits the transid to a child; VoteSelf runs after a
-// node's own phase one succeeds (for Paxos this is the ballot-0 fast
-// path, so a successful VoteSelf means the node's Prepared vote is chosen
-// and no recovery ballot can decide differently); Decide runs only on the
-// home node, with the proposed outcome, and returns the ACTUAL outcome —
-// which may differ when a recovery ballot already chose the other way.
-// Learn is read-only; Resolve may run recovery ballots to force a
-// disposition. Learn and Resolve are callable from any node.
-type DispositionProtocol interface {
-	Name() string
-	// NonBlocking reports whether the protocol can resolve an in-doubt
-	// participant without the coordinator (the Monitor arms the in-doubt
-	// watcher only for non-blocking protocols).
-	NonBlocking() bool
-	Begin(tx txid.ID) error
-	Join(tx txid.ID, child string) error
-	VoteSelf(tx txid.ID) error
-	Decide(tx txid.ID, proposed audit.Outcome) (audit.Outcome, error)
-	Learn(tx txid.ID) (o audit.Outcome, decider string, err error)
-	Resolve(tx txid.ID) (o audit.Outcome, decider string, err error)
+// Call discipline (kept by the Monitor): a node joins its own instance and
+// the child's with the home acceptors before it first transmits the
+// transid to that child, so a recovery proposer discovers every
+// participant; a node's Vote follows its own successful phase one (the
+// ballot-0 fast path: once a majority accepted Prepared, no recovery
+// ballot can choose differently); the home node records Committed only
+// after every instance voted, and resolves — never assumes — Aborted.
+type paxosCommit struct {
+	sys       *msg.System
+	acceptors *paxoscommit.AcceptorSet
+
+	mu      sync.Mutex
+	clients map[string]*paxoscommit.Client // guarded by mu; keyed by home node
 }
 
-// newProtocol builds the configured protocol for a monitor. Paxos also
-// starts the node's acceptor set. logs, when non-nil, are the decision
+// startPaxosCommit validates the configured protocol name and, under Paxos
+// Commit, starts the node's acceptors. logs, when non-nil, are the decision
 // logs of the node's previous incarnation (Monitor.AcceptorLogs): the
-// protocol resumes from them instead of starting empty.
-func newProtocol(m *Monitor, name string, acceptors int, logs []*audit.DecisionLog) (DispositionProtocol, error) {
-	switch name {
+// acceptors resume from them instead of starting empty.
+func startPaxosCommit(sys *msg.System, protocol string, logs []*audit.DecisionLog) (*paxosCommit, error) {
+	switch protocol {
 	case "", ProtoAbbreviated:
-		return abbreviatedProto{}, nil
-	case ProtoFull2PC:
-		p := &full2pcProto{m: m, outcomes: make(map[txid.ID]audit.Outcome)}
-		if len(logs) > 0 {
-			p.log = logs[0]
-			for _, r := range p.log.Records() {
-				if r.Kind == audit.DecisionOutcome {
-					p.outcomes[r.Tx] = audit.Outcome(r.Value)
-				}
-			}
-		} else {
-			p.log = audit.NewDecisionLog(m.node+".2pc", 0)
-		}
-		return p, nil
+		return nil, nil
 	case ProtoPaxos:
-		if acceptors == 0 {
-			acceptors = 3
-		}
-		if acceptors%2 == 0 {
-			return nil, fmt.Errorf("tmf: CommitAcceptors must be odd (2F+1), got %d", acceptors)
-		}
-		set, err := paxoscommit.Start(m.sys, acceptors, logs)
+		set, err := paxoscommit.Start(sys, paxoscommit.Acceptors, logs)
 		if err != nil {
 			return nil, fmt.Errorf("tmf: starting commit acceptors: %w", err)
 		}
-		m.acceptors = set
-		return &paxosProto{m: m, n: acceptors, clients: make(map[string]*paxoscommit.Client)}, nil
+		return &paxosCommit{sys: sys, acceptors: set, clients: make(map[string]*paxoscommit.Client)}, nil
 	default:
-		return nil, fmt.Errorf("tmf: unknown commit protocol %q", name)
+		return nil, fmt.Errorf("tmf: unknown commit protocol %q", protocol)
 	}
 }
 
-// --- abbreviated 2PC: the seed's protocol, all decision state in the MAT ---
-
-type abbreviatedProto struct{}
-
-func (abbreviatedProto) Name() string                  { return ProtoAbbreviated }
-func (abbreviatedProto) NonBlocking() bool             { return false }
-func (abbreviatedProto) Begin(txid.ID) error           { return nil }
-func (abbreviatedProto) Join(txid.ID, string) error    { return nil }
-func (abbreviatedProto) VoteSelf(txid.ID) error        { return nil }
-func (abbreviatedProto) Decide(_ txid.ID, proposed audit.Outcome) (audit.Outcome, error) {
-	return proposed, nil
-}
-func (abbreviatedProto) Learn(txid.ID) (audit.Outcome, string, error) {
-	return 0, "", ErrDispositionUnknown
-}
-func (abbreviatedProto) Resolve(txid.ID) (audit.Outcome, string, error) {
-	return 0, "", ErrDispositionUnknown
-}
-
-// --- full presumed-nothing 2PC: every step force-logged per node ---
-
-type full2pcProto struct {
-	m   *Monitor
-	log *audit.DecisionLog
-
-	mu       sync.Mutex
-	outcomes map[txid.ID]audit.Outcome
-}
-
-func (p *full2pcProto) Name() string      { return ProtoFull2PC }
-func (p *full2pcProto) NonBlocking() bool { return false }
-
-// Begin force-logs the prepare intent: a presumed-nothing coordinator
-// must be able to tell, after a reload, that the transaction entered the
-// protocol (and so must be resolved, not presumed aborted).
-func (p *full2pcProto) Begin(tx txid.ID) error {
-	p.log.Append(audit.DecisionRecord{Tx: tx, Kind: audit.DecisionPrepare, Instance: p.m.node})
-	return nil
-}
-
-func (p *full2pcProto) Join(tx txid.ID, child string) error {
-	p.log.Append(audit.DecisionRecord{Tx: tx, Kind: audit.DecisionJoin, Instance: child})
-	return nil
-}
-
-// VoteSelf force-logs this node's Prepared vote before it is sent: a
-// presumed-nothing participant must remember across a reload that it is
-// bound by an affirmative vote.
-func (p *full2pcProto) VoteSelf(tx txid.ID) error {
-	p.log.Append(audit.DecisionRecord{Tx: tx, Kind: audit.DecisionAccept, Instance: p.m.node, Value: paxoscommit.VotePrepared})
-	return nil
-}
-
-func (p *full2pcProto) Decide(tx txid.ID, proposed audit.Outcome) (audit.Outcome, error) {
-	p.mu.Lock()
-	if _, done := p.outcomes[tx]; !done {
-		p.log.Append(audit.DecisionRecord{Tx: tx, Kind: audit.DecisionOutcome, Value: uint8(proposed)})
-		p.outcomes[tx] = proposed
-	}
-	got := p.outcomes[tx]
-	p.mu.Unlock()
-	return got, nil
-}
-
-// Learn answers from this node's own decision log — which is exactly why
-// full 2PC is still blocking: a participant severed from the coordinator
-// has no outcome record to read.
-func (p *full2pcProto) Learn(tx txid.ID) (audit.Outcome, string, error) {
-	p.mu.Lock()
-	o, ok := p.outcomes[tx]
-	p.mu.Unlock()
-	if !ok {
-		return 0, "", ErrDispositionUnknown
-	}
-	return o, "local 2pc decision log", nil
-}
-
-// Resolve cannot do better than Learn: full 2PC has no quorum to ask.
-func (p *full2pcProto) Resolve(tx txid.ID) (audit.Outcome, string, error) {
-	return p.Learn(tx)
-}
-
-// Log exposes the node's 2PC decision log (tmfctl, tests).
-func (p *full2pcProto) Log() *audit.DecisionLog { return p.log }
-
-// --- Paxos Commit ---
-
-type paxosProto struct {
-	m *Monitor
-	n int // acceptor count (2F+1), uniform across the cluster
-
-	mu      sync.Mutex
-	clients map[string]*paxoscommit.Client // keyed by home node
-}
-
-func (p *paxosProto) Name() string      { return ProtoPaxos }
-func (p *paxosProto) NonBlocking() bool { return true }
-
-func (p *paxosProto) client(home string) *paxoscommit.Client {
+// client returns the proposer/learner for the acceptors on home.
+func (p *paxosCommit) client(home string) *paxoscommit.Client {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c, ok := p.clients[home]
 	if !ok {
-		c = paxoscommit.NewClient(p.m.sys, home, p.n)
+		c = paxoscommit.NewClient(p.sys, home, paxoscommit.Acceptors)
 		p.clients[home] = c
 	}
 	return c
 }
 
-// Begin registers this node's own instance with the home acceptors. On
-// the home node this is the coordinator's instance; on an intermediate
-// node it re-registers an instance its parent already joined (idempotent
-// at the acceptors).
-func (p *paxosProto) Begin(tx txid.ID) error {
-	return p.client(tx.Home).Join(tx, p.m.node)
-}
-
-func (p *paxosProto) Join(tx txid.ID, child string) error {
-	return p.client(tx.Home).Join(tx, child)
-}
-
-// VoteSelf is the ballot-0 fast path: this node's phase-one vote IS the
-// phase-2a of its consensus instance. Success means a majority of
-// acceptors accepted Prepared at ballot 0 — the value is chosen, and by
-// majority intersection no recovery ballot can choose differently.
-func (p *paxosProto) VoteSelf(tx txid.ID) error {
-	return p.client(tx.Home).Vote(tx, p.m.node, true)
-}
-
-// Decide computes the actual disposition. Proposing Committed is only
-// legal after every instance voted Prepared at ballot 0 (the Monitor's
-// End path guarantees it), so the outcome is already chosen and is simply
-// recorded with the acceptors. Proposing Aborted runs a recovery ballot:
-// instances whose votes landed are preserved (possibly flipping the
-// outcome back to Committed — the caller must honor the returned value),
-// free instances are driven to Aborted so the disposition is decided
-// once, for every future learner.
-func (p *paxosProto) Decide(tx txid.ID, proposed audit.Outcome) (audit.Outcome, error) {
-	cl := p.client(tx.Home)
-	if proposed == audit.OutcomeCommitted {
-		cl.RecordOutcome(tx, audit.OutcomeCommitted)
-		return audit.OutcomeCommitted, nil
-	}
-	o, _, err := cl.Resolve(tx)
-	if err != nil {
-		return 0, err
-	}
-	return o, nil
-}
-
-func (p *paxosProto) Learn(tx txid.ID) (audit.Outcome, string, error) {
-	return p.client(tx.Home).Learn(tx)
-}
-
-func (p *paxosProto) Resolve(tx txid.ID) (audit.Outcome, string, error) {
-	return p.client(tx.Home).Resolve(tx)
-}
-
-// --- Monitor-side protocol plumbing ---
-
-// Protocol exposes the monitor's disposition protocol.
-func (m *Monitor) Protocol() DispositionProtocol { return m.proto }
-
 // ProtocolName returns the configured protocol's name.
-func (m *Monitor) ProtocolName() string { return m.proto.Name() }
+func (m *Monitor) ProtocolName() string {
+	if m.paxos != nil {
+		return ProtoPaxos
+	}
+	return ProtoAbbreviated
+}
 
-// AcceptorLogs returns the node's commit-acceptor decision logs under
-// Paxos Commit, or the node's 2PC decision log under full 2PC (nil under
+// AcceptorLogs returns the node's commit-acceptor decision logs (nil under
 // the abbreviated protocol).
 func (m *Monitor) AcceptorLogs() []*audit.DecisionLog {
-	if m.acceptors != nil {
-		return m.acceptors.Logs()
-	}
-	if p, ok := m.proto.(*full2pcProto); ok {
-		return []*audit.DecisionLog{p.Log()}
-	}
-	return nil
-}
-
-// ensureProtoBegun registers the transaction with the protocol exactly
-// once on this node (before its first child join).
-func (m *Monitor) ensureProtoBegun(tx txid.ID) error {
-	m.mu.Lock()
-	t, ok := m.txs[tx]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
-	}
-	if t.protoBegun {
-		m.mu.Unlock()
+	if m.paxos == nil {
 		return nil
 	}
-	m.mu.Unlock()
-	if err := m.proto.Begin(tx); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	t.protoBegun = true
-	m.mu.Unlock()
-	return nil
+	return m.paxos.acceptors.Logs()
 }
 
-// protoActive reports whether the transaction entered the disposition
-// protocol on this node (always false under the abbreviated protocol,
-// which keeps the seed paths byte-identical).
-func (m *Monitor) protoActive(tx txid.ID) bool {
+// paxosCoordinator returns the client for tx's acceptors when this node is
+// tx's home and tx entered Paxos Commit here (it was transmitted to a
+// child, so its instances are registered). Otherwise — always, under the
+// abbreviated protocol — it is nil and the Monitor Audit Trail alone
+// decides.
+func (m *Monitor) paxosCoordinator(tx txid.ID) *paxoscommit.Client {
+	if m.paxos == nil {
+		return nil
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	t, ok := m.txs[tx]
-	return ok && t.protoBegun
+	begun := ok && t.isHome && t.protoBegun
+	m.mu.Unlock()
+	if !begun {
+		return nil
+	}
+	return m.paxos.client(tx.Home)
 }
 
 // InDoubt lists transactions this node holds locks for without knowing
@@ -344,14 +144,17 @@ func (m *Monitor) InDoubt() []txid.ID {
 }
 
 // Disposition reports a transaction's outcome as this node can currently
-// determine it: the local Monitor Audit Trail first, then the protocol's
-// learner path. decider names the evidence.
+// determine it: the local Monitor Audit Trail first, then — under Paxos
+// Commit — what the home node's acceptors have chosen. decider names the
+// evidence.
 func (m *Monitor) Disposition(tx txid.ID) (o audit.Outcome, decider string, known bool) {
 	if o, ok := m.mat.OutcomeOf(tx); ok {
 		return o, "monitor audit trail on " + m.node, true
 	}
-	if o, d, err := m.proto.Learn(tx); err == nil {
-		return o, d, true
+	if m.paxos != nil {
+		if o, d, err := m.paxos.client(tx.Home).Learn(tx); err == nil {
+			return o, d, true
+		}
 	}
 	return 0, "", false
 }
@@ -361,19 +164,19 @@ func (m *Monitor) Disposition(tx txid.ID) (o audit.Outcome, decider string, know
 // fractions of a second, not minutes), then backs off; read-only learns
 // escalate to a recovery ballot after resolveAfter probes.
 const (
-	watcherBaseDelay  = 120 * time.Millisecond
-	watcherMaxDelay   = 2 * time.Second
-	watcherResolveAt  = 3   // probe index at which Resolve (recovery ballots) starts
-	watcherMaxProbes  = 150 // give up (the operator sweep will catch it)
+	watcherBaseDelay = 120 * time.Millisecond
+	watcherMaxDelay  = 2 * time.Second
+	watcherResolveAt = 3   // probe index at which Resolve (recovery ballots) starts
+	watcherMaxProbes = 150 // give up (the operator sweep will catch it)
 )
 
 // armInDoubtWatcher starts (once per transaction) a background resolver
-// for an in-doubt participant under a non-blocking protocol: it polls the
-// acceptors' learner path and, failing that, runs recovery ballots, then
-// applies the learned disposition locally. This is what makes takeover
-// never block on a dead coordinator.
+// for an in-doubt participant under Paxos Commit: it polls the acceptors'
+// learner path and, failing that, runs recovery ballots, then applies the
+// learned disposition locally. This is what makes takeover never block on
+// a dead coordinator. The abbreviated protocol has nobody to ask.
 func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
-	if !m.proto.NonBlocking() {
+	if m.paxos == nil {
 		return
 	}
 	m.watchMu.Lock()
@@ -387,6 +190,7 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 	m.watchers[tx] = true
 	m.watchMu.Unlock()
 
+	acceptors := m.paxos.client(tx.Home)
 	go func() {
 		defer func() {
 			m.watchMu.Lock()
@@ -413,9 +217,9 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 			if !stillBound || m.State(tx).Terminal() {
 				return
 			}
-			o, decider, err := m.proto.Learn(tx)
+			o, decider, err := acceptors.Learn(tx)
 			if err != nil && probe >= watcherResolveAt {
-				o, decider, err = m.proto.Resolve(tx)
+				o, decider, err = acceptors.Resolve(tx)
 			}
 			if err != nil {
 				continue
@@ -427,7 +231,7 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 }
 
 // applyLearnedDisposition applies a disposition obtained from the
-// protocol's learner path: the commit path is identical to receiving the
+// acceptors' learner path: the commit path is identical to receiving the
 // home node's safe-delivery ENDED; the abort path clears the phase-one
 // bond first, exactly like an inbound abort from the home node.
 func (m *Monitor) applyLearnedDisposition(tx txid.ID, o audit.Outcome, decider string) {

@@ -2,6 +2,7 @@ package tmf
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,19 +16,12 @@ import (
 // protoConfigs enumerates the selectable disposition protocols for the
 // equivalence tests: each must produce the same committed/aborted outcomes
 // on the same workload.
-var protoConfigs = []struct {
-	name      string
-	acceptors int
-}{
-	{ProtoAbbreviated, 0},
-	{ProtoFull2PC, 0},
-	{ProtoPaxos, 3},
-}
+var protoConfigs = []string{ProtoAbbreviated, ProtoPaxos}
 
 func TestDistributedCommitEveryProtocol(t *testing.T) {
-	for _, pc := range protoConfigs {
-		t.Run(pc.name, func(t *testing.T) {
-			nodes, _ := testClusterProto(t, pc.name, pc.acceptors, "a", "b")
+	for _, proto := range protoConfigs {
+		t.Run(proto, func(t *testing.T) {
+			nodes, _ := testClusterProto(t, proto, "a", "b")
 			a, b := nodes["a"], nodes["b"]
 
 			tx, _ := a.mon.Begin(0)
@@ -37,7 +31,7 @@ func TestDistributedCommitEveryProtocol(t *testing.T) {
 			a.insert(t, "a", tx, "local", "la")
 			a.insert(t, "b", tx, "remote", "rb")
 			if err := a.mon.End(tx); err != nil {
-				t.Fatalf("End under %s: %v", pc.name, err)
+				t.Fatalf("End under %s: %v", proto, err)
 			}
 			a.drain(t)
 			for _, n := range []*testNode{a, b} {
@@ -59,10 +53,10 @@ func TestDistributedCommitEveryProtocol(t *testing.T) {
 func TestUnilateralAbortEveryProtocol(t *testing.T) {
 	// A participant that has not acknowledged phase one aborts
 	// unilaterally; END must fail and every protocol must settle on
-	// Aborted — for the logged protocols, durably in their decision state.
-	for _, pc := range protoConfigs {
-		t.Run(pc.name, func(t *testing.T) {
-			nodes, _ := testClusterProto(t, pc.name, pc.acceptors, "a", "b")
+	// Aborted — under Paxos Commit, durably at the acceptors.
+	for _, proto := range protoConfigs {
+		t.Run(proto, func(t *testing.T) {
+			nodes, _ := testClusterProto(t, proto, "a", "b")
 			a, b := nodes["a"], nodes["b"]
 
 			tx, _ := a.mon.Begin(0)
@@ -79,11 +73,11 @@ func TestUnilateralAbortEveryProtocol(t *testing.T) {
 					t.Errorf("%s outcome = %v", n.name, o)
 				}
 			}
-			if pc.name == ProtoPaxos {
+			if proto == ProtoPaxos {
 				// The recovery ballot run by the home node's abort drove the
 				// acceptors to a durable Aborted disposition: any node can
 				// learn it.
-				o, decider, err := b.mon.Protocol().Learn(tx)
+				o, decider, err := b.mon.paxos.client(tx.Home).Learn(tx)
 				if err != nil || o != audit.OutcomeAborted {
 					t.Errorf("acceptor disposition = %v (%s), %v", o, decider, err)
 				}
@@ -92,37 +86,8 @@ func TestUnilateralAbortEveryProtocol(t *testing.T) {
 	}
 }
 
-func TestFull2PCDecisionLogRecordsProtocol(t *testing.T) {
-	nodes, _ := testClusterProto(t, ProtoFull2PC, 0, "a", "b")
-	a := nodes["a"]
-	tx, _ := a.mon.Begin(0)
-	a.mon.NoteRemoteSend(tx, "b")
-	a.insert(t, "b", tx, "k", "v")
-	if err := a.mon.End(tx); err != nil {
-		t.Fatal(err)
-	}
-	logs := a.mon.AcceptorLogs()
-	if len(logs) != 1 {
-		t.Fatalf("full2pc AcceptorLogs = %d logs, want 1", len(logs))
-	}
-	kinds := map[audit.DecisionKind]int{}
-	for _, r := range logs[0].Records() {
-		if r.Tx == tx {
-			kinds[r.Kind]++
-		}
-	}
-	for _, k := range []audit.DecisionKind{audit.DecisionPrepare, audit.DecisionJoin, audit.DecisionAccept, audit.DecisionOutcome} {
-		if kinds[k] == 0 {
-			t.Errorf("no %s record in the 2pc decision log (have %v)", k, kinds)
-		}
-	}
-	if n, err := logs[0].VerifyChain(); err != nil {
-		t.Errorf("decision log chain: verified %d then: %v", n, err)
-	}
-}
-
 func TestPaxosAcceptorLogsRecordDecision(t *testing.T) {
-	nodes, _ := testClusterProto(t, ProtoPaxos, 3, "a", "b")
+	nodes, _ := testClusterProto(t, ProtoPaxos, "a", "b")
 	a := nodes["a"]
 	tx, _ := a.mon.Begin(0)
 	a.mon.NoteRemoteSend(tx, "b")
@@ -152,7 +117,7 @@ func TestPaxosAcceptorLogsRecordDecision(t *testing.T) {
 }
 
 func TestQueryReportsProtocolAndDecider(t *testing.T) {
-	nodes, _ := testClusterProto(t, ProtoPaxos, 3, "a", "b")
+	nodes, _ := testClusterProto(t, ProtoPaxos, "a", "b")
 	a, b := nodes["a"], nodes["b"]
 	tx, _ := a.mon.Begin(0)
 	a.insert(t, "a", tx, "k", "v")
@@ -173,14 +138,11 @@ func TestUnknownProtocolRejected(t *testing.T) {
 	sys := msg.NewSystem(n)
 	net := expand.NewNetwork(0)
 	net.Attach(sys)
-	if _, err := New(Config{System: sys, Network: net, TMPPrimaryCPU: 0, TMPBackupCPU: 1, CommitProtocol: "bogus"}); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-	n2, _ := hw.NewNode("y", 4)
-	sys2 := msg.NewSystem(n2)
-	net.Attach(sys2)
-	if _, err := New(Config{System: sys2, Network: net, TMPPrimaryCPU: 0, TMPBackupCPU: 1, CommitProtocol: ProtoPaxos, CommitAcceptors: 4}); err == nil {
-		t.Error("even acceptor count accepted")
+	for _, proto := range []string{"bogus", "full2pc"} {
+		_, err := New(Config{System: sys, Network: net, TMPPrimaryCPU: 0, TMPBackupCPU: 1, CommitProtocol: proto})
+		if err == nil || !strings.Contains(err.Error(), "unknown commit protocol") {
+			t.Errorf("CommitProtocol %q: New = %v, want the unknown-protocol error", proto, err)
+		}
 	}
 }
 
@@ -190,7 +152,7 @@ func TestPaxosCoordinatorKillNonBlocking(t *testing.T) {
 	// watcher learns the disposition from the acceptor quorum (2 of 3
 	// survive the coordinator CPU's death) and releases its locks while
 	// the coordinator is still dead.
-	nodes, _ := testClusterProto(t, ProtoPaxos, 3, "a", "b")
+	nodes, _ := testClusterProto(t, ProtoPaxos, "a", "b")
 	a, b := nodes["a"], nodes["b"]
 
 	tx, _ := a.mon.Begin(2)
@@ -241,7 +203,7 @@ func TestAbbreviatedBlockingRegression(t *testing.T) {
 	// the abbreviated protocol a participant that acknowledged phase one
 	// holds its locks for as long as the coordinator stays dead — no
 	// watcher, no quorum to ask — until an operator forces a disposition.
-	nodes, _ := testClusterProto(t, ProtoAbbreviated, 0, "a", "b")
+	nodes, _ := testClusterProto(t, ProtoAbbreviated, "a", "b")
 	a, b := nodes["a"], nodes["b"]
 
 	tx, _ := a.mon.Begin(0)
@@ -306,7 +268,7 @@ func TestAbbreviatedBlockingRegression(t *testing.T) {
 }
 
 func TestInDoubtListsOnlyUnresolved(t *testing.T) {
-	nodes, _ := testClusterProto(t, ProtoPaxos, 3, "a", "b")
+	nodes, _ := testClusterProto(t, ProtoPaxos, "a", "b")
 	a, b := nodes["a"], nodes["b"]
 	tx, _ := a.mon.Begin(0)
 	a.mon.NoteRemoteSend(tx, "b")

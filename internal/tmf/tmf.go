@@ -37,7 +37,6 @@ import (
 	"encompass/internal/hw"
 	"encompass/internal/msg"
 	"encompass/internal/obs"
-	"encompass/internal/paxoscommit"
 	"encompass/internal/txid"
 )
 
@@ -59,13 +58,6 @@ type VolumeInfo struct {
 	AuditName string // empty = unaudited volume
 }
 
-// Transition is one observed state change, recorded for the Figure 3
-// conformance experiment.
-type Transition struct {
-	Tx       txid.ID
-	From, To txid.State
-}
-
 // tcb is the per-transaction control block.
 type tcb struct {
 	id     txid.ID
@@ -76,9 +68,9 @@ type tcb struct {
 	localVols map[string]bool // guarded by Monitor.mu; participating volumes on this node
 
 	phase1Acked bool // guarded by Monitor.mu; non-home: we replied affirmatively to phase one
-	// protoBegun: the transaction entered the disposition protocol on this
-	// node (its instances are registered with the decision infrastructure).
-	// Never set under the abbreviated protocol. Guarded by Monitor.mu.
+	// protoBegun: the transaction entered Paxos Commit on this node (its
+	// instances are registered with the home node's acceptors). Never set
+	// under the abbreviated protocol. Guarded by Monitor.mu.
 	protoBegun  bool
 	abortReason string // guarded by Monitor.mu
 
@@ -148,11 +140,6 @@ type Monitor struct {
 	tabMu  sync.Mutex
 	tables []map[txid.ID]txid.State // guarded by tabMu
 
-	// transitions is the Figure 3 conformance log.
-	trMu        sync.Mutex
-	transitions []Transition // guarded by trMu
-	violations  []Transition // guarded by trMu
-
 	// safe-delivery queue per destination node, with a self-arming
 	// bounded-backoff retry so queued messages don't wait for a topology
 	// event that may never come (e.g. a lossy-but-up link).
@@ -181,14 +168,12 @@ type Monitor struct {
 	tmpPair *tmpApp
 	tmpCPU  func() int
 
-	// proto is the pluggable disposition protocol (abbreviated 2PC, full
-	// presumed-nothing 2PC, or Paxos Commit); acceptors is the node's
-	// commit-acceptor set under Paxos (nil otherwise).
-	proto     DispositionProtocol
-	acceptors *paxoscommit.AcceptorSet
+	// paxos is the node's part in Paxos Commit; nil under the abbreviated
+	// protocol, whose only decision procedure is the Monitor Audit Trail.
+	paxos *paxosCommit
 
 	// watchMu guards the set of armed in-doubt watchers (one per
-	// unresolved transaction under a non-blocking protocol).
+	// unresolved transaction under Paxos Commit).
 	watchMu  sync.Mutex
 	watchers map[txid.ID]bool // guarded by watchMu
 
@@ -219,8 +204,8 @@ type Config struct {
 	MonitorTrailForceDelay time.Duration
 	// Previous, when non-nil, is the node's halted monitor: the new one
 	// starts over what of it was durable — the Monitor Audit Trail and the
-	// disposition protocol's decision logs survive total node failure, and
-	// a recovering node's fresh Monitor must see both.
+	// commit acceptors' decision logs survive total node failure, and a
+	// recovering node's fresh Monitor must see both.
 	Previous *Monitor
 	// TMPPrimaryCPU / TMPBackupCPU host the TMP pair.
 	TMPPrimaryCPU, TMPBackupCPU int
@@ -234,14 +219,10 @@ type Config struct {
 	Tracer *obs.Tracer
 	// CommitProtocol selects the disposition protocol for distributed
 	// transactions: ProtoAbbreviated (default — the paper's abbreviated
-	// 2PC, byte-identical to the seed), ProtoFull2PC (presumed-nothing
-	// 2PC with per-node decision logs), or ProtoPaxos (Paxos Commit:
-	// non-blocking under F acceptor/coordinator failures).
+	// 2PC) or ProtoPaxos (Paxos Commit: non-blocking under one acceptor or
+	// coordinator failure, decided by paxoscommit.Acceptors processes, slot
+	// i on CPU i mod NumCPUs of the home node).
 	CommitProtocol string
-	// CommitAcceptors is the Paxos Commit acceptor count, 2F+1 (odd;
-	// 0 means 3, tolerating one failure). One acceptor process runs per
-	// configured CPU of the home node (slot i on CPU i mod NumCPUs).
-	CommitAcceptors int
 }
 
 // restartSeqShift places the Monitor Audit Trail's restart count above the
@@ -304,11 +285,10 @@ func New(cfg Config) (*Monitor, error) {
 			m.seq[cpu] = base
 		}
 	}
-	proto, err := newProtocol(m, cfg.CommitProtocol, cfg.CommitAcceptors, logs)
-	if err != nil {
+	var err error
+	if m.paxos, err = startPaxosCommit(cfg.System, cfg.CommitProtocol, logs); err != nil {
 		return nil, err
 	}
-	m.proto = proto
 	if err := m.startTMP(cfg.TMPPrimaryCPU, cfg.TMPBackupCPU); err != nil {
 		return nil, err
 	}
@@ -470,22 +450,16 @@ func (m *Monitor) StateOnCPU(tx txid.ID, cpu int) txid.State {
 }
 
 // broadcast delivers a state change to every processor of the node over
-// the interprocessor bus, recording the transition for the Figure 3 log.
+// the interprocessor bus, tracing the transition and checking it against
+// Figure 3.
 func (m *Monitor) broadcast(tx txid.ID, to txid.State) {
 	from := m.State(tx)
-	m.trMu.Lock()
-	tr := Transition{Tx: tx, From: from, To: to}
-	m.transitions = append(m.transitions, tr)
-	if !from.CanTransition(to) {
-		m.violations = append(m.violations, tr)
-		m.cStateViolations.Inc()
-	}
-	m.trMu.Unlock()
-
 	srcCPU := m.tmpCPUOrFirstUp()
 	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvState, From: from, To: to,
 		Node: m.node, CPU: srcCPU})
-	_ = m.checker.Observe(m.node, tx, from, to)
+	if m.checker.Observe(m.node, tx, from, to) != nil {
+		m.cStateViolations.Inc()
+	}
 
 	node := m.sys.Node()
 	for _, cpu := range node.UpCPUs() {
@@ -531,7 +505,7 @@ func (m *Monitor) reseedTable(cpu int) {
 	}
 	fresh := make(map[txid.ID]txid.State, len(m.tables[donor]))
 	for tx, st := range m.tables[donor] {
-		//lint:allow statetrans reseeding copies a surviving replica verbatim; no Figure-3 edge is taken, so there is nothing for the transition log to see
+		//lint:allow statetrans reseeding copies a surviving replica verbatim; no Figure-3 edge is taken, so there is nothing for the tracer or the checker to see
 		fresh[tx] = st
 	}
 	m.tables[cpu] = fresh
@@ -550,14 +524,6 @@ func (m *Monitor) Forget(tx txid.ID) {
 	m.mu.Lock()
 	delete(m.txs, tx)
 	m.mu.Unlock()
-}
-
-// Transitions returns the observed state-transition log and the subset
-// that violated Figure 3 (expected empty).
-func (m *Monitor) Transitions() (all, violations []Transition) {
-	m.trMu.Lock()
-	defer m.trMu.Unlock()
-	return append([]Transition(nil), m.transitions...), append([]Transition(nil), m.violations...)
 }
 
 // Stats returns activity counters: an alias view over the obs registry,
@@ -617,26 +583,40 @@ func (m *Monitor) tcb(tx txid.ID) (*tcb, error) {
 	return t, nil
 }
 
-// snapshotTx copies the fields needed by protocol steps without holding
-// the monitor lock across network calls. Children and volumes come back
-// sorted by name, so delivery order, trace order and DST replays do not
-// depend on map iteration.
-func (m *Monitor) snapshotTx(tx txid.ID) (isHome bool, source string, children []string, vols []VolumeInfo, phase1Acked bool, err error) {
+// childrenOf copies the nodes this node directly transmitted the transid
+// to, so protocol steps hold no monitor lock across network calls. They
+// come back sorted by name: delivery order, trace order and DST replays do
+// not depend on map iteration.
+func (m *Monitor) childrenOf(tx txid.ID) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.txs[tx]
 	if !ok {
-		return false, "", nil, nil, false, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
+		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
 	}
+	children := make([]string, 0, len(t.children))
 	for c := range t.children {
 		children = append(children, c)
 	}
+	slices.Sort(children)
+	return children, nil
+}
+
+// volumesOf copies the volumes on this node that tx touched, sorted by
+// name for the same reason childrenOf sorts.
+func (m *Monitor) volumesOf(tx txid.ID) ([]VolumeInfo, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t, ok := m.txs[tx]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
+	}
+	vols := make([]VolumeInfo, 0, len(t.localVols))
 	for v := range t.localVols {
 		if vi, ok := m.volumes[v]; ok {
 			vols = append(vols, vi)
 		}
 	}
-	slices.Sort(children)
 	slices.SortFunc(vols, func(a, b VolumeInfo) int { return strings.Compare(a.Name, b.Name) })
-	return t.isHome, t.source, children, vols, t.phase1Acked, nil
+	return vols, nil
 }

@@ -103,7 +103,7 @@ func (a *tmpApp) Handle(ctx *pair.Ctx, req msg.Message) {
 		}()
 	case kindQuery:
 		r := req.Payload.(tmpReq)
-		resp := QueryResp{State: a.m.State(r.Tx), Protocol: a.m.proto.Name()}
+		resp := QueryResp{State: a.m.State(r.Tx), Protocol: a.m.ProtocolName()}
 		if o, decider, known := a.m.Disposition(r.Tx); known {
 			resp.Known = true
 			resp.Committed = o == audit.OutcomeCommitted
@@ -120,14 +120,14 @@ func (a *tmpApp) Snapshot() any       { return nil }
 func (a *tmpApp) Restore(any)         {}
 
 // TakeOver runs when the backup TMP is promoted after the primary's CPU
-// failed. Under a non-blocking protocol the promoted TMP re-arms an
-// in-doubt watcher for every transaction this node is still bound to
-// without a known disposition — the learner path resolves them from the
-// acceptor quorum even though the coordinator that was driving them may
-// have died with the failed CPU.
+// failed. Under Paxos Commit the promoted TMP re-arms an in-doubt watcher
+// for every transaction this node is still bound to without a known
+// disposition — the learner path resolves them from the acceptor quorum
+// even though the coordinator that was driving them may have died with
+// the failed CPU.
 func (a *tmpApp) TakeOver() {
 	m := a.m
-	if !m.proto.NonBlocking() {
+	if m.paxos == nil {
 		return
 	}
 	var pending []txid.ID
@@ -207,17 +207,24 @@ func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 		m.mu.Unlock()
 		return nil
 	}
+	begun := t.protoBegun
 	m.mu.Unlock()
-	// Under a logged disposition protocol, the child's consensus instance
-	// (and our own) must be durably registered with the decision
-	// infrastructure BEFORE the transid is first transmitted: a recovery
-	// proposer discovers the participant set from the acceptors, and an
-	// unregistered participant would be invisible to it.
-	if m.proto.Name() != ProtoAbbreviated {
-		if err := m.ensureProtoBegun(tx); err != nil {
-			return err
+	// Under Paxos Commit the child's consensus instance (and, once, our
+	// own) must be durably registered with the home node's acceptors BEFORE
+	// the transid is first transmitted: a recovery proposer discovers the
+	// participant set from the acceptors, and an unregistered participant
+	// would be invisible to it. Joins are idempotent at the acceptors.
+	if m.paxos != nil {
+		acceptors := m.paxos.client(tx.Home)
+		if !begun {
+			if err := acceptors.Join(tx, m.node); err != nil {
+				return err
+			}
+			m.mu.Lock()
+			t.protoBegun = true
+			m.mu.Unlock()
 		}
-		if err := m.proto.Join(tx, destNode); err != nil {
+		if err := acceptors.Join(tx, destNode); err != nil {
 			return fmt.Errorf("%w: disposition join of %s: %v", ErrNodeUnreachable, destNode, err)
 		}
 	}
@@ -291,13 +298,13 @@ func (m *Monitor) phase1Inbound(tx txid.ID) error {
 		m.abortLocked(tx, fmt.Sprintf("phase one failed: %v", err))
 		return err
 	}
-	// Under a logged disposition protocol the affirmative reply is a vote
-	// and must be durable before it is sent: for Paxos Commit this is the
-	// ballot-0 fast path — the vote IS the phase-2a/2b of our consensus
-	// instance at the home node's acceptors. A vote that cannot reach a
-	// majority is a refusal: abort unilaterally while we still may.
-	if m.proto.Name() != ProtoAbbreviated {
-		if err := m.proto.VoteSelf(tx); err != nil {
+	// Under Paxos Commit the affirmative reply is a vote and must be
+	// durable before it is sent: this is the ballot-0 fast path — the vote
+	// IS the phase-2a/2b of our consensus instance at the home node's
+	// acceptors. A vote that cannot reach a majority is a refusal: abort
+	// unilaterally while we still may.
+	if m.paxos != nil {
+		if err := m.paxos.client(tx.Home).Vote(tx, m.node, true); err != nil {
 			m.abortLocked(tx, fmt.Sprintf("disposition vote failed: %v", err))
 			return fmt.Errorf("%w: %s: disposition vote failed on %s: %v", ErrAborted, tx, m.node, err)
 		}
@@ -305,7 +312,7 @@ func (m *Monitor) phase1Inbound(tx txid.ID) error {
 	m.hPhase1.Observe(time.Since(p1Start))
 	m.mu.Lock()
 	t.phase1Acked = true
-	t.protoBegun = t.protoBegun || m.proto.Name() != ProtoAbbreviated
+	t.protoBegun = t.protoBegun || m.paxos != nil
 	m.mu.Unlock()
 	// In-doubt insurance: if the disposition never arrives (dead
 	// coordinator, partition), the watcher learns it from the acceptor
@@ -356,7 +363,7 @@ type delivery struct {
 // the result is nil and phase two ends here. start anchors the phase-two
 // histogram, which times commits only.
 func (m *Monitor) safeDeliverChildren(tx txid.ID, kind string, start time.Time) *delivery {
-	_, _, children, _, _, err := m.snapshotTx(tx)
+	children, err := m.childrenOf(tx)
 	if err != nil {
 		return nil
 	}

@@ -10,6 +10,7 @@ import (
 
 	"encompass"
 	"encompass/internal/audit"
+	"encompass/internal/paxoscommit"
 	"encompass/internal/rollforward"
 	"encompass/internal/tmf"
 	"encompass/internal/txid"
@@ -84,18 +85,15 @@ func decisionRecords(t *testing.T, m *tmf.Monitor) int {
 // runs what Build configured, over the durable state it had.
 func TestRecoverKeepsConfiguration(t *testing.T) {
 	for _, tc := range []struct {
-		proto     string
-		acceptors int
-		workers   int
+		proto   string
+		workers int
 	}{
-		{tmf.ProtoPaxos, 5, 1},
-		{tmf.ProtoFull2PC, 0, 8},
-		{tmf.ProtoAbbreviated, 0, 8},
+		{tmf.ProtoPaxos, 1},
+		{tmf.ProtoAbbreviated, 8},
 	} {
 		t.Run(fmt.Sprintf("%s/workers=%d", tc.proto, tc.workers), func(t *testing.T) {
 			_, a, _ := lifecyclePair(t, encompass.Config{
-				CommitProtocol: tc.proto, CommitAcceptors: tc.acceptors,
-				DiscWorkers: tc.workers, TraceCapacity: 128,
+				CommitProtocol: tc.proto, DiscWorkers: tc.workers, TraceCapacity: 128,
 			})
 			a.FS.LockTimeout = 70 * time.Millisecond
 			arch := a.TakeArchive()
@@ -160,9 +158,10 @@ func TestRecoverKeepsConfiguration(t *testing.T) {
 	}
 }
 
-// TestRecoverKeepsDispositions: what the decision logs say about a
-// transaction committed before total failure of its home node, they say
-// after it, and the restarted node decides new transactions the same way.
+// TestRecoverKeepsDispositions: what the protocol's durable record (the
+// acceptors' decision logs, asked past the Monitor Audit Trail, or that
+// trail) says about a transaction committed before total failure of its
+// home node, it says after it, and the restarted node decides alike.
 func TestRecoverKeepsDispositions(t *testing.T) {
 	evidence := func(decider string) string { // the acceptor that answers first varies
 		return strings.Map(func(r rune) rune {
@@ -172,19 +171,29 @@ func TestRecoverKeepsDispositions(t *testing.T) {
 			return r
 		}, decider)
 	}
-	for _, proto := range []string{tmf.ProtoPaxos, tmf.ProtoFull2PC} {
+	for _, proto := range []string{tmf.ProtoPaxos, tmf.ProtoAbbreviated} {
 		t.Run(proto, func(t *testing.T) {
 			_, a, b := lifecyclePair(t, encompass.Config{CommitProtocol: proto})
+			learn := func(id txid.ID) (audit.Outcome, string, error) {
+				if proto == tmf.ProtoPaxos {
+					return paxoscommit.NewClient(a.Msg, a.Name, paxoscommit.Acceptors).Learn(id)
+				}
+				o, d, known := a.TMF.Disposition(id)
+				if !known {
+					return o, d, fmt.Errorf("%s not in the Monitor Audit Trail", id)
+				}
+				return o, d, nil
+			}
 			arch := a.TakeArchive()
 			tx := distributedCommit(t, a, "k0")
-			o0, d0, err := a.TMF.Protocol().Learn(tx.ID)
+			o0, d0, err := learn(tx.ID)
 			if err != nil || o0 != audit.OutcomeCommitted {
 				t.Fatalf("before the crash: Learn(%s) = %v, %q, %v", tx.ID, o0, d0, err)
 			}
 
 			crashRecover(t, a, arch)
 
-			o1, d1, err := a.TMF.Protocol().Learn(tx.ID)
+			o1, d1, err := learn(tx.ID)
 			if err != nil || o1 != o0 || evidence(d1) != evidence(d0) {
 				t.Errorf("after recovery: Learn(%s) = %v, %q, %v; was %v, %q", tx.ID, o1, d1, err, o0, d0)
 			}
@@ -192,7 +201,7 @@ func TestRecoverKeepsDispositions(t *testing.T) {
 				t.Errorf("b's view of %s after a's recovery: %v, known=%v", tx.ID, o, known)
 			}
 			next := distributedCommit(t, a, "k1")
-			if o, d, err := a.TMF.Protocol().Learn(next.ID); err != nil || o != audit.OutcomeCommitted || evidence(d) != evidence(d0) {
+			if o, d, err := learn(next.ID); err != nil || o != audit.OutcomeCommitted || evidence(d) != evidence(d0) {
 				t.Errorf("post-recovery %s: Learn = %v, %q, %v; want committed by %q", next.ID, o, d, err, d0)
 			}
 			for _, n := range []*encompass.Node{a, b} {
