@@ -51,12 +51,14 @@ lint: $(TMFLINT)
 # re-completion), the record cache whose fill races those handlers'
 # writes, the observability layer they all record into, the simulated
 # EXPAND network and its fault injector, the process-pair runtime, the
+# message system's pooled reply slots and the File System and server-class
+# callers that share them, the
 # trace-oracle chaos test (the long soak stays race-free via the package
 # run above, but is too slow under -race), and the node lifecycle — Crash,
 # Recover and Stop swap a node's monitor, File System client and
 # DISCPROCESSes through one start path and one halt path.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
+	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/...
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine' .
 
 # Fuzz smoke: a few seconds per target over the transid and message

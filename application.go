@@ -51,11 +51,11 @@ func (n *Node) CallServerFrom(cpu int, node, class string, tx txid.ID, fields ma
 // CallServer sends one transaction request to a server class (node may be
 // empty for the local node), as the SEND verb does, from the first up CPU.
 func (n *Node) CallServer(node, class string, tx txid.ID, fields map[string]string, timeout time.Duration) (map[string]string, error) {
-	up := n.HW.UpCPUs()
-	if len(up) == 0 {
+	cpu, ok := n.HW.FirstUpCPU()
+	if !ok {
 		return nil, fmt.Errorf("encompass: node %s has no up CPUs", n.Name)
 	}
-	return n.CallServerFrom(up[0], node, class, tx, fields, timeout)
+	return n.CallServerFrom(cpu, node, class, tx, fields, timeout)
 }
 
 // TCPConfig configures a Terminal Control Process on a node.

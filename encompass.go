@@ -26,7 +26,6 @@
 package encompass
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -292,9 +291,7 @@ func (n *Node) start(repair func(*tmf.Monitor) error) error {
 			return err
 		}
 		mon.AddVolume(tmf.VolumeInfo{Name: vs.Name, DiscName: discName, AuditName: auditName})
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_, err = n.Msg.ClientCall(ctx, pcpu, msg.Addr{Name: discName}, discproc.KindReload, discproc.EndTxReq{})
-		cancel()
+		_, err = n.Msg.CallTimeout(pcpu, msg.Addr{Name: discName}, discproc.KindReload, discproc.EndTxReq{}, 10*time.Second)
 		if err != nil {
 			return fmt.Errorf("encompass: reload %s: %w", vs.Name, err)
 		}
@@ -421,11 +418,10 @@ func PartitionedFile(name string, org Organization, parts [][3]string, altKeys .
 // Begin starts a transaction homed on this node. The BEGIN-TRANSACTION
 // processor rotates across the node's up CPUs.
 func (n *Node) Begin() (*Tx, error) {
-	up := n.HW.UpCPUs()
-	if len(up) == 0 {
+	cpu, ok := n.HW.NthUpCPU(n.beginCPU.Add(1))
+	if !ok {
 		return nil, fmt.Errorf("encompass: node %s has no up CPUs", n.Name)
 	}
-	cpu := up[int(n.beginCPU.Add(1))%len(up)]
 	id, err := n.TMF.Begin(cpu)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,10 @@ type Process struct{}
 
 func (*Process) Send(addr, kind, payload any) error { return nil }
 
+type System struct{}
+
+func (*System) CallTimeout(cpu int, to, kind, payload any, d int) (any, error) { return nil, nil }
+
 type Ctx struct{}
 
 func (*Ctx) Checkpoint(rec any) error { return nil }
@@ -31,6 +35,12 @@ func (s *server) badCheckpoint(ctx *Ctx) {
 func (s *server) badSend() {
 	s.mu.Lock()
 	_ = s.proc.Send(nil, nil, nil) // want "blocking Process.Send while holding mutex s.mu"
+	s.mu.Unlock()
+}
+
+func (s *server) badCallTimeout(sys *System) {
+	s.mu.Lock()
+	_, _ = sys.CallTimeout(0, nil, nil, nil, 0) // want "blocking System.CallTimeout while holding mutex s.mu"
 	s.mu.Unlock()
 }
 

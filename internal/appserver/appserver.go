@@ -329,11 +329,25 @@ func (c *Class) instanceLoop(p *msg.Process) {
 // Call sends a transaction request to a server class (possibly on another
 // node) and returns the reply fields.
 func Call(ctx context.Context, sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string) (map[string]string, error) {
+	return replyFields(sys.ClientCall(ctx, fromCPU, classAddr(sys, node, class), KindRequest, Req{Tx: tx, Fields: fields}))
+}
+
+// CallTimeout is Call bounded by a duration instead of a context.
+func CallTimeout(sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string, d time.Duration) (map[string]string, error) {
+	return replyFields(sys.CallTimeout(fromCPU, classAddr(sys, node, class), KindRequest, Req{Tx: tx, Fields: fields}, d))
+}
+
+// classAddr addresses a server class's dispatcher; node may be empty for
+// the local node.
+func classAddr(sys *msg.System, node, class string) msg.Addr {
 	addr := msg.Addr{Name: ClassName(class)}
 	if node != "" && node != sys.Node().Name() {
 		addr.Node = node
 	}
-	r, err := sys.ClientCall(ctx, fromCPU, addr, KindRequest, Req{Tx: tx, Fields: fields})
+	return addr
+}
+
+func replyFields(r msg.Message, err error) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -342,11 +356,4 @@ func Call(ctx context.Context, sys *msg.System, fromCPU int, node, class string,
 		return nil, errors.New("appserver: malformed reply")
 	}
 	return resp.Fields, nil
-}
-
-// CallTimeout is a convenience wrapper with a deadline.
-func CallTimeout(sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string, d time.Duration) (map[string]string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return Call(ctx, sys, fromCPU, node, class, tx, fields)
 }

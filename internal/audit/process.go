@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -128,9 +127,7 @@ func NewClient(sys *msg.System, name string) *Client {
 const callTimeout = 5 * time.Second
 
 func (c *Client) call(fromCPU int, kind string, payload any) (msg.Message, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
-	defer cancel()
-	return c.sys.ClientCall(ctx, fromCPU, c.addr, kind, payload)
+	return c.sys.CallTimeout(fromCPU, c.addr, kind, payload, callTimeout)
 }
 
 // Append ships a batch of images, returning the last LSN.

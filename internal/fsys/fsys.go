@@ -10,7 +10,6 @@
 package fsys
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -170,9 +169,7 @@ func (fs *FS) callPartResp(tx txid.ID, p Partition, kind string, payload any) (m
 	}
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), fs.Timeout)
-		r, err := fs.sys.ClientCall(ctx, fs.CallCPU, addr, kind, payload)
-		cancel()
+		r, err := fs.sys.CallTimeout(fs.CallCPU, addr, kind, payload, fs.Timeout)
 		if err == nil {
 			return r, nil
 		}

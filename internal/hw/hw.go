@@ -229,6 +229,43 @@ func (n *Node) UpCPUs() []int {
 	return up
 }
 
+// FirstUpCPU returns the lowest-numbered up CPU; false when every CPU is
+// down. Unlike UpCPUs it allocates nothing.
+func (n *Node) FirstUpCPU() (int, bool) {
+	for _, c := range n.cpus {
+		if c.Up() {
+			return c.id, true
+		}
+	}
+	return 0, false
+}
+
+// NthUpCPU returns the up CPU at position k modulo the number of up CPUs,
+// counting in index order, so successive k rotate over the up CPUs; false
+// when every CPU is down. Unlike UpCPUs it allocates nothing.
+func (n *Node) NthUpCPU(k uint64) (int, bool) {
+	var up uint64
+	for _, c := range n.cpus {
+		if c.Up() {
+			up++
+		}
+	}
+	if up == 0 {
+		return 0, false
+	}
+	k %= up
+	for _, c := range n.cpus {
+		if c.Up() {
+			if k == 0 {
+				return c.id, true
+			}
+			k--
+		}
+	}
+	// Every CPU counted above went down meanwhile.
+	return 0, false
+}
+
 // Watch registers a callback invoked (synchronously, in failure-injection
 // order) for every hardware event on the node.
 func (n *Node) Watch(fn func(Event)) {

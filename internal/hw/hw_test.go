@@ -107,6 +107,29 @@ func TestUpCPUs(t *testing.T) {
 	}
 }
 
+// TestFirstAndNthUpCPU: both agree with UpCPUs without building a slice.
+func TestFirstAndNthUpCPU(t *testing.T) {
+	n := newTestNode(t, 4)
+	n.FailCPU(0)
+	n.FailCPU(2)
+	if cpu, ok := n.FirstUpCPU(); !ok || cpu != 1 {
+		t.Errorf("FirstUpCPU = %d, %v, want 1, true", cpu, ok)
+	}
+	for k, want := range []int{1, 3, 1, 3} {
+		if cpu, ok := n.NthUpCPU(uint64(k)); !ok || cpu != want {
+			t.Errorf("NthUpCPU(%d) = %d, %v, want %d, true", k, cpu, ok, want)
+		}
+	}
+	n.FailCPU(1)
+	n.FailCPU(3)
+	if _, ok := n.FirstUpCPU(); ok {
+		t.Error("FirstUpCPU found an up CPU on a dead node")
+	}
+	if _, ok := n.NthUpCPU(5); ok {
+		t.Error("NthUpCPU found an up CPU on a dead node")
+	}
+}
+
 func TestTransferBusFailover(t *testing.T) {
 	n := newTestNode(t, 2)
 	delivered := 0

@@ -197,7 +197,7 @@ func (p *Process) Call(ctx context.Context, to Addr, kind string, payload any) (
 	if p.halted() {
 		return Message{}, fmt.Errorf("%w: %s (cpu halted)", ErrProcessDead, p.pid)
 	}
-	return p.sys.call(ctx, p.pid, to, kind, payload)
+	return p.sys.call(ctx, 0, p.pid, to, kind, payload)
 }
 
 // Send delivers a one-way message (no reply expected).
@@ -250,7 +250,7 @@ type System struct {
 
 	nextCorr atomic.Uint64
 	waitMu   sync.Mutex
-	waiters  map[uint64]chan Message // guarded by waitMu
+	waiters  map[uint64]*waiter // guarded by waitMu
 
 	remote RemoteSender
 }
@@ -261,7 +261,7 @@ func NewSystem(node *hw.Node) *System {
 		node:    node,
 		procs:   make(map[uint64]*Process),
 		names:   make(map[string]*Process),
-		waiters: make(map[uint64]chan Message),
+		waiters: make(map[uint64]*waiter),
 	}
 	return s
 }
@@ -342,43 +342,106 @@ func (s *System) unregisterPID(p *Process) {
 }
 
 // ClientCall issues a request on behalf of external code (for example a
-// simulated terminal user or a test driver) from the given CPU. The call
-// fails if that CPU is down: a request cannot be submitted through a dead
-// processor.
+// simulated terminal user or a test driver) from the given CPU and waits
+// until the reply arrives or ctx is done. The call fails if that CPU is
+// down: a request cannot be submitted through a dead processor.
 func (s *System) ClientCall(ctx context.Context, fromCPU int, to Addr, kind string, payload any) (Message, error) {
+	return s.clientCall(ctx, 0, fromCPU, to, kind, payload)
+}
+
+// CallTimeout is ClientCall bounded by a duration instead of a context: the
+// wait is armed on the reply slot's reusable timer, so a call whose reply
+// arrives in time allocates nothing.
+func (s *System) CallTimeout(fromCPU int, to Addr, kind string, payload any, d time.Duration) (Message, error) {
+	return s.clientCall(context.Background(), d, fromCPU, to, kind, payload)
+}
+
+func (s *System) clientCall(ctx context.Context, d time.Duration, fromCPU int, to Addr, kind string, payload any) (Message, error) {
 	if c, err := s.node.CPU(fromCPU); err != nil {
 		return Message{}, err
 	} else if !c.Up() {
 		return Message{}, fmt.Errorf("%w: cpu %d (caller)", hw.ErrCPUDown, fromCPU)
 	}
-	return s.call(ctx, PID{Node: s.node.Name(), CPU: fromCPU}, to, kind, payload)
+	return s.call(ctx, d, PID{Node: s.node.Name(), CPU: fromCPU}, to, kind, payload)
 }
 
-func (s *System) call(ctx context.Context, from PID, to Addr, kind string, payload any) (Message, error) {
+// waiter is a reply slot: the channel a call's reply lands in and the
+// timer that bounds the wait, both reused across calls. A slot goes back
+// to waiterPool only when its reply was received or when its caller
+// removed its own waiters entry under waitMu; either way no reply can
+// still be on its way into the channel.
+type waiter struct {
+	ch chan Message
+	t  *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan Message, 1), t: t}
+}}
+
+// call sends a request and waits for its reply until ctx is done or, when
+// d > 0, until d has passed. Either ending is ErrCallTimeout, and a reply
+// that arrives after it is dropped.
+func (s *System) call(ctx context.Context, d time.Duration, from PID, to Addr, kind string, payload any) (Message, error) {
 	corr := s.nextCorr.Add(1)
-	ch := make(chan Message, 1)
+	w := waiterPool.Get().(*waiter)
 	s.waitMu.Lock()
-	s.waiters[corr] = ch
+	s.waiters[corr] = w
 	s.waitMu.Unlock()
-	defer func() {
-		s.waitMu.Lock()
-		delete(s.waiters, corr)
-		s.waitMu.Unlock()
-	}()
 
 	m := Message{From: from, FromSys: s.node.Name(), To: to, Kind: kind, Corr: corr, Payload: payload}
 	if err := s.send(m); err != nil {
+		s.withdraw(corr, w)
 		return Message{}, err
 	}
-	select {
-	case r := <-ch:
-		if r.Err != "" {
-			return r, &RemoteError{Msg: r.Err}
-		}
-		return r, nil
-	case <-ctx.Done():
-		return Message{}, fmt.Errorf("%w: %s %s: %v", ErrCallTimeout, to, kind, ctx.Err())
+	var deadline <-chan time.Time
+	if d > 0 {
+		w.t.Reset(d)
+		deadline = w.t.C
 	}
+	var (
+		r     Message
+		cause error
+	)
+	select {
+	case r = <-w.ch:
+	case <-deadline:
+		cause = context.DeadlineExceeded
+	case <-ctx.Done():
+		cause = ctx.Err()
+	}
+	if d > 0 {
+		// Stop guarantees the timer delivers nothing stale to the slot's
+		// next call (Go 1.23 timer semantics, required by go.mod).
+		w.t.Stop()
+	}
+	if cause != nil {
+		s.withdraw(corr, w)
+		return Message{}, fmt.Errorf("%w: %s %s: %v", ErrCallTimeout, to, kind, cause)
+	}
+	waiterPool.Put(w)
+	if r.Err != "" {
+		return r, &RemoteError{Msg: r.Err}
+	}
+	return r, nil
+}
+
+// withdraw ends a call that will not read its reply. If the caller still
+// owns its waiters entry, removing it proves no reply can land in the
+// slot; otherwise completeCall has claimed the entry and is about to fill
+// the channel, so the reply is drained and dropped. Either way the slot is
+// empty and unreachable and goes back to the pool.
+func (s *System) withdraw(corr uint64, w *waiter) {
+	s.waitMu.Lock()
+	_, owned := s.waiters[corr]
+	delete(s.waiters, corr)
+	s.waitMu.Unlock()
+	if !owned {
+		<-w.ch
+	}
+	waiterPool.Put(w)
 }
 
 // send routes a message locally or hands it to the network.
@@ -481,12 +544,12 @@ func (s *System) routeReply(req Message, payload any, errStr string) error {
 
 func (s *System) completeCall(r Message) {
 	s.waitMu.Lock()
-	ch, ok := s.waiters[r.Corr]
+	w, ok := s.waiters[r.Corr]
 	if ok {
 		delete(s.waiters, r.Corr)
 	}
 	s.waitMu.Unlock()
 	if ok {
-		ch <- r
+		w.ch <- r
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,7 +83,13 @@ func TestUnknownName(t *testing.T) {
 
 func TestCallToDownCPUFails(t *testing.T) {
 	s := newSys(t, 3)
-	spawnEcho(t, s, 2, "echo")
+	// A server that never returns stays registered after its CPU fails,
+	// so the call reaches the transfer rather than a missing name.
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	if _, err := s.Spawn(2, "echo", func(*Process) { <-stop }); err != nil {
+		t.Fatal(err)
+	}
 	s.Node().FailCPU(2)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -372,5 +379,79 @@ func TestRecvDropsQueuedMessagesAfterCPUFailure(t *testing.T) {
 	case kind := <-processed:
 		t.Errorf("message %q processed after CPU failure", kind)
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestLateReplyNeverReachesReusedSlot holds each request until its
+// CallTimeout has expired and only then replies, so every late reply is
+// completed after its caller gave the reply slot back. The next call, which
+// draws a slot from the same pool, must receive its own reply and never
+// the stale one.
+func TestLateReplyNeverReachesReusedSlot(t *testing.T) {
+	s := newSys(t, 2)
+	release := make(chan struct{})
+	replied := make(chan struct{})
+	_, err := s.Spawn(1, "slow", func(p *Process) {
+		for {
+			m, err := p.Recv(context.Background())
+			if err != nil {
+				return
+			}
+			if m.Kind == "slow" {
+				<-release
+				p.Reply(m, "stale")
+				replied <- struct{}{}
+				continue
+			}
+			p.Reply(m, m.Payload)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		_, err := s.CallTimeout(0, Addr{Name: "slow"}, "slow", nil, 5*time.Millisecond)
+		if !errors.Is(err, ErrCallTimeout) || !strings.Contains(err.Error(), "context deadline exceeded") {
+			t.Fatalf("round %d: err = %v, want ErrCallTimeout ... context deadline exceeded", i, err)
+		}
+		release <- struct{}{}
+		<-replied // the late reply has been completed (and dropped)
+		r, err := s.CallTimeout(0, Addr{Name: "slow"}, "fast", i, time.Second)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if r.Payload != i {
+			t.Fatalf("round %d: payload = %v, want %d", i, r.Payload, i)
+		}
+	}
+	s.waitMu.Lock()
+	left := len(s.waiters)
+	s.waitMu.Unlock()
+	if left != 0 {
+		t.Errorf("%d waiters left behind", left)
+	}
+}
+
+// TestCancelledClientCallTimesOut: cancelling the caller's context ends
+// the call with ErrCallTimeout, as a deadline does.
+func TestCancelledClientCallTimesOut(t *testing.T) {
+	s := newSys(t, 2)
+	held := make(chan struct{})
+	_, err := s.Spawn(1, "hold", func(p *Process) {
+		if _, err := p.Recv(context.Background()); err == nil {
+			close(held)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-held
+		cancel()
+	}()
+	_, err = s.ClientCall(ctx, 0, Addr{Name: "hold"}, "k", nil)
+	if !errors.Is(err, ErrCallTimeout) || !strings.Contains(err.Error(), "context canceled") {
+		t.Errorf("err = %v, want ErrCallTimeout ... context canceled", err)
 	}
 }

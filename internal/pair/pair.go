@@ -258,9 +258,7 @@ func (pr *Pair) checkpoint(from *msg.Process, cp any) error {
 		pr.degraded.Add(1)
 		return ErrNoBackup
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, err := pr.sys.ClientCall(ctx, from.PID().CPU, msg.Addr{Name: bk.regName}, kindCheckpoint, cp)
+	_, err := pr.sys.CallTimeout(from.PID().CPU, msg.Addr{Name: bk.regName}, kindCheckpoint, cp, 2*time.Second)
 	if err != nil {
 		if from.Context().Err() != nil {
 			// Our own CPU failed during the exchange — the backup may be

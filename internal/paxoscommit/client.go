@@ -1,7 +1,6 @@
 package paxoscommit
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -57,13 +56,11 @@ func (c *Client) majority() int { return c.n/2 + 1 }
 
 // call performs one acceptor round trip.
 func (c *Client) call(slot int, kind string, payload any) (msg.Message, error) {
-	up := c.sys.Node().UpCPUs()
-	if len(up) == 0 {
+	cpu, ok := c.sys.Node().FirstUpCPU()
+	if !ok {
 		return msg.Message{}, fmt.Errorf("paxoscommit: no up CPU to call from")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), acceptorCallTimeout)
-	defer cancel()
-	return c.sys.ClientCall(ctx, up[0], msg.Addr{Node: c.home, Name: AcceptorName(slot)}, kind, payload)
+	return c.sys.CallTimeout(cpu, msg.Addr{Node: c.home, Name: AcceptorName(slot)}, kind, payload, acceptorCallTimeout)
 }
 
 // each fans the same request out to every acceptor concurrently and hands

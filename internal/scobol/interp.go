@@ -1,6 +1,7 @@
 package scobol
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -437,17 +438,31 @@ func (e *Exec) eval(x Expr) (string, error) {
 // compare compares numerically when both sides parse as integers,
 // lexically otherwise — COBOL's usage for PIC 9 vs PIC X comparisons.
 func compare(l, r string) int {
-	li, lerr := strconv.Atoi(strings.TrimSpace(l))
-	ri, rerr := strconv.Atoi(strings.TrimSpace(r))
-	if lerr == nil && rerr == nil {
-		switch {
-		case li < ri:
-			return -1
-		case li > ri:
-			return 1
-		default:
-			return 0
+	lt, rt := strings.TrimSpace(l), strings.TrimSpace(r)
+	if isInt(lt) && isInt(rt) {
+		li, lerr := strconv.Atoi(lt)
+		ri, rerr := strconv.Atoi(rt)
+		if lerr == nil && rerr == nil { // out-of-range integers compare lexically
+			return cmp.Compare(li, ri)
 		}
 	}
 	return strings.Compare(l, r)
+}
+
+// isInt reports whether s has strconv.Atoi's syntax, an optional sign and
+// one or more decimal digits. It screens compare's operands because Atoi
+// allocates an error for every text operand it rejects.
+func isInt(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }

@@ -132,6 +132,39 @@ END-PROC.
 	}
 }
 
+// TestCompare pins compare's numeric-versus-lexical rule: operands that
+// both parse as integers after trimming spaces compare as numbers, anything
+// else compares as the untrimmed text.
+func TestCompare(t *testing.T) {
+	cases := []struct {
+		l, r string
+		want int
+	}{
+		{"7", "7", 0},
+		{"007", "7", 0},
+		{" 7", "7", 0},
+		{"7 ", "10", -1},
+		{"10", "9", 1},
+		{"+5", "5", 0},
+		{"-3", "2", -1},
+		{"-", "1", -1},   // a lone sign is text
+		{"+-1", "1", -1}, // two signs are text
+		{"10", "9x", -1}, // one text side makes both text
+		{" a", "a", -1},  // text keeps its spaces
+		{"abc", "abd", -1},
+		{"", "0", -1},
+		{"99999999999999999999", "100000000000000000000", 1}, // out of int range: text
+	}
+	for _, c := range cases {
+		if got := compare(c.l, c.r); got != c.want {
+			t.Errorf("compare(%q, %q) = %d, want %d", c.l, c.r, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { compare("abc", "abd"); compare(" 12", "+7") }); n != 0 {
+		t.Errorf("compare allocates %v times per call pair, want 0", n)
+	}
+}
+
 func TestPerformTimes(t *testing.T) {
 	rt := &fakeRT{}
 	e := run(t, `

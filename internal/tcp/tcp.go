@@ -15,7 +15,6 @@
 package tcp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -194,9 +193,9 @@ func (t *TCP) Attach(termID, src string) (*Terminal, error) {
 	t.terminals[termID] = term
 	t.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, err := t.sys.ClientCall(ctx, t.sys.Node().UpCPUs()[0], msg.Addr{Name: t.cfg.Name}, kindAttach, attachReq{TermID: termID, Src: src})
+	// With every CPU down, cpu stays 0 and the call fails with ErrCPUDown.
+	cpu, _ := t.sys.Node().FirstUpCPU()
+	_, err := t.sys.CallTimeout(cpu, msg.Addr{Name: t.cfg.Name}, kindAttach, attachReq{TermID: termID, Src: src}, 5*time.Second)
 	if err != nil {
 		t.mu.Lock()
 		delete(t.terminals, termID)
@@ -348,9 +347,7 @@ func (a *tcpApp) spawnExecutor(cpu int, termID, src string, resume *scobol.Snaps
 			Resume:      resume,
 		})
 		exec.OnBegin = func(s scobol.Snapshot) {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			t.sys.ClientCall(ctx, cpu, msg.Addr{Name: tcpName}, kindCkpt, ckptReq{TermID: termID, Snap: s})
+			t.sys.CallTimeout(cpu, msg.Addr{Name: tcpName}, kindCkpt, ckptReq{TermID: termID, Snap: s}, 5*time.Second)
 		}
 		runErr := exec.Run()
 		// If our CPU died mid-run the backup TCP owns the program now;
@@ -362,9 +359,7 @@ func (a *tcpApp) spawnExecutor(cpu int, termID, src string, resume *scobol.Snaps
 		if runErr != nil {
 			errStr = runErr.Error()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		t.sys.ClientCall(ctx, cpu, msg.Addr{Name: tcpName}, kindFinished, finishedReq{TermID: termID, Err: errStr})
-		cancel()
+		t.sys.CallTimeout(cpu, msg.Addr{Name: tcpName}, kindFinished, finishedReq{TermID: termID, Err: errStr}, 5*time.Second)
 		term.finish(runErr)
 	})
 }

@@ -1,7 +1,6 @@
 package tmf
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -30,9 +29,7 @@ const (
 
 // callVolume issues a request to a volume's DISCPROCESS on this node.
 func (m *Monitor) callVolume(vi VolumeInfo, kind string, payload any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), volCallTimeout)
-	defer cancel()
-	_, err := m.sys.ClientCall(ctx, m.tmpCPUOrFirstUp(), msg.Addr{Name: vi.DiscName}, kind, payload)
+	_, err := m.sys.CallTimeout(m.tmpCPUOrFirstUp(), msg.Addr{Name: vi.DiscName}, kind, payload, volCallTimeout)
 	return err
 }
 

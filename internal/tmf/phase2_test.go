@@ -178,10 +178,15 @@ func TestAbortWaitsForEveryChild(t *testing.T) {
 }
 
 // singleNodeEndAllocs is what End costs a transaction with one local volume
-// and no children (measured by this test's own loop: 69.2 over four runs,
-// one under -race; 73 when phase two moved behind the reply, 71 while each
-// of End's four participant snapshots still built both sorted slices).
-const singleNodeEndAllocs = 69
+// and no children (measured by this test's own loop: 26.1 over four runs;
+// 69 while every message call built its own timeout context and reply
+// channel, 73 when phase two moved behind the reply, 71 while each of End's
+// four participant snapshots still built both sorted slices). Under -race
+// sync.Pool drops reply slots on purpose, so the pin is not checked there.
+const singleNodeEndAllocs = 26
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // TestSingleNodeEndSpawnsNothing: a transaction with no children has no
 // phase two to deliver, so End must cost it exactly what it did when phase
@@ -217,7 +222,7 @@ func TestSingleNodeEndSpawnsNothing(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		mallocs += commit(100+i, true)
 	}
-	if per := float64(mallocs) / runs; per > singleNodeEndAllocs+0.5 {
+	if per := float64(mallocs) / runs; !raceEnabled && per > singleNodeEndAllocs+0.5 {
 		t.Errorf("single-node End = %.1f allocs, want %d", per, singleNodeEndAllocs)
 	}
 	if st := a.mon.Stats(); st.Phase2Outstanding != 0 {

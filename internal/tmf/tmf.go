@@ -432,11 +432,11 @@ func (m *Monitor) State(tx txid.ID) txid.State {
 // (unreachable-participant and CPU-down aborts) that peek without
 // broadcasting.
 func (m *Monitor) stateLocked(tx txid.ID) txid.State {
-	up := m.sys.Node().UpCPUs()
-	if len(up) == 0 {
+	cpu, ok := m.sys.Node().FirstUpCPU()
+	if !ok {
 		return txid.StateNone
 	}
-	return m.tables[up[0]][tx]
+	return m.tables[cpu][tx]
 }
 
 // StateOnCPU returns the state replica held by one CPU's table.
@@ -461,9 +461,9 @@ func (m *Monitor) broadcast(tx txid.ID, to txid.State) {
 		m.cStateViolations.Inc()
 	}
 
+	// A down receiver fails its Transfer with ErrCPUDown and is skipped.
 	node := m.sys.Node()
-	for _, cpu := range node.UpCPUs() {
-		cpu := cpu
+	for cpu := range node.NumCPUs() {
 		err := node.Transfer(srcCPU, cpu, func() {
 			// "Once the 'ended'/'aborted' state has completed, the transid
 			// leaves the system." Terminal states stay in the table briefly
@@ -566,11 +566,8 @@ func (m *Monitor) tmpCPUOrFirstUp() int {
 			return cpu
 		}
 	}
-	up := m.sys.Node().UpCPUs()
-	if len(up) > 0 {
-		return up[0]
-	}
-	return 0
+	cpu, _ := m.sys.Node().FirstUpCPU()
+	return cpu
 }
 
 func (m *Monitor) tcb(tx txid.ID) (*tcb, error) {

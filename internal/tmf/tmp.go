@@ -1,7 +1,6 @@
 package tmf
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -175,10 +174,8 @@ func (m *Monitor) tmpCallResp(destNode, kind string, req tmpReq) (msg.Message, e
 	cpu := m.tmpCPUOrFirstUp()
 	m.tracer.Record(obs.Event{Tx: req.Tx, Kind: obs.EvChildRequest, Node: m.node,
 		CPU: cpu, Detail: destNode + " " + kind})
-	ctx, cancel := context.WithTimeout(context.Background(), criticalCallTimeout)
-	defer cancel()
 	start := time.Now()
-	resp, err := m.sys.ClientCall(ctx, cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req)
+	resp, err := m.sys.CallTimeout(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req, criticalCallTimeout)
 	ev := obs.Event{Tx: req.Tx, Kind: obs.EvChildReply, Node: m.node,
 		CPU: cpu, Dur: time.Since(start), Detail: destNode + " " + kind}
 	if err != nil {
@@ -323,9 +320,7 @@ func (m *Monitor) phase1Inbound(tx txid.ID) error {
 
 // QueryRemote asks another node's TMP for a transaction's disposition.
 func (m *Monitor) QueryRemote(node string, tx txid.ID) (QueryResp, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), criticalCallTimeout)
-	defer cancel()
-	r, err := m.sys.ClientCall(ctx, m.tmpCPUOrFirstUp(), msg.Addr{Node: node, Name: tmpName}, kindQuery, tmpReq{Tx: tx, Source: m.node})
+	r, err := m.sys.CallTimeout(m.tmpCPUOrFirstUp(), msg.Addr{Node: node, Name: tmpName}, kindQuery, tmpReq{Tx: tx, Source: m.node}, criticalCallTimeout)
 	if err != nil {
 		return QueryResp{}, err
 	}
