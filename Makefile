@@ -141,11 +141,13 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # One-command hot-path hunt through the standard toolchain: run one root
-# benchmark under the CPU and heap profilers and print the top consumers.
+# benchmark under the CPU and heap profilers and print the top consumers —
+# of CPU time, and of allocated objects (the count allocs_per_op measures).
 PROFILE_BENCH ?= BenchmarkT1CommitSingleNode
 profile:
 	$(GO) test -run '^$$' -bench $(PROFILE_BENCH) -cpuprofile cpu.pprof -memprofile mem.pprof .
 	$(GO) tool pprof -top -nodecount 20 cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 mem.pprof
 
 experiments:
 	$(GO) run ./cmd/tmfbench -exp all

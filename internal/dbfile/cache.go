@@ -25,18 +25,22 @@ func (s CacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// CacheKey names one cached record: a record key within a file. It is a
+// comparable struct, so building one costs nothing.
+type CacheKey struct{ File, Key string }
+
 type cacheEntry struct {
-	key string
+	key CacheKey
 	val []byte
 }
 
-// Cache is a fixed-capacity LRU cache of records keyed by "file\x00key".
-// It is safe for concurrent use.
+// Cache is a fixed-capacity LRU cache of records keyed by CacheKey. It is
+// safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	order    *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[CacheKey]*list.Element
 	stats    CacheStats
 }
 
@@ -46,15 +50,12 @@ func NewCache(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		order:    list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[CacheKey]*list.Element),
 	}
 }
 
-// CacheKey builds a cache key from file and record key.
-func CacheKey(file, key string) string { return file + "\x00" + key }
-
 // Get returns the cached value and whether it was present.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *Cache) Get(key CacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
@@ -72,13 +73,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // Put stores a value, evicting the least recently used record if full.
-func (c *Cache) Put(key string, val []byte) {
+func (c *Cache) Put(key CacheKey, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(key, val)
 }
 
-// Fill serves a miss on cacheKey: it reads key from f and installs the
+// Fill serves a miss on ck: it reads ck.Key from f and installs the
 // value, both under the cache mutex. Writers change the file first and the
 // cache second (Put after a write, Invalidate after a delete), so the whole
 // fill is ordered either before a writer's cache step, which then replaces
@@ -86,18 +87,18 @@ func (c *Cache) Put(key string, val []byte) {
 // writer's file step. Read-then-Put as two steps has neither guarantee: the
 // Put can land after the writer's and leave the replaced value cached.
 // Lock order is cache, then file; no File method calls into a Cache.
-func (c *Cache) Fill(cacheKey string, f *File, key string) ([]byte, error) {
+func (c *Cache) Fill(ck CacheKey, f *File) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	val, err := f.Read(key)
+	val, err := f.Read(ck.Key)
 	if err != nil {
 		return nil, err
 	}
-	c.putLocked(cacheKey, val)
+	c.putLocked(ck, val)
 	return val, nil
 }
 
-func (c *Cache) putLocked(key string, val []byte) {
+func (c *Cache) putLocked(key CacheKey, val []byte) {
 	if c.capacity <= 0 {
 		return
 	}
@@ -118,7 +119,7 @@ func (c *Cache) putLocked(key string, val []byte) {
 }
 
 // Invalidate drops one record.
-func (c *Cache) Invalidate(key string) {
+func (c *Cache) Invalidate(key CacheKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -7,13 +7,16 @@ import (
 	"testing"
 )
 
+// rec names record key in file "f".
+func rec(key string) CacheKey { return CacheKey{File: "f", Key: key} }
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(2)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get(rec("a")); ok {
 		t.Error("empty cache hit")
 	}
-	c.Put("a", []byte("1"))
-	v, ok := c.Get("a")
+	c.Put(rec("a"), []byte("1"))
+	v, ok := c.Get(rec("a"))
 	if !ok || string(v) != "1" {
 		t.Errorf("Get = %q, %v", v, ok)
 	}
@@ -28,17 +31,17 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
-	c.Get("a") // a is now most recently used
-	c.Put("c", []byte("3"))
-	if _, ok := c.Get("b"); ok {
+	c.Put(rec("a"), []byte("1"))
+	c.Put(rec("b"), []byte("2"))
+	c.Get(rec("a")) // a is now most recently used
+	c.Put(rec("c"), []byte("3"))
+	if _, ok := c.Get(rec("b")); ok {
 		t.Error("b should be evicted (LRU)")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(rec("a")); !ok {
 		t.Error("a should survive")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(rec("c")); !ok {
 		t.Error("c should be present")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -48,12 +51,12 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheUpdateInPlace(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("a", []byte("2"))
+	c.Put(rec("a"), []byte("1"))
+	c.Put(rec("a"), []byte("2"))
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
-	v, _ := c.Get("a")
+	v, _ := c.Get(rec("a"))
 	if string(v) != "2" {
 		t.Errorf("value = %q", v)
 	}
@@ -61,18 +64,18 @@ func TestCacheUpdateInPlace(t *testing.T) {
 
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(4)
-	c.Put("a", []byte("1"))
-	c.Invalidate("a")
-	if _, ok := c.Get("a"); ok {
+	c.Put(rec("a"), []byte("1"))
+	c.Invalidate(rec("a"))
+	if _, ok := c.Get(rec("a")); ok {
 		t.Error("invalidated entry still present")
 	}
-	c.Invalidate("absent") // no panic
+	c.Invalidate(rec("absent")) // no panic
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
-	c.Put("a", []byte("1"))
-	if _, ok := c.Get("a"); ok {
+	c.Put(rec("a"), []byte("1"))
+	if _, ok := c.Get(rec("a")); ok {
 		t.Error("disabled cache returned a hit")
 	}
 	if c.Len() != 0 {
@@ -81,8 +84,11 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheKeyFormat(t *testing.T) {
-	if CacheKey("f", "k") == CacheKey("fk", "") {
-		t.Error("cache keys must be unambiguous")
+	c := NewCache(4)
+	c.Put(CacheKey{File: "f", Key: "k"}, []byte("1"))
+	c.Put(CacheKey{File: "fk", Key: ""}, []byte("2"))
+	if v, _ := c.Get(CacheKey{File: "f", Key: "k"}); string(v) != "1" || c.Len() != 2 {
+		t.Errorf("f/k = %q with %d entries: cache keys must be unambiguous", v, c.Len())
 	}
 }
 
@@ -91,7 +97,7 @@ func TestCacheHitRatioRisesWithCapacity(t *testing.T) {
 	run := func(capacity int) float64 {
 		c := NewCache(capacity)
 		for i := 0; i < 10000; i++ {
-			key := fmt.Sprintf("k%d", i%100)
+			key := rec(fmt.Sprintf("k%d", i%100))
 			if _, ok := c.Get(key); !ok {
 				c.Put(key, []byte("v"))
 			}
@@ -108,21 +114,21 @@ func TestCacheFill(t *testing.T) {
 	f := NewFile("f", KeySequenced)
 	f.ForceWrite("k", []byte("v"))
 	c := NewCache(2)
-	v, err := c.Fill(CacheKey("f", "k"), f, "k")
+	v, err := c.Fill(rec("k"), f)
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Fill = %q, %v", v, err)
 	}
-	if got, ok := c.Get(CacheKey("f", "k")); !ok || string(got) != "v" {
+	if got, ok := c.Get(rec("k")); !ok || string(got) != "v" {
 		t.Errorf("after Fill, Get = %q, %v", got, ok)
 	}
-	if _, err := c.Fill(CacheKey("f", "absent"), f, "absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Fill(rec("absent"), f); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Fill of an absent record: err = %v, want ErrNotFound", err)
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d: a failed fill installed something", c.Len())
 	}
 	// A disabled cache still serves the read.
-	if v, err := NewCache(0).Fill(CacheKey("f", "k"), f, "k"); err != nil || string(v) != "v" {
+	if v, err := NewCache(0).Fill(rec("k"), f); err != nil || string(v) != "v" {
 		t.Errorf("disabled cache Fill = %q, %v", v, err)
 	}
 }
@@ -146,12 +152,12 @@ func TestCacheFillNeverLeavesReplacedValue(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				if (r+k)%5 == 4 {
 					f.ForceDelete(key(k))
-					c.Invalidate(CacheKey("f", key(k)))
+					c.Invalidate(rec(key(k)))
 					continue
 				}
 				val := []byte(fmt.Sprintf("%d-%d", k, r))
 				f.ForceWrite(key(k), val)
-				c.Put(CacheKey("f", key(k)), val)
+				c.Put(rec(key(k)), val)
 			}
 		}(k)
 	}
@@ -160,16 +166,16 @@ func TestCacheFillNeverLeavesReplacedValue(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for n := 0; n < rounds*nKeys; n++ {
-				ck := CacheKey("f", key((n+r)%nKeys))
+				ck := rec(key((n + r) % nKeys))
 				if _, ok := c.Get(ck); !ok {
-					_, _ = c.Fill(ck, f, key((n+r)%nKeys))
+					_, _ = c.Fill(ck, f)
 				}
 			}
 		}(r)
 	}
 	wg.Wait()
 	for k := 0; k < nKeys; k++ {
-		cached, ok := c.Get(CacheKey("f", key(k)))
+		cached, ok := c.Get(rec(key(k)))
 		if !ok {
 			continue
 		}

@@ -47,7 +47,10 @@ type ckOp struct {
 // ckRecord is one checkpoint: the op, the locks the transaction acquired
 // with it, and the audit images it generated. It is sent to the backup
 // BEFORE the primary applies the op — the WAL-equivalence discipline.
-// EndTx marks end-of-transaction lock release.
+// EndTx marks end-of-transaction lock release. It is sent by pointer (pair
+// checkpoints stay on the node's bus and are never encoded), so a record
+// is immutable once sent: the primary only reads it afterwards, and the
+// backup buffers that same record as lastCk.
 type ckRecord struct {
 	Op     *ckOp
 	Tx     txid.ID
@@ -55,11 +58,6 @@ type ckRecord struct {
 	Images []audit.Image
 	EndTx  bool
 	Freeze bool
-}
-
-// pendingOp parks a request that is waiting for a lock.
-type pendingOp struct {
-	req msg.Message
 }
 
 // resumeNote is the continuation payload posted to self when a parked
@@ -103,9 +101,10 @@ type app struct {
 	// pendMu guards pending and nextToken (workers park, the member
 	// goroutine resumes).
 	pendMu sync.Mutex
-	// pending parks lock-waiting requests by token.
-	pending   map[uint64]*pendingOp // guarded by pendMu
-	nextToken uint64                // guarded by pendMu
+	// pending parks lock-waiting requests, by token, as the context they
+	// will be answered through.
+	pending   map[uint64]*pair.Ctx // guarded by pendMu
+	nextToken uint64               // guarded by pendMu
 
 	// acl maps file name -> set of node names allowed to access it; a
 	// missing entry means unrestricted.
@@ -128,7 +127,7 @@ func newApp(pr *Proc) *app {
 		cache:        dbfile.NewCache(pr.cfg.CacheSize),
 		participated: make(map[txid.ID]bool),
 		endedSet:     make(map[txid.ID]bool),
-		pending:      make(map[uint64]*pendingOp),
+		pending:      make(map[uint64]*pair.Ctx),
 		acl:          make(map[string]map[string]bool),
 	}
 	if w := resolveWorkers(pr.cfg.DiscWorkers); w > 1 {
@@ -150,31 +149,37 @@ func resolveWorkers(n int) int {
 // dispatches inline on the member goroutine (the seed behaviour). With the
 // scheduler enabled, browse requests fork onto their own goroutine (the
 // lock-free fast path) and everything else is queued for conflict-aware
-// admission onto the worker pool.
+// admission onto the worker pool. Ops counts client requests; a lock-wait
+// continuation is part of the request it resumes.
 func (a *app) Handle(ctx *pair.Ctx, m msg.Message) {
 	a.proc.primApp.Store(a)
-	a.proc.ops.Add(1)
 	if m.Kind == kindResume {
-		a.handleResume(ctx, m)
+		a.handleResume(m)
 		return
 	}
+	a.proc.ops.Add(1)
 	if a.sched == nil {
-		a.dispatch(ctx, m)
+		a.dispatch(ctx)
 		return
 	}
 	fp, browse := classify(m)
 	if browse {
-		go func() {
-			a.sched.startBrowse()
-			defer a.sched.endBrowse()
-			a.dispatch(ctx, m)
-		}()
+		go a.browse(ctx)
 		return
 	}
-	a.sched.enqueue(ctx, m, fp)
+	a.sched.enqueue(ctx, fp)
 }
 
-func (a *app) dispatch(ctx *pair.Ctx, m msg.Message) {
+// browse serves a browse request on its own goroutine, counted by the
+// scheduler so that wide operations can wait for it to drain.
+func (a *app) browse(ctx *pair.Ctx) {
+	a.sched.startBrowse()
+	defer a.sched.endBrowse()
+	a.dispatch(ctx)
+}
+
+func (a *app) dispatch(ctx *pair.Ctx) {
+	m := ctx.Req()
 	switch m.Kind {
 	case KindCreate:
 		a.handleCreate(ctx, m)
@@ -209,18 +214,22 @@ func (a *app) dispatch(ctx *pair.Ctx, m msg.Message) {
 	}
 }
 
-// ensureLock guarantees tx holds key before m's handler proceeds. If the
-// lock is already held it returns true and the caller continues inline.
-// Otherwise the request is parked, an acquisition is started whose outcome
-// (grant, timeout, or cancellation) is posted back to our own inbox as a
-// continuation message, and the caller must return immediately.
+// ensureLock guarantees tx holds key before ctx's handler proceeds. A lock
+// tx already holds (or covers with its file lock), and a free lock, which
+// is taken on the spot, return true: the caller continues inline under the
+// scheduler footprint it already holds, as the paper's DISCPROCESS grants
+// a lock as part of the request that needs it. TryAcquire decides and
+// grants in one step under the lock table's shard mutex, so there is no
+// callback and no wakeup to lose.
 //
-// Routing every fresh acquisition through a continuation — even an
-// immediately grantable one — keeps all state access on the member
-// goroutine and eliminates lost-wakeup races between the lock manager's
-// timer/release goroutines and this handler.
-func (a *app) ensureLock(ctx *pair.Ctx, m msg.Message, tx txid.ID, key lock.Key, timeout time.Duration) bool {
+// Only a refused request waits. It is parked, an acquisition is queued
+// whose outcome (grant, timeout, or cancellation) is posted back to our own
+// inbox as a continuation message, and the caller must return immediately.
+func (a *app) ensureLock(ctx *pair.Ctx, tx txid.ID, key lock.Key, timeout time.Duration) bool {
 	if a.locks.Holds(tx, key) || (!key.IsFileLock() && a.locks.Holds(tx, lock.Key{File: key.File})) {
+		return true
+	}
+	if a.locks.TryAcquire(tx, key) {
 		return true
 	}
 	if timeout <= 0 {
@@ -229,24 +238,25 @@ func (a *app) ensureLock(ctx *pair.Ctx, m msg.Message, tx txid.ID, key lock.Key,
 	a.pendMu.Lock()
 	a.nextToken++
 	token := a.nextToken
-	a.pending[token] = &pendingOp{req: m}
+	a.pending[token] = ctx
 	a.pendMu.Unlock()
 	proc := ctx.Proc()
 	self := msg.Addr{Name: proc.Name()}
 	a.locks.Acquire(tx, key, timeout, func(err error) {
-		// May run synchronously (immediate grant) or from a lock-manager
-		// goroutine; either way the continuation is a message to self.
+		// Runs from a lock-manager goroutine, or synchronously if the lock
+		// fell free since TryAcquire; either way the continuation is a
+		// message to self.
 		go func() {
 			if serr := proc.Send(self, kindResume, resumeNote{token: token, err: err}); serr != nil {
 				// The member mailbox is gone (mid-takeover shutdown): unpark
 				// the request and fail it so the client is not left waiting
 				// on a continuation that can never arrive.
 				a.pendMu.Lock()
-				po, ok := a.pending[token]
+				orig, ok := a.pending[token]
 				delete(a.pending, token)
 				a.pendMu.Unlock()
 				if ok {
-					_ = proc.ReplyErr(po.req, serr)
+					_ = orig.ReplyErr(serr)
 				}
 			}
 		}()
@@ -254,23 +264,19 @@ func (a *app) ensureLock(ctx *pair.Ctx, m msg.Message, tx txid.ID, key lock.Key,
 	return false
 }
 
-func (a *app) handleResume(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleResume(m msg.Message) {
 	note := m.Payload.(resumeNote)
 	a.pendMu.Lock()
-	po, ok := a.pending[note.token]
-	if ok {
-		delete(a.pending, note.token)
-	}
+	orig, ok := a.pending[note.token]
+	delete(a.pending, note.token)
 	a.pendMu.Unlock()
 	if !ok {
 		return
 	}
-	orig := po.req
-	origCtx := pair.NewCtx(ctx, orig)
 	if note.err != nil {
 		// Lock wait failed: timeout (possible deadlock — the prescribed
 		// recovery is RESTART-TRANSACTION) or cancellation by release.
-		origCtx.ReplyErr(note.err)
+		orig.ReplyErr(note.err)
 		return
 	}
 	// Lock granted: re-dispatch the original request; the held lock makes
@@ -278,13 +284,12 @@ func (a *app) handleResume(ctx *pair.Ctx, m msg.Message) {
 	// scheduler footprint when it parked, so it goes back through
 	// conflict-aware admission rather than straight to a worker.
 	if a.sched != nil {
-		fp, browse := classify(orig)
-		if !browse {
-			a.sched.enqueue(ctx, orig, fp)
+		if fp, browse := classify(orig.Req()); !browse {
+			a.sched.enqueue(orig, fp)
 			return
 		}
 	}
-	a.dispatch(origCtx, orig)
+	a.dispatch(orig)
 }
 
 // checkAccess enforces per-file node ACLs against the request's
@@ -372,7 +377,7 @@ func (a *app) emitImages(ctx *pair.Ctx, imgs []audit.Image) error {
 // a zombie that kept applying would fork the volume from the state the
 // new primary serves.
 func (a *app) commitMutation(ctx *pair.Ctx, ck *ckRecord) error {
-	if err := ctx.Checkpoint(*ck); err != nil && !errors.Is(err, pair.ErrNoBackup) {
+	if err := ctx.Checkpoint(ck); err != nil && !errors.Is(err, pair.ErrNoBackup) {
 		return err
 	}
 	if err := a.emitImages(ctx, ck.Images); err != nil {
@@ -403,12 +408,12 @@ func (a *app) applyOp(op *ckOp) {
 	case opWrite:
 		if f, ok := a.files[op.File]; ok {
 			f.ForceWrite(op.Key, op.Val)
-			a.cache.Put(dbfile.CacheKey(op.File, op.Key), op.Val)
+			a.cache.Put(dbfile.CacheKey{File: op.File, Key: op.Key}, op.Val)
 		}
 	case opDelete:
 		if f, ok := a.files[op.File]; ok {
 			f.ForceDelete(op.Key)
-			a.cache.Invalidate(dbfile.CacheKey(op.File, op.Key))
+			a.cache.Invalidate(dbfile.CacheKey{File: op.File, Key: op.Key})
 		}
 	case opReload:
 		_ = a.reloadFromVolume()
@@ -426,7 +431,7 @@ func (a *app) reloadFromVolume() error {
 	a.endedSet = make(map[txid.ID]bool)
 	a.stateMu.Unlock()
 	a.pendMu.Lock()
-	a.pending = make(map[uint64]*pendingOp)
+	a.pending = make(map[uint64]*pair.Ctx)
 	a.pendMu.Unlock()
 	v := a.proc.cfg.Volume
 	for _, name := range v.Keys(metaFile) {
@@ -495,7 +500,7 @@ func (a *app) applyVolume(op *ckOp) error {
 // apply the op to the replica file structures, and buffer the record for
 // takeover completion.
 func (a *app) ApplyCheckpoint(cp any) {
-	ck := cp.(ckRecord)
+	ck := cp.(*ckRecord)
 	if ck.Freeze || ck.EndTx {
 		a.markEnded(ck.Tx)
 		if ck.EndTx {
@@ -520,7 +525,7 @@ func (a *app) ApplyCheckpoint(cp any) {
 		a.stateMu.Unlock()
 	}
 	a.applyOp(ck.Op)
-	a.lastCk = &ck
+	a.lastCk = ck
 }
 
 // Snapshot captures full state for seeding a fresh backup. It runs on the

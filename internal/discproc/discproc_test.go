@@ -395,16 +395,17 @@ func TestTakeoverPreservesDataAndLocks(t *testing.T) {
 func TestApplyCheckpointKeepsOtherTransactionsOp(t *testing.T) {
 	for _, release := range []ckRecord{{Tx: tx(2), EndTx: true}, {Tx: tx(2), Freeze: true}} {
 		b := newApp(&Proc{cfg: Config{Volume: disk.NewVolume("v1")}})
-		b.ApplyCheckpoint(ckRecord{Op: &ckOp{Kind: opCreate, File: "f"}})
-		b.ApplyCheckpoint(ckRecord{Tx: tx(1), Op: &ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}})
-		b.ApplyCheckpoint(release)
+		b.ApplyCheckpoint(&ckRecord{Op: &ckOp{Kind: opCreate, File: "f"}})
+		b.ApplyCheckpoint(&ckRecord{Tx: tx(1), Op: &ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}})
+		b.ApplyCheckpoint(&release)
 		if b.lastCk == nil || b.lastCk.Tx != tx(1) {
 			t.Fatalf("%+v of another transaction dropped the buffered operation", release)
 		}
-		release.Tx = tx(1)
-		b.ApplyCheckpoint(release)
+		own := release
+		own.Tx = tx(1)
+		b.ApplyCheckpoint(&own)
 		if b.lastCk != nil {
-			t.Fatalf("%+v of the owning transaction left its operation buffered", release)
+			t.Fatalf("%+v of the owning transaction left its operation buffered", own)
 		}
 	}
 }

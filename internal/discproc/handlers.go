@@ -48,7 +48,7 @@ func (a *app) handleReload(ctx *pair.Ctx, m msg.Message) {
 	}
 	// The backup (which shares the volume) rebuilds the same way.
 	//lint:allow droppederr only possible error is ErrNoBackup; a lone primary after node failure has no backup to rebuild
-	ctx.Checkpoint(ckRecord{Op: &ckOp{Kind: opReload}})
+	ctx.Checkpoint(&ckRecord{Op: &ckOp{Kind: opReload}})
 	ctx.Reply(nil)
 }
 
@@ -77,13 +77,13 @@ func (a *app) handleRead(ctx *pair.Ctx, m msg.Message) {
 			return
 		}
 		key := lock.Key{File: req.File, Record: req.Key}
-		if !a.ensureLock(ctx, m, req.Tx, key, req.LockTimeout) {
+		if !a.ensureLock(ctx, req.Tx, key, req.LockTimeout) {
 			return // parked
 		}
 	}
 	a.proc.reads.Add(1)
 	// Cache consult: a hit avoids the simulated disc read cost.
-	ck := dbfile.CacheKey(req.File, req.Key)
+	ck := dbfile.CacheKey{File: req.File, Key: req.Key}
 	if v, ok := a.cache.Get(ck); ok {
 		ctx.Reply(ReadResp{Val: v})
 		return
@@ -95,7 +95,7 @@ func (a *app) handleRead(ctx *pair.Ctx, m msg.Message) {
 	if a.proc.cfg.MissPenalty > 0 {
 		time.Sleep(a.proc.cfg.MissPenalty)
 	}
-	v, err := a.cache.Fill(ck, f, req.Key)
+	v, err := a.cache.Fill(ck, f)
 	if err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -172,7 +172,7 @@ func (a *app) handleInsert(ctx *pair.Ctx, m msg.Message) {
 		return
 	}
 	key := lock.Key{File: req.File, Record: req.Key}
-	if !a.ensureLock(ctx, m, req.Tx, key, req.LockTimeout) {
+	if !a.ensureLock(ctx, req.Tx, key, req.LockTimeout) {
 		return
 	}
 	// A competitor may have inserted while we waited for the lock.
@@ -347,17 +347,15 @@ func (a *app) handleAppend(ctx *pair.Ctx, m msg.Message) {
 		return
 	}
 	lk := lock.Key{File: req.File, Record: key}
-	// The fresh key is normally free, so the lock is taken inline and the
-	// append proceeds without giving up its scheduler footprint. Under the
-	// lock manager's FIFO fairness the grant can still be refused — an
-	// earlier file-lock waiter is queued, or the file lock is held — in
-	// which case the append parks like any other lock wait. (The seed
-	// ignored the acquire outcome here and hard-coded DefaultLockTimeout,
-	// silently writing an unlocked record whenever the acquire queued.)
-	if !a.locks.TryAcquire(req.Tx, lk) {
-		if !a.ensureLock(ctx, m, req.Tx, lk, req.LockTimeout) {
-			return
-		}
+	// The fresh key is normally free, so the lock is taken inline. Under
+	// the lock manager's FIFO fairness the grant can still be refused — an
+	// earlier file-lock waiter is queued, or another transaction holds the
+	// file lock — and then the append parks like any other lock wait. (The
+	// seed ignored the acquire outcome here and hard-coded
+	// DefaultLockTimeout, silently writing an unlocked record whenever the
+	// acquire queued.)
+	if !a.ensureLock(ctx, req.Tx, lk, req.LockTimeout) {
+		return
 	}
 	ck := &ckRecord{
 		Op:    &ckOp{Kind: opWrite, File: req.File, Key: key, Val: req.Val},
@@ -394,12 +392,12 @@ func (a *app) handleLock(ctx *pair.Ctx, m msg.Message) {
 		return
 	}
 	key := lock.Key{File: req.File, Record: req.Key}
-	if !a.ensureLock(ctx, m, req.Tx, key, req.LockTimeout) {
+	if !a.ensureLock(ctx, req.Tx, key, req.LockTimeout) {
 		return
 	}
 	// Checkpoint the lock so a takeover preserves it.
 	//lint:allow droppederr only possible error is ErrNoBackup; with no backup there is no takeover to preserve the lock for
-	ctx.Checkpoint(ckRecord{Tx: req.Tx, Locks: []lock.Key{key}})
+	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Locks: []lock.Key{key}})
 	ctx.Reply(nil)
 }
 
@@ -409,7 +407,7 @@ func (a *app) handleEndTx(ctx *pair.Ctx, m msg.Message) {
 	req := m.Payload.(EndTxReq)
 	a.markEnded(req.Tx)
 	//lint:allow droppederr only possible error is ErrNoBackup; release proceeds degraded and pair.Stats counts the miss
-	ctx.Checkpoint(ckRecord{Tx: req.Tx, EndTx: true})
+	ctx.Checkpoint(&ckRecord{Tx: req.Tx, EndTx: true})
 	a.locks.ReleaseAll(req.Tx)
 	a.stateMu.Lock()
 	delete(a.participated, req.Tx)
@@ -425,7 +423,7 @@ func (a *app) handleFreeze(ctx *pair.Ctx, m msg.Message) {
 	req := m.Payload.(EndTxReq)
 	a.markEnded(req.Tx)
 	//lint:allow droppederr only possible error is ErrNoBackup; the freeze itself is local, the checkpoint only mirrors it
-	ctx.Checkpoint(ckRecord{Tx: req.Tx, Freeze: true})
+	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Freeze: true})
 	ctx.Reply(nil)
 }
 

@@ -147,10 +147,11 @@ func classify(m msg.Message) (fp footprint, browse bool) {
 	return footprint{scope: scopeWide}, false
 }
 
-// job is one scheduled request, allocated per request: with the transid in
-// its footprint it sits just inside the 256-byte size class.
+// job is one scheduled request, allocated per request. It carries the
+// context the member goroutine built for the request, so admission builds
+// none.
 type job struct {
-	m        msg.Message
+	ctx      *pair.Ctx
 	fp       footprint
 	enqueued time.Time
 	stalled  bool // conflict stall already counted for this job
@@ -224,14 +225,14 @@ func newScheduler(a *app, workers int) *scheduler {
 // enqueue accepts one non-browse request from the member goroutine. The
 // worker pool is spawned lazily on first use so it binds to the serving
 // member's context (workers die with the member's CPU).
-func (s *scheduler) enqueue(ctx *pair.Ctx, m msg.Message, fp footprint) {
-	j := &job{m: m, fp: fp, enqueued: time.Now()}
+func (s *scheduler) enqueue(ctx *pair.Ctx, fp footprint) {
+	j := &job{ctx: ctx, fp: fp, enqueued: time.Now()}
 	s.mu.Lock()
 	if !s.spawned {
 		s.spawned = true
 		for i := 0; i < s.workers; i++ {
 			//lint:allow spawnlifecycle workers retire via the closed flag: watch() observes the member context ending and cond-broadcasts every worker out of its loop
-			go s.run(ctx)
+			go s.run()
 		}
 		go s.watch(ctx)
 	}
@@ -261,7 +262,7 @@ func (s *scheduler) watch(ctx *pair.Ctx) {
 }
 
 // run is one worker: admit a conflict-free job, dispatch it, repeat.
-func (s *scheduler) run(base *pair.Ctx) {
+func (s *scheduler) run() {
 	for {
 		s.mu.Lock()
 		var j *job
@@ -281,7 +282,7 @@ func (s *scheduler) run(base *pair.Ctx) {
 		s.mu.Unlock()
 		s.queueWait.Observe(time.Since(j.enqueued))
 		s.admitted.Inc()
-		s.a.dispatch(pair.NewCtx(base, j.m), j.m)
+		s.a.dispatch(j.ctx)
 		s.mu.Lock()
 		s.inflight = remove(s.inflight, j)
 		if j.fp.scope == scopeWide {

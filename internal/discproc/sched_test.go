@@ -110,6 +110,7 @@ func TestSchedulerAdmissionInvariant(t *testing.T) {
 	for round := 0; round < 400; round++ {
 		sched := newBareScheduler()
 		desc := make(map[*job]schedReq)
+		kind := make(map[*job]string)
 		var arrivals []*job
 		n := 2 + rng.Intn(14)
 		for i := 0; i < n; i++ {
@@ -127,8 +128,8 @@ func TestSchedulerAdmissionInvariant(t *testing.T) {
 			if browse || fp.scope != r.class {
 				t.Fatalf("classify(%s %+v) = %+v browse=%v, want class %d", m.Kind, m.Payload, fp, browse, r.class)
 			}
-			j := &job{m: m, fp: fp, enqueued: time.Now()}
-			desc[j] = r
+			j := &job{fp: fp, enqueued: time.Now()}
+			desc[j], kind[j] = r, m.Kind
 			arrivals = append(arrivals, j)
 			sched.queue = append(sched.queue, j)
 		}
@@ -164,7 +165,7 @@ func TestSchedulerAdmissionInvariant(t *testing.T) {
 				sched.inflight = sched.inflight[:len(sched.inflight)-1]
 				if blocked(j) {
 					t.Fatalf("round %d: admitted %s %+v against the rule (in flight %d, browsing %d)",
-						round, j.m.Kind, desc[j], len(sched.inflight), sched.browsing)
+						round, kind[j], desc[j], len(sched.inflight), sched.browsing)
 				}
 				if desc[j].class == scopeTx {
 					if sched.browsing > 0 {
@@ -183,7 +184,7 @@ func TestSchedulerAdmissionInvariant(t *testing.T) {
 				for _, q := range sched.queue {
 					if !blocked(q) {
 						t.Fatalf("round %d: %s %+v held back with nothing in its way (in flight %d, browsing %d)",
-							round, q.m.Kind, desc[q], len(sched.inflight), sched.browsing)
+							round, kind[q], desc[q], len(sched.inflight), sched.browsing)
 					}
 				}
 			}
@@ -453,6 +454,120 @@ func TestAppendParksBehindFileLock(t *testing.T) {
 	// With the lock released, appends proceed again.
 	e.mustCall(t, KindAppend, AppendReq{Tx: tx(602), File: "h", Val: []byte("y")})
 	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(602)})
+}
+
+// parks reports how many requests have parked on a lock wait so far: every
+// park takes a token, and only a parked request is resumed by a
+// continuation message.
+func (e *env) parks() uint64 {
+	a := e.proc.primApp.Load()
+	a.pendMu.Lock()
+	defer a.pendMu.Unlock()
+	return a.nextToken
+}
+
+// lockingReqs is one locked read, one insert and one record-lock request,
+// each by its own transaction from first on: the read of f/r, the insert of
+// f/<ins>, the record lock on f/<rec>.
+func lockingReqs(first uint64, ins, rec string) []msg.Message {
+	return []msg.Message{
+		{Kind: KindRead, Payload: ReadReq{Tx: tx(first), File: "f", Key: "r", WithLock: true}},
+		{Kind: KindInsert, Payload: WriteReq{Tx: tx(first + 1), File: "f", Key: ins, Val: []byte("new")}},
+		{Kind: KindLockRec, Payload: LockReq{Tx: tx(first + 2), File: "f", Key: rec}},
+	}
+}
+
+// TestFreeLockTakenInline: a locked read, an insert and a record-lock
+// request on free records take their locks inline — none parks, so no
+// continuation message is sent, the lock manager queues no waiter, and the
+// scheduler admits each request once. While another transaction holds
+// those records the same three requests park, and all complete once it
+// releases its locks. (TestAppendParksBehindFileLock is the append case.)
+func TestFreeLockTakenInline(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := newEnvWorkers(t, 4, true, workers)
+			e.create(t, "f", dbfile.KeySequenced)
+			e.mustCall(t, KindInsert, WriteReq{Tx: tx(800), File: "f", Key: "r", Val: []byte("v")})
+			e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(800)})
+
+			parks, waits, enqueued := e.parks(), e.proc.Stats().LockStats.Waits, e.proc.Stats().Sched.Enqueued
+			for _, r := range lockingReqs(801, "n1", "l1") {
+				e.mustCall(t, r.Kind, r.Payload)
+			}
+			if got := e.parks(); got != parks {
+				t.Errorf("%d requests on free records parked, want 0", got-parks)
+			}
+			if got := e.proc.Stats().LockStats.Waits; got != waits {
+				t.Errorf("%d lock waits for free records, want 0", got-waits)
+			}
+			if got := e.proc.Stats().Sched.Enqueued - enqueued; workers > 1 && got != 3 {
+				t.Errorf("3 requests were enqueued %d times, want 3", got)
+			}
+			for id := uint64(801); id <= 803; id++ {
+				e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(id)})
+			}
+
+			holder := tx(810)
+			for _, key := range []string{"r", "n2", "l2"} {
+				e.mustCall(t, KindLockRec, LockReq{Tx: holder, File: "f", Key: key})
+			}
+			parks, waits = e.parks(), e.proc.Stats().LockStats.Waits
+			done := make(chan error, 3)
+			for _, r := range lockingReqs(811, "n2", "l2") {
+				go func() {
+					_, err := e.call(t, r.Kind, r.Payload)
+					done <- err
+				}()
+			}
+			waitFor(t, "three lock waits", func() bool { return e.proc.Stats().LockStats.Waits == waits+3 })
+			if got := e.parks(); got != parks+3 {
+				t.Errorf("%d of 3 requests on held records parked", got-parks)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("request on a held record returned before the release: %v", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			e.mustCall(t, KindEndTx, EndTxReq{Tx: holder})
+			for i := 0; i < 3; i++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("parked request after the release: %v", err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("parked request never granted after the release")
+				}
+			}
+			if v := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "n2"}).Payload.(ReadResp).Val; string(v) != "new" {
+				t.Errorf("parked insert wrote %q, want new", v)
+			}
+		})
+	}
+}
+
+// TestParkedRequestCountsOneOp: Stats.Ops counts client requests. A locked
+// read that parks behind another transaction's lock and is granted on its
+// release is one op; its continuation message is not another.
+func TestParkedRequestCountsOneOp(t *testing.T) {
+	e := newEnv(t, 3, true)
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(900), File: "f", Key: "k", Val: []byte("v")})
+	ops, parks := e.proc.Stats().Ops, e.parks()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.call(t, KindRead, ReadReq{Tx: tx(901), File: "f", Key: "k", WithLock: true})
+		done <- err
+	}()
+	waitFor(t, "the locked read to park", func() bool { return e.parks() == parks+1 })
+	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(900)})
+	if err := <-done; err != nil {
+		t.Fatalf("locked read after the release: %v", err)
+	}
+	if got := e.proc.Stats().Ops - ops; got != 2 {
+		t.Errorf("Ops rose by %d for a parked locked read and an endtx, want 2", got)
+	}
 }
 
 // TestSerialModeMatchesSeedShape: DiscWorkers=1 keeps the seed's inline

@@ -22,6 +22,7 @@ package lock
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,9 +93,16 @@ type shard struct {
 type Manager struct {
 	shardMu sync.RWMutex
 	shards  map[string]*shard
+	// list holds the same shards in creation order. It is append-only, so
+	// a slice header read under shardMu stays valid after the lock is
+	// dropped: ReleaseAll walks it without copying.
+	list []*shard
 
 	heldMu sync.Mutex
-	held   map[txid.ID]map[Key]bool // reverse index for ReleaseAll
+	// held is the reverse index (tx -> keys it owns, each once) behind
+	// LocksHeld and Snapshot. A transaction's slice is allocated at its
+	// first grant on the volume and dropped by ReleaseAll.
+	held map[txid.ID][]Key
 
 	grants      atomic.Uint64
 	immediate   atomic.Uint64
@@ -108,26 +116,43 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{
 		shards: make(map[string]*shard),
-		held:   make(map[txid.ID]map[Key]bool),
+		held:   make(map[txid.ID][]Key),
 	}
 }
 
 // shardFor returns file's shard, creating it on first use.
 func (m *Manager) shardFor(file string) *shard {
-	m.shardMu.RLock()
-	s := m.shards[file]
-	m.shardMu.RUnlock()
-	if s != nil {
+	if s := m.lookup(file); s != nil {
 		return s
 	}
 	m.shardMu.Lock()
 	defer m.shardMu.Unlock()
-	s = m.shards[file]
+	s := m.shards[file]
 	if s == nil {
 		s = &shard{records: make(map[string]txid.ID)}
 		m.shards[file] = s
+		m.list = append(m.list, s)
 	}
 	return s
+}
+
+// lookup returns file's shard, or nil if nothing on the file was ever
+// locked.
+func (m *Manager) lookup(file string) *shard {
+	m.shardMu.RLock()
+	defer m.shardMu.RUnlock()
+	return m.shards[file]
+}
+
+// ownsLocked reports whether tx owns key. Caller holds s.mu.
+func (s *shard) ownsLocked(tx txid.ID, key Key) bool {
+	if tx.IsZero() {
+		return false
+	}
+	if key.IsFileLock() {
+		return s.fileOwner == tx
+	}
+	return s.records[key.Record] == tx
 }
 
 // compatibleLocked reports whether tx may take key right now given the
@@ -161,36 +186,48 @@ func (s *shard) bargedLocked(tx txid.ID, key Key) bool {
 }
 
 // takeLocked records ownership. Caller holds s.mu and has verified
-// compatibility.
+// compatibility. A grant of a key tx already owns is counted but not
+// indexed twice.
 func (m *Manager) takeLocked(s *shard, tx txid.ID, key Key) {
-	if key.IsFileLock() {
-		s.fileOwner = tx
-	} else {
-		s.records[key.Record] = tx
+	if !s.ownsLocked(tx, key) {
+		if key.IsFileLock() {
+			s.fileOwner = tx
+		} else {
+			s.records[key.Record] = tx
+		}
+		m.heldMu.Lock()
+		h := m.held[tx]
+		if h == nil {
+			h = make([]Key, 0, 4)
+		}
+		m.held[tx] = append(h, key)
+		m.heldMu.Unlock()
 	}
-	m.heldMu.Lock()
-	h := m.held[tx]
-	if h == nil {
-		h = make(map[Key]bool)
-		m.held[tx] = h
-	}
-	h[key] = true
-	m.heldMu.Unlock()
 	m.grants.Add(1)
+}
+
+// tryLocked grants key to tx if the grant is immediate — tx already owns
+// key, or the owners are compatible and no earlier conflicting waiter is
+// queued — and reports whether it did. Caller holds s.mu.
+func (m *Manager) tryLocked(s *shard, tx txid.ID, key Key) bool {
+	if !s.ownsLocked(tx, key) {
+		if !s.compatibleLocked(tx, key) || s.bargedLocked(tx, key) {
+			return false
+		}
+		m.takeLocked(s, tx, key)
+	}
+	m.immediate.Add(1)
+	return true
 }
 
 // Holds reports whether tx currently owns key.
 func (m *Manager) Holds(tx txid.ID, key Key) bool {
-	m.heldMu.Lock()
-	defer m.heldMu.Unlock()
-	return m.held[tx][key]
+	return !tx.IsZero() && m.HeldBy(key) == tx
 }
 
 // HeldBy returns the current owner of key (zero if unlocked).
 func (m *Manager) HeldBy(key Key) txid.ID {
-	m.shardMu.RLock()
-	s := m.shards[key.File]
-	m.shardMu.RUnlock()
+	s := m.lookup(key.File)
 	if s == nil {
 		return txid.ID{}
 	}
@@ -213,32 +250,21 @@ func (m *Manager) LocksHeld(tx txid.ID) int {
 // already holds it, or the owners are compatible and no earlier conflicting
 // waiter is queued. Test hook for the exclusivity property test.
 func (m *Manager) compatibleFor(tx txid.ID, key Key) bool {
-	if m.Holds(tx, key) {
-		return true
-	}
 	s := m.shardFor(key.File)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.compatibleLocked(tx, key) && !s.bargedLocked(tx, key)
+	return s.ownsLocked(tx, key) || s.compatibleLocked(tx, key) && !s.bargedLocked(tx, key)
 }
 
 // TryAcquire grants key to tx if the grant is immediate — tx already owns
 // key, or the owners are compatible and no earlier conflicting waiter is
-// queued — and reports whether it did. It never queues a waiter.
+// queued — and reports whether it did. It never queues a waiter, and the
+// decision and the grant are one step under the shard mutex.
 func (m *Manager) TryAcquire(tx txid.ID, key Key) bool {
-	if m.Holds(tx, key) {
-		m.immediate.Add(1)
-		return true
-	}
 	s := m.shardFor(key.File)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.compatibleLocked(tx, key) && !s.bargedLocked(tx, key) {
-		m.takeLocked(s, tx, key)
-		m.immediate.Add(1)
-		return true
-	}
-	return false
+	return m.tryLocked(s, tx, key)
 }
 
 // Acquire requests key for tx in exclusive mode. If the request is
@@ -248,17 +274,10 @@ func (m *Manager) TryAcquire(tx txid.ID, key Key) bool {
 // in arrival order: grant fires later with nil on grant or ErrTimeout
 // after timeout, and Acquire returns false.
 func (m *Manager) Acquire(tx txid.ID, key Key, timeout time.Duration, grant func(error)) bool {
-	if m.Holds(tx, key) {
-		m.immediate.Add(1)
-		grant(nil)
-		return true
-	}
 	s := m.shardFor(key.File)
 	s.mu.Lock()
-	if s.compatibleLocked(tx, key) && !s.bargedLocked(tx, key) {
-		m.takeLocked(s, tx, key)
+	if m.tryLocked(s, tx, key) {
 		s.mu.Unlock()
-		m.immediate.Add(1)
 		grant(nil)
 		return true
 	}
@@ -316,10 +335,7 @@ func (m *Manager) ReleaseAll(tx txid.ID) {
 	// The transaction may be waiting in shards where it owns nothing, so
 	// every shard is visited: release owners, cancel waits, promote.
 	m.shardMu.RLock()
-	shards := make([]*shard, 0, len(m.shards))
-	for _, s := range m.shards {
-		shards = append(shards, s)
-	}
+	shards := m.list
 	m.shardMu.RUnlock()
 
 	for _, s := range shards {
@@ -424,9 +440,7 @@ func (m *Manager) Snapshot() map[txid.ID][]Key {
 	m.heldMu.Lock()
 	out := make(map[txid.ID][]Key, len(m.held))
 	for tx, keys := range m.held {
-		for k := range keys {
-			out[tx] = append(out[tx], k)
-		}
+		out[tx] = slices.Clone(keys)
 	}
 	m.heldMu.Unlock()
 	for i := len(locked) - 1; i >= 0; i-- {

@@ -89,13 +89,6 @@ func (c *Ctx) Proc() *msg.Process { return c.proc }
 // Req returns the request being handled.
 func (c *Ctx) Req() msg.Message { return c.req }
 
-// NewCtx derives a context addressing a different request through the same
-// pair member; used when a parked request is resumed by a continuation
-// message and must be answered as the original request.
-func NewCtx(base *Ctx, req msg.Message) *Ctx {
-	return &Ctx{pair: base.pair, proc: base.proc, req: req}
-}
-
 // Stats counts pair activity for the experiments.
 type Stats struct {
 	Checkpoints uint64

@@ -179,12 +179,21 @@ func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
 
 // phase1 runs both halves of phase one — forcing this node's audit trails
 // and the critical-response request to child nodes — in parallel. Both
-// must succeed for the commit to proceed; the first error wins.
+// must succeed for the commit to proceed; the first error wins. A
+// transaction with no children has only the local half, which runs on the
+// caller's goroutine.
 func (m *Monitor) phase1(tx txid.ID) error {
+	children, err := m.childrenOf(tx)
+	if err != nil {
+		return err
+	}
+	if len(children) == 0 {
+		return m.phase1Local(tx)
+	}
 	errc := make(chan error, 2)
 	go func() { errc <- m.phase1Local(tx) }()
-	go func() { errc <- m.phase1Children(tx) }()
-	err := <-errc
+	go func() { errc <- m.phase1Children(tx, children) }()
+	err = <-errc
 	if e := <-errc; err == nil {
 		err = e
 	}
@@ -224,11 +233,7 @@ func (m *Monitor) phase1Local(tx txid.ID) error {
 // response in order for the transaction state change to proceed." Children
 // are independent subtrees of the transmission tree, so their phase-one
 // work (which recurses to their own children) proceeds concurrently.
-func (m *Monitor) phase1Children(tx txid.ID) error {
-	children, err := m.childrenOf(tx)
-	if err != nil {
-		return err
-	}
+func (m *Monitor) phase1Children(tx txid.ID, children []string) error {
 	return fanOut(children, func(child string) error {
 		if err := m.tmpCall(child, kindPhase1, tmpReq{Tx: tx}); err != nil {
 			return fmt.Errorf("phase one to %s: %w", child, err)
