@@ -12,9 +12,11 @@ type File struct{}
 func (*File) ForceWrite(k, v string) {}
 func (*File) ForceDelete(k string)   {}
 
+// Ctx has a value receiver, as the pair package's does: a checkpoint
+// through a value and one through a pointer must both count.
 type Ctx struct{}
 
-func (*Ctx) Checkpoint(rec any) error { return nil }
+func (Ctx) Checkpoint(rec any) error { return nil }
 
 type app struct {
 	vol *Volume
@@ -42,6 +44,15 @@ func (a *app) goodInline(ctx *Ctx, f *File) error {
 	return nil
 }
 
+// goodInlineValue is goodInline with the context held by value.
+func (a *app) goodInlineValue(ctx Ctx, f *File) error {
+	if err := ctx.Checkpoint(nil); err != nil {
+		return err
+	}
+	f.ForceWrite("k", "v")
+	return nil
+}
+
 // applyVolume is a replay path: its record was checkpointed when first
 // produced, so re-applying without a fresh checkpoint is legal.
 func (a *app) applyVolume(op any) {
@@ -54,6 +65,13 @@ func (a *app) badWriteThenCheckpoint(ctx *Ctx) error {
 	if err := a.vol.Write("f", []byte("x")); err != nil { // want "Volume.Write mutates the volume without a preceding checkpoint"
 		return err
 	}
+	return ctx.Checkpoint(nil)
+}
+
+// badWriteThenCheckpointValue is badWriteThenCheckpoint with the context
+// held by value.
+func (a *app) badWriteThenCheckpointValue(ctx Ctx, f *File) error {
+	f.ForceWrite("k", "v") // want "File.ForceWrite mutates the volume without a preceding checkpoint"
 	return ctx.Checkpoint(nil)
 }
 

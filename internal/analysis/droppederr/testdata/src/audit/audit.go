@@ -7,9 +7,11 @@ type Client struct{}
 func (*Client) Append(cpu int, imgs []byte) (uint64, error) { return 0, nil }
 func (*Client) Force(cpu int, upTo uint64) error            { return nil }
 
+// Ctx has a value receiver, as the pair package's does: a call through a
+// value and a call through a pointer must both be seen.
 type Ctx struct{}
 
-func (*Ctx) Checkpoint(rec any) error { return nil }
+func (Ctx) Checkpoint(rec any) error { return nil }
 
 type Process struct{}
 
@@ -22,11 +24,19 @@ func bad(c *Client, ctx *Ctx, p *Process) {
 	c.Append(0, nil)      // want "error from Client.Append dropped"
 }
 
+func badValue(ctx Ctx) {
+	ctx.Checkpoint(nil) // want "error from Ctx.Checkpoint dropped"
+}
+
+func badGoValue(ctx Ctx) {
+	go ctx.Checkpoint(nil) // want "error from Ctx.Checkpoint vanishes with the goroutine"
+}
+
 func badGo(p *Process) {
 	go p.Send(nil, nil, nil) // want "error from Process.Send vanishes with the goroutine"
 }
 
-func good(c *Client, ctx *Ctx, p *Process) error {
+func good(c *Client, ctx Ctx, p *Process) error {
 	if err := ctx.Checkpoint(nil); err != nil {
 		return err
 	}

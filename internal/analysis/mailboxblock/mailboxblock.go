@@ -2,9 +2,11 @@
 // mutex is held. A DISCPROCESS "must never block its serving threads on a
 // lock wait" (the lock manager is asynchronous for exactly this reason),
 // and the same logic extends to every mutex in the system: a pair-mailbox
-// send (Process.Send / System.ClientCall / System.CallTimeout), a
-// checkpoint to the backup (Ctx.Checkpoint) or an AUDITPROCESS call
-// (Client.Append/Force/Scan) parks the caller on another process's mailbox — holding a lock-manager
+// send (Process.Send / System.ClientCall / System.CallTimeout, and the
+// nowait System.Start, whose send can wait on a full inbox), the wait for
+// a nowait call's reply (Pending.Await), a checkpoint to the backup
+// (Ctx.Checkpoint) or an AUDITPROCESS call (Client.Append/Force/Scan)
+// parks the caller on another process's mailbox — holding a lock-manager
 // shard, a scheduler mutex, or any other lock across that wait couples
 // unrelated transactions' progress and is one failed process away from a
 // node-wide stall. The one documented exception (tcb.protoMu held across
@@ -29,7 +31,8 @@ var Analyzer = &lint.Analyzer{
 // blocking maps receiver type name -> methods that park on a mailbox.
 var blocking = map[string]map[string]bool{
 	"Process": {"Send": true, "Call": true, "Recv": true},
-	"System":  {"ClientCall": true, "CallTimeout": true},
+	"System":  {"ClientCall": true, "CallTimeout": true, "Start": true},
+	"Pending": {"Await": true},
 	"Ctx":     {"Checkpoint": true},
 	"Client":  {"Append": true, "Force": true, "Scan": true},
 	"Pair":    {"checkpoint": true},

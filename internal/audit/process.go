@@ -58,14 +58,14 @@ type processApp struct {
 	trail *Trail
 }
 
-func (a *processApp) Handle(ctx *pair.Ctx, m msg.Message) {
+func (a *processApp) Handle(ctx pair.Ctx) {
+	m := ctx.Req()
 	switch m.Kind {
 	case KindAppend:
 		req := m.Payload.(AppendReq)
 		last := a.trail.AppendBatch(req.Images)
 		ctx.Reply(AppendResp{LastLSN: last})
 	case KindForce:
-		req := m.Payload.(ForceReq)
 		// A force blocks for the simulated disc latency. Served inline it
 		// would stall this single-goroutine process — serializing
 		// concurrent committers' forces and blocking appends behind each
@@ -73,20 +73,25 @@ func (a *processApp) Handle(ctx *pair.Ctx, m msg.Message) {
 		// own goroutine and reply once durable. The trail coalesces
 		// concurrent requests into one physical write; Reply is safe from
 		// another goroutine (it only resolves the caller's waiter).
-		go func() {
-			if req.UpTo == 0 {
-				a.trail.ForceAll()
-			} else {
-				a.trail.Force(req.UpTo)
-			}
-			ctx.Reply(nil)
-		}()
+		go a.force(ctx, m.Payload.(ForceReq).UpTo)
 	case KindScan:
 		req := m.Payload.(ScanReq)
 		ctx.Reply(ScanResp{Images: a.trail.ImagesForUnforced(req.Tx)})
 	default:
 		ctx.ReplyErr(fmt.Errorf("audit: unknown request kind %q", m.Kind))
 	}
+}
+
+// force makes the trail durable up to upTo (everything when 0) and then
+// answers ctx, its own copy of the request's context: a closure over
+// Handle's parameter would move it to the heap on every append too.
+func (a *processApp) force(ctx pair.Ctx, upTo uint64) {
+	if upTo == 0 {
+		a.trail.ForceAll()
+	} else {
+		a.trail.Force(upTo)
+	}
+	ctx.Reply(nil)
 }
 
 func (a *processApp) ApplyCheckpoint(any) {}

@@ -55,9 +55,22 @@ var (
 // numbers (keeps lexicographic order = numeric order).
 const recNumWidth = 12
 
-// FormatRecNum renders a record number as a primary key.
+// FormatRecNum renders a record number as a primary key: zero-padded to
+// recNumWidth digits, and unpadded when wider. The digits are built on the
+// stack, so the key string is the one allocation.
 func FormatRecNum(n uint64) string {
-	return fmt.Sprintf("%0*d", recNumWidth, n)
+	var digits [20]byte // as many as MaxUint64 has
+	d := strconv.AppendUint(digits[:0], n, 10)
+	pad := recNumWidth - len(d)
+	if pad <= 0 {
+		return string(d)
+	}
+	var key [recNumWidth]byte
+	for i := range pad {
+		key[i] = '0'
+	}
+	copy(key[pad:], d)
+	return string(key[:])
 }
 
 // ParseRecNum parses a record-number key.

@@ -3,6 +3,7 @@ package dbfile
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -213,6 +214,29 @@ func TestRecNumRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFormatRecNum: keys are zero-padded to twelve digits, and a number
+// wider than that stays unpadded, as the %0*d formatting it replaced left
+// it. One allocation, the string.
+func TestFormatRecNum(t *testing.T) {
+	for _, tc := range []struct {
+		n    uint64
+		want string
+	}{
+		{0, "000000000000"},
+		{7, "000000000007"},
+		{999999999999, "999999999999"},
+		{1e12, "1000000000000"},
+		{math.MaxUint64, "18446744073709551615"},
+	} {
+		if got := FormatRecNum(tc.n); got != tc.want || got != fmt.Sprintf("%0*d", recNumWidth, tc.n) {
+			t.Errorf("FormatRecNum(%d) = %q, want %q", tc.n, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = FormatRecNum(42) }); n != 1 {
+		t.Errorf("FormatRecNum = %v allocs, want 1", n)
 	}
 }
 

@@ -103,8 +103,8 @@ type app struct {
 	pendMu sync.Mutex
 	// pending parks lock-waiting requests, by token, as the context they
 	// will be answered through.
-	pending   map[uint64]*pair.Ctx // guarded by pendMu
-	nextToken uint64               // guarded by pendMu
+	pending   map[uint64]pair.Ctx // guarded by pendMu
+	nextToken uint64              // guarded by pendMu
 
 	// acl maps file name -> set of node names allowed to access it; a
 	// missing entry means unrestricted.
@@ -127,7 +127,7 @@ func newApp(pr *Proc) *app {
 		cache:        dbfile.NewCache(pr.cfg.CacheSize),
 		participated: make(map[txid.ID]bool),
 		endedSet:     make(map[txid.ID]bool),
-		pending:      make(map[uint64]*pair.Ctx),
+		pending:      make(map[uint64]pair.Ctx),
 		acl:          make(map[string]map[string]bool),
 	}
 	if w := resolveWorkers(pr.cfg.DiscWorkers); w > 1 {
@@ -151,64 +151,74 @@ func resolveWorkers(n int) int {
 // lock-free fast path) and everything else is queued for conflict-aware
 // admission onto the worker pool. Ops counts client requests; a lock-wait
 // continuation is part of the request it resumes.
-func (a *app) Handle(ctx *pair.Ctx, m msg.Message) {
+//
+// Below Handle a request's context travels by pointer, to the one copy
+// that serves it: Handle's own parameter (serial mode), a scheduler job's
+// (a browse is carried by a job too), or a resumed request's; dispatch
+// hands the handlers the message by pointer too. A handler that answers
+// after dispatch returns (a parked lock wait, a flush) copies the context.
+func (a *app) Handle(ctx pair.Ctx) {
 	a.proc.primApp.Store(a)
+	m := ctx.Req()
 	if m.Kind == kindResume {
-		a.handleResume(m)
+		a.handleResume(&m)
 		return
 	}
 	a.proc.ops.Add(1)
 	if a.sched == nil {
-		a.dispatch(ctx)
+		a.dispatch(&ctx)
 		return
 	}
-	fp, browse := classify(m)
+	fp, browse := classify(&m)
 	if browse {
-		go a.browse(ctx)
+		go a.browse(a.sched.browseJob(&ctx))
 		return
 	}
-	a.sched.enqueue(ctx, fp)
+	a.sched.enqueue(&ctx, fp)
 }
 
 // browse serves a browse request on its own goroutine, counted by the
-// scheduler so that wide operations can wait for it to drain.
-func (a *app) browse(ctx *pair.Ctx) {
+// scheduler so that wide operations can wait for it to drain. The request
+// comes in a job, so the goroutine is handed a pointer: a context passed
+// by value would be moved to the heap, being larger than a closure
+// captures by value.
+func (a *app) browse(j *job) {
 	a.sched.startBrowse()
-	defer a.sched.endBrowse()
-	a.dispatch(ctx)
+	defer a.sched.endBrowse(j)
+	a.dispatch(&j.ctx)
 }
 
 func (a *app) dispatch(ctx *pair.Ctx) {
 	m := ctx.Req()
 	switch m.Kind {
 	case KindCreate:
-		a.handleCreate(ctx, m)
+		a.handleCreate(ctx, &m)
 	case KindRead:
-		a.handleRead(ctx, m)
+		a.handleRead(ctx, &m)
 	case KindReadRange:
-		a.handleReadRange(ctx, m)
+		a.handleReadRange(ctx, &m)
 	case KindReadAlt:
-		a.handleReadAlt(ctx, m)
+		a.handleReadAlt(ctx, &m)
 	case KindInsert:
-		a.handleInsert(ctx, m)
+		a.handleInsert(ctx, &m)
 	case KindUpdate:
-		a.handleUpdate(ctx, m)
+		a.handleUpdate(ctx, &m)
 	case KindDelete:
-		a.handleDelete(ctx, m)
+		a.handleDelete(ctx, &m)
 	case KindAppend:
-		a.handleAppend(ctx, m)
+		a.handleAppend(ctx, &m)
 	case KindLockFile, KindLockRec:
-		a.handleLock(ctx, m)
+		a.handleLock(ctx, &m)
 	case KindEndTx:
-		a.handleEndTx(ctx, m)
+		a.handleEndTx(ctx, &m)
 	case KindUndo:
-		a.handleUndo(ctx, m)
+		a.handleUndo(ctx, &m)
 	case KindFlush:
-		a.handleFlush(ctx, m)
+		a.handleFlush(ctx, &m)
 	case KindReload:
-		a.handleReload(ctx, m)
+		a.handleReload(ctx, &m)
 	case KindFreeze:
-		a.handleFreeze(ctx, m)
+		a.handleFreeze(ctx, &m)
 	default:
 		ctx.ReplyErr(fmt.Errorf("%w: %q", ErrUnknownKind, m.Kind))
 	}
@@ -238,7 +248,7 @@ func (a *app) ensureLock(ctx *pair.Ctx, tx txid.ID, key lock.Key, timeout time.D
 	a.pendMu.Lock()
 	a.nextToken++
 	token := a.nextToken
-	a.pending[token] = ctx
+	a.pending[token] = *ctx
 	a.pendMu.Unlock()
 	proc := ctx.Proc()
 	self := msg.Addr{Name: proc.Name()}
@@ -264,7 +274,7 @@ func (a *app) ensureLock(ctx *pair.Ctx, tx txid.ID, key lock.Key, timeout time.D
 	return false
 }
 
-func (a *app) handleResume(m msg.Message) {
+func (a *app) handleResume(m *msg.Message) {
 	note := m.Payload.(resumeNote)
 	a.pendMu.Lock()
 	orig, ok := a.pending[note.token]
@@ -284,17 +294,18 @@ func (a *app) handleResume(m msg.Message) {
 	// scheduler footprint when it parked, so it goes back through
 	// conflict-aware admission rather than straight to a worker.
 	if a.sched != nil {
-		if fp, browse := classify(orig.Req()); !browse {
-			a.sched.enqueue(orig, fp)
+		req := orig.Req()
+		if fp, browse := classify(&req); !browse {
+			a.sched.enqueue(&orig, fp)
 			return
 		}
 	}
-	a.dispatch(orig)
+	a.dispatch(&orig)
 }
 
 // checkAccess enforces per-file node ACLs against the request's
 // originating node.
-func (a *app) checkAccess(m msg.Message, file string) error {
+func (a *app) checkAccess(m *msg.Message, file string) error {
 	allowed, ok := a.acl[file]
 	if !ok || len(allowed) == 0 {
 		return nil
@@ -431,7 +442,7 @@ func (a *app) reloadFromVolume() error {
 	a.endedSet = make(map[txid.ID]bool)
 	a.stateMu.Unlock()
 	a.pendMu.Lock()
-	a.pending = make(map[uint64]*pair.Ctx)
+	a.pending = make(map[uint64]pair.Ctx)
 	a.pendMu.Unlock()
 	v := a.proc.cfg.Volume
 	for _, name := range v.Keys(metaFile) {

@@ -17,7 +17,7 @@ import (
 // released its locks on this volume (it committed or was backed out).
 var ErrTxEnded = fmt.Errorf("discproc: transaction already ended on this volume")
 
-func (a *app) handleCreate(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleCreate(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(CreateReq)
 	if _, ok := a.files[req.File]; ok {
 		ctx.ReplyErr(fmt.Errorf("%w: %s", ErrFileExists, req.File))
@@ -41,7 +41,7 @@ func (a *app) handleCreate(ctx *pair.Ctx, m msg.Message) {
 // contents; used after a total node failure once ROLLFORWARD has restored
 // the volume. Locks and in-flight state are discarded: every transaction
 // that was live at the failure is gone.
-func (a *app) handleReload(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleReload(ctx *pair.Ctx, m *msg.Message) {
 	if err := a.reloadFromVolume(); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -52,7 +52,7 @@ func (a *app) handleReload(ctx *pair.Ctx, m msg.Message) {
 	ctx.Reply(nil)
 }
 
-func (a *app) handleRead(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleRead(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(ReadReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -103,7 +103,7 @@ func (a *app) handleRead(ctx *pair.Ctx, m msg.Message) {
 	ctx.Reply(ReadResp{Val: v})
 }
 
-func (a *app) handleReadRange(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleReadRange(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(ReadRangeReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -122,7 +122,7 @@ func (a *app) handleReadRange(ctx *pair.Ctx, m msg.Message) {
 	ctx.Reply(ReadRangeResp{Recs: f.ReadRange(req.Lo, req.Hi, req.Limit)})
 }
 
-func (a *app) handleReadAlt(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleReadAlt(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(ReadAltReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -144,7 +144,7 @@ func (a *app) handleReadAlt(ctx *pair.Ctx, m msg.Message) {
 
 // handleInsert: "TMF automatically generates locks on all new records
 // inserted by a transaction."
-func (a *app) handleInsert(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleInsert(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(WriteReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -201,7 +201,7 @@ func (a *app) handleInsert(ctx *pair.Ctx, m msg.Message) {
 
 // handleUpdate: "TMF verifies that all records updated or deleted by a
 // transaction have been previously locked by that transaction."
-func (a *app) handleUpdate(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleUpdate(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(WriteReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -259,7 +259,7 @@ func (a *app) handleUpdate(ctx *pair.Ctx, m msg.Message) {
 
 // handleDelete requires the record lock (acquired at read time) and keeps
 // the primary-key lock until end of transaction.
-func (a *app) handleDelete(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleDelete(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(DeleteReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -314,7 +314,7 @@ func (a *app) handleDelete(ctx *pair.Ctx, m msg.Message) {
 
 // handleAppend adds to an entry-sequenced file; the new record is
 // auto-locked like any insert.
-func (a *app) handleAppend(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleAppend(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(AppendReq)
 	f, err := a.file(req.File)
 	if err != nil {
@@ -377,7 +377,7 @@ func (a *app) handleAppend(ctx *pair.Ctx, m msg.Message) {
 }
 
 // handleLock serves explicit file- or record-lock requests.
-func (a *app) handleLock(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleLock(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(LockReq)
 	if req.Tx.IsZero() {
 		ctx.ReplyErr(fmt.Errorf("%w: lock", ErrNoTx))
@@ -403,7 +403,7 @@ func (a *app) handleLock(ctx *pair.Ctx, m msg.Message) {
 
 // handleEndTx releases the transaction's locks (phase two of commit, or
 // the completion of backout).
-func (a *app) handleEndTx(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleEndTx(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(EndTxReq)
 	a.markEnded(req.Tx)
 	//lint:allow droppederr only possible error is ErrNoBackup; release proceeds degraded and pair.Stats counts the miss
@@ -419,7 +419,7 @@ func (a *app) handleEndTx(ctx *pair.Ctx, m msg.Message) {
 // locks: the abort path freezes a transaction at every participating
 // volume BEFORE backout, so an application's straggler update cannot slip
 // in between the backout scan and the lock release.
-func (a *app) handleFreeze(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleFreeze(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(EndTxReq)
 	a.markEnded(req.Tx)
 	//lint:allow droppederr only possible error is ErrNoBackup; the freeze itself is local, the checkpoint only mirrors it
@@ -431,7 +431,7 @@ func (a *app) handleFreeze(ctx *pair.Ctx, m msg.Message) {
 // The images arrive in reverse LSN order from the BACKOUTPROCESS. The
 // transaction still holds its locks, so the restores are invisible to
 // concurrent transactions until lock release.
-func (a *app) handleUndo(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleUndo(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(UndoReq)
 	for _, img := range req.Images {
 		var op *ckOp
@@ -459,35 +459,39 @@ func (a *app) handleUndo(ctx *pair.Ctx, m msg.Message) {
 // trail treats already-durable prefixes as free, and unrelated records
 // forced early are simply group-committed. The force blocks for the
 // simulated disc latency, so it runs on its own goroutine: served inline
-// it would stall this single-goroutine DISCPROCESS, serializing
-// concurrent committers' phase ones and blocking every other
-// transaction's operations on the volume behind each force. The goroutine
-// touches no app state — only the immutable audit client handle — and the
+// it would hold a scheduler worker (or, at DiscWorkers = 1, the member
+// goroutine itself) for the whole force, so concurrent committers' flushes
+// would each take a worker out of the pool — and at DiscWorkers = 1 every
+// other request on the volume would wait behind each force. The goroutine
+// touches no app state — only the Proc's immutable configuration — and the
 // commit protocol still waits for the reply before writing the commit
 // record, so durability-before-commit is preserved per transaction.
-func (a *app) handleFlush(ctx *pair.Ctx, m msg.Message) {
+func (a *app) handleFlush(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(FlushReq)
 	if !a.audited() {
 		ctx.Reply(nil)
 		return
 	}
-	cl, cpu := a.proc.cfg.Audit, ctx.Proc().PID().CPU
-	tracer, name, vol := a.proc.cfg.Obs, a.proc.name, a.proc.cfg.Volume.Name()
-	go func() {
-		start := time.Now()
-		err := cl.Force(cpu, 0)
-		ev := obs.Event{Tx: req.Tx, Kind: obs.EvFlushServed, Node: name, CPU: cpu,
-			Dur: time.Since(start), Detail: vol}
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		tracer.Record(ev)
-		if err != nil {
-			ctx.ReplyErr(err)
-			return
-		}
-		ctx.Reply(nil)
-	}()
+	go a.flush(*ctx, req.Tx)
+}
+
+// flush forces the trail for tx and answers ctx, its own copy of the
+// request's context.
+func (a *app) flush(ctx pair.Ctx, tx txid.ID) {
+	cpu := ctx.Proc().PID().CPU
+	start := time.Now()
+	err := a.proc.cfg.Audit.Force(cpu, 0)
+	ev := obs.Event{Tx: tx, Kind: obs.EvFlushServed, Node: a.proc.name, CPU: cpu,
+		Dur: time.Since(start), Detail: a.proc.cfg.Volume.Name()}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	a.proc.cfg.Obs.Record(ev)
+	if err != nil {
+		ctx.ReplyErr(err)
+		return
+	}
+	ctx.Reply(nil)
 }
 
 // endedSet guards against operations arriving after end-of-transaction.

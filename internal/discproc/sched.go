@@ -1,6 +1,7 @@
 package discproc
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -96,7 +97,7 @@ func txScoped(tx txid.ID) footprint {
 // classify derives a request's footprint. browse requests bypass the
 // scheduler entirely. Unknown or malformed payloads fall back to wide, so
 // they serialize exactly as in the single-threaded seed.
-func classify(m msg.Message) (fp footprint, browse bool) {
+func classify(m *msg.Message) (fp footprint, browse bool) {
 	switch m.Kind {
 	case KindRead:
 		if req, ok := m.Payload.(ReadReq); ok {
@@ -147,11 +148,14 @@ func classify(m msg.Message) (fp footprint, browse bool) {
 	return footprint{scope: scopeWide}, false
 }
 
-// job is one scheduled request, allocated per request. It carries the
-// context the member goroutine built for the request, so admission builds
-// none.
+// job is one scheduled request, or one browse: a copy of the request's
+// context, which the worker (or the browse goroutine) dispatches by
+// pointer. Jobs are recycled through the scheduler's free list once
+// dispatch has returned and the job has left inflight (or the browse
+// count); that is safe because a handler that answers later (a parked lock
+// wait, a flush) holds its own copy of the context, never the job's.
 type job struct {
-	ctx      *pair.Ctx
+	ctx      pair.Ctx
 	fp       footprint
 	enqueued time.Time
 	stalled  bool // conflict stall already counted for this job
@@ -186,6 +190,7 @@ type scheduler struct {
 	cond     *sync.Cond // shares mu
 	queue    []*job     // guarded by mu
 	inflight []*job     // guarded by mu
+	free     []*job     // guarded by mu; finished jobs, zeroed, for reuse
 	browsing int        // guarded by mu; browse fast-path operations currently running
 	wide     int        // guarded by mu; wide jobs enqueued and not yet finished
 	paused   bool       // guarded by mu; quiesce() for Snapshot
@@ -226,7 +231,7 @@ func newScheduler(a *app, workers int) *scheduler {
 // worker pool is spawned lazily on first use so it binds to the serving
 // member's context (workers die with the member's CPU).
 func (s *scheduler) enqueue(ctx *pair.Ctx, fp footprint) {
-	j := &job{ctx: ctx, fp: fp, enqueued: time.Now()}
+	now := time.Now()
 	s.mu.Lock()
 	if !s.spawned {
 		s.spawned = true
@@ -234,8 +239,10 @@ func (s *scheduler) enqueue(ctx *pair.Ctx, fp footprint) {
 			//lint:allow spawnlifecycle workers retire via the closed flag: watch() observes the member context ending and cond-broadcasts every worker out of its loop
 			go s.run()
 		}
-		go s.watch(ctx)
+		go s.watch(ctx.Proc().Context())
 	}
+	j := s.jobLocked()
+	j.ctx, j.fp, j.enqueued = *ctx, fp, now
 	s.queue = append(s.queue, j)
 	s.stats.Enqueued++
 	if fp.scope == scopeWide {
@@ -252,9 +259,36 @@ func (s *scheduler) enqueue(ctx *pair.Ctx, fp footprint) {
 	}
 }
 
+// jobLocked takes a job from the free list, or a new one. Caller holds s.mu.
+func (s *scheduler) jobLocked() *job {
+	if n := len(s.free); n > 0 {
+		j := s.free[n-1]
+		s.free = s.free[:n-1]
+		return j
+	}
+	return new(job)
+}
+
+// recycleLocked zeroes a finished job and returns it to the free list.
+// Caller holds s.mu.
+func (s *scheduler) recycleLocked(j *job) {
+	*j = job{}
+	s.free = append(s.free, j)
+}
+
+// browseJob carries a browse request's context to its goroutine, which
+// recycles the job in endBrowse.
+func (s *scheduler) browseJob(ctx *pair.Ctx) *job {
+	s.mu.Lock()
+	j := s.jobLocked()
+	s.mu.Unlock()
+	j.ctx = *ctx
+	return j
+}
+
 // watch closes the pool when the serving member's CPU goes down.
-func (s *scheduler) watch(ctx *pair.Ctx) {
-	<-ctx.Proc().Context().Done()
+func (s *scheduler) watch(member context.Context) {
+	<-member.Done()
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
@@ -282,12 +316,13 @@ func (s *scheduler) run() {
 		s.mu.Unlock()
 		s.queueWait.Observe(time.Since(j.enqueued))
 		s.admitted.Inc()
-		s.a.dispatch(j.ctx)
+		s.a.dispatch(&j.ctx)
 		s.mu.Lock()
 		s.inflight = remove(s.inflight, j)
 		if j.fp.scope == scopeWide {
 			s.wide--
 		}
+		s.recycleLocked(j)
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}
@@ -397,9 +432,10 @@ func (s *scheduler) startBrowse() {
 	s.browseOps.Inc()
 }
 
-func (s *scheduler) endBrowse() {
+func (s *scheduler) endBrowse(j *job) {
 	s.mu.Lock()
 	s.browsing--
+	s.recycleLocked(j)
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }

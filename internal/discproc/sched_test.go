@@ -124,7 +124,7 @@ func TestSchedulerAdmissionInvariant(t *testing.T) {
 				r.class, r.file, r.key = scopeKeyed, files[rng.Intn(len(files))], keys[rng.Intn(len(keys))]
 			}
 			m := r.message(rng)
-			fp, browse := classify(m)
+			fp, browse := classify(&m)
 			if browse || fp.scope != r.class {
 				t.Fatalf("classify(%s %+v) = %+v browse=%v, want class %d", m.Kind, m.Payload, fp, browse, r.class)
 			}
@@ -567,6 +567,105 @@ func TestParkedRequestCountsOneOp(t *testing.T) {
 	}
 	if got := e.proc.Stats().Ops - ops; got != 2 {
 		t.Errorf("Ops rose by %d for a parked locked read and an endtx, want 2", got)
+	}
+}
+
+// TestRecycledJobsAnswerTheirOwnRequest: the scheduler reuses a job as
+// soon as its dispatch returns, while a parked request and a flush answer
+// later, through copies of their contexts. Concurrent clients run locked
+// reads, updates, a flush and an endtx per transaction on a key of their
+// own and on one of two shared keys, so many requests park and resume, and
+// then browse their own key. Every reply must answer the request it came
+// back to: the same kind, and for a read the value last committed under
+// that key. (Also run under -race -count=10.)
+func TestRecycledJobsAnswerTheirOwnRequest(t *testing.T) {
+	const clients, rounds = 8, 40
+	e := newEnvWorkers(t, 4, true, 8)
+	e.create(t, "f", dbfile.KeySequenced)
+	var (
+		mu        sync.Mutex
+		committed = map[string]string{} // guarded by mu; written while its key is locked
+	)
+	keys := []string{"shared0", "shared1"}
+	for c := 0; c < clients; c++ {
+		keys = append(keys, fmt.Sprintf("own%d", c))
+	}
+	for _, k := range keys {
+		e.mustCall(t, KindInsert, WriteReq{Tx: tx(1000), File: "f", Key: k, Val: []byte("init")})
+		committed[k] = "init"
+	}
+	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1000)})
+
+	parks := e.parks()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ask := func(kind string, payload any) (msg.Message, bool) {
+				r, err := e.call(t, kind, payload)
+				if err != nil {
+					t.Errorf("client %d %s: %v", c, kind, err)
+					return r, false
+				}
+				if r.Kind != kind {
+					t.Errorf("client %d sent %s and got the reply to a %s", c, kind, r.Kind)
+					return r, false
+				}
+				return r, true
+			}
+			for round := 0; round < rounds; round++ {
+				id := tx(uint64(2000 + c*rounds + round))
+				own, shared := keys[2+c], keys[(c+round)%2]
+				val := fmt.Sprintf("c%d-r%d", c, round)
+				for _, k := range []string{own, shared} {
+					r, ok := ask(KindRead, ReadReq{Tx: id, File: "f", Key: k, WithLock: true})
+					if !ok {
+						return
+					}
+					mu.Lock()
+					want := committed[k]
+					mu.Unlock()
+					if resp, _ := r.Payload.(ReadResp); string(resp.Val) != want {
+						t.Errorf("client %d locked read of %s answered %v, want %q", c, k, r.Payload, want)
+						return
+					}
+				}
+				for _, k := range []string{own, shared} {
+					if r, ok := ask(KindUpdate, WriteReq{Tx: id, File: "f", Key: k, Val: []byte(val)}); !ok {
+						return
+					} else if r.Payload != nil {
+						t.Errorf("client %d update of %s answered %v", c, k, r.Payload)
+						return
+					}
+					mu.Lock()
+					committed[k] = val
+					mu.Unlock()
+				}
+				for _, kind := range []string{KindFlush, KindEndTx} {
+					var payload any = EndTxReq{Tx: id}
+					if kind == KindFlush {
+						payload = FlushReq{Tx: id}
+					}
+					if _, ok := ask(kind, payload); !ok {
+						return
+					}
+				}
+				// A browse rides a recycled job as well; no one else writes own.
+				r, ok := ask(KindRead, ReadReq{File: "f", Key: own})
+				if !ok {
+					return
+				}
+				if resp, _ := r.Payload.(ReadResp); string(resp.Val) != val {
+					t.Errorf("client %d browse of %s answered %v, want %q", c, own, r.Payload, val)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if e.parks() == parks {
+		t.Error("no request parked, so no resumed request was checked")
 	}
 }
 

@@ -30,6 +30,14 @@ func TestCallAllocatesNothing(t *testing.T) {
 			_, err := s.ClientCall(context.Background(), 0, echo, "echo", nil)
 			return err
 		},
+		"Start+Await": func() error {
+			p, err := s.Start(1, echo, "echo", nil)
+			if err != nil {
+				return err
+			}
+			_, err = p.Await(time.Second)
+			return err
+		},
 	}
 	for name, call := range calls {
 		var err error

@@ -197,7 +197,11 @@ func (p *Process) Call(ctx context.Context, to Addr, kind string, payload any) (
 	if p.halted() {
 		return Message{}, fmt.Errorf("%w: %s (cpu halted)", ErrProcessDead, p.pid)
 	}
-	return p.sys.call(ctx, 0, p.pid, to, kind, payload)
+	pend, err := p.sys.start(p.pid, to, kind, payload)
+	if err != nil {
+		return Message{}, err
+	}
+	return pend.await(ctx, 0)
 }
 
 // Send delivers a one-way message (no reply expected).
@@ -215,7 +219,7 @@ func (p *Process) Reply(req Message, payload any) error {
 	if p.halted() {
 		return fmt.Errorf("%w: %s (cpu halted)", ErrProcessDead, p.pid)
 	}
-	return p.sys.reply(req, payload, "")
+	return p.sys.reply(&req, payload, "")
 }
 
 // ReplyErr answers a request with an application error.
@@ -226,7 +230,7 @@ func (p *Process) ReplyErr(req Message, err error) error {
 	if err == nil {
 		err = errors.New("unknown error")
 	}
-	return p.sys.reply(req, nil, err.Error())
+	return p.sys.reply(&req, nil, err.Error())
 }
 
 // Exit marks the process dead and unregisters its name if it still owns it.
@@ -346,33 +350,50 @@ func (s *System) unregisterPID(p *Process) {
 // until the reply arrives or ctx is done. The call fails if that CPU is
 // down: a request cannot be submitted through a dead processor.
 func (s *System) ClientCall(ctx context.Context, fromCPU int, to Addr, kind string, payload any) (Message, error) {
-	return s.clientCall(ctx, 0, fromCPU, to, kind, payload)
+	p, err := s.Start(fromCPU, to, kind, payload)
+	if err != nil {
+		return Message{}, err
+	}
+	return p.await(ctx, 0)
 }
 
 // CallTimeout is ClientCall bounded by a duration instead of a context: the
 // wait is armed on the reply slot's reusable timer, so a call whose reply
 // arrives in time allocates nothing.
 func (s *System) CallTimeout(fromCPU int, to Addr, kind string, payload any, d time.Duration) (Message, error) {
-	return s.clientCall(context.Background(), d, fromCPU, to, kind, payload)
+	p, err := s.Start(fromCPU, to, kind, payload)
+	if err != nil {
+		return Message{}, err
+	}
+	return p.Await(d)
 }
 
-func (s *System) clientCall(ctx context.Context, d time.Duration, fromCPU int, to Addr, kind string, payload any) (Message, error) {
+// Start is the nowait half of a call: it sends a request from the given
+// CPU and returns without waiting for the reply, which Await collects. A
+// caller that starts several requests before awaiting any has them all on
+// their way at once, served concurrently, from one goroutine. Every
+// Pending a successful Start returns must be awaited exactly once. A
+// failed Start leaves nothing to await.
+func (s *System) Start(fromCPU int, to Addr, kind string, payload any) (Pending, error) {
 	if c, err := s.node.CPU(fromCPU); err != nil {
-		return Message{}, err
+		return Pending{}, err
 	} else if !c.Up() {
-		return Message{}, fmt.Errorf("%w: cpu %d (caller)", hw.ErrCPUDown, fromCPU)
+		return Pending{}, fmt.Errorf("%w: cpu %d (caller)", hw.ErrCPUDown, fromCPU)
 	}
-	return s.call(ctx, d, PID{Node: s.node.Name(), CPU: fromCPU}, to, kind, payload)
+	return s.start(PID{Node: s.node.Name(), CPU: fromCPU}, to, kind, payload)
 }
 
 // waiter is a reply slot: the channel a call's reply lands in and the
-// timer that bounds the wait, both reused across calls. A slot goes back
-// to waiterPool only when its reply was received or when its caller
-// removed its own waiters entry under waitMu; either way no reply can
-// still be on its way into the channel.
+// timer that bounds the wait, both reused across calls, plus the request's
+// address and kind for a timeout's error. A slot goes back to waiterPool
+// only when its reply was received or when its caller removed its own
+// waiters entry under waitMu; either way no reply can still be on its way
+// into the channel.
 type waiter struct {
-	ch chan Message
-	t  *time.Timer
+	ch   chan Message
+	t    *time.Timer
+	to   Addr
+	kind string
 }
 
 var waiterPool = sync.Pool{New: func() any {
@@ -381,12 +402,26 @@ var waiterPool = sync.Pool{New: func() any {
 	return &waiter{ch: make(chan Message, 1), t: t}
 }}
 
-// call sends a request and waits for its reply until ctx is done or, when
-// d > 0, until d has passed. Either ending is ErrCallTimeout, and a reply
-// that arrives after it is dropped.
-func (s *System) call(ctx context.Context, d time.Duration, from PID, to Addr, kind string, payload any) (Message, error) {
+// put returns an empty, unreachable slot to the pool.
+func (w *waiter) put() {
+	w.to, w.kind = Addr{}, ""
+	waiterPool.Put(w)
+}
+
+// Pending is a request Start sent whose reply has not been collected: its
+// reply slot and correlation id.
+type Pending struct {
+	s    *System
+	w    *waiter
+	corr uint64
+}
+
+// start takes a reply slot, registers it as the waiter for a fresh
+// correlation id and sends the request.
+func (s *System) start(from PID, to Addr, kind string, payload any) (Pending, error) {
 	corr := s.nextCorr.Add(1)
 	w := waiterPool.Get().(*waiter)
+	w.to, w.kind = to, kind
 	s.waitMu.Lock()
 	s.waiters[corr] = w
 	s.waitMu.Unlock()
@@ -394,8 +429,22 @@ func (s *System) call(ctx context.Context, d time.Duration, from PID, to Addr, k
 	m := Message{From: from, FromSys: s.node.Name(), To: to, Kind: kind, Corr: corr, Payload: payload}
 	if err := s.send(m); err != nil {
 		s.withdraw(corr, w)
-		return Message{}, err
+		return Pending{}, err
 	}
+	return Pending{s: s, w: w, corr: corr}, nil
+}
+
+// Await waits up to d for the reply (with no bound when d <= 0). Running
+// out of time is ErrCallTimeout, and a reply that arrives after it is
+// dropped.
+func (p Pending) Await(d time.Duration) (Message, error) {
+	return p.await(context.Background(), d)
+}
+
+// await waits for the reply until ctx is done or, when d > 0, until d has
+// passed. Either ending is ErrCallTimeout.
+func (p Pending) await(ctx context.Context, d time.Duration) (Message, error) {
+	w := p.w
 	var deadline <-chan time.Time
 	if d > 0 {
 		w.t.Reset(d)
@@ -418,10 +467,11 @@ func (s *System) call(ctx context.Context, d time.Duration, from PID, to Addr, k
 		w.t.Stop()
 	}
 	if cause != nil {
-		s.withdraw(corr, w)
-		return Message{}, fmt.Errorf("%w: %s %s: %v", ErrCallTimeout, to, kind, cause)
+		err := fmt.Errorf("%w: %s %s: %v", ErrCallTimeout, w.to, w.kind, cause)
+		p.s.withdraw(p.corr, w)
+		return Message{}, err
 	}
-	waiterPool.Put(w)
+	w.put()
 	if r.Err != "" {
 		return r, &RemoteError{Msg: r.Err}
 	}
@@ -441,19 +491,13 @@ func (s *System) withdraw(corr uint64, w *waiter) {
 	if !owned {
 		<-w.ch
 	}
-	waiterPool.Put(w)
+	w.put()
 }
 
 // send routes a message locally or hands it to the network.
 func (s *System) send(m Message) error {
 	if m.To.Node != "" && m.To.Node != s.node.Name() {
-		s.mu.Lock()
-		r := s.remote
-		s.mu.Unlock()
-		if r == nil {
-			return fmt.Errorf("%w: %s", ErrNoRemote, s.node.Name())
-		}
-		return r.SendRemote(m.To.Node, m)
+		return s.sendRemote(m.To.Node, &m)
 	}
 	p, err := s.Lookup(m.To.Name)
 	if err != nil {
@@ -495,7 +539,7 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 // routed to local waiters; requests are resolved by name locally.
 func (s *System) DeliverFromNetwork(m Message) error {
 	if m.IsReply {
-		s.completeCall(m)
+		s.completeCall(&m)
 		return nil
 	}
 	p, err := s.Lookup(m.To.Name)
@@ -503,7 +547,7 @@ func (s *System) DeliverFromNetwork(m Message) error {
 		// Send an error reply home so the caller fails fast rather than
 		// timing out.
 		if m.Corr != 0 {
-			s.routeReply(m, nil, err.Error())
+			s.routeReply(&m, nil, err.Error())
 		}
 		return err
 	}
@@ -512,14 +556,17 @@ func (s *System) DeliverFromNetwork(m Message) error {
 	return s.deliverLocal(p.pid.CPU, p, m)
 }
 
-func (s *System) reply(req Message, payload any, errStr string) error {
+// reply and the functions it calls take the request and the reply by
+// pointer: every answer passes through them, and copying the 144-byte
+// Message at each step would cost every served request time and stack.
+func (s *System) reply(req *Message, payload any, errStr string) error {
 	if req.Corr == 0 {
 		return nil // one-way message, nothing to answer
 	}
 	return s.routeReply(req, payload, errStr)
 }
 
-func (s *System) routeReply(req Message, payload any, errStr string) error {
+func (s *System) routeReply(req *Message, payload any, errStr string) error {
 	r := Message{
 		FromSys: s.node.Name(),
 		To:      Addr{Node: req.FromSys},
@@ -530,19 +577,24 @@ func (s *System) routeReply(req Message, payload any, errStr string) error {
 		Payload: payload,
 	}
 	if req.FromSys != "" && req.FromSys != s.node.Name() {
-		s.mu.Lock()
-		rem := s.remote
-		s.mu.Unlock()
-		if rem == nil {
-			return fmt.Errorf("%w: %s", ErrNoRemote, s.node.Name())
-		}
-		return rem.SendRemote(req.FromSys, r)
+		return s.sendRemote(req.FromSys, &r)
 	}
-	s.completeCall(r)
+	s.completeCall(&r)
 	return nil
 }
 
-func (s *System) completeCall(r Message) {
+// sendRemote hands m to the network for node dest.
+func (s *System) sendRemote(dest string, m *Message) error {
+	s.mu.Lock()
+	r := s.remote
+	s.mu.Unlock()
+	if r == nil {
+		return fmt.Errorf("%w: %s", ErrNoRemote, s.node.Name())
+	}
+	return r.SendRemote(dest, *m)
+}
+
+func (s *System) completeCall(r *Message) {
 	s.waitMu.Lock()
 	w, ok := s.waiters[r.Corr]
 	if ok {
@@ -550,6 +602,6 @@ func (s *System) completeCall(r Message) {
 	}
 	s.waitMu.Unlock()
 	if ok {
-		w.ch <- r
+		w.ch <- *r
 	}
 }

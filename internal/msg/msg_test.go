@@ -432,6 +432,91 @@ func TestLateReplyNeverReachesReusedSlot(t *testing.T) {
 	}
 }
 
+// TestLateReplyAfterAwaitNeverReachesReusedSlot is the nowait twin of
+// TestLateReplyNeverReachesReusedSlot: two requests are started before
+// either is awaited, the slow one's Await times out, and its reply lands
+// only afterwards. The calls that reuse the slots must each receive their
+// own reply.
+func TestLateReplyAfterAwaitNeverReachesReusedSlot(t *testing.T) {
+	s := newSys(t, 2)
+	release := make(chan struct{})
+	replied := make(chan struct{})
+	_, err := s.Spawn(1, "slow", func(p *Process) {
+		for {
+			m, err := p.Recv(context.Background())
+			if err != nil {
+				return
+			}
+			if m.Kind == "slow" {
+				<-release
+				p.Reply(m, "stale")
+				replied <- struct{}{}
+				continue
+			}
+			p.Reply(m, m.Payload)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawnEcho(t, s, 0, "echo")
+	for i := 0; i < 20; i++ {
+		slow, err := s.Start(0, Addr{Name: "slow"}, "slow", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := s.Start(0, Addr{Name: "echo"}, "echo", -i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := slow.Await(5 * time.Millisecond); !errors.Is(err, ErrCallTimeout) ||
+			!strings.Contains(err.Error(), `\.$slow slow: context deadline exceeded`) {
+			t.Fatalf("round %d: err = %v, want ErrCallTimeout naming the call", i, err)
+		}
+		if r, err := fast.Await(time.Second); err != nil || r.Payload != -i {
+			t.Fatalf("round %d: started beside the slow call: %v, %v", i, r.Payload, err)
+		}
+		release <- struct{}{}
+		<-replied // the late reply has been completed (and dropped)
+		p, err := s.Start(0, Addr{Name: "slow"}, "fast", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := p.Await(time.Second)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if r.Payload != i {
+			t.Fatalf("round %d: payload = %v, want %d", i, r.Payload, i)
+		}
+	}
+	s.waitMu.Lock()
+	left := len(s.waiters)
+	s.waitMu.Unlock()
+	if left != 0 {
+		t.Errorf("%d waiters left behind", left)
+	}
+}
+
+// TestStartToUnknownNameLeavesNoWaiter: a Start that cannot send returns
+// the error at once and nothing to await, and takes its reply slot back.
+func TestStartToUnknownNameLeavesNoWaiter(t *testing.T) {
+	s := newSys(t, 2)
+	p, err := s.Start(0, Addr{Name: "ghost"}, "echo", nil)
+	if !errors.Is(err, ErrNoSuchName) {
+		t.Fatalf("err = %v, want ErrNoSuchName", err)
+	}
+	if p != (Pending{}) {
+		t.Errorf("failed Start returned %+v, want the zero Pending", p)
+	}
+	s.waitMu.Lock()
+	left := len(s.waiters)
+	s.waitMu.Unlock()
+	if left != 0 {
+		t.Errorf("%d waiters left behind", left)
+	}
+}
+
 // TestCancelledClientCallTimesOut: cancelling the caller's context ends
 // the call with ErrCallTimeout, as a deadline does.
 func TestCancelledClientCallTimesOut(t *testing.T) {

@@ -49,10 +49,11 @@ var ErrHalted = errors.New("pair: member's cpu halted")
 // invoked from the owning member's single goroutine, so implementations
 // need no internal locking for pair-driven access.
 type App interface {
-	// Handle processes one client request on the primary. Use
+	// Handle processes one client request, ctx.Req(), on the primary. Use
 	// ctx.Checkpoint before externally visible effects and ctx.Reply /
-	// ctx.ReplyErr to answer.
-	Handle(ctx *Ctx, m msg.Message)
+	// ctx.ReplyErr to answer. An app that answers after Handle returns
+	// keeps its own copy of ctx.
+	Handle(ctx Ctx)
 	// ApplyCheckpoint absorbs one checkpoint record on the backup.
 	ApplyCheckpoint(cp any)
 	// Snapshot captures full state for seeding a new backup.
@@ -64,7 +65,9 @@ type App interface {
 	TakeOver()
 }
 
-// Ctx is passed to App.Handle.
+// Ctx is one client request and the member serving it, passed to
+// App.Handle by value: building it costs the member loop no allocation,
+// and a copy answers the request as well as the original.
 type Ctx struct {
 	pair *Pair
 	proc *msg.Process
@@ -74,20 +77,20 @@ type Ctx struct {
 // Checkpoint synchronously ships a record to the backup. It returns
 // ErrNoBackup when the pair is degraded; the caller proceeds regardless,
 // exactly as a NonStop primary would.
-func (c *Ctx) Checkpoint(cp any) error { return c.pair.checkpoint(c.proc, cp) }
+func (c Ctx) Checkpoint(cp any) error { return c.pair.checkpoint(c.proc, cp) }
 
 // Reply answers the client request.
-func (c *Ctx) Reply(payload any) error { return c.proc.Reply(c.req, payload) }
+func (c Ctx) Reply(payload any) error { return c.proc.Reply(c.req, payload) }
 
 // ReplyErr answers the client request with an error.
-func (c *Ctx) ReplyErr(err error) error { return c.proc.ReplyErr(c.req, err) }
+func (c Ctx) ReplyErr(err error) error { return c.proc.ReplyErr(c.req, err) }
 
 // Proc exposes the serving process (for issuing further calls from the
 // handler, e.g. DISCPROCESS → AUDITPROCESS).
-func (c *Ctx) Proc() *msg.Process { return c.proc }
+func (c Ctx) Proc() *msg.Process { return c.proc }
 
 // Req returns the request being handled.
-func (c *Ctx) Req() msg.Message { return c.req }
+func (c Ctx) Req() msg.Message { return c.req }
 
 // Stats counts pair activity for the experiments.
 type Stats struct {
@@ -222,7 +225,7 @@ func (pr *Pair) memberLoop(p *msg.Process, m *member) {
 			// Client request. A message can only reach us through the name
 			// registry, so we are (or have just become) the primary.
 			pr.ensurePromoted(m)
-			m.app.Handle(&Ctx{pair: pr, proc: p, req: req}, req)
+			m.app.Handle(Ctx{pair: pr, proc: p, req: req})
 		}
 	}
 }

@@ -30,7 +30,8 @@ type addOp struct {
 	N  int
 }
 
-func (a *counterApp) Handle(ctx *Ctx, m msg.Message) {
+func (a *counterApp) Handle(ctx Ctx) {
+	m := ctx.Req()
 	switch m.Kind {
 	case "add":
 		op := m.Payload.(addOp)

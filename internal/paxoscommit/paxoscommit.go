@@ -303,13 +303,6 @@ func (s *AcceptorSet) Logs() []*audit.DecisionLog {
 	return out
 }
 
-// Count returns the number of acceptor slots.
-func (s *AcceptorSet) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.acceptors)
-}
-
 // handle serves one acceptor request. Every state change is logged before
 // the reply: the ack is the durability promise.
 func (a *acceptor) handle(p *msg.Process, req msg.Message) {

@@ -234,7 +234,8 @@ func newTCPApp(t *TCP) *tcpApp {
 	return &tcpApp{tcp: t, terms: make(map[string]*termState)}
 }
 
-func (a *tcpApp) Handle(ctx *pair.Ctx, m msg.Message) {
+func (a *tcpApp) Handle(ctx pair.Ctx) {
+	m := ctx.Req()
 	switch m.Kind {
 	case kindAttach:
 		req := m.Payload.(attachReq)

@@ -3,6 +3,7 @@ package tmf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -27,25 +28,69 @@ const (
 	volRetryBackoff = 2 * time.Millisecond
 )
 
-// callVolume issues a request to a volume's DISCPROCESS on this node.
-func (m *Monitor) callVolume(vi VolumeInfo, kind string, payload any) error {
-	_, err := m.sys.CallTimeout(m.tmpCPUOrFirstUp(), msg.Addr{Name: vi.DiscName}, kind, payload, volCallTimeout)
-	return err
+// volCall is one volume's request in a callVolumes round.
+type volCall struct {
+	live  bool // sent this round: no reply yet, or the last one failed
+	pend  msg.Pending
+	start time.Time
+	dur   time.Duration
+	err   error
 }
 
-// callVolumeRetry retries a volume call with bounded linear backoff and
-// returns the last error if every attempt failed.
-func (m *Monitor) callVolumeRetry(vi VolumeInfo, kind string, payload any) error {
-	var err error
-	for attempt := 0; attempt < volRetries; attempt++ {
+// callVolumes sends kind to the DISCPROCESS of every volume in vols and
+// collects the replies on the caller's goroutine. The calls are nowait:
+// every request is on its way before the first wait, so the volumes serve
+// them — and their trails force — concurrently, without a goroutine per
+// volume. payloads holds either one request for every volume or one per
+// volume. A volume whose call failed is sent its request again, up to
+// attempts times in all, with linear backoff between rounds. done then
+// sees every volume once, in order, with its last error and the time from
+// its first send until its reply was collected.
+func (m *Monitor) callVolumes(vols []VolumeInfo, kind string, payloads []any, attempts int, done func(i int, d time.Duration, err error)) {
+	var buf [4]volCall
+	calls := buf[:]
+	if len(vols) > len(buf) {
+		calls = make([]volCall, len(vols))
+	}
+	calls = calls[:len(vols)]
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * volRetryBackoff)
 		}
-		if err = m.callVolume(vi, kind, payload); err == nil {
-			return nil
+		cpu := m.tmpCPUOrFirstUp()
+		for i := range calls {
+			c := &calls[i]
+			if c.live = attempt == 0 || c.err != nil; !c.live {
+				continue
+			}
+			if attempt == 0 {
+				c.start = time.Now()
+			}
+			payload := payloads[0]
+			if len(payloads) > 1 {
+				payload = payloads[i]
+			}
+			c.pend, c.err = m.sys.Start(cpu, msg.Addr{Name: vols[i].DiscName}, kind, payload)
+		}
+		failed := false
+		for i := range calls {
+			c := &calls[i]
+			if !c.live {
+				continue
+			}
+			if c.err == nil {
+				_, c.err = c.pend.Await(volCallTimeout)
+			}
+			c.dur = time.Since(c.start)
+			failed = failed || c.err != nil
+		}
+		if !failed {
+			break
 		}
 	}
-	return err
+	for i := range calls {
+		done(i, calls[i].dur, calls[i].err)
+	}
 }
 
 // lockProto acquires the transaction's protocol mutex, serializing
@@ -200,30 +245,30 @@ func (m *Monitor) phase1(tx txid.ID) error {
 	return err
 }
 
-// phase1Local forces this node's audit trails for the transaction, one
-// concurrent flush per participating volume (each flush blocks for the
-// trail's simulated disc-force latency, so the sequential seed paid the
-// sum of the forces; the fan-out pays the max, and flushes that share a
-// trail are coalesced by the trail's group commit).
+// phase1Local forces this node's audit trails for the transaction: one
+// flush per participating volume, all sent before the first is awaited
+// (each flush blocks for the trail's simulated disc-force latency, so the
+// sequential seed paid the sum of the forces; overlapped flushes pay the
+// max, and flushes that share a trail are coalesced by the trail's group
+// commit). The first volume that failed, in name order, is the error.
 func (m *Monitor) phase1Local(tx txid.ID) error {
 	vols, err := m.volumesOf(tx)
-	if err != nil {
+	if err != nil || len(vols) == 0 {
 		return err
 	}
-	return fanOut(vols, func(vi VolumeInfo) error {
-		start := time.Now()
-		err := m.callVolume(vi, discproc.KindFlush, discproc.FlushReq{Tx: tx})
+	var first error
+	m.callVolumes(vols, discproc.KindFlush, []any{discproc.FlushReq{Tx: tx}}, 1, func(i int, d time.Duration, err error) {
 		ev := obs.Event{Tx: tx, Kind: obs.EvForce, Node: m.node,
-			CPU: m.tmpCPUOrFirstUp(), Dur: time.Since(start), Detail: vi.Name}
+			CPU: m.tmpCPUOrFirstUp(), Dur: d, Detail: vols[i].Name}
 		if err != nil {
 			ev.Err = err.Error()
+			if first == nil {
+				first = fmt.Errorf("flush %s: %w", vols[i].Name, err)
+			}
 		}
 		m.tracer.Record(ev)
-		if err != nil {
-			return fmt.Errorf("flush %s: %w", vi.Name, err)
-		}
-		return nil
 	})
+	return first
 }
 
 // phase1Children sends the critical-response phase-one request to every
@@ -243,43 +288,37 @@ func (m *Monitor) phase1Children(tx txid.ID, children []string) error {
 }
 
 // releaseLocal tells every participating DISCPROCESS on this node to
-// release the transaction's locks (phase two), in parallel and with
+// release the transaction's locks (phase two), all at once and with
 // bounded retry: the seed discarded these errors, so one transient
 // DISCPROCESS timeout leaked the transaction's locks on that volume until
 // manual intervention. A volume that still fails after the retries is
 // counted in Stats.UnreleasedVolumes.
 func (m *Monitor) releaseLocal(tx txid.ID) {
 	vols, err := m.volumesOf(tx)
-	if err != nil {
+	if err != nil || len(vols) == 0 {
 		return
 	}
-	_ = fanOut(vols, func(vi VolumeInfo) error {
-		start := time.Now()
-		err := m.callVolumeRetry(vi, discproc.KindEndTx, discproc.EndTxReq{Tx: tx})
+	m.callVolumes(vols, discproc.KindEndTx, []any{discproc.EndTxReq{Tx: tx}}, volRetries, func(i int, d time.Duration, err error) {
 		ev := obs.Event{Tx: tx, Kind: obs.EvPhase2Release, Node: m.node,
-			CPU: m.tmpCPUOrFirstUp(), Dur: time.Since(start), Detail: vi.Name}
+			CPU: m.tmpCPUOrFirstUp(), Dur: d, Detail: vols[i].Name}
 		if err != nil {
 			ev.Err = err.Error()
 			m.cUnreleased.Inc()
 		}
 		m.tracer.Record(ev)
-		return nil
 	})
 }
 
 // freezeLocal marks the transaction ended-for-new-work at every
 // participating DISCPROCESS, while its locks stay held. Run before backout
-// so no straggler operation can interleave with the undo. Freezes fan out
-// in parallel with bounded retry.
+// so no straggler operation can interleave with the undo. Freezes go to
+// every volume at once, with bounded retry.
 func (m *Monitor) freezeLocal(tx txid.ID) {
 	vols, err := m.volumesOf(tx)
-	if err != nil {
+	if err != nil || len(vols) == 0 {
 		return
 	}
-	_ = fanOut(vols, func(vi VolumeInfo) error {
-		_ = m.callVolumeRetry(vi, discproc.KindFreeze, discproc.EndTxReq{Tx: tx})
-		return nil
-	})
+	m.callVolumes(vols, discproc.KindFreeze, []any{discproc.EndTxReq{Tx: tx}}, volRetries, func(int, time.Duration, error) {})
 }
 
 // Abort backs out a transaction: voluntary (ABORT-TRANSACTION /
@@ -389,9 +428,9 @@ func (m *Monitor) AbortReason(tx txid.ID) string {
 // bounded backoff; a trail that still cannot be read is counted in
 // Stats.BackoutScanFailures and reported to the caller — the seed
 // silently skipped such a trail, leaving its images un-undone. Per-volume
-// undo sends fan out in parallel (volumes are independent; each applies
-// its own images in reverse LSN order), best-effort with every failure
-// collected into the returned error.
+// undos are all sent before the first is awaited (volumes are
+// independent; each applies its own images in reverse LSN order),
+// best-effort with every failure collected into the returned error.
 func (m *Monitor) backoutLocal(tx txid.ID) error {
 	vols, err := m.volumesOf(tx)
 	if err != nil || len(vols) == 0 {
@@ -403,13 +442,9 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 
 	// Scan each distinct audit trail once (volumes may share one).
 	cpu := m.tmpCPUOrFirstUp()
-	type volImages struct {
-		vi     VolumeInfo
-		images []audit.Image
-	}
-	byVol := make(map[string]*volImages)
+	byVol := make(map[string][]audit.Image, len(vols))
 	for _, vi := range vols {
-		byVol[vi.Name] = &volImages{vi: vi}
+		byVol[vi.Name] = nil
 	}
 	var trailNames []string
 	scanned := make(map[string]bool)
@@ -449,38 +484,32 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 		}
 		for _, img := range imgs {
 			if v, ok := byVol[img.Volume]; ok {
-				v.images = append(v.images, img)
+				byVol[img.Volume] = append(v, img)
 			}
 		}
 	}
 
-	var targets []*volImages
-	for _, v := range byVol {
-		if len(v.images) > 0 {
-			targets = append(targets, v)
+	var (
+		targets []VolumeInfo
+		undos   []any
+	)
+	for _, vi := range vols {
+		if imgs := byVol[vi.Name]; len(imgs) > 0 {
+			slices.Reverse(imgs)
+			targets = append(targets, vi)
+			undos = append(undos, discproc.UndoReq{Tx: tx, Images: imgs})
 		}
 	}
-	undoErr := fanOut(targets, func(v *volImages) error {
-		rev := make([]audit.Image, len(v.images))
-		for i, img := range v.images {
-			rev[len(v.images)-1-i] = img
-		}
-		start := time.Now()
-		err := m.callVolumeRetry(v.vi, discproc.KindUndo, discproc.UndoReq{Tx: tx, Images: rev})
-		ev := obs.Event{Tx: tx, Kind: obs.EvUndoSend, Node: m.node, CPU: cpu,
-			Dur: time.Since(start), Detail: fmt.Sprintf("%s (%d images)", v.vi.Name, len(rev))}
+	m.callVolumes(targets, discproc.KindUndo, undos, volRetries, func(i int, d time.Duration, err error) {
+		vi := targets[i]
+		ev := obs.Event{Tx: tx, Kind: obs.EvUndoSend, Node: m.node, CPU: cpu, Dur: d,
+			Detail: fmt.Sprintf("%s (%d images)", vi.Name, len(byVol[vi.Name]))}
 		if err != nil {
 			ev.Err = err.Error()
+			errs = append(errs, fmt.Errorf("undo on %s: %w", vi.Name, err))
 		}
 		m.tracer.Record(ev)
-		if err != nil {
-			return fmt.Errorf("undo on %s: %w", v.vi.Name, err)
-		}
-		return nil
 	})
-	if undoErr != nil {
-		errs = append(errs, undoErr)
-	}
 	if len(errs) == 0 {
 		return nil
 	}

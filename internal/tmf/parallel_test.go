@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,8 +91,8 @@ func (mn *multiVolNode) discCall(t *testing.T, disc, kind string, payload any) m
 }
 
 // TestParallelPhase1MultiVolume: phase one across N independent trails
-// pays roughly one force latency, not the sum — the fan-out runs the
-// per-volume flushes concurrently.
+// pays roughly one force latency, not the sum — every per-volume flush is
+// on its way before the first is awaited, so they are served concurrently.
 func TestParallelPhase1MultiVolume(t *testing.T) {
 	const (
 		nvols = 8
@@ -112,7 +113,7 @@ func TestParallelPhase1MultiVolume(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	// Sequential phase one would pay >= nvols*delay = 80ms in trail forces
-	// alone; the parallel fan-out should land well under that.
+	// alone; overlapped flushes should land well under that.
 	if elapsed >= time.Duration(nvols)*delay*3/4 {
 		t.Errorf("parallel commit took %v, want well under the sequential %v", elapsed, time.Duration(nvols)*delay)
 	}
@@ -246,6 +247,57 @@ func TestReleaseFailureCounted(t *testing.T) {
 	}
 	if st := mn.mon.Stats(); st.Aborted != 1 {
 		t.Errorf("aborted = %d, want 1", st.Aborted)
+	}
+}
+
+// TestReleaseRetriesOneVolumeOfTwo: with one of a transaction's two
+// volumes served by a DISCPROCESS that fails every lock release, phase two
+// sends that volume its release volRetries times and counts it in
+// UnreleasedVolumes once, while the other volume, awaited in the same
+// first round, releases its locks.
+func TestReleaseRetriesOneVolumeOfTwo(t *testing.T) {
+	mn := buildMultiVolNode(t, expand.NewNetwork(0), "a", 1, 0)
+	var releases atomic.Int32
+	if _, err := mn.sys.Spawn(2, "stuck-disc", func(p *msg.Process) {
+		for {
+			m, err := p.Recv(context.Background())
+			if err != nil {
+				return
+			}
+			if m.Kind == discproc.KindEndTx {
+				releases.Add(1)
+				p.ReplyErr(m, errors.New("release failed"))
+				continue
+			}
+			p.Reply(m, nil) // the flush: phase one passes
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mn.mon.AddVolume(VolumeInfo{Name: "stuck", DiscName: "stuck-disc"})
+	tx, err := mn.mon.Begin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mn.discCall(t, mn.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
+	if err := mn.mon.RegisterLocalVolume(tx, "stuck"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mn.mon.End(tx); err != nil {
+		t.Fatalf("End: %v", err)
+	}
+	if n := releases.Load(); n != volRetries {
+		t.Errorf("stuck volume was sent %d releases, want %d", n, volRetries)
+	}
+	if n := mn.mon.Stats().UnreleasedVolumes; n != 1 {
+		t.Errorf("UnreleasedVolumes = %d, want 1", n)
+	}
+	tx2, err := mn.mon.Begin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mn.tryDiscCall(mn.discs[0], discproc.KindRead, discproc.ReadReq{Tx: tx2, File: "data", Key: "k", WithLock: true, LockTimeout: 50 * time.Millisecond}); err != nil {
+		t.Errorf("the healthy volume kept the committed transaction's lock: %v", err)
 	}
 }
 

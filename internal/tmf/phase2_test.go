@@ -178,44 +178,55 @@ func TestAbortWaitsForEveryChild(t *testing.T) {
 }
 
 // singleNodeEndAllocs is what End costs a transaction with one local volume
-// and no children (measured by this test's own loop: 14.1-14.2 over eight
-// runs; 26 while phase one ran its local half on a goroutine of its own
-// and the volume's lock table built a map per transaction, 69 while every
-// message call built its own timeout context and reply channel, 73 when
-// phase two moved behind the reply, 71 while each of End's four
-// participant snapshots still built both sorted slices). Under -race
-// sync.Pool drops reply slots on purpose, so the pin is not checked there.
-const singleNodeEndAllocs = 14
+// and no children (measured by this test's own loop: 9.1-9.2 over five
+// runs; 14 while every pair request built its context on the heap and the
+// DISCPROCESS scheduler allocated a job per request, 26 while phase one
+// ran its local half on a goroutine of its own and the volume's lock table
+// built a map per transaction, 69 while every message call built its own
+// timeout context and reply channel, 73 when phase two moved behind the
+// reply, 71 while each of End's four participant snapshots still built
+// both sorted slices). Under -race sync.Pool drops reply slots on purpose,
+// so the pin is not checked there.
+const singleNodeEndAllocs = 9
+
+// twoVolumeEndAllocs is what End costs a transaction with two local
+// volumes on separate trails and no children (measured: 14.2 over five
+// runs; 38.3-38.6 while the flushes and the lock releases each went
+// through a goroutine per volume, a WaitGroup, a mutex and an error cell,
+// every pair request built its context on the heap and the DISCPROCESS
+// scheduler allocated a job per request).
+const twoVolumeEndAllocs = 14
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestSingleNodeEndSpawnsNothing: a transaction with no children has no
-// phase two to deliver, so End must cost it exactly what it did when phase
-// two was inline — no goroutine left behind, no allocation added.
-func TestSingleNodeEndSpawnsNothing(t *testing.T) {
-	nodes, _ := testCluster(t, "a")
-	a := nodes["a"]
+// endAllocs commits 220 transactions on mon, each given its work by
+// prepare, and returns End's mean allocation count over the last 200 (the
+// first 20 warm the pools and lazily built tables). The count covers every
+// goroutine, so the DISCPROCESSes and AUDITPROCESSes serving End are in
+// it. End must also leave no goroutine and no phase two behind.
+func endAllocs(t *testing.T, mon *Monitor, prepare func(tx txid.ID, i int)) float64 {
+	t.Helper()
 	commit := func(i int, measure bool) uint64 {
-		tx, err := a.mon.Begin(0)
+		tx, err := mon.Begin(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.insert(t, "a", tx, fmt.Sprintf("k%d", i), "v")
+		prepare(tx, i)
 		var before, after runtime.MemStats
 		if measure {
 			runtime.ReadMemStats(&before)
 		}
-		if err := a.mon.End(tx); err != nil {
+		if err := mon.End(tx); err != nil {
 			t.Fatal(err)
 		}
 		if measure {
 			runtime.ReadMemStats(&after)
 		}
-		a.mon.Forget(tx)
+		mon.Forget(tx)
 		return after.Mallocs - before.Mallocs
 	}
-	for i := 0; i < 20; i++ { // warm the pools and lazily built tables
+	for i := 0; i < 20; i++ {
 		commit(i, false)
 	}
 	goroutines := runtime.NumGoroutine()
@@ -224,13 +235,43 @@ func TestSingleNodeEndSpawnsNothing(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		mallocs += commit(100+i, true)
 	}
-	if per := float64(mallocs) / runs; !raceEnabled && per > singleNodeEndAllocs+0.5 {
-		t.Errorf("single-node End = %.1f allocs, want %d", per, singleNodeEndAllocs)
-	}
-	if st := a.mon.Stats(); st.Phase2Outstanding != 0 {
+	if st := mon.Stats(); st.Phase2Outstanding != 0 {
 		t.Errorf("Phase2Outstanding = %d after single-node commits", st.Phase2Outstanding)
 	}
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= goroutines })
+	return float64(mallocs) / runs
+}
+
+// TestSingleNodeEndSpawnsNothing: a transaction with no children has no
+// phase two to deliver, so End must cost it exactly what it did when phase
+// two was inline — no goroutine left behind, no allocation added.
+func TestSingleNodeEndSpawnsNothing(t *testing.T) {
+	nodes, _ := testCluster(t, "a")
+	a := nodes["a"]
+	per := endAllocs(t, a.mon, func(tx txid.ID, i int) {
+		a.insert(t, "a", tx, fmt.Sprintf("k%d", i), "v")
+	})
+	t.Logf("single-node End = %.2f allocs", per)
+	if !raceEnabled && per > singleNodeEndAllocs+0.5 {
+		t.Errorf("single-node End = %.1f allocs, want %d", per, singleNodeEndAllocs)
+	}
+}
+
+// TestTwoVolumeEndSpawnsNothing: the flushes and lock releases of two
+// local volumes are sent nowait and awaited on End's own goroutine, so a
+// second volume adds its messages and nothing else — no goroutine, no
+// WaitGroup, no error cell.
+func TestTwoVolumeEndSpawnsNothing(t *testing.T) {
+	mn := buildMultiVolNode(t, expand.NewNetwork(0), "a", 2, 0)
+	per := endAllocs(t, mn.mon, func(tx txid.ID, i int) {
+		for _, disc := range mn.discs {
+			mn.discCall(t, disc, discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: fmt.Sprintf("k%d", i), Val: []byte("v")})
+		}
+	})
+	t.Logf("two-volume End = %.2f allocs", per)
+	if !raceEnabled && per > twoVolumeEndAllocs+0.5 {
+		t.Errorf("two-volume End = %.1f allocs, want %d", per, twoVolumeEndAllocs)
+	}
 }
 
 // TestFlushSafeQueueNoHeadOfLineBlocking: with outcomes queued for two

@@ -70,8 +70,10 @@ type tmpApp struct {
 // served inline, one transaction's Monitor-Audit-Trail force would stall
 // the remote-begin and phase one of every other transaction behind it in
 // this single-goroutine TMP. The goroutines touch only the Monitor, whose
-// tcb.protoMu keeps each transaction's protocol steps in order.
-func (a *tmpApp) Handle(ctx *pair.Ctx, req msg.Message) {
+// tcb.protoMu keeps each transaction's protocol steps in order, and each
+// gets its own copy of ctx as an argument.
+func (a *tmpApp) Handle(ctx pair.Ctx) {
+	req := ctx.Req()
 	switch req.Kind {
 	case kindRemoteBegin:
 		r := req.Payload.(tmpReq)
@@ -79,27 +81,8 @@ func (a *tmpApp) Handle(ctx *pair.Ctx, req msg.Message) {
 		// state to all processors on this node.
 		known := a.m.beginRemote(r.Tx, r.Source)
 		ctx.Reply(beginResp{AlreadyKnown: known})
-	case kindPhase1:
-		r := req.Payload.(tmpReq)
-		go func() {
-			if err := a.m.phase1Inbound(r.Tx); err != nil {
-				ctx.ReplyErr(err)
-				return
-			}
-			ctx.Reply(nil)
-		}()
-	case kindEnded:
-		r := req.Payload.(tmpReq)
-		go func() {
-			a.m.applyEnded(r.Tx)
-			ctx.Reply(nil)
-		}()
-	case kindAborting:
-		r := req.Payload.(tmpReq)
-		go func() {
-			a.m.applyAborting(r.Tx)
-			ctx.Reply(nil)
-		}()
+	case kindPhase1, kindEnded, kindAborting:
+		go a.serveAsync(ctx, req.Kind, req.Payload.(tmpReq).Tx)
 	case kindQuery:
 		r := req.Payload.(tmpReq)
 		resp := QueryResp{State: a.m.State(r.Tx), Protocol: a.m.ProtocolName()}
@@ -112,6 +95,22 @@ func (a *tmpApp) Handle(ctx *pair.Ctx, req msg.Message) {
 	default:
 		ctx.ReplyErr(fmt.Errorf("tmf: unknown TMP request %q", req.Kind))
 	}
+}
+
+// serveAsync runs phase one, ENDED or ABORTING for tx and answers ctx.
+func (a *tmpApp) serveAsync(ctx pair.Ctx, kind string, tx txid.ID) {
+	switch kind {
+	case kindPhase1:
+		if err := a.m.phase1Inbound(tx); err != nil {
+			ctx.ReplyErr(err)
+			return
+		}
+	case kindEnded:
+		a.m.applyEnded(tx)
+	case kindAborting:
+		a.m.applyAborting(tx)
+	}
+	ctx.Reply(nil)
 }
 
 func (a *tmpApp) ApplyCheckpoint(any) {}

@@ -26,8 +26,19 @@ type ID struct {
 // IsZero reports whether the ID is unset.
 func (id ID) IsZero() bool { return id == ID{} }
 
-// String renders the transid as \home(cpu).seq, the paper's notation.
-func (id ID) String() string { return fmt.Sprintf(`\%s(%d).%d`, id.Home, id.CPU, id.Seq) }
+// String renders the transid as \home(cpu).seq, the paper's notation. It
+// is built in a stack buffer, so the string is the one allocation (for
+// any home name of up to 20 bytes).
+func (id ID) String() string {
+	var buf [64]byte
+	b := append(buf[:0], '\\')
+	b = append(b, id.Home...)
+	b = append(b, '(')
+	b = strconv.AppendInt(b, int64(id.CPU), 10)
+	b = append(b, ")."...)
+	b = strconv.AppendUint(b, id.Seq, 10)
+	return string(b)
+}
 
 // ErrBadID reports a transid string that does not parse.
 var ErrBadID = errors.New("txid: malformed transid")

@@ -9,6 +9,15 @@ func TestString(t *testing.T) {
 	}
 }
 
+// TestStringAllocatesOnce: String runs once per BEGIN; it builds the
+// transid in a stack buffer and allocates only the string.
+func TestStringAllocatesOnce(t *testing.T) {
+	id := ID{Home: "cupertino", CPU: 3, Seq: 1<<32 + 42}
+	if n := testing.AllocsPerRun(100, func() { _ = id.String() }); n != 1 {
+		t.Errorf("String = %v allocs, want 1", n)
+	}
+}
+
 func TestIsZero(t *testing.T) {
 	if !(ID{}).IsZero() {
 		t.Error("zero ID should report IsZero")
