@@ -4,8 +4,10 @@ package audit
 
 type Client struct{}
 
-func (*Client) Append(cpu int, imgs []byte) (uint64, error) { return 0, nil }
-func (*Client) Force(cpu int, upTo uint64) error            { return nil }
+type AppendReq struct{ Images []byte }
+
+func (*Client) Append(fromCPU int, req *AppendReq) error { return nil }
+func (*Client) Force(cpu int, upTo uint64) error         { return nil }
 
 // Ctx has a value receiver, as the pair package's does: a call through a
 // value and a call through a pointer must both be seen.
@@ -42,7 +44,7 @@ func good(c *Client, ctx Ctx, p *Process) error {
 	}
 	// An explicit discard is visible intent, not a silent drop.
 	_ = p.Send(nil, nil, nil)
-	if _, err := c.Append(0, nil); err != nil {
+	if err := c.Append(0, &AppendReq{}); err != nil {
 		return err
 	}
 	return c.Force(0, 1)

@@ -27,7 +27,10 @@ func (Ctx) Checkpoint(rec any) error { return nil }
 
 type Client struct{}
 
-func (*Client) Force(cpu int, upTo uint64) error { return nil }
+type AppendReq struct{ Images []byte }
+
+func (*Client) Append(fromCPU int, req *AppendReq) error { return nil }
+func (*Client) Force(cpu int, upTo uint64) error         { return nil }
 
 type server struct {
 	mu   sync.Mutex
@@ -80,6 +83,12 @@ func (s *server) badDefer(cl *Client) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return cl.Force(0, 1) // want "blocking Client.Force while holding mutex s.mu"
+}
+
+func (s *server) badAppend(cl *Client, req *AppendReq) {
+	s.mu.Lock()
+	_ = cl.Append(0, req) // want "blocking Client.Append while holding mutex s.mu"
+	s.mu.Unlock()
 }
 
 // goodAfterUnlock: snapshot under the lock, send outside it.

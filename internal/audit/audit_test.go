@@ -153,12 +153,19 @@ func TestAuditProcessRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := NewClient(sys, "audit-1")
-	last, err := cl.Append(2, []Image{img(tx(9), "k1", ImageInsert), img(tx(9), "k2", ImageUpdate)})
-	if err != nil {
+	req := &AppendReq{Images: []Image{img(tx(9), "k1", ImageInsert), img(tx(9), "k2", ImageUpdate)}}
+	if err := cl.Append(2, req); err != nil {
 		t.Fatal(err)
 	}
+	last := trail.AppendedLSN()
 	if last != 2 {
 		t.Errorf("last LSN = %d, want 2", last)
+	}
+	// The trail reads the request and never writes it.
+	for _, im := range req.Images {
+		if im.LSN != 0 {
+			t.Errorf("append wrote LSN %d into the sender's image", im.LSN)
+		}
 	}
 	if err := cl.Force(2, last); err != nil {
 		t.Fatal(err)
@@ -183,16 +190,15 @@ func TestAuditProcessSurvivesPrimaryFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := NewClient(sys, "audit-1")
-	if _, err := cl.Append(2, []Image{img(tx(1), "k", ImageInsert)}); err != nil {
+	if err := cl.Append(2, &AppendReq{Images: []Image{img(tx(1), "k", ImageInsert)}}); err != nil {
 		t.Fatal(err)
 	}
 	node.FailCPU(0)
 	// The backup serves the same trail: nothing is lost.
-	last, err := cl.Append(2, []Image{img(tx(1), "k2", ImageInsert)})
-	if err != nil {
+	if err := cl.Append(2, &AppendReq{Images: []Image{img(tx(1), "k2", ImageInsert)}}); err != nil {
 		t.Fatalf("append after takeover: %v", err)
 	}
-	if last != 2 {
+	if last := trail.AppendedLSN(); last != 2 {
 		t.Errorf("LSN continuity broken: %d", last)
 	}
 	imgs, err := cl.Scan(2, tx(1))

@@ -55,11 +55,11 @@ type DecisionRecord struct {
 
 // DecisionLog is an append-only, hash-chained, checksummed log of
 // DecisionRecords, framed by the audit trail's own record codec (u32
-// length | u64 LSN | body | SHA-256 chain | CRC-32C; appendFrame and
-// readFrame), so the acceptor's durable state carries the integrity
-// properties the trail format established: a reload replays only records
-// whose CRC and chain verify, and VerifyChain can audit the whole
-// history at any time.
+// length | u64 LSN | body | SHA-256 chain | CRC-32C; openFrame,
+// closeFrame and readFrame), so the acceptor's durable state carries the
+// integrity properties the trail format established: a reload replays
+// only records whose CRC and chain verify, and VerifyChain can audit the
+// whole history at any time.
 type DecisionLog struct {
 	name       string
 	forceDelay time.Duration
@@ -81,20 +81,18 @@ func NewDecisionLog(name string, forceDelay time.Duration) *DecisionLog {
 // Name returns the log's name.
 func (l *DecisionLog) Name() string { return l.name }
 
-// encodeDecisionBody renders the record fields after the framed LSN.
-func encodeDecisionBody(r *DecisionRecord) []byte {
-	b := make([]byte, 0, 64)
+// appendDecisionBody appends the record fields after the framed LSN to b.
+func appendDecisionBody(b []byte, r *DecisionRecord) []byte {
 	b = append(b, byte(r.Kind))
-	b = putBlob(b, []byte(r.Tx.Home))
+	b = putStr(b, r.Tx.Home)
 	b = putU32(b, uint32(r.Tx.CPU))
 	b = putU64(b, r.Tx.Seq)
-	b = putBlob(b, []byte(r.Instance))
+	b = putStr(b, r.Instance)
 	b = putU64(b, r.Ballot)
-	b = append(b, r.Value)
-	return b
+	return append(b, r.Value)
 }
 
-// decodeDecisionBody parses what encodeDecisionBody produced.
+// decodeDecisionBody parses what appendDecisionBody produced.
 func decodeDecisionBody(b []byte) (DecisionRecord, error) {
 	var r DecisionRecord
 	if len(b) < 1 {
@@ -124,8 +122,9 @@ func decodeDecisionBody(b []byte) (DecisionRecord, error) {
 func (l *DecisionLog) Append(r DecisionRecord) uint64 {
 	l.mu.Lock()
 	r.LSN = uint64(len(l.recs)) + 1
-	l.starts = append(l.starts, len(l.buf))
-	l.buf, l.chain = appendFrame(l.buf, r.LSN, encodeDecisionBody(&r), l.chain)
+	buf, start := openFrame(l.buf, r.LSN)
+	l.starts = append(l.starts, start)
+	l.buf, l.chain = closeFrame(appendDecisionBody(buf, &r), start, l.chain)
 	l.recs = append(l.recs, r)
 	delay := l.forceDelay
 	l.mu.Unlock()

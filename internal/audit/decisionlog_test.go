@@ -69,7 +69,7 @@ func TestDecisionRecordRoundTrip(t *testing.T) {
 		{LSN: 2, Tx: txid.ID{Home: "a-long-node-name", CPU: 15, Seq: 1 << 60}, Kind: DecisionAccept, Instance: "x", Ballot: ^uint64(0), Value: 255},
 	}
 	for i, r := range cases {
-		body := encodeDecisionBody(&r)
+		body := appendDecisionBody(nil, &r)
 		got, err := decodeDecisionBody(body)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)

@@ -16,14 +16,13 @@ const (
 	KindScan   = "audit.scan"
 )
 
-// AppendReq carries a batch of images from a DISCPROCESS.
+// AppendReq carries a batch of images from a DISCPROCESS. It is sent by
+// pointer (the AUDITPROCESS is on the sender's node, so the request is
+// never encoded), and it is immutable once sent: the AUDITPROCESS only
+// reads it, and a DISCPROCESS's backup may hold the same request for a
+// takeover re-append.
 type AppendReq struct {
 	Images []Image
-}
-
-// AppendResp returns the last assigned LSN.
-type AppendResp struct {
-	LastLSN uint64
 }
 
 // ForceReq write-forces a transaction's images (phase one of commit).
@@ -43,7 +42,6 @@ type ScanResp struct {
 
 func init() {
 	msg.RegisterPayload(AppendReq{})
-	msg.RegisterPayload(AppendResp{})
 	msg.RegisterPayload(ForceReq{})
 	msg.RegisterPayload(ScanReq{})
 	msg.RegisterPayload(ScanResp{})
@@ -62,9 +60,8 @@ func (a *processApp) Handle(ctx pair.Ctx) {
 	m := ctx.Req()
 	switch m.Kind {
 	case KindAppend:
-		req := m.Payload.(AppendReq)
-		last := a.trail.AppendBatch(req.Images)
-		ctx.Reply(AppendResp{LastLSN: last})
+		a.trail.AppendBatch(m.Payload.(*AppendReq).Images)
+		ctx.Reply(nil)
 	case KindForce:
 		// A force blocks for the simulated disc latency. Served inline it
 		// would stall this single-goroutine process — serializing
@@ -135,13 +132,12 @@ func (c *Client) call(fromCPU int, kind string, payload any) (msg.Message, error
 	return c.sys.CallTimeout(fromCPU, c.addr, kind, payload, callTimeout)
 }
 
-// Append ships a batch of images, returning the last LSN.
-func (c *Client) Append(fromCPU int, imgs []Image) (uint64, error) {
-	r, err := c.call(fromCPU, KindAppend, AppendReq{Images: imgs})
-	if err != nil {
-		return 0, err
-	}
-	return r.Payload.(AppendResp).LastLSN, nil
+// Append ships a batch of images. The reply carries nothing: a caller
+// that must make them durable forces everything appended (Force with 0),
+// as a flush does.
+func (c *Client) Append(fromCPU int, req *AppendReq) error {
+	_, err := c.call(fromCPU, KindAppend, req)
+	return err
 }
 
 // Force write-forces the trail up to the given LSN (0 = everything).

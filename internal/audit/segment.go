@@ -77,6 +77,13 @@ func putBlob(b []byte, v []byte) []byte {
 	return append(b, v...)
 }
 
+// putStr appends a string in putBlob's non-nil form, without converting
+// it to a byte slice first.
+func putStr(b []byte, s string) []byte {
+	b = putU32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
 // blobReader walks an encoded record body with bounds checking.
 type blobReader struct {
 	b   []byte
@@ -130,20 +137,18 @@ func (r *blobReader) fail(why string) {
 	}
 }
 
-// encodeBody renders the Image fields (everything but the LSN, which is
-// part of the record framing).
-func encodeBody(img *Image) []byte {
-	b := make([]byte, 0, 64+len(img.Before)+len(img.After))
-	b = putBlob(b, []byte(img.Tx.Home))
+// appendBody appends the Image fields (everything but the LSN, which is
+// part of the record framing) to b.
+func appendBody(b []byte, img *Image) []byte {
+	b = putStr(b, img.Tx.Home)
 	b = putU32(b, uint32(img.Tx.CPU))
 	b = putU64(b, img.Tx.Seq)
 	b = append(b, byte(img.Kind)&kindFieldBits)
-	b = putBlob(b, []byte(img.Volume))
-	b = putBlob(b, []byte(img.File))
-	b = putBlob(b, []byte(img.Key))
+	b = putStr(b, img.Volume)
+	b = putStr(b, img.File)
+	b = putStr(b, img.Key)
 	b = putBlob(b, img.Before)
-	b = putBlob(b, img.After)
-	return b
+	return putBlob(b, img.After)
 }
 
 // decodeBody parses an encoded Image body. The returned Image's byte
@@ -180,23 +185,26 @@ func decodeBody(b []byte) (Image, error) {
 	return img, nil
 }
 
-// appendFrame appends one framed record — length, LSN, body, chain, CRC,
-// as laid out above — to dst, and returns the extended buffer plus the
-// advanced chain value. It is the one writer of the record format: audit
-// trail segments and decision logs both frame through it.
-func appendFrame(dst []byte, lsn uint64, body []byte, prev [chainLen]byte) ([]byte, [chainLen]byte) {
-	payload := make([]byte, 0, 8+len(body))
-	payload = putU64(payload, lsn)
-	payload = append(payload, body...)
-	chain := chainHash(prev, payload)
-
-	recLen := len(payload) + chainLen + 4
-	dst = putU32(dst, uint32(recLen))
+// openFrame starts one framed record, as laid out above, at the tail of
+// dst: a length placeholder and the LSN. The caller appends the body
+// straight after them and seals the record with closeFrame, which needs
+// the returned start offset. The pair is the one writer of the record
+// format: audit trail segments and decision logs both frame through it,
+// in place in their own buffers.
+func openFrame(dst []byte, lsn uint64) ([]byte, int) {
 	start := len(dst)
-	dst = append(dst, payload...)
+	dst = putU32(dst, 0)
+	return putU64(dst, lsn), start
+}
+
+// closeFrame seals the record opened at start: it appends the chain and
+// the CRC, patches the length, and returns the extended buffer plus the
+// advanced chain value.
+func closeFrame(dst []byte, start int, prev [chainLen]byte) ([]byte, [chainLen]byte) {
+	chain := chainHash(prev, dst[start+4:])
 	dst = append(dst, chain[:]...)
-	crc := crc32.Checksum(dst[start:], castagnoli)
-	dst = putU32(dst, crc)
+	dst = putU32(dst, crc32.Checksum(dst[start+4:], castagnoli))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst, chain
 }
 
@@ -238,7 +246,15 @@ func readFrame(b []byte, prev [chainLen]byte, wantLSN uint64) (lsn uint64, body 
 // encodeRecord appends the framed record for img to dst and returns the
 // extended buffer plus the advanced chain value. img.LSN must be set.
 func encodeRecord(dst []byte, img *Image, prev [chainLen]byte) ([]byte, [chainLen]byte) {
-	return appendFrame(dst, img.LSN, encodeBody(img), prev)
+	return appendRecord(dst, img.LSN, img, prev)
+}
+
+// appendRecord frames img under lsn at the tail of dst, in place. It
+// reads img and never writes it: the trail appends images a DISCPROCESS
+// still holds, immutable once sent, so the LSN travels beside the image.
+func appendRecord(dst []byte, lsn uint64, img *Image, prev [chainLen]byte) ([]byte, [chainLen]byte) {
+	dst, start := openFrame(dst, lsn)
+	return closeFrame(appendBody(dst, img), start, prev)
 }
 
 // decodeRecord parses and fully verifies (readFrame) one record at the
@@ -260,6 +276,14 @@ func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64) (Image, [chainL
 // segment is one numbered trail file: an append-only byte buffer of
 // framed records plus the indexes needed to read it without decoding
 // everything.
+//
+// The per-transaction index is a linked list threaded through the
+// records: byTx holds each transaction's first and last record index, and
+// next, parallel to offsets, links every record to its transaction's
+// following one. Indexing a record therefore writes two slots and, for a
+// transaction's first record in the segment, one map entry; nothing is
+// allocated per record beyond the amortized growth of the slices and the
+// map.
 type segment struct {
 	num       int
 	base      uint64 // LSN of first record
@@ -267,26 +291,43 @@ type segment struct {
 	prevChain [chainLen]byte
 	endChain  [chainLen]byte
 	buf       []byte
-	offsets   []int               // byte offset of each record in buf
-	byTx      map[txid.ID][]int32 // record indexes within the segment, in order
+	offsets   []int              // byte offset of each record in buf
+	next      []int32            // index of the same transaction's next record, or -1
+	byTx      map[txid.ID]txSpan // first and last record of each transaction
 	sealed    bool
 }
+
+// txSpan bounds one transaction's list of records within a segment.
+type txSpan struct{ first, last int32 }
 
 func newSegment(num int, base, gen uint64, prevChain [chainLen]byte) *segment {
 	return &segment{
 		num: num, base: base, gen: gen,
 		prevChain: prevChain, endChain: prevChain,
-		byTx: make(map[txid.ID][]int32),
+		byTx: make(map[txid.ID]txSpan),
 	}
 }
 
 func (s *segment) count() int { return len(s.offsets) }
 
-// append encodes img at the segment tail.
-func (s *segment) append(img *Image) {
+// append frames img under lsn at the segment tail.
+func (s *segment) append(lsn uint64, img *Image) {
 	s.offsets = append(s.offsets, len(s.buf))
-	s.buf, s.endChain = encodeRecord(s.buf, img, s.endChain)
-	s.byTx[img.Tx] = append(s.byTx[img.Tx], int32(len(s.offsets)-1))
+	s.buf, s.endChain = appendRecord(s.buf, lsn, img, s.endChain)
+	s.indexLast(img.Tx)
+}
+
+// indexLast links the segment's last record, already in offsets, into
+// tx's list.
+func (s *segment) indexLast(tx txid.ID) {
+	i := int32(len(s.offsets) - 1)
+	s.next = append(s.next, -1)
+	if sp, ok := s.byTx[tx]; ok {
+		s.next[sp.last] = i
+		s.byTx[tx] = txSpan{sp.first, i}
+	} else {
+		s.byTx[tx] = txSpan{i, i}
+	}
 }
 
 // chainBefore returns the chain value entering record i.
@@ -329,23 +370,26 @@ func (s *segment) truncate(keep int) {
 	}
 	s.buf = s.buf[:cut]
 	s.offsets = s.offsets[:keep]
+	s.next = s.next[:keep]
 	if keep == 0 {
 		s.endChain = s.prevChain
 	} else {
 		s.endChain = s.chainOf(keep - 1)
 	}
-	for tx, idxs := range s.byTx {
-		kept := idxs[:0]
-		for _, i := range idxs {
-			if int(i) < keep {
-				kept = append(kept, i)
-			}
-		}
-		if len(kept) == 0 {
+	for tx, sp := range s.byTx {
+		if int(sp.first) >= keep {
 			delete(s.byTx, tx)
-		} else {
-			s.byTx[tx] = kept
+			continue
 		}
+		if int(sp.last) < keep {
+			continue
+		}
+		last := sp.first
+		for n := s.next[last]; n >= 0 && int(n) < keep; n = s.next[n] {
+			last = n
+		}
+		s.next[last] = -1
+		s.byTx[tx] = txSpan{sp.first, last}
 	}
 }
 

@@ -94,7 +94,7 @@ func OpenTrail(name string, forceDelay time.Duration, segs [][]byte) (*Trail, *T
 			seg.offsets = append(seg.offsets, len(seg.buf))
 			seg.buf = append(seg.buf, body[off:off+consumed]...)
 			seg.endChain = chain
-			seg.byTx[img.Tx] = append(seg.byTx[img.Tx], int32(seg.count()-1))
+			seg.indexLast(img.Tx)
 			off += consumed
 		}
 		if seg.count() == 0 && report != nil {

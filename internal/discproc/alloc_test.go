@@ -9,19 +9,24 @@ import (
 	"testing"
 	"time"
 
+	"encompass/internal/audit"
 	"encompass/internal/dbfile"
+	"encompass/internal/disk"
 	"encompass/internal/msg"
 )
 
 // lockedUpdateAllocs is what one transaction's locked read, update and
 // endtx cost together at DiscWorkers 8, counted across every goroutine:
-// the client's three calls and payloads, both checkpoints to the backup,
-// the audit append and the lock table (measured: 19 in six runs; 26 while
-// the DISCPROCESS and AUDITPROCESS member loops built a heap context and
-// the scheduler a job per request, 50 while every fresh lock, even a free
-// one, was granted through a continuation message to the DISCPROCESS
-// itself).
-const lockedUpdateAllocs = 19
+// the client's three payloads, the update's one mutation object and its
+// value copies, the endtx checkpoint and the read's value (measured: 10
+// in three runs; 19 while a mutation's checkpoint was four objects, its
+// audit request and reply were boxed, the trail framed through scratch
+// buffers and the lock table made a reverse-index slice per transaction;
+// 26 while the DISCPROCESS and AUDITPROCESS member loops built a heap
+// context and the scheduler a job per request, 50 while every fresh lock,
+// even a free one, was granted through a continuation message to the
+// DISCPROCESS itself).
+const lockedUpdateAllocs = 10
 
 // TestLockedUpdateAllocs pins the allocation cost of the TP1 record path
 // through the DISCPROCESS.
@@ -54,5 +59,57 @@ func TestLockedUpdateAllocs(t *testing.T) {
 	t.Logf("locked read + update + endtx = %v allocs", n)
 	if n > lockedUpdateAllocs {
 		t.Errorf("locked read + update + endtx = %v allocs, want <= %d", n, lockedUpdateAllocs)
+	}
+}
+
+// auditedUpdateAllocs is what one audited update costs, lock already held,
+// counted across every goroutine: the client's boxed request, the one
+// mutation object that carries the checkpoint, its op, lock, image and
+// append request, the before-image read, and what the file structures
+// (two) and the volume allocate to keep the value. The audit append and
+// the trail's framing allocate nothing (measured: 6 in three runs).
+const auditedUpdateAllocs = 6
+
+// TestAuditedUpdateAllocs pins the allocation cost of one update through
+// commitMutation: checkpoint, audit append and apply.
+func TestAuditedUpdateAllocs(t *testing.T) {
+	e := newEnvCfg(t, 4, true, func(_ *env, c *Config) {
+		c.DiscWorkers = 8
+		c.OnParticipate = nil // the test env's participation log allocates
+	})
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "acct", Val: []byte("0")})
+
+	disc, val := msg.Addr{Name: "disc-v1"}, []byte("1")
+	var err error
+	n := testing.AllocsPerRun(500, func() {
+		if _, e2 := e.sys.CallTimeout(3, disc, KindUpdate, WriteReq{Tx: tx(1), File: "f", Key: "acct", Val: val}, 5*time.Second); e2 != nil {
+			err = e2
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("audited update = %v allocs", n)
+	if n > auditedUpdateAllocs {
+		t.Errorf("audited update = %v allocs, want <= %d", n, auditedUpdateAllocs)
+	}
+}
+
+// TestMutationIsOneObject: on an audited volume, an update's checkpoint
+// record, op, lock, image and append request are one heap object.
+func TestMutationIsOneObject(t *testing.T) {
+	a := newApp(&Proc{cfg: Config{Volume: disk.NewVolume("v1"), Audit: &audit.Client{}}})
+	op := ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}
+	before := []byte("old")
+	var ck *ckRecord
+	n := testing.AllocsPerRun(100, func() {
+		ck = a.newMutation(tx(1), op, audit.ImageUpdate, before)
+	})
+	if n != 1 {
+		t.Errorf("newMutation = %v allocs, want 1", n)
+	}
+	if len(ck.Locks) != 1 || ck.Append == nil || len(ck.Append.Images) != 1 {
+		t.Fatalf("record = %+v, want one lock and one image", ck)
 	}
 }

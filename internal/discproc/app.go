@@ -45,19 +45,70 @@ type ckOp struct {
 }
 
 // ckRecord is one checkpoint: the op, the locks the transaction acquired
-// with it, and the audit images it generated. It is sent to the backup
-// BEFORE the primary applies the op — the WAL-equivalence discipline.
-// EndTx marks end-of-transaction lock release. It is sent by pointer (pair
-// checkpoints stay on the node's bus and are never encoded), so a record
-// is immutable once sent: the primary only reads it afterwards, and the
-// backup buffers that same record as lastCk.
+// with it, and the audit images it generated, as the request that ships
+// them to the AUDITPROCESS (nil on an unaudited volume). It is sent to the
+// backup BEFORE the primary applies the op — the WAL-equivalence
+// discipline. EndTx marks end-of-transaction lock release. It is sent by
+// pointer (pair checkpoints stay on the node's bus and are never encoded),
+// so a record is immutable once sent: the primary only reads it
+// afterwards, the AUDITPROCESS reads its append request, and the backup
+// buffers that same record as lastCk.
+//
+// A mutation's record is built by newMutation, inside the one object that
+// also holds its op, lock, image and append request. Endtx, freeze and
+// lock-only checkpoints are a bare ckRecord: they are the most frequent
+// records and carry none of that.
 type ckRecord struct {
 	Op     *ckOp
 	Tx     txid.ID
 	Locks  []lock.Key
-	Images []audit.Image
+	Append *audit.AppendReq
 	EndTx  bool
 	Freeze bool
+}
+
+// mutation is everything one mutation's checkpoint points at, in one heap
+// object: the record itself (checkpointed as &m.ck), its op, inline
+// backing for its one lock and its one image, and the append request that
+// ships the image. It is not pooled: the backup buffers &m.ck as lastCk,
+// and the record is immutable once sent.
+type mutation struct {
+	ck  ckRecord
+	op  ckOp
+	lk  [1]lock.Key
+	img [1]audit.Image
+	req audit.AppendReq
+}
+
+// noImage is the image kind of a mutation that generates no image and
+// takes no lock: a create, and an undo (its transaction already holds the
+// lock, and the trail already has the image being undone).
+const noImage audit.ImageKind = -1
+
+// newMutation builds the checkpoint record for op on behalf of tx. A
+// record mutation (kind is not noImage) carries the lock on op's record
+// and, on an audited volume, the image of kind: before is the
+// before-image, op.Val the after-image. The lock was taken beforehand,
+// for an update or delete at read time, which does not checkpoint.
+// Without it a takeover would serve new lock requests on a record whose
+// in-flight update this checkpoint delivers — admitting dirty reads, and
+// letting this transaction's backout overwrite a successor's committed
+// update.
+func (a *app) newMutation(tx txid.ID, op ckOp, kind audit.ImageKind, before []byte) *ckRecord {
+	m := &mutation{op: op}
+	m.ck = ckRecord{Op: &m.op, Tx: tx}
+	if kind == noImage {
+		return &m.ck
+	}
+	m.lk[0] = lock.Key{File: op.File, Record: op.Key}
+	m.ck.Locks = m.lk[:]
+	if a.audited() {
+		m.img[0] = audit.Image{Tx: tx, Volume: a.proc.cfg.Volume.Name(), File: op.File,
+			Key: op.Key, Kind: kind, Before: before, After: op.Val}
+		m.req.Images = m.img[:]
+		m.ck.Append = &m.req
+	}
+	return &m.ck
 }
 
 // resumeNote is the continuation payload posted to self when a parked
@@ -359,19 +410,19 @@ func (a *app) participate(tx txid.ID) error {
 // audited reports whether this volume generates audit images.
 func (a *app) audited() bool { return a.proc.cfg.Audit != nil }
 
-// emitImages sends images to the AUDITPROCESS (appended, not forced —
-// unless the T2 ablation's ForceEveryUpdate is on).
-func (a *app) emitImages(ctx *pair.Ctx, imgs []audit.Image) error {
-	if !a.audited() || len(imgs) == 0 {
+// emitImages sends a checkpoint's append request to the AUDITPROCESS
+// (appended, not forced — unless the T2 ablation's ForceEveryUpdate is on,
+// which forces everything appended, as a flush does).
+func (a *app) emitImages(ctx *pair.Ctx, req *audit.AppendReq) error {
+	if req == nil {
 		return nil
 	}
 	cpu := ctx.Proc().PID().CPU
-	last, err := a.proc.cfg.Audit.Append(cpu, imgs)
-	if err != nil {
+	if err := a.proc.cfg.Audit.Append(cpu, req); err != nil {
 		return err
 	}
 	if a.proc.cfg.ForceEveryUpdate {
-		return a.proc.cfg.Audit.Force(cpu, last)
+		return a.proc.cfg.Audit.Force(cpu, 0)
 	}
 	return nil
 }
@@ -391,7 +442,7 @@ func (a *app) commitMutation(ctx *pair.Ctx, ck *ckRecord) error {
 	if err := ctx.Checkpoint(ck); err != nil && !errors.Is(err, pair.ErrNoBackup) {
 		return err
 	}
-	if err := a.emitImages(ctx, ck.Images); err != nil {
+	if err := a.emitImages(ctx, ck.Append); err != nil {
 		return err
 	}
 	a.applyOp(ck.Op)
@@ -603,7 +654,7 @@ func (a *app) Restore(s any) {
 func (a *app) TakeOver() {
 	a.proc.primApp.Store(a)
 	if ck := a.lastCk; ck != nil {
-		if a.audited() && len(ck.Images) > 0 {
+		if ck.Append != nil {
 			// Best effort: the trail tolerates duplicate images because
 			// backout/replay write absolute before/after values.
 			cpu := -1
@@ -611,7 +662,7 @@ func (a *app) TakeOver() {
 				cpu = p.PrimaryCPU()
 			}
 			if cpu >= 0 {
-				if _, err := a.proc.cfg.Audit.Append(cpu, ck.Images); err != nil {
+				if err := a.proc.cfg.Audit.Append(cpu, ck.Append); err != nil {
 					// The trail is unreachable during takeover: the images
 					// for this one operation may be missing from the audit
 					// trail. Count it so operators and the chaos oracle can

@@ -3,6 +3,7 @@ package discproc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -385,6 +386,31 @@ func TestTakeoverPreservesDataAndLocks(t *testing.T) {
 	r = e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
 	if string(r.Payload.(ReadResp).Val) != "v2" {
 		t.Errorf("read after post-takeover update = %q", r.Payload.(ReadResp).Val)
+	}
+}
+
+// TestTakeoverReappendsCheckpointedRequest: the backup buffers an
+// update's checkpoint as lastCk, and the append request embedded in it is
+// what a takeover ships to the AUDITPROCESS again — the update's image,
+// field for field, under a new LSN.
+func TestTakeoverReappendsCheckpointedRequest(t *testing.T) {
+	e := newEnv(t, 3, true)
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v1")})
+	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
+
+	e.sys.Node().FailCPU(0) // primary DISCPROCESS and AUDITPROCESS CPUs
+	e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
+
+	waitFor(t, "the takeover's re-append", func() bool { return len(e.trail.ImagesForUnforced(tx(1))) == 3 })
+	imgs := e.trail.ImagesForUnforced(tx(1))
+	upd, again := imgs[1], imgs[2]
+	if again.LSN <= upd.LSN {
+		t.Errorf("re-append LSN %d, want after the update's %d", again.LSN, upd.LSN)
+	}
+	again.LSN = upd.LSN
+	if !reflect.DeepEqual(again, upd) || upd.Kind != audit.ImageUpdate || string(upd.Before) != "v1" || string(upd.After) != "v2" {
+		t.Errorf("re-appended image %+v, want the update's %+v", again, upd)
 	}
 }
 

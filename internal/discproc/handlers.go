@@ -23,7 +23,7 @@ func (a *app) handleCreate(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(fmt.Errorf("%w: %s", ErrFileExists, req.File))
 		return
 	}
-	ck := &ckRecord{Op: &ckOp{Kind: opCreate, File: req.File, Org: req.Org, AltKeys: req.AltKeys, AllowNodes: req.AllowNodes}}
+	ck := a.newMutation(txid.ID{}, ckOp{Kind: opCreate, File: req.File, Org: req.Org, AltKeys: req.AltKeys, AllowNodes: req.AllowNodes}, noImage, nil)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -180,17 +180,7 @@ func (a *app) handleInsert(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(fmt.Errorf("%w: %s in %s", dbfile.ErrDuplicateKey, req.Key, req.File))
 		return
 	}
-	ck := &ckRecord{
-		Op:    &ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: req.Val},
-		Tx:    req.Tx,
-		Locks: []lock.Key{key},
-	}
-	if a.audited() {
-		ck.Images = []audit.Image{{
-			Tx: req.Tx, Volume: a.proc.cfg.Volume.Name(), File: req.File,
-			Key: req.Key, Kind: audit.ImageInsert, After: req.Val,
-		}}
-	}
+	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: req.Val}, audit.ImageInsert, nil)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -233,22 +223,7 @@ func (a *app) handleUpdate(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(err)
 		return
 	}
-	ck := &ckRecord{
-		Op: &ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: req.Val},
-		Tx: req.Tx,
-		// Carry the guarding record lock: it was acquired at read time,
-		// which does not checkpoint. Without it a takeover would serve new
-		// lock requests on a record whose in-flight update this checkpoint
-		// just delivered — admitting dirty reads, and letting this
-		// transaction's backout overwrite a successor's committed update.
-		Locks: []lock.Key{{File: req.File, Record: req.Key}},
-	}
-	if a.audited() {
-		ck.Images = []audit.Image{{
-			Tx: req.Tx, Volume: a.proc.cfg.Volume.Name(), File: req.File,
-			Key: req.Key, Kind: audit.ImageUpdate, Before: before, After: req.Val,
-		}}
-	}
+	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: req.Val}, audit.ImageUpdate, before)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -291,19 +266,7 @@ func (a *app) handleDelete(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(err)
 		return
 	}
-	ck := &ckRecord{
-		Op: &ckOp{Kind: opDelete, File: req.File, Key: req.Key},
-		Tx: req.Tx,
-		// Same discipline as handleUpdate: preserve the read-time lock
-		// across a takeover.
-		Locks: []lock.Key{{File: req.File, Record: req.Key}},
-	}
-	if a.audited() {
-		ck.Images = []audit.Image{{
-			Tx: req.Tx, Volume: a.proc.cfg.Volume.Name(), File: req.File,
-			Key: req.Key, Kind: audit.ImageDelete, Before: before,
-		}}
-	}
+	ck := a.newMutation(req.Tx, ckOp{Kind: opDelete, File: req.File, Key: req.Key}, audit.ImageDelete, before)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -357,17 +320,7 @@ func (a *app) handleAppend(ctx *pair.Ctx, m *msg.Message) {
 	if !a.ensureLock(ctx, req.Tx, lk, req.LockTimeout) {
 		return
 	}
-	ck := &ckRecord{
-		Op:    &ckOp{Kind: opWrite, File: req.File, Key: key, Val: req.Val},
-		Tx:    req.Tx,
-		Locks: []lock.Key{lk},
-	}
-	if a.audited() {
-		ck.Images = []audit.Image{{
-			Tx: req.Tx, Volume: a.proc.cfg.Volume.Name(), File: req.File,
-			Key: key, Kind: audit.ImageInsert, After: req.Val,
-		}}
-	}
+	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: key, Val: req.Val}, audit.ImageInsert, nil)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -433,24 +386,23 @@ func (a *app) handleFreeze(ctx *pair.Ctx, m *msg.Message) {
 // concurrent transactions until lock release.
 func (a *app) handleUndo(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(UndoReq)
-	for _, img := range req.Images {
-		var op *ckOp
-		switch img.Kind {
-		case audit.ImageInsert:
-			op = &ckOp{Kind: opDelete, File: img.File, Key: img.Key}
-		case audit.ImageUpdate, audit.ImageDelete:
-			op = &ckOp{Kind: opWrite, File: img.File, Key: img.Key, Val: img.Before}
+	for i := range req.Images {
+		img := &req.Images[i]
+		op := ckOp{Kind: opWrite, File: img.File, Key: img.Key, Val: img.Before}
+		if img.Kind == audit.ImageInsert {
+			op = ckOp{Kind: opDelete, File: img.File, Key: img.Key}
 		}
-		ck := &ckRecord{Op: op, Tx: req.Tx}
-		if err := a.commitMutation(ctx, ck); err != nil {
+		if err := a.commitMutation(ctx, a.newMutation(req.Tx, op, noImage, nil)); err != nil {
 			ctx.ReplyErr(err)
 			return
 		}
 		a.proc.undos.Add(1)
 	}
-	a.proc.cfg.Obs.Record(obs.Event{Tx: req.Tx, Kind: obs.EvUndoApplied,
-		Node: a.proc.name, CPU: ctx.Proc().PID().CPU,
-		Detail: fmt.Sprintf("%s (%d images)", a.proc.cfg.Volume.Name(), len(req.Images))})
+	if tr := a.proc.cfg.Obs; tr != nil { // the detail is built only for a reader
+		tr.Record(obs.Event{Tx: req.Tx, Kind: obs.EvUndoApplied,
+			Node: a.proc.name, CPU: ctx.Proc().PID().CPU,
+			Detail: fmt.Sprintf("%s (%d images)", a.proc.cfg.Volume.Name(), len(req.Images))})
+	}
 	ctx.Reply(nil)
 }
 

@@ -83,6 +83,7 @@ type waiter struct {
 // shard is one file's lock state. waiters is kept in arrival order; it is
 // the FIFO the fairness guarantee is defined over.
 type shard struct {
+	file      string
 	mu        sync.Mutex
 	fileOwner txid.ID
 	records   map[string]txid.ID // record key -> owner
@@ -100,9 +101,11 @@ type Manager struct {
 
 	heldMu sync.Mutex
 	// held is the reverse index (tx -> keys it owns, each once) behind
-	// LocksHeld and Snapshot. A transaction's slice is allocated at its
-	// first grant on the volume and dropped by ReleaseAll.
+	// LocksHeld, Snapshot and ReleaseAll. A transaction's slice is taken at
+	// its first grant on the volume, from free when it has one, and
+	// ReleaseAll returns it there emptied.
 	held map[txid.ID][]Key
+	free [][]Key // guarded by heldMu; at most maxFreeHeld
 
 	grants      atomic.Uint64
 	immediate   atomic.Uint64
@@ -129,7 +132,7 @@ func (m *Manager) shardFor(file string) *shard {
 	defer m.shardMu.Unlock()
 	s := m.shards[file]
 	if s == nil {
-		s = &shard{records: make(map[string]txid.ID)}
+		s = &shard{file: file, records: make(map[string]txid.ID)}
 		m.shards[file] = s
 		m.list = append(m.list, s)
 	}
@@ -198,7 +201,11 @@ func (m *Manager) takeLocked(s *shard, tx txid.ID, key Key) {
 		m.heldMu.Lock()
 		h := m.held[tx]
 		if h == nil {
-			h = make([]Key, 0, 4)
+			if n := len(m.free); n > 0 {
+				h, m.free = m.free[n-1], m.free[:n-1]
+			} else {
+				h = make([]Key, 0, 4)
+			}
 		}
 		m.held[tx] = append(h, key)
 		m.heldMu.Unlock()
@@ -324,16 +331,52 @@ func without(ws []*waiter, w *waiter) []*waiter {
 	return ws
 }
 
+// maxFreeHeld bounds the free list of emptied reverse-index slices.
+const maxFreeHeld = 64
+
 // ReleaseAll frees every lock tx owns and cancels its pending waits; it
 // then grants newly compatible waiters in FIFO arrival order per shard.
 // Called at phase two of commit or at the end of backout.
 func (m *Manager) ReleaseAll(tx txid.ID) {
-	m.heldMu.Lock()
-	delete(m.held, tx)
-	m.heldMu.Unlock()
+	keys := m.takeHeld(tx)
+	m.releasePass(tx, keys)
+	// A wait of tx that another transaction's release granted before this
+	// pass cancelled it was indexed afresh after takeHeld: release that too.
+	// The pass cancelled every remaining wait, so nothing more can come.
+	if late := m.takeHeld(tx); late != nil {
+		m.releasePass(tx, late)
+		m.recycle(late)
+	}
+	m.recycle(keys)
+}
 
-	// The transaction may be waiting in shards where it owns nothing, so
-	// every shard is visited: release owners, cancel waits, promote.
+// takeHeld removes and returns tx's reverse-index slice (nil when tx owns
+// nothing).
+func (m *Manager) takeHeld(tx txid.ID) []Key {
+	m.heldMu.Lock()
+	defer m.heldMu.Unlock()
+	keys := m.held[tx]
+	delete(m.held, tx)
+	return keys
+}
+
+// recycle returns a released reverse-index slice, emptied, to the free
+// list.
+func (m *Manager) recycle(keys []Key) {
+	if keys == nil {
+		return
+	}
+	m.heldMu.Lock()
+	if len(m.free) < maxFreeHeld {
+		m.free = append(m.free, keys[:0])
+	}
+	m.heldMu.Unlock()
+}
+
+// releasePass releases the given keys of tx and cancels tx's waits. The
+// transaction may be waiting in shards where it owns nothing, so every
+// shard is visited: release owners, cancel waits, promote.
+func (m *Manager) releasePass(tx txid.ID, keys []Key) {
 	m.shardMu.RLock()
 	shards := m.list
 	m.shardMu.RUnlock()
@@ -341,12 +384,15 @@ func (m *Manager) ReleaseAll(tx txid.ID) {
 	for _, s := range shards {
 		s.mu.Lock()
 		// Release owners held by tx in this shard.
-		if s.fileOwner == tx {
-			s.fileOwner = txid.ID{}
-		}
-		for rec, owner := range s.records {
-			if owner == tx {
-				delete(s.records, rec)
+		for _, k := range keys {
+			switch {
+			case k.File != s.file:
+			case k.IsFileLock():
+				if s.fileOwner == tx {
+					s.fileOwner = txid.ID{}
+				}
+			case s.records[k.Record] == tx:
+				delete(s.records, k.Record)
 			}
 		}
 		// Cancel waits belonging to tx itself.

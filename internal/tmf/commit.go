@@ -502,11 +502,16 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 	}
 	m.callVolumes(targets, discproc.KindUndo, undos, volRetries, func(i int, d time.Duration, err error) {
 		vi := targets[i]
+		if err != nil {
+			errs = append(errs, fmt.Errorf("undo on %s: %w", vi.Name, err))
+		}
+		if m.tracer == nil {
+			return // nothing would read the detail
+		}
 		ev := obs.Event{Tx: tx, Kind: obs.EvUndoSend, Node: m.node, CPU: cpu, Dur: d,
 			Detail: fmt.Sprintf("%s (%d images)", vi.Name, len(byVol[vi.Name]))}
 		if err != nil {
 			ev.Err = err.Error()
-			errs = append(errs, fmt.Errorf("undo on %s: %w", vi.Name, err))
 		}
 		m.tracer.Record(ev)
 	})
