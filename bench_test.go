@@ -66,6 +66,81 @@ func BenchmarkT1CommitSingleNode(b *testing.B) {
 	}
 }
 
+// BenchmarkTP1RecordPath runs the File System half of one TP1
+// debit/credit, as the bank server does it: BEGIN, a locked read and an
+// update of an account on one audited volume and of a teller and a branch
+// on another, a history append, and END. It is `make profile`'s default,
+// so the profile shows the record path without the requester and server
+// class around it.
+func BenchmarkTP1RecordPath(b *testing.B) {
+	sys, err := encompass.Build(encompass.Config{Nodes: []encompass.NodeSpec{{
+		Name: "n1", CPUs: 4,
+		Volumes: []encompass.VolumeSpec{
+			{Name: "v1", Audited: true, CacheSize: 1024},
+			{Name: "v2", Audited: true, CacheSize: 1024},
+		},
+	}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Stop()
+	for _, fi := range []encompass.FileInfo{
+		encompass.LocalFile("accounts", encompass.KeySequenced, "n1", "v1"),
+		encompass.LocalFile("tellers", encompass.KeySequenced, "n1", "v2"),
+		encompass.LocalFile("branches", encompass.KeySequenced, "n1", "v2"),
+		encompass.LocalFile("history", encompass.EntrySequenced, "n1", "v2"),
+	} {
+		if err := sys.CreateFileEverywhere(fi); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const keys = 64
+	node, val := sys.Node("n1"), []byte("100")
+	files := [3]string{"accounts", "tellers", "branches"}
+	seed, err := node.Begin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		for _, f := range files {
+			if err := seed.Insert(f, fmt.Sprintf("%s%03d", f[:1], i), val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	var recKeys [keys][3]string
+	for i := range recKeys {
+		for j, f := range files {
+			recKeys[i][j] = fmt.Sprintf("%s%03d", f[:1], i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx, err := node.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, f := range files {
+			if _, err := tx.ReadLock(f, recKeys[i%keys][j]); err != nil {
+				b.Fatal(err)
+			}
+			if err := tx.Update(f, recKeys[i%keys][j], val); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := tx.Append("history", val); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchDistributedCommit(b *testing.B, nodes int) {
 	sys, names := benchSystem(b, nodes, false, 0)
 	home := sys.Node(names[0])

@@ -291,7 +291,7 @@ func (n *Node) start(repair func(*tmf.Monitor) error) error {
 			return err
 		}
 		mon.AddVolume(tmf.VolumeInfo{Name: vs.Name, DiscName: discName, AuditName: auditName})
-		_, err = n.Msg.CallTimeout(pcpu, msg.Addr{Name: discName}, discproc.KindReload, discproc.EndTxReq{}, 10*time.Second)
+		_, err = n.Msg.CallTimeout(pcpu, msg.Addr{Name: discName}, discproc.KindReload, nil, 10*time.Second)
 		if err != nil {
 			return fmt.Errorf("encompass: reload %s: %w", vs.Name, err)
 		}

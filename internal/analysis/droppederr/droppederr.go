@@ -30,7 +30,7 @@ var Analyzer = &lint.Analyzer{
 var methods = map[string]map[string]bool{
 	"Client":  {"Append": true, "Force": true, "Scan": true}, // audit client
 	"Ctx":     {"Checkpoint": true},                          // pair checkpoint delivery
-	"Process": {"Send": true},                                // protocol-step sends
+	"Process": {"Send": true, "Forward": true},               // protocol-step sends and relays
 }
 
 // pkgFuncs maps package path -> error-returning functions.

@@ -18,12 +18,14 @@ func (Ctx) Checkpoint(rec any) error { return nil }
 type Process struct{}
 
 func (*Process) Send(addr, kind, payload any) error { return nil }
+func (*Process) Forward(addr, m any) error          { return nil }
 
 func bad(c *Client, ctx *Ctx, p *Process) {
 	c.Force(0, 1)         // want "error from Client.Force dropped"
 	ctx.Checkpoint(nil)   // want "error from Ctx.Checkpoint dropped"
 	p.Send(nil, nil, nil) // want "error from Process.Send dropped"
 	c.Append(0, nil)      // want "error from Client.Append dropped"
+	p.Forward(nil, nil)   // want "error from Process.Forward dropped"
 }
 
 func badValue(ctx Ctx) {

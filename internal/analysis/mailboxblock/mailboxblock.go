@@ -2,8 +2,9 @@
 // mutex is held. A DISCPROCESS "must never block its serving threads on a
 // lock wait" (the lock manager is asynchronous for exactly this reason),
 // and the same logic extends to every mutex in the system: a pair-mailbox
-// send (Process.Send / System.ClientCall / System.CallTimeout, and the
-// nowait System.Start, whose send can wait on a full inbox), the wait for
+// send (Process.Send / Process.Forward / System.ClientCall /
+// System.CallTimeout, and the nowait System.Start, whose send can wait on
+// a full inbox), the wait for
 // a nowait call's reply (Pending.Await), a checkpoint to the backup
 // (Ctx.Checkpoint) or an AUDITPROCESS call (Client.Append/Force/Scan)
 // parks the caller on another process's mailbox — holding a lock-manager
@@ -30,7 +31,7 @@ var Analyzer = &lint.Analyzer{
 
 // blocking maps receiver type name -> methods that park on a mailbox.
 var blocking = map[string]map[string]bool{
-	"Process": {"Send": true, "Call": true, "Recv": true},
+	"Process": {"Send": true, "Forward": true, "Call": true, "Recv": true},
 	"System":  {"ClientCall": true, "CallTimeout": true, "Start": true},
 	"Pending": {"Await": true},
 	"Ctx":     {"Checkpoint": true},

@@ -8,6 +8,7 @@ import "sync"
 type Process struct{}
 
 func (*Process) Send(addr, kind, payload any) error { return nil }
+func (*Process) Forward(addr, m any) error          { return nil }
 
 type System struct{}
 
@@ -53,6 +54,12 @@ func (s *server) badCheckpointValue(ctx Ctx) {
 func (s *server) badSend() {
 	s.mu.Lock()
 	_ = s.proc.Send(nil, nil, nil) // want "blocking Process.Send while holding mutex s.mu"
+	s.mu.Unlock()
+}
+
+func (s *server) badForward() {
+	s.mu.Lock()
+	_ = s.proc.Forward(nil, nil) // want "blocking Process.Forward while holding mutex s.mu"
 	s.mu.Unlock()
 }
 

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +37,9 @@ const (
 
 // Req is a transaction request message: the current transid (appended by
 // the File System on every SEND while the terminal is in transaction
-// mode) plus named fields.
+// mode) plus named fields. It travels by pointer and belongs to the
+// caller, who may reuse it once the reply has arrived; until then the
+// server may still read it.
 type Req struct {
 	Tx     txid.ID
 	Fields map[string]string
@@ -48,7 +51,7 @@ type Resp struct {
 }
 
 func init() {
-	msg.RegisterPayload(Req{})
+	msg.RegisterPayload(&Req{})
 	msg.RegisterPayload(Resp{})
 }
 
@@ -81,14 +84,15 @@ func ClassName(class string) string { return "svc-" + class }
 
 type instance struct {
 	name string
-	cpu  int
+	pid  msg.PID
 	busy bool
 }
 
 // Class is a running server class.
 type Class struct {
-	sys *msg.System
-	cfg Config
+	sys  *msg.System
+	cfg  Config
+	name string // the dispatcher's registered name, ClassName(cfg.Class)
 
 	dispatched    atomic.Uint64
 	dispatcherCPU atomic.Int64
@@ -117,7 +121,10 @@ func Start(sys *msg.System, cfg Config) (*Class, error) {
 	if len(cfg.CPUs) == 0 {
 		cfg.CPUs = sys.Node().UpCPUs()
 	}
-	c := &Class{sys: sys, cfg: cfg}
+	c := &Class{sys: sys, cfg: cfg, name: ClassName(cfg.Class)}
+	namesMu.Lock()
+	dispatcherNames[cfg.Class] = c.name
+	namesMu.Unlock()
 	if err := c.startDispatcher(cfg.CPUs[0]); err != nil {
 		return nil, err
 	}
@@ -126,7 +133,7 @@ func Start(sys *msg.System, cfg Config) (*Class, error) {
 }
 
 func (c *Class) startDispatcher(cpu int) error {
-	p, err := c.sys.Spawn(cpu, ClassName(c.cfg.Class), c.dispatcherLoop)
+	p, err := c.sys.Spawn(cpu, c.name, c.dispatcherLoop)
 	if err != nil {
 		return err
 	}
@@ -160,7 +167,9 @@ func (c *Class) Stats() Stats {
 }
 
 // dispatcherLoop is the link manager: it queues requests and relays each
-// to an idle instance, growing and shrinking the instance pool.
+// to an idle instance, growing and shrinking the instance pool. A relayed
+// request still names its requester, so the instance answers it directly;
+// the instance's done notice names the instance by its sender PID.
 func (c *Class) dispatcherLoop(p *msg.Process) {
 	var instances []*instance
 	var queue []msg.Message
@@ -188,15 +197,14 @@ func (c *Class) dispatcherLoop(p *msg.Process) {
 			}
 		}
 		seq++
-		name := fmt.Sprintf("%s#%d", ClassName(c.cfg.Class), seq)
-		inst := &instance{name: name, cpu: cpu}
-		_, err := c.sys.Spawn(cpu, name, c.instanceLoop)
+		name := fmt.Sprintf("%s#%d", c.name, seq)
+		ip, err := c.sys.Spawn(cpu, name, c.instanceLoop)
 		if err != nil {
 			return nil
 		}
 		c.created.Add(1)
 		c.instCount.Add(1)
-		return inst
+		return &instance{name: name, pid: ip.PID()}
 	}
 	for i := 0; i < c.cfg.MinInstances; i++ {
 		if inst := spawn(); inst != nil {
@@ -224,17 +232,19 @@ func (c *Class) dispatcherLoop(p *msg.Process) {
 					return // all busy at max: leave queued
 				}
 			}
-			req := queue[0]
-			queue = queue[1:]
 			// Relay the message unchanged: the instance replies directly
 			// to the original requester via its correlation id.
-			if err := p.Send(msg.Addr{Name: idle.name}, req.Kind, req); err != nil {
+			if err := p.Forward(msg.Addr{Name: idle.name}, &queue[0]); err != nil {
 				// Instance unreachable (its CPU died): drop it and retry.
 				instances = removeInst(instances, idle)
 				c.instCount.Add(-1)
-				queue = append([]msg.Message{req}, queue...)
 				continue
 			}
+			// Shift the queue down in place, so its backing array is
+			// reused instead of regrown behind a moving head.
+			n := copy(queue, queue[1:])
+			queue[n] = msg.Message{}
+			queue = queue[:n]
 			idle.busy = true
 			c.dispatched.Add(1)
 		}
@@ -253,10 +263,10 @@ func (c *Class) dispatcherLoop(p *msg.Process) {
 			}
 			dispatch()
 		case kindDone:
-			name := m.Payload.(string)
+			var done *instance
 			for _, in := range instances {
-				if in.name == name {
-					in.busy = false
+				if in.pid == m.From {
+					in.busy, done = false, in
 					break
 				}
 			}
@@ -264,7 +274,7 @@ func (c *Class) dispatcherLoop(p *msg.Process) {
 			// nothing is waiting.
 			if len(queue) == 0 && len(instances) > c.cfg.MinInstances {
 				for i, in := range instances {
-					if !in.busy && in.name == name {
+					if in == done {
 						if err := p.Send(msg.Addr{Name: in.name}, "server.retire", nil); err != nil {
 							// Retire notice undeliverable: keep the instance
 							// listed rather than orphaning a live process.
@@ -303,20 +313,19 @@ func (c *Class) instanceLoop(p *msg.Process) {
 		case "server.retire":
 			return
 		case KindRequest:
-			// The dispatcher wrapped the original message as payload.
-			orig := m.Payload.(msg.Message)
-			req, ok := orig.Payload.(Req)
+			// The dispatcher forwarded the requester's own message.
+			req, ok := m.Payload.(*Req)
 			if !ok {
-				p.ReplyErr(orig, errors.New("appserver: malformed request"))
+				p.ReplyErr(m, errors.New("appserver: malformed request"))
 			} else {
 				fields, err := c.cfg.Handler(req.Tx, req.Fields)
 				if err != nil {
-					p.ReplyErr(orig, err)
+					p.ReplyErr(m, err)
 				} else {
-					p.Reply(orig, Resp{Fields: fields})
+					p.Reply(m, Resp{Fields: fields})
 				}
 			}
-			if err := p.Send(msg.Addr{Name: ClassName(c.cfg.Class)}, kindDone, p.Name()); err != nil {
+			if err := p.Send(msg.Addr{Name: c.name}, kindDone, nil); err != nil {
 				// The dispatcher never learns this instance is free, so no
 				// further work can reach it: exit instead of leaking a
 				// permanently-busy server.
@@ -329,18 +338,44 @@ func (c *Class) instanceLoop(p *msg.Process) {
 // Call sends a transaction request to a server class (possibly on another
 // node) and returns the reply fields.
 func Call(ctx context.Context, sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string) (map[string]string, error) {
-	return replyFields(sys.ClientCall(ctx, fromCPU, classAddr(sys, node, class), KindRequest, Req{Tx: tx, Fields: fields}))
+	return replyFields(sys.ClientCall(ctx, fromCPU, classAddr(sys, node, class), KindRequest, &Req{Tx: tx, Fields: fields}))
 }
+
+// reqs recycles CallTimeout's request frames. A frame goes back only once
+// its reply has arrived, success or application error; a call that timed
+// out leaves its frame to the garbage collector, because a late server may
+// still read it.
+var reqs = sync.Pool{New: func() any { return new(Req) }}
 
 // CallTimeout is Call bounded by a duration instead of a context.
 func CallTimeout(sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string, d time.Duration) (map[string]string, error) {
-	return replyFields(sys.CallTimeout(fromCPU, classAddr(sys, node, class), KindRequest, Req{Tx: tx, Fields: fields}, d))
+	req := reqs.Get().(*Req)
+	req.Tx, req.Fields = tx, fields
+	r, err := sys.CallTimeout(fromCPU, classAddr(sys, node, class), KindRequest, req, d)
+	if !errors.Is(err, msg.ErrCallTimeout) {
+		*req = Req{}
+		reqs.Put(req)
+	}
+	return replyFields(r, err)
 }
+
+// dispatcherNames registers, at Start, each class's dispatcher name, so a
+// call to a started class does not build the name each time.
+var (
+	namesMu         sync.RWMutex
+	dispatcherNames = map[string]string{} // guarded by namesMu
+)
 
 // classAddr addresses a server class's dispatcher; node may be empty for
 // the local node.
 func classAddr(sys *msg.System, node, class string) msg.Addr {
-	addr := msg.Addr{Name: ClassName(class)}
+	namesMu.RLock()
+	name, ok := dispatcherNames[class]
+	namesMu.RUnlock()
+	if !ok {
+		name = ClassName(class)
+	}
+	addr := msg.Addr{Name: name}
 	if node != "" && node != sys.Node().Name() {
 		addr.Node = node
 	}

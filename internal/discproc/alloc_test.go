@@ -16,17 +16,18 @@ import (
 )
 
 // lockedUpdateAllocs is what one transaction's locked read, update and
-// endtx cost together at DiscWorkers 8, counted across every goroutine:
-// the client's three payloads, the update's one mutation object and its
-// value copies, the endtx checkpoint and the read's value (measured: 10
-// in three runs; 19 while a mutation's checkpoint was four objects, its
-// audit request and reply were boxed, the trail framed through scratch
-// buffers and the lock table made a reverse-index slice per transaction;
-// 26 while the DISCPROCESS and AUDITPROCESS member loops built a heap
-// context and the scheduler a job per request, 50 while every fresh lock,
-// even a free one, was granted through a continuation message to the
-// DISCPROCESS itself).
-const lockedUpdateAllocs = 10
+// endtx cost together at DiscWorkers 8, counted across every goroutine,
+// with request frames the caller reuses as the File System does: the
+// update's one mutation object and its value copies, and the endtx
+// checkpoint (measured: 6 in three runs; 10 while the client's three
+// requests and the read's reply were boxed; 19 while a mutation's
+// checkpoint was four objects, its audit request and reply were boxed, the
+// trail framed through scratch buffers and the lock table made a
+// reverse-index slice per transaction; 26 while the DISCPROCESS and
+// AUDITPROCESS member loops built a heap context and the scheduler a job
+// per request, 50 while every fresh lock, even a free one, was granted
+// through a continuation message to the DISCPROCESS itself).
+const lockedUpdateAllocs = 6
 
 // TestLockedUpdateAllocs pins the allocation cost of the TP1 record path
 // through the DISCPROCESS.
@@ -36,8 +37,8 @@ func TestLockedUpdateAllocs(t *testing.T) {
 		c.OnParticipate = nil // the test env's participation log allocates
 	})
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "acct", Val: []byte("0")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "acct", Val: []byte("0")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 
 	disc, val := msg.Addr{Name: "disc-v1"}, []byte("1")
 	seq := uint64(1)
@@ -47,11 +48,16 @@ func TestLockedUpdateAllocs(t *testing.T) {
 			err = e2
 		}
 	}
+	var rec RecReq
+	var end TxReq
 	n := testing.AllocsPerRun(500, func() {
 		seq++
-		call(KindRead, ReadReq{Tx: tx(seq), File: "f", Key: "acct", WithLock: true})
-		call(KindUpdate, WriteReq{Tx: tx(seq), File: "f", Key: "acct", Val: val})
-		call(KindEndTx, EndTxReq{Tx: tx(seq)})
+		rec = RecReq{Tx: tx(seq), File: "f", Key: "acct", WithLock: true}
+		call(KindRead, &rec)
+		rec = RecReq{Tx: tx(seq), File: "f", Key: "acct", Val: val}
+		call(KindUpdate, &rec)
+		end = TxReq{Tx: tx(seq)}
+		call(KindEndTx, &end)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +69,13 @@ func TestLockedUpdateAllocs(t *testing.T) {
 }
 
 // auditedUpdateAllocs is what one audited update costs, lock already held,
-// counted across every goroutine: the client's boxed request, the one
-// mutation object that carries the checkpoint, its op, lock, image and
-// append request, the before-image read, and what the file structures
+// counted across every goroutine, with a request frame the caller reuses:
+// the one mutation object that carries the checkpoint, its op, lock, image
+// and append request, the before-image read, and what the file structures
 // (two) and the volume allocate to keep the value. The audit append and
-// the trail's framing allocate nothing (measured: 6 in three runs).
-const auditedUpdateAllocs = 6
+// the trail's framing allocate nothing (measured: 5 in three runs; 6 while
+// the client's request was boxed).
+const auditedUpdateAllocs = 5
 
 // TestAuditedUpdateAllocs pins the allocation cost of one update through
 // commitMutation: checkpoint, audit append and apply.
@@ -78,12 +85,14 @@ func TestAuditedUpdateAllocs(t *testing.T) {
 		c.OnParticipate = nil // the test env's participation log allocates
 	})
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "acct", Val: []byte("0")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "acct", Val: []byte("0")})
 
 	disc, val := msg.Addr{Name: "disc-v1"}, []byte("1")
 	var err error
+	var rec RecReq
 	n := testing.AllocsPerRun(500, func() {
-		if _, e2 := e.sys.CallTimeout(3, disc, KindUpdate, WriteReq{Tx: tx(1), File: "f", Key: "acct", Val: val}, 5*time.Second); e2 != nil {
+		rec = RecReq{Tx: tx(1), File: "f", Key: "acct", Val: val}
+		if _, e2 := e.sys.CallTimeout(3, disc, KindUpdate, &rec, 5*time.Second); e2 != nil {
 			err = e2
 		}
 	})

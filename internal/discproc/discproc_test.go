@@ -126,7 +126,7 @@ func (e *env) loopBrowsers(t *testing.T, n int, stagger time.Duration, file, key
 					return
 				default:
 				}
-				if _, err := e.call(t, KindRead, ReadReq{File: file, Key: key}); err != nil {
+				if _, err := e.call(t, KindRead, &RecReq{File: file, Key: key}); err != nil {
 					t.Errorf("browse: %v", err)
 					return
 				}
@@ -157,19 +157,19 @@ func (e *env) create(t *testing.T, file string, org dbfile.Organization, alts ..
 func TestCRUDRoundTrip(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "accts", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "accts", Key: "100", Val: []byte("fifty")})
-	r := e.mustCall(t, KindRead, ReadReq{File: "accts", Key: "100"})
-	if string(r.Payload.(ReadResp).Val) != "fifty" {
-		t.Errorf("read = %q", r.Payload.(ReadResp).Val)
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "accts", Key: "100", Val: []byte("fifty")})
+	r := e.mustCall(t, KindRead, &RecReq{File: "accts", Key: "100"})
+	if string(r.Payload.(*RecReq).Val) != "fifty" {
+		t.Errorf("read = %q", r.Payload.(*RecReq).Val)
 	}
 	// Update requires a prior lock; the insert auto-locked the record.
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(1), File: "accts", Key: "100", Val: []byte("sixty")})
-	r = e.mustCall(t, KindRead, ReadReq{File: "accts", Key: "100"})
-	if string(r.Payload.(ReadResp).Val) != "sixty" {
-		t.Errorf("after update = %q", r.Payload.(ReadResp).Val)
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(1), File: "accts", Key: "100", Val: []byte("sixty")})
+	r = e.mustCall(t, KindRead, &RecReq{File: "accts", Key: "100"})
+	if string(r.Payload.(*RecReq).Val) != "sixty" {
+		t.Errorf("after update = %q", r.Payload.(*RecReq).Val)
 	}
-	e.mustCall(t, KindDelete, DeleteReq{Tx: tx(1), File: "accts", Key: "100"})
-	if _, err := e.call(t, KindRead, ReadReq{File: "accts", Key: "100"}); err == nil {
+	e.mustCall(t, KindDelete, &RecReq{Tx: tx(1), File: "accts", Key: "100"})
+	if _, err := e.call(t, KindRead, &RecReq{File: "accts", Key: "100"}); err == nil {
 		t.Error("read after delete should fail")
 	}
 	// Volume mirrors the file contents for inserts/updates.
@@ -181,32 +181,32 @@ func TestCRUDRoundTrip(t *testing.T) {
 func TestUpdateWithoutLockRejected(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 	// tx2 updates without having read-locked: the paper says TMF verifies
 	// prior locking for updates and deletes.
-	_, err := e.call(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("w")})
+	_, err := e.call(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("w")})
 	if err == nil || !strings.Contains(err.Error(), "not locked") {
 		t.Errorf("err = %v, want not-locked rejection", err)
 	}
-	_, err = e.call(t, KindDelete, DeleteReq{Tx: tx(2), File: "f", Key: "k"})
+	_, err = e.call(t, KindDelete, &RecReq{Tx: tx(2), File: "f", Key: "k"})
 	if err == nil || !strings.Contains(err.Error(), "not locked") {
 		t.Errorf("delete err = %v, want not-locked rejection", err)
 	}
 	// Reading with lock first makes the update legal.
-	e.mustCall(t, KindRead, ReadReq{Tx: tx(2), File: "f", Key: "k", WithLock: true})
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("w")})
+	e.mustCall(t, KindRead, &RecReq{Tx: tx(2), File: "f", Key: "k", WithLock: true})
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("w")})
 }
 
 func TestLockConflictWaitsAndGrants(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
 
 	// tx2's locked read must wait until tx1 ends.
 	got := make(chan error, 1)
 	go func() {
-		_, err := e.call(t, KindRead, ReadReq{Tx: tx(2), File: "f", Key: "k", WithLock: true, LockTimeout: 3 * time.Second})
+		_, err := e.call(t, KindRead, &RecReq{Tx: tx(2), File: "f", Key: "k", WithLock: true, LockTimeout: 3 * time.Second})
 		got <- err
 	}()
 	select {
@@ -214,7 +214,7 @@ func TestLockConflictWaitsAndGrants(t *testing.T) {
 		t.Fatalf("locked read returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 	select {
 	case err := <-got:
 		if err != nil {
@@ -228,8 +228,8 @@ func TestLockConflictWaitsAndGrants(t *testing.T) {
 func TestLockTimeoutReported(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
-	_, err := e.call(t, KindRead, ReadReq{Tx: tx(2), File: "f", Key: "k", WithLock: true, LockTimeout: 30 * time.Millisecond})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	_, err := e.call(t, KindRead, &RecReq{Tx: tx(2), File: "f", Key: "k", WithLock: true, LockTimeout: 30 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Errorf("err = %v, want lock timeout", err)
 	}
@@ -238,9 +238,9 @@ func TestLockTimeoutReported(t *testing.T) {
 func TestAuditImagesGenerated(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v1")})
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
-	e.mustCall(t, KindDelete, DeleteReq{Tx: tx(1), File: "f", Key: "k"})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v1")})
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
+	e.mustCall(t, KindDelete, &RecReq{Tx: tx(1), File: "f", Key: "k"})
 
 	imgs := e.trail.ImagesForUnforced(tx(1))
 	if len(imgs) != 3 {
@@ -259,7 +259,7 @@ func TestAuditImagesGenerated(t *testing.T) {
 	if e.trail.Forced(imgs[2].LSN) {
 		t.Error("trail forced before flush")
 	}
-	e.mustCall(t, KindFlush, FlushReq{Tx: tx(1)})
+	e.mustCall(t, KindFlush, &TxReq{Tx: tx(1)})
 	if !e.trail.Forced(imgs[2].LSN) {
 		t.Error("trail not forced after flush")
 	}
@@ -268,20 +268,20 @@ func TestAuditImagesGenerated(t *testing.T) {
 func TestUnauditedVolumeSkipsImages(t *testing.T) {
 	e := newEnv(t, 3, false)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
-	e.mustCall(t, KindFlush, FlushReq{Tx: tx(1)}) // no-op, no error
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindFlush, &TxReq{Tx: tx(1)}) // no-op, no error
 }
 
 func TestUndoRestoresBeforeImages(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
 	// Committed baseline record by tx1.
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "a", Val: []byte("orig")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "a", Val: []byte("orig")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 	// tx2 updates a, inserts b, deletes nothing.
-	e.mustCall(t, KindRead, ReadReq{Tx: tx(2), File: "f", Key: "a", WithLock: true})
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "a", Val: []byte("dirty")})
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(2), File: "f", Key: "b", Val: []byte("new")})
+	e.mustCall(t, KindRead, &RecReq{Tx: tx(2), File: "f", Key: "a", WithLock: true})
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "a", Val: []byte("dirty")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(2), File: "f", Key: "b", Val: []byte("new")})
 
 	// Backout: apply before-images in reverse LSN order.
 	imgs := e.trail.ImagesForUnforced(tx(2))
@@ -289,14 +289,14 @@ func TestUndoRestoresBeforeImages(t *testing.T) {
 	for i, im := range imgs {
 		rev[len(imgs)-1-i] = im
 	}
-	e.mustCall(t, KindUndo, UndoReq{Tx: tx(2), Images: rev})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(2)})
+	e.mustCall(t, KindUndo, &UndoReq{Tx: tx(2), Images: rev})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(2)})
 
-	r := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "a"})
-	if string(r.Payload.(ReadResp).Val) != "orig" {
-		t.Errorf("a = %q after backout, want orig", r.Payload.(ReadResp).Val)
+	r := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "a"})
+	if string(r.Payload.(*RecReq).Val) != "orig" {
+		t.Errorf("a = %q after backout, want orig", r.Payload.(*RecReq).Val)
 	}
-	if _, err := e.call(t, KindRead, ReadReq{File: "f", Key: "b"}); err == nil {
+	if _, err := e.call(t, KindRead, &RecReq{File: "f", Key: "b"}); err == nil {
 		t.Error("inserted record survived backout")
 	}
 	if got, _ := e.vol.Exists("f", "b"); got {
@@ -307,9 +307,9 @@ func TestUndoRestoresBeforeImages(t *testing.T) {
 func TestEndTxRejectsStragglers(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
-	_, err := e.call(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k2", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	_, err := e.call(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k2", Val: []byte("v")})
 	if err == nil || !strings.Contains(err.Error(), "already ended") {
 		t.Errorf("err = %v, want already-ended rejection", err)
 	}
@@ -318,10 +318,10 @@ func TestEndTxRejectsStragglers(t *testing.T) {
 func TestAppendEntrySequenced(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "hist", dbfile.EntrySequenced)
-	r1 := e.mustCall(t, KindAppend, AppendReq{Tx: tx(1), File: "hist", Val: []byte("e1")})
-	r2 := e.mustCall(t, KindAppend, AppendReq{Tx: tx(1), File: "hist", Val: []byte("e2")})
-	k1 := r1.Payload.(AppendResp).Key
-	k2 := r2.Payload.(AppendResp).Key
+	r1 := e.mustCall(t, KindAppend, &RecReq{Tx: tx(1), File: "hist", Val: []byte("e1")})
+	r2 := e.mustCall(t, KindAppend, &RecReq{Tx: tx(1), File: "hist", Val: []byte("e2")})
+	k1 := r1.Payload.(*RecReq).Key
+	k2 := r2.Payload.(*RecReq).Key
 	if k1 >= k2 {
 		t.Errorf("keys not increasing: %q, %q", k1, k2)
 	}
@@ -334,8 +334,8 @@ func TestAppendEntrySequenced(t *testing.T) {
 func TestReadAltKey(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced, dbfile.AltKeyDef{Name: "branch", Offset: 0, Len: 3})
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "a1", Val: []byte("NYCx")})
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "a2", Val: []byte("SFOy")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "a1", Val: []byte("NYCx")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "a2", Val: []byte("SFOy")})
 	r := e.mustCall(t, KindReadAlt, ReadAltReq{File: "f", AltKey: "branch", Value: "NYC"})
 	recs := r.Payload.(ReadRangeResp).Recs
 	if len(recs) != 1 || recs[0].Key != "a1" {
@@ -346,8 +346,8 @@ func TestReadAltKey(t *testing.T) {
 func TestParticipationReported(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(7), File: "f", Key: "a", Val: []byte("1")})
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(7), File: "f", Key: "b", Val: []byte("2")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(7), File: "f", Key: "a", Val: []byte("1")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(7), File: "f", Key: "b", Val: []byte("2")})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// The callback doubles as a per-operation liveness check, so it fires
@@ -366,26 +366,26 @@ func TestParticipationReported(t *testing.T) {
 func TestTakeoverPreservesDataAndLocks(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
 
 	e.sys.Node().FailCPU(0) // primary DISCPROCESS and AUDITPROCESS CPUs
 
 	// Data survives the takeover.
-	r := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
-	if string(r.Payload.(ReadResp).Val) != "v" {
-		t.Errorf("read after takeover = %q", r.Payload.(ReadResp).Val)
+	r := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"})
+	if string(r.Payload.(*RecReq).Val) != "v" {
+		t.Errorf("read after takeover = %q", r.Payload.(*RecReq).Val)
 	}
 	// The lock held by tx1 survives: tx2 must time out trying to take it.
-	_, err := e.call(t, KindRead, ReadReq{Tx: tx(2), File: "f", Key: "k", WithLock: true, LockTimeout: 30 * time.Millisecond})
+	_, err := e.call(t, KindRead, &RecReq{Tx: tx(2), File: "f", Key: "k", WithLock: true, LockTimeout: 30 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Errorf("lock should persist across takeover; err = %v", err)
 	}
 	// tx1 can continue and end normally.
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
-	r = e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
-	if string(r.Payload.(ReadResp).Val) != "v2" {
-		t.Errorf("read after post-takeover update = %q", r.Payload.(ReadResp).Val)
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	r = e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"})
+	if string(r.Payload.(*RecReq).Val) != "v2" {
+		t.Errorf("read after post-takeover update = %q", r.Payload.(*RecReq).Val)
 	}
 }
 
@@ -396,11 +396,11 @@ func TestTakeoverPreservesDataAndLocks(t *testing.T) {
 func TestTakeoverReappendsCheckpointedRequest(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v1")})
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v1")})
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v2")})
 
 	e.sys.Node().FailCPU(0) // primary DISCPROCESS and AUDITPROCESS CPUs
-	e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
+	e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"})
 
 	waitFor(t, "the takeover's re-append", func() bool { return len(e.trail.ImagesForUnforced(tx(1))) == 3 })
 	imgs := e.trail.ImagesForUnforced(tx(1))
@@ -453,15 +453,15 @@ func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
 		c.DiscWorkers, c.ForceEveryUpdate = 8, true
 	})
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")}) // pays one force
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")}) // pays one force
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 	T, U := tx(2), tx(3)
-	e.mustCall(t, KindLockRec, LockReq{Tx: T, File: "f", Key: "t"})
-	e.mustCall(t, KindLockRec, LockReq{Tx: U, File: "f", Key: "k"})
-	go e.callWithin(force, KindUpdate, WriteReq{Tx: U, File: "f", Key: "k", Val: []byte("new")})
+	e.mustCall(t, KindLockRec, &RecReq{Tx: T, File: "f", Key: "t"})
+	e.mustCall(t, KindLockRec, &RecReq{Tx: U, File: "f", Key: "k"})
+	go e.callWithin(force, KindUpdate, &RecReq{Tx: U, File: "f", Key: "k", Val: []byte("new")})
 	// The image is appended after the checkpoint and before the force.
 	waitFor(t, "U's update to reach the audit trail", func() bool { return len(e.trail.ImagesForUnforced(U)) > 0 })
-	if _, err := e.callWithin(force/4, KindEndTx, EndTxReq{Tx: T}); err != nil {
+	if _, err := e.callWithin(force/4, KindEndTx, &TxReq{Tx: T}); err != nil {
 		t.Fatalf("endtx(T) beside U's in-flight update: %v", err)
 	}
 	if v, _ := e.vol.Read("f", "k"); string(v) != "old" {
@@ -471,7 +471,7 @@ func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
 	e.sys.Node().FailCPU(0)
 
 	// The first request promotes the backup, which completes U's operation.
-	if _, err := e.call(t, KindRead, ReadReq{Tx: tx(4), File: "f", Key: "k", WithLock: true, LockTimeout: 20 * time.Millisecond}); err == nil {
+	if _, err := e.call(t, KindRead, &RecReq{Tx: tx(4), File: "f", Key: "k", WithLock: true, LockTimeout: 20 * time.Millisecond}); err == nil {
 		t.Error("U's lock on k did not survive the takeover")
 	}
 	if v, _ := e.vol.Read("f", "k"); string(v) != "new" {
@@ -484,10 +484,10 @@ func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
 	if held := e.proc.LocksSnapshot()[T]; len(held) != 0 {
 		t.Errorf("T still holds %v after its endtx", held)
 	}
-	e.mustCall(t, KindFreeze, EndTxReq{Tx: U})
-	e.mustCall(t, KindUndo, UndoReq{Tx: U, Images: imgs[:1]})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: U})
-	if v := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"}).Payload.(ReadResp).Val; string(v) != "old" {
+	e.mustCall(t, KindFreeze, &TxReq{Tx: U})
+	e.mustCall(t, KindUndo, &UndoReq{Tx: U, Images: imgs[:1]})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: U})
+	if v := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"}).Payload.(*RecReq).Val; string(v) != "old" {
 		t.Errorf("k = %q after backout of U, want old", v)
 	}
 	if v, _ := e.vol.Read("f", "k"); string(v) != "old" {
@@ -498,9 +498,9 @@ func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
 func TestCacheHits(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
 	for i := 0; i < 5; i++ {
-		e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
+		e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"})
 	}
 	st := e.proc.Stats()
 	if st.CacheStats.Hits < 4 {
@@ -514,8 +514,8 @@ func TestCacheHits(t *testing.T) {
 func TestInsertDuplicateRejected(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
-	_, err := e.call(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("w")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	_, err := e.call(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("w")})
 	if !errors.Is(err, errRemote(err)) && err == nil {
 		t.Fatal("duplicate insert should fail")
 	}
@@ -529,7 +529,7 @@ func errRemote(err error) error { return err }
 
 func TestNoSuchFile(t *testing.T) {
 	e := newEnv(t, 3, true)
-	_, err := e.call(t, KindRead, ReadReq{File: "ghost", Key: "k"})
+	_, err := e.call(t, KindRead, &RecReq{File: "ghost", Key: "k"})
 	if err == nil || !strings.Contains(err.Error(), "no such file") {
 		t.Errorf("err = %v, want no-such-file", err)
 	}
@@ -538,7 +538,7 @@ func TestNoSuchFile(t *testing.T) {
 func TestWriteReqWithoutTx(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	_, err := e.call(t, KindInsert, WriteReq{File: "f", Key: "k", Val: []byte("v")})
+	_, err := e.call(t, KindInsert, &RecReq{File: "f", Key: "k", Val: []byte("v")})
 	if err == nil || !strings.Contains(err.Error(), "requires a transaction") {
 		t.Errorf("err = %v, want requires-transaction", err)
 	}
@@ -547,12 +547,46 @@ func TestWriteReqWithoutTx(t *testing.T) {
 func TestExplicitFileLock(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindLockFile, LockReq{Tx: tx(1), File: "f"})
+	e.mustCall(t, KindLockFile, &RecReq{Tx: tx(1), File: "f"})
 	// Another transaction's record operation must block / time out.
-	_, err := e.call(t, KindInsert, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("v"), LockTimeout: 30 * time.Millisecond})
+	_, err := e.call(t, KindInsert, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("v"), LockTimeout: 30 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Errorf("err = %v, want timeout under file lock", err)
 	}
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("v")})
+}
+
+// TestRecReqWireRoundTrip: a record frame crosses nodes intact inside a
+// message, an empty value arrives as nil, and every truncation of its
+// encoding is an error, not a panic or a half-filled frame passed off as
+// whole.
+func TestRecReqWireRoundTrip(t *testing.T) {
+	for _, want := range []*RecReq{
+		{Tx: txid.ID{Home: "west", CPU: 3, Seq: 1<<40 + 7}, File: "accts", Key: "k1", Val: []byte("v"), WithLock: true, LockTimeout: 2 * time.Second},
+		{Tx: txid.ID{Home: "n", CPU: -1}, File: "hist", Val: []byte{}},
+		{},
+	} {
+		b, err := msg.Marshal(msg.Message{Kind: KindRead, Payload: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := msg.Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := m.Payload.(*RecReq)
+		if len(want.Val) == 0 {
+			want.Val = nil
+		}
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("round trip of %+v = %#v", want, m.Payload)
+		}
+		enc, _ := want.MarshalBinary()
+		for n := 0; n < len(enc); n++ {
+			if err := new(RecReq).UnmarshalBinary(enc[:n]); err == nil {
+				t.Errorf("%+v truncated to %d of %d bytes decoded without error", want, n, len(enc))
+			}
+		}
+	}
 }

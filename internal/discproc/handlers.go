@@ -53,7 +53,7 @@ func (a *app) handleReload(ctx *pair.Ctx, m *msg.Message) {
 }
 
 func (a *app) handleRead(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(ReadReq)
+	req := m.Payload.(*RecReq)
 	f, err := a.file(req.File)
 	if err != nil {
 		ctx.ReplyErr(err)
@@ -85,7 +85,8 @@ func (a *app) handleRead(ctx *pair.Ctx, m *msg.Message) {
 	// Cache consult: a hit avoids the simulated disc read cost.
 	ck := dbfile.CacheKey{File: req.File, Key: req.Key}
 	if v, ok := a.cache.Get(ck); ok {
-		ctx.Reply(ReadResp{Val: v})
+		*req = RecReq{Val: v}
+		ctx.Reply(req)
 		return
 	}
 	// A miss pays the disc first and reads afterwards, in one step with the
@@ -100,7 +101,8 @@ func (a *app) handleRead(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(err)
 		return
 	}
-	ctx.Reply(ReadResp{Val: v})
+	*req = RecReq{Val: v}
+	ctx.Reply(req)
 }
 
 func (a *app) handleReadRange(ctx *pair.Ctx, m *msg.Message) {
@@ -145,7 +147,7 @@ func (a *app) handleReadAlt(ctx *pair.Ctx, m *msg.Message) {
 // handleInsert: "TMF automatically generates locks on all new records
 // inserted by a transaction."
 func (a *app) handleInsert(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(WriteReq)
+	req := m.Payload.(*RecReq)
 	f, err := a.file(req.File)
 	if err != nil {
 		ctx.ReplyErr(err)
@@ -192,7 +194,7 @@ func (a *app) handleInsert(ctx *pair.Ctx, m *msg.Message) {
 // handleUpdate: "TMF verifies that all records updated or deleted by a
 // transaction have been previously locked by that transaction."
 func (a *app) handleUpdate(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(WriteReq)
+	req := m.Payload.(*RecReq)
 	f, err := a.file(req.File)
 	if err != nil {
 		ctx.ReplyErr(err)
@@ -235,7 +237,7 @@ func (a *app) handleUpdate(ctx *pair.Ctx, m *msg.Message) {
 // handleDelete requires the record lock (acquired at read time) and keeps
 // the primary-key lock until end of transaction.
 func (a *app) handleDelete(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(DeleteReq)
+	req := m.Payload.(*RecReq)
 	f, err := a.file(req.File)
 	if err != nil {
 		ctx.ReplyErr(err)
@@ -278,7 +280,7 @@ func (a *app) handleDelete(ctx *pair.Ctx, m *msg.Message) {
 // handleAppend adds to an entry-sequenced file; the new record is
 // auto-locked like any insert.
 func (a *app) handleAppend(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(AppendReq)
+	req := m.Payload.(*RecReq)
 	f, err := a.file(req.File)
 	if err != nil {
 		ctx.ReplyErr(err)
@@ -326,12 +328,15 @@ func (a *app) handleAppend(ctx *pair.Ctx, m *msg.Message) {
 		return
 	}
 	a.proc.writes.Add(1)
-	ctx.Reply(AppendResp{Key: key})
+	// The key goes into the frame only now: a parked append is classified
+	// again on resume, and its footprint must stay the whole file.
+	*req = RecReq{Key: key}
+	ctx.Reply(req)
 }
 
 // handleLock serves explicit file- or record-lock requests.
 func (a *app) handleLock(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(LockReq)
+	req := m.Payload.(*RecReq)
 	if req.Tx.IsZero() {
 		ctx.ReplyErr(fmt.Errorf("%w: lock", ErrNoTx))
 		return
@@ -357,7 +362,7 @@ func (a *app) handleLock(ctx *pair.Ctx, m *msg.Message) {
 // handleEndTx releases the transaction's locks (phase two of commit, or
 // the completion of backout).
 func (a *app) handleEndTx(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(EndTxReq)
+	req := m.Payload.(*TxReq)
 	a.markEnded(req.Tx)
 	//lint:allow droppederr only possible error is ErrNoBackup; release proceeds degraded and pair.Stats counts the miss
 	ctx.Checkpoint(&ckRecord{Tx: req.Tx, EndTx: true})
@@ -373,7 +378,7 @@ func (a *app) handleEndTx(ctx *pair.Ctx, m *msg.Message) {
 // volume BEFORE backout, so an application's straggler update cannot slip
 // in between the backout scan and the lock release.
 func (a *app) handleFreeze(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(EndTxReq)
+	req := m.Payload.(*TxReq)
 	a.markEnded(req.Tx)
 	//lint:allow droppederr only possible error is ErrNoBackup; the freeze itself is local, the checkpoint only mirrors it
 	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Freeze: true})
@@ -385,7 +390,7 @@ func (a *app) handleFreeze(ctx *pair.Ctx, m *msg.Message) {
 // transaction still holds its locks, so the restores are invisible to
 // concurrent transactions until lock release.
 func (a *app) handleUndo(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(UndoReq)
+	req := m.Payload.(*UndoReq)
 	for i := range req.Images {
 		img := &req.Images[i]
 		op := ckOp{Kind: opWrite, File: img.File, Key: img.Key, Val: img.Before}
@@ -419,7 +424,7 @@ func (a *app) handleUndo(ctx *pair.Ctx, m *msg.Message) {
 // commit protocol still waits for the reply before writing the commit
 // record, so durability-before-commit is preserved per transaction.
 func (a *app) handleFlush(ctx *pair.Ctx, m *msg.Message) {
-	req := m.Payload.(FlushReq)
+	req := m.Payload.(*TxReq)
 	if !a.audited() {
 		ctx.Reply(nil)
 		return

@@ -37,7 +37,7 @@ func TestFlushAsyncUnderSlowForce(t *testing.T) {
 	const delay = 80 * time.Millisecond
 	e, tracer := newTracedEnv(t, delay, "audit-1")
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("v")})
 	imgs := e.trail.ImagesForUnforced(tx(1))
 	if len(imgs) != 1 {
 		t.Fatalf("images = %d, want 1", len(imgs))
@@ -45,13 +45,13 @@ func TestFlushAsyncUnderSlowForce(t *testing.T) {
 
 	flushDone := make(chan error, 1)
 	go func() {
-		_, err := e.call(t, KindFlush, FlushReq{Tx: tx(1)})
+		_, err := e.call(t, KindFlush, &TxReq{Tx: tx(1)})
 		flushDone <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the flush reach the DISCPROCESS
 
 	readStart := time.Now()
-	e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"})
+	e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"})
 	if d := time.Since(readStart); d >= delay {
 		t.Errorf("read stalled %v behind the in-flight flush (force delay %v)", d, delay)
 	}
@@ -92,7 +92,7 @@ func TestFlushAsyncUnderSlowForce(t *testing.T) {
 func TestFlushFailureReported(t *testing.T) {
 	e, tracer := newTracedEnv(t, 0, "audit-missing")
 	e.create(t, "f", dbfile.KeySequenced)
-	_, err := e.call(t, KindFlush, FlushReq{Tx: tx(1)})
+	_, err := e.call(t, KindFlush, &TxReq{Tx: tx(1)})
 	if err == nil {
 		t.Fatal("flush against a dead audit path should fail")
 	}
@@ -124,7 +124,7 @@ func TestConcurrentFlushesDurableAtReply(t *testing.T) {
 	e.create(t, "f", dbfile.KeySequenced)
 	lastLSN := make([]uint64, txs+1)
 	for n := 1; n <= txs; n++ {
-		e.mustCall(t, KindInsert, WriteReq{Tx: tx(uint64(n)), File: "f", Key: fmt.Sprintf("k%d", n), Val: []byte("v")})
+		e.mustCall(t, KindInsert, &RecReq{Tx: tx(uint64(n)), File: "f", Key: fmt.Sprintf("k%d", n), Val: []byte("v")})
 		imgs := e.trail.ImagesForUnforced(tx(uint64(n)))
 		if len(imgs) != 1 {
 			t.Fatalf("tx %d: images = %d, want 1", n, len(imgs))
@@ -140,7 +140,7 @@ func TestConcurrentFlushesDurableAtReply(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.call(t, KindFlush, FlushReq{Tx: tx(uint64(n))})
+			_, err := e.call(t, KindFlush, &TxReq{Tx: tx(uint64(n))})
 			errs[n] = err
 			durableAtReply[n] = e.trail.Forced(lastLSN[n])
 		}()
@@ -169,17 +169,17 @@ func TestConcurrentFlushesDurableAtReply(t *testing.T) {
 func TestUndoEmitsTraceEvent(t *testing.T) {
 	e, tracer := newTracedEnv(t, 0, "audit-1")
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "a", Val: []byte("orig")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
-	e.mustCall(t, KindRead, ReadReq{Tx: tx(2), File: "f", Key: "a", WithLock: true})
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "a", Val: []byte("dirty")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "a", Val: []byte("orig")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	e.mustCall(t, KindRead, &RecReq{Tx: tx(2), File: "f", Key: "a", WithLock: true})
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "a", Val: []byte("dirty")})
 
 	imgs := e.trail.ImagesForUnforced(tx(2))
 	rev := make([]audit.Image, len(imgs))
 	for i, im := range imgs {
 		rev[len(imgs)-1-i] = im
 	}
-	e.mustCall(t, KindUndo, UndoReq{Tx: tx(2), Images: rev})
+	e.mustCall(t, KindUndo, &UndoReq{Tx: tx(2), Images: rev})
 
 	var undo *obs.Event
 	for _, ev := range tracer.Trace(tx(2)) {
@@ -194,9 +194,9 @@ func TestUndoEmitsTraceEvent(t *testing.T) {
 	if want := fmt.Sprintf("v1 (%d images)", len(imgs)); undo.Detail != want {
 		t.Errorf("undo event detail = %q, want %q", undo.Detail, want)
 	}
-	r := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "a"})
-	if string(r.Payload.(ReadResp).Val) != "orig" {
-		t.Errorf("a = %q after undo, want orig", r.Payload.(ReadResp).Val)
+	r := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "a"})
+	if string(r.Payload.(*RecReq).Val) != "orig" {
+		t.Errorf("a = %q after undo, want orig", r.Payload.(*RecReq).Val)
 	}
 }
 
@@ -214,19 +214,19 @@ func TestReadMissNeverInstallsReplacedValue(t *testing.T) {
 				c.DiscWorkers, c.CacheSize, c.MissPenalty = 8, 1, penalty
 			})
 			e.create(t, "f", dbfile.KeySequenced)
-			e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")})
-			e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "other", Val: []byte("x")})
-			e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+			e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")})
+			e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "other", Val: []byte("x")})
+			e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 			// The one cache slot now holds "other": a read of k misses.
-			e.mustCall(t, KindLockRec, LockReq{Tx: tx(2), File: "f", Key: "k"})
+			e.mustCall(t, KindLockRec, &RecReq{Tx: tx(2), File: "f", Key: "k"})
 			if writer == "undo" {
-				e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("dirty")})
-				e.mustCall(t, KindRead, ReadReq{File: "f", Key: "other"}) // push k out of the slot again
+				e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("dirty")})
+				e.mustCall(t, KindRead, &RecReq{File: "f", Key: "other"}) // push k out of the slot again
 			}
 			misses := e.proc.Stats().CacheStats.Misses
 			browsed := make(chan error, 1)
 			go func() {
-				_, err := e.call(t, KindRead, ReadReq{File: "f", Key: "k"})
+				_, err := e.call(t, KindRead, &RecReq{File: "f", Key: "k"})
 				browsed <- err
 			}()
 			// Once the miss is counted the browse is in its penalty, 50 ms
@@ -235,27 +235,27 @@ func TestReadMissNeverInstallsReplacedValue(t *testing.T) {
 			want := "new"
 			switch writer {
 			case "update":
-				e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("new")})
+				e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("new")})
 			case "delete":
-				e.mustCall(t, KindDelete, DeleteReq{Tx: tx(2), File: "f", Key: "k"})
+				e.mustCall(t, KindDelete, &RecReq{Tx: tx(2), File: "f", Key: "k"})
 				want = ""
 			case "undo":
-				e.mustCall(t, KindFreeze, EndTxReq{Tx: tx(2)})
-				e.mustCall(t, KindUndo, UndoReq{Tx: tx(2), Images: e.trail.ImagesForUnforced(tx(2))})
+				e.mustCall(t, KindFreeze, &TxReq{Tx: tx(2)})
+				e.mustCall(t, KindUndo, &UndoReq{Tx: tx(2), Images: e.trail.ImagesForUnforced(tx(2))})
 				want = "old"
 			}
-			e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(2)})
+			e.mustCall(t, KindEndTx, &TxReq{Tx: tx(2)})
 			if err := <-browsed; err != nil && writer != "delete" {
 				t.Fatalf("browse: %v", err)
 			}
-			r, err := e.call(t, KindRead, ReadReq{Tx: tx(3), File: "f", Key: "k", WithLock: true})
+			r, err := e.call(t, KindRead, &RecReq{Tx: tx(3), File: "f", Key: "k", WithLock: true})
 			switch {
 			case want == "" && err == nil:
-				t.Fatalf("locked read after delete returned %q: the browse's fill resurrected the record", r.Payload.(ReadResp).Val)
+				t.Fatalf("locked read after delete returned %q: the browse's fill resurrected the record", r.Payload.(*RecReq).Val)
 			case want != "" && err != nil:
 				t.Fatalf("locked read: %v", err)
-			case want != "" && string(r.Payload.(ReadResp).Val) != want:
-				t.Fatalf("locked read after %s = %q, want %q: the browse's fill replaced the writer's value", writer, r.Payload.(ReadResp).Val, want)
+			case want != "" && string(r.Payload.(*RecReq).Val) != want:
+				t.Fatalf("locked read after %s = %q, want %q: the browse's fill replaced the writer's value", writer, r.Payload.(*RecReq).Val, want)
 			}
 		})
 	}

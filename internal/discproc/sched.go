@@ -100,7 +100,7 @@ func txScoped(tx txid.ID) footprint {
 func classify(m *msg.Message) (fp footprint, browse bool) {
 	switch m.Kind {
 	case KindRead:
-		if req, ok := m.Payload.(ReadReq); ok {
+		if req, ok := m.Payload.(*RecReq); ok {
 			if !req.WithLock {
 				return footprint{}, true
 			}
@@ -114,34 +114,22 @@ func classify(m *msg.Message) (fp footprint, browse bool) {
 		if _, ok := m.Payload.(ReadAltReq); ok {
 			return footprint{}, true
 		}
-	case KindInsert, KindUpdate:
-		if req, ok := m.Payload.(WriteReq); ok {
-			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
-		}
-	case KindDelete:
-		if req, ok := m.Payload.(DeleteReq); ok {
+	case KindInsert, KindUpdate, KindDelete, KindLockFile, KindLockRec:
+		if req, ok := m.Payload.(*RecReq); ok {
 			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
 		}
 	case KindAppend:
 		// Appends allocate the next entry-sequence key, so they serialize
 		// per file: two concurrent appends would race on the allocator.
-		if req, ok := m.Payload.(AppendReq); ok {
+		if req, ok := m.Payload.(*RecReq); ok {
 			return footprint{file: req.File, tx: req.Tx}, false
 		}
-	case KindLockFile, KindLockRec:
-		if req, ok := m.Payload.(LockReq); ok {
-			return footprint{file: req.File, key: req.Key, tx: req.Tx}, false
-		}
-	case KindEndTx, KindFreeze:
-		if req, ok := m.Payload.(EndTxReq); ok {
-			return txScoped(req.Tx), false
-		}
-	case KindFlush:
-		if req, ok := m.Payload.(FlushReq); ok {
+	case KindEndTx, KindFreeze, KindFlush:
+		if req, ok := m.Payload.(*TxReq); ok {
 			return txScoped(req.Tx), false
 		}
 	case KindUndo:
-		if req, ok := m.Payload.(UndoReq); ok {
+		if req, ok := m.Payload.(*UndoReq); ok {
 			return txScoped(req.Tx), false
 		}
 	}

@@ -46,29 +46,29 @@ func (r schedReq) message(rng *rand.Rand) msg.Message {
 	case scopeKeyed:
 		if r.key == "" {
 			if rng.Intn(2) == 0 {
-				return msg.Message{Kind: KindAppend, Payload: AppendReq{Tx: id, File: r.file}}
+				return msg.Message{Kind: KindAppend, Payload: &RecReq{Tx: id, File: r.file}}
 			}
-			return msg.Message{Kind: KindLockFile, Payload: LockReq{Tx: id, File: r.file}}
+			return msg.Message{Kind: KindLockFile, Payload: &RecReq{Tx: id, File: r.file}}
 		}
 		switch rng.Intn(4) {
 		case 0:
-			return msg.Message{Kind: KindRead, Payload: ReadReq{Tx: id, File: r.file, Key: r.key, WithLock: true}}
+			return msg.Message{Kind: KindRead, Payload: &RecReq{Tx: id, File: r.file, Key: r.key, WithLock: true}}
 		case 1:
-			return msg.Message{Kind: KindUpdate, Payload: WriteReq{Tx: id, File: r.file, Key: r.key}}
+			return msg.Message{Kind: KindUpdate, Payload: &RecReq{Tx: id, File: r.file, Key: r.key}}
 		case 2:
-			return msg.Message{Kind: KindDelete, Payload: DeleteReq{Tx: id, File: r.file, Key: r.key}}
+			return msg.Message{Kind: KindDelete, Payload: &RecReq{Tx: id, File: r.file, Key: r.key}}
 		}
-		return msg.Message{Kind: KindLockRec, Payload: LockReq{Tx: id, File: r.file, Key: r.key}}
+		return msg.Message{Kind: KindLockRec, Payload: &RecReq{Tx: id, File: r.file, Key: r.key}}
 	case scopeTx:
 		switch rng.Intn(4) {
 		case 0:
-			return msg.Message{Kind: KindFlush, Payload: FlushReq{Tx: id}}
+			return msg.Message{Kind: KindFlush, Payload: &TxReq{Tx: id}}
 		case 1:
-			return msg.Message{Kind: KindFreeze, Payload: EndTxReq{Tx: id}}
+			return msg.Message{Kind: KindFreeze, Payload: &TxReq{Tx: id}}
 		case 2:
-			return msg.Message{Kind: KindUndo, Payload: UndoReq{Tx: id}}
+			return msg.Message{Kind: KindUndo, Payload: &UndoReq{Tx: id}}
 		}
-		return msg.Message{Kind: KindEndTx, Payload: EndTxReq{Tx: id}}
+		return msg.Message{Kind: KindEndTx, Payload: &TxReq{Tx: id}}
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -76,7 +76,7 @@ func (r schedReq) message(rng *rand.Rand) msg.Message {
 	case 1:
 		return msg.Message{Kind: KindReload}
 	case 2:
-		return msg.Message{Kind: KindEndTx, Payload: EndTxReq{}} // nothing to scope it to
+		return msg.Message{Kind: KindEndTx, Payload: &TxReq{}} // nothing to scope it to
 	}
 	return msg.Message{Kind: KindUpdate, Payload: "malformed"}
 }
@@ -220,8 +220,8 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 	const keys = 8
 	for k := 0; k < keys; k++ {
 		id := tx(uint64(1000 + k))
-		e.mustCall(t, KindInsert, WriteReq{Tx: id, File: "f", Key: kname(k), Val: []byte("0")})
-		e.mustCall(t, KindEndTx, EndTxReq{Tx: id})
+		e.mustCall(t, KindInsert, &RecReq{Tx: id, File: "f", Key: kname(k), Val: []byte("0")})
+		e.mustCall(t, KindEndTx, &TxReq{Tx: id})
 	}
 	const workers = 8
 	const iters = 20
@@ -234,22 +234,22 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := tx(uint64(1 + w*iters + i))
 				key := kname((w + i) % keys) // overlapping key sets conflict across goroutines
-				r, err := e.call(t, KindRead, ReadReq{Tx: id, File: "f", Key: key, WithLock: true, LockTimeout: 2 * time.Second})
+				r, err := e.call(t, KindRead, &RecReq{Tx: id, File: "f", Key: key, WithLock: true, LockTimeout: 2 * time.Second})
 				if err != nil {
 					// Lock timeouts under contention are legal (deadlock
 					// prevention by timeout); the transaction just ends.
-					if _, err := e.call(t, KindEndTx, EndTxReq{Tx: id}); err != nil {
+					if _, err := e.call(t, KindEndTx, &TxReq{Tx: id}); err != nil {
 						errs <- fmt.Errorf("endtx after timeout: %w", err)
 					}
 					continue
 				}
-				before := r.Payload.(ReadResp).Val
+				before := r.Payload.(*RecReq).Val
 				abort := i%3 == 2
 				val := fmt.Sprintf("w%di%d", w, i)
 				if abort {
 					val = "aborted-" + val
 				}
-				if _, err := e.call(t, KindUpdate, WriteReq{Tx: id, File: "f", Key: key, Val: []byte(val)}); err != nil {
+				if _, err := e.call(t, KindUpdate, &RecReq{Tx: id, File: "f", Key: key, Val: []byte(val)}); err != nil {
 					errs <- fmt.Errorf("update: %w", err)
 				}
 				// Browse traffic rides alongside the write pipeline.
@@ -257,17 +257,17 @@ func TestConflictingOpsNeverConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("readrange: %w", err)
 				}
 				if abort {
-					if _, err := e.call(t, KindFreeze, EndTxReq{Tx: id}); err != nil {
+					if _, err := e.call(t, KindFreeze, &TxReq{Tx: id}); err != nil {
 						errs <- fmt.Errorf("freeze: %w", err)
 					}
-					undo := UndoReq{Tx: id, Images: []audit.Image{{Tx: id, Volume: "v1", File: "f", Key: key, Kind: audit.ImageUpdate, Before: before}}}
+					undo := &UndoReq{Tx: id, Images: []audit.Image{{Tx: id, Volume: "v1", File: "f", Key: key, Kind: audit.ImageUpdate, Before: before}}}
 					if _, err := e.call(t, KindUndo, undo); err != nil {
 						errs <- fmt.Errorf("undo: %w", err)
 					}
-				} else if _, err := e.call(t, KindFlush, FlushReq{Tx: id}); err != nil {
+				} else if _, err := e.call(t, KindFlush, &TxReq{Tx: id}); err != nil {
 					errs <- fmt.Errorf("flush: %w", err)
 				}
-				if _, err := e.call(t, KindEndTx, EndTxReq{Tx: id}); err != nil {
+				if _, err := e.call(t, KindEndTx, &TxReq{Tx: id}); err != nil {
 					errs <- fmt.Errorf("endtx: %w", err)
 				}
 			}
@@ -315,22 +315,22 @@ func TestTxScopedOpsDoNotWaitForBrowses(t *testing.T) {
 		c.DiscWorkers, c.CacheSize, c.MissPenalty = 8, 0, penalty
 	})
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "browsed", Val: []byte("b")})
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("orig")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
-	e.mustCall(t, KindLockRec, LockReq{Tx: tx(2), File: "f", Key: "k"})
-	e.mustCall(t, KindUpdate, WriteReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("dirty")})
-	undo := UndoReq{Tx: tx(2), Images: e.trail.ImagesForUnforced(tx(2))}
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "browsed", Val: []byte("b")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("orig")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	e.mustCall(t, KindLockRec, &RecReq{Tx: tx(2), File: "f", Key: "k"})
+	e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: "k", Val: []byte("dirty")})
+	undo := &UndoReq{Tx: tx(2), Images: e.trail.ImagesForUnforced(tx(2))}
 
 	stop := e.loopBrowsers(t, 3, penalty, "f", "browsed")
 	defer stop()
 	const bound = 50 * time.Millisecond
-	e.promptly(t, bound, KindFlush, FlushReq{Tx: tx(2)})
-	e.promptly(t, bound, KindFreeze, EndTxReq{Tx: tx(2)})
+	e.promptly(t, bound, KindFlush, &TxReq{Tx: tx(2)})
+	e.promptly(t, bound, KindFreeze, &TxReq{Tx: tx(2)})
 	e.promptly(t, bound, KindUndo, undo)
-	e.promptly(t, bound, KindEndTx, EndTxReq{Tx: tx(2)})
+	e.promptly(t, bound, KindEndTx, &TxReq{Tx: tx(2)})
 
-	if v := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "k"}).Payload.(ReadResp).Val; string(v) != "orig" {
+	if v := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k"}).Payload.(*RecReq).Val; string(v) != "orig" {
 		t.Errorf("k = %q after backout, want orig", v)
 	}
 	if held := e.proc.LocksSnapshot(); len(held) != 0 {
@@ -349,8 +349,8 @@ func TestWideOpsNotStarvedByBrowses(t *testing.T) {
 		c.DiscWorkers, c.CacheSize, c.MissPenalty = 8, 0, penalty
 	})
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(1), File: "f", Key: "browsed", Val: []byte("b")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1)})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "browsed", Val: []byte("b")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
 
 	stop := e.loopBrowsers(t, 4, penalty, "f", "browsed")
 	defer stop()
@@ -387,12 +387,12 @@ func TestBrowseCompletesWhileFileLockHeld(t *testing.T) {
 			e := newEnvWorkers(t, 4, true, workers)
 			e.create(t, "f", dbfile.KeySequenced, dbfile.AltKeyDef{Name: "grp", Offset: 0, Len: 1})
 			seed := tx(500)
-			e.mustCall(t, KindInsert, WriteReq{Tx: seed, File: "f", Key: "k1", Val: []byte("a1")})
-			e.mustCall(t, KindInsert, WriteReq{Tx: seed, File: "f", Key: "k2", Val: []byte("b2")})
-			e.mustCall(t, KindEndTx, EndTxReq{Tx: seed})
+			e.mustCall(t, KindInsert, &RecReq{Tx: seed, File: "f", Key: "k1", Val: []byte("a1")})
+			e.mustCall(t, KindInsert, &RecReq{Tx: seed, File: "f", Key: "k2", Val: []byte("b2")})
+			e.mustCall(t, KindEndTx, &TxReq{Tx: seed})
 
 			holder := tx(501)
-			e.mustCall(t, KindLockFile, LockReq{Tx: holder, File: "f"})
+			e.mustCall(t, KindLockFile, &RecReq{Tx: holder, File: "f"})
 
 			waitsBefore := e.proc.Stats().LockStats.Waits
 			done := make(chan error, 3)
@@ -405,7 +405,7 @@ func TestBrowseCompletesWhileFileLockHeld(t *testing.T) {
 				done <- err
 			}()
 			go func() {
-				_, err := e.call(t, KindRead, ReadReq{File: "f", Key: "k1"}) // unlocked
+				_, err := e.call(t, KindRead, &RecReq{File: "f", Key: "k1"}) // unlocked
 				done <- err
 			}()
 			for i := 0; i < 3; i++ {
@@ -422,11 +422,11 @@ func TestBrowseCompletesWhileFileLockHeld(t *testing.T) {
 				t.Fatalf("browse requests parked on the lock manager (%d new waits)", waits-waitsBefore)
 			}
 			// The file lock is still held; a locked read must still wait.
-			_, err := e.call(t, KindRead, ReadReq{Tx: tx(502), File: "f", Key: "k1", WithLock: true, LockTimeout: 30 * time.Millisecond})
+			_, err := e.call(t, KindRead, &RecReq{Tx: tx(502), File: "f", Key: "k1", WithLock: true, LockTimeout: 30 * time.Millisecond})
 			if err == nil || !strings.Contains(err.Error(), "timed out") {
 				t.Fatalf("locked read under file lock: err = %v, want timeout", err)
 			}
-			e.mustCall(t, KindEndTx, EndTxReq{Tx: holder})
+			e.mustCall(t, KindEndTx, &TxReq{Tx: holder})
 		})
 	}
 }
@@ -439,21 +439,21 @@ func TestAppendParksBehindFileLock(t *testing.T) {
 	e := newEnvWorkers(t, 4, true, 8)
 	e.create(t, "h", dbfile.EntrySequenced)
 	holder := tx(600)
-	e.mustCall(t, KindLockFile, LockReq{Tx: holder, File: "h"})
+	e.mustCall(t, KindLockFile, &RecReq{Tx: holder, File: "h"})
 
-	_, err := e.call(t, KindAppend, AppendReq{Tx: tx(601), File: "h", Val: []byte("x"), LockTimeout: 50 * time.Millisecond})
+	_, err := e.call(t, KindAppend, &RecReq{Tx: tx(601), File: "h", Val: []byte("x"), LockTimeout: 50 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("append under foreign file lock: err = %v, want lock timeout", err)
 	}
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: holder})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: holder})
 	// No record may have been written by the refused append.
 	r := e.mustCall(t, KindReadRange, ReadRangeReq{File: "h", Limit: 10})
 	if recs := r.Payload.(ReadRangeResp).Recs; len(recs) != 0 {
 		t.Fatalf("refused append left %d records behind", len(recs))
 	}
 	// With the lock released, appends proceed again.
-	e.mustCall(t, KindAppend, AppendReq{Tx: tx(602), File: "h", Val: []byte("y")})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(602)})
+	e.mustCall(t, KindAppend, &RecReq{Tx: tx(602), File: "h", Val: []byte("y")})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(602)})
 }
 
 // parks reports how many requests have parked on a lock wait so far: every
@@ -471,9 +471,9 @@ func (e *env) parks() uint64 {
 // f/<ins>, the record lock on f/<rec>.
 func lockingReqs(first uint64, ins, rec string) []msg.Message {
 	return []msg.Message{
-		{Kind: KindRead, Payload: ReadReq{Tx: tx(first), File: "f", Key: "r", WithLock: true}},
-		{Kind: KindInsert, Payload: WriteReq{Tx: tx(first + 1), File: "f", Key: ins, Val: []byte("new")}},
-		{Kind: KindLockRec, Payload: LockReq{Tx: tx(first + 2), File: "f", Key: rec}},
+		{Kind: KindRead, Payload: &RecReq{Tx: tx(first), File: "f", Key: "r", WithLock: true}},
+		{Kind: KindInsert, Payload: &RecReq{Tx: tx(first + 1), File: "f", Key: ins, Val: []byte("new")}},
+		{Kind: KindLockRec, Payload: &RecReq{Tx: tx(first + 2), File: "f", Key: rec}},
 	}
 }
 
@@ -488,8 +488,8 @@ func TestFreeLockTakenInline(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := newEnvWorkers(t, 4, true, workers)
 			e.create(t, "f", dbfile.KeySequenced)
-			e.mustCall(t, KindInsert, WriteReq{Tx: tx(800), File: "f", Key: "r", Val: []byte("v")})
-			e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(800)})
+			e.mustCall(t, KindInsert, &RecReq{Tx: tx(800), File: "f", Key: "r", Val: []byte("v")})
+			e.mustCall(t, KindEndTx, &TxReq{Tx: tx(800)})
 
 			parks, waits, enqueued := e.parks(), e.proc.Stats().LockStats.Waits, e.proc.Stats().Sched.Enqueued
 			for _, r := range lockingReqs(801, "n1", "l1") {
@@ -505,12 +505,12 @@ func TestFreeLockTakenInline(t *testing.T) {
 				t.Errorf("3 requests were enqueued %d times, want 3", got)
 			}
 			for id := uint64(801); id <= 803; id++ {
-				e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(id)})
+				e.mustCall(t, KindEndTx, &TxReq{Tx: tx(id)})
 			}
 
 			holder := tx(810)
 			for _, key := range []string{"r", "n2", "l2"} {
-				e.mustCall(t, KindLockRec, LockReq{Tx: holder, File: "f", Key: key})
+				e.mustCall(t, KindLockRec, &RecReq{Tx: holder, File: "f", Key: key})
 			}
 			parks, waits = e.parks(), e.proc.Stats().LockStats.Waits
 			done := make(chan error, 3)
@@ -529,7 +529,7 @@ func TestFreeLockTakenInline(t *testing.T) {
 				t.Fatalf("request on a held record returned before the release: %v", err)
 			case <-time.After(20 * time.Millisecond):
 			}
-			e.mustCall(t, KindEndTx, EndTxReq{Tx: holder})
+			e.mustCall(t, KindEndTx, &TxReq{Tx: holder})
 			for i := 0; i < 3; i++ {
 				select {
 				case err := <-done:
@@ -540,7 +540,7 @@ func TestFreeLockTakenInline(t *testing.T) {
 					t.Fatal("parked request never granted after the release")
 				}
 			}
-			if v := e.mustCall(t, KindRead, ReadReq{File: "f", Key: "n2"}).Payload.(ReadResp).Val; string(v) != "new" {
+			if v := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "n2"}).Payload.(*RecReq).Val; string(v) != "new" {
 				t.Errorf("parked insert wrote %q, want new", v)
 			}
 		})
@@ -553,15 +553,15 @@ func TestFreeLockTakenInline(t *testing.T) {
 func TestParkedRequestCountsOneOp(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "f", dbfile.KeySequenced)
-	e.mustCall(t, KindInsert, WriteReq{Tx: tx(900), File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(900), File: "f", Key: "k", Val: []byte("v")})
 	ops, parks := e.proc.Stats().Ops, e.parks()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.call(t, KindRead, ReadReq{Tx: tx(901), File: "f", Key: "k", WithLock: true})
+		_, err := e.call(t, KindRead, &RecReq{Tx: tx(901), File: "f", Key: "k", WithLock: true})
 		done <- err
 	}()
 	waitFor(t, "the locked read to park", func() bool { return e.parks() == parks+1 })
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(900)})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(900)})
 	if err := <-done; err != nil {
 		t.Fatalf("locked read after the release: %v", err)
 	}
@@ -591,10 +591,10 @@ func TestRecycledJobsAnswerTheirOwnRequest(t *testing.T) {
 		keys = append(keys, fmt.Sprintf("own%d", c))
 	}
 	for _, k := range keys {
-		e.mustCall(t, KindInsert, WriteReq{Tx: tx(1000), File: "f", Key: k, Val: []byte("init")})
+		e.mustCall(t, KindInsert, &RecReq{Tx: tx(1000), File: "f", Key: k, Val: []byte("init")})
 		committed[k] = "init"
 	}
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: tx(1000)})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1000)})
 
 	parks := e.parks()
 	var wg sync.WaitGroup
@@ -619,20 +619,20 @@ func TestRecycledJobsAnswerTheirOwnRequest(t *testing.T) {
 				own, shared := keys[2+c], keys[(c+round)%2]
 				val := fmt.Sprintf("c%d-r%d", c, round)
 				for _, k := range []string{own, shared} {
-					r, ok := ask(KindRead, ReadReq{Tx: id, File: "f", Key: k, WithLock: true})
+					r, ok := ask(KindRead, &RecReq{Tx: id, File: "f", Key: k, WithLock: true})
 					if !ok {
 						return
 					}
 					mu.Lock()
 					want := committed[k]
 					mu.Unlock()
-					if resp, _ := r.Payload.(ReadResp); string(resp.Val) != want {
+					if resp, _ := r.Payload.(*RecReq); string(resp.Val) != want {
 						t.Errorf("client %d locked read of %s answered %v, want %q", c, k, r.Payload, want)
 						return
 					}
 				}
 				for _, k := range []string{own, shared} {
-					if r, ok := ask(KindUpdate, WriteReq{Tx: id, File: "f", Key: k, Val: []byte(val)}); !ok {
+					if r, ok := ask(KindUpdate, &RecReq{Tx: id, File: "f", Key: k, Val: []byte(val)}); !ok {
 						return
 					} else if r.Payload != nil {
 						t.Errorf("client %d update of %s answered %v", c, k, r.Payload)
@@ -643,20 +643,20 @@ func TestRecycledJobsAnswerTheirOwnRequest(t *testing.T) {
 					mu.Unlock()
 				}
 				for _, kind := range []string{KindFlush, KindEndTx} {
-					var payload any = EndTxReq{Tx: id}
+					var payload any = &TxReq{Tx: id}
 					if kind == KindFlush {
-						payload = FlushReq{Tx: id}
+						payload = &TxReq{Tx: id}
 					}
 					if _, ok := ask(kind, payload); !ok {
 						return
 					}
 				}
 				// A browse rides a recycled job as well; no one else writes own.
-				r, ok := ask(KindRead, ReadReq{File: "f", Key: own})
+				r, ok := ask(KindRead, &RecReq{File: "f", Key: own})
 				if !ok {
 					return
 				}
-				if resp, _ := r.Payload.(ReadResp); string(resp.Val) != val {
+				if resp, _ := r.Payload.(*RecReq); string(resp.Val) != val {
 					t.Errorf("client %d browse of %s answered %v, want %q", c, own, r.Payload, val)
 					return
 				}
@@ -676,9 +676,9 @@ func TestSerialModeMatchesSeedShape(t *testing.T) {
 	e := newEnvWorkers(t, 4, true, 1)
 	e.create(t, "f", dbfile.KeySequenced)
 	id := tx(700)
-	e.mustCall(t, KindInsert, WriteReq{Tx: id, File: "f", Key: "k", Val: []byte("v")})
+	e.mustCall(t, KindInsert, &RecReq{Tx: id, File: "f", Key: "k", Val: []byte("v")})
 	e.mustCall(t, KindReadRange, ReadRangeReq{File: "f", Limit: 1})
-	e.mustCall(t, KindEndTx, EndTxReq{Tx: id})
+	e.mustCall(t, KindEndTx, &TxReq{Tx: id})
 	st := e.proc.Stats()
 	if st.Sched.Workers != 1 {
 		t.Fatalf("Workers = %d, want 1", st.Sched.Workers)

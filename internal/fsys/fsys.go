@@ -125,7 +125,7 @@ func (fs *FS) Create(fi FileInfo) error {
 		return err
 	}
 	for _, p := range fi.Partitions {
-		err := fs.callPart(txid.ID{}, p, discproc.KindCreate, discproc.CreateReq{
+		_, err := fs.callPart(txid.ID{}, p, discproc.KindCreate, discproc.CreateReq{
 			File: fi.Name, Org: fi.Org, AltKeys: fi.AltKeys, AllowNodes: fi.AllowNodes,
 		})
 		if err != nil && !isExists(err) {
@@ -152,12 +152,7 @@ func (fs *FS) info(file string) (*FileInfo, error) {
 
 // callPart sends one request to a partition's DISCPROCESS, handling the
 // remote-transaction-begin and retrying once around process-pair takeover.
-func (fs *FS) callPart(tx txid.ID, p Partition, kind string, payload any) error {
-	_, err := fs.callPartResp(tx, p, kind, payload)
-	return err
-}
-
-func (fs *FS) callPartResp(tx txid.ID, p Partition, kind string, payload any) (msg.Message, error) {
+func (fs *FS) callPart(tx txid.ID, p Partition, kind string, payload any) (msg.Message, error) {
 	if !tx.IsZero() && p.Node != fs.node {
 		if err := fs.mon.NoteRemoteSend(tx, p.Node); err != nil {
 			return msg.Message{}, err
@@ -184,17 +179,39 @@ func (fs *FS) callPartResp(tx txid.ID, p Partition, kind string, payload any) (m
 	return msg.Message{}, last
 }
 
+// frames recycles record-request frames (discproc.RecReq), which the
+// DISCPROCESS answers in place. A frame goes back only once its reply has
+// arrived, success or application error: until then the DISCPROCESS may
+// still read it or answer into it. A call that failed to start never
+// delivered its frame and retries with it; a call that timed out leaves
+// its frame to the garbage collector, because a late server may still
+// read it.
+var frames = sync.Pool{New: func() any { return new(discproc.RecReq) }}
+
+// rec sends req to p's DISCPROCESS in a pooled frame and returns what the
+// reply carries back in it: a read's value and an append's key.
+func (fs *FS) rec(p Partition, kind string, req discproc.RecReq) (val []byte, key string, err error) {
+	f := frames.Get().(*discproc.RecReq)
+	*f = req
+	r, err := fs.callPart(req.Tx, p, kind, f)
+	if a, ok := r.Payload.(*discproc.RecReq); ok {
+		val, key = a.Val, a.Key
+	}
+	if !errors.Is(err, msg.ErrCallTimeout) {
+		*f = discproc.RecReq{}
+		frames.Put(f)
+	}
+	return val, key, err
+}
+
 // Read fetches one record without locking (browse access).
 func (fs *FS) Read(file, key string) ([]byte, error) {
 	fi, err := fs.info(file)
 	if err != nil {
 		return nil, err
 	}
-	r, err := fs.callPartResp(txid.ID{}, fi.locate(key), discproc.KindRead, discproc.ReadReq{File: file, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	return r.Payload.(discproc.ReadResp).Val, nil
+	val, _, err := fs.rec(fi.locate(key), discproc.KindRead, discproc.RecReq{File: file, Key: key})
+	return val, err
 }
 
 // ReadLock fetches one record and acquires its record lock for tx: "locks
@@ -205,13 +222,10 @@ func (fs *FS) ReadLock(tx txid.ID, file, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := fs.callPartResp(tx, fi.locate(key), discproc.KindRead, discproc.ReadReq{
+	val, _, err := fs.rec(fi.locate(key), discproc.KindRead, discproc.RecReq{
 		Tx: tx, File: file, Key: key, WithLock: true, LockTimeout: fs.LockTimeout,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r.Payload.(discproc.ReadResp).Val, nil
+	return val, err
 }
 
 // Insert adds a record under tx; the new record is automatically locked.
@@ -220,9 +234,10 @@ func (fs *FS) Insert(tx txid.ID, file, key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	return fs.callPart(tx, fi.locate(key), discproc.KindInsert, discproc.WriteReq{
+	_, _, err = fs.rec(fi.locate(key), discproc.KindInsert, discproc.RecReq{
 		Tx: tx, File: file, Key: key, Val: val, LockTimeout: fs.LockTimeout,
 	})
+	return err
 }
 
 // Update replaces a record previously locked by tx.
@@ -231,9 +246,8 @@ func (fs *FS) Update(tx txid.ID, file, key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	return fs.callPart(tx, fi.locate(key), discproc.KindUpdate, discproc.WriteReq{
-		Tx: tx, File: file, Key: key, Val: val,
-	})
+	_, _, err = fs.rec(fi.locate(key), discproc.KindUpdate, discproc.RecReq{Tx: tx, File: file, Key: key, Val: val})
+	return err
 }
 
 // Delete removes a record previously locked by tx.
@@ -242,9 +256,8 @@ func (fs *FS) Delete(tx txid.ID, file, key string) error {
 	if err != nil {
 		return err
 	}
-	return fs.callPart(tx, fi.locate(key), discproc.KindDelete, discproc.DeleteReq{
-		Tx: tx, File: file, Key: key,
-	})
+	_, _, err = fs.rec(fi.locate(key), discproc.KindDelete, discproc.RecReq{Tx: tx, File: file, Key: key})
+	return err
 }
 
 // Append adds a record to an entry-sequenced file (last partition).
@@ -253,14 +266,10 @@ func (fs *FS) Append(tx txid.ID, file string, val []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p := fi.Partitions[len(fi.Partitions)-1]
-	r, err := fs.callPartResp(tx, p, discproc.KindAppend, discproc.AppendReq{
+	_, key, err := fs.rec(fi.Partitions[len(fi.Partitions)-1], discproc.KindAppend, discproc.RecReq{
 		Tx: tx, File: file, Val: val, LockTimeout: fs.LockTimeout,
 	})
-	if err != nil {
-		return "", err
-	}
-	return r.Payload.(discproc.AppendResp).Key, nil
+	return key, err
 }
 
 // LockFile takes a file-granularity lock on every partition of the file.
@@ -270,7 +279,7 @@ func (fs *FS) LockFile(tx txid.ID, file string) error {
 		return err
 	}
 	for _, p := range fi.Partitions {
-		if err := fs.callPart(tx, p, discproc.KindLockFile, discproc.LockReq{
+		if _, _, err := fs.rec(p, discproc.KindLockFile, discproc.RecReq{
 			Tx: tx, File: file, LockTimeout: fs.LockTimeout,
 		}); err != nil {
 			return err
@@ -295,7 +304,7 @@ func (fs *FS) ReadRange(file, lo, hi string, limit int) ([]dbfile.Rec, error) {
 		if want > 0 {
 			want -= len(out)
 		}
-		r, err := fs.callPartResp(txid.ID{}, p, discproc.KindReadRange, discproc.ReadRangeReq{
+		r, err := fs.callPart(txid.ID{}, p, discproc.KindReadRange, discproc.ReadRangeReq{
 			File: file, Lo: lo, Hi: hi, Limit: want,
 		})
 		if err != nil {
@@ -322,7 +331,7 @@ func (fs *FS) ReadRangeDesc(file, lo, hi string, limit int) ([]dbfile.Rec, error
 		if want > 0 {
 			want -= len(out)
 		}
-		r, err := fs.callPartResp(txid.ID{}, fi.Partitions[i], discproc.KindReadRange, discproc.ReadRangeReq{
+		r, err := fs.callPart(txid.ID{}, fi.Partitions[i], discproc.KindReadRange, discproc.ReadRangeReq{
 			File: file, Lo: lo, Hi: hi, Limit: want, Desc: true,
 		})
 		if err != nil {
@@ -342,7 +351,7 @@ func (fs *FS) ReadByAltKey(file, altKey, value string) ([]dbfile.Rec, error) {
 	}
 	var out []dbfile.Rec
 	for _, p := range fi.Partitions {
-		r, err := fs.callPartResp(txid.ID{}, p, discproc.KindReadAlt, discproc.ReadAltReq{
+		r, err := fs.callPart(txid.ID{}, p, discproc.KindReadAlt, discproc.ReadAltReq{
 			File: file, AltKey: altKey, Value: value,
 		})
 		if err != nil {

@@ -38,12 +38,10 @@ type scobolRuntime struct {
 	tx     *encompass.Tx
 }
 
+// Accept returns the terminal's input map itself: the interpreter only
+// reads the map it is given, so a copy per transaction would buy nothing.
 func (r *scobolRuntime) Accept(screen string, fields []string) (map[string]string, error) {
-	out := make(map[string]string, len(fields))
-	for _, f := range fields {
-		out[f] = r.inputs[f]
-	}
-	return out, nil
+	return r.inputs, nil
 }
 
 func (r *scobolRuntime) Display(string) {}

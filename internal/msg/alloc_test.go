@@ -12,12 +12,18 @@ import (
 )
 
 // TestCallAllocatesNothing pins the steady-state cost of a call with a nil
-// payload, server side included, at zero allocations.
+// payload, server side included, at zero allocations. A call through a
+// relay that forwards it to the server costs nothing more.
 func TestCallAllocatesNothing(t *testing.T) {
 	s := newSys(t, 2)
 	spawnEcho(t, s, 0, "echo")
 	echo := Addr{Name: "echo"}
+	spawnRelay(t, s, 1, "relay", echo)
 	calls := map[string]func() error{
+		"Forward": func() error {
+			_, err := s.CallTimeout(0, Addr{Name: "relay"}, "echo", nil, time.Second)
+			return err
+		},
 		"CallTimeout same cpu": func() error {
 			_, err := s.CallTimeout(0, echo, "echo", nil, time.Second)
 			return err

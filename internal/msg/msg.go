@@ -212,6 +212,18 @@ func (p *Process) Send(to Addr, kind string, payload any) error {
 	return p.sys.send(Message{From: p.pid, FromSys: p.sys.node.Name(), To: to, Kind: kind, Payload: payload})
 }
 
+// Forward relays a request this process received to another process,
+// unchanged but for its destination: From, FromSys and Corr still name the
+// original requester, so the new destination's reply goes straight to it.
+// The relay crosses the bus from this process's CPU.
+func (p *Process) Forward(to Addr, m *Message) error {
+	if p.halted() {
+		return fmt.Errorf("%w: %s (cpu halted)", ErrProcessDead, p.pid)
+	}
+	m.To = to
+	return p.sys.sendFrom(p.pid.CPU, m)
+}
+
 // Reply answers a request with a payload. A halted process cannot reply:
 // the acknowledgment is what makes an operation's effects visible to the
 // requester, and a dead processor must not acknowledge anything.
@@ -495,15 +507,19 @@ func (s *System) withdraw(corr uint64, w *waiter) {
 }
 
 // send routes a message locally or hands it to the network.
-func (s *System) send(m Message) error {
+func (s *System) send(m Message) error { return s.sendFrom(m.From.CPU, &m) }
+
+// sendFrom is send with the CPU the bus transfer starts from given apart
+// from the sender, for a relay.
+func (s *System) sendFrom(fromCPU int, m *Message) error {
 	if m.To.Node != "" && m.To.Node != s.node.Name() {
-		return s.sendRemote(m.To.Node, &m)
+		return s.sendRemote(m.To.Node, m)
 	}
 	p, err := s.Lookup(m.To.Name)
 	if err != nil {
 		return err
 	}
-	return s.deliverLocal(m.From.CPU, p, m)
+	return s.deliverLocal(fromCPU, p, *m)
 }
 
 func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {

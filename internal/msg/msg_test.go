@@ -45,6 +45,44 @@ func spawnEcho(t *testing.T, s *System, cpu int, name string) *Process {
 	return p
 }
 
+// spawnRelay starts a process that forwards every request it receives to
+// to, which answers the original caller.
+func spawnRelay(t *testing.T, s *System, cpu int, name string, to Addr) {
+	t.Helper()
+	_, err := s.Spawn(cpu, name, func(p *Process) {
+		for {
+			m, err := p.Recv(context.Background())
+			if err != nil {
+				return
+			}
+			if err := p.Forward(to, &m); err != nil {
+				p.ReplyErr(m, err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForwardRepliesToRequester: a forwarded request keeps its requester,
+// so the server's reply — payload or error — reaches the caller, not the
+// relay.
+func TestForwardRepliesToRequester(t *testing.T) {
+	s := newSys(t, 2)
+	spawnEcho(t, s, 0, "echo")
+	spawnRelay(t, s, 1, "relay", Addr{Name: "echo"})
+	relay := Addr{Name: "relay"}
+	r, err := s.CallTimeout(0, relay, "echo", "hello", time.Second)
+	if err != nil || r.Payload != "hello" {
+		t.Fatalf("forwarded echo = %v, %v; want hello", r.Payload, err)
+	}
+	var re *RemoteError
+	if _, err := s.CallTimeout(1, relay, "fail", nil, time.Second); !errors.As(err, &re) || re.Msg != "boom" {
+		t.Fatalf("forwarded fail = %v, want the server's error", err)
+	}
+}
+
 func TestRequestReply(t *testing.T) {
 	s := newSys(t, 2)
 	spawnEcho(t, s, 1, "echo")

@@ -11,7 +11,9 @@ import (
 // Runtime is what the interpreter needs from its host (the Terminal
 // Control Process): terminal I/O, server SENDs, and the TMF verbs.
 type Runtime interface {
-	// Accept reads the named fields from the terminal.
+	// Accept reads the named fields from the terminal. The interpreter
+	// only reads the returned map, and only under the screen's field
+	// names, so a host may return a map it keeps and reuses.
 	Accept(screen string, fields []string) (map[string]string, error)
 	// Display writes a line to the terminal.
 	Display(text string)

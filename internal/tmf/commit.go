@@ -41,12 +41,13 @@ type volCall struct {
 // collects the replies on the caller's goroutine. The calls are nowait:
 // every request is on its way before the first wait, so the volumes serve
 // them — and their trails force — concurrently, without a goroutine per
-// volume. payloads holds either one request for every volume or one per
-// volume. A volume whose call failed is sent its request again, up to
-// attempts times in all, with linear backoff between rounds. done then
-// sees every volume once, in order, with its last error and the time from
-// its first send until its reply was collected.
-func (m *Monitor) callVolumes(vols []VolumeInfo, kind string, payloads []any, attempts int, done func(i int, d time.Duration, err error)) {
+// volume. payload(i) is volume i's request, a pointer the volume only
+// reads, so a retry sends the same one. A volume whose call failed is sent
+// its request again, up to attempts times in all, with linear backoff
+// between rounds. done then sees every volume once, in order, with its
+// last error and the time from its first send until its reply was
+// collected.
+func (m *Monitor) callVolumes(vols []VolumeInfo, kind string, payload func(i int) any, attempts int, done func(i int, d time.Duration, err error)) {
 	var buf [4]volCall
 	calls := buf[:]
 	if len(vols) > len(buf) {
@@ -66,11 +67,7 @@ func (m *Monitor) callVolumes(vols []VolumeInfo, kind string, payloads []any, at
 			if attempt == 0 {
 				c.start = time.Now()
 			}
-			payload := payloads[0]
-			if len(payloads) > 1 {
-				payload = payloads[i]
-			}
-			c.pend, c.err = m.sys.Start(cpu, msg.Addr{Name: vols[i].DiscName}, kind, payload)
+			c.pend, c.err = m.sys.Start(cpu, msg.Addr{Name: vols[i].DiscName}, kind, payload(i))
 		}
 		failed := false
 		for i := range calls {
@@ -252,12 +249,13 @@ func (m *Monitor) phase1(tx txid.ID) error {
 // max, and flushes that share a trail are coalesced by the trail's group
 // commit). The first volume that failed, in name order, is the error.
 func (m *Monitor) phase1Local(tx txid.ID) error {
-	vols, err := m.volumesOf(tx)
+	var buf [4]VolumeInfo
+	vols, req, err := m.volumesOf(tx, buf[:0])
 	if err != nil || len(vols) == 0 {
 		return err
 	}
 	var first error
-	m.callVolumes(vols, discproc.KindFlush, []any{discproc.FlushReq{Tx: tx}}, 1, func(i int, d time.Duration, err error) {
+	m.callVolumes(vols, discproc.KindFlush, func(int) any { return req }, 1, func(i int, d time.Duration, err error) {
 		ev := obs.Event{Tx: tx, Kind: obs.EvForce, Node: m.node,
 			CPU: m.tmpCPUOrFirstUp(), Dur: d, Detail: vols[i].Name}
 		if err != nil {
@@ -294,11 +292,12 @@ func (m *Monitor) phase1Children(tx txid.ID, children []string) error {
 // manual intervention. A volume that still fails after the retries is
 // counted in Stats.UnreleasedVolumes.
 func (m *Monitor) releaseLocal(tx txid.ID) {
-	vols, err := m.volumesOf(tx)
+	var buf [4]VolumeInfo
+	vols, req, err := m.volumesOf(tx, buf[:0])
 	if err != nil || len(vols) == 0 {
 		return
 	}
-	m.callVolumes(vols, discproc.KindEndTx, []any{discproc.EndTxReq{Tx: tx}}, volRetries, func(i int, d time.Duration, err error) {
+	m.callVolumes(vols, discproc.KindEndTx, func(int) any { return req }, volRetries, func(i int, d time.Duration, err error) {
 		ev := obs.Event{Tx: tx, Kind: obs.EvPhase2Release, Node: m.node,
 			CPU: m.tmpCPUOrFirstUp(), Dur: d, Detail: vols[i].Name}
 		if err != nil {
@@ -314,11 +313,12 @@ func (m *Monitor) releaseLocal(tx txid.ID) {
 // so no straggler operation can interleave with the undo. Freezes go to
 // every volume at once, with bounded retry.
 func (m *Monitor) freezeLocal(tx txid.ID) {
-	vols, err := m.volumesOf(tx)
+	var buf [4]VolumeInfo
+	vols, req, err := m.volumesOf(tx, buf[:0])
 	if err != nil || len(vols) == 0 {
 		return
 	}
-	m.callVolumes(vols, discproc.KindFreeze, []any{discproc.EndTxReq{Tx: tx}}, volRetries, func(int, time.Duration, error) {})
+	m.callVolumes(vols, discproc.KindFreeze, func(int) any { return req }, volRetries, func(int, time.Duration, error) {})
 }
 
 // Abort backs out a transaction: voluntary (ABORT-TRANSACTION /
@@ -432,7 +432,8 @@ func (m *Monitor) AbortReason(tx txid.ID) string {
 // independent; each applies its own images in reverse LSN order),
 // best-effort with every failure collected into the returned error.
 func (m *Monitor) backoutLocal(tx txid.ID) error {
-	vols, err := m.volumesOf(tx)
+	var buf [4]VolumeInfo
+	vols, _, err := m.volumesOf(tx, buf[:0])
 	if err != nil || len(vols) == 0 {
 		return nil
 	}
@@ -491,7 +492,7 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 
 	var (
 		targets []VolumeInfo
-		undos   []any
+		undos   []discproc.UndoReq
 	)
 	for _, vi := range vols {
 		if imgs := byVol[vi.Name]; len(imgs) > 0 {
@@ -500,7 +501,7 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 			undos = append(undos, discproc.UndoReq{Tx: tx, Images: imgs})
 		}
 	}
-	m.callVolumes(targets, discproc.KindUndo, undos, volRetries, func(i int, d time.Duration, err error) {
+	m.callVolumes(targets, discproc.KindUndo, func(i int) any { return &undos[i] }, volRetries, func(i int, d time.Duration, err error) {
 		vi := targets[i]
 		if err != nil {
 			errs = append(errs, fmt.Errorf("undo on %s: %w", vi.Name, err))

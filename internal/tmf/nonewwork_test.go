@@ -66,7 +66,7 @@ func TestStragglerOpAfterRemoteAbortRejected(t *testing.T) {
 	waitFor(t, func() bool { return b.mon.State(tx) == txid.StateAborted })
 
 	// The straggler op arrives at b now.
-	_, err := b.tryCall("b", discproc.KindInsert, discproc.WriteReq{
+	_, err := b.tryCall("b", discproc.KindInsert, &discproc.RecReq{
 		Tx: tx, File: "data", Key: "orphan", Val: []byte("x"),
 	})
 	if err == nil {
@@ -94,7 +94,7 @@ func TestStragglerOpDuringCommitRejected(t *testing.T) {
 	// Freeze the commit at the phase-1 hook and try a late op.
 	opErr := make(chan error, 1)
 	a.mon.SetPhase1Hook(func(txid.ID) {
-		_, err := a.tryCall("a", discproc.KindInsert, discproc.WriteReq{
+		_, err := a.tryCall("a", discproc.KindInsert, &discproc.RecReq{
 			Tx: tx, File: "data", Key: "late", Val: []byte("x"), LockTimeout: 100 * time.Millisecond,
 		})
 		opErr <- err

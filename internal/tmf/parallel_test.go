@@ -105,7 +105,7 @@ func TestParallelPhase1MultiVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, disc := range mn.discs {
-		mn.discCall(t, disc, discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: fmt.Sprintf("k%d", i), Val: []byte("v")})
+		mn.discCall(t, disc, discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: fmt.Sprintf("k%d", i), Val: []byte("v")})
 	}
 	start := time.Now()
 	if err := mn.mon.End(tx); err != nil {
@@ -142,8 +142,8 @@ func TestCommitSlowVolumeFailingChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.discCall(t, a.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: "k0", Val: []byte("v")})
-	a.discCall(t, a.discs[1], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: "k1", Val: []byte("v")})
+	a.discCall(t, a.discs[0], discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: "k0", Val: []byte("v")})
+	a.discCall(t, a.discs[1], discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: "k1", Val: []byte("v")})
 	if err := a.mon.NoteRemoteSend(tx, "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCommitSlowVolumeFailingChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.discCall(t, a.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx2, File: "data", Key: "k0", Val: []byte("v2")})
+	a.discCall(t, a.discs[0], discproc.KindInsert, &discproc.RecReq{Tx: tx2, File: "data", Key: "k0", Val: []byte("v2")})
 	if err := a.mon.End(tx2); err != nil {
 		t.Fatalf("End after aborted predecessor: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestAbortRacingCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mn.discCall(t, mn.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: fmt.Sprintf("r%d", i), Val: []byte("v")})
+		mn.discCall(t, mn.discs[0], discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: fmt.Sprintf("r%d", i), Val: []byte("v")})
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -231,7 +231,7 @@ func TestReleaseFailureCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn.discCall(t, mn.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
+	mn.discCall(t, mn.discs[0], discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
 	if err := mn.mon.RegisterLocalVolume(tx, "ghost"); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestReleaseRetriesOneVolumeOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn.discCall(t, mn.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
+	mn.discCall(t, mn.discs[0], discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
 	if err := mn.mon.RegisterLocalVolume(tx, "stuck"); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestReleaseRetriesOneVolumeOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mn.tryDiscCall(mn.discs[0], discproc.KindRead, discproc.ReadReq{Tx: tx2, File: "data", Key: "k", WithLock: true, LockTimeout: 50 * time.Millisecond}); err != nil {
+	if _, err := mn.tryDiscCall(mn.discs[0], discproc.KindRead, &discproc.RecReq{Tx: tx2, File: "data", Key: "k", WithLock: true, LockTimeout: 50 * time.Millisecond}); err != nil {
 		t.Errorf("the healthy volume kept the committed transaction's lock: %v", err)
 	}
 }
@@ -315,7 +315,7 @@ func TestBackoutScanFailureSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn.discCall(t, mn.discs[0], discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
+	mn.discCall(t, mn.discs[0], discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: "k", Val: []byte("v")})
 	if err := mn.mon.RegisterLocalVolume(tx, "ghost"); err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +330,8 @@ func TestBackoutScanFailureSurfaced(t *testing.T) {
 		t.Errorf("abort reason %q does not surface the failed trail scan", reason)
 	}
 	// The reachable trail's images were still undone.
-	r, err := mn.tryDiscCall(mn.discs[0], discproc.KindRead, discproc.ReadReq{File: "data", Key: "k"})
+	r, err := mn.tryDiscCall(mn.discs[0], discproc.KindRead, &discproc.RecReq{File: "data", Key: "k"})
 	if err == nil {
-		t.Errorf("key survived backout: %q", r.Payload.(discproc.ReadResp).Val)
+		t.Errorf("key survived backout: %q", r.Payload.(*discproc.RecReq).Val)
 	}
 }

@@ -27,12 +27,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"encompass/internal/audit"
+	"encompass/internal/discproc"
 	"encompass/internal/expand"
 	"encompass/internal/hw"
 	"encompass/internal/msg"
@@ -64,8 +64,20 @@ type tcb struct {
 	isHome bool
 	source string // node that first transmitted the transid to us (non-home)
 
-	children  map[string]bool // guarded by Monitor.mu; nodes we directly transmitted the transid to
-	localVols map[string]bool // guarded by Monitor.mu; participating volumes on this node
+	// children (the nodes we directly transmitted the transid to) and
+	// localVols (the participating volumes on this node) are sets kept in
+	// name order, so delivery order, trace order and DST replays repeat.
+	// They are short slices over inline backing: a transaction touches one
+	// or two volumes and usually has no child.
+	children  []string // guarded by Monitor.mu
+	localVols []string // guarded by Monitor.mu
+	childBuf  [1]string
+	volBuf    [2]string
+
+	// req is the flush, endtx and freeze request for the transaction's
+	// volumes: never written after the tcb is built, so every volume and
+	// every retry shares it.
+	req discproc.TxReq
 
 	phase1Acked bool // guarded by Monitor.mu; non-home: we replied affirmatively to phase one
 	// protoBegun: the transaction entered Paxos Commit on this node (its
@@ -96,6 +108,20 @@ type tcb struct {
 	// drops it at the commit point: the ENDED delivery to children runs
 	// after End has returned, under no lock (see delivery).
 	protoMu sync.Mutex
+}
+
+func newTCB(id txid.ID, isHome bool, source string) *tcb {
+	t := &tcb{id: id, isHome: isHome, source: source, beginAt: time.Now(), req: discproc.TxReq{Tx: id}}
+	t.children, t.localVols = t.childBuf[:0], t.volBuf[:0]
+	return t
+}
+
+// addName adds name to the name-ordered set s.
+func addName(s []string, name string) []string {
+	if i, found := slices.BinarySearch(s, name); !found {
+		s = slices.Insert(s, i, name)
+	}
+	return s
 }
 
 // Stats counts TMF activity on a node. Every field except SafeQueueDepth
@@ -338,13 +364,7 @@ func (m *Monitor) Begin(cpu int) (txid.ID, error) {
 	m.mu.Lock()
 	m.seq[cpu]++
 	id := txid.ID{Home: m.node, CPU: cpu, Seq: m.seq[cpu]}
-	m.txs[id] = &tcb{
-		id:        id,
-		isHome:    true,
-		children:  make(map[string]bool),
-		localVols: make(map[string]bool),
-		beginAt:   time.Now(),
-	}
+	m.txs[id] = newTCB(id, true, "")
 	m.mu.Unlock()
 	m.cBegun.Inc()
 	m.tracer.Record(obs.Event{Tx: id, Kind: obs.EvBegin, Node: m.node, CPU: cpu})
@@ -378,13 +398,7 @@ func (m *Monitor) beginRemote(id txid.ID, source string) (alreadyKnown bool) {
 		m.mu.Unlock()
 		return true
 	}
-	m.txs[id] = &tcb{
-		id:        id,
-		source:    source,
-		children:  make(map[string]bool),
-		localVols: make(map[string]bool),
-		beginAt:   time.Now(),
-	}
+	m.txs[id] = newTCB(id, false, source)
 	m.mu.Unlock()
 	m.tracer.Record(obs.Event{Tx: id, Kind: obs.EvBegin, Node: m.node,
 		CPU: m.tmpCPUOrFirstUp(), Detail: "remote from " + source})
@@ -407,7 +421,7 @@ func (m *Monitor) RegisterLocalVolume(tx txid.ID, volume string) error {
 	if t.noNewWork {
 		return fmt.Errorf("%w: %s is past the point of new work", ErrAborted, tx)
 	}
-	t.localVols[volume] = true
+	t.localVols = addName(t.localVols, volume)
 	return nil
 }
 
@@ -581,9 +595,8 @@ func (m *Monitor) tcb(tx txid.ID) (*tcb, error) {
 }
 
 // childrenOf copies the nodes this node directly transmitted the transid
-// to, so protocol steps hold no monitor lock across network calls. They
-// come back sorted by name: delivery order, trace order and DST replays do
-// not depend on map iteration.
+// to, in name order, so protocol steps hold no monitor lock across network
+// calls.
 func (m *Monitor) childrenOf(tx txid.ID) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -591,29 +604,24 @@ func (m *Monitor) childrenOf(tx txid.ID) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
 	}
-	children := make([]string, 0, len(t.children))
-	for c := range t.children {
-		children = append(children, c)
-	}
-	slices.Sort(children)
-	return children, nil
+	return slices.Clone(t.children), nil
 }
 
-// volumesOf copies the volumes on this node that tx touched, sorted by
-// name for the same reason childrenOf sorts.
-func (m *Monitor) volumesOf(tx txid.ID) ([]VolumeInfo, error) {
+// volumesOf appends to buf, in name order, the volumes on this node that
+// tx touched, and returns them with tx's flush, endtx and freeze request.
+// A caller passes a buffer on its own stack, so the snapshot allocates
+// nothing for the usual one or two volumes.
+func (m *Monitor) volumesOf(tx txid.ID, buf []VolumeInfo) ([]VolumeInfo, *discproc.TxReq, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.txs[tx]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
+		return nil, nil, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
 	}
-	vols := make([]VolumeInfo, 0, len(t.localVols))
-	for v := range t.localVols {
+	for _, v := range t.localVols {
 		if vi, ok := m.volumes[v]; ok {
-			vols = append(vols, vi)
+			buf = append(buf, vi)
 		}
 	}
-	slices.SortFunc(vols, func(a, b VolumeInfo) int { return strings.Compare(a.Name, b.Name) })
-	return vols, nil
+	return buf, &t.req, nil
 }

@@ -102,27 +102,27 @@ func (tn *testNode) tryCall(destNode, kind string, payload any) (msg.Message, er
 
 func (tn *testNode) insert(t *testing.T, destNode string, tx txid.ID, key, val string) {
 	t.Helper()
-	tn.call(t, destNode, discproc.KindInsert, discproc.WriteReq{Tx: tx, File: "data", Key: key, Val: []byte(val)})
+	tn.call(t, destNode, discproc.KindInsert, &discproc.RecReq{Tx: tx, File: "data", Key: key, Val: []byte(val)})
 }
 
 func (tn *testNode) read(t *testing.T, destNode, key string) (string, error) {
-	r, err := tn.tryCall(destNode, discproc.KindRead, discproc.ReadReq{File: "data", Key: key})
+	r, err := tn.tryCall(destNode, discproc.KindRead, &discproc.RecReq{File: "data", Key: key})
 	if err != nil {
 		return "", err
 	}
-	return string(r.Payload.(discproc.ReadResp).Val), nil
+	return string(r.Payload.(*discproc.RecReq).Val), nil
 }
 
 func (tn *testNode) lockedRead(t *testing.T, destNode string, tx txid.ID, key string) (string, error) {
-	r, err := tn.tryCall(destNode, discproc.KindRead, discproc.ReadReq{Tx: tx, File: "data", Key: key, WithLock: true, LockTimeout: 100 * time.Millisecond})
+	r, err := tn.tryCall(destNode, discproc.KindRead, &discproc.RecReq{Tx: tx, File: "data", Key: key, WithLock: true, LockTimeout: 100 * time.Millisecond})
 	if err != nil {
 		return "", err
 	}
-	return string(r.Payload.(discproc.ReadResp).Val), nil
+	return string(r.Payload.(*discproc.RecReq).Val), nil
 }
 
 func (tn *testNode) update(t *testing.T, destNode string, tx txid.ID, key, val string) error {
-	_, err := tn.tryCall(destNode, discproc.KindUpdate, discproc.WriteReq{Tx: tx, File: "data", Key: key, Val: []byte(val)})
+	_, err := tn.tryCall(destNode, discproc.KindUpdate, &discproc.RecReq{Tx: tx, File: "data", Key: key, Val: []byte(val)})
 	return err
 }
 

@@ -2,6 +2,7 @@ package tmf
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"encompass/internal/audit"
@@ -199,7 +200,7 @@ func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
 	}
-	if t.children[destNode] {
+	if slices.Contains(t.children, destNode) {
 		m.mu.Unlock()
 		return nil
 	}
@@ -236,7 +237,7 @@ func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 		return nil
 	}
 	m.mu.Lock()
-	t.children[destNode] = true
+	t.children = addName(t.children, destNode)
 	m.mu.Unlock()
 	return nil
 }
@@ -513,7 +514,7 @@ func (m *Monitor) abortUnreachable() {
 			continue
 		}
 		if t.isHome {
-			for child := range t.children {
+			for _, child := range t.children {
 				if !m.net.Reachable(m.node, child) {
 					victims = append(victims, victim{id, "lost communication with participant " + child})
 					break
