@@ -62,14 +62,16 @@ race:
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine' .
 
 # Fuzz smoke: a few seconds per target over the transid and message
-# wire-format round-trips and the audit trail's segment codec ('go test
-# -fuzz' accepts one target at a time).
+# wire-format round-trips (the frame header and every registered payload
+# tag) and the audit trail's segment codec ('go test -fuzz' accepts one
+# target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/txid/
 	$(GO) test -run '^$$' -fuzz FuzzIDRoundTrip -fuzztime 5s ./internal/txid/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 5s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzFrameBitFlip -fuzztime 5s ./internal/msg/
+	$(GO) test -run '^$$' -fuzz FuzzPayloadRoundTrip -fuzztime 5s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzRecordRoundTrip -fuzztime 5s ./internal/audit/
 	$(GO) test -run '^$$' -fuzz FuzzOpenTrail -fuzztime 5s ./internal/audit/
 

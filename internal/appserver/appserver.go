@@ -16,8 +16,11 @@ package appserver
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +53,49 @@ type Resp struct {
 	Fields map[string]string
 }
 
+// A server class may run on another node, so requests and replies have
+// wire tags in appserver's block (48-55).
 func init() {
-	msg.RegisterPayload(&Req{})
-	msg.RegisterPayload(Resp{})
+	msg.RegisterPayload(48,
+		func(b []byte, r *Req) []byte { return appendFields(txid.AppendID(b, r.Tx), r.Fields) },
+		func(r *msg.Reader) *Req { return &Req{Tx: txid.ReadID(r), Fields: readFields(r)} })
+	msg.RegisterPayload(49,
+		func(b []byte, r Resp) []byte { return appendFields(b, r.Fields) },
+		func(r *msg.Reader) Resp { return Resp{Fields: readFields(r)} })
 }
+
+// appendFields appends a field map in key order, so one map has one
+// encoding.
+func appendFields(b []byte, fields map[string]string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fields)))
+	for _, k := range slices.Sorted(maps.Keys(fields)) {
+		b = msg.AppendBytes(b, k)
+		b = msg.AppendBytes(b, fields[k])
+	}
+	return b
+}
+
+// readFields reads a map appendFields wrote; keys out of order are an
+// error, and an empty map decodes as nil.
+func readFields(r *msg.Reader) map[string]string {
+	n := r.Len()
+	if n == 0 {
+		return nil
+	}
+	fields := make(map[string]string, n)
+	prev := ""
+	for i := range n {
+		k := r.Name()
+		if i > 0 && k <= prev {
+			r.Fail(errFieldOrder)
+			return nil
+		}
+		fields[k], prev = r.Str(), k
+	}
+	return fields
+}
+
+var errFieldOrder = errors.New("appserver: request fields out of order")
 
 // Handler is the application function of a server class. It must be
 // context-free: everything it needs arrives in the request, everything it

@@ -31,7 +31,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		img := Image{
 			LSN: lsn,
 			Tx:  txid.ID{Home: home, CPU: int(cpu), Seq: seq},
-			// Only defined kinds are encodable; decodeBody rejects the rest.
+			// Only defined kinds are encodable; DecodeBody rejects the rest.
 			Kind:   ImageKind(kind % 3),
 			Volume: vol, File: file, Key: key,
 			Before: before, After: after,

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -17,10 +18,9 @@ const (
 )
 
 // AppendReq carries a batch of images from a DISCPROCESS. It is sent by
-// pointer (the AUDITPROCESS is on the sender's node, so the request is
-// never encoded), and it is immutable once sent: the AUDITPROCESS only
-// reads it, and a DISCPROCESS's backup may hold the same request for a
-// takeover re-append.
+// pointer to the AUDITPROCESS on the sender's node, and it is immutable
+// once sent: the AUDITPROCESS only reads it, and a DISCPROCESS's backup
+// may hold the same request for a takeover re-append.
 type AppendReq struct {
 	Images []Image
 }
@@ -40,12 +40,62 @@ type ScanResp struct {
 	Images []Image
 }
 
+// The AUDITPROCESS serves its own node, but its requests have wire tags
+// (audit's block, 16-23) like every other service's, and the ones that
+// carry images encode them in the trail's record body format.
 func init() {
-	msg.RegisterPayload(AppendReq{})
-	msg.RegisterPayload(ForceReq{})
-	msg.RegisterPayload(ScanReq{})
-	msg.RegisterPayload(ScanResp{})
-	msg.RegisterPayload(Image{})
+	msg.RegisterPayload(16,
+		func(b []byte, r *AppendReq) []byte { return AppendImages(b, r.Images) },
+		func(r *msg.Reader) *AppendReq { return &AppendReq{Images: ReadImages(r)} })
+	msg.RegisterPayload(17,
+		func(b []byte, r ForceReq) []byte { return binary.AppendUvarint(b, r.UpTo) },
+		func(r *msg.Reader) ForceReq { return ForceReq{UpTo: r.Uvarint()} })
+	msg.RegisterPayload(18,
+		func(b []byte, r ScanReq) []byte { return txid.AppendID(b, r.Tx) },
+		func(r *msg.Reader) ScanReq { return ScanReq{Tx: txid.ReadID(r)} })
+	msg.RegisterPayload(19,
+		func(b []byte, r ScanResp) []byte { return AppendImages(b, r.Images) },
+		func(r *msg.Reader) ScanResp { return ScanResp{Images: ReadImages(r)} })
+}
+
+// AppendImages appends a list of images for a message frame: the count,
+// then per image its LSN and its record body (AppendBody) behind a
+// four-byte length.
+func AppendImages(b []byte, imgs []Image) []byte {
+	b = binary.AppendUvarint(b, uint64(len(imgs)))
+	for i := range imgs {
+		b = binary.AppendUvarint(b, imgs[i].LSN)
+		b = putU32(b, 0)
+		start := len(b)
+		b = AppendBody(b, &imgs[i])
+		binary.LittleEndian.PutUint32(b[start-4:], uint32(len(b)-start))
+	}
+	return b
+}
+
+// ReadImages reads a list AppendImages wrote; an empty list decodes as
+// nil. The images share no memory with the frame.
+func ReadImages(r *msg.Reader) []Image {
+	n := r.Len()
+	if n == 0 {
+		return nil
+	}
+	imgs := make([]Image, 0, n)
+	for range n {
+		lsn := r.Uvarint()
+		size := r.Take(4)
+		if r.Err() != nil {
+			return nil
+		}
+		img, err := DecodeBody(r.Take(int(binary.LittleEndian.Uint32(size))))
+		if err != nil {
+			r.Fail(err)
+			return nil
+		}
+		img.LSN = lsn
+		imgs = append(imgs, img)
+	}
+	return imgs
 }
 
 // processApp is the AUDITPROCESS pair application. Its durable state is

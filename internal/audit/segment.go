@@ -129,7 +129,15 @@ func (r *blobReader) blob() []byte {
 	return out
 }
 
-func (r *blobReader) str() string { return string(r.blob()) }
+// str reads a string, which putStr never writes in the nil form: only one
+// encoding of a body decodes, so a decoded body re-encodes to its bytes.
+func (r *blobReader) str() string {
+	b := r.blob()
+	if b == nil {
+		r.fail("nil string")
+	}
+	return string(b)
+}
 
 func (r *blobReader) fail(why string) {
 	if r.err == nil {
@@ -137,9 +145,10 @@ func (r *blobReader) fail(why string) {
 	}
 }
 
-// appendBody appends the Image fields (everything but the LSN, which is
-// part of the record framing) to b.
-func appendBody(b []byte, img *Image) []byte {
+// AppendBody appends the Image fields (everything but the LSN, which is
+// part of the record framing) to b. Trail records and the messages that
+// carry images share this one image encoding.
+func AppendBody(b []byte, img *Image) []byte {
 	b = putStr(b, img.Tx.Home)
 	b = putU32(b, uint32(img.Tx.CPU))
 	b = putU64(b, img.Tx.Seq)
@@ -151,10 +160,10 @@ func appendBody(b []byte, img *Image) []byte {
 	return putBlob(b, img.After)
 }
 
-// decodeBody parses an encoded Image body. The returned Image's byte
+// DecodeBody parses an encoded Image body. The returned Image's byte
 // slices are copies: callers may retain them without aliasing the
 // segment's buffer.
-func decodeBody(b []byte) (Image, error) {
+func DecodeBody(b []byte) (Image, error) {
 	r := blobReader{b: b}
 	var img Image
 	img.Tx.Home = r.str()
@@ -254,7 +263,7 @@ func encodeRecord(dst []byte, img *Image, prev [chainLen]byte) ([]byte, [chainLe
 // still holds, immutable once sent, so the LSN travels beside the image.
 func appendRecord(dst []byte, lsn uint64, img *Image, prev [chainLen]byte) ([]byte, [chainLen]byte) {
 	dst, start := openFrame(dst, lsn)
-	return closeFrame(appendBody(dst, img), start, prev)
+	return closeFrame(AppendBody(dst, img), start, prev)
 }
 
 // decodeRecord parses and fully verifies (readFrame) one record at the
@@ -264,7 +273,7 @@ func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64) (Image, [chainL
 	lsn, body, chain, n, err := readFrame(b, prev, wantLSN)
 	var img Image
 	if err == nil {
-		img, err = decodeBody(body)
+		img, err = DecodeBody(body)
 	}
 	if err != nil {
 		return Image{}, [chainLen]byte{}, 0, err

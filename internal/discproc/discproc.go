@@ -26,7 +26,6 @@
 package discproc
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -103,8 +102,8 @@ type CreateReq struct {
 // The frame belongs to the caller, who may reuse it once a reply —
 // success or application error — has arrived. Until then the DISCPROCESS
 // may still read and write it, so a call that timed out must abandon its
-// frame. Across nodes the frame is copied both ways (MarshalBinary), and
-// the reply's payload is a frame of its own.
+// frame. Across nodes the frame is copied both ways (its wire codec is in
+// wire.go), and the reply's payload is a frame of its own.
 type RecReq struct {
 	Tx   txid.ID
 	File string
@@ -120,90 +119,6 @@ type RecReq struct {
 	WithLock    bool
 	LockTimeout time.Duration
 }
-
-// MarshalBinary encodes the frame for a hop between nodes, flat: transid,
-// file, key, value, lock flag and lock timeout, with the strings and the
-// value length-prefixed. Every message is encoded on its own, so gob's own
-// encoding would ship the struct's type description in each frame, and
-// decoding that costs a remote record operation more than the frame does.
-func (r *RecReq) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 4*binary.MaxVarintLen64+1+len(r.Tx.Home)+len(r.File)+len(r.Key)+len(r.Val))
-	b = appendBytes(b, r.Tx.Home)
-	b = binary.AppendVarint(b, int64(r.Tx.CPU))
-	b = binary.AppendUvarint(b, r.Tx.Seq)
-	b = appendBytes(b, r.File)
-	b = appendBytes(b, r.Key)
-	b = appendBytes(b, r.Val)
-	lock := byte(0)
-	if r.WithLock {
-		lock = 1
-	}
-	b = append(b, lock)
-	return binary.AppendVarint(b, int64(r.LockTimeout)), nil
-}
-
-// UnmarshalBinary decodes a frame MarshalBinary encoded. It copies what it
-// keeps, and an empty value decodes as nil, as gob's own encoding did.
-func (r *RecReq) UnmarshalBinary(b []byte) error {
-	d := frameDecoder{b: b}
-	*r = RecReq{Tx: txid.ID{Home: string(d.bytes())}}
-	r.Tx.CPU = int(d.varint())
-	r.Tx.Seq = d.uvarint()
-	r.File, r.Key = string(d.bytes()), string(d.bytes())
-	if v := d.bytes(); len(v) > 0 {
-		r.Val = append([]byte(nil), v...)
-	}
-	if lock := d.take(1); len(lock) == 1 {
-		r.WithLock = lock[0] != 0
-	}
-	r.LockTimeout = time.Duration(d.varint())
-	return d.err
-}
-
-func appendBytes[T string | []byte](b []byte, s T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// frameDecoder reads MarshalBinary's layout; past the first malformed
-// field it returns zero values and keeps the error.
-type frameDecoder struct {
-	b   []byte
-	err error
-}
-
-var errShortFrame = errors.New("discproc: truncated record frame")
-
-func (d *frameDecoder) take(n uint64) []byte {
-	if d.err != nil || n > uint64(len(d.b)) {
-		d.err = errShortFrame
-		return nil
-	}
-	s := d.b[:n]
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *frameDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = errShortFrame
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *frameDecoder) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = errShortFrame
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *frameDecoder) bytes() []byte { return d.take(d.uvarint()) }
 
 // ReadRangeReq scans keys in [Lo, Hi), at most Limit records (browse
 // access, no locks). Desc scans in reverse key order.
@@ -239,18 +154,6 @@ type TxReq struct {
 type UndoReq struct {
 	Tx     txid.ID
 	Images []audit.Image
-}
-
-func init() {
-	msg.RegisterPayload(CreateReq{})
-	msg.RegisterPayload(&RecReq{})
-	msg.RegisterPayload(ReadRangeReq{})
-	msg.RegisterPayload(ReadRangeResp{})
-	msg.RegisterPayload(ReadAltReq{})
-	msg.RegisterPayload(&TxReq{})
-	msg.RegisterPayload(&UndoReq{})
-	msg.RegisterPayload(dbfile.Rec{})
-	msg.RegisterPayload(dbfile.AltKeyDef{})
 }
 
 // Config describes one DISCPROCESS.

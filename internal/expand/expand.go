@@ -4,10 +4,16 @@
 // protocol that either delivers a message or tells the sender the
 // destination is unreachable.
 //
-// Messages crossing node boundaries are gob-encoded into frames and decoded
-// at the destination, which enforces value semantics between nodes: two
-// simulated "geographically distributed" systems can never share memory by
-// accident.
+// A message crossing a node boundary travels as one frame in msg's flat
+// wire format (msg.Marshal): a fixed header, a payload tag and the
+// payload's own encoding, with no state carried from frame to frame. The
+// destination decodes its own copy, which enforces value semantics between
+// nodes: two simulated "geographically distributed" systems can never
+// share memory by accident.
+//
+// Routes are computed once per topology epoch: the network caches the best
+// path between each pair of nodes until a node is attached or a line is
+// added, fails or heals.
 package expand
 
 import (
@@ -69,6 +75,9 @@ type Network struct {
 	links    map[linkKey]*link
 	faults   map[linkKey]*linkFault
 	watchers []topoWatcher
+	// routes caches the current topology epoch's best paths, by (src,
+	// dst); newEpoch empties it whenever a node or line changes.
+	routes map[routeKey]cachedRoute
 
 	// unreliable flips on when any line has a fault profile; all traffic
 	// then rides the reliable-session layer (fault.go).
@@ -100,6 +109,7 @@ func NewNetwork(latency time.Duration) *Network {
 		systems:  make(map[string]*msg.System),
 		links:    make(map[linkKey]*link),
 		faults:   make(map[linkKey]*linkFault),
+		routes:   make(map[routeKey]cachedRoute),
 		sessions: make(map[sessKey]*session),
 	}
 }
@@ -129,6 +139,7 @@ func (n *Network) Attach(sys *msg.System) {
 	name := sys.Node().Name()
 	n.mu.Lock()
 	n.systems[name] = sys
+	n.newEpoch()
 	n.mu.Unlock()
 	sys.AttachNetwork(&nodePort{net: n, from: name})
 }
@@ -159,6 +170,7 @@ func (n *Network) AddLink(a, b string) error {
 		return fmt.Errorf("%w: %s-%s", ErrLinkExists, a, b)
 	}
 	n.links[k] = &link{up: true}
+	n.newEpoch()
 	return nil
 }
 
@@ -173,8 +185,9 @@ func (n *Network) setLink(a, b string, up bool) {
 	n.mu.Lock()
 	l, ok := n.links[mkLinkKey(a, b)]
 	changed := ok && l.up != up
-	if ok {
+	if changed {
 		l.up = up
+		n.newEpoch()
 	}
 	n.mu.Unlock()
 	if changed {
@@ -197,6 +210,9 @@ func (n *Network) Partition(group ...string) {
 			changed = true
 		}
 	}
+	if changed {
+		n.newEpoch()
+	}
 	n.mu.Unlock()
 	if changed {
 		n.notifyTopology()
@@ -212,6 +228,9 @@ func (n *Network) HealAll() {
 			l.up = true
 			changed = true
 		}
+	}
+	if changed {
+		n.newEpoch()
 	}
 	n.mu.Unlock()
 	if changed {
@@ -277,8 +296,7 @@ func (n *Network) Reachable(a, b string) bool {
 // destination is unreachable.
 func (n *Network) Hops(a, b string) (int, error) { return n.route(a, b) }
 
-// route runs a BFS over up links. Cheap at the scale of the paper's
-// networks (the corporate net was ~50 nodes).
+// route returns the hop count of the current best path.
 func (n *Network) route(src, dst string) (hops int, err error) {
 	path, err := n.pathLinks(src, dst)
 	if err != nil {
@@ -287,12 +305,39 @@ func (n *Network) route(src, dst string) (hops int, err error) {
 	return len(path), nil
 }
 
+type routeKey struct{ src, dst string }
+
+// cachedRoute is one pathLinks answer, kept for the epoch it was computed
+// in.
+type cachedRoute struct {
+	path []linkKey
+	err  error
+}
+
+// newEpoch starts a new topology epoch, dropping every cached route. The
+// caller holds mu and has just changed a node or a line.
+func (n *Network) newEpoch() { clear(n.routes) }
+
 // pathLinks returns the lines of the current best path src→dst, in order,
 // so the fault injector can apply each line's profile to a frame crossing
-// it.
+// it. The answer comes from the epoch's route cache, computed on first
+// use; callers must not modify the returned slice.
 func (n *Network) pathLinks(src, dst string) ([]linkKey, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	k := routeKey{src, dst}
+	r, ok := n.routes[k]
+	if !ok {
+		r.path, r.err = n.bestPath(src, dst)
+		n.routes[k] = r
+	}
+	return r.path, r.err
+}
+
+// bestPath runs a BFS over up links. Cheap at the scale of the paper's
+// networks (the corporate net was ~50 nodes), and run once per pair and
+// epoch. The caller holds mu.
+func (n *Network) bestPath(src, dst string) ([]linkKey, error) {
 	if _, ok := n.systems[src]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, src)
 	}
@@ -360,7 +405,7 @@ func (n *Network) send(from, to string, m msg.Message) error {
 		}
 		return err
 	}
-	frame, err := encodeFrame(m)
+	frame, err := msg.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("expand: encoding %s payload for %s: %w", m.Kind, to, err)
 	}
@@ -397,7 +442,7 @@ func (n *Network) deliverPayload(to string, frame []byte) {
 	if dest == nil {
 		return
 	}
-	dm, err := decodeFrame(frame)
+	dm, err := msg.Unmarshal(frame)
 	if err != nil {
 		n.bump(&n.decodeFailures, n.cDecodeFailures)
 		return
@@ -422,7 +467,3 @@ func (n *Network) Stats() Stats {
 		GiveUps:        n.giveUps.Load(),
 	}
 }
-
-func encodeFrame(m msg.Message) ([]byte, error) { return msg.Marshal(m) }
-
-func decodeFrame(b []byte) (msg.Message, error) { return msg.Unmarshal(b) }

@@ -2,6 +2,7 @@ package expand
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -15,7 +16,19 @@ type testPayload struct {
 	S string
 }
 
-func init() { msg.RegisterPayload(testPayload{}) }
+// bytesPayload is a pointer payload whose bytes both ends may write.
+type bytesPayload struct{ B []byte }
+
+func init() {
+	msg.RegisterPayload(200,
+		func(b []byte, p testPayload) []byte {
+			return msg.AppendBytes(binary.AppendVarint(b, int64(p.N)), p.S)
+		},
+		func(r *msg.Reader) testPayload { return testPayload{N: int(r.Varint()), S: r.Str()} })
+	msg.RegisterPayload(201,
+		func(b []byte, p *bytesPayload) []byte { return msg.AppendBytes(b, p.B) },
+		func(r *msg.Reader) *bytesPayload { return &bytesPayload{B: r.Bytes()} })
+}
 
 func newNet(t *testing.T, names ...string) (*Network, map[string]*msg.System) {
 	t.Helper()
@@ -67,32 +80,58 @@ func TestCrossNodeRequestReply(t *testing.T) {
 	}
 }
 
+// TestValueSemanticsAcrossNodes: the two ends of a remote call never share
+// a payload's memory. The sender overwrites its bytes after the send and
+// before the delivery, the receiver overwrites its copy before replying
+// and again after; each side sees only its own writes.
 func TestValueSemanticsAcrossNodes(t *testing.T) {
-	// Mutating the payload after sending must not affect what the remote
-	// node received: frames are encoded copies.
-	net, sys := newNet(t, "a", "b")
-	net.AddLink("a", "b")
-	recv := make(chan testPayload, 1)
+	net := NewNetwork(20 * time.Millisecond)
+	sys := make(map[string]*msg.System)
+	for _, name := range []string{"a", "b"} {
+		node, err := hw.NewNode(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys[name] = msg.NewSystem(node)
+		net.Attach(sys[name])
+	}
+	if err := net.AddLink("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	recv := make(chan string, 1)
 	_, err := sys["b"].Spawn(0, "sink", func(p *msg.Process) {
 		m, err := p.Recv(context.Background())
 		if err != nil {
 			return
 		}
-		recv <- m.Payload.(testPayload)
-		p.Reply(m, nil)
+		got := m.Payload.(*bytesPayload)
+		recv <- string(got.B)
+		copy(got.B, "RECV")
+		p.Reply(m, got)
+		copy(got.B, "LATE")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := testPayload{N: 1, S: "orig"}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := sys["a"].ClientCall(ctx, 0, msg.Addr{Node: "b", Name: "sink"}, "put", payload); err != nil {
+	sent := &bytesPayload{B: []byte("orig")}
+	pend, err := sys["a"].Start(0, msg.Addr{Node: "b", Name: "sink"}, "put", sent)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := <-recv
-	if got != payload {
-		t.Errorf("received %+v, want %+v", got, payload)
+	copy(sent.B, "SEND")
+	r, err := pend.Await(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-recv; got != "orig" {
+		t.Errorf("receiver got %q, want the bytes as sent, %q", got, "orig")
+	}
+	reply := r.Payload.(*bytesPayload)
+	if string(reply.B) != "RECV" {
+		t.Errorf("reply carries %q, want the receiver's bytes at reply time, %q", reply.B, "RECV")
+	}
+	if string(sent.B) != "SEND" {
+		t.Errorf("sender's payload reads %q after the call, want its own write, %q", sent.B, "SEND")
 	}
 }
 

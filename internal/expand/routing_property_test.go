@@ -110,3 +110,47 @@ func TestRingSurvivesAnySingleLinkFailure(t *testing.T) {
 		net.HealLink(a, b)
 	}
 }
+
+// Property: the route cache never answers from a stale epoch. After any
+// sequence of line failures, heals, partitions and new lines, with routes
+// queried between the steps, every cached path is the path a fresh BFS
+// finds (same lines, same sorted tie-breaking), and every cached error
+// the error it reports.
+func TestRouteCacheMatchesFreshSearch(t *testing.T) {
+	const n = 5
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	prop := func(linkMask uint64, steps []uint16) bool {
+		net := buildRandomTopology(t, n, linkMask)
+		for _, s := range steps {
+			a, b := name(int(s)%n), name(int(s>>3)%n)
+			switch (s >> 6) % 5 {
+			case 0:
+				net.FailLink(a, b)
+			case 1:
+				net.HealLink(a, b)
+			case 2:
+				net.Partition(a)
+			case 3:
+				net.HealAll()
+			case 4:
+				net.AddLink(a, b)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					cached, cerr := net.pathLinks(name(i), name(j))
+					net.mu.Lock()
+					fresh, ferr := net.bestPath(name(i), name(j))
+					net.mu.Unlock()
+					if fmt.Sprint(cached, cerr) != fmt.Sprint(fresh, ferr) {
+						t.Logf("%s→%s: cached %v %v, fresh %v %v", name(i), name(j), cached, cerr, fresh, ferr)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}

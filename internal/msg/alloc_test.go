@@ -60,3 +60,29 @@ func TestCallAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestHeaderOnlyFrameAllocs pins the frame codec's cost for a reply
+// without a payload, the commonest frame on the wire: Marshal allocates
+// the frame and nothing else, and Unmarshal at most two objects (the
+// header's names are interned once seen). These counts, like expand's
+// TestWarmRouteAllocatesNothing, are inputs to the per-transaction cost
+// table ROADMAP [cost] plans, not constants to keep pinning on their own.
+func TestHeaderOnlyFrameAllocs(t *testing.T) {
+	reply := Message{FromSys: "east", To: Addr{Node: "west"}, Kind: "tmp.phase1", Corr: 1 << 40, IsReply: true}
+	var frame []byte
+	if n := testing.AllocsPerRun(1000, func() {
+		var err error
+		if frame, err = Marshal(reply); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Marshal: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if m, err := Unmarshal(frame); err != nil || m != reply {
+			t.Fatalf("Unmarshal = %+v, %v; want %+v", m, err, reply)
+		}
+	}); n > 2 {
+		t.Errorf("Unmarshal: %v allocs, want <= 2", n)
+	}
+}

@@ -11,13 +11,13 @@
 //
 // Intra-node traffic rides the dual interprocessor buses (hw.Node.Transfer);
 // inter-node traffic is handed to a RemoteSender installed by the network
-// layer (package expand), which moves gob-encoded frames between nodes.
+// layer (package expand), which moves each message between nodes as one
+// flat, self-contained frame (wire.go): a fixed header, then a payload tag
+// from the table RegisterPayload fills and the payload's own encoding.
 package msg
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,42 +35,6 @@ var (
 	ErrCallTimeout  = errors.New("msg: call timed out")
 	ErrInboxBlocked = errors.New("msg: destination inbox blocked")
 )
-
-// RegisterPayload makes a payload type encodable across node boundaries.
-// Every struct sent between nodes must be registered once, typically from
-// an init function of the package that defines it.
-func RegisterPayload(v any) { gob.Register(v) }
-
-// RegisterPayloadName registers a payload type under an explicit,
-// package-path-independent wire name. Protocols whose frames may be
-// replayed or inspected across refactors (the commit-acceptor messages)
-// register this way so the wire format does not encode Go package paths.
-func RegisterPayloadName(name string, v any) { gob.RegisterName(name, v) }
-
-// Marshal encodes a message into the gob wire frame used for inter-node
-// traffic. Payload types must have been registered via RegisterPayload.
-func Marshal(m Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes a wire frame produced by Marshal. Corrupted bytes
-// yield an error, never a panic: gob's decoder can panic on some mangled
-// inputs, and a bad frame off the wire must be rejectable by the network
-// layer rather than crash the node.
-func Unmarshal(b []byte) (m Message, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m = Message{}
-			err = fmt.Errorf("msg: unmarshal: panic decoding frame: %v", r)
-		}
-	}()
-	err = gob.NewDecoder(bytes.NewReader(b)).Decode(&m)
-	return m, err
-}
 
 // PID identifies a process instance: the node it runs on, the CPU hosting
 // it, and a node-unique sequence number.

@@ -135,18 +135,6 @@ type outcomeReq struct {
 	Outcome uint8
 }
 
-func init() {
-	msg.RegisterPayloadName("paxoscommit.joinReq", joinReq{})
-	msg.RegisterPayloadName("paxoscommit.voteReq", voteReq{})
-	msg.RegisterPayloadName("paxoscommit.prepareReq", prepareReq{})
-	msg.RegisterPayloadName("paxoscommit.prepareResp", prepareResp{})
-	msg.RegisterPayloadName("paxoscommit.acceptReq", acceptReq{})
-	msg.RegisterPayloadName("paxoscommit.acceptResp", acceptResp{})
-	msg.RegisterPayloadName("paxoscommit.learnReq", learnReq{})
-	msg.RegisterPayloadName("paxoscommit.learnResp", learnResp{})
-	msg.RegisterPayloadName("paxoscommit.outcomeReq", outcomeReq{})
-}
-
 // instState is one consensus instance's acceptor-side state.
 type instState struct {
 	promised  uint64

@@ -47,6 +47,8 @@ var (
 	ErrNoTerminal       = errors.New("tcp: no such terminal")
 )
 
+// The TCP's own requests go only to its own pair, on the same node
+// (msg.Addr{Name: ...}), so they are never encoded and have no wire tag.
 type attachReq struct {
 	TermID string
 	Src    string
@@ -60,12 +62,6 @@ type ckptReq struct {
 type finishedReq struct {
 	TermID string
 	Err    string
-}
-
-func init() {
-	msg.RegisterPayload(attachReq{})
-	msg.RegisterPayload(ckptReq{})
-	msg.RegisterPayload(finishedReq{})
 }
 
 // Config describes a TCP.

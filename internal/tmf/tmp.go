@@ -1,6 +1,7 @@
 package tmf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -52,10 +53,25 @@ type beginResp struct {
 	AlreadyKnown bool
 }
 
+// The TMP messages cross nodes; their tags are tmf's block (24-31).
 func init() {
-	msg.RegisterPayload(tmpReq{})
-	msg.RegisterPayload(QueryResp{})
-	msg.RegisterPayload(beginResp{})
+	msg.RegisterPayload(24,
+		func(b []byte, r tmpReq) []byte { return msg.AppendBytes(txid.AppendID(b, r.Tx), r.Source) },
+		func(r *msg.Reader) tmpReq { return tmpReq{Tx: txid.ReadID(r), Source: r.Name()} })
+	msg.RegisterPayload(25,
+		func(b []byte, q QueryResp) []byte {
+			b = msg.AppendBool(b, q.Known)
+			b = msg.AppendBool(b, q.Committed)
+			b = binary.AppendVarint(b, int64(q.State))
+			b = msg.AppendBytes(b, q.Protocol)
+			return msg.AppendBytes(b, q.Decider)
+		},
+		func(r *msg.Reader) QueryResp {
+			return QueryResp{Known: r.Bool(), Committed: r.Bool(), State: txid.State(r.Varint()), Protocol: r.Name(), Decider: r.Name()}
+		})
+	msg.RegisterPayload(26,
+		func(b []byte, r beginResp) []byte { return msg.AppendBool(b, r.AlreadyKnown) },
+		func(r *msg.Reader) beginResp { return beginResp{AlreadyKnown: r.Bool()} })
 }
 
 // tmpApp is the TMP pair application. All durable coordination state lives

@@ -8,6 +8,7 @@
 package txid
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -130,6 +131,15 @@ func (s State) CanTransition(next State) bool {
 	}
 }
 
-func init() {
-	msg.RegisterPayload(ID{})
+// AppendID appends id's wire encoding, the form every payload that names
+// a transaction carries it in: home node, processor and sequence number.
+func AppendID(b []byte, id ID) []byte {
+	b = msg.AppendBytes(b, id.Home)
+	b = binary.AppendVarint(b, int64(id.CPU))
+	return binary.AppendUvarint(b, id.Seq)
+}
+
+// ReadID reads an ID AppendID wrote.
+func ReadID(r *msg.Reader) ID {
+	return ID{Home: r.Name(), CPU: int(r.Varint()), Seq: r.Uvarint()}
 }
