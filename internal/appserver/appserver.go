@@ -85,7 +85,7 @@ func readFields(r *msg.Reader) map[string]string {
 	fields := make(map[string]string, n)
 	prev := ""
 	for i := range n {
-		k := r.Name()
+		k := r.Str()
 		if i > 0 && k <= prev {
 			r.Fail(errFieldOrder)
 			return nil

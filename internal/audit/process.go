@@ -18,9 +18,10 @@ const (
 )
 
 // AppendReq carries a batch of images from a DISCPROCESS. It is sent by
-// pointer to the AUDITPROCESS on the sender's node, and it is immutable
-// once sent: the AUDITPROCESS only reads it, and a DISCPROCESS's backup
-// may hold the same request for a takeover re-append.
+// pointer (the AUDITPROCESS is on the sender's node, so the request is
+// never encoded), and it is immutable once sent: the AUDITPROCESS only
+// reads it, and a DISCPROCESS's backup may hold the same request for a
+// takeover re-append.
 type AppendReq struct {
 	Images []Image
 }
@@ -40,27 +41,12 @@ type ScanResp struct {
 	Images []Image
 }
 
-// The AUDITPROCESS serves its own node, but its requests have wire tags
-// (audit's block, 16-23) like every other service's, and the ones that
-// carry images encode them in the trail's record body format.
-func init() {
-	msg.RegisterPayload(16,
-		func(b []byte, r *AppendReq) []byte { return AppendImages(b, r.Images) },
-		func(r *msg.Reader) *AppendReq { return &AppendReq{Images: ReadImages(r)} })
-	msg.RegisterPayload(17,
-		func(b []byte, r ForceReq) []byte { return binary.AppendUvarint(b, r.UpTo) },
-		func(r *msg.Reader) ForceReq { return ForceReq{UpTo: r.Uvarint()} })
-	msg.RegisterPayload(18,
-		func(b []byte, r ScanReq) []byte { return txid.AppendID(b, r.Tx) },
-		func(r *msg.Reader) ScanReq { return ScanReq{Tx: txid.ReadID(r)} })
-	msg.RegisterPayload(19,
-		func(b []byte, r ScanResp) []byte { return AppendImages(b, r.Images) },
-		func(r *msg.Reader) ScanResp { return ScanResp{Images: ReadImages(r)} })
-}
+// The AUDITPROCESS serves only its own node (NewClient addresses it by
+// name), so its requests are never encoded and have no wire tag.
 
-// AppendImages appends a list of images for a message frame: the count,
-// then per image its LSN and its record body (AppendBody) behind a
-// four-byte length.
+// AppendImages appends a list of images for a message frame (UndoReq
+// carries one): the count, then per image its LSN and its record body
+// (AppendBody) behind a four-byte length.
 func AppendImages(b []byte, imgs []Image) []byte {
 	b = binary.AppendUvarint(b, uint64(len(imgs)))
 	for i := range imgs {

@@ -41,7 +41,7 @@ func appendRecReq(b []byte, r *RecReq) []byte {
 func readRecReq(r *msg.Reader) *RecReq {
 	return &RecReq{
 		Tx:          txid.ReadID(r),
-		File:        r.Name(),
+		File:        r.Str(),
 		Key:         r.Str(),
 		Val:         r.Bytes(),
 		WithLock:    r.Bool(),
@@ -66,17 +66,17 @@ func appendCreateReq(b []byte, r CreateReq) []byte {
 }
 
 func readCreateReq(r *msg.Reader) CreateReq {
-	c := CreateReq{File: r.Name(), Org: dbfile.Organization(r.Varint())}
+	c := CreateReq{File: r.Str(), Org: dbfile.Organization(r.Varint())}
 	if n := r.Len(); n > 0 {
 		c.AltKeys = make([]dbfile.AltKeyDef, n)
 		for i := range c.AltKeys {
-			c.AltKeys[i] = dbfile.AltKeyDef{Name: r.Name(), Offset: int(r.Varint()), Len: int(r.Varint())}
+			c.AltKeys[i] = dbfile.AltKeyDef{Name: r.Str(), Offset: int(r.Varint()), Len: int(r.Varint())}
 		}
 	}
 	if n := r.Len(); n > 0 {
 		c.AllowNodes = make([]string, n)
 		for i := range c.AllowNodes {
-			c.AllowNodes[i] = r.Name()
+			c.AllowNodes[i] = r.Str()
 		}
 	}
 	return c
@@ -91,7 +91,7 @@ func appendReadRangeReq(b []byte, r ReadRangeReq) []byte {
 }
 
 func readReadRangeReq(r *msg.Reader) ReadRangeReq {
-	return ReadRangeReq{File: r.Name(), Lo: r.Str(), Hi: r.Str(), Limit: int(r.Varint()), Desc: r.Bool()}
+	return ReadRangeReq{File: r.Str(), Lo: r.Str(), Hi: r.Str(), Limit: int(r.Varint()), Desc: r.Bool()}
 }
 
 func appendReadRangeResp(b []byte, r ReadRangeResp) []byte {
@@ -122,5 +122,5 @@ func appendReadAltReq(b []byte, r ReadAltReq) []byte {
 }
 
 func readReadAltReq(r *msg.Reader) ReadAltReq {
-	return ReadAltReq{File: r.Name(), AltKey: r.Name(), Value: r.Str()}
+	return ReadAltReq{File: r.Str(), AltKey: r.Str(), Value: r.Str()}
 }

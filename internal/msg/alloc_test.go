@@ -63,8 +63,8 @@ func TestCallAllocatesNothing(t *testing.T) {
 
 // TestHeaderOnlyFrameAllocs pins the frame codec's cost for a reply
 // without a payload, the commonest frame on the wire: Marshal allocates
-// the frame and nothing else, and Unmarshal at most two objects (the
-// header's names are interned once seen). These counts, like expand's
+// the frame and nothing else, and Unmarshal at most two objects (it takes
+// one, a single copy of the header's strings). These counts, like expand's
 // TestWarmRouteAllocatesNothing, are inputs to the per-transaction cost
 // table ROADMAP [cost] plans, not constants to keep pinning on their own.
 func TestHeaderOnlyFrameAllocs(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
-	"sync/atomic"
 )
 
 // The wire frame. Every message that crosses EXPAND is encoded on its own,
@@ -25,7 +23,6 @@ import (
 // owns a block of tags:
 //
 //	1-15     discproc
-//	16-23    audit
 //	24-31    tmf
 //	32-47    paxoscommit
 //	48-55    appserver
@@ -117,16 +114,28 @@ func Marshal(m Message) ([]byte, error) {
 func Unmarshal(b []byte) (Message, error) {
 	r := Reader{b: b}
 	var m Message
-	m.From.Node = r.Name()
+	node := r.span(b)
 	m.From.CPU = int(r.Varint())
 	m.From.Seq = r.Uvarint()
-	m.FromSys = r.Name()
-	m.To.Node = r.Name()
-	m.To.Name = r.Name()
-	m.Kind = r.Name()
+	fromSys := r.span(b)
+	toNode := r.span(b)
+	toName := r.span(b)
+	kind := r.span(b)
 	m.Corr = r.Uvarint()
 	m.IsReply = r.Bool()
-	m.Err = r.Str()
+	errText := r.span(b)
+	if r.err != nil {
+		return Message{}, r.err
+	}
+	// The header's strings are cut from one copy of the header's bytes,
+	// so a frame pays one allocation for all of them.
+	hdr := string(b[:len(b)-len(r.b)])
+	m.From.Node = hdr[node[0]:node[1]]
+	m.FromSys = hdr[fromSys[0]:fromSys[1]]
+	m.To.Node = hdr[toNode[0]:toNode[1]]
+	m.To.Name = hdr[toName[0]:toName[1]]
+	m.Kind = hdr[kind[0]:kind[1]]
+	m.Err = hdr[errText[0]:errText[1]]
 	tag := r.Uvarint()
 	if r.err != nil {
 		return Message{}, r.err
@@ -152,8 +161,8 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
-// AppendBytes appends s with its length in front, the layout Reader's Str,
-// Name and Bytes read.
+// AppendBytes appends s with its length in front, the layout Reader's Str
+// and Bytes read.
 func AppendBytes[T string | []byte](b []byte, s T) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
@@ -262,62 +271,10 @@ func (r *Reader) Bytes() []byte {
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.Take(r.Len())) }
 
-// Name reads a length-prefixed string drawn from a small set (a node,
-// process or file name, a message kind), so the same bytes arrive over
-// and over: it returns the one interned copy, allocating only the first
-// time a name is seen. Keys, values and error text use Str.
-func (r *Reader) Name() string {
-	s := r.Take(r.Len())
-	if len(s) == 0 {
-		return ""
-	}
-	if v, ok := (*names.m.Load())[string(s)]; ok {
-		return v
-	}
-	return names.add(s)
-}
-
-// Interning bounds: a name longer than maxNameLen, or one met after the
-// table holds maxNames entries, is copied like Str, so garbage frames
-// cannot grow the table without limit.
-const (
-	maxNameLen = 64
-	maxNames   = 1024
-)
-
-// names is the intern table behind Reader.Name. Readers load the current
-// map without a lock; a new name copies it under mu, which happens once
-// per distinct name.
-var names = func() *nameTable {
-	t := &nameTable{}
-	t.m.Store(&map[string]string{})
-	return t
-}()
-
-type nameTable struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[string]string]
-}
-
-func (t *nameTable) add(s []byte) string {
-	if len(s) > maxNameLen {
-		return string(s)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.m.Load()
-	if v, ok := old[string(s)]; ok {
-		return v
-	}
-	v := string(s)
-	if len(old) >= maxNames {
-		return v
-	}
-	m := make(map[string]string, len(old)+1)
-	for k, x := range old {
-		m[k] = x
-	}
-	m[v] = v
-	t.m.Store(&m)
-	return v
+// span skips a length-prefixed string of frame, the slice r reads, and
+// returns its bounds in frame.
+func (r *Reader) span(frame []byte) [2]int {
+	n := len(r.Take(r.Len()))
+	end := len(frame) - len(r.b)
+	return [2]int{end - n, end}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	_ "encompass/internal/appserver"
-	_ "encompass/internal/audit"
 	_ "encompass/internal/discproc"
 	"encompass/internal/msg"
 	_ "encompass/internal/paxoscommit"

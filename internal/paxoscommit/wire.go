@@ -14,18 +14,18 @@ import (
 func init() {
 	msg.RegisterPayload(32,
 		func(b []byte, r joinReq) []byte { return msg.AppendBytes(txid.AppendID(b, r.Tx), r.Instance) },
-		func(r *msg.Reader) joinReq { return joinReq{Tx: txid.ReadID(r), Instance: r.Name()} })
+		func(r *msg.Reader) joinReq { return joinReq{Tx: txid.ReadID(r), Instance: r.Str()} })
 	msg.RegisterPayload(33,
 		func(b []byte, r voteReq) []byte {
 			return append(msg.AppendBytes(txid.AppendID(b, r.Tx), r.Instance), r.Value)
 		},
-		func(r *msg.Reader) voteReq { return voteReq{Tx: txid.ReadID(r), Instance: r.Name(), Value: r.Byte()} })
+		func(r *msg.Reader) voteReq { return voteReq{Tx: txid.ReadID(r), Instance: r.Str(), Value: r.Byte()} })
 	msg.RegisterPayload(34,
 		func(b []byte, r prepareReq) []byte {
 			return binary.AppendUvarint(msg.AppendBytes(txid.AppendID(b, r.Tx), r.Instance), r.Ballot)
 		},
 		func(r *msg.Reader) prepareReq {
-			return prepareReq{Tx: txid.ReadID(r), Instance: r.Name(), Ballot: r.Uvarint()}
+			return prepareReq{Tx: txid.ReadID(r), Instance: r.Str(), Ballot: r.Uvarint()}
 		})
 	msg.RegisterPayload(35,
 		func(b []byte, r prepareResp) []byte {
@@ -44,7 +44,7 @@ func init() {
 			return append(binary.AppendUvarint(b, r.Ballot), r.Value)
 		},
 		func(r *msg.Reader) acceptReq {
-			return acceptReq{Tx: txid.ReadID(r), Instance: r.Name(), Ballot: r.Uvarint(), Value: r.Byte()}
+			return acceptReq{Tx: txid.ReadID(r), Instance: r.Str(), Ballot: r.Uvarint(), Value: r.Byte()}
 		})
 	msg.RegisterPayload(37,
 		func(b []byte, r acceptResp) []byte { return binary.AppendUvarint(msg.AppendBool(b, r.OK), r.Promised) },
@@ -77,7 +77,7 @@ func readLearnResp(r *msg.Reader) learnResp {
 	if n := r.Len(); n > 0 {
 		l.Instances = make([]instanceState, n)
 		for i := range l.Instances {
-			l.Instances[i] = instanceState{Name: r.Name(), HasAccepted: r.Bool(), Ballot: r.Uvarint(), Value: r.Byte()}
+			l.Instances[i] = instanceState{Name: r.Str(), HasAccepted: r.Bool(), Ballot: r.Uvarint(), Value: r.Byte()}
 		}
 	}
 	return l

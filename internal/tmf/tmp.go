@@ -57,7 +57,7 @@ type beginResp struct {
 func init() {
 	msg.RegisterPayload(24,
 		func(b []byte, r tmpReq) []byte { return msg.AppendBytes(txid.AppendID(b, r.Tx), r.Source) },
-		func(r *msg.Reader) tmpReq { return tmpReq{Tx: txid.ReadID(r), Source: r.Name()} })
+		func(r *msg.Reader) tmpReq { return tmpReq{Tx: txid.ReadID(r), Source: r.Str()} })
 	msg.RegisterPayload(25,
 		func(b []byte, q QueryResp) []byte {
 			b = msg.AppendBool(b, q.Known)
@@ -67,7 +67,7 @@ func init() {
 			return msg.AppendBytes(b, q.Decider)
 		},
 		func(r *msg.Reader) QueryResp {
-			return QueryResp{Known: r.Bool(), Committed: r.Bool(), State: txid.State(r.Varint()), Protocol: r.Name(), Decider: r.Name()}
+			return QueryResp{Known: r.Bool(), Committed: r.Bool(), State: txid.State(r.Varint()), Protocol: r.Str(), Decider: r.Str()}
 		})
 	msg.RegisterPayload(26,
 		func(b []byte, r beginResp) []byte { return msg.AppendBool(b, r.AlreadyKnown) },

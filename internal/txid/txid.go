@@ -141,5 +141,5 @@ func AppendID(b []byte, id ID) []byte {
 
 // ReadID reads an ID AppendID wrote.
 func ReadID(r *msg.Reader) ID {
-	return ID{Home: r.Name(), CPU: int(r.Varint()), Seq: r.Uvarint()}
+	return ID{Home: r.Str(), CPU: int(r.Varint()), Seq: r.Uvarint()}
 }
