@@ -56,10 +56,14 @@ lint: $(TMFLINT)
 # trace-oracle chaos test (the long soak stays race-free via the package
 # run above, but is too slow under -race), and the node lifecycle — Crash,
 # Recover and Stop swap a node's monitor, File System client and
-# DISCPROCESSes through one start path and one halt path.
+# DISCPROCESSes through one start path and one halt path. The ScreenCOBOL
+# interpreter and the load harness run too, because their pooled
+# requesters cross terminal goroutines, as the parked flush and force
+# workers (pair) cross requests; a burst of commits then Stop checks that
+# those workers end.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/...
-	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine' .
+	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
+	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers' .
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

@@ -435,10 +435,12 @@ type Tx struct {
 	ID   txid.ID
 }
 
-// Read fetches a record without locking.
+// Read fetches a record without locking. The value is shared, as
+// FS.Read's is: the caller must not modify it.
 func (t *Tx) Read(file, key string) ([]byte, error) { return t.node.FS.Read(file, key) }
 
-// ReadLock fetches a record and takes its lock for this transaction.
+// ReadLock fetches a record and takes its lock for this transaction. The
+// value is shared, as FS.Read's is: the caller must not modify it.
 func (t *Tx) ReadLock(file, key string) ([]byte, error) {
 	return t.node.FS.ReadLock(t.ID, file, key)
 }

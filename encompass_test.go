@@ -55,6 +55,45 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestUpdateBufferReuseAfterCommit: the DISCPROCESS keeps its own copy of
+// a written value, so a caller that reuses its buffer after the commit
+// changes neither what a read returns (served from the record cache) nor
+// the volume.
+func TestUpdateBufferReuseAfterCommit(t *testing.T) {
+	sys := oneNode(t)
+	t.Cleanup(sys.Stop)
+	n := sys.Node("alpha")
+	if err := n.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1")); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("orig")
+	tx1, _ := n.Begin()
+	if err := tx1.Insert("f", "k", buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx2, _ := n.Begin()
+	if _, err := tx2.ReadLock("f", "k"); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "next")
+	if err := tx2.Update("f", "k", buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXX")
+	if v, err := n.FS.Read("f", "k"); err != nil || string(v) != "next" {
+		t.Errorf("read after the caller reused its buffer = %q, %v; want next", v, err)
+	}
+	if v, err := n.Volumes["v1"].Disk.Read("f", "k"); err != nil || string(v) != "next" {
+		t.Errorf("volume after the caller reused its buffer = %q, %v; want next", v, err)
+	}
+}
+
 func TestAbortRestoresState(t *testing.T) {
 	sys := oneNode(t)
 	n := sys.Node("alpha")

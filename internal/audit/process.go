@@ -89,7 +89,8 @@ func ReadImages(r *msg.Reader) []Image {
 // carry nothing and takeover is trivial: both members share the trail,
 // exactly as both halves of a disc process-pair share the physical disc.
 type processApp struct {
-	trail *Trail
+	trail  *Trail
+	forces *pair.Workers[uint64]
 }
 
 func (a *processApp) Handle(ctx pair.Ctx) {
@@ -102,11 +103,12 @@ func (a *processApp) Handle(ctx pair.Ctx) {
 		// A force blocks for the simulated disc latency. Served inline it
 		// would stall this single-goroutine process — serializing
 		// concurrent committers' forces and blocking appends behind each
-		// one — so hand it to the trail's group-commit machinery on its
-		// own goroutine and reply once durable. The trail coalesces
+		// one — so hand it to the trail's group-commit machinery on a
+		// parked force worker and reply once durable. Every force in
+		// service has a worker of its own, so the trail coalesces
 		// concurrent requests into one physical write; Reply is safe from
 		// another goroutine (it only resolves the caller's waiter).
-		go a.force(ctx, m.Payload.(ForceReq).UpTo)
+		a.forces.Go(ctx, m.Payload.(ForceReq).UpTo)
 	case KindScan:
 		req := m.Payload.(ScanReq)
 		ctx.Reply(ScanResp{Images: a.trail.ImagesForUnforced(req.Tx)})
@@ -115,16 +117,15 @@ func (a *processApp) Handle(ctx pair.Ctx) {
 	}
 }
 
-// force makes the trail durable up to upTo (everything when 0) and then
-// answers ctx, its own copy of the request's context: a closure over
-// Handle's parameter would move it to the heap on every append too.
-func (a *processApp) force(ctx pair.Ctx, upTo uint64) {
+// force makes the trail durable up to upTo (everything when 0); the force
+// worker then answers the request.
+func (a *processApp) force(_ pair.Ctx, upTo uint64) error {
 	if upTo == 0 {
 		a.trail.ForceAll()
 	} else {
 		a.trail.Force(upTo)
 	}
-	ctx.Reply(nil)
+	return nil
 }
 
 func (a *processApp) ApplyCheckpoint(any) {}
@@ -142,7 +143,9 @@ type Process struct {
 // the given name.
 func StartProcess(sys *msg.System, name string, primaryCPU, backupCPU int, trail *Trail) (*Process, error) {
 	p, err := pair.Start(sys, name, primaryCPU, backupCPU, func() pair.App {
-		return &processApp{trail: trail}
+		a := &processApp{trail: trail}
+		a.forces = pair.NewWorkers(a.force)
+		return a
 	})
 	if err != nil {
 		return nil, err

@@ -4,10 +4,7 @@
 // paying the simulated disc-read cost.
 package dbfile
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // CacheStats counts cache activity.
 type CacheStats struct {
@@ -29,32 +26,46 @@ func (s CacheStats) HitRatio() float64 {
 // comparable struct, so building one costs nothing.
 type CacheKey struct{ File, Key string }
 
+// cacheEntry is one cached record and its links in the recency list, so
+// caching a record is one object.
 type cacheEntry struct {
-	key CacheKey
-	val []byte
+	prev, next *cacheEntry
+	key        CacheKey
+	val        []byte
 }
 
 // Cache is a fixed-capacity LRU cache of records keyed by CacheKey. It is
-// safe for concurrent use.
+// safe for concurrent use. A cached value is the file's stored slice,
+// shared and never modified (see the package comment).
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recently used
-	items    map[CacheKey]*list.Element
-	stats    CacheStats
+	// lru is the recency list's sentinel: lru.next is the most recently
+	// used entry, lru.prev the least.
+	lru   cacheEntry
+	items map[CacheKey]*cacheEntry
+	stats CacheStats
 }
 
 // NewCache creates a cache holding up to capacity records; capacity <= 0
 // disables caching (every lookup misses).
 func NewCache(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[CacheKey]*list.Element),
-	}
+	c := &Cache{capacity: capacity, items: make(map[CacheKey]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
-// Get returns the cached value and whether it was present.
+func (c *Cache) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *Cache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.next.prev, c.lru.next = e, e
+}
+
+// Get returns the cached value and whether it was present. The value is
+// shared with the cache and the file: the caller must not modify it.
 func (c *Cache) Get(key CacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,14 +73,15 @@ func (c *Cache) Get(key CacheKey) ([]byte, bool) {
 		c.stats.Misses++
 		return nil, false
 	}
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
-	c.order.MoveToFront(el)
+	c.unlink(e)
+	c.pushFront(e)
 	c.stats.Hits++
-	return el.Value.(*cacheEntry).val, true
+	return e.val, true
 }
 
 // Put stores a value, evicting the least recently used record if full.
@@ -90,7 +102,7 @@ func (c *Cache) Put(key CacheKey, val []byte) {
 func (c *Cache) Fill(ck CacheKey, f *File) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	val, err := f.Read(ck.Key)
+	val, err := f.ReadShared(ck.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -102,28 +114,33 @@ func (c *Cache) putLocked(key CacheKey, val []byte) {
 	if c.capacity <= 0 {
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.order.MoveToFront(el)
+	if e, ok := c.items[key]; ok {
+		e.val = val
+		c.unlink(e)
+		c.pushFront(e)
 		return
 	}
-	if c.order.Len() >= c.capacity {
-		back := c.order.Back()
-		if back != nil {
-			c.order.Remove(back)
-			delete(c.items, back.Value.(*cacheEntry).key)
-			c.stats.Evictions++
-		}
+	var e *cacheEntry
+	if len(c.items) >= c.capacity {
+		// The evicted entry carries the new record.
+		e = c.lru.prev
+		c.unlink(e)
+		delete(c.items, e.key)
+		c.stats.Evictions++
+		*e = cacheEntry{key: key, val: val}
+	} else {
+		e = &cacheEntry{key: key, val: val}
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
+	c.pushFront(e)
+	c.items[key] = e
 }
 
 // Invalidate drops one record.
 func (c *Cache) Invalidate(key CacheKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.Remove(el)
+	if e, ok := c.items[key]; ok {
+		c.unlink(e)
 		delete(c.items, key)
 	}
 }
@@ -132,7 +149,7 @@ func (c *Cache) Invalidate(key CacheKey) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.items)
 }
 
 // Stats returns cache counters.

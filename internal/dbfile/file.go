@@ -8,6 +8,14 @@
 // record numbers so lexicographic order equals record order. Alternate-key
 // indices map an extracted field value (plus the primary key, to permit
 // duplicates) back to the primary key.
+//
+// Stored values are immutable. A write (Insert, Append, Update,
+// ForceWrite) keeps the slice it is given, and ReadShared and Cache.Get
+// return the stored slice itself, so neither the writer nor a reader may
+// modify it afterwards; a new value replaces the old slice, never its
+// bytes. The DISCPROCESS copies a caller's value once, where it enters,
+// and every structure shares that copy. Read and the scans (ReadRange,
+// ReadRangeDesc, ReadByAltKey) return copies.
 package dbfile
 
 import (
@@ -172,11 +180,10 @@ func (f *File) Insert(key string, val []byte) error {
 	if f.primary.Has(key) {
 		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, key, f.name)
 	}
-	cp := cloneBytes(val)
-	if err := f.indexInsert(key, cp); err != nil {
+	if err := f.indexInsert(key, val); err != nil {
 		return err
 	}
-	f.primary.Put(key, cp)
+	f.primary.Put(key, val)
 	return nil
 }
 
@@ -202,23 +209,29 @@ func (f *File) Append(val []byte) (string, error) {
 	}
 	key := FormatRecNum(f.nextRec)
 	f.nextRec++
-	cp := cloneBytes(val)
-	if err := f.indexInsert(key, cp); err != nil {
+	if err := f.indexInsert(key, val); err != nil {
 		return "", err
 	}
-	f.primary.Put(key, cp)
+	f.primary.Put(key, val)
 	return key, nil
 }
 
-// Read fetches a record by primary key.
+// Read fetches a copy of a record by primary key.
 func (f *File) Read(key string) ([]byte, error) {
+	v, err := f.ReadShared(key)
+	return cloneBytes(v), err
+}
+
+// ReadShared fetches a record by primary key without copying it: the
+// value is the stored slice, which the caller must not modify.
+func (f *File) ReadShared(key string) ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	v, ok := f.primary.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s in %s", ErrNotFound, key, f.name)
 	}
-	return cloneBytes(v), nil
+	return v, nil
 }
 
 // Exists reports whether a primary key is present.
@@ -236,19 +249,18 @@ func (f *File) Update(key string, val []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s in %s", ErrNotFound, key, f.name)
 	}
-	cp := cloneBytes(val)
 	// Validate alternate key extraction before touching any index so a bad
 	// record leaves the file unchanged.
 	for _, d := range f.altDefs {
-		if _, err := d.extract(cp); err != nil {
+		if _, err := d.extract(val); err != nil {
 			return err
 		}
 	}
 	f.indexRemove(key, old)
-	if err := f.indexInsert(key, cp); err != nil {
+	if err := f.indexInsert(key, val); err != nil {
 		return err
 	}
-	f.primary.Put(key, cp)
+	f.primary.Put(key, val)
 	return nil
 }
 
@@ -276,9 +288,8 @@ func (f *File) ForceWrite(key string, val []byte) {
 	if old, ok := f.primary.Get(key); ok {
 		f.indexRemove(key, old)
 	}
-	cp := cloneBytes(val)
-	_ = f.indexInsert(key, cp)
-	f.primary.Put(key, cp)
+	_ = f.indexInsert(key, val)
+	f.primary.Put(key, val)
 	if f.org == EntrySequenced {
 		if n, err := ParseRecNum(key); err == nil && n >= f.nextRec {
 			f.nextRec = n + 1

@@ -18,16 +18,9 @@ import (
 // lockedUpdateAllocs is what one transaction's locked read, update and
 // endtx cost together at DiscWorkers 8, counted across every goroutine,
 // with request frames the caller reuses as the File System does: the
-// update's one mutation object and its value copies, and the endtx
-// checkpoint (measured: 6 in three runs; 10 while the client's three
-// requests and the read's reply were boxed; 19 while a mutation's
-// checkpoint was four objects, its audit request and reply were boxed, the
-// trail framed through scratch buffers and the lock table made a
-// reverse-index slice per transaction; 26 while the DISCPROCESS and
-// AUDITPROCESS member loops built a heap context and the scheduler a job
-// per request, 50 while every fresh lock, even a free one, was granted
-// through a continuation message to the DISCPROCESS itself).
-const lockedUpdateAllocs = 6
+// update's mutation object and its one copy of the value, and the endtx
+// checkpoint (measured: 3 in three runs; CHANGES.md has the history).
+const lockedUpdateAllocs = 3
 
 // TestLockedUpdateAllocs pins the allocation cost of the TP1 record path
 // through the DISCPROCESS.
@@ -71,11 +64,11 @@ func TestLockedUpdateAllocs(t *testing.T) {
 // auditedUpdateAllocs is what one audited update costs, lock already held,
 // counted across every goroutine, with a request frame the caller reuses:
 // the one mutation object that carries the checkpoint, its op, lock, image
-// and append request, the before-image read, and what the file structures
-// (two) and the volume allocate to keep the value. The audit append and
-// the trail's framing allocate nothing (measured: 5 in three runs; 6 while
-// the client's request was boxed).
-const auditedUpdateAllocs = 5
+// and append request, and the one copy of the value that the file
+// structures, cache, volume and image share. The before-image read, the
+// audit append and the trail's framing allocate nothing (measured: 2 in
+// three runs; CHANGES.md has the history).
+const auditedUpdateAllocs = 2
 
 // TestAuditedUpdateAllocs pins the allocation cost of one update through
 // commitMutation: checkpoint, audit append and apply.

@@ -111,6 +111,20 @@ func (a *app) newMutation(tx txid.ID, op ckOp, kind audit.ImageKind, before []by
 	return &m.ck
 }
 
+// own returns the value an insert, update or append carries as the
+// DISCPROCESS's own copy. A value is copied once, here, where a caller's
+// bytes enter: from then on the file, the cache, the volume, the
+// checkpointed op and the audit image all share it, read-only, and a
+// caller that reuses its buffer after the reply changes none of them. A
+// request from another node was decoded from its frame and already owns
+// its bytes, so it is not copied again.
+func (a *app) own(ctx *pair.Ctx, m *msg.Message, val []byte) []byte {
+	if m.FromSys != "" && m.FromSys != ctx.Proc().System().Node().Name() {
+		return val
+	}
+	return bytes.Clone(val)
+}
+
 // resumeNote is the continuation payload posted to self when a parked
 // lock wait resolves.
 type resumeNote struct {
@@ -168,6 +182,9 @@ type app struct {
 	// primary runs endtx(T) beside update(U), and U's operation may still
 	// be in flight when T's release passes.
 	lastCk *ckRecord
+
+	// flushers serve handleFlush's trail forces.
+	flushers *pair.Workers[txid.ID]
 }
 
 func newApp(pr *Proc) *app {
@@ -181,6 +198,7 @@ func newApp(pr *Proc) *app {
 		pending:      make(map[uint64]pair.Ctx),
 		acl:          make(map[string]map[string]bool),
 	}
+	a.flushers = pair.NewWorkers(a.flush)
 	if w := resolveWorkers(pr.cfg.DiscWorkers); w > 1 {
 		a.sched = newScheduler(a, w)
 	}

@@ -444,14 +444,7 @@ func TestApplyCheckpointKeepsOtherTransactionsOp(t *testing.T) {
 // backout of U restoring the before-image.
 func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
 	const force = 400 * time.Millisecond
-	e := newEnvCfg(t, 4, false, func(e *env, c *Config) {
-		e.trail = audit.NewTrail("a1", force)
-		if _, err := audit.StartProcess(e.sys, "audit-1", 0, 1, e.trail); err != nil {
-			t.Fatal(err)
-		}
-		c.Audit = audit.NewClient(e.sys, "audit-1")
-		c.DiscWorkers, c.ForceEveryUpdate = 8, true
-	})
+	e := newForcingEnv(t, force)
 	e.create(t, "f", dbfile.KeySequenced)
 	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")}) // pays one force
 	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
@@ -492,6 +485,51 @@ func TestTakeoverRecompletesOpBesideAnotherEndTx(t *testing.T) {
 	}
 	if v, _ := e.vol.Read("f", "k"); string(v) != "old" {
 		t.Errorf("volume k = %q after backout of U, want old", v)
+	}
+}
+
+// newForcingEnv is an audited volume whose every update forces a trail
+// that takes force to write, so an update sits between its checkpoint and
+// its apply for that long. The AUDITPROCESS and the DISCPROCESS primary
+// share CPU 0.
+func newForcingEnv(t *testing.T, force time.Duration) *env {
+	return newEnvCfg(t, 4, false, func(e *env, c *Config) {
+		e.trail = audit.NewTrail("a1", force)
+		if _, err := audit.StartProcess(e.sys, "audit-1", 0, 1, e.trail); err != nil {
+			t.Fatal(err)
+		}
+		c.Audit = audit.NewClient(e.sys, "audit-1")
+		c.DiscWorkers, c.ForceEveryUpdate = 8, true
+	})
+}
+
+// TestTakeoverAppliesOwnCopyOfValue: the backup re-completes an update
+// from its own copy of the value, not the caller's buffer. The caller
+// overwrites its buffer after the update's checkpoint, and the primary's
+// CPU fails before the apply; the volume must hold the bytes the update
+// carried.
+func TestTakeoverAppliesOwnCopyOfValue(t *testing.T) {
+	const force = 400 * time.Millisecond
+	e := newForcingEnv(t, force)
+	e.create(t, "f", dbfile.KeySequenced)
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: "k", Val: []byte("old")}) // pays one force
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	U := tx(2)
+	e.mustCall(t, KindLockRec, &RecReq{Tx: U, File: "f", Key: "k"})
+	buf := []byte("new")
+	go e.callWithin(force, KindUpdate, &RecReq{Tx: U, File: "f", Key: "k", Val: buf})
+	// The image is appended after the checkpoint and before the force.
+	waitFor(t, "U's update to reach the audit trail", func() bool { return len(e.trail.ImagesForUnforced(U)) > 0 })
+	copy(buf, "XXX")
+
+	e.sys.Node().FailCPU(0)
+
+	// The first request promotes the backup, which completes U's update.
+	if _, err := e.call(t, KindRead, &RecReq{Tx: tx(3), File: "f", Key: "k", WithLock: true, LockTimeout: 20 * time.Millisecond}); err == nil {
+		t.Error("U's lock on k did not survive the takeover")
+	}
+	if v, _ := e.vol.Read("f", "k"); string(v) != "new" {
+		t.Errorf("volume k = %q after takeover, want new: the takeover applied the caller's reused buffer", v)
 	}
 }
 

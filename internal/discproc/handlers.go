@@ -182,7 +182,7 @@ func (a *app) handleInsert(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(fmt.Errorf("%w: %s in %s", dbfile.ErrDuplicateKey, req.Key, req.File))
 		return
 	}
-	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: req.Val}, audit.ImageInsert, nil)
+	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: a.own(ctx, m, req.Val)}, audit.ImageInsert, nil)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -220,12 +220,12 @@ func (a *app) handleUpdate(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(err)
 		return
 	}
-	before, err := f.Read(req.Key)
+	before, err := f.ReadShared(req.Key)
 	if err != nil {
 		ctx.ReplyErr(err)
 		return
 	}
-	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: req.Val}, audit.ImageUpdate, before)
+	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: req.Key, Val: a.own(ctx, m, req.Val)}, audit.ImageUpdate, before)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -263,7 +263,7 @@ func (a *app) handleDelete(ctx *pair.Ctx, m *msg.Message) {
 		ctx.ReplyErr(err)
 		return
 	}
-	before, err := f.Read(req.Key)
+	before, err := f.ReadShared(req.Key)
 	if err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -322,7 +322,7 @@ func (a *app) handleAppend(ctx *pair.Ctx, m *msg.Message) {
 	if !a.ensureLock(ctx, req.Tx, lk, req.LockTimeout) {
 		return
 	}
-	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: key, Val: req.Val}, audit.ImageInsert, nil)
+	ck := a.newMutation(req.Tx, ckOp{Kind: opWrite, File: req.File, Key: key, Val: a.own(ctx, m, req.Val)}, audit.ImageInsert, nil)
 	if err := a.commitMutation(ctx, ck); err != nil {
 		ctx.ReplyErr(err)
 		return
@@ -415,26 +415,26 @@ func (a *app) handleUndo(ctx *pair.Ctx, m *msg.Message) {
 // Forcing everything appended so far is conservative and correct: the
 // trail treats already-durable prefixes as free, and unrelated records
 // forced early are simply group-committed. The force blocks for the
-// simulated disc latency, so it runs on its own goroutine: served inline
-// it would hold a scheduler worker (or, at DiscWorkers = 1, the member
-// goroutine itself) for the whole force, so concurrent committers' flushes
-// would each take a worker out of the pool — and at DiscWorkers = 1 every
-// other request on the volume would wait behind each force. The goroutine
-// touches no app state — only the Proc's immutable configuration — and the
-// commit protocol still waits for the reply before writing the commit
-// record, so durability-before-commit is preserved per transaction.
+// simulated disc latency, so it runs on a parked flush worker: served
+// inline it would hold a scheduler worker (or, at DiscWorkers = 1, the
+// member goroutine itself) for the whole force, so concurrent committers'
+// flushes would each take a worker out of the pool — and at DiscWorkers =
+// 1 every other request on the volume would wait behind each force. The
+// worker touches no app state — only the Proc's immutable configuration —
+// and the commit protocol still waits for the reply before writing the
+// commit record, so durability-before-commit is preserved per transaction.
 func (a *app) handleFlush(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(*TxReq)
 	if !a.audited() {
 		ctx.Reply(nil)
 		return
 	}
-	go a.flush(*ctx, req.Tx)
+	a.flushers.Go(*ctx, req.Tx)
 }
 
-// flush forces the trail for tx and answers ctx, its own copy of the
-// request's context.
-func (a *app) flush(ctx pair.Ctx, tx txid.ID) {
+// flush forces the trail for tx; the flush worker answers the request
+// with the error it returns.
+func (a *app) flush(ctx pair.Ctx, tx txid.ID) error {
 	cpu := ctx.Proc().PID().CPU
 	start := time.Now()
 	err := a.proc.cfg.Audit.Force(cpu, 0)
@@ -444,11 +444,7 @@ func (a *app) flush(ctx pair.Ctx, tx txid.ID) {
 		ev.Err = err.Error()
 	}
 	a.proc.cfg.Obs.Record(ev)
-	if err != nil {
-		ctx.ReplyErr(err)
-		return
-	}
-	ctx.Reply(nil)
+	return err
 }
 
 // endedSet guards against operations arriving after end-of-transaction.

@@ -9,6 +9,12 @@
 // mirror; reviving it copies from the survivor; failing both (or both
 // controllers) makes the volume inaccessible — the multiple-module failure
 // whose answer is ROLLFORWARD.
+//
+// Written values are immutable: Write keeps the slice it is given, on
+// both drives, so the writer must not modify it afterwards. The
+// DISCPROCESS hands the volume the same copy its file structures and
+// audit images share, and ROLLFORWARD the images it decoded from the
+// trail. Read, Snapshot and a drive revive copy.
 package disk
 
 import (
@@ -143,20 +149,18 @@ func (v *Volume) Degraded() bool {
 	return v.drives[0].up != v.drives[1].up
 }
 
-// Write stores a record on every up drive.
+// Write stores a record on every up drive. The volume keeps val.
 func (v *Volume) Write(file, key string, val []byte) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.accessibleLocked() {
 		return fmt.Errorf("%w: %s", ErrVolumeDown, v.name)
 	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
 	k := recordKey{file, key}
 	n := 0
 	for _, d := range v.drives {
 		if d.up {
-			d.data[k] = cp
+			d.data[k] = val
 			n++
 		}
 	}

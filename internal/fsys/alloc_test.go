@@ -16,10 +16,10 @@ import (
 // recordPathAllocs is what one transaction's locked read, update, append
 // and endtx cost through the File System at DiscWorkers 8, counted across
 // every goroutine: the update's and the append's mutation objects and
-// their value copies, the append's new key, and the endtx checkpoint; the
-// requests travel in pooled frames (measured: 16 in three runs; 22 when
-// every request and the read's and the append's replies were boxed).
-const recordPathAllocs = 16
+// their one copy of the value each, the append's new key, and the endtx
+// checkpoint; the requests travel in pooled frames (measured: 7 in three
+// runs; CHANGES.md has the history).
+const recordPathAllocs = 7
 
 // TestRecordPathAllocs pins the allocation cost of the TP1 record path
 // through the File System.

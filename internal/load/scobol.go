@@ -1,6 +1,7 @@
 package load
 
 import (
+	"sync"
 	"time"
 
 	"encompass"
@@ -15,16 +16,36 @@ import (
 // re-drives it when the system aborts. Each terminal routes its server
 // SENDs from its own CPU (terminal mod CPU count), so requests originate
 // on every processor of the node as a terminal population's would.
+//
+// A requester (the execution and its runtime) is reused from one
+// transaction to the next through a pool and reset before each run, so
+// the interpreter itself allocates only the SEND requests it hands to the
+// server class. A requester serves one transaction at a time.
 func ScobolTx(node *encompass.Node, src string, inputs map[string]string) (Tx, error) {
 	prog, err := scobol.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	ncpu := node.HW.NumCPUs()
+	pool := sync.Pool{New: func() any {
+		r := &requester{rt: scobolRuntime{node: node, inputs: inputs}}
+		r.exec = scobol.NewExec(prog, &r.rt, scobol.Options{MaxRestarts: 5})
+		return r
+	}}
 	return func(term, seq int) error {
-		rt := &scobolRuntime{node: node, cpu: term % ncpu, inputs: inputs}
-		return scobol.NewExec(prog, rt, scobol.Options{MaxRestarts: 5}).Run()
+		r := pool.Get().(*requester)
+		defer pool.Put(r)
+		r.rt.cpu, r.rt.tx = term%ncpu, nil
+		r.exec.Reset()
+		return r.exec.Run()
 	}, nil
+}
+
+// requester is one reusable program execution and the runtime it runs
+// against.
+type requester struct {
+	rt   scobolRuntime
+	exec *scobol.Exec
 }
 
 // scobolRuntime adapts one program execution to the node's TMF verbs,

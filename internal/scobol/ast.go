@@ -1,11 +1,29 @@
 package scobol
 
-// Program is a parsed Screen COBOL program.
+// Program is a parsed Screen COBOL program. Parse compiles every name
+// the program uses (working-storage items, screen fields, USING and
+// REPLYING names, special registers) to a slot of an execution's frame,
+// so an execution reads and writes names by index, never by map.
 type Program struct {
 	Name    string
 	Vars    []VarDecl
 	Screens []Screen
 	Proc    []Stmt
+
+	names      []string       // slot -> name
+	slots      map[string]int // name -> slot
+	init       []slot         // a fresh execution's frame
+	sendStatus int            // slot of SEND-STATUS
+	transID    int            // slot of TRANSACTIONID
+}
+
+// slot is one name's value in an execution's frame. set is the name's
+// existence: a working-storage item and a special register exist from the
+// start, a name that only ACCEPT or REPLYING binds from its first bind,
+// and reading or assigning a name that does not exist is ErrUndefinedVar.
+type slot struct {
+	val string
+	set bool
 }
 
 // VarDecl is a WORKING-STORAGE item: 01 <name> PIC 9(n)|X(n) [VALUE lit].
@@ -33,6 +51,10 @@ func (s stmtBase) stmtLine() int { return s.Line }
 type AcceptStmt struct {
 	stmtBase
 	Screen string
+
+	fields []string // the screen's fields; nil for an undefined screen
+	slots  []int    // fields[i] binds slot slots[i]
+	known  bool     // the screen is declared
 }
 
 // DisplayStmt writes expressions to the terminal.
@@ -46,6 +68,7 @@ type MoveStmt struct {
 	stmtBase
 	Src Expr
 	Dst string
+	dst int
 }
 
 // ComputeStmt assigns an arithmetic result: COMPUTE <var> = <expr>.
@@ -53,6 +76,7 @@ type ComputeStmt struct {
 	stmtBase
 	Dst  string
 	Expr Expr
+	dst  int
 }
 
 // IfStmt is IF <cond> THEN <stmts> [ELSE <stmts>] END-IF.
@@ -103,6 +127,10 @@ type SendStmt struct {
 	Server   Expr
 	Using    []string
 	Replying []string
+
+	using     []int    // slots of Using
+	replying  []int    // slots of Replying
+	replyKeys []string // positional reply keys R1, R2, ...
 }
 
 // Expr is an expression node.
@@ -122,6 +150,7 @@ type LitExpr struct {
 type VarExpr struct {
 	exprBase
 	Name string
+	slot int
 }
 
 // BinExpr applies an operator: arithmetic (+ - * /), comparison

@@ -71,20 +71,24 @@ type Options struct {
 	Resume *Snapshot
 }
 
-// Exec is one program execution for one terminal.
+// Exec is one program execution for one terminal. Its variables are a
+// frame of slots, one per name the program uses (Parse assigns them), and
+// BEGIN-TRANSACTION captures the frame into a second, retained one.
 type Exec struct {
 	prog *Program
 	rt   Runtime
 	opts Options
 
-	vars    map[string]string
-	numeric map[string]bool
-	screens map[string][]string
+	frame []slot
+	begin []slot // frame as the last BEGIN-TRANSACTION captured it
+	// extra holds resumed variables the program never names: only Var
+	// and Snapshot can see them.
+	extra map[string]string
 
-	inTx      bool
-	beginIdx  int
-	beginVars map[string]string
-	restarts  int
+	inTx     bool
+	beginIdx int
+	begun    bool // begin holds a capture
+	restarts int
 
 	// OnBegin, when set, is called with the restart snapshot each time a
 	// transaction begins; the TCP uses it to checkpoint the restart point.
@@ -93,42 +97,48 @@ type Exec struct {
 
 // NewExec prepares an execution of prog against rt.
 func NewExec(prog *Program, rt Runtime, opts Options) *Exec {
-	e := &Exec{
-		prog:     prog,
-		rt:       rt,
-		opts:     opts,
-		vars:     make(map[string]string),
-		numeric:  make(map[string]bool),
-		screens:  make(map[string][]string),
-		beginIdx: -1,
-	}
-	for _, vd := range prog.Vars {
-		e.vars[vd.Name] = vd.Value
-		e.numeric[vd.Name] = vd.Numeric
-	}
-	e.vars[RegSendStatus] = SendOK
-	e.vars[RegTransactionID] = ""
-	for _, sc := range prog.Screens {
-		e.screens[sc.Name] = sc.Fields
-	}
+	n := len(prog.init)
+	buf := make([]slot, 2*n)
+	e := &Exec{prog: prog, rt: rt, opts: opts, frame: buf[:n:n], begin: buf[n:]}
+	e.Reset()
 	return e
+}
+
+// Reset returns e to the state NewExec left it in, keeping its runtime,
+// options and OnBegin, so a host runs the program again without
+// allocating.
+func (e *Exec) Reset() {
+	copy(e.frame, e.prog.init)
+	e.extra = nil
+	e.inTx, e.beginIdx, e.begun, e.restarts = false, -1, false, 0
 }
 
 // Snapshot returns the current restart point.
 func (e *Exec) Snapshot() Snapshot {
-	vars := e.beginVars
-	if vars == nil {
-		vars = e.vars
+	src := e.frame
+	if e.begun {
+		src = e.begin
 	}
-	cp := make(map[string]string, len(vars))
-	for k, v := range vars {
-		cp[k] = v
+	vars := make(map[string]string, len(src)+len(e.extra))
+	for i, s := range src {
+		if s.set {
+			vars[e.prog.names[i]] = s.val
+		}
 	}
-	return Snapshot{Vars: cp, BeginIdx: e.beginIdx, Restarts: e.restarts}
+	for k, v := range e.extra {
+		vars[k] = v
+	}
+	return Snapshot{Vars: vars, BeginIdx: e.beginIdx, Restarts: e.restarts}
 }
 
 // Var reads a variable's current value (after Run, for inspection).
-func (e *Exec) Var(name string) string { return e.vars[strings.ToUpper(name)] }
+func (e *Exec) Var(name string) string {
+	name = strings.ToUpper(name)
+	if i, ok := e.prog.slots[name]; ok {
+		return e.frame[i].val
+	}
+	return e.extra[name]
+}
 
 // Run executes the program. It returns nil on normal completion or STOP
 // RUN, ErrRestartExceeded if the restart limit was exhausted, or the first
@@ -136,9 +146,17 @@ func (e *Exec) Var(name string) string { return e.vars[strings.ToUpper(name)] }
 func (e *Exec) Run() error {
 	start := 0
 	if r := e.opts.Resume; r != nil {
-		e.vars = make(map[string]string, len(r.Vars))
+		clear(e.frame)
+		e.extra = nil
 		for k, v := range r.Vars {
-			e.vars[k] = v
+			if i, ok := e.prog.slots[k]; ok {
+				e.frame[i] = slot{v, true}
+				continue
+			}
+			if e.extra == nil {
+				e.extra = make(map[string]string)
+			}
+			e.extra[k] = v
 		}
 		e.restarts = r.Restarts
 		if r.BeginIdx >= 0 {
@@ -156,12 +174,15 @@ func (e *Exec) Run() error {
 				return fmt.Errorf("%w (after %d attempts)", ErrRestartExceeded, e.restarts)
 			}
 			// Restore the variables captured at BEGIN-TRANSACTION and
-			// resume at that statement: accepted screen input survives.
+			// resume at that statement: accepted screen input survives. A
+			// name first bound after BEGIN keeps its value.
 			if e.beginIdx < 0 {
 				return fmt.Errorf("scobol: restart outside transaction mode")
 			}
-			for k, v := range e.beginVars {
-				e.vars[k] = v
+			for i, s := range e.begin {
+				if s.set {
+					e.frame[i] = s
+				}
 			}
 			e.inTx = false
 			start = e.beginIdx
@@ -170,6 +191,9 @@ func (e *Exec) Run() error {
 		}
 	}
 }
+
+// bind sets slot i, bringing its name into existence.
+func (e *Exec) bind(i int, val string) { e.frame[i] = slot{val, true} }
 
 // runStmts executes a statement list. topLevel marks the PROC body, where
 // BEGIN-TRANSACTION restart points are legal.
@@ -185,19 +209,18 @@ func (e *Exec) runStmts(stmts []Stmt, start int, topLevel bool) error {
 func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 	switch st := s.(type) {
 	case *AcceptStmt:
-		fields, ok := e.screens[st.Screen]
-		if !ok {
+		if !st.known {
 			return fmt.Errorf("%w: %s (line %d)", ErrNoScreen, st.Screen, st.Line)
 		}
-		in, err := e.rt.Accept(st.Screen, fields)
+		in, err := e.rt.Accept(st.Screen, st.fields)
 		if err != nil {
 			return err
 		}
-		for _, f := range fields {
+		for i, f := range st.fields {
 			if v, ok := in[strings.ToUpper(f)]; ok {
-				e.vars[f] = v
+				e.bind(st.slots[i], v)
 			} else if v, ok := in[f]; ok {
-				e.vars[f] = v
+				e.bind(st.slots[i], v)
 			}
 		}
 		return nil
@@ -217,13 +240,13 @@ func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 		if err != nil {
 			return err
 		}
-		return e.assign(st.Dst, v, st.Line)
+		return e.assign(st.dst, st.Dst, v, st.Line)
 	case *ComputeStmt:
 		v, err := e.eval(st.Expr)
 		if err != nil {
 			return err
 		}
-		return e.assign(st.Dst, v, st.Line)
+		return e.assign(st.dst, st.Dst, v, st.Line)
 	case *IfStmt:
 		c, err := e.eval(st.Cond)
 		if err != nil {
@@ -274,16 +297,14 @@ func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 		}
 		// Capture the restart point before beginning.
 		e.beginIdx = idx
-		e.beginVars = make(map[string]string, len(e.vars))
-		for k, v := range e.vars {
-			e.beginVars[k] = v
-		}
+		copy(e.begin, e.frame)
+		e.begun = true
 		id, err := e.rt.Begin()
 		if err != nil {
 			return err
 		}
 		e.inTx = true
-		e.vars[RegTransactionID] = id
+		e.bind(e.prog.transID, id)
 		if e.OnBegin != nil {
 			e.OnBegin(e.Snapshot())
 		}
@@ -300,7 +321,7 @@ func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 			return errRestart
 		}
 		e.inTx = false
-		e.vars[RegTransactionID] = ""
+		e.bind(e.prog.transID, "")
 		return nil
 	case *AbortStmt:
 		if !e.inTx {
@@ -310,7 +331,7 @@ func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 			return err
 		}
 		e.inTx = false
-		e.vars[RegTransactionID] = ""
+		e.bind(e.prog.transID, "")
 		return nil
 	case *RestartStmt:
 		if !e.inTx {
@@ -330,25 +351,28 @@ func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 		if err != nil {
 			return err
 		}
-		req := map[string]string{"OP": op}
-		for _, v := range st.Using {
-			val, ok := e.vars[v]
-			if !ok {
+		// The request is fresh per SEND: the server class owns it once
+		// Send returns.
+		req := make(map[string]string, 1+len(st.Using))
+		req["OP"] = op
+		for i, v := range st.Using {
+			s := e.frame[st.using[i]]
+			if !s.set {
 				return fmt.Errorf("%w: %s (line %d)", ErrUndefinedVar, v, st.Line)
 			}
-			req[v] = val
+			req[v] = s.val
 		}
 		reply, err := e.rt.Send(server, req)
 		if err != nil {
-			e.vars[RegSendStatus] = err.Error()
+			e.bind(e.prog.sendStatus, err.Error())
 			return nil
 		}
-		e.vars[RegSendStatus] = SendOK
+		e.bind(e.prog.sendStatus, SendOK)
 		for i, v := range st.Replying {
 			if rv, ok := reply[v]; ok {
-				e.vars[v] = rv
-			} else if rv, ok := reply[fmt.Sprintf("R%d", i+1)]; ok {
-				e.vars[v] = rv
+				e.bind(st.replying[i], rv)
+			} else if rv, ok := reply[st.replyKeys[i]]; ok {
+				e.bind(st.replying[i], rv)
 			}
 		}
 		return nil
@@ -357,11 +381,12 @@ func (e *Exec) runStmt(s Stmt, idx int, topLevel bool) error {
 	}
 }
 
-func (e *Exec) assign(name, val string, line int) error {
-	if _, ok := e.vars[name]; !ok {
+// assign sets the existing variable in slot i, named name.
+func (e *Exec) assign(i int, name, val string, line int) error {
+	if !e.frame[i].set {
 		return fmt.Errorf("%w: %s (line %d)", ErrUndefinedVar, name, line)
 	}
-	e.vars[name] = val
+	e.frame[i].val = val
 	return nil
 }
 
@@ -379,11 +404,11 @@ func (e *Exec) eval(x Expr) (string, error) {
 	case *LitExpr:
 		return ex.Val, nil
 	case *VarExpr:
-		v, ok := e.vars[ex.Name]
-		if !ok {
+		s := e.frame[ex.slot]
+		if !s.set {
 			return "", fmt.Errorf("%w: %s (line %d)", ErrUndefinedVar, ex.Name, ex.Line)
 		}
-		return v, nil
+		return s.val, nil
 	case *BinExpr:
 		l, err := e.eval(ex.L)
 		if err != nil {

@@ -2,13 +2,16 @@ package scobol
 
 import "strconv"
 
-// Parse compiles Screen COBOL source into a Program.
+// Parse compiles Screen COBOL source into a Program. Names are resolved
+// to slots here, but whether a name exists is still decided at run time:
+// a reference to a name nothing declares fails with ErrUndefinedVar only
+// when it executes.
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, slots: make(map[string]int), screens: make(map[string]Screen)}
 	return p.program()
 }
 
@@ -24,6 +27,29 @@ func MustParse(src string) *Program {
 type parser struct {
 	toks []token
 	pos  int
+
+	names   []string          // slot -> name
+	slots   map[string]int    // name -> slot
+	screens map[string]Screen // by name; a later declaration wins
+}
+
+// slot returns name's slot, assigning the next one on first use.
+func (p *parser) slot(name string) int {
+	if i, ok := p.slots[name]; ok {
+		return i
+	}
+	i := len(p.names)
+	p.names = append(p.names, name)
+	p.slots[name] = i
+	return i
+}
+
+func (p *parser) slotsOf(names []string) []int {
+	out := make([]int, len(names))
+	for i, n := range names {
+		out[i] = p.slot(n)
+	}
+	return out
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -92,7 +118,14 @@ func (p *parser) program() (*Program, error) {
 			return nil, err
 		}
 		prog.Screens = append(prog.Screens, sc)
+		p.screens[sc.Name] = sc
 	}
+	// The declarations' and the registers' slots come first, in the order
+	// a fresh execution binds them.
+	for _, vd := range prog.Vars {
+		p.slot(vd.Name)
+	}
+	prog.sendStatus, prog.transID = p.slot(RegSendStatus), p.slot(RegTransactionID)
 
 	if err := p.expectWord("PROC"); err != nil {
 		return nil, err
@@ -111,6 +144,13 @@ func (p *parser) program() (*Program, error) {
 	if err := p.expectPeriod(); err != nil {
 		return nil, err
 	}
+	prog.names, prog.slots = p.names, p.slots
+	prog.init = make([]slot, len(p.names))
+	for _, vd := range prog.Vars {
+		prog.init[p.slots[vd.Name]] = slot{vd.Value, true}
+	}
+	prog.init[prog.sendStatus] = slot{SendOK, true}
+	prog.init[prog.transID] = slot{"", true}
 	return prog, nil
 }
 
@@ -232,7 +272,11 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AcceptStmt{base, sc}, p.expectPeriod()
+		st := &AcceptStmt{stmtBase: base, Screen: sc}
+		if decl, ok := p.screens[sc]; ok {
+			st.fields, st.slots, st.known = decl.Fields, p.slotsOf(decl.Fields), true
+		}
+		return st, p.expectPeriod()
 	case "DISPLAY":
 		p.next()
 		var args []Expr
@@ -262,7 +306,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &MoveStmt{base, src, dst}, p.expectPeriod()
+		return &MoveStmt{base, src, dst, p.slot(dst)}, p.expectPeriod()
 	case "COMPUTE":
 		p.next()
 		dst, err := p.word()
@@ -276,7 +320,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ComputeStmt{base, dst, e}, p.expectPeriod()
+		return &ComputeStmt{base, dst, e, p.slot(dst)}, p.expectPeriod()
 	case "IF":
 		p.next()
 		cond, err := p.expr()
@@ -399,6 +443,11 @@ func (p *parser) stmt() (Stmt, error) {
 				break
 			}
 		}
+		st.using, st.replying = p.slotsOf(st.Using), p.slotsOf(st.Replying)
+		st.replyKeys = make([]string, len(st.Replying))
+		for i := range st.replyKeys {
+			st.replyKeys[i] = "R" + strconv.Itoa(i+1)
+		}
 		return st, p.expectPeriod()
 	default:
 		return nil, errAt(t.line, "unknown statement %q", t.text)
@@ -506,7 +555,7 @@ func (p *parser) term() (Expr, error) {
 	case tokString, tokNumber:
 		return &LitExpr{exprBase{t.line}, t.text}, nil
 	case tokWord:
-		return &VarExpr{exprBase{t.line}, t.text}, nil
+		return &VarExpr{exprBase{t.line}, t.text, p.slot(t.text)}, nil
 	case tokLParen:
 		e, err := p.expr()
 		if err != nil {

@@ -13,6 +13,7 @@ type fakeRT struct {
 	displays  []string
 	sends     []map[string]string
 	sendReply func(server string, req map[string]string) (map[string]string, error)
+	begins    []Snapshot // recorded by an OnBegin that the test installs
 
 	begun, ended, aborted int
 	endErr                func(attempt int) error // per END call
@@ -88,9 +89,7 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMoveComputeDisplay(t *testing.T) {
-	rt := &fakeRT{}
-	e := run(t, `
+const progMoveComputeDisplay = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 a PIC 9(4).
@@ -101,7 +100,11 @@ PROC.
   MOVE "hello" TO name.
   DISPLAY "a=", a, " name=", name.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestMoveComputeDisplay(t *testing.T) {
+	rt := &fakeRT{}
+	e := run(t, progMoveComputeDisplay, rt, Options{})
 	if e.Var("a") != "25" {
 		t.Errorf("a = %q", e.Var("a"))
 	}
@@ -110,9 +113,7 @@ END-PROC.
 	}
 }
 
-func TestIfElseAndComparisons(t *testing.T) {
-	rt := &fakeRT{}
-	e := run(t, `
+const progIfElse = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 x PIC 9(4) VALUE 7.
@@ -126,7 +127,11 @@ PROC.
   IF x = 7 OR x = 99 THEN MOVE "seven" TO r. END-IF.
   IF x <> 7 THEN MOVE "strange" TO r. END-IF.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestIfElseAndComparisons(t *testing.T) {
+	rt := &fakeRT{}
+	e := run(t, progIfElse, rt, Options{})
 	if e.Var("r") != "seven" {
 		t.Errorf("r = %q", e.Var("r"))
 	}
@@ -165,9 +170,7 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestPerformTimes(t *testing.T) {
-	rt := &fakeRT{}
-	e := run(t, `
+const progPerformTimes = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 n PIC 9(4) VALUE 0.
@@ -176,15 +179,17 @@ PROC.
     COMPUTE n = n + 2.
   END-PERFORM.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestPerformTimes(t *testing.T) {
+	rt := &fakeRT{}
+	e := run(t, progPerformTimes, rt, Options{})
 	if e.Var("n") != "10" {
 		t.Errorf("n = %q", e.Var("n"))
 	}
 }
 
-func TestAcceptBindsScreenFields(t *testing.T) {
-	rt := &fakeRT{inputs: []map[string]string{{"ACCT": "12345", "AMOUNT": "99"}}}
-	e := run(t, `
+const progAcceptFields = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 acct PIC X(8).
@@ -196,15 +201,17 @@ END-SCREEN.
 PROC.
   ACCEPT entry-form.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestAcceptBindsScreenFields(t *testing.T) {
+	rt := &fakeRT{inputs: []map[string]string{{"ACCT": "12345", "AMOUNT": "99"}}}
+	e := run(t, progAcceptFields, rt, Options{})
 	if e.Var("acct") != "12345" || e.Var("amount") != "99" {
 		t.Errorf("acct=%q amount=%q", e.Var("acct"), e.Var("amount"))
 	}
 }
 
-func TestTransactionVerbsAndTransid(t *testing.T) {
-	rt := &fakeRT{}
-	e := run(t, `
+const progTransid = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 seen PIC X(16).
@@ -213,7 +220,11 @@ PROC.
   MOVE TRANSACTIONID TO seen.
   END-TRANSACTION.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestTransactionVerbsAndTransid(t *testing.T) {
+	rt := &fakeRT{}
+	e := run(t, progTransid, rt, Options{})
 	if rt.begun != 1 || rt.ended != 1 {
 		t.Errorf("begun=%d ended=%d", rt.begun, rt.ended)
 	}
@@ -225,17 +236,7 @@ END-PROC.
 	}
 }
 
-func TestSendUsingReplying(t *testing.T) {
-	rt := &fakeRT{sendReply: func(server string, req map[string]string) (map[string]string, error) {
-		if server != "bank" {
-			return nil, fmt.Errorf("wrong server %s", server)
-		}
-		if req["OP"] != "debit" || req["ACCT"] != "42" {
-			return nil, fmt.Errorf("bad request %v", req)
-		}
-		return map[string]string{"STATUS": "done", "R2": "100"}, nil
-	}}
-	e := run(t, `
+const progSendReplying = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 acct PIC 9(4) VALUE 42.
@@ -250,7 +251,19 @@ PROC.
     ABORT-TRANSACTION.
   END-IF.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestSendUsingReplying(t *testing.T) {
+	rt := &fakeRT{sendReply: func(server string, req map[string]string) (map[string]string, error) {
+		if server != "bank" {
+			return nil, fmt.Errorf("wrong server %s", server)
+		}
+		if req["OP"] != "debit" || req["ACCT"] != "42" {
+			return nil, fmt.Errorf("bad request %v", req)
+		}
+		return map[string]string{"STATUS": "done", "R2": "100"}, nil
+	}}
+	e := run(t, progSendReplying, rt, Options{})
 	if e.Var("status") != "done" {
 		t.Errorf("status = %q", e.Var("status"))
 	}
@@ -262,11 +275,7 @@ END-PROC.
 	}
 }
 
-func TestSendErrorSetsStatusAndAbortPath(t *testing.T) {
-	rt := &fakeRT{sendReply: func(string, map[string]string) (map[string]string, error) {
-		return nil, errors.New("server dead")
-	}}
-	run(t, `
+const progSendError = `
 PROGRAM demo.
 PROC.
   BEGIN-TRANSACTION.
@@ -277,11 +286,33 @@ PROC.
     ABORT-TRANSACTION.
   END-IF.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestSendErrorSetsStatusAndAbortPath(t *testing.T) {
+	rt := &fakeRT{sendReply: func(string, map[string]string) (map[string]string, error) {
+		return nil, errors.New("server dead")
+	}}
+	run(t, progSendError, rt, Options{})
 	if rt.aborted != 1 || rt.ended != 0 {
 		t.Errorf("aborted=%d ended=%d", rt.aborted, rt.ended)
 	}
 }
+
+const progRestartAtBegin = `
+PROGRAM demo.
+WORKING-STORAGE.
+  01 preamble PIC 9(4) VALUE 0.
+PROC.
+  COMPUTE preamble = preamble + 1.
+  BEGIN-TRANSACTION.
+  SEND "op" TO SERVER "s".
+  IF SEND-STATUS = "OK" THEN
+    END-TRANSACTION.
+  ELSE
+    RESTART-TRANSACTION.
+  END-IF.
+END-PROC.
+`
 
 func TestRestartTransactionRetriesAtBegin(t *testing.T) {
 	// The program restarts twice (simulated deadlock), succeeding on the
@@ -298,21 +329,7 @@ func TestRestartTransactionRetriesAtBegin(t *testing.T) {
 		}
 		return map[string]string{}, nil
 	}
-	e := run(t, `
-PROGRAM demo.
-WORKING-STORAGE.
-  01 preamble PIC 9(4) VALUE 0.
-PROC.
-  COMPUTE preamble = preamble + 1.
-  BEGIN-TRANSACTION.
-  SEND "op" TO SERVER "s".
-  IF SEND-STATUS = "OK" THEN
-    END-TRANSACTION.
-  ELSE
-    RESTART-TRANSACTION.
-  END-IF.
-END-PROC.
-`, rt, Options{MaxRestarts: 5})
+	e := run(t, progRestartAtBegin, rt, Options{MaxRestarts: 5})
 	if rt.begun != 3 {
 		t.Errorf("begun = %d, want 3", rt.begun)
 	}
@@ -324,24 +341,34 @@ END-PROC.
 	}
 }
 
-func TestRestartLimit(t *testing.T) {
-	rt := &fakeRT{sendReply: func(string, map[string]string) (map[string]string, error) {
-		return nil, errors.New("always fails")
-	}}
-	prog := MustParse(`
+const progRestartLimit = `
 PROGRAM demo.
 PROC.
   BEGIN-TRANSACTION.
   SEND "op" TO SERVER "s".
   IF SEND-STATUS = "OK" THEN END-TRANSACTION. ELSE RESTART-TRANSACTION. END-IF.
 END-PROC.
-`)
+`
+
+func TestRestartLimit(t *testing.T) {
+	rt := &fakeRT{sendReply: func(string, map[string]string) (map[string]string, error) {
+		return nil, errors.New("always fails")
+	}}
+	prog := MustParse(progRestartLimit)
 	e := NewExec(prog, rt, Options{MaxRestarts: 3})
 	err := e.Run()
 	if !errors.Is(err, ErrRestartExceeded) {
 		t.Errorf("err = %v, want ErrRestartExceeded", err)
 	}
 }
+
+const progEndRejected = `
+PROGRAM demo.
+PROC.
+  BEGIN-TRANSACTION.
+  END-TRANSACTION.
+END-PROC.
+`
 
 func TestEndRejectionRestartsAutomatically(t *testing.T) {
 	// END-TRANSACTION rejected (system aborted the transaction, e.g.
@@ -353,17 +380,26 @@ func TestEndRejectionRestartsAutomatically(t *testing.T) {
 		}
 		return nil
 	}
-	run(t, `
-PROGRAM demo.
-PROC.
-  BEGIN-TRANSACTION.
-  END-TRANSACTION.
-END-PROC.
-`, rt, Options{MaxRestarts: 3})
+	run(t, progEndRejected, rt, Options{MaxRestarts: 3})
 	if rt.begun != 2 || rt.ended != 2 {
 		t.Errorf("begun=%d ended=%d, want 2/2", rt.begun, rt.ended)
 	}
 }
+
+const progRestartKeepsInput = `
+PROGRAM demo.
+WORKING-STORAGE.
+  01 acct PIC X(8).
+SCREEN s1.
+  FIELD acct.
+END-SCREEN.
+PROC.
+  ACCEPT s1.
+  BEGIN-TRANSACTION.
+  SEND "op" TO SERVER "s" USING acct.
+  IF SEND-STATUS = "OK" THEN END-TRANSACTION. ELSE RESTART-TRANSACTION. END-IF.
+END-PROC.
+`
 
 func TestRestartPreservesAcceptedInput(t *testing.T) {
 	// ACCEPT runs once before BEGIN; the restart must reuse the captured
@@ -380,20 +416,7 @@ func TestRestartPreservesAcceptedInput(t *testing.T) {
 		}
 		return map[string]string{}, nil
 	}
-	run(t, `
-PROGRAM demo.
-WORKING-STORAGE.
-  01 acct PIC X(8).
-SCREEN s1.
-  FIELD acct.
-END-SCREEN.
-PROC.
-  ACCEPT s1.
-  BEGIN-TRANSACTION.
-  SEND "op" TO SERVER "s" USING acct.
-  IF SEND-STATUS = "OK" THEN END-TRANSACTION. ELSE RESTART-TRANSACTION. END-IF.
-END-PROC.
-`, rt, Options{MaxRestarts: 3})
+	run(t, progRestartKeepsInput, rt, Options{MaxRestarts: 3})
 	if attempt != 2 {
 		t.Errorf("attempts = %d, want 2", attempt)
 	}
@@ -450,67 +473,75 @@ END-PROC.
 	}
 }
 
-func TestStopRun(t *testing.T) {
-	rt := &fakeRT{}
-	run(t, `
+const progStopRun = `
 PROGRAM demo.
 PROC.
   DISPLAY "before".
   STOP RUN.
   DISPLAY "after".
 END-PROC.
-`, rt, Options{})
+`
+
+func TestStopRun(t *testing.T) {
+	rt := &fakeRT{}
+	run(t, progStopRun, rt, Options{})
 	if len(rt.displays) != 1 {
 		t.Errorf("displays = %v, STOP RUN must halt", rt.displays)
 	}
 }
 
-func TestRuntimeErrors(t *testing.T) {
-	rt := &fakeRT{}
-	prog := MustParse(`
+const progUndefinedMove = `
 PROGRAM demo.
 PROC.
   MOVE "x" TO nowhere.
 END-PROC.
-`)
-	if err := NewExec(prog, rt, Options{}).Run(); !errors.Is(err, ErrUndefinedVar) {
-		t.Errorf("err = %v, want ErrUndefinedVar", err)
-	}
-	prog2 := MustParse(`
+`
+
+const progDivideByZero = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 a PIC 9(4).
 PROC.
   COMPUTE a = 1 / 0.
 END-PROC.
-`)
-	if err := NewExec(prog2, rt, Options{}).Run(); err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Errorf("err = %v, want division by zero", err)
-	}
-	prog3 := MustParse(`
+`
+
+const progEndOutsideTx = `
 PROGRAM demo.
 PROC.
   END-TRANSACTION.
 END-PROC.
-`)
-	if err := NewExec(prog3, rt, Options{}).Run(); !errors.Is(err, ErrNoTransaction) {
-		t.Errorf("err = %v, want ErrNoTransaction", err)
-	}
-	prog4 := MustParse(`
+`
+
+const progNestedBegin = `
 PROGRAM demo.
 PROC.
   BEGIN-TRANSACTION.
   BEGIN-TRANSACTION.
 END-PROC.
-`)
+`
+
+func TestRuntimeErrors(t *testing.T) {
+	rt := &fakeRT{}
+	prog := MustParse(progUndefinedMove)
+	if err := NewExec(prog, rt, Options{}).Run(); !errors.Is(err, ErrUndefinedVar) {
+		t.Errorf("err = %v, want ErrUndefinedVar", err)
+	}
+	prog2 := MustParse(progDivideByZero)
+	if err := NewExec(prog2, rt, Options{}).Run(); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("err = %v, want division by zero", err)
+	}
+	prog3 := MustParse(progEndOutsideTx)
+	if err := NewExec(prog3, rt, Options{}).Run(); !errors.Is(err, ErrNoTransaction) {
+		t.Errorf("err = %v, want ErrNoTransaction", err)
+	}
+	prog4 := MustParse(progNestedBegin)
 	if err := NewExec(prog4, rt, Options{}).Run(); !errors.Is(err, ErrNestedBegin) {
 		t.Errorf("err = %v, want ErrNestedBegin", err)
 	}
 }
 
-func TestCommentsAndCaseInsensitivity(t *testing.T) {
-	rt := &fakeRT{}
-	e := run(t, `
+const progComments = `
 * This is a comment line.
 program Demo.
 working-storage.
@@ -519,15 +550,17 @@ proc.
 * another comment
   compute x = X + 1.
 end-proc.
-`, rt, Options{})
+`
+
+func TestCommentsAndCaseInsensitivity(t *testing.T) {
+	rt := &fakeRT{}
+	e := run(t, progComments, rt, Options{})
 	if e.Var("x") != "4" {
 		t.Errorf("x = %q", e.Var("x"))
 	}
 }
 
-func TestPerformUntil(t *testing.T) {
-	rt := &fakeRT{}
-	e := run(t, `
+const progPerformUntil = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 n PIC 9(4) VALUE 0.
@@ -538,16 +571,17 @@ PROC.
     COMPUTE total = total + n.
   END-PERFORM.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestPerformUntil(t *testing.T) {
+	rt := &fakeRT{}
+	e := run(t, progPerformUntil, rt, Options{})
 	if e.Var("n") != "5" || e.Var("total") != "15" {
 		t.Errorf("n=%q total=%q, want 5/15", e.Var("n"), e.Var("total"))
 	}
 }
 
-func TestPerformUntilTestBefore(t *testing.T) {
-	// COBOL test-before: a condition true at entry skips the body entirely.
-	rt := &fakeRT{}
-	e := run(t, `
+const progPerformUntilTestBefore = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 n PIC 9(4) VALUE 9.
@@ -556,15 +590,18 @@ PROC.
     COMPUTE n = n + 1.
   END-PERFORM.
 END-PROC.
-`, rt, Options{})
+`
+
+func TestPerformUntilTestBefore(t *testing.T) {
+	// COBOL test-before: a condition true at entry skips the body entirely.
+	rt := &fakeRT{}
+	e := run(t, progPerformUntilTestBefore, rt, Options{})
 	if e.Var("n") != "9" {
 		t.Errorf("n = %q, want 9 (body must not run)", e.Var("n"))
 	}
 }
 
-func TestPerformUntilGuard(t *testing.T) {
-	rt := &fakeRT{}
-	prog := MustParse(`
+const progPerformUntilGuard = `
 PROGRAM demo.
 WORKING-STORAGE.
   01 n PIC 9(4) VALUE 0.
@@ -573,7 +610,11 @@ PROC.
     COMPUTE n = 1.
   END-PERFORM.
 END-PROC.
-`)
+`
+
+func TestPerformUntilGuard(t *testing.T) {
+	rt := &fakeRT{}
+	prog := MustParse(progPerformUntilGuard)
 	err := NewExec(prog, rt, Options{}).Run()
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("err = %v, want loop-guard error", err)

@@ -177,26 +177,16 @@ func TestAbortWaitsForEveryChild(t *testing.T) {
 }
 
 // singleNodeEndAllocs is what End costs a transaction with one local volume
-// and no children (measured by this test's own loop: 5.1-5.3 over five
-// runs; 9 while the flush and endtx requests were boxed and the control
-// block kept its children and volumes in maps, 14 while every pair request built its context on the heap and the
-// DISCPROCESS scheduler allocated a job per request, 26 while phase one
-// ran its local half on a goroutine of its own and the volume's lock table
-// built a map per transaction, 69 while every message call built its own
-// timeout context and reply channel, 73 when phase two moved behind the
-// reply, 71 while each of End's four participant snapshots still built
-// both sorted slices). Under -race sync.Pool drops reply slots on purpose,
-// so the pin is not checked there.
-const singleNodeEndAllocs = 5
+// and no children: the volume's endtx checkpoint (measured by this test's
+// own loop: 1.10-1.16 over six runs; CHANGES.md has the history). Under
+// -race sync.Pool drops reply slots on purpose, so the pin is not checked
+// there.
+const singleNodeEndAllocs = 1
 
 // twoVolumeEndAllocs is what End costs a transaction with two local
-// volumes on separate trails and no children (measured: 10.2-10.3 over
-// five runs; 14.2 while the flush and endtx requests were boxed and the
-// control block kept its children and volumes in maps, 38.3-38.6 while the flushes and the lock releases each went
-// through a goroutine per volume, a WaitGroup, a mutex and an error cell,
-// every pair request built its context on the heap and the DISCPROCESS
-// scheduler allocated a job per request).
-const twoVolumeEndAllocs = 10
+// volumes on separate trails and no children: one endtx checkpoint per
+// volume (measured: 2.17-2.19 over six runs; CHANGES.md has the history).
+const twoVolumeEndAllocs = 2
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool

@@ -342,3 +342,50 @@ func TestStopEndsEveryGoroutine(t *testing.T) {
 		t.Errorf("%d goroutines after Stop, %d before Build", after, before)
 	}
 }
+
+// TestStopEndsParkedWorkers: a burst of concurrent commits over two
+// volumes leaves flush and force workers parked on every DISCPROCESS and
+// AUDITPROCESS it touched; Stop must end them with the rest.
+func TestStopEndsParkedWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sys := build(t, encompass.Config{Nodes: []encompass.NodeSpec{{Name: "a", CPUs: 4,
+		Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true}, {Name: "v2", Audited: true}}}}})
+	a := sys.Node("a")
+	for _, f := range []encompass.FileInfo{
+		encompass.LocalFile("f1", encompass.KeySequenced, "a", "v1"),
+		encompass.LocalFile("f2", encompass.KeySequenced, "a", "v2"),
+	} {
+		if err := a.FS.Create(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const burst = 64
+	errs := make(chan error, burst)
+	for i := range burst {
+		go func() {
+			tx, err := a.Begin()
+			if err == nil {
+				key := fmt.Sprintf("k%d", i)
+				if err = tx.Insert("f1", key, []byte("v")); err == nil {
+					if err = tx.Insert("f2", key, []byte("v")); err == nil {
+						err = tx.Commit()
+					}
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range burst {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Stop()
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d goroutines after Stop, %d before Build", after, before)
+	}
+}
