@@ -40,12 +40,7 @@ func (n *Node) CallServerFrom(cpu int, node, class string, tx txid.ID, fields ma
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	if !tx.IsZero() && node != "" && node != n.Name {
-		if err := n.TMF.NoteRemoteSend(tx, node); err != nil {
-			return nil, err
-		}
-	}
-	return appserver.CallTimeout(n.Msg, cpu, node, class, tx, fields, timeout)
+	return appserver.CallTimeout(n.Msg, n.TMF, cpu, node, class, tx, fields, timeout)
 }
 
 // CallServer sends one transaction request to a server class (node may be

@@ -43,3 +43,15 @@ func TestMetricsShowsPhase2Outstanding(t *testing.T) {
 		t.Fatalf("metrics dump has no drained tmf.phase2_outstanding line:\n%s", out.String())
 	}
 }
+
+// TestMetricsShowsInboxFullDrops requires the metrics dump to carry the
+// message system's full-inbox drop counter for each node.
+func TestMetricsShowsInboxFullDrops(t *testing.T) {
+	var out bytes.Buffer
+	if err := runMetrics(&out); err != nil {
+		t.Fatalf("metrics: %v\n%s", err, out.String())
+	}
+	if n := strings.Count(out.String(), "msg.inbox_full_drops"); n != 2 {
+		t.Fatalf("metrics dump shows msg.inbox_full_drops %d times, want once per node:\n%s", n, out.String())
+	}
+}

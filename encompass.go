@@ -205,6 +205,7 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 	if cfg.TraceCapacity != 0 {
 		n.tracer = obs.NewTracer(cfg.TraceCapacity)
 	}
+	n.Msg.SetObs(n.reg.Counter(obs.MMsgInboxFullDrops))
 	net.Attach(n.Msg)
 
 	// One trail per audit group.

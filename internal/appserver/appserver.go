@@ -27,6 +27,7 @@ import (
 
 	"encompass/internal/hw"
 	"encompass/internal/msg"
+	"encompass/internal/tmf"
 	"encompass/internal/txid"
 )
 
@@ -377,23 +378,29 @@ func (c *Class) instanceLoop(p *msg.Process) {
 	}
 }
 
-// Call sends a transaction request to a server class (possibly on another
-// node) and returns the reply fields.
-func Call(ctx context.Context, sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string) (map[string]string, error) {
-	return replyFields(sys.ClientCall(ctx, fromCPU, classAddr(sys, node, class), KindRequest, &Req{Tx: tx, Fields: fields}))
-}
-
 // reqs recycles CallTimeout's request frames. A frame goes back only once
 // its reply has arrived, success or application error; a call that timed
 // out leaves its frame to the garbage collector, because a late server may
 // still read it.
 var reqs = sync.Pool{New: func() any { return new(Req) }}
 
-// CallTimeout is Call bounded by a duration instead of a context.
-func CallTimeout(sys *msg.System, fromCPU int, node, class string, tx txid.ID, fields map[string]string, d time.Duration) (map[string]string, error) {
+// CallTimeout sends a transaction request to a server class (node may be
+// empty for the local node) and returns the reply fields, waiting up to d.
+// A request of a transaction to another node goes through the node's
+// monitor mon, whose first one there carries the remote transaction
+// begin; mon may be nil on a node without TMF.
+func CallTimeout(sys *msg.System, mon *tmf.Monitor, fromCPU int, node, class string, tx txid.ID, fields map[string]string, d time.Duration) (map[string]string, error) {
 	req := reqs.Get().(*Req)
 	req.Tx, req.Fields = tx, fields
-	r, err := sys.CallTimeout(fromCPU, classAddr(sys, node, class), KindRequest, req, d)
+	var (
+		r   msg.Message
+		err error
+	)
+	if to := classAddr(sys, node, class); to.Node != "" && !tx.IsZero() && mon != nil {
+		r, err = mon.Call(fromCPU, tx, to, KindRequest, req, d)
+	} else {
+		r, err = sys.CallTimeout(fromCPU, to, KindRequest, req, d)
+	}
 	if !errors.Is(err, msg.ErrCallTimeout) {
 		*req = Req{}
 		reqs.Put(req)

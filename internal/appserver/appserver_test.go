@@ -38,7 +38,7 @@ func TestBasicRequestReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := txid.ID{Home: "n", CPU: 0, Seq: 1}
-	fields, err := CallTimeout(sys, 2, "", "echo", tx, map[string]string{"A": "1"}, 2*time.Second)
+	fields, err := CallTimeout(sys, nil, 2, "", "echo", tx, map[string]string{"A": "1"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	Start(sys, Config{Class: "bad", Handler: func(txid.ID, map[string]string) (map[string]string, error) {
 		return nil, errors.New("application rejected")
 	}})
-	_, err := CallTimeout(sys, 2, "", "bad", txid.ID{}, nil, 2*time.Second)
+	_, err := CallTimeout(sys, nil, 2, "", "bad", txid.ID{}, nil, 2*time.Second)
 	var re *msg.RemoteError
 	if !errors.As(err, &re) || re.Msg != "application rejected" {
 		t.Errorf("err = %v", err)
@@ -90,7 +90,7 @@ func TestDynamicInstanceGrowth(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := CallTimeout(sys, 3, "", "slow", txid.ID{}, nil, 5*time.Second); err != nil {
+			if _, err := CallTimeout(sys, nil, 3, "", "slow", txid.ID{}, nil, 5*time.Second); err != nil {
 				t.Errorf("call: %v", err)
 			}
 		}()
@@ -126,7 +126,7 @@ func TestSequentialThroughput(t *testing.T) {
 		return map[string]string{"N": strconv.Itoa(n + 1)}, nil
 	}})
 	for i := 0; i < 50; i++ {
-		fields, err := CallTimeout(sys, 2, "", "inc", txid.ID{}, map[string]string{"N": strconv.Itoa(i)}, 2*time.Second)
+		fields, err := CallTimeout(sys, nil, 2, "", "inc", txid.ID{}, map[string]string{"N": strconv.Itoa(i)}, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestCrossNodeServerCall(t *testing.T) {
 	net.Attach(sysB)
 	net.AddLink("a", "b")
 	Start(sysB, Config{Class: "remote", Handler: echoHandler})
-	fields, err := CallTimeout(sysA, 1, "b", "remote", txid.ID{Home: "a", Seq: 1}, map[string]string{"X": "y"}, 2*time.Second)
+	fields, err := CallTimeout(sysA, nil, 1, "b", "remote", txid.ID{Home: "a", Seq: 1}, map[string]string{"X": "y"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDispatcherSurvivesCPUFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CallTimeout(sys, 2, "", "echo", txid.ID{}, nil, 2*time.Second); err != nil {
+	if _, err := CallTimeout(sys, nil, 2, "", "echo", txid.ID{}, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sys.Node().FailCPU(0) // dispatcher CPU
@@ -168,7 +168,7 @@ func TestDispatcherSurvivesCPUFailure(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var lastErr error
 	for time.Now().Before(deadline) {
-		if _, lastErr = CallTimeout(sys, 2, "", "echo", txid.ID{}, nil, time.Second); lastErr == nil {
+		if _, lastErr = CallTimeout(sys, nil, 2, "", "echo", txid.ID{}, nil, time.Second); lastErr == nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -199,7 +199,7 @@ func TestManyClassesCoexist(t *testing.T) {
 		}})
 	}
 	for i := 0; i < 5; i++ {
-		fields, err := CallTimeout(sys, 3, "", fmt.Sprintf("class%d", i), txid.ID{}, nil, 2*time.Second)
+		fields, err := CallTimeout(sys, nil, 3, "", fmt.Sprintf("class%d", i), txid.ID{}, nil, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

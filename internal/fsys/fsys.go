@@ -4,9 +4,10 @@
 // disc volumes (possibly on multiple nodes)"), attaches the caller's
 // current transid to every request ("the File System automatically appends
 // the application process' current transid to the request message which is
-// sent to the DISCPROCESS"), performs the TMP remote-transaction-begin
-// before the first transmission of a transid to another node, and retries
-// path errors so process-pair takeover stays invisible to applications.
+// sent to the DISCPROCESS"), sends a transaction's requests to another
+// node through TMF, whose first one there carries the TMP
+// remote-transaction-begin, and retries path errors so process-pair
+// takeover stays invisible to applications.
 package fsys
 
 import (
@@ -150,21 +151,26 @@ func (fs *FS) info(file string) (*FileInfo, error) {
 	return fi, nil
 }
 
-// callPart sends one request to a partition's DISCPROCESS, handling the
-// remote-transaction-begin and retrying once around process-pair takeover.
+// callPart sends one request to a partition's DISCPROCESS and retries it
+// around process-pair takeover. A request of a transaction to another node
+// goes through the monitor, whose first one there carries the remote
+// transaction begin.
 func (fs *FS) callPart(tx txid.ID, p Partition, kind string, payload any) (msg.Message, error) {
-	if !tx.IsZero() && p.Node != fs.node {
-		if err := fs.mon.NoteRemoteSend(tx, p.Node); err != nil {
-			return msg.Message{}, err
-		}
-	}
 	addr := msg.Addr{Name: p.Disc}
 	if p.Node != fs.node {
 		addr.Node = p.Node
 	}
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
-		r, err := fs.sys.CallTimeout(fs.CallCPU, addr, kind, payload, fs.Timeout)
+		var (
+			r   msg.Message
+			err error
+		)
+		if addr.Node != "" && !tx.IsZero() {
+			r, err = fs.mon.Call(fs.CallCPU, tx, addr, kind, payload, fs.Timeout)
+		} else {
+			r, err = fs.sys.CallTimeout(fs.CallCPU, addr, kind, payload, fs.Timeout)
+		}
 		if err == nil {
 			return r, nil
 		}

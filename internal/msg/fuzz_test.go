@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"encompass/internal/appserver"
 	"encompass/internal/discproc"
 	"encompass/internal/msg"
 	"encompass/internal/txid"
@@ -24,6 +26,10 @@ func realFrames(f *testing.F) [][]byte {
 		{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: discproc.KindRead, Corr: 8, IsReply: true, Payload: &discproc.RecReq{Val: []byte("balance")}},
 		{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: "tmp.phase1", Corr: 9, IsReply: true, Err: "boom"},
 		{Kind: discproc.KindReadRange, Payload: discproc.ReadRangeResp{}},
+		{From: msg.PID{Node: "west", CPU: 1}, FromSys: "west", To: msg.Addr{Node: "east", Name: "tmp"}, Kind: "tmp.begin", Corr: 10,
+			Payload: carriedBegin(f, &discproc.RecReq{Tx: tx, File: "accts", Key: "k1", WithLock: true, LockTimeout: time.Second})},
+		{From: msg.PID{Node: "west", CPU: 1}, FromSys: "west", To: msg.Addr{Node: "east", Name: "tmp"}, Kind: "tmp.begin", Corr: 11,
+			Payload: carriedBegin(f, &appserver.Req{Tx: tx, Fields: map[string]string{"ACCT": "7", "AMT": "-5"}})},
 	} {
 		b, err := msg.Marshal(m)
 		if err != nil {
@@ -129,6 +135,18 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(uint(i), b[len(emptyHeader(f))+len(binary.AppendUvarint(nil, uint64(tags[i]))):])
+	}
+	// Remote begins carrying the two requests the system relays.
+	begin := uint(slices.Index(tags, tmpBeginTag))
+	for _, inner := range []any{
+		&discproc.RecReq{Tx: txid.ID{Home: "west", Seq: 3}, File: "accts", Key: "k1", Val: []byte("v")},
+		&appserver.Req{Tx: txid.ID{Home: "west", Seq: 3}, Fields: map[string]string{"ACCT": "7"}},
+	} {
+		b, err := msg.Marshal(msg.Message{Payload: carriedBegin(f, inner)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(begin, b[len(emptyHeader(f))+len(binary.AppendUvarint(nil, tmpBeginTag)):])
 	}
 	f.Fuzz(func(t *testing.T, which uint, body []byte) {
 		frame := append(emptyHeader(t), binary.AppendUvarint(nil, uint64(tags[which%uint(len(tags))]))...)

@@ -233,6 +233,10 @@ type System struct {
 	waiters  map[uint64]*waiter // guarded by waitMu
 
 	remote RemoteSender
+
+	// inboxDrops counts messages dropped on a full inbox; nil (counting
+	// nothing) until SetObs.
+	inboxDrops Counter
 }
 
 // NewSystem creates the message system for a node.
@@ -248,6 +252,17 @@ func NewSystem(node *hw.Node) *System {
 
 // Node returns the underlying hardware node.
 func (s *System) Node() *hw.Node { return s.node }
+
+// Counter is a metric the message system adds to: an *obs.Counter, which
+// msg cannot name (obs depends on txid, which depends on msg).
+type Counter interface{ Inc() }
+
+// SetObs installs the counter of messages dropped on a full inbox, the
+// registry's obs.MMsgInboxFullDrops. Call it before the system carries
+// traffic.
+func (s *System) SetObs(inboxFullDrops Counter) {
+	s.inboxDrops = inboxFullDrops
+}
 
 // AttachNetwork installs the inter-node transport.
 func (s *System) AttachNetwork(r RemoteSender) {
@@ -510,6 +525,9 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 		case <-time.After(inboxFullTimeout):
 			// A full inbox for this long indicates a stuck server; the
 			// message is dropped and the caller's timeout fires.
+			if s.inboxDrops != nil {
+				s.inboxDrops.Inc()
+			}
 		}
 	})
 }

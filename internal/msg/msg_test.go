@@ -578,3 +578,44 @@ func TestCancelledClientCallTimesOut(t *testing.T) {
 		t.Errorf("err = %v, want ErrCallTimeout ... context canceled", err)
 	}
 }
+
+// counter counts Inc calls, standing in for an obs counter.
+type counter struct{ n atomic.Int64 }
+
+func (c *counter) Inc() { c.n.Add(1) }
+
+// TestFullInboxDropIsCounted: a process that stops receiving fills its
+// inbox; the next message waits inboxFullTimeout, is dropped, and the
+// drop shows in the counter SetObs installed.
+func TestFullInboxDropIsCounted(t *testing.T) {
+	t.Parallel() // the dropped send waits out inboxFullTimeout
+	s := newSys(t, 2)
+	drops := &counter{}
+	s.SetObs(drops)
+	stuck := make(chan struct{})
+	defer close(stuck)
+	if _, err := s.Spawn(1, "stuck", func(p *Process) { <-stuck }); err != nil {
+		t.Fatal(err)
+	}
+	send := func() error {
+		return s.send(Message{From: PID{Node: "alpha", CPU: 0}, FromSys: "alpha", To: Addr{Name: "stuck"}, Kind: "x"})
+	}
+	for i := range inboxDepth {
+		if err := send(); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if n := drops.n.Load(); n != 0 {
+		t.Fatalf("%d drops while the inbox still had room", n)
+	}
+	start := time.Now()
+	if err := send(); err != nil {
+		t.Fatalf("send to the full inbox: %v", err)
+	}
+	if waited := time.Since(start); waited < inboxFullTimeout {
+		t.Errorf("the send to a full inbox returned after %v, before inboxFullTimeout", waited)
+	}
+	if n := drops.n.Load(); n != 1 {
+		t.Errorf("drops = %d, want 1", n)
+	}
+}

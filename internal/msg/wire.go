@@ -84,13 +84,6 @@ const frameSlack = 160
 // Marshal encodes a message into a wire frame for inter-node traffic. The
 // payload's type must have been registered with RegisterPayload.
 func Marshal(m Message) ([]byte, error) {
-	var c *codec
-	if m.Payload != nil {
-		var ok bool
-		if c, ok = codecByType[reflect.TypeOf(m.Payload)]; !ok {
-			return nil, fmt.Errorf("msg: payload type %T has no wire tag", m.Payload)
-		}
-	}
 	b := make([]byte, 0, len(m.From.Node)+len(m.FromSys)+len(m.To.Node)+len(m.To.Name)+len(m.Kind)+len(m.Err)+frameSlack)
 	b = AppendBytes(b, m.From.Node)
 	b = binary.AppendVarint(b, int64(m.From.CPU))
@@ -102,10 +95,7 @@ func Marshal(m Message) ([]byte, error) {
 	b = binary.AppendUvarint(b, m.Corr)
 	b = AppendBool(b, m.IsReply)
 	b = AppendBytes(b, m.Err)
-	if c == nil {
-		return append(b, 0), nil
-	}
-	return c.enc(binary.AppendUvarint(b, c.tag), m.Payload), nil
+	return AppendPayload(b, m.Payload)
 }
 
 // Unmarshal decodes a wire frame produced by Marshal. A malformed frame is
@@ -141,15 +131,11 @@ func Unmarshal(b []byte) (Message, error) {
 		return Message{}, r.err
 	}
 	if tag != 0 {
-		c, ok := codecByTag[tag]
-		if !ok {
-			return Message{}, fmt.Errorf("msg: unknown payload tag %d", tag)
-		}
 		// The payload gets a Reader of its own: passing one to the codec's
 		// indirect call moves it to the heap, and a header-only frame
 		// should not pay for that.
 		pr := &Reader{b: r.b}
-		m.Payload = c.dec(pr)
+		m.Payload = pr.payloadOf(tag)
 		r = *pr
 	}
 	if r.err != nil {
@@ -159,6 +145,25 @@ func Unmarshal(b []byte) (Message, error) {
 		return Message{}, errTrailing
 	}
 	return m, nil
+}
+
+// AppendPayload appends one payload as a frame carries it: its tag, then
+// its own encoding; a nil payload is tag 0. Reader.Payload reads it back.
+// A codec that nests another message's payload in its own encoding calls
+// it, and returns nil from its encoder when it fails, which fails the
+// frame.
+func AppendPayload(b []byte, v any) ([]byte, error) {
+	if v == nil {
+		return append(b, 0), nil
+	}
+	c, ok := codecByType[reflect.TypeOf(v)]
+	if !ok {
+		return nil, fmt.Errorf("msg: payload type %T has no wire tag", v)
+	}
+	if b = c.enc(binary.AppendUvarint(b, c.tag), v); b == nil {
+		return nil, fmt.Errorf("msg: payload %T nests a payload with no wire tag", v)
+	}
+	return b, nil
 }
 
 // AppendBytes appends s with its length in front, the layout Reader's Str
@@ -266,6 +271,26 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), s...)
+}
+
+// Payload reads a payload AppendPayload wrote: nil for tag 0, and an
+// error for a tag no package registered.
+func (r *Reader) Payload() any {
+	tag := r.Uvarint()
+	if r.err != nil || tag == 0 {
+		return nil
+	}
+	return r.payloadOf(tag)
+}
+
+// payloadOf decodes the payload registered under tag, which is not 0.
+func (r *Reader) payloadOf(tag uint64) any {
+	c, ok := codecByTag[tag]
+	if !ok {
+		r.Fail(fmt.Errorf("msg: unknown payload tag %d", tag))
+		return nil
+	}
+	return c.dec(r)
 }
 
 // Str reads a length-prefixed string.

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
-	_ "encompass/internal/appserver"
-	_ "encompass/internal/discproc"
+	"encompass/internal/appserver"
+	"encompass/internal/discproc"
 	"encompass/internal/msg"
 	_ "encompass/internal/paxoscommit"
 	_ "encompass/internal/tmf"
+	"encompass/internal/txid"
 )
 
 // sample builds a value of t with every settable field non-zero: strings
@@ -41,6 +43,10 @@ func sample(t reflect.Type) reflect.Value {
 		v.Set(reflect.MakeMap(t))
 		v.SetMapIndex(sample(t.Key()), sample(t.Elem()))
 		v.SetMapIndex(sample(t.Key()), sample(t.Elem()))
+	case reflect.Interface:
+		// A payload that nests another: a record request, the one a
+		// remote begin most often carries.
+		v.Set(sample(reflect.TypeFor[*discproc.RecReq]()))
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -143,5 +149,86 @@ func TestMalformedFramesAreErrors(t *testing.T) {
 func TestUnregisteredPayloadIsAnError(t *testing.T) {
 	if _, err := msg.Marshal(msg.Message{Payload: "text"}); err == nil {
 		t.Error("string payload marshaled without a registered tag")
+	}
+}
+
+// tmpBeginTag is the wire tag of tmf's TMP-to-TMP payload, whose remote
+// begin may carry another payload.
+const tmpBeginTag = 24
+
+// carriedBegin is a TMP remote begin carrying inner as the request it
+// relays, built by reflection because the payload type is tmf's own.
+func carriedBegin(tb testing.TB, inner any) any {
+	tb.Helper()
+	tags, types := msg.PayloadTags()
+	i := slices.Index(tags, tmpBeginTag)
+	if i < 0 {
+		tb.Fatalf("no payload registered under tag %d", tmpBeginTag)
+	}
+	v := reflect.New(types[i]).Elem()
+	v.FieldByName("Tx").Set(reflect.ValueOf(txid.ID{Home: "west", CPU: 1, Seq: 42}))
+	v.FieldByName("Source").SetString("west")
+	v.FieldByName("To").SetString("disc-v1")
+	v.FieldByName("Kind").SetString(discproc.KindRead)
+	if inner != nil {
+		v.FieldByName("Payload").Set(reflect.ValueOf(inner))
+	}
+	return v.Interface()
+}
+
+// TestCarriedPayloadRoundTrips: a remote begin crosses a frame with the
+// request it carries intact, whichever payload type that is.
+func TestCarriedPayloadRoundTrips(t *testing.T) {
+	for _, inner := range []any{
+		&discproc.RecReq{Tx: txid.ID{Home: "west", Seq: 1}, File: "accts", Key: "k1", Val: []byte("v"), WithLock: true},
+		&appserver.Req{Tx: txid.ID{Home: "west", Seq: 1}, Fields: map[string]string{"ACCT": "7"}},
+		nil,
+	} {
+		p := carriedBegin(t, inner)
+		b, err := msg.Marshal(msg.Message{Kind: "tmp.begin", Payload: p})
+		if err != nil {
+			t.Fatalf("%T: %v", inner, err)
+		}
+		m, err := msg.Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%T: %v", inner, err)
+		}
+		if !reflect.DeepEqual(m.Payload, p) {
+			t.Errorf("round trip of %#v = %#v", p, m.Payload)
+		}
+	}
+}
+
+// TestMalformedCarriedPayloadIsAnError: inside a remote begin, a truncated
+// carried payload, an unknown carried tag and a byte after the carried
+// payload are errors, and a carried payload with no wire tag fails at the
+// sender.
+func TestMalformedCarriedPayloadIsAnError(t *testing.T) {
+	empty, err := msg.Marshal(msg.Message{Kind: "tmp.begin", Payload: carriedBegin(t, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := msg.Marshal(msg.Message{Kind: "tmp.begin", Payload: carriedBegin(t, &discproc.RecReq{File: "accts", Key: "k1", Val: []byte("v")})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The carried payload is the frame's tail: its tag sits where the
+	// empty begin's tag 0 does.
+	inner := len(empty) - 1
+	for n := inner + 1; n < len(b); n++ {
+		if _, err := msg.Unmarshal(b[:n]); err == nil {
+			t.Errorf("carried payload truncated to %d of %d bytes decoded without error", n-inner, len(b)-inner)
+		}
+	}
+	unknown := bytes.Clone(b)
+	unknown[inner] = 127 // a tag no package owns
+	if _, err := msg.Unmarshal(unknown); err == nil {
+		t.Error("unknown carried payload tag decoded without error")
+	}
+	if _, err := msg.Unmarshal(append(bytes.Clone(b), 0)); err == nil {
+		t.Error("a byte after the carried payload decoded without error")
+	}
+	if _, err := msg.Marshal(msg.Message{Payload: carriedBegin(t, "text")}); err == nil {
+		t.Error("a begin carrying a string payload marshaled without a registered tag")
 	}
 }

@@ -405,6 +405,10 @@ const (
 	// still hold the transaction's locks.
 	MPhase2Outstanding = "tmf.phase2_outstanding"
 
+	// Message-system counter (see msg.System.SetObs): messages dropped
+	// after waiting on a stuck process's full inbox.
+	MMsgInboxFullDrops = "msg.inbox_full_drops"
+
 	// EXPAND unreliable-network counters (see expand.Network.SetObs).
 	MNetRetransmits    = "net.retransmits"
 	MNetDupsDropped    = "net.dups_dropped"

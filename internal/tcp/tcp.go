@@ -389,7 +389,9 @@ func (r *termRuntime) Display(s string) { r.term.display(s) }
 
 // Send resolves "class" (local) or "node:class" server addresses and
 // attaches the terminal's current transid, as the File System does for
-// every SEND in transaction mode.
+// every SEND in transaction mode. The SEND goes through TMF, so the first
+// transmission of the transid to another node carries the remote
+// transaction begin.
 func (r *termRuntime) Send(server string, req map[string]string) (map[string]string, error) {
 	node, class := "", server
 	if i := strings.IndexByte(server, ':'); i >= 0 {
@@ -399,14 +401,7 @@ func (r *termRuntime) Send(server string, req map[string]string) (map[string]str
 	if r.tx.valid {
 		id = r.tx.id
 	}
-	if node != "" && node != r.tcp.sys.Node().Name() && r.tx.valid {
-		// First transmission of the transid to another node goes through
-		// the TMP (remote transaction begin).
-		if err := r.tcp.cfg.Mon.NoteRemoteSend(id, node); err != nil {
-			return nil, err
-		}
-	}
-	return appserver.CallTimeout(r.tcp.sys, r.proc.PID().CPU, node, class, id, req, r.tcp.cfg.SendTimeout)
+	return appserver.CallTimeout(r.tcp.sys, r.tcp.cfg.Mon, r.proc.PID().CPU, node, class, id, req, r.tcp.cfg.SendTimeout)
 }
 
 func (r *termRuntime) Begin() (string, error) {

@@ -2,6 +2,7 @@ package tmf
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -29,10 +30,16 @@ const (
 // tmpName is the registered name of every node's TMP pair.
 const tmpName = "tmp"
 
-// tmpReq is the payload of TMP-to-TMP messages.
+// tmpReq is the payload of TMP-to-TMP messages. A remote begin may carry
+// the transaction's first request to the node (Monitor.Call): To names
+// the local process it is for, Kind and Payload are the request. The other
+// messages leave the three empty.
 type tmpReq struct {
-	Tx     txid.ID
-	Source string // sending node
+	Tx      txid.ID
+	Source  string // sending node
+	To      string
+	Kind    string
+	Payload any
 }
 
 // QueryResp answers a disposition query (rollforward negotiation, tmfctl).
@@ -56,8 +63,18 @@ type beginResp struct {
 // The TMP messages cross nodes; their tags are tmf's block (24-31).
 func init() {
 	msg.RegisterPayload(24,
-		func(b []byte, r tmpReq) []byte { return msg.AppendBytes(txid.AppendID(b, r.Tx), r.Source) },
-		func(r *msg.Reader) tmpReq { return tmpReq{Tx: txid.ReadID(r), Source: r.Str()} })
+		func(b []byte, r tmpReq) []byte {
+			b = msg.AppendBytes(txid.AppendID(b, r.Tx), r.Source)
+			b = msg.AppendBytes(msg.AppendBytes(b, r.To), r.Kind)
+			b, err := msg.AppendPayload(b, r.Payload)
+			if err != nil {
+				return nil // the carried payload has no wire tag: the frame fails
+			}
+			return b
+		},
+		func(r *msg.Reader) tmpReq {
+			return tmpReq{Tx: txid.ReadID(r), Source: r.Str(), To: r.Str(), Kind: r.Str(), Payload: r.Payload()}
+		})
 	msg.RegisterPayload(25,
 		func(b []byte, q QueryResp) []byte {
 			b = msg.AppendBool(b, q.Known)
@@ -97,7 +114,18 @@ func (a *tmpApp) Handle(ctx pair.Ctx) {
 		// "Remote transaction begin": broadcast the transid in active
 		// state to all processors on this node.
 		known := a.m.beginRemote(r.Tx, r.Source)
-		ctx.Reply(beginResp{AlreadyKnown: known})
+		if known || r.To == "" {
+			ctx.Reply(beginResp{AlreadyKnown: known})
+			return
+		}
+		// The begin carries the transaction's first request to this node.
+		// Only now that the transid is installed is the request relayed to
+		// its server, whose reply goes straight to the caller.
+		fwd := req
+		fwd.Kind, fwd.Payload = r.Kind, r.Payload
+		if err := ctx.Proc().Forward(msg.Addr{Name: r.To}, &fwd); err != nil {
+			ctx.ReplyErr(err)
+		}
 	case kindPhase1, kindEnded, kindAborting:
 		go a.serveAsync(ctx, req.Kind, req.Payload.(tmpReq).Tx)
 	case kindQuery:
@@ -177,7 +205,7 @@ func (m *Monitor) startTMP(primaryCPU, backupCPU int) error {
 
 // tmpCall issues a critical-response message to another node's TMP.
 func (m *Monitor) tmpCall(destNode, kind string, req tmpReq) error {
-	_, err := m.tmpCallResp(destNode, kind, req)
+	_, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kind, req, criticalCallTimeout)
 	return err
 }
 
@@ -185,15 +213,18 @@ func (m *Monitor) tmpCall(destNode, kind string, req tmpReq) error {
 // traces as a child-request/child-reply event pair (the reply carries the
 // round-trip time, and an error on a safe-delivery kind means the message
 // went to the retry queue, not that it was lost).
-func (m *Monitor) tmpCallResp(destNode, kind string, req tmpReq) (msg.Message, error) {
+func (m *Monitor) tmpCallResp(cpu int, destNode, kind string, req tmpReq, d time.Duration) (msg.Message, error) {
 	req.Source = m.node
-	cpu := m.tmpCPUOrFirstUp()
+	if m.tracer == nil {
+		return m.sys.CallTimeout(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req, d)
+	}
+	detail := destNode + " " + kind
 	m.tracer.Record(obs.Event{Tx: req.Tx, Kind: obs.EvChildRequest, Node: m.node,
-		CPU: cpu, Detail: destNode + " " + kind})
+		CPU: cpu, Detail: detail})
 	start := time.Now()
-	resp, err := m.sys.CallTimeout(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req, criticalCallTimeout)
+	resp, err := m.sys.CallTimeout(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req, d)
 	ev := obs.Event{Tx: req.Tx, Kind: obs.EvChildReply, Node: m.node,
-		CPU: cpu, Dur: time.Since(start), Detail: destNode + " " + kind}
+		CPU: cpu, Dur: time.Since(start), Detail: detail}
 	if err != nil {
 		ev.Err = err.Error()
 	}
@@ -201,24 +232,96 @@ func (m *Monitor) tmpCallResp(destNode, kind string, req tmpReq) (msg.Message, e
 	return resp, err
 }
 
-// NoteRemoteSend must be called before the first transmission of a transid
-// to destNode (the File System does this when a SEND or remote disc I/O
-// first targets that node). It performs the critical-response "remote
-// transaction begin" and records destNode as our child in the transmission
-// tree.
+// Call sends one request of transaction tx from the given CPU to the
+// process at to and waits up to d for its reply. It is how the File
+// System, a server-class SEND and the TCP transmit a transid. The first
+// transmission of tx to another node rides the critical-response remote
+// transaction begin: that node's TMP installs the transid and only then
+// forwards the request to its server, whose reply comes straight back. So
+// the begin still precedes every use of the transid there, and costs no
+// round trip of its own. A call without a transid, to this node, to tx's
+// home or to a node that is already our child goes directly.
+//
+// The caller becomes the destination's parent in the transmission tree on
+// any answer except "already known" (then the node has tx from elsewhere,
+// never saw the request, and gets it directly), an error from the
+// forwarded request included: the begin ran. A call that gets no answer
+// settles membership with a begin that carries nothing, and counts the
+// node a child even if that fails too, so that an abort still reaches any
+// lock the request took.
+func (m *Monitor) Call(cpu int, tx txid.ID, to msg.Addr, kind string, payload any, d time.Duration) (msg.Message, error) {
+	var t *tcb
+	if !tx.IsZero() && to.Node != "" && to.Node != m.node {
+		var err error
+		if t, err = m.beginFor(tx, to.Node); err != nil {
+			return msg.Message{}, err
+		}
+	}
+	if t == nil {
+		return m.sys.CallTimeout(cpu, to, kind, payload, d)
+	}
+	r, err := m.tmpCallResp(cpu, to.Node, kindRemoteBegin, tmpReq{Tx: tx, To: to.Name, Kind: kind, Payload: payload}, d)
+	switch {
+	case err == nil || answered(err):
+		if br, ok := r.Payload.(beginResp); ok && br.AlreadyKnown {
+			return m.sys.CallTimeout(cpu, to, kind, payload, d)
+		}
+		m.addChild(t, to.Node)
+	case errors.Is(err, msg.ErrCallTimeout):
+		if m.remoteBegin(t, to.Node) != nil {
+			m.addChild(t, to.Node)
+		}
+	default:
+		// Never sent: nothing ran there.
+		err = fmt.Errorf("%w: remote begin at %s: %w", ErrNodeUnreachable, to.Node, err)
+	}
+	return r, err
+}
+
+// answered reports whether a call's error is an answer: the server
+// replied with an error, rather than the call timing out or never leaving.
+func answered(err error) bool {
+	var re *msg.RemoteError
+	return errors.As(err, &re)
+}
+
+// NoteRemoteSend performs the remote transaction begin at destNode on its
+// own, carrying no request: Call's begin for a transmission that is not a
+// request of this node's. It records destNode as our child in the
+// transmission tree unless destNode already had the transid.
 func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 	if destNode == m.node {
 		return nil
+	}
+	t, err := m.beginFor(tx, destNode)
+	if err != nil || t == nil {
+		return err
+	}
+	if err := m.remoteBegin(t, destNode); err != nil {
+		return fmt.Errorf("%w: remote begin at %s: %v", ErrNodeUnreachable, destNode, err)
+	}
+	return nil
+}
+
+// beginFor returns the control block of tx when a transmission of tx to
+// destNode needs a remote begin, and nil when it needs none: destNode is
+// already our child, or it is tx's home, whose answer would always be
+// "already known" (its own transaction, or one its Monitor Audit Trail
+// has resolved). Under Paxos Commit it first makes the joins that must
+// precede the transmission.
+func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
+	if destNode == tx.Home {
+		return nil, nil
 	}
 	m.mu.Lock()
 	t, ok := m.txs[tx]
 	if !ok {
 		m.mu.Unlock()
-		return fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
+		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownTx, tx, m.node)
 	}
 	if slices.Contains(t.children, destNode) {
 		m.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	begun := t.protoBegun
 	m.mu.Unlock()
@@ -231,31 +334,40 @@ func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 		acceptors := m.paxos.client(tx.Home)
 		if !begun {
 			if err := acceptors.Join(tx, m.node); err != nil {
-				return err
+				return nil, err
 			}
 			m.mu.Lock()
 			t.protoBegun = true
 			m.mu.Unlock()
 		}
 		if err := acceptors.Join(tx, destNode); err != nil {
-			return fmt.Errorf("%w: disposition join of %s: %v", ErrNodeUnreachable, destNode, err)
+			return nil, fmt.Errorf("%w: disposition join of %s: %v", ErrNodeUnreachable, destNode, err)
 		}
 	}
-	r, err := m.tmpCallResp(destNode, kindRemoteBegin, tmpReq{Tx: tx})
+	return t, nil
+}
+
+// remoteBegin sends destNode a remote begin that carries no request and
+// records destNode as our child unless it answers that it already had the
+// transid: it is elsewhere in the transmission tree, we are not its parent
+// and must not send it protocol messages. Keeping the graph a tree also
+// keeps the parent→child protocol-mutex ordering deadlock-free.
+func (m *Monitor) remoteBegin(t *tcb, destNode string) error {
+	r, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kindRemoteBegin, tmpReq{Tx: t.id}, criticalCallTimeout)
 	if err != nil {
-		return fmt.Errorf("%w: remote begin at %s: %v", ErrNodeUnreachable, destNode, err)
+		return err
 	}
-	if br, ok := r.Payload.(beginResp); ok && br.AlreadyKnown {
-		// destNode already has the transid (it is elsewhere in the
-		// transmission tree); we are not its parent and must not send it
-		// protocol messages. Keeping the graph a tree also keeps the
-		// parent→child protocol-mutex ordering deadlock-free.
-		return nil
+	if br, ok := r.Payload.(beginResp); !ok || !br.AlreadyKnown {
+		m.addChild(t, destNode)
 	}
+	return nil
+}
+
+// addChild records destNode as a node we transmitted t's transid to.
+func (m *Monitor) addChild(t *tcb, destNode string) {
 	m.mu.Lock()
 	t.children = addName(t.children, destNode)
 	m.mu.Unlock()
-	return nil
 }
 
 // phase1Inbound handles a phase-one request from the node that transmitted
