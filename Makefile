@@ -60,10 +60,13 @@ lint: $(TMFLINT)
 # interpreter and the load harness run too, because their pooled
 # requesters cross terminal goroutines, as the parked flush and force
 # workers (pair) cross requests; a burst of commits then Stop checks that
-# those workers end.
+# those workers end. The participant vote race (a partition that starts
+# and heals while a participant forces) and the write-behind counts repeat
+# twenty times.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
-	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers' .
+	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers|TestWriteBehind' .
+	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|WritesBehind|WriteBehind' ./internal/tmf/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

@@ -55,3 +55,22 @@ func TestMetricsShowsInboxFullDrops(t *testing.T) {
 		t.Fatalf("metrics dump shows msg.inbox_full_drops %d times, want once per node:\n%s", n, out.String())
 	}
 }
+
+// TestMetricsShowsWriteBehindForces requires the metrics dump to carry
+// the write-behind force counter for each node. Only the branch serves
+// another node's transaction, so the home node writes nothing behind.
+func TestMetricsShowsWriteBehindForces(t *testing.T) {
+	var out bytes.Buffer
+	if err := runMetrics(&out); err != nil {
+		t.Fatalf("metrics: %v\n%s", err, out.String())
+	}
+	dump := out.String()
+	if n := strings.Count(dump, "audit.behind_forces"); n != 2 {
+		t.Fatalf("metrics dump shows audit.behind_forces %d times, want once per node:\n%s", n, dump)
+	}
+	_, home, _ := strings.Cut(dump, "--- node home ---\n")
+	home, _, _ = strings.Cut(home, "--- ")
+	if !strings.Contains(home, "audit.behind_forces          0\n") {
+		t.Fatalf("home node forced its own transaction's audit behind:\n%s", dump)
+	}
+}

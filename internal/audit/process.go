@@ -22,8 +22,15 @@ const (
 // never encoded), and it is immutable once sent: the AUDITPROCESS only
 // reads it, and a DISCPROCESS's backup may hold the same request for a
 // takeover re-append.
+//
+// WriteBehind asks the AUDITPROCESS to start forcing the trail now,
+// without making the append wait for it: a participant sets it for a
+// transaction homed on another node, whose phase-one request is at least
+// one network hop away, so the force overlaps that hop and phase one finds
+// the records already durable.
 type AppendReq struct {
-	Images []Image
+	Images      []Image
+	WriteBehind bool
 }
 
 // ForceReq write-forces a transaction's images (phase one of commit).
@@ -91,13 +98,21 @@ func ReadImages(r *msg.Reader) []Image {
 type processApp struct {
 	trail  *Trail
 	forces *pair.Workers[uint64]
+	// behind kicks the member's write-behind loop; nil until the first
+	// write-behind append starts it. Only the member goroutine touches
+	// the field.
+	behind chan struct{}
 }
 
 func (a *processApp) Handle(ctx pair.Ctx) {
 	m := ctx.Req()
 	switch m.Kind {
 	case KindAppend:
-		a.trail.AppendBatch(m.Payload.(*AppendReq).Images)
+		req := m.Payload.(*AppendReq)
+		a.trail.AppendBatch(req.Images)
+		if req.WriteBehind {
+			a.kick(ctx.Proc())
+		}
 		ctx.Reply(nil)
 	case KindForce:
 		// A force blocks for the simulated disc latency. Served inline it
@@ -126,6 +141,36 @@ func (a *processApp) force(_ pair.Ctx, upTo uint64) error {
 		a.trail.Force(upTo)
 	}
 	return nil
+}
+
+// kick asks the write-behind loop for a force of everything appended,
+// starting the loop on the first kick. It never blocks: a kick that finds
+// one already pending is dropped, because the force it asks for will
+// cover this append too.
+func (a *processApp) kick(p *msg.Process) {
+	if a.behind == nil {
+		a.behind = make(chan struct{}, 1)
+		go a.writeBehind(p.Context().Done(), a.behind)
+	}
+	select {
+	case a.behind <- struct{}{}:
+	default:
+	}
+}
+
+// writeBehind forces the trail once per kick. Kicks that arrive while a
+// force is under way coalesce into one more force, so the physical forces
+// it starts are bounded by elapsed time over the force delay, not by the
+// number of appends.
+func (a *processApp) writeBehind(done <-chan struct{}, kicks <-chan struct{}) {
+	for {
+		select {
+		case <-kicks:
+			a.trail.forceBehind()
+		case <-done:
+			return
+		}
+	}
 }
 
 func (a *processApp) ApplyCheckpoint(any) {}

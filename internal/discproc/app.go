@@ -88,8 +88,12 @@ const noImage audit.ImageKind = -1
 // newMutation builds the checkpoint record for op on behalf of tx. A
 // record mutation (kind is not noImage) carries the lock on op's record
 // and, on an audited volume, the image of kind: before is the
-// before-image, op.Val the after-image. The lock was taken beforehand,
-// for an update or delete at read time, which does not checkpoint.
+// before-image, op.Val the after-image. The image is written behind when
+// tx is homed on another node: its phase-one request is at least one
+// network hop away, so the AUDITPROCESS starts the force now and phase
+// one here finds the records durable (ForceEveryUpdate forces anyway).
+// The lock was taken beforehand, for an update or delete at read time,
+// which does not checkpoint.
 // Without it a takeover would serve new lock requests on a record whose
 // in-flight update this checkpoint delivers — admitting dirty reads, and
 // letting this transaction's backout overwrite a successor's committed
@@ -106,6 +110,7 @@ func (a *app) newMutation(tx txid.ID, op ckOp, kind audit.ImageKind, before []by
 		m.img[0] = audit.Image{Tx: tx, Volume: a.proc.cfg.Volume.Name(), File: op.File,
 			Key: op.Key, Kind: kind, Before: before, After: op.Val}
 		m.req.Images = m.img[:]
+		m.req.WriteBehind = tx.Home != a.proc.node && !a.proc.cfg.ForceEveryUpdate
 		m.ck.Append = &m.req
 	}
 	return &m.ck

@@ -622,3 +622,26 @@ func TestRecReqWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBehindOnlyForRemoteHomes: a mutation asks the AUDITPROCESS to
+// write its image behind only for a transaction homed on another node,
+// and never on a volume that already forces every update.
+func TestWriteBehindOnlyForRemoteHomes(t *testing.T) {
+	op := ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("v")}
+	remote := txid.ID{Home: "m", CPU: 0, Seq: 1}
+	for _, c := range []struct {
+		name     string
+		tx       txid.ID
+		forceAll bool
+		want     bool
+	}{
+		{"local home", tx(1), false, false},
+		{"remote home", remote, false, true},
+		{"remote home, force every update", remote, true, false},
+	} {
+		a := newApp(&Proc{node: "n", cfg: Config{Volume: disk.NewVolume("v1"), Audit: &audit.Client{}, ForceEveryUpdate: c.forceAll}})
+		if got := a.newMutation(c.tx, op, audit.ImageInsert, nil).Append.WriteBehind; got != c.want {
+			t.Errorf("%s: WriteBehind = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -393,6 +393,9 @@ const (
 	MAuditForceRequests = "audit.force_requests"
 	MAuditForces        = "audit.forces"
 	MAuditForceLatency  = "audit.latency.force"
+	// Physical forces led by an AUDITPROCESS's write-behind loop (a
+	// subset of MAuditForces; the rest are phase-one and ablation forces).
+	MAuditBehindForces = "audit.behind_forces"
 
 	// Safe-delivery retry counter: messages re-sent from the TMF safe queue
 	// by the bounded-backoff retry loop or a topology-change flush.

@@ -37,6 +37,13 @@ func testCluster(t *testing.T, names ...string) (map[string]*testNode, *expand.N
 // testClusterProto is testCluster with an explicit disposition protocol.
 func testClusterProto(t *testing.T, proto string, names ...string) (map[string]*testNode, *expand.Network) {
 	t.Helper()
+	return buildCluster(t, proto, nil, names...)
+}
+
+// buildCluster builds the line topology; force gives a node's audit trail
+// a simulated force delay (none for a node it does not name).
+func buildCluster(t *testing.T, proto string, force map[string]time.Duration, names ...string) (map[string]*testNode, *expand.Network) {
+	t.Helper()
 	net := expand.NewNetwork(0)
 	nodes := make(map[string]*testNode)
 	for _, name := range names {
@@ -48,7 +55,7 @@ func testClusterProto(t *testing.T, proto string, names ...string) (map[string]*
 		net.Attach(sys)
 		tn := &testNode{name: name, hw: n, sys: sys}
 		tn.vol = disk.NewVolume("v-" + name)
-		tn.trail = audit.NewTrail("a-"+name, 0)
+		tn.trail = audit.NewTrail("a-"+name, force[name])
 		if _, err := audit.StartProcess(sys, "audit", 0, 1, tn.trail); err != nil {
 			t.Fatal(err)
 		}

@@ -622,7 +622,10 @@ func (m *Monitor) onTopologyChange() {
 // transaction": at the home node, any non-terminal transaction with an
 // unreachable child; at a non-home node, any transaction whose source
 // became unreachable before we acknowledged phase one. A non-home node
-// that acknowledged phase one holds its locks (in-doubt).
+// that acknowledged phase one holds its locks (in-doubt). The sweep reads
+// phase1Acked without the protocol mutex, and a phase one in progress
+// holds that mutex until it has voted, so each victim is aborted through
+// Abort, which checks the vote again under the mutex.
 func (m *Monitor) abortUnreachable() {
 	if m.net == nil {
 		return
@@ -654,7 +657,8 @@ func (m *Monitor) abortUnreachable() {
 	}
 	m.mu.Unlock()
 	for _, v := range victims {
-		m.abortInternal(v.tx, v.reason)
+		// ErrInDoubt: the victim voted yes while we waited for the mutex.
+		_ = m.Abort(v.tx, v.reason)
 	}
 }
 
