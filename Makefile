@@ -29,20 +29,12 @@ bench-test:
 # The vettool is rebuilt only when its sources change; `go vet` then runs
 # all tmflint analyzers over the whole tree in one pass. Deliberate
 # exceptions are `//lint:allow <analyzer> <reason>` directives at the
-# flagged line (see DESIGN.md §11). Each vet unit appends per-analyzer
-# wall times to LINT_TIMING; the -timing pass then prints where the suite
-# spends its budget and fails if any analyzer's total exceeds LINT_BUDGET
-# (an analyzer that got slow should be noticed by the person who made it
-# slow, not discovered as "lint takes forever now" three PRs later).
+# flagged line (see DESIGN.md §11).
 $(TMFLINT): $(TMFLINT_SRC)
 	$(GO) build -o $(TMFLINT) ./cmd/tmflint
 
-LINT_TIMING ?= bin/lint-timing.tsv
-LINT_BUDGET ?= 5s
 lint: $(TMFLINT)
-	@rm -f $(LINT_TIMING)
-	TMFLINT_TIMING=$(abspath $(LINT_TIMING)) $(GO) vet -vettool=$(TMFLINT) ./...
-	$(TMFLINT) -timing -budget $(LINT_BUDGET) $(LINT_TIMING)
+	$(GO) vet -vettool=$(TMFLINT) ./...
 
 # Race-detector runs over the packages with real concurrency: the TMF
 # commit/abort fan-out, the audit trail's group commit, the striped lock
@@ -61,12 +53,12 @@ lint: $(TMFLINT)
 # requesters cross terminal goroutines, as the parked flush and force
 # workers (pair) cross requests; a burst of commits then Stop checks that
 # those workers end. The participant vote race (a partition that starts
-# and heals while a participant forces) and the write-behind counts repeat
-# twenty times.
+# and heals while a participant forces), every abort route at a voted
+# participant and the write-behind counts repeat twenty times.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers|TestWriteBehind' .
-	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|WritesBehind|WriteBehind' ./internal/tmf/
+	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|WritesBehind|WriteBehind' ./internal/tmf/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

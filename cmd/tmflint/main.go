@@ -11,27 +11,13 @@
 // `//lint:allow <analyzer> <reason>` on or directly above the flagged
 // line; see DESIGN.md §11 and §16 for each analyzer's invariant and the
 // paper section it traces to.
-//
-// With TMFLINT_TIMING=<file> in the environment, each vet-driven process
-// appends its per-analyzer wall times to <file>;
-//
-//	tmflint -timing <file> [-budget 5s]
-//
-// then prints the per-analyzer totals and, when -budget is given, exits 1
-// if any single analyzer exceeded it — the CI guard that keeps the suite
-// from silently ballooning `make check`.
 package main
 
 import (
-	"os"
-
 	"encompass/internal/analysis/all"
 	"encompass/internal/analysis/unitchecker"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-timing" {
-		os.Exit(timingMain(os.Args[2:]))
-	}
 	unitchecker.Main(all.Analyzers...)
 }

@@ -24,7 +24,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzer is one named invariant check.
@@ -111,16 +110,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*allowDirective {
 // the pseudo-analyzer "lintdirective", as are directives that suppressed
 // nothing — a stale exception is itself a defect.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersTimed(fset, files, pkg, info, analyzers)
-	return diags, err
-}
-
-// RunAnalyzersTimed is RunAnalyzers plus a per-analyzer wall-time map, so
-// the vettool can report where `make lint` spends its budget as the suite
-// grows.
-func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration, error) {
 	var raw []Diagnostic
-	timings := make(map[string]time.Duration, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -130,11 +120,8 @@ func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Packag
 			TypesInfo: info,
 			diags:     &raw,
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		timings[a.Name] += time.Since(start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
 
@@ -190,7 +177,7 @@ func RunAnalyzersTimed(fset *token.FileSet, files []*ast.File, pkg *types.Packag
 	}
 
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
-	return kept, timings, nil
+	return kept, nil
 }
 
 // AllowedLines returns the file:line positions carrying a well-formed

@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"encompass/internal/analysis/lint"
 )
@@ -200,38 +199,15 @@ func Run(cfgFile string, analyzers []*lint.Analyzer) ([]string, error) {
 		return nil, fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
 	}
 
-	diags, timings, err := lint.RunAnalyzersTimed(fset, files, pkg, info, analyzers)
+	diags, err := lint.RunAnalyzers(fset, files, pkg, info, analyzers)
 	if err != nil {
 		return nil, err
 	}
-	recordTimings(cfg.ImportPath, timings)
 	out := make([]string, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, fmt.Sprintf("%s: [%s] %s", fset.Position(d.Pos), d.Analyzer, d.Message))
 	}
 	return out, nil
-}
-
-// recordTimings appends per-analyzer wall times for this package unit to
-// the file named by TMFLINT_TIMING, one "analyzer\tnanoseconds\tpackage"
-// line each. go vet runs one tool process per package, so an append-only
-// file is the cheapest way to aggregate across the whole `make lint` run;
-// `tmflint -timing <file>` sums and budget-checks it afterwards.
-func recordTimings(importPath string, timings map[string]time.Duration) {
-	path := os.Getenv("TMFLINT_TIMING")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o666)
-	if err != nil {
-		return // timing is best-effort; never fail the lint run over it
-	}
-	defer f.Close()
-	var b strings.Builder
-	for name, d := range timings {
-		fmt.Fprintf(&b, "%s\t%d\t%s\n", name, d.Nanoseconds(), importPath)
-	}
-	_, _ = f.WriteString(b.String())
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -47,7 +47,7 @@ func (a *app) handleReload(ctx *pair.Ctx, m *msg.Message) {
 		return
 	}
 	// The backup (which shares the volume) rebuilds the same way.
-	//lint:allow droppederr only possible error is ErrNoBackup; a lone primary after node failure has no backup to rebuild
+	//lint:allow droppederr ErrNoBackup: a lone primary after node failure has no backup to rebuild; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its tables die with it
 	ctx.Checkpoint(&ckRecord{Op: &ckOp{Kind: opReload}})
 	ctx.Reply(nil)
 }
@@ -354,7 +354,7 @@ func (a *app) handleLock(ctx *pair.Ctx, m *msg.Message) {
 		return
 	}
 	// Checkpoint the lock so a takeover preserves it.
-	//lint:allow droppederr only possible error is ErrNoBackup; with no backup there is no takeover to preserve the lock for
+	//lint:allow droppederr ErrNoBackup: with no backup there is no takeover to preserve the lock for; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its tables die with it
 	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Locks: []lock.Key{key}})
 	ctx.Reply(nil)
 }
@@ -364,7 +364,7 @@ func (a *app) handleLock(ctx *pair.Ctx, m *msg.Message) {
 func (a *app) handleEndTx(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(*TxReq)
 	a.markEnded(req.Tx)
-	//lint:allow droppederr only possible error is ErrNoBackup; release proceeds degraded and pair.Stats counts the miss
+	//lint:allow droppederr ErrNoBackup: release proceeds degraded and pair.Stats counts the miss; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its tables die with it
 	ctx.Checkpoint(&ckRecord{Tx: req.Tx, EndTx: true})
 	a.locks.ReleaseAll(req.Tx)
 	a.stateMu.Lock()
@@ -380,7 +380,7 @@ func (a *app) handleEndTx(ctx *pair.Ctx, m *msg.Message) {
 func (a *app) handleFreeze(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(*TxReq)
 	a.markEnded(req.Tx)
-	//lint:allow droppederr only possible error is ErrNoBackup; the freeze itself is local, the checkpoint only mirrors it
+	//lint:allow droppederr ErrNoBackup: the freeze itself is local, the checkpoint only mirrors it; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its tables die with it
 	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Freeze: true})
 	ctx.Reply(nil)
 }

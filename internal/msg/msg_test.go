@@ -555,6 +555,43 @@ func TestStartToUnknownNameLeavesNoWaiter(t *testing.T) {
 	}
 }
 
+// TestHaltedProcessCannotReply: once its CPU failed, a process that
+// already took a request can answer it neither way, and the caller's
+// waiter stays pending until its own timeout.
+func TestHaltedProcessCannotReply(t *testing.T) {
+	s := newSys(t, 2)
+	got := make(chan Message, 1)
+	p, err := s.Spawn(1, "doomed", func(p *Process) {
+		if m, err := p.Recv(context.Background()); err == nil {
+			got <- m
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend, err := s.Start(0, Addr{Name: "doomed"}, "echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := <-got
+	s.Node().FailCPU(1)
+	if err := p.Reply(m, "late"); !errors.Is(err, ErrProcessDead) {
+		t.Errorf("Reply: err = %v, want ErrProcessDead", err)
+	}
+	if err := p.ReplyErr(m, errors.New("late")); !errors.Is(err, ErrProcessDead) {
+		t.Errorf("ReplyErr: err = %v, want ErrProcessDead", err)
+	}
+	s.waitMu.Lock()
+	waiting := len(s.waiters)
+	s.waitMu.Unlock()
+	if waiting != 1 {
+		t.Errorf("%d waiters pending, want the caller's 1", waiting)
+	}
+	if r, err := pend.Await(20 * time.Millisecond); !errors.Is(err, ErrCallTimeout) {
+		t.Errorf("Await = %v, %v; want ErrCallTimeout", r.Payload, err)
+	}
+}
+
 // TestCancelledClientCallTimesOut: cancelling the caller's context ends
 // the call with ErrCallTimeout, as a deadline does.
 func TestCancelledClientCallTimesOut(t *testing.T) {

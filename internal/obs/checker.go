@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"encompass/internal/txid"
@@ -73,7 +74,9 @@ func (c *StateMachineChecker) Violations() []Violation {
 //   - each node that saw any state event must finish in a terminal state
 //     (ENDED or ABORTED) — the paper's requirement that every transaction
 //     leaves the system with a disposition;
-//   - event timestamps must be non-decreasing.
+//   - event timestamps must be non-decreasing;
+//   - a node that voted yes (EvVote) backs out only on an imposed abort:
+//     its later → aborting transition must carry CauseImposed.
 //
 // The trace may interleave events from several nodes of a distributed
 // transaction; state chains are validated per node. Phase events (forces,
@@ -85,6 +88,7 @@ func CheckTrace(events []Event) error {
 	}
 	tx := events[0].Tx
 	last := make(map[string]txid.State)
+	voted := make(map[string]bool)
 	var prevAt = events[0].At
 	for i, ev := range events {
 		if ev.Tx != tx {
@@ -94,8 +98,14 @@ func CheckTrace(events []Event) error {
 			return fmt.Errorf("obs: event %d (%s) timestamp went backwards: %s < %s", i, ev.Kind, ev.At, prevAt)
 		}
 		prevAt = ev.At
+		if ev.Kind == EvVote {
+			voted[ev.Node] = true
+		}
 		if ev.Kind != EvState {
 			continue
+		}
+		if ev.To == txid.StateAborting && voted[ev.Node] && !strings.HasPrefix(ev.Detail, CauseImposed) {
+			return fmt.Errorf("obs: %s on %s: voted yes, then backed out on its own (%s)", tx, ev.Node, ev.Detail)
 		}
 		cur, seen := last[ev.Node]
 		if !seen {

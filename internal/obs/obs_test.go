@@ -148,6 +148,45 @@ func TestCheckTraceValidatesPerNode(t *testing.T) {
 	}
 }
 
+// TestCheckTraceVoteBindsParticipant: once a node voted yes at phase one
+// it may back out only on an imposed abort; a node that has not voted, and
+// the home, may still abort on their own.
+func TestCheckTraceVoteBindsParticipant(t *testing.T) {
+	abort := func(node, detail string) []Event {
+		ev := stateEv(tx(13), node, txid.StateEnding, txid.StateAborting)
+		ev.Detail = detail
+		return []Event{ev, stateEv(tx(13), node, txid.StateAborting, txid.StateAborted)}
+	}
+	vote := []Event{{Tx: tx(13), Kind: EvVote, Node: "beta"}}
+	for _, tc := range []struct {
+		name  string
+		steps [][]Event
+		legal bool
+	}{
+		{"imposed after the vote", [][]Event{vote, abort("alpha", "unilateral: phase one failed"), abort("beta", "imposed: aborted by home node")}, true},
+		{"unilateral before the vote", [][]Event{abort("beta", "unilateral: lost communication with source alpha"), abort("alpha", "unilateral: phase one failed")}, true},
+		{"unilateral after the vote", [][]Event{vote, abort("beta", "unilateral: lost communication with source alpha"), abort("alpha", "unilateral: lost communication with participant beta")}, false},
+		{"no cause after the vote", [][]Event{vote, abort("beta", ""), abort("alpha", "unilateral: phase one failed")}, false},
+	} {
+		trace := []Event{
+			stateEv(tx(13), "alpha", txid.StateNone, txid.StateActive),
+			stateEv(tx(13), "beta", txid.StateNone, txid.StateActive),
+			stateEv(tx(13), "alpha", txid.StateActive, txid.StateEnding),
+			stateEv(tx(13), "beta", txid.StateActive, txid.StateEnding),
+		}
+		for _, s := range tc.steps {
+			trace = append(trace, s...)
+		}
+		err := CheckTrace(at(trace))
+		if tc.legal && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.legal && (err == nil || !strings.Contains(err.Error(), "voted yes")) {
+			t.Errorf("%s: got %v, want a voted-yes violation", tc.name, err)
+		}
+	}
+}
+
 func TestCheckTraceRejectsBackwardsTime(t *testing.T) {
 	trace := []Event{
 		{Tx: tx(12), Kind: EvState, From: txid.StateNone, To: txid.StateActive, Node: "alpha", At: 2 * time.Millisecond},

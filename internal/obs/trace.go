@@ -4,12 +4,12 @@
 // against the legal transition relation of the paper's Figure 3.
 //
 // The tracer records every state-change broadcast plus the protocol's
-// phase events (begin, phase-one force, child TMP request/reply, phase-two
-// release, undo send, backout scan) with monotonic timestamps and the
-// emitting node/CPU. Traces double as a debugging aid (`tmfctl trace`) and
-// as a correctness oracle: the chaos tests feed every captured trace
-// through CheckTrace, asserting that each transaction reached ENDED or
-// ABORTED through legal transitions only.
+// phase events (begin, phase-one force, participant vote, child TMP
+// request/reply, phase-two release, undo send, backout scan) with
+// monotonic timestamps and the emitting node/CPU. Traces double as a
+// debugging aid (`tmfctl trace`) and as a correctness oracle: the chaos
+// tests feed every captured trace through CheckTrace, asserting that each
+// transaction reached ENDED or ABORTED through legal transitions only.
 //
 // All types are safe for concurrent use, and the entry points tolerate nil
 // receivers so instrumented code never needs enablement guards.
@@ -60,7 +60,15 @@ const (
 	EvFlushServed
 	// EvUndoApplied records the DISCPROCESS side of an undo batch applied.
 	EvUndoApplied
+	// EvVote records a participant's affirmative reply to phase one: from
+	// here on only an imposed abort may back the transaction out there.
+	EvVote
 )
+
+// CauseImposed opens the Detail of an → aborting EvState whose abort the
+// node did not decide itself (its parent's ABORTING, the acceptors'
+// decision, the operator); a unilateral one opens with "unilateral".
+const CauseImposed = "imposed"
 
 // String names the event kind.
 func (k EventKind) String() string {
@@ -87,6 +95,8 @@ func (k EventKind) String() string {
 		return "flush-served"
 	case EvUndoApplied:
 		return "undo-applied"
+	case EvVote:
+		return "vote"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}

@@ -125,6 +125,54 @@ func TestBasicServe(t *testing.T) {
 	}
 }
 
+// gateApp is a counter whose Handle holds its request until released,
+// then checkpoints and reports what Checkpoint returned.
+type gateApp struct {
+	*counterApp
+	entered, release chan struct{}
+	got              chan error
+}
+
+func (a *gateApp) Handle(ctx Ctx) {
+	a.entered <- struct{}{}
+	<-a.release
+	a.got <- ctx.Checkpoint(addOp{ID: 1, N: 1})
+}
+
+// TestCheckpointFromHaltedMember: a member whose CPU failed while it
+// served a request learns so from Checkpoint, which ships nothing and
+// counts nothing.
+func TestCheckpointFromHaltedMember(t *testing.T) {
+	node, err := hw.NewNode("n", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := msg.NewSystem(node)
+	entered, release, got := make(chan struct{}, 1), make(chan struct{}), make(chan error, 1)
+	pr, err := Start(sys, "gate", 0, 1, func() App {
+		return &gateApp{counterApp: &counterApp{applied: make(map[int]bool)}, entered: entered, release: release, got: got}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend, err := sys.Start(2, msg.Addr{Name: "gate"}, "add", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	node.FailCPU(0)
+	close(release)
+	if err := <-got; !errors.Is(err, ErrHalted) {
+		t.Errorf("Checkpoint from a halted member: err = %v, want ErrHalted", err)
+	}
+	if st := pr.Stats(); st.Checkpoints != 0 || st.Degraded != 0 {
+		t.Errorf("stats = %+v, want no checkpoint and no degraded one", st)
+	}
+	if _, err := pend.Await(20 * time.Millisecond); err == nil {
+		t.Error("a halted member's request was answered")
+	}
+}
+
 func TestTakeoverPreservesCheckpointedState(t *testing.T) {
 	sys, pr := newPairEnv(t, 3)
 	for i := 1; i <= 10; i++ {

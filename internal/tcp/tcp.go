@@ -236,7 +236,7 @@ func (a *tcpApp) Handle(ctx pair.Ctx) {
 	case kindAttach:
 		req := m.Payload.(attachReq)
 		a.terms[req.TermID] = &termState{Src: req.Src}
-		//lint:allow droppederr only possible error is ErrNoBackup; the TCP keeps serving terminals in degraded single-module mode
+		//lint:allow droppederr ErrNoBackup: the TCP keeps serving terminals in degraded single-module mode; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its terminal table dies with it
 		ctx.Checkpoint(ckRec{Attach: &req})
 		a.spawnExecutor(ctx.Proc().PID().CPU, req.TermID, req.Src, nil)
 		ctx.Reply(nil)
@@ -246,7 +246,7 @@ func (a *tcpApp) Handle(ctx pair.Ctx) {
 			snap := req.Snap
 			ts.Snap = &snap
 		}
-		//lint:allow droppederr only possible error is ErrNoBackup; a missed snapshot checkpoint degrades restart fidelity, not correctness
+		//lint:allow droppederr ErrNoBackup: a missed snapshot checkpoint degrades restart fidelity, not correctness; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its terminal table dies with it
 		ctx.Checkpoint(ckRec{Ckpt: &req})
 		ctx.Reply(nil)
 	case kindFinished:
@@ -254,7 +254,7 @@ func (a *tcpApp) Handle(ctx pair.Ctx) {
 		if ts, ok := a.terms[req.TermID]; ok {
 			ts.Finished = true
 		}
-		//lint:allow droppederr only possible error is ErrNoBackup; the finished flag is re-derived from the executor on takeover
+		//lint:allow droppederr ErrNoBackup: the finished flag is re-derived from the executor on takeover; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its terminal table dies with it
 		ctx.Checkpoint(ckRec{Finished: &req})
 		ctx.Reply(nil)
 	default:

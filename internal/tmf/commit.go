@@ -137,10 +137,10 @@ func (m *Monitor) End(tx txid.ID) error {
 	// END-TRANSACTION: the transaction accepts no further data-base work.
 	m.closeToNewWork(tx)
 	// Phase one: enter "ending", force audit records everywhere.
-	m.broadcast(tx, txid.StateEnding)
+	m.broadcast(tx, txid.StateEnding, "")
 	p1Start := time.Now()
 	if err := m.phase1(tx); err != nil {
-		m.abortLocked(tx, fmt.Sprintf("phase one failed: %v", err))
+		m.abortLocked(t, unilateral, fmt.Sprintf("phase one failed: %v", err))
 		return fmt.Errorf("%w: %s: phase one failed: %v", ErrAborted, tx, err)
 	}
 	// The home node's own Prepared vote: under Paxos Commit this is the
@@ -150,7 +150,7 @@ func (m *Monitor) End(tx txid.ID) error {
 	acceptors := m.paxosCoordinator(tx)
 	if acceptors != nil {
 		if err := acceptors.Vote(tx, m.node, true); err != nil {
-			m.abortLocked(tx, fmt.Sprintf("disposition vote failed: %v", err))
+			m.abortLocked(t, unilateral, fmt.Sprintf("disposition vote failed: %v", err))
 			return fmt.Errorf("%w: %s: disposition vote failed: %v", ErrAborted, tx, err)
 		}
 	}
@@ -167,21 +167,27 @@ func (m *Monitor) End(tx txid.ID) error {
 	if acceptors != nil {
 		acceptors.RecordOutcome(tx, audit.OutcomeCommitted)
 	}
-	// Commit point: the commit record in the Monitor Audit Trail. The
-	// committed counter moves with the record (recordOutcome), so Stats
-	// agrees with the trail no matter how far phase two has progressed.
-	m.recordOutcome(tx, audit.OutcomeCommitted)
-	m.broadcast(tx, txid.StateEnded)
-	// Phase two: release locks locally; safe-delivery to children, which is
-	// "guaranteed, but not time-critical" — the application's answer does
-	// not wait for it.
-	p2Start := time.Now()
-	m.releaseLocal(tx)
-	if d := m.safeDeliverChildren(tx, kindEnded, p2Start); d != nil {
+	// Commit point, then phase two. The children's ENDED is "guaranteed,
+	// but not time-critical": the application's answer does not wait for it.
+	if d := m.commitLocked(tx); d != nil {
 		go d.send()
 	}
 	m.observeBeginToEnded(tx)
 	return nil
+}
+
+// commitLocked commits tx on this node with the protocol mutex held. The
+// commit record in the Monitor Audit Trail is the commit point; the
+// committed counter moves with it (recordOutcome), so Stats agrees with
+// the trail however far phase two has got. Then ENDED is broadcast, the
+// local locks are released and the ENDED delivery to the children is
+// built, for the caller to send.
+func (m *Monitor) commitLocked(tx txid.ID) *delivery {
+	m.recordOutcome(tx, audit.OutcomeCommitted)
+	m.broadcast(tx, txid.StateEnded, "")
+	p2Start := time.Now()
+	m.releaseLocal(tx)
+	return m.safeDeliverChildren(tx, kindEnded, p2Start)
 }
 
 // observeBeginToEnded records the begin→terminal latency for a transaction
@@ -321,42 +327,37 @@ func (m *Monitor) freezeLocal(tx txid.ID) {
 	m.callVolumes(vols, discproc.KindFreeze, func(int) any { return req }, volRetries, func(int, time.Duration, error) {})
 }
 
-// Abort backs out a transaction: voluntary (ABORT-TRANSACTION /
-// RESTART-TRANSACTION) or system-initiated. It may be called on the home
-// node, or on a non-home node that has not yet acknowledged phase one
-// (unilateral abort).
+// abortCause says who decided an abort. A node may abort a transaction
+// unilaterally until it has replied affirmatively to phase one; after that
+// only the disposition can abort it there, imposed by the parent's
+// ABORTING, the acceptors or the operator.
+type abortCause string
+
+const (
+	unilateral abortCause = "unilateral"
+	imposed    abortCause = obs.CauseImposed
+)
+
+// Abort backs out a transaction, voluntarily (ABORT-TRANSACTION /
+// RESTART-TRANSACTION) or on a failure the caller saw: a unilateral abort,
+// refused with ErrInDoubt on a non-home node that voted yes.
 func (m *Monitor) Abort(tx txid.ID, reason string) error {
+	return m.abort(tx, unilateral, reason)
+}
+
+// abort takes tx's protocol mutex and aborts it.
+func (m *Monitor) abort(tx txid.ID, c abortCause, reason string) error {
 	t, err := m.lockProto(tx)
 	if err != nil {
 		return err
 	}
 	defer t.protoMu.Unlock()
-	m.mu.Lock()
-	inDoubt := !t.isHome && t.phase1Acked
-	m.mu.Unlock()
-	if inDoubt {
-		// After an affirmative phase-one reply a non-home node must hold
-		// the transaction's locks until it learns the disposition.
-		return fmt.Errorf("%w: %s", ErrInDoubt, tx)
-	}
-	if st := m.State(tx); st.Terminal() {
-		return nil
-	}
-	m.abortLocked(tx, reason)
-	return nil
+	return m.abortLocked(t, c, reason)
 }
 
-// abortInternal takes the protocol mutex then aborts; used by watchers.
-func (m *Monitor) abortInternal(tx txid.ID, reason string) {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		return
-	}
-	defer t.protoMu.Unlock()
-	m.abortLocked(tx, reason)
-}
-
-// abortLocked runs the abort path with the protocol mutex held: state
+// abortLocked is the one abort path; the caller holds t.protoMu. A
+// non-home node that voted yes refuses a unilateral abort: it holds the
+// transaction's locks until it learns the disposition. Otherwise: state
 // "aborting", freeze, backout of local updates via before-images, abort
 // record, state "aborted", lock release, safe-delivery of the abort to
 // child nodes (each node backs out its own updates from its own trails,
@@ -366,16 +367,23 @@ func (m *Monitor) abortInternal(tx txid.ID, reason string) {
 // the before-images straight after. A backout that could not read every
 // trail or apply every undo is surfaced in the recorded abort reason
 // rather than dropped.
-func (m *Monitor) abortLocked(tx txid.ID, reason string) {
+func (m *Monitor) abortLocked(t *tcb, c abortCause, reason string) error {
+	tx := t.id
+	m.mu.Lock()
+	voted := !t.isHome && t.phase1Acked
+	m.mu.Unlock()
+	if voted && c == unilateral {
+		return fmt.Errorf("%w: %s", ErrInDoubt, tx)
+	}
 	if st := m.State(tx); st == txid.StateAborting || st.Terminal() {
-		return
+		return nil
 	}
 	// The commit record in the Monitor Audit Trail is the commit point: a
 	// transaction whose commit record exists can never be backed out, no
 	// matter what the volatile state tables claim (a replica on a reloaded
 	// processor may be stale and report the transaction unknown).
 	if o, ok := m.mat.OutcomeOf(tx); ok && o == audit.OutcomeCommitted {
-		return
+		return nil
 	}
 	// A home-node abort of a transaction that entered Paxos Commit must
 	// resolve it with the acceptors: a recovery ballot may already have
@@ -389,26 +397,29 @@ func (m *Monitor) abortLocked(tx txid.ID, reason string) {
 	if acceptors := m.paxosCoordinator(tx); acceptors != nil {
 		if out, _, rerr := acceptors.Resolve(tx); rerr == nil && out == audit.OutcomeCommitted {
 			m.applyEndedLocked(tx)
-			return
+			return nil
 		} else if rerr != nil {
 			reason = fmt.Sprintf("%s (decision quorum unavailable: %v)", reason, rerr)
 		}
 	}
 	m.closeToNewWork(tx)
-	m.broadcast(tx, txid.StateAborting)
+	var detail string
+	if m.tracer != nil {
+		detail = string(c) + ": " + reason
+	}
+	m.broadcast(tx, txid.StateAborting, detail)
 	m.freezeLocal(tx)
 	if boErr := m.backoutLocal(tx); boErr != nil {
 		reason = fmt.Sprintf("%s; backout incomplete: %v", reason, boErr)
 	}
 	m.recordOutcome(tx, audit.OutcomeAborted)
-	m.broadcast(tx, txid.StateAborted)
+	m.broadcast(tx, txid.StateAborted, "")
 	m.mu.Lock()
-	if t, ok := m.txs[tx]; ok {
-		t.abortReason = reason
-	}
+	t.abortReason = reason
 	m.mu.Unlock()
 	m.releaseLocal(tx)
 	m.safeDeliverChildren(tx, kindAborting, time.Time{}).send()
+	return nil
 }
 
 // AbortReason returns the reason recorded when tx was aborted on this
@@ -546,11 +557,7 @@ func (m *Monitor) ForceDisposition(tx txid.ID, commit bool) error {
 		m.applyEndedLocked(tx)
 		return nil
 	}
-	m.mu.Lock()
-	t.phase1Acked = false // permit the abort path
-	m.mu.Unlock()
-	m.abortLocked(tx, "operator forced abort")
-	return nil
+	return m.abortLocked(t, imposed, "operator forced abort")
 }
 
 // applyEnded performs the phase-two work on this node for a committed
@@ -571,24 +578,6 @@ func (m *Monitor) applyEndedLocked(tx txid.ID) {
 		return
 	}
 	m.closeToNewWork(tx)
-	m.recordOutcome(tx, audit.OutcomeCommitted)
-	m.broadcast(tx, txid.StateEnded)
-	p2Start := time.Now()
-	m.releaseLocal(tx)
-	m.safeDeliverChildren(tx, kindEnded, p2Start).send()
+	m.commitLocked(tx).send()
 	m.observeBeginToEnded(tx)
-}
-
-// applyAborting performs the abort on this node at the home node's
-// request (safe-delivery) and propagates to children.
-func (m *Monitor) applyAborting(tx txid.ID) {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		return
-	}
-	defer t.protoMu.Unlock()
-	m.mu.Lock()
-	t.phase1Acked = false
-	m.mu.Unlock()
-	m.abortLocked(tx, "aborted by home node")
 }

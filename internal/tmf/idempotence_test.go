@@ -115,8 +115,8 @@ func TestDuplicateAbortAppliesOnce(t *testing.T) {
 	}
 	aborted := b.mon.Stats().Aborted
 	backouts := b.mon.Stats().Backouts
-	b.mon.applyAborting(tx)
-	b.mon.applyAborting(tx)
+	_ = b.mon.abort(tx, imposed, "aborted by home node")
+	_ = b.mon.abort(tx, imposed, "aborted by home node")
 	if got := b.mon.Stats().Aborted; got != aborted {
 		t.Errorf("Aborted moved %d→%d on duplicate abort", aborted, got)
 	}

@@ -231,9 +231,8 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 }
 
 // applyLearnedDisposition applies a disposition obtained from the
-// acceptors' learner path: the commit path is identical to receiving the
-// home node's safe-delivery ENDED; the abort path clears the phase-one
-// bond first, exactly like an inbound abort from the home node.
+// acceptors' learner path, exactly as the home node's safe-delivery ENDED
+// or ABORTING would be: an abort learned here is imposed.
 func (m *Monitor) applyLearnedDisposition(tx txid.ID, o audit.Outcome, decider string) {
 	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvOutcome, Node: m.node,
 		CPU: m.tmpCPUOrFirstUp(), Detail: "learned " + o.String() + " via " + decider})
@@ -241,10 +240,5 @@ func (m *Monitor) applyLearnedDisposition(tx txid.ID, o audit.Outcome, decider s
 		m.applyEnded(tx)
 		return
 	}
-	m.mu.Lock()
-	if t, ok := m.txs[tx]; ok {
-		t.phase1Acked = false
-	}
-	m.mu.Unlock()
-	m.abortInternal(tx, "disposition learned from commit acceptors: aborted ("+decider+")")
+	_ = m.abort(tx, imposed, "disposition learned from commit acceptors: aborted ("+decider+")")
 }

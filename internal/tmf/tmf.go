@@ -79,7 +79,10 @@ type tcb struct {
 	// every retry shares it.
 	req discproc.TxReq
 
-	phase1Acked bool // guarded by Monitor.mu; non-home: we replied affirmatively to phase one
+	// phase1Acked: non-home, we replied affirmatively to phase one. Set
+	// once, when the vote is sent, and never cleared: abortLocked lets only
+	// an imposed abort through once it is set. Guarded by Monitor.mu.
+	phase1Acked bool
 	// protoBegun: the transaction entered Paxos Commit on this node (its
 	// instances are registered with the home node's acceptors). Never set
 	// under the abbreviated protocol. Guarded by Monitor.mu.
@@ -368,7 +371,7 @@ func (m *Monitor) Begin(cpu int) (txid.ID, error) {
 	m.mu.Unlock()
 	m.cBegun.Inc()
 	m.tracer.Record(obs.Event{Tx: id, Kind: obs.EvBegin, Node: m.node, CPU: cpu})
-	m.broadcast(id, txid.StateActive)
+	m.broadcast(id, txid.StateActive, "")
 	return id, nil
 }
 
@@ -402,7 +405,7 @@ func (m *Monitor) beginRemote(id txid.ID, source string) (alreadyKnown bool) {
 	m.mu.Unlock()
 	m.tracer.Record(obs.Event{Tx: id, Kind: obs.EvBegin, Node: m.node,
 		CPU: m.tmpCPUOrFirstUp(), Detail: "remote from " + source})
-	m.broadcast(id, txid.StateActive)
+	m.broadcast(id, txid.StateActive, "")
 	return false
 }
 
@@ -464,13 +467,13 @@ func (m *Monitor) StateOnCPU(tx txid.ID, cpu int) txid.State {
 }
 
 // broadcast delivers a state change to every processor of the node over
-// the interprocessor bus, tracing the transition and checking it against
-// Figure 3.
-func (m *Monitor) broadcast(tx txid.ID, to txid.State) {
+// the interprocessor bus, tracing the transition (with detail, the cause
+// of an abort) and checking it against Figure 3.
+func (m *Monitor) broadcast(tx txid.ID, to txid.State, detail string) {
 	from := m.State(tx)
 	srcCPU := m.tmpCPUOrFirstUp()
 	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvState, From: from, To: to,
-		Node: m.node, CPU: srcCPU})
+		Node: m.node, CPU: srcCPU, Detail: detail})
 	if m.checker.Observe(m.node, tx, from, to) != nil {
 		m.cStateViolations.Inc()
 	}

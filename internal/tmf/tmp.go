@@ -153,7 +153,7 @@ func (a *tmpApp) serveAsync(ctx pair.Ctx, kind string, tx txid.ID) {
 	case kindEnded:
 		a.m.applyEnded(tx)
 	case kindAborting:
-		a.m.applyAborting(tx)
+		_ = a.m.abort(tx, imposed, "aborted by home node")
 	}
 	ctx.Reply(nil)
 }
@@ -414,13 +414,13 @@ func (m *Monitor) phase1Inbound(tx txid.ID) error {
 	}
 	m.closeToNewWork(tx)
 	if st == txid.StateActive {
-		m.broadcast(tx, txid.StateEnding)
+		m.broadcast(tx, txid.StateEnding, "")
 	}
 	// Local trail forces and the recursive phase one to our own children
 	// run in parallel, exactly as on the home node.
 	p1Start := time.Now()
 	if err := m.phase1(tx); err != nil {
-		m.abortLocked(tx, fmt.Sprintf("phase one failed: %v", err))
+		m.abortLocked(t, unilateral, fmt.Sprintf("phase one failed: %v", err))
 		return err
 	}
 	// Under Paxos Commit the affirmative reply is a vote and must be
@@ -430,7 +430,7 @@ func (m *Monitor) phase1Inbound(tx txid.ID) error {
 	// unilaterally while we still may.
 	if m.paxos != nil {
 		if err := m.paxos.client(tx.Home).Vote(tx, m.node, true); err != nil {
-			m.abortLocked(tx, fmt.Sprintf("disposition vote failed: %v", err))
+			m.abortLocked(t, unilateral, fmt.Sprintf("disposition vote failed: %v", err))
 			return fmt.Errorf("%w: %s: disposition vote failed on %s: %v", ErrAborted, tx, m.node, err)
 		}
 	}
@@ -439,6 +439,7 @@ func (m *Monitor) phase1Inbound(tx txid.ID) error {
 	t.phase1Acked = true
 	t.protoBegun = t.protoBegun || m.paxos != nil
 	m.mu.Unlock()
+	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvVote, Node: m.node, CPU: m.tmpCPUOrFirstUp()})
 	// In-doubt insurance: if the disposition never arrives (dead
 	// coordinator, partition), the watcher learns it from the acceptor
 	// quorum instead of holding locks until an operator intervenes.
@@ -621,11 +622,8 @@ func (m *Monitor) onTopologyChange() {
 // communication with a network node which participated in the
 // transaction": at the home node, any non-terminal transaction with an
 // unreachable child; at a non-home node, any transaction whose source
-// became unreachable before we acknowledged phase one. A non-home node
-// that acknowledged phase one holds its locks (in-doubt). The sweep reads
-// phase1Acked without the protocol mutex, and a phase one in progress
-// holds that mutex until it has voted, so each victim is aborted through
-// Abort, which checks the vote again under the mutex.
+// became unreachable. Each abort is unilateral, so a non-home node that
+// acknowledged phase one refuses it and holds its locks (in-doubt).
 func (m *Monitor) abortUnreachable() {
 	if m.net == nil {
 		return
@@ -651,13 +649,13 @@ func (m *Monitor) abortUnreachable() {
 					break
 				}
 			}
-		} else if !t.phase1Acked && t.source != "" && !m.net.Reachable(m.node, t.source) {
+		} else if t.source != "" && !m.net.Reachable(m.node, t.source) {
 			victims = append(victims, victim{id, "lost communication with source " + t.source})
 		}
 	}
 	m.mu.Unlock()
 	for _, v := range victims {
-		// ErrInDoubt: the victim voted yes while we waited for the mutex.
+		// ErrInDoubt: the victim voted yes.
 		_ = m.Abort(v.tx, v.reason)
 	}
 }
@@ -690,8 +688,8 @@ func (m *Monitor) onHWEvent(e hw.Event) {
 	}
 	m.mu.Unlock()
 	for _, id := range victims {
-		//lint:allow spawnlifecycle fire-and-forget by design: abortInternal is idempotent and serialized per-transaction by tcb.protoMu; the in-doubt watcher re-drives any abort this goroutine fails to finish
-		go m.abortInternal(id, fmt.Sprintf("processor %d failed", e.CPU))
+		//lint:allow spawnlifecycle fire-and-forget by design: Abort is idempotent and serialized per-transaction by tcb.protoMu; the in-doubt watcher re-drives any abort this goroutine fails to finish
+		go m.Abort(id, fmt.Sprintf("processor %d failed", e.CPU))
 	}
 }
 

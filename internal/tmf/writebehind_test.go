@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"encompass/internal/audit"
+	"encompass/internal/obs"
 	"encompass/internal/txid"
 )
 
@@ -21,6 +22,7 @@ func (tn *testNode) durable() bool { return tn.trail.Forced(tn.trail.AppendedLSN
 func TestVotedParticipantNeverBacksOutAlone(t *testing.T) {
 	nodes, net := buildCluster(t, "", map[string]time.Duration{"b": 300 * time.Millisecond}, "a", "b")
 	a, b := nodes["a"], nodes["b"]
+	b.mon.tracer = obs.NewTracer(obs.DefaultTraceCapacity) // before b's first transaction
 
 	tx, _ := a.mon.Begin(0)
 	if err := a.mon.NoteRemoteSend(tx, "b"); err != nil {
@@ -37,6 +39,9 @@ func TestVotedParticipantNeverBacksOutAlone(t *testing.T) {
 
 	a.drain(t)
 	waitFor(t, func() bool { return b.mon.State(tx).Terminal() })
+	if err := obs.CheckTrace(b.mon.tracer.Trace(tx)); err != nil {
+		t.Errorf("participant trace: %v\n%s", err, b.mon.tracer.Dump(tx))
+	}
 	ao, _ := a.mon.Outcome(tx)
 	bo, ok := b.mon.Outcome(tx)
 	if !ok || ao != bo {
