@@ -54,11 +54,13 @@ lint: $(TMFLINT)
 # workers (pair) cross requests; a burst of commits then Stop checks that
 # those workers end. The participant vote race (a partition that starts
 # and heals while a participant forces), every abort route at a voted
-# participant and the write-behind counts repeat twenty times.
+# participant, the write-behind counts, the backout's checkpoints per
+# volume and unreadable-record count, the takeover of an undo batch and
+# the audit trail's backout scans repeat twenty times.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers|TestWriteBehind' .
-	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|WritesBehind|WriteBehind' ./internal/tmf/
+	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

@@ -173,12 +173,48 @@ func TestAuditProcessRoundTrip(t *testing.T) {
 	if !trail.Forced(last) {
 		t.Error("trail not forced via process")
 	}
-	imgs, err := cl.Scan(2, tx(9))
+	scan, err := cl.Scan(2, tx(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(imgs) != 2 {
-		t.Errorf("scan = %d images, want 2", len(imgs))
+	if len(scan.Images) != 2 || scan.Skipped != 0 {
+		t.Errorf("scan = %d images, %d skipped, want 2 and 0", len(scan.Images), scan.Skipped)
+	}
+}
+
+// TestScanCountsUnreadableRecords: a backout scan that meets a damaged
+// record of the transaction, unforced as a live transaction's records are,
+// still serves the readable images and counts the one it could not read.
+// Other transactions' records are not counted; a recovery read of the
+// trail serves what is readable, as before.
+func TestScanCountsUnreadableRecords(t *testing.T) {
+	node, err := hw.NewNode("n", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := msg.NewSystem(node)
+	trail := NewTrail("a1", 0)
+	if _, err := StartProcess(sys, "audit-1", 0, 1, trail); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(sys, "audit-1")
+	req := &AppendReq{Images: []Image{img(tx(9), "k1", ImageInsert), img(tx(9), "k2", ImageUpdate),
+		img(tx(8), "k3", ImageUpdate), img(tx(9), "k4", ImageDelete)}}
+	if err := cl.Append(2, req); err != nil {
+		t.Fatal(err)
+	}
+	if !trail.Corrupt(2) || !trail.Corrupt(3) {
+		t.Fatal("records 2 and 3 not retained")
+	}
+	scan, err := cl.Scan(2, tx(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan.Images) != 2 || scan.Skipped != 1 || scan.Images[0].Key != "k1" || scan.Images[1].Key != "k4" {
+		t.Errorf("scan = %+v, want k1 and k4 with 1 skipped", scan)
+	}
+	if got := trail.ImagesForUnforced(tx(9)); len(got) != 2 {
+		t.Errorf("recovery read = %d images, want the 2 readable", len(got))
 	}
 }
 
@@ -201,9 +237,9 @@ func TestAuditProcessSurvivesPrimaryFailure(t *testing.T) {
 	if last := trail.AppendedLSN(); last != 2 {
 		t.Errorf("LSN continuity broken: %d", last)
 	}
-	imgs, err := cl.Scan(2, tx(1))
-	if err != nil || len(imgs) != 2 {
-		t.Errorf("scan after takeover = %d images, %v", len(imgs), err)
+	scan, err := cl.Scan(2, tx(1))
+	if err != nil || len(scan.Images) != 2 {
+		t.Errorf("scan after takeover = %d images, %v", len(scan.Images), err)
 	}
 }
 

@@ -100,10 +100,10 @@ func decodeDecisionBody(b []byte) (DecisionRecord, error) {
 	}
 	r.Kind = DecisionKind(b[0])
 	br := &blobReader{b: b, off: 1}
-	r.Tx.Home = br.str()
+	r.Tx.Home = br.str(nil)
 	r.Tx.CPU = int(br.u32())
 	r.Tx.Seq = br.u64()
-	r.Instance = br.str()
+	r.Instance = br.str(nil)
 	r.Ballot = br.u64()
 	if br.err == nil && br.off+1 > len(b) {
 		br.fail("short value byte")

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"encompass/internal/txid"
@@ -10,13 +11,16 @@ import (
 // FuzzRecordRoundTrip drives the record codec with arbitrary field
 // values: whatever encodeRecord produces, decodeRecord must accept and
 // return field-identical (including the nil/empty distinction on the
-// image byte slices), and a decode of the same bytes under a different
-// chain head or expected LSN must fail rather than mis-attribute the
-// record.
+// image byte slices), also when it decodes as one of a scan's run of
+// images, sharing names with the records before it; and a decode of the
+// same bytes under a different chain head or expected LSN must fail
+// rather than mis-attribute the record.
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add("n0", uint32(1), uint64(7), byte(1), "v1", "accounts", "b0001-a000001", []byte("100"), []byte("90"), uint64(42), false, false)
 	f.Add("", uint32(0), uint64(0), byte(0), "", "", "", []byte(nil), []byte(nil), uint64(1), true, true)
 	f.Add("remote", uint32(15), uint64(1<<40), byte(2), "v2", "hist", "k", []byte{}, []byte(nil), uint64(9000), false, true)
+	// Scan-shaped: a backout's update, whose names repeat.
+	f.Add("v1", uint32(2), uint64(40), byte(1), "v1", "v1", "k000039", []byte{}, []byte{}, uint64(80), false, false)
 	f.Fuzz(func(t *testing.T, home string, cpu uint32, seq uint64, kind byte,
 		vol, file, key string, before, after []byte, lsn uint64, beforeNil, afterNil bool) {
 		if lsn == 0 {
@@ -40,7 +44,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		prev[0] = 0xA5
 		buf, chain := encodeRecord(nil, &img, prev)
 
-		got, gotChain, n, err := decodeRecord(buf, prev, lsn)
+		got, gotChain, n, err := decodeRecord(buf, prev, lsn, nil)
 		if err != nil {
 			t.Fatalf("decode of freshly encoded record failed: %v", err)
 		}
@@ -61,13 +65,23 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			}
 		}
 
+		// In a scan the record decodes against names its run already holds:
+		// first none, then its own.
+		var names nameSet
+		for range 2 {
+			again, _, _, err := decodeRecord(buf, prev, lsn, &names)
+			if err != nil || !reflect.DeepEqual(again, got) {
+				t.Fatalf("scan decode = %+v, %v; want %+v", again, err, got)
+			}
+		}
+
 		// The same bytes under a different chain head must not verify:
 		// otherwise records could be spliced between histories.
 		var other [chainLen]byte
-		if _, _, _, err := decodeRecord(buf, other, lsn); err == nil {
+		if _, _, _, err := decodeRecord(buf, other, lsn, nil); err == nil {
 			t.Fatal("record verified under a foreign chain head")
 		}
-		if _, _, _, err := decodeRecord(buf, prev, lsn+1); err == nil {
+		if _, _, _, err := decodeRecord(buf, prev, lsn+1, nil); err == nil {
 			t.Fatal("record verified under the wrong expected LSN")
 		}
 	})

@@ -43,9 +43,11 @@ type ScanReq struct {
 	Tx txid.ID
 }
 
-// ScanResp returns the transaction's images in LSN order.
+// ScanResp returns the transaction's images in LSN order, and how many of
+// its records could not be read: each is an update a backout cannot undo.
 type ScanResp struct {
-	Images []Image
+	Images  []Image
+	Skipped int
 }
 
 // The AUDITPROCESS serves only its own node (NewClient addresses it by
@@ -74,13 +76,14 @@ func ReadImages(r *msg.Reader) []Image {
 		return nil
 	}
 	imgs := make([]Image, 0, n)
+	var names nameSet
 	for range n {
 		lsn := r.Uvarint()
 		size := r.Take(4)
 		if r.Err() != nil {
 			return nil
 		}
-		img, err := DecodeBody(r.Take(int(binary.LittleEndian.Uint32(size))))
+		img, err := decodeBody(r.Take(int(binary.LittleEndian.Uint32(size))), &names)
 		if err != nil {
 			r.Fail(err)
 			return nil
@@ -126,7 +129,8 @@ func (a *processApp) Handle(ctx pair.Ctx) {
 		a.forces.Go(ctx, m.Payload.(ForceReq).UpTo)
 	case KindScan:
 		req := m.Payload.(ScanReq)
-		ctx.Reply(ScanResp{Images: a.trail.ImagesForUnforced(req.Tx)})
+		imgs, skipped := a.trail.scanUnforced(req.Tx)
+		ctx.Reply(ScanResp{Images: imgs, Skipped: skipped})
 	default:
 		ctx.ReplyErr(fmt.Errorf("audit: unknown request kind %q", m.Kind))
 	}
@@ -230,11 +234,12 @@ func (c *Client) Force(fromCPU int, upTo uint64) error {
 	return err
 }
 
-// Scan fetches a transaction's images.
-func (c *Client) Scan(fromCPU int, tx txid.ID) ([]Image, error) {
+// Scan fetches a transaction's images and the number of its records that
+// could not be read.
+func (c *Client) Scan(fromCPU int, tx txid.ID) (ScanResp, error) {
 	r, err := c.call(fromCPU, KindScan, ScanReq{Tx: tx})
 	if err != nil {
-		return nil, err
+		return ScanResp{}, err
 	}
-	return r.Payload.(ScanResp).Images, nil
+	return r.Payload.(ScanResp), nil
 }

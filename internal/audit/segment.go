@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -111,32 +112,68 @@ func (r *blobReader) u64() uint64 {
 	return v
 }
 
-func (r *blobReader) blob() []byte {
+// span reads a length-prefixed field and returns its bytes, aliasing the
+// body, with ok false for the nil form.
+func (r *blobReader) span() (b []byte, ok bool) {
 	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if n == nilMarker {
-		return nil
+	if r.err != nil || n == nilMarker {
+		return nil, false
 	}
 	if int(n) < 0 || r.off+int(n) > len(r.b) {
 		r.fail("blob overruns body")
-		return nil
+		return nil, false
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+int(n)])
+	b = r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return out
+	return b, true
 }
 
 // str reads a string, which putStr never writes in the nil form: only one
 // encoding of a body decodes, so a decoded body re-encodes to its bytes.
-func (r *blobReader) str() string {
-	b := r.blob()
-	if b == nil {
+// The string is copied once, straight from the body, unless names (when
+// not nil) already holds it.
+func (r *blobReader) str(names *nameSet) string {
+	b, ok := r.span()
+	if !ok {
 		r.fail("nil string")
+		return ""
+	}
+	if names != nil {
+		return names.get(b)
 	}
 	return string(b)
+}
+
+// nameSet is the few strings a run of decodes shares: a transaction's
+// images repeat one home and a few volume and file names, so a decode
+// finds them here instead of copying each again. The oldest entry makes
+// room for a new one.
+type nameSet struct {
+	s    [8]string
+	next int
+}
+
+// get returns b as a string, from the set when it holds it.
+func (p *nameSet) get(b []byte) string {
+	for _, s := range p.s {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	p.s[p.next] = s
+	p.next = (p.next + 1) % len(p.s)
+	return s
+}
+
+// blob reads a byte slice, keeping its nil form, as a copy that shares
+// nothing with the body.
+func (r *blobReader) blob() []byte {
+	b, ok := r.span()
+	if !ok {
+		return nil
+	}
+	return bytes.Clone(b)
 }
 
 func (r *blobReader) fail(why string) {
@@ -163,10 +200,14 @@ func AppendBody(b []byte, img *Image) []byte {
 // DecodeBody parses an encoded Image body. The returned Image's byte
 // slices are copies: callers may retain them without aliasing the
 // segment's buffer.
-func DecodeBody(b []byte) (Image, error) {
+func DecodeBody(b []byte) (Image, error) { return decodeBody(b, nil) }
+
+// decodeBody is DecodeBody for one of a run of images: its home, volume
+// and file are taken from names (when not nil), which the run shares.
+func decodeBody(b []byte, names *nameSet) (Image, error) {
 	r := blobReader{b: b}
 	var img Image
-	img.Tx.Home = r.str()
+	img.Tx.Home = r.str(names)
 	img.Tx.CPU = int(r.u32())
 	img.Tx.Seq = r.u64()
 	if r.err == nil {
@@ -180,9 +221,9 @@ func DecodeBody(b []byte) (Image, error) {
 			}
 		}
 	}
-	img.Volume = r.str()
-	img.File = r.str()
-	img.Key = r.str()
+	img.Volume = r.str(names)
+	img.File = r.str(names)
+	img.Key = r.str(nil)
 	img.Before = r.blob()
 	img.After = r.blob()
 	if r.err != nil {
@@ -268,12 +309,12 @@ func appendRecord(dst []byte, lsn uint64, img *Image, prev [chainLen]byte) ([]by
 
 // decodeRecord parses and fully verifies (readFrame) one record at the
 // head of b. It returns the image, the advanced chain, and the total
-// framed size consumed.
-func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64) (Image, [chainLen]byte, int, error) {
+// framed size consumed; names is decodeBody's.
+func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64, names *nameSet) (Image, [chainLen]byte, int, error) {
 	lsn, body, chain, n, err := readFrame(b, prev, wantLSN)
 	var img Image
 	if err == nil {
-		img, err = DecodeBody(body)
+		img, err = decodeBody(body, names)
 	}
 	if err != nil {
 		return Image{}, [chainLen]byte{}, 0, err
@@ -358,9 +399,10 @@ func (s *segment) chainOf(i int) [chainLen]byte {
 	return c
 }
 
-// decode parses record i, verifying CRC and chain continuity.
-func (s *segment) decode(i int) (Image, error) {
-	img, _, _, err := decodeRecord(s.buf[s.offsets[i]:], s.chainBefore(i), s.base+uint64(i))
+// decode parses record i, verifying CRC and chain continuity; names is
+// decodeBody's.
+func (s *segment) decode(i int, names *nameSet) (Image, error) {
+	img, _, _, err := decodeRecord(s.buf[s.offsets[i]:], s.chainBefore(i), s.base+uint64(i), names)
 	if err != nil {
 		return Image{}, fmt.Errorf("audit: segment %d record %d (LSN %d): %w", s.num, i, s.base+uint64(i), err)
 	}

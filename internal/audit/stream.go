@@ -10,8 +10,9 @@ package audit
 // Records purged after the reader passed them do not disturb it; purging
 // records *ahead* of the reader surfaces as ErrTrimmed on the next call.
 type Reader struct {
-	t    *Trail
-	next uint64 // LSN the next call returns
+	t     *Trail
+	next  uint64  // LSN the next call returns
+	names nameSet // shared by the images it decodes
 }
 
 // Stream returns a reader over the durable records with LSN >= from
@@ -55,7 +56,7 @@ func (r *Reader) Next() (Image, bool, error) {
 			}
 			return Image{}, false, nil
 		}
-		img, err := seg.decode(int(r.next - seg.base))
+		img, err := seg.decode(int(r.next-seg.base), &r.names)
 		r.next++
 		if err != nil {
 			continue

@@ -85,8 +85,9 @@ func OpenTrail(name string, forceDelay time.Duration, segs [][]byte) (*Trail, *T
 		seg := newSegment(num, base, gen, prevChain)
 		body := raw[segHeaderLen:]
 		off := 0
+		var names nameSet
 		for off < len(body) {
-			img, chain, consumed, err := decodeRecord(body[off:], seg.endChain, base+uint64(seg.count()))
+			img, chain, consumed, err := decodeRecord(body[off:], seg.endChain, base+uint64(seg.count()), &names)
 			if err != nil {
 				torn(num, seg.count(), segHeaderLen+off, err.Error(), len(body)-off)
 				break
@@ -147,8 +148,7 @@ func (t *Trail) VerifyChain() (int, error) {
 		chain := seg.prevChain
 		off := 0
 		for r := 0; r < seg.count(); r++ {
-			img, next, consumed, err := decodeRecord(seg.buf[off:], chain, seg.base+uint64(r))
-			_ = img
+			_, next, consumed, err := decodeRecord(seg.buf[off:], chain, seg.base+uint64(r), nil)
 			if err != nil {
 				return verified, fmt.Errorf("audit: segment %d record %d (LSN %d): %w", seg.num, r, seg.base+uint64(r), err)
 			}

@@ -8,6 +8,7 @@ package discproc
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"encompass/internal/audit"
 	"encompass/internal/dbfile"
@@ -98,9 +99,18 @@ func TestAuditedUpdateAllocs(t *testing.T) {
 	}
 }
 
+// mutationSizeClass is the allocator size class a mutation fills exactly:
+// every update allocates one, so a field added to ckRecord, op, lock,
+// image or append request must not push it into the next class (448 B).
+const mutationSizeClass = 416
+
 // TestMutationIsOneObject: on an audited volume, an update's checkpoint
-// record, op, lock, image and append request are one heap object.
+// record, op, lock, image and append request are one heap object, of at
+// most mutationSizeClass bytes.
 func TestMutationIsOneObject(t *testing.T) {
+	if n := unsafe.Sizeof(mutation{}); n > mutationSizeClass {
+		t.Errorf("mutation is %d B, want <= %d B (its size class)", n, mutationSizeClass)
+	}
 	a := newApp(&Proc{cfg: Config{Volume: disk.NewVolume("v1"), Audit: &audit.Client{}}})
 	op := ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}
 	before := []byte("old")
@@ -111,7 +121,7 @@ func TestMutationIsOneObject(t *testing.T) {
 	if n != 1 {
 		t.Errorf("newMutation = %v allocs, want 1", n)
 	}
-	if len(ck.Locks) != 1 || ck.Append == nil || len(ck.Append.Images) != 1 {
-		t.Fatalf("record = %+v, want one lock and one image", ck)
+	if len(ck.Ops) != 1 || ck.Lock == nil || ck.Append == nil || len(ck.Append.Images) != 1 {
+		t.Fatalf("record = %+v, want one op, one lock and one image", ck)
 	}
 }

@@ -44,38 +44,39 @@ type ckOp struct {
 	NextRec    uint64 // entry-sequenced allocator position after this op
 }
 
-// ckRecord is one checkpoint: the op, the locks the transaction acquired
-// with it, and the audit images it generated, as the request that ships
-// them to the AUDITPROCESS (nil on an unaudited volume). It is sent to the
-// backup BEFORE the primary applies the op — the WAL-equivalence
-// discipline. EndTx marks end-of-transaction lock release. It is sent by
-// pointer (pair checkpoints stay on the node's bus and are never encoded),
-// so a record is immutable once sent: the primary only reads it
-// afterwards, the AUDITPROCESS reads its append request, and the backup
-// buffers that same record as lastCk.
+// ckRecord is one checkpoint: the ops, in the order they apply, the lock
+// the transaction acquired with them, and the audit images they generated,
+// as the request that ships them to the AUDITPROCESS (nil on an unaudited
+// volume). It is sent to the backup BEFORE the primary applies any op —
+// the WAL-equivalence discipline. EndTx marks end-of-transaction lock
+// release. It is sent by pointer (pair checkpoints stay on the node's bus
+// and are never encoded), so a record is immutable once sent: the primary
+// only reads it afterwards, the AUDITPROCESS reads its append request, and
+// the backup buffers that same record as lastCk.
 //
 // A mutation's record is built by newMutation, inside the one object that
-// also holds its op, lock, image and append request. Endtx, freeze and
-// lock-only checkpoints are a bare ckRecord: they are the most frequent
-// records and carry none of that.
+// also holds its op, lock, image and append request. An undo of several
+// images is one record whose Ops are the restores (newUndo). Endtx,
+// freeze and lock-only checkpoints are a bare ckRecord: they are the most
+// frequent records and carry none of that.
 type ckRecord struct {
-	Op     *ckOp
+	Ops    []ckOp
 	Tx     txid.ID
-	Locks  []lock.Key
+	Lock   *lock.Key
 	Append *audit.AppendReq
 	EndTx  bool
 	Freeze bool
 }
 
 // mutation is everything one mutation's checkpoint points at, in one heap
-// object: the record itself (checkpointed as &m.ck), its op, inline
-// backing for its one lock and its one image, and the append request that
+// object: the record itself (checkpointed as &m.ck), inline backing for
+// its one op, its one lock and its one image, and the append request that
 // ships the image. It is not pooled: the backup buffers &m.ck as lastCk,
 // and the record is immutable once sent.
 type mutation struct {
 	ck  ckRecord
-	op  ckOp
-	lk  [1]lock.Key
+	op  [1]ckOp
+	lk  lock.Key
 	img [1]audit.Image
 	req audit.AppendReq
 }
@@ -99,13 +100,13 @@ const noImage audit.ImageKind = -1
 // letting this transaction's backout overwrite a successor's committed
 // update.
 func (a *app) newMutation(tx txid.ID, op ckOp, kind audit.ImageKind, before []byte) *ckRecord {
-	m := &mutation{op: op}
-	m.ck = ckRecord{Op: &m.op, Tx: tx}
+	m := &mutation{op: [1]ckOp{op}}
+	m.ck = ckRecord{Ops: m.op[:], Tx: tx}
 	if kind == noImage {
 		return &m.ck
 	}
-	m.lk[0] = lock.Key{File: op.File, Record: op.Key}
-	m.ck.Locks = m.lk[:]
+	m.lk = lock.Key{File: op.File, Record: op.Key}
+	m.ck.Lock = &m.lk
 	if a.audited() {
 		m.img[0] = audit.Image{Tx: tx, Volume: a.proc.cfg.Volume.Name(), File: op.File,
 			Key: op.Key, Kind: kind, Before: before, After: op.Val}
@@ -114,6 +115,28 @@ func (a *app) newMutation(tx txid.ID, op ckOp, kind audit.ImageKind, before []by
 		m.ck.Append = &m.req
 	}
 	return &m.ck
+}
+
+// newUndo builds the one checkpoint record that restores req's images, in
+// the order they arrive: a before-image is written back, an inserted
+// record is deleted. A single image takes one object, as a mutation does.
+func (a *app) newUndo(req *UndoReq) *ckRecord {
+	if len(req.Images) == 1 {
+		return a.newMutation(req.Tx, undoOp(&req.Images[0]), noImage, nil)
+	}
+	ck := &ckRecord{Ops: make([]ckOp, len(req.Images)), Tx: req.Tx}
+	for i := range req.Images {
+		ck.Ops[i] = undoOp(&req.Images[i])
+	}
+	return ck
+}
+
+// undoOp is the op that restores the record img changed.
+func undoOp(img *audit.Image) ckOp {
+	if img.Kind == audit.ImageInsert {
+		return ckOp{Kind: opDelete, File: img.File, Key: img.Key}
+	}
+	return ckOp{Kind: opWrite, File: img.File, Key: img.Key, Val: img.Before}
 }
 
 // own returns the value an insert, update or append carries as the
@@ -450,9 +473,11 @@ func (a *app) emitImages(ctx *pair.Ctx, req *audit.AppendReq) error {
 	return nil
 }
 
-// commitMutation runs the full write discipline for one mutation:
-// checkpoint (audit records + op + locks) to the backup, append images to
-// the audit trail, apply to the file structures and the mirrored volume.
+// commitMutation runs the full write discipline for one checkpoint
+// record: checkpoint (audit records + ops + lock) to the backup, append
+// images to the audit trail, then apply each op, in order, to the file
+// structures and the mirrored volume. No op applies before the record has
+// reached the backup, so one checkpoint covers a whole undo batch.
 //
 // ErrNoBackup is the one tolerable checkpoint failure (the pair runs
 // degraded, single-module, and pair.Stats counts the miss). Any other
@@ -468,16 +493,18 @@ func (a *app) commitMutation(ctx *pair.Ctx, ck *ckRecord) error {
 	if err := a.emitImages(ctx, ck.Append); err != nil {
 		return err
 	}
-	a.applyOp(ck.Op)
-	return a.applyVolume(ck.Op)
+	for i := range ck.Ops {
+		a.applyOp(&ck.Ops[i])
+		if err := a.applyVolume(&ck.Ops[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyOp applies a mutation to the in-memory file structures.
 // Idempotent; used by both primary and backup.
 func (a *app) applyOp(op *ckOp) {
-	if op == nil {
-		return
-	}
 	switch op.Kind {
 	case opCreate:
 		if _, ok := a.files[op.File]; !ok {
@@ -566,9 +593,6 @@ func decodeMeta(raw []byte) (dbfile.Organization, []dbfile.AltKeyDef, error) {
 // applyVolume applies a mutation to the shared mirrored volume (primary
 // only; the backup re-applies its buffered op on takeover).
 func (a *app) applyVolume(op *ckOp) error {
-	if op == nil {
-		return nil
-	}
 	v := a.proc.cfg.Volume
 	switch op.Kind {
 	case opWrite:
@@ -581,9 +605,9 @@ func (a *app) applyVolume(op *ckOp) error {
 
 // --- pair.App interface ---
 
-// ApplyCheckpoint absorbs one checkpoint on the backup: take the locks,
-// apply the op to the replica file structures, and buffer the record for
-// takeover completion.
+// ApplyCheckpoint absorbs one checkpoint on the backup: take the lock,
+// apply every op to the replica file structures, and buffer the record
+// for takeover completion.
 func (a *app) ApplyCheckpoint(cp any) {
 	ck := cp.(*ckRecord)
 	if ck.Freeze || ck.EndTx {
@@ -601,15 +625,17 @@ func (a *app) ApplyCheckpoint(cp any) {
 		}
 		return
 	}
-	for _, k := range ck.Locks {
-		a.locks.Acquire(ck.Tx, k, time.Nanosecond, func(error) {})
+	if ck.Lock != nil {
+		a.locks.Acquire(ck.Tx, *ck.Lock, time.Nanosecond, func(error) {})
 	}
 	if !ck.Tx.IsZero() {
 		a.stateMu.Lock()
 		a.participated[ck.Tx] = true
 		a.stateMu.Unlock()
 	}
-	a.applyOp(ck.Op)
+	for i := range ck.Ops {
+		a.applyOp(&ck.Ops[i])
+	}
 	a.lastCk = ck
 }
 
@@ -672,8 +698,9 @@ func (a *app) Restore(s any) {
 }
 
 // TakeOver completes the in-flight operation whose checkpoint we absorbed:
-// its images may not have reached the audit trail and its volume write may
-// not have happened; both re-applications are idempotent.
+// its images may not have reached the audit trail and its volume writes
+// (every op of an undo batch) may not have happened; both re-applications
+// are idempotent.
 func (a *app) TakeOver() {
 	a.proc.primApp.Store(a)
 	if ck := a.lastCk; ck != nil {
@@ -694,7 +721,9 @@ func (a *app) TakeOver() {
 				}
 			}
 		}
-		a.applyVolume(ck.Op)
+		for i := range ck.Ops {
+			a.applyVolume(&ck.Ops[i])
+		}
 		a.lastCk = nil
 	}
 }

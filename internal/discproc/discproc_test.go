@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -421,8 +422,8 @@ func TestTakeoverReappendsCheckpointedRequest(t *testing.T) {
 func TestApplyCheckpointKeepsOtherTransactionsOp(t *testing.T) {
 	for _, release := range []ckRecord{{Tx: tx(2), EndTx: true}, {Tx: tx(2), Freeze: true}} {
 		b := newApp(&Proc{cfg: Config{Volume: disk.NewVolume("v1")}})
-		b.ApplyCheckpoint(&ckRecord{Op: &ckOp{Kind: opCreate, File: "f"}})
-		b.ApplyCheckpoint(&ckRecord{Tx: tx(1), Op: &ckOp{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}})
+		b.ApplyCheckpoint(&ckRecord{Ops: []ckOp{{Kind: opCreate, File: "f"}}})
+		b.ApplyCheckpoint(&ckRecord{Tx: tx(1), Ops: []ckOp{{Kind: opWrite, File: "f", Key: "k", Val: []byte("new")}}})
 		b.ApplyCheckpoint(&release)
 		if b.lastCk == nil || b.lastCk.Tx != tx(1) {
 			t.Fatalf("%+v of another transaction dropped the buffered operation", release)
@@ -433,6 +434,95 @@ func TestApplyCheckpointKeepsOtherTransactionsOp(t *testing.T) {
 		if b.lastCk != nil {
 			t.Fatalf("%+v of the owning transaction left its operation buffered", own)
 		}
+	}
+}
+
+// TestTakeoverCompletesUndoBatch: an undo of several images is one
+// checkpoint record. The backup absorbs it whole, restoring its file
+// structures and buffering the record until the transaction's own endtx
+// retires it, and a takeover writes every restore to the volume: the two
+// before-images and the delete of the inserted record.
+func TestTakeoverCompletesUndoBatch(t *testing.T) {
+	imgs := []audit.Image{ // newest first, as the BACKOUTPROCESS sends them
+		{Tx: tx(1), File: "f", Key: "k2", Kind: audit.ImageUpdate, Before: []byte("b2"), After: []byte("d2")},
+		{Tx: tx(1), File: "f", Key: "k3", Kind: audit.ImageInsert, After: []byte("d3")},
+		{Tx: tx(1), File: "f", Key: "k1", Kind: audit.ImageUpdate, Before: []byte("b1"), After: []byte("d1")},
+	}
+	absorb := func() (*app, *disk.Volume) {
+		vol := disk.NewVolume("v1")
+		b := newApp(&Proc{cfg: Config{Volume: vol}})
+		b.ApplyCheckpoint(&ckRecord{Ops: []ckOp{{Kind: opCreate, File: "f"}}})
+		for _, img := range imgs { // the dirty values the undo replaces
+			b.files["f"].ForceWrite(img.Key, img.After)
+			if err := vol.Write("f", img.Key, img.After); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.ApplyCheckpoint(b.newUndo(&UndoReq{Tx: tx(1), Images: imgs}))
+		return b, vol
+	}
+	want := map[string]map[string][]byte{"f": {"k1": []byte("b1"), "k2": []byte("b2")}}
+
+	b, vol := absorb()
+	if got := b.files["f"].ReadRange("", "", 0); len(got) != 2 || string(got[0].Val) != "b1" || string(got[1].Val) != "b2" {
+		t.Fatalf("backup's file after the undo record = %+v, want k1=b1 k2=b2", got)
+	}
+	for _, release := range []ckRecord{{Tx: tx(2), EndTx: true}, {Tx: tx(2), Freeze: true}} {
+		b.ApplyCheckpoint(&release)
+		if b.lastCk == nil || len(b.lastCk.Ops) != len(imgs) {
+			t.Fatalf("%+v of another transaction dropped the buffered undo", release)
+		}
+	}
+	b.TakeOver()
+	if got := vol.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("volume after takeover = %q, want %q", got, want)
+	}
+
+	b, _ = absorb()
+	b.ApplyCheckpoint(&ckRecord{Tx: tx(1), EndTx: true})
+	if b.lastCk != nil {
+		t.Fatal("the owning transaction's endtx left its undo buffered")
+	}
+}
+
+// TestUndoAfterTakeoverIsIdempotent: an undo costs the pair one checkpoint
+// whatever its image count, and the undo that the BACKOUTPROCESS retries
+// after a takeover, with the same images, leaves the volume as the
+// takeover's re-application of the first one left it.
+func TestUndoAfterTakeoverIsIdempotent(t *testing.T) {
+	e := newEnv(t, 3, true)
+	e.create(t, "f", dbfile.KeySequenced)
+	for _, k := range []string{"k1", "k2"} {
+		e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: k, Val: []byte("b-" + k)})
+	}
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+	for _, k := range []string{"k1", "k2"} {
+		e.mustCall(t, KindLockRec, &RecReq{Tx: tx(2), File: "f", Key: k})
+		e.mustCall(t, KindUpdate, &RecReq{Tx: tx(2), File: "f", Key: k, Val: []byte("dirty")})
+	}
+	e.mustCall(t, KindInsert, &RecReq{Tx: tx(2), File: "f", Key: "k3", Val: []byte("dirty")})
+	imgs := e.trail.ImagesForUnforced(tx(2))
+	slices.Reverse(imgs)
+	undo := &UndoReq{Tx: tx(2), Images: imgs}
+
+	before := e.proc.Pair.Stats().Checkpoints
+	e.mustCall(t, KindUndo, undo)
+	if n := e.proc.Pair.Stats().Checkpoints - before; n != 1 {
+		t.Errorf("undo of %d images = %d checkpoints, want 1", len(imgs), n)
+	}
+	want := map[string][]byte{"k1": []byte("b-k1"), "k2": []byte("b-k2")}
+
+	e.sys.Node().FailCPU(0) // primary DISCPROCESS and AUDITPROCESS CPUs
+	r := e.mustCall(t, KindRead, &RecReq{File: "f", Key: "k1"})
+	if got := string(r.Payload.(*RecReq).Val); got != "b-k1" {
+		t.Fatalf("k1 after takeover = %q, want b-k1", got)
+	}
+	if got := e.vol.Snapshot()["f"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("volume after takeover = %q, want %q", got, want)
+	}
+	e.mustCall(t, KindUndo, undo)
+	if got := e.vol.Snapshot()["f"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("volume after the retried undo = %q, want %q", got, want)
 	}
 }
 

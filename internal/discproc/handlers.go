@@ -48,7 +48,7 @@ func (a *app) handleReload(ctx *pair.Ctx, m *msg.Message) {
 	}
 	// The backup (which shares the volume) rebuilds the same way.
 	//lint:allow droppederr ErrNoBackup: a lone primary after node failure has no backup to rebuild; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its tables die with it
-	ctx.Checkpoint(&ckRecord{Op: &ckOp{Kind: opReload}})
+	ctx.Checkpoint(&ckRecord{Ops: []ckOp{{Kind: opReload}}})
 	ctx.Reply(nil)
 }
 
@@ -355,7 +355,7 @@ func (a *app) handleLock(ctx *pair.Ctx, m *msg.Message) {
 	}
 	// Checkpoint the lock so a takeover preserves it.
 	//lint:allow droppederr ErrNoBackup: with no backup there is no takeover to preserve the lock for; ErrHalted: this member's CPU died, so its reply fails with ErrProcessDead and its tables die with it
-	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Locks: []lock.Key{key}})
+	ctx.Checkpoint(&ckRecord{Tx: req.Tx, Lock: &key})
 	ctx.Reply(nil)
 }
 
@@ -386,22 +386,20 @@ func (a *app) handleFreeze(ctx *pair.Ctx, m *msg.Message) {
 }
 
 // handleUndo applies before-images to reverse the transaction's updates.
-// The images arrive in reverse LSN order from the BACKOUTPROCESS. The
-// transaction still holds its locks, so the restores are invisible to
-// concurrent transactions until lock release.
+// The images arrive in reverse LSN order from the BACKOUTPROCESS, and
+// their restores are checkpointed to the backup as one record before the
+// first is applied: the backup then holds every restore the primary may
+// have made, which is all claim 3 asks of a checkpoint. The transaction
+// still holds its locks, so the restores are invisible to concurrent
+// transactions until lock release.
 func (a *app) handleUndo(ctx *pair.Ctx, m *msg.Message) {
 	req := m.Payload.(*UndoReq)
-	for i := range req.Images {
-		img := &req.Images[i]
-		op := ckOp{Kind: opWrite, File: img.File, Key: img.Key, Val: img.Before}
-		if img.Kind == audit.ImageInsert {
-			op = ckOp{Kind: opDelete, File: img.File, Key: img.Key}
-		}
-		if err := a.commitMutation(ctx, a.newMutation(req.Tx, op, noImage, nil)); err != nil {
+	if len(req.Images) > 0 {
+		if err := a.commitMutation(ctx, a.newUndo(req)); err != nil {
 			ctx.ReplyErr(err)
 			return
 		}
-		a.proc.undos.Add(1)
+		a.proc.undos.Add(uint64(len(req.Images)))
 	}
 	if tr := a.proc.cfg.Obs; tr != nil { // the detail is built only for a reader
 		tr.Record(obs.Event{Tx: req.Tx, Kind: obs.EvUndoApplied,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -436,12 +435,13 @@ func (m *Monitor) AbortReason(tx txid.ID) string {
 // backoutLocal is the BACKOUTPROCESS: it collects the transaction's
 // before-images from every local audit trail and applies them, newest
 // first, through the owning DISCPROCESSes. Trail scans are retried with
-// bounded backoff; a trail that still cannot be read is counted in
-// Stats.BackoutScanFailures and reported to the caller — the seed
-// silently skipped such a trail, leaving its images un-undone. Per-volume
-// undos are all sent before the first is awaited (volumes are
-// independent; each applies its own images in reverse LSN order),
-// best-effort with every failure collected into the returned error.
+// bounded backoff; a trail that still cannot be read, or whose scan met
+// records it could not decode, is counted in Stats.BackoutScanFailures
+// and reported to the caller: either leaves updates un-undone, and a
+// silent skip would leave no trace of them. Per-volume undos are all sent
+// before the first is awaited (volumes are independent; each applies its
+// own images in reverse LSN order), best-effort with every failure
+// collected into the returned error.
 func (m *Monitor) backoutLocal(tx txid.ID) error {
 	var buf [4]VolumeInfo
 	vols, _, err := m.volumesOf(tx, buf[:0])
@@ -454,64 +454,77 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 
 	// Scan each distinct audit trail once (volumes may share one).
 	cpu := m.tmpCPUOrFirstUp()
-	byVol := make(map[string][]audit.Image, len(vols))
+	var nameBuf [4]string
+	trailNames := nameBuf[:0]
 	for _, vi := range vols {
-		byVol[vi.Name] = nil
-	}
-	var trailNames []string
-	scanned := make(map[string]bool)
-	for _, vi := range vols {
-		if vi.AuditName == "" || scanned[vi.AuditName] {
-			continue
+		if vi.AuditName != "" && !slices.Contains(trailNames, vi.AuditName) {
+			trailNames = append(trailNames, vi.AuditName)
 		}
-		scanned[vi.AuditName] = true
-		trailNames = append(trailNames, vi.AuditName)
 	}
-	sort.Strings(trailNames)
+	slices.Sort(trailNames)
 
+	// undos[i] is vols[i]'s undo; its images are a run of one trail's scan.
+	undos := make([]discproc.UndoReq, len(vols))
 	var errs []error
 	for _, trail := range trailNames {
 		cl := audit.NewClient(m.sys, trail)
-		var imgs []audit.Image
+		var scan audit.ScanResp
 		var scanErr error
 		scanStart := time.Now()
 		for attempt := 0; attempt < volRetries; attempt++ {
 			if attempt > 0 {
 				time.Sleep(time.Duration(attempt) * volRetryBackoff)
 			}
-			if imgs, scanErr = cl.Scan(cpu, tx); scanErr == nil {
+			if scan, scanErr = cl.Scan(cpu, tx); scanErr == nil {
 				break
 			}
+		}
+		if scanErr != nil {
+			scanErr = fmt.Errorf("scan of trail %s failed: %w", trail, scanErr)
+		} else if scan.Skipped > 0 {
+			scanErr = fmt.Errorf("%d unreadable records on trail %s", scan.Skipped, trail)
 		}
 		ev := obs.Event{Tx: tx, Kind: obs.EvBackoutScan, Node: m.node, CPU: cpu,
 			Dur: time.Since(scanStart), Detail: trail}
 		if scanErr != nil {
 			ev.Err = scanErr.Error()
+			m.cScanFails.Inc()
+			errs = append(errs, scanErr)
 		}
 		m.tracer.Record(ev)
-		if scanErr != nil {
-			m.cScanFails.Inc()
-			errs = append(errs, fmt.Errorf("scan of trail %s failed: %w", trail, scanErr))
-			continue
-		}
-		for _, img := range imgs {
-			if v, ok := byVol[img.Volume]; ok {
-				byVol[img.Volume] = append(v, img)
+		// Group the scan's images by volume, in vols' order, keeping each
+		// volume's in LSN order; a volume's run, reversed, is its undo.
+		volOf := func(img audit.Image) int {
+			for i := range vols {
+				if vols[i].Name == img.Volume && vols[i].AuditName == trail {
+					return i
+				}
 			}
+			return len(vols)
+		}
+		imgs := scan.Images
+		slices.SortStableFunc(imgs, func(a, b audit.Image) int { return volOf(a) - volOf(b) })
+		for lo := 0; lo < len(imgs); {
+			v, hi := volOf(imgs[lo]), lo+1
+			for hi < len(imgs) && volOf(imgs[hi]) == v {
+				hi++
+			}
+			if v < len(vols) {
+				slices.Reverse(imgs[lo:hi])
+				undos[v] = discproc.UndoReq{Tx: tx, Images: imgs[lo:hi]}
+			}
+			lo = hi
 		}
 	}
 
-	var (
-		targets []VolumeInfo
-		undos   []discproc.UndoReq
-	)
-	for _, vi := range vols {
-		if imgs := byVol[vi.Name]; len(imgs) > 0 {
-			slices.Reverse(imgs)
-			targets = append(targets, vi)
-			undos = append(undos, discproc.UndoReq{Tx: tx, Images: imgs})
+	var targets []VolumeInfo
+	for i := range vols {
+		if len(undos[i].Images) > 0 {
+			targets = append(targets, vols[i])
+			undos[len(targets)-1] = undos[i]
 		}
 	}
+	undos = undos[:len(targets)]
 	m.callVolumes(targets, discproc.KindUndo, func(i int) any { return &undos[i] }, volRetries, func(i int, d time.Duration, err error) {
 		vi := targets[i]
 		if err != nil {
@@ -521,7 +534,7 @@ func (m *Monitor) backoutLocal(tx txid.ID) error {
 			return // nothing would read the detail
 		}
 		ev := obs.Event{Tx: tx, Kind: obs.EvUndoSend, Node: m.node, CPU: cpu, Dur: d,
-			Detail: fmt.Sprintf("%s (%d images)", vi.Name, len(byVol[vi.Name]))}
+			Detail: fmt.Sprintf("%s (%d images)", vi.Name, len(undos[i].Images))}
 		if err != nil {
 			ev.Err = err.Error()
 		}
