@@ -1,4 +1,4 @@
-// Command tmflint is the project's static-analysis vettool: nine
+// Command tmflint is the project's static-analysis vettool: eight
 // analyzers that turn TMF's concurrency, checkpoint, write-ahead-ordering,
 // goroutine-lifecycle, and determinism disciplines into compile-time
 // invariants. Run it through the standard vet driver, which supplies type

@@ -3,7 +3,6 @@
 package all
 
 import (
-	"encompass/internal/analysis/checkpointfirst"
 	"encompass/internal/analysis/droppederr"
 	"encompass/internal/analysis/forcefirst"
 	"encompass/internal/analysis/guardedby"
@@ -19,7 +18,6 @@ import (
 var Analyzers = []*lint.Analyzer{
 	lockorder.Analyzer,
 	guardedby.Analyzer,
-	checkpointfirst.Analyzer,
 	forcefirst.Analyzer,
 	statetrans.Analyzer,
 	spawnlifecycle.Analyzer,

@@ -1,31 +1,40 @@
-// Package forcefirst generalizes checkpointfirst's write-ahead discipline
-// to the disposition paths: the commit record in the Monitor Audit Trail
-// is THE commit point (§ "Transaction Monitoring", Borr TR 81.2), and a
-// Paxos Commit acceptor must never acknowledge state it could forget — so
-// a decision-log append or trail force must lexically dominate any
-// externalization of the outcome. Once another node, a child, or a client
-// has seen "committed"/"aborted", a crash must not be able to roll it
-// back.
+// Package forcefirst enforces the one write-ahead rule the paper states in
+// three places (§ "Transaction Monitoring", Borr TR 81.2; Gray & Lamport,
+// Consensus on Transaction Commit): nothing may be made visible that a
+// crash could take back. A DISCPROCESS primary checkpoints its intent to
+// its backup before it updates, which is the functional equivalent of a
+// write-ahead log; the commit record in the Monitor Audit Trail is THE
+// commit point, so it is written before the outcome is announced; and a
+// Paxos Commit acceptor logs before it replies.
 //
-// Checked packages and their vocabularies:
+// Each checked package has one vocabulary in the table below:
 //
-//   - tmf: externalizers are broadcast calls carrying a terminal state
+//   - discproc: the externalizers are the direct mutations of the volume
+//     (Volume.Write/Delete/Wipe/Restore) and of the in-memory file
+//     structures (File.ForceWrite/ForceDelete). The forcers are
+//     Ctx.Checkpoint and the blessed commitMutation wrapper, which
+//     checkpoints first. The replay paths that re-apply state checkpointed
+//     when it was first produced (applyOp, applyVolume, reloadFromVolume,
+//     Restore) are exempt.
+//
+//   - tmf: the externalizers are broadcast calls carrying a terminal state
 //     (txid.StateEnded / txid.StateAborted — Ending/Aborting intents may
 //     precede the force), safeDeliverChildren (disposition delivery down
 //     the transmission tree), and any MonitorTrail.Append outside the
-//     blessed recordOutcome wrapper. Forcers are DecisionLog.Append, any
-//     .Force, the acceptor client's RecordOutcome, and recordOutcome itself.
+//     blessed recordOutcome wrapper, which is exempt because its append IS
+//     the force. The forcers are DecisionLog.Append, the acceptor client's
+//     RecordOutcome, and recordOutcome itself.
 //
-//   - paxoscommit: externalizers are Process.Reply (acks to the
+//   - paxoscommit: the externalizer is Process.Reply (acks to the
 //     coordinator or learners; ReplyErr carries no outcome and is always
-//     allowed). Forcers are DecisionLog.Append and the blessed accept
+//     allowed). The forcers are DecisionLog.Append and the blessed accept
 //     wrapper, which appends before mutating acceptor state.
 //
-// Ordering is lexical with one refinement over checkpointfirst: a switch
-// case is its own region. In a request handler (acceptor.handle,
-// tmpApp.Handle) a force inside `case kindVote:` must not license the
-// reply inside `case kindLearn:` — each case is a separate request path.
-// A forcer before the switch (function prologue) dominates every case.
+// Ordering is lexical, with a switch case as its own region. In a request
+// handler (acceptor.handle, tmpApp.Handle) a force inside `case kindVote:`
+// must not license the reply inside `case kindLearn:`, because each case
+// is a separate request path. A forcer before the switch (the function
+// prologue) dominates every case.
 package forcefirst
 
 import (
@@ -38,27 +47,62 @@ import (
 // Analyzer is the forcefirst analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "forcefirst",
-	Doc:  "flags outcome externalization (terminal-state broadcast, child delivery, acceptor reply) not dominated by a decision-log append or trail force",
+	Doc:  "flags a volume mutation not preceded by a checkpoint, and an outcome externalization (terminal-state broadcast, child delivery, acceptor reply) not dominated by a decision-log append or trail force",
 	Run:  run,
 }
 
-// blessedForcers are wrapper functions whose first act is to make the
-// decision durable: calling one counts as the force.
-var blessedForcers = map[string]bool{
-	"recordOutcome": true, // tmf: the single MAT-write path (append + force)
-	"accept":        true, // paxoscommit: log-then-mutate acceptor wrapper
-	"RecordOutcome": true, // tmf → paxoscommit.Client: the acceptors log the chosen outcome before they acknowledge it
+// A vocabulary is one package's write-ahead rule. Callee names are either
+// "Type.Method", a method resolved through the type checker, or a bare
+// name, which matches a plain function or a method of any receiver.
+type vocabulary struct {
+	externalizers map[string]string // callee -> what it makes visible, for the diagnostic
+	terminalOnly  map[string]bool   // externalizers that count only with a terminal-state argument
+	forcers       map[string]bool   // callees that make the state durable first
+	exempt        map[string]bool   // functions that are the forcing path or replay durable state
+	message       string            // diagnostic; %s is the externalizer's description
 }
 
-// exempt functions either ARE the blessed forcing path or re-apply an
-// outcome that an earlier force already made durable.
-var exempt = map[string]bool{
-	// recordOutcome's own MAT append is the force, not a leak of it.
-	"recordOutcome": true,
-	// applyEndedLocked runs only after the disposition protocol has
-	// decided (and logged) Committed; it is the local apply of a decision
-	// that is already durable elsewhere.
-	"applyEndedLocked": true,
+const outcomeMessage = "%s externalizes the outcome without a dominating decision-log append or trail force (write-ahead-ordering discipline)"
+
+// vocabularies maps package name -> its write-ahead rule.
+var vocabularies = map[string]vocabulary{
+	"discproc": {
+		externalizers: map[string]string{
+			"Volume.Write":     "Volume.Write",
+			"Volume.Delete":    "Volume.Delete",
+			"Volume.Wipe":      "Volume.Wipe",
+			"Volume.Restore":   "Volume.Restore",
+			"File.ForceWrite":  "File.ForceWrite",
+			"File.ForceDelete": "File.ForceDelete",
+		},
+		forcers: set("Ctx.Checkpoint", "commitMutation"),
+		exempt:  set("applyOp", "applyVolume", "reloadFromVolume", "Restore"),
+		message: "%s mutates the volume without a preceding checkpoint to the backup (checkpoint-before-update discipline)",
+	},
+	"tmf": {
+		externalizers: map[string]string{
+			"broadcast":           "broadcast of a terminal state",
+			"safeDeliverChildren": "disposition delivery to children",
+			"MonitorTrail.Append": "MonitorTrail.Append outside recordOutcome",
+		},
+		terminalOnly: set("broadcast"),
+		forcers:      set("DecisionLog.Append", "Client.RecordOutcome", "recordOutcome"),
+		exempt:       set("recordOutcome"),
+		message:      outcomeMessage,
+	},
+	"paxoscommit": {
+		externalizers: map[string]string{"Process.Reply": "acceptor Process.Reply"},
+		forcers:       set("DecisionLog.Append", "accept"),
+		message:       outcomeMessage,
+	},
+}
+
+func set(names ...string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
 }
 
 // terminalStates are the Figure 3 outcome states; broadcasting one
@@ -66,12 +110,12 @@ var exempt = map[string]bool{
 var terminalStates = map[string]bool{"StateEnded": true, "StateAborted": true}
 
 func run(pass *lint.Pass) error {
-	pkg := pass.Pkg.Name()
-	if pkg != "tmf" && pkg != "paxoscommit" {
+	v, checked := vocabularies[pass.Pkg.Name()]
+	if !checked {
 		return nil
 	}
 	lint.ForEachFunc(pass, func(fn *lint.FuncInfo) {
-		if exempt[fn.Decl.Name.Name] {
+		if v.exempt[fn.Decl.Name.Name] {
 			return
 		}
 		cases := caseSpans(fn.Body)
@@ -79,8 +123,10 @@ func run(pass *lint.Pass) error {
 		// First pass: forcer positions.
 		var forces []token.Pos
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			if call, isCall := n.(*ast.CallExpr); isCall && isForcer(pass, call) {
-				forces = append(forces, call.Pos())
+			if call, isCall := n.(*ast.CallExpr); isCall {
+				if qual, bare := callee(pass, call); v.forcers[qual] || v.forcers[bare] {
+					forces = append(forces, call.Pos())
+				}
 			}
 			return true
 		})
@@ -92,7 +138,7 @@ func run(pass *lint.Pass) error {
 			if !isCall {
 				return true
 			}
-			what := externalizes(pass, pkg, call)
+			what := v.externalizes(pass, call)
 			if what == "" {
 				return true
 			}
@@ -104,59 +150,41 @@ func run(pass *lint.Pass) error {
 					}
 				}
 			}
-			pass.Reportf(call.Pos(), "%s externalizes the outcome without a dominating decision-log append or trail force (write-ahead-ordering discipline)", what)
+			pass.Reportf(call.Pos(), v.message, what)
 			return true
 		})
 	})
 	return nil
 }
 
-// isForcer reports whether call makes the decision durable.
-func isForcer(pass *lint.Pass, call *ast.CallExpr) bool {
-	if _, typeName, method, ok := lint.CalleeMethod(pass.TypesInfo, call); ok {
-		if typeName == "DecisionLog" && method == "Append" {
-			return true
+// callee names call for the vocabulary tables: qual is "Type.Method" for a
+// method call ("" otherwise), bare the function or method name alone.
+func callee(pass *lint.Pass, call *ast.CallExpr) (qual, bare string) {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return "", fun.Name
+	case *ast.SelectorExpr:
+		if _, typeName, method, ok := lint.CalleeMethod(pass.TypesInfo, call); ok {
+			return typeName + "." + method, method
 		}
-		if method == "Force" {
-			return true
-		}
-		if blessedForcers[method] {
-			return true
-		}
-		return false
+		return "", fun.Sel.Name
 	}
-	if id, isIdent := call.Fun.(*ast.Ident); isIdent {
-		return blessedForcers[id.Name]
-	}
-	return false
+	return "", ""
 }
 
-// externalizes classifies call as an outcome externalization, returning a
+// externalizes classifies call as an externalization, returning its
 // description for the diagnostic ("" if it is not one).
-func externalizes(pass *lint.Pass, pkg string, call *ast.CallExpr) string {
-	_, typeName, method, isMethod := lint.CalleeMethod(pass.TypesInfo, call)
-	switch pkg {
-	case "tmf":
-		name := method
-		if !isMethod {
-			if id, isIdent := call.Fun.(*ast.Ident); isIdent {
-				name = id.Name
-			}
-		}
-		switch {
-		case name == "broadcast" && hasTerminalStateArg(call):
-			return "broadcast of a terminal state"
-		case name == "safeDeliverChildren":
-			return "disposition delivery to children"
-		case isMethod && typeName == "MonitorTrail" && method == "Append":
-			return "MonitorTrail.Append outside recordOutcome"
-		}
-	case "paxoscommit":
-		if isMethod && typeName == "Process" && method == "Reply" {
-			return "acceptor Process.Reply"
-		}
+func (v vocabulary) externalizes(pass *lint.Pass, call *ast.CallExpr) string {
+	qual, bare := callee(pass, call)
+	name := qual
+	if _, listed := v.externalizers[name]; !listed {
+		name = bare
 	}
-	return ""
+	what := v.externalizers[name]
+	if what != "" && v.terminalOnly[name] && !hasTerminalStateArg(call) {
+		return ""
+	}
+	return what
 }
 
 // hasTerminalStateArg reports whether any argument names a terminal

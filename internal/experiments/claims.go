@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"encompass"
@@ -101,12 +102,8 @@ func percentile(d []time.Duration, p int) time.Duration {
 	if len(d) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), d...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(d)
+	slices.Sort(sorted)
 	return sorted[p*(len(sorted)-1)/100]
 }
 
@@ -168,7 +165,7 @@ func T2() *Report {
 	)
 	r.Notes = append(r.Notes,
 		"\"checkpoint is the functional equivalent of Write Ahead Log\": recoverability comes from the backup, so only commit forces remain",
-		fmt.Sprintf("force reduction: %dx fewer trail forces", walForces/max64(ckForces, 1)))
+		fmt.Sprintf("force reduction: %dx fewer trail forces", walForces/max(ckForces, 1)))
 	return r
 }
 
@@ -177,13 +174,6 @@ func T2() *Report {
 // WAL on both trail forces and elapsed time — a tie on either fails.
 func forceAblationVerdict(ok bool, walForces, ckForces uint64, walElapsed, ckElapsed time.Duration) bool {
 	return ok && ckForces < walForces && ckElapsed < walElapsed
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // T3: transaction backout cost is linear in the number of updates to

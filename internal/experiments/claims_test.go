@@ -52,34 +52,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMax64(t *testing.T) {
-	cases := []struct{ a, b, want uint64 }{
-		{0, 0, 0},
-		{0, 1, 1},
-		{1, 0, 1},
-		{7, 7, 7},
-		{3, 9, 9},
-	}
-	for _, c := range cases {
-		if got := max64(c.a, c.b); got != c.want {
-			t.Errorf("max64(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestMax1(t *testing.T) {
-	cases := []struct{ in, want time.Duration }{
-		{0, 1},
-		{-time.Second, 1},
-		{time.Millisecond, time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := max1(c.in); got != c.want {
-			t.Errorf("max1(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestClassifyTransitions(t *testing.T) {
 	type tr = [2]txid.State
 	cases := []struct {

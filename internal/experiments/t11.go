@@ -199,7 +199,7 @@ func T11() *Report {
 		if !stateOK {
 			pass = false
 		}
-		speedup := float64(serial) / float64(max1(par))
+		speedup := float64(serial) / float64(max(par, 1))
 		if mi == 0 {
 			readSpeedup = speedup
 		}

@@ -114,15 +114,8 @@ func T8() *Report {
 
 	r.Notes = append(r.Notes,
 		"same workload, same processor failure; the conventional run must replay the whole history since the archive",
-		fmt.Sprintf("interruption ratio: conventional is %.0fx the NonStop takeover stall", float64(downtime)/float64(max1(nonstopStall))),
+		fmt.Sprintf("interruption ratio: conventional is %.0fx the NonStop takeover stall", float64(downtime)/float64(max(nonstopStall, 1))),
 		"NonStop's stall is a process-pair takeover; it does not grow with history")
 	r.Pass = ok && ok2 && downtime > nonstopStall
 	return r
-}
-
-func max1(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 1
-	}
-	return d
 }
