@@ -56,9 +56,12 @@ lint: $(TMFLINT)
 # and heals while a participant forces), every abort route at a voted
 # participant, the write-behind counts, the backout's checkpoints per
 # volume and unreadable-record count, the takeover of an undo batch and
-# the audit trail's backout scans repeat twenty times.
+# the audit trail's backout scans repeat twenty times. The experiments
+# harness runs every figure and claim: T9's concurrent committers, T11's
+# DISCPROCESS workers and T14's phase-one hook goroutine.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
+	$(GO) test -race ./internal/experiments/
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers|TestWriteBehind' .
 	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
 

@@ -5,97 +5,46 @@ import (
 	"slices"
 	"time"
 
-	"encompass"
+	"encompass/internal/expand"
 	"encompass/internal/mfg"
 	"encompass/internal/workload"
 )
 
-// buildChain builds n nodes (a, b, c, ...) in a line, each with one
-// audited volume "v<name>" and a key-sequenced file "f<name>".
-func buildChain(n int, auditDelay time.Duration) (*encompass.System, []string, error) {
-	var specs []encompass.NodeSpec
-	var names []string
-	for i := 0; i < n; i++ {
-		name := string(rune('a' + i))
-		names = append(names, name)
-		specs = append(specs, encompass.NodeSpec{
-			Name: name, CPUs: 4,
-			Volumes: []encompass.VolumeSpec{{Name: "v" + name, Audited: true, CacheSize: 128}},
-		})
-	}
-	sys, err := encompass.Build(encompass.Config{Nodes: specs, AuditForceDelay: auditDelay})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, name := range names {
-		if err := sys.CreateFileEverywhere(encompass.LocalFile("f"+name, encompass.KeySequenced, name, "v"+name)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sys, names, nil
-}
-
 // T1: the abbreviated single-node two-phase commit vs the distributed
 // protocol. Commit latency and network frames per transaction grow with
 // participant count; the single-node case needs no network at all.
-func T1() *Report {
-	r := &Report{
-		Columns: []string{"participants", "avg commit latency", "p95", "net frames/tx"},
-	}
+func t1(r *Report) error {
+	r.Columns = []string{"participants", "avg commit latency", "p95", "net frames/tx"}
 	const txs = 40
-	var lat1 time.Duration
-	pass := true
+	var lat1, avg time.Duration
 	for _, participants := range []int{1, 2, 3, 4} {
-		sys, names, err := buildChain(participants, 0)
+		sys, files, err := r.build(cluster{nodes: []string{"a", "b", "c", "d"}[:participants], cache: 128})
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
-		home := sys.Node(names[0])
-		var total time.Duration
-		var lats []time.Duration
 		f0 := sys.Network.Stats().Frames
-		for i := 0; i < txs; i++ {
-			tx, err := home.Begin()
-			if err != nil {
-				pass = false
-				continue
-			}
-			for _, name := range names {
-				tx.Insert("f"+name, fmt.Sprintf("k%03d", i), []byte("v"))
-			}
-			t0 := time.Now()
-			if err := tx.Commit(); err != nil {
-				pass = false
-				continue
-			}
-			d := time.Since(t0)
-			total += d
-			lats = append(lats, d)
+		lats, err := commit(sys.Node("a"), 0, txs, files...)
+		if err != nil {
+			return err
 		}
 		frames := sys.Network.Stats().Frames - f0
-		avg := total / txs
+		var total time.Duration
+		for _, d := range lats {
+			total += d
+		}
+		avg = total / txs
 		if participants == 1 {
 			lat1 = avg
 		}
-		p95 := percentile(lats, 95)
-		r.Rows = append(r.Rows, []string{
-			i2s(participants), dur(avg), dur(p95), f2s(float64(frames) / float64(txs)),
-		})
-	}
-	// Shape: distributed costs more than single-node.
-	lastAvg, _ := time.ParseDuration("0")
-	if len(r.Rows) == 4 {
-		lastAvg, _ = time.ParseDuration(r.Rows[3][1])
-	}
-	if lastAvg <= lat1 {
-		pass = false
+		r.Rows = append(r.Rows, []string{i2s(participants), dur(avg), dur(percentile(lats, 95)),
+			f2s(float64(frames) / txs)})
 	}
 	r.Notes = append(r.Notes,
 		"single-node transactions use the abbreviated protocol: zero network frames",
 		"each added participant adds phase-one (critical) and phase-two (safe-delivery) TMP round trips")
-	r.Pass = pass
-	return r
+	// Shape: distributed (four participants) costs more than single-node.
+	r.Pass = avg > lat1
+	return nil
 }
 
 func percentile(d []time.Duration, p int) time.Duration {
@@ -112,61 +61,35 @@ func percentile(d []time.Duration, p int) time.Duration {
 // simulated disc-force latency, the conventional force-every-update
 // discipline pays one force per update while the checkpoint discipline
 // pays one per commit.
-func T2() *Report {
-	r := &Report{
-		Columns: []string{"discipline", "txs", "updates/tx", "elapsed", "tx/s", "trail forces"},
-	}
+func t2(r *Report) error {
+	r.Columns = []string{"discipline", "txs", "updates/tx", "elapsed", "tx/s", "trail forces"}
 	const (
 		txs          = 30
 		updatesPerTx = 8
 		forceDelay   = 300 * time.Microsecond
 	)
-	run := func(forceEvery bool) (time.Duration, uint64, bool) {
-		sys, err := encompass.Build(encompass.Config{
-			Nodes: []encompass.NodeSpec{{
-				Name: "alpha", CPUs: 4,
-				Volumes: []encompass.VolumeSpec{{
-					Name: "v1", Audited: true, CacheSize: 128, ForceEveryUpdate: forceEvery,
-				}},
-			}},
-			AuditForceDelay: forceDelay,
-		})
+	labels := []string{"force-per-update (conventional WAL)", "checkpoint + force-at-commit (TMF)"}
+	var elapsed [2]time.Duration
+	var forces [2]uint64
+	for i, forceEvery := range []bool{true, false} {
+		sys, files, err := r.build(cluster{cache: 128, forceEvery: forceEvery, forceDelay: forceDelay})
 		if err != nil {
-			return 0, 0, false
+			return err
 		}
-		node := sys.Node("alpha")
-		node.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1"))
-		ok := true
+		node := sys.Node("a")
 		t0 := time.Now()
-		for i := 0; i < txs; i++ {
-			tx, err := node.Begin()
-			if err != nil {
-				ok = false
-				continue
-			}
-			for u := 0; u < updatesPerTx; u++ {
-				tx.Insert("f", fmt.Sprintf("k%04d-%d", i, u), []byte("v"))
-			}
-			if err := tx.Commit(); err != nil {
-				ok = false
-			}
+		if _, err := commit(node, 0, txs, slices.Repeat(files, updatesPerTx)...); err != nil {
+			return err
 		}
-		elapsed := time.Since(t0)
-		return elapsed, node.Volumes["v1"].Trail.ForceCount(), ok
+		elapsed[i], forces[i] = time.Since(t0), node.Volumes["v-a"].Trail.ForceCount()
+		r.Rows = append(r.Rows, []string{labels[i], i2s(txs), i2s(updatesPerTx), dur(elapsed[i]),
+			f2s(float64(txs) / elapsed[i].Seconds()), fmt.Sprint(forces[i])})
 	}
-	walElapsed, walForces, ok1 := run(true)
-	ckElapsed, ckForces, ok2 := run(false)
-	r.Pass = forceAblationVerdict(ok1 && ok2, walForces, ckForces, walElapsed, ckElapsed)
-	r.Rows = append(r.Rows,
-		[]string{"force-per-update (conventional WAL)", i2s(txs), i2s(updatesPerTx), dur(walElapsed),
-			f2s(float64(txs) / walElapsed.Seconds()), u2s(walForces)},
-		[]string{"checkpoint + force-at-commit (TMF)", i2s(txs), i2s(updatesPerTx), dur(ckElapsed),
-			f2s(float64(txs) / ckElapsed.Seconds()), u2s(ckForces)},
-	)
+	r.Pass = forceAblationVerdict(true, forces[0], forces[1], elapsed[0], elapsed[1]) // a failed run returned above
 	r.Notes = append(r.Notes,
 		"\"checkpoint is the functional equivalent of Write Ahead Log\": recoverability comes from the backup, so only commit forces remain",
-		fmt.Sprintf("force reduction: %dx fewer trail forces", walForces/max(ckForces, 1)))
-	return r
+		fmt.Sprintf("force reduction: %dx fewer trail forces", forces[0]/max(forces[1], 1)))
+	return nil
 }
 
 // forceAblationVerdict is T2's classification: both runs must commit
@@ -178,52 +101,42 @@ func forceAblationVerdict(ok bool, walForces, ckForces uint64, walElapsed, ckEla
 
 // T3: transaction backout cost is linear in the number of updates to
 // reverse (before-images applied newest-first).
-func T3() *Report {
-	r := &Report{
-		Columns: []string{"updates", "abort latency", "restored"},
-	}
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{{
-			Name: "alpha", CPUs: 4,
-			Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 4096}},
-		}},
-	})
+func t3(r *Report) error {
+	r.Columns = []string{"updates", "abort latency", "restored"}
+	sys, files, err := r.build(cluster{cache: 4096})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	node := sys.Node("alpha")
-	node.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1"))
-	// Committed baseline records.
-	seed, _ := node.Begin()
-	for i := 0; i < 256; i++ {
-		seed.Insert("f", fmt.Sprintf("k%04d", i), []byte("orig"))
-	}
-	if err := seed.Commit(); err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+	node, f := sys.Node("a"), files[0]
+	// Committed baseline records: one transaction writes key(0, i), i < 256.
+	if _, err := commit(node, 0, 1, slices.Repeat(files, 256)...); err != nil {
+		return err
 	}
 	pass := true
 	var first, last time.Duration
 	for _, n := range []int{1, 4, 16, 64, 256} {
-		tx, _ := node.Begin()
-		for i := 0; i < n; i++ {
-			key := fmt.Sprintf("k%04d", i)
-			if _, err := node.FS.ReadLock(tx.ID, "f", key); err != nil {
+		tx, err := node.Begin()
+		if err != nil {
+			return err
+		}
+		for i := range n {
+			if _, err := node.FS.ReadLock(tx.ID, f, key(0, i)); err != nil {
 				pass = false
 			}
-			if err := node.FS.Update(tx.ID, "f", key, []byte("dirty")); err != nil {
+			if err := node.FS.Update(tx.ID, f, key(0, i), []byte("dirty")); err != nil {
 				pass = false
 			}
 		}
 		t0 := time.Now()
-		tx.Abort("measure backout")
+		if err := tx.Abort("measure backout"); err != nil {
+			return err
+		}
 		d := time.Since(t0)
 		// Verify restoration.
 		restored := true
-		for i := 0; i < n; i++ {
-			v, err := node.FS.Read("f", fmt.Sprintf("k%04d", i))
-			if err != nil || string(v) != "orig" {
+		for i := range n {
+			v, err := node.FS.Read(f, key(0, i))
+			if err != nil || string(v) != "v" {
 				restored = false
 			}
 		}
@@ -236,98 +149,77 @@ func T3() *Report {
 	}
 	r.Notes = append(r.Notes, "cost grows with the number of before-images to apply")
 	r.Pass = pass && last > first
-	return r
+	return nil
 }
 
 // T4: decentralized concurrency control under contention — deadlock
 // detection by timeout and RESTART-TRANSACTION recovery keep a hot-spot
 // workload live.
-func T4() *Report {
-	r := &Report{
-		Columns: []string{"concurrency", "committed", "retries", "lock timeouts", "tx/s"},
-	}
+func t4(r *Report) error {
+	r.Columns = []string{"concurrency", "committed", "retries", "lock timeouts", "tx/s"}
 	pass := true
 	for _, conc := range []int{1, 4, 8} {
-		sys, err := encompass.Build(encompass.Config{
-			Nodes: []encompass.NodeSpec{{
-				Name: "alpha", CPUs: 4,
-				Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 128}},
-			}},
-		})
+		sys, _, err := r.build(cluster{cache: 128})
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
-		sys.Node("alpha").FS.LockTimeout = 100 * time.Millisecond
+		sys.Node("a").FS.LockTimeout = 100 * time.Millisecond
 		bank, err := workload.SetupBank(sys, workload.BankConfig{
-			Placement: []workload.Placement{{Node: "alpha", Volume: "v1"}},
+			Placement: []workload.Placement{{Node: "a", Volume: "v-a"}},
 			Branches:  1, Tellers: 2, Accounts: 4,
 			HotAccounts: 0.8, MaxRetries: 30, Seed: 11,
 		})
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
-		res := bank.Run("alpha", 40, conc)
-		timeouts := sys.Node("alpha").Volumes["v1"].Proc.Stats().LockStats.Timeouts
+		res := bank.Run("a", 40, conc)
+		timeouts := sys.Node("a").Volumes["v-a"].Proc.Stats().LockStats.Timeouts
 		pass = pass && res.Committed == 40 && bank.VerifyConsistency() == nil
 		r.Rows = append(r.Rows, []string{
-			i2s(conc), i2s(res.Committed), i2s(res.Retries), u2s(timeouts), f2s(res.TPS()),
+			i2s(conc), i2s(res.Committed), i2s(res.Retries), fmt.Sprint(timeouts), f2s(res.TPS()),
 		})
 	}
 	r.Notes = append(r.Notes,
 		"all transactions eventually commit; timeouts surface as RESTART-TRANSACTION retries",
 		"the TP1 invariant holds at every concurrency level")
 	r.Pass = pass
-	return r
+	return nil
 }
 
 // T5: ROLLFORWARD recovery time grows with the committed history to
 // replay; recovered state is complete.
-func T5() *Report {
-	r := &Report{
-		Columns: []string{"committed txs", "images replayed", "recovery time", "records verified"},
-	}
+func t5(r *Report) error {
+	r.Columns = []string{"committed txs", "images replayed", "recovery time", "records verified"}
 	pass := true
 	var prev time.Duration
 	for _, n := range []int{100, 400, 1600} {
-		sys, err := encompass.Build(encompass.Config{
-			Nodes: []encompass.NodeSpec{
-				{Name: "a", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "va", Audited: true, CacheSize: 4096}}},
-				{Name: "b", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "vb", Audited: true}}},
-			},
-		})
+		sys, files, err := r.build(cluster{nodes: []string{"a", "b"}, cache: 4096})
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
 		a := sys.Node("a")
-		sys.CreateFileEverywhere(encompass.LocalFile("f", encompass.KeySequenced, "a", "va"))
 		arch := a.TakeArchive()
-		for i := 0; i < n; i++ {
-			tx, _ := a.Begin()
-			tx.Insert("f", fmt.Sprintf("k%06d", i), []byte("v"))
-			if err := tx.Commit(); err != nil {
-				pass = false
-			}
+		if _, err := commit(a, 0, n, files[0]); err != nil {
+			return err
 		}
 		a.Crash()
 		t0 := time.Now()
 		st, err := a.Recover(arch)
 		d := time.Since(t0)
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
-		recs, _ := a.FS.ReadRange("f", "", "", 0)
-		ok := len(recs) == n && st.ImagesReplayed == n
-		pass = pass && ok && recoveryGrowth(prev, d)
+		recs, err := a.FS.ReadRange(files[0], "", "", 0)
+		if err != nil {
+			return err
+		}
+		pass = pass && len(recs) == n && st.ImagesReplayed == n && recoveryGrowth(prev, d)
 		prev = d
 		r.Rows = append(r.Rows, []string{i2s(n), i2s(st.ImagesReplayed), dur(d), fmt.Sprintf("%d/%d", len(recs), n)})
 	}
 	r.Notes = append(r.Notes, "recovery = restore archive + redo committed after-images in LSN order")
 	r.Pass = pass
-	return r
+	return nil
 }
 
 // recoveryGrowth is T5's per-step classification: ROLLFORWARD time must
@@ -338,33 +230,19 @@ func recoveryGrowth(prev, cur time.Duration) bool { return cur >= prev/4 }
 // T6: why broadcast inside a node but participant-only across the network:
 // intra-node state-change broadcasts grow with CPU count (cheap, reliable
 // bus), while network traffic stays proportional to participants only.
-func T6() *Report {
-	r := &Report{
-		Columns: []string{"config", "txs", "bus msgs/tx", "net frames/tx"},
-	}
+func t6(r *Report) error {
+	r.Columns = []string{"config", "txs", "bus msgs/tx", "net frames/tx"}
 	const txs = 30
-	pass := true
 	var busCosts []float64
 	for _, cpus := range []int{2, 4, 8, 16} {
-		sys, err := encompass.Build(encompass.Config{
-			Nodes: []encompass.NodeSpec{{
-				Name: "alpha", CPUs: cpus,
-				Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true}},
-			}},
-		})
+		sys, files, err := r.build(cluster{cpus: cpus})
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
-		node := sys.Node("alpha")
-		node.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1"))
+		node := sys.Node("a")
 		x0, y0 := node.HW.BusTraffic()
-		for i := 0; i < txs; i++ {
-			tx, _ := node.Begin()
-			tx.Insert("f", fmt.Sprintf("k%03d", i), []byte("v"))
-			if err := tx.Commit(); err != nil {
-				pass = false
-			}
+		if _, err := commit(node, 0, txs, files...); err != nil {
+			return err
 		}
 		x1, y1 := node.HW.BusTraffic()
 		busPerTx := float64((x1+y1)-(x0+y0)) / txs
@@ -372,20 +250,13 @@ func T6() *Report {
 		r.Rows = append(r.Rows, []string{fmt.Sprintf("1 node, %d CPUs", cpus), i2s(txs), f2s(busPerTx), "0.0"})
 	}
 	// Distributed: network frames proportional to participants, not CPUs.
-	sys, names, err := buildChain(2, 0)
+	sys, files, err := r.build(cluster{nodes: []string{"a", "b"}, cache: 128})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	home := sys.Node(names[0])
 	f0 := sys.Network.Stats().Frames
-	for i := 0; i < txs; i++ {
-		tx, _ := home.Begin()
-		tx.Insert("fa", fmt.Sprintf("k%03d", i), []byte("v"))
-		tx.Insert("fb", fmt.Sprintf("k%03d", i), []byte("v"))
-		if err := tx.Commit(); err != nil {
-			pass = false
-		}
+	if _, err := commit(sys.Node("a"), 0, txs, files...); err != nil {
+		return err
 	}
 	frames := float64(sys.Network.Stats().Frames-f0) / txs
 	r.Rows = append(r.Rows, []string{"2 nodes, 4+4 CPUs (distributed tx)", i2s(txs), "per-node", f2s(frames)})
@@ -393,54 +264,31 @@ func T6() *Report {
 		"bus messages per transaction grow with CPU count — affordable on the fast reliable bus",
 		"across the network, only participating nodes exchange TMP messages")
 	// Shape check: 16-CPU bus cost > 2-CPU bus cost.
-	if len(busCosts) >= 4 && busCosts[len(busCosts)-1] <= busCosts[0] {
-		pass = false
-	}
-	r.Pass = pass
-	return r
+	r.Pass = busCosts[len(busCosts)-1] > busCosts[0]
+	return nil
 }
 
 // T7: availability under partition — the master/suspense scheme vs
 // synchronous replication.
-func T7() *Report {
-	r := &Report{
-		Columns: []string{"scheme", "phase", "attempted", "succeeded"},
-	}
-	var specs []encompass.NodeSpec
-	for _, n := range mfg.DefaultNodes {
-		specs = append(specs, encompass.NodeSpec{
-			Name: n, CPUs: 3,
-			Volumes: []encompass.VolumeSpec{{Name: "v-" + n, Audited: true}},
-		})
-	}
-	links := [][2]string{
-		{"cupertino", "santaclara"}, {"santaclara", "reston"},
-		{"reston", "neufahrn"}, {"neufahrn", "cupertino"},
-	}
-	sys, err := encompass.Build(encompass.Config{Nodes: specs, Links: links})
+func t7(r *Report) error {
+	r.Columns = []string{"scheme", "phase", "attempted", "succeeded"}
+	sys, app, err := r.ring(expand.FaultProfile{})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	app, err := mfg.Install(sys, mfg.DefaultNodes, 10*time.Millisecond)
-	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
-	}
-	defer app.Stop()
 	const items = 8
 	for i := 0; i < items; i++ {
 		// Master nodes rotate over the three nodes that stay connected.
 		master := mfg.DefaultNodes[i%3]
 		if err := app.SeedItem("item-master", fmt.Sprintf("item%d", i), master, "v0"); err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
 	}
-	attempt := func(scheme string, phase string, f func(i int) error) int {
+	// attempt updates every item from santaclara through one scheme.
+	attempt := func(scheme, phase string, update func(from, file, key, payload string) error) int {
 		ok := 0
-		for i := 0; i < items; i++ {
-			if f(i) == nil {
+		for i := range items {
+			if update("santaclara", "item-master", fmt.Sprintf("item%d", i), phase) == nil {
 				ok++
 			}
 		}
@@ -448,20 +296,12 @@ func T7() *Report {
 		return ok
 	}
 
-	healthyMaster := attempt("master+suspense", "healthy", func(i int) error {
-		return app.UpdateItem("santaclara", "item-master", fmt.Sprintf("item%d", i), "h1")
-	})
-	healthySync := attempt("synchronous", "healthy", func(i int) error {
-		return app.UpdateItemSync("santaclara", "item-master", fmt.Sprintf("item%d", i), "h2")
-	})
+	healthyMaster := attempt("master+suspense", "healthy", app.UpdateItem)
+	healthySync := attempt("synchronous", "healthy", app.UpdateItemSync)
 
 	sys.Partition("neufahrn")
-	partMaster := attempt("master+suspense", "partitioned", func(i int) error {
-		return app.UpdateItem("santaclara", "item-master", fmt.Sprintf("item%d", i), "p1")
-	})
-	partSync := attempt("synchronous", "partitioned", func(i int) error {
-		return app.UpdateItemSync("santaclara", "item-master", fmt.Sprintf("item%d", i), "p2")
-	})
+	partMaster := attempt("master+suspense", "partitioned", app.UpdateItem)
+	partSync := attempt("synchronous", "partitioned", app.UpdateItemSync)
 	sys.Heal()
 
 	converged := true
@@ -475,7 +315,7 @@ func T7() *Report {
 		"synchronous replication drops to zero during the partition",
 		fmt.Sprintf("post-heal convergence of all items: %v", converged))
 	r.Pass = partitionVerdict(items, healthyMaster, healthySync, partMaster, partSync, converged)
-	return r
+	return nil
 }
 
 // partitionVerdict is T7's classification: the master+suspense scheme must

@@ -1,30 +1,46 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Each experiment is the regeneration harness for one figure or claim;
 // these tests pin that every Registry entry runs to completion and its
 // qualitative claim (Report.Pass) holds.
 
-// slow names the experiments -short skips, with the reason.
-var slow = map[string]string{
-	"T5":  "long history replay",
-	"T8":  "long workload run",
-	"T14": "three dead-coordinator windows of wall-clock waiting",
-}
-
-// ran holds each experiment's report so TestRegistry's subtests and the
-// top-level TestF1..TestT14 (names the tier-1 floor lists) share one run.
+// ran holds each experiment's report so TestStopsWhatItStarts,
+// TestRegistry's subtests and the top-level TestF1..TestT14 share one run.
 var ran = map[string]*Report{}
+
+// TestStopsWhatItStarts runs every Registry entry (declared first, so the
+// checks below reuse its reports) and requires the goroutine count to come
+// back to where it was: each experiment stops every system and
+// application it started, so none of them runs on into the next one's
+// timings.
+func TestStopsWhatItStarts(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rs, err := Run("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		ran[r.ID] = r
+	}
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if after > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after every experiment ran, %d before; some:\n%s", after, before, buf[:runtime.Stack(buf, true)])
+	}
+}
 
 func check(t *testing.T, id string) {
 	t.Helper()
-	if why := slow[id]; why != "" && testing.Short() {
-		t.Skip(why)
-	}
 	r := ran[id]
 	if r == nil {
 		rs, err := Run(id)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"encompass"
+	"encompass/internal/expand"
 	"encompass/internal/mfg"
 	"encompass/internal/obs"
 	"encompass/internal/tcp"
@@ -19,34 +20,25 @@ import (
 // processor, a mirrored drive, an interprocessor bus, an I/O controller —
 // and the TP1 consistency invariant holds throughout. Only a transaction
 // directly involved with a failed module is backed out (and retried).
-func F1() *Report {
-	r := &Report{
-		Columns: []string{"phase", "committed", "aborted", "retries", "invariant"},
-	}
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{{
-			Name: "alpha", CPUs: 4,
-			Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 256}},
-		}},
-	})
+func f1(r *Report) error {
+	r.Columns = []string{"phase", "committed", "aborted", "retries", "invariant"}
+	sys, _, err := r.build(cluster{cache: 256})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
 	bank, err := workload.SetupBank(sys, workload.BankConfig{
-		Placement: []workload.Placement{{Node: "alpha", Volume: "v1"}},
+		Placement: []workload.Placement{{Node: "a", Volume: "v-a"}},
 		Branches:  2, Tellers: 3, Accounts: 50, Seed: 1, MaxRetries: 10,
 	})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	node := sys.Node("alpha")
-	vol := node.Volumes["v1"]
+	node := sys.Node("a")
+	vol := node.Volumes["v-a"]
 
 	phase := func(name string, inject func()) bool {
 		done := make(chan workload.Result, 1)
-		go func() { done <- bank.Run("alpha", 40, 4) }()
+		go func() { done <- bank.Run("a", 40, 4) }()
 		if inject != nil {
 			time.Sleep(10 * time.Millisecond)
 			inject()
@@ -77,42 +69,32 @@ func F1() *Report {
 		"every single-module failure leaves an alternate path (dual CPUs, mirrored drives, dual buses, dual controllers)",
 		"workload keeps committing in every phase; the TP1 branch=Σtellers invariant never breaks")
 	r.Pass = pass
-	return r
+	return nil
 }
 
 // F2 reproduces Figure 2's typical ENCOMPASS configuration: TCPs,
 // application server classes and DISCPROCESS pairs spread over the CPUs of
 // one node, exercised by Screen COBOL terminals end to end.
-func F2() *Report {
-	r := &Report{
-		Columns: []string{"component", "kind", "primary CPU", "backup CPU"},
-	}
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{{
-			Name: "alpha", CPUs: 3,
-			Volumes: []encompass.VolumeSpec{
-				{Name: "v1", Audited: true, CacheSize: 64},
-				{Name: "v2", Audited: true, CacheSize: 64},
-			},
-		}},
-	})
+func f2(r *Report) error {
+	r.Columns = []string{"component", "kind", "primary CPU", "backup CPU"}
+	sys, files, err := r.build(cluster{vols: 2, cpus: 3, cache: 64})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	node := sys.Node("alpha")
-	node.FS.Create(encompass.LocalFile("accounts", encompass.KeySequenced, "alpha", "v1"))
-	node.FS.Create(encompass.LocalFile("audit-log", encompass.EntrySequenced, "alpha", "v2"))
+	node := sys.Node("a")
+	if err := node.FS.Create(encompass.LocalFile("audit-log", encompass.EntrySequenced, "a", "v2")); err != nil {
+		return err
+	}
 
-	fs := node.FS
-	node.StartServerClass(encompass.ServerClassConfig{
+	fs, accounts := node.FS, files[0]
+	_, err = node.StartServerClass(encompass.ServerClassConfig{
 		Class: "bank", MinInstances: 1, MaxInstances: 3,
 		Handler: func(tx txid.ID, f map[string]string) (map[string]string, error) {
-			if _, err := fs.ReadLock(tx, "accounts", f["ACCT"]); err != nil {
-				if err := fs.Insert(tx, "accounts", f["ACCT"], []byte(f["AMOUNT"])); err != nil {
+			if _, err := fs.ReadLock(tx, accounts, f["ACCT"]); err != nil {
+				if err := fs.Insert(tx, accounts, f["ACCT"], []byte(f["AMOUNT"])); err != nil {
 					return nil, err
 				}
-			} else if err := fs.Update(tx, "accounts", f["ACCT"], []byte(f["AMOUNT"])); err != nil {
+			} else if err := fs.Update(tx, accounts, f["ACCT"], []byte(f["AMOUNT"])); err != nil {
 				return nil, err
 			}
 			if _, err := fs.Append(tx, "audit-log", []byte("set "+f["ACCT"]+"="+f["AMOUNT"])); err != nil {
@@ -121,10 +103,12 @@ func F2() *Report {
 			return map[string]string{"STATUS": "OK"}, nil
 		},
 	})
+	if err != nil {
+		return err
+	}
 	tc, err := node.StartTCP(encompass.TCPConfig{Name: "tcp1", PrimaryCPU: 2, BackupCPU: 0})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
 
 	src := `
@@ -154,34 +138,35 @@ END-PROC.
 	for i := 0; i < terminals; i++ {
 		term, err := tc.Attach(fmt.Sprintf("term%d", i), src)
 		if err != nil {
-			r.Notes = append(r.Notes, err.Error())
-			return r
+			return err
 		}
 		term.Input(map[string]string{"acct": fmt.Sprintf("A%03d", i), "amount": fmt.Sprintf("%d", 100+i)})
 		terms = append(terms, term)
 	}
-	ok := true
 	for _, term := range terms {
 		if err := term.Wait(15 * time.Second); err != nil {
-			r.Notes = append(r.Notes, "terminal failed: "+err.Error())
-			ok = false
+			return fmt.Errorf("terminal failed: %w", err)
 		}
 	}
-	recs, _ := node.FS.ReadRange("accounts", "", "", 0)
-	ok = ok && len(recs) == terminals
+	recs, err := node.FS.ReadRange(accounts, "", "", 0)
+	if err != nil {
+		return err
+	}
 
 	r.Rows = append(r.Rows,
 		[]string{"tcp1", "terminal control process pair", i2s(tc.Pair().PrimaryCPU()), i2s(tc.Pair().BackupCPU())},
 		[]string{"svc-bank", "application server class", "dynamic", "-"},
-		[]string{"disc-v1", "DISCPROCESS pair", i2s(node.Volumes["v1"].Proc.Pair.PrimaryCPU()), i2s(node.Volumes["v1"].Proc.Pair.BackupCPU())},
-		[]string{"disc-v2", "DISCPROCESS pair", i2s(node.Volumes["v2"].Proc.Pair.PrimaryCPU()), i2s(node.Volumes["v2"].Proc.Pair.BackupCPU())},
-		[]string{"tmp", "transaction monitor pair", "0", "1"},
 	)
+	for _, v := range []string{"v1", "v2"} {
+		p := node.Volumes[v].Proc.Pair
+		r.Rows = append(r.Rows, []string{"disc-" + v, "DISCPROCESS pair", i2s(p.PrimaryCPU()), i2s(p.BackupCPU())})
+	}
+	r.Rows = append(r.Rows, []string{"tmp", "transaction monitor pair", "0", "1"})
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d Screen COBOL terminals ran a full ACCEPT→SEND→END-TRANSACTION flow; %d accounts created", terminals, len(recs)),
 		fmt.Sprintf("TMF stats: %+v", node.TMF.Stats()))
-	r.Pass = ok
-	return r
+	r.Pass = len(recs) == terminals
+	return nil
 }
 
 // F3 reproduces Figure 3: the transaction state machine. A mixed workload
@@ -189,49 +174,51 @@ END-PROC.
 // processor failures) runs on a traced build, and the state-change events
 // every broadcast leaves in the trace are tabulated against the figure's
 // legal set, beside what the runtime checker rejected.
-func F3() *Report {
-	r := &Report{
-		Columns: []string{"transition", "observed", "legal"},
-	}
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{
-			{Name: "a", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "va", Audited: true}}},
-			{Name: "b", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "vb", Audited: true}}},
-		},
-		TraceCapacity: 64, // 31 transactions run
-	})
+func f3(r *Report) error {
+	r.Columns = []string{"transition", "observed", "legal"}
+	sys, files, err := r.build(cluster{nodes: []string{"a", "b"}, trace: 64}) // 31 transactions run
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	sys.CreateFileEverywhere(encompass.LocalFile("fa", encompass.KeySequenced, "a", "va"))
-	sys.CreateFileEverywhere(encompass.LocalFile("fb", encompass.KeySequenced, "b", "vb"))
 	a, b := sys.Node("a"), sys.Node("b")
 
-	for i := 0; i < 30; i++ {
+	// begin opens a transaction at a with a record in each of the files.
+	begin := func(key string, files ...string) (*encompass.Tx, error) {
 		tx, err := a.Begin()
-		if err != nil {
-			continue
+		for _, f := range files {
+			if err == nil {
+				err = tx.Insert(f, key, []byte("v"))
+			}
 		}
-		key := fmt.Sprintf("k%03d", i)
-		tx.Insert("fa", key, []byte("v"))
-		switch i % 5 {
+		return tx, err
+	}
+	for i := range 30 {
+		var tx *encompass.Tx
+		var err error
+		switch key := fmt.Sprintf("k%03d", i); i % 5 {
 		case 0, 1:
-			tx.Commit()
+			_, err = commit(a, i, 1, files[0])
 		case 2:
-			tx.Abort("voluntary")
+			if tx, err = begin(key, files[0]); err == nil {
+				err = tx.Abort("voluntary")
+			}
 		case 3:
-			tx.Insert("fb", key, []byte("v"))
-			tx.Commit()
+			_, err = commit(a, i, 1, files...)
 		case 4:
-			tx.Insert("fb", key, []byte("v"))
-			b.TMF.Abort(tx.ID, "unilateral") // remote unilateral abort
-			tx.Commit()                      // will be refused
+			if tx, err = begin(key, files...); err == nil {
+				_ = b.TMF.Abort(tx.ID, "unilateral") // the remote unilateral abort under test; its outcome shows in the trace
+				_ = tx.Commit()                      // refused: the participant has aborted
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// Processor failure aborts.
-	tx, _ := a.Begin()
-	tx.Insert("fa", "victim", []byte("v"))
+	tx, err := begin("victim", files[0])
+	if err != nil {
+		return err
+	}
 	a.HW.FailCPU(tx.ID.CPU)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && a.TMF.State(tx.ID) != txid.StateAborted {
@@ -255,7 +242,7 @@ func F3() *Report {
 	r.Rows = append(r.Rows, rows...)
 	r.Notes = append(r.Notes, fmt.Sprintf("broadcast-validated violations: %d (must be 0)", violations))
 	r.Pass = violations == 0 && len(illegal) == 0 && seenLegal > 0
-	return r
+	return nil
 }
 
 // classifyTransitions tabulates observed state-transition counts against
@@ -300,74 +287,31 @@ func classifyTransitions(counts map[[2]txid.State]int) (rows [][]string, illegal
 // F4 reproduces Figure 4: the four-node manufacturing network with
 // replicated global files, master-node updates, suspense-file deferred
 // replication, partition tolerance and post-heal convergence.
-func F4() *Report {
-	r := &Report{
-		Columns: []string{"step", "outcome"},
-	}
-	var specs []encompass.NodeSpec
-	for _, n := range mfg.DefaultNodes {
-		specs = append(specs, encompass.NodeSpec{
-			Name: n, CPUs: 3,
-			Volumes: []encompass.VolumeSpec{{Name: "v-" + n, Audited: true, CacheSize: 64}},
-		})
-	}
-	links := [][2]string{
-		{"cupertino", "santaclara"}, {"santaclara", "reston"},
-		{"reston", "neufahrn"}, {"neufahrn", "cupertino"},
-	}
-	sys, err := encompass.Build(encompass.Config{Nodes: specs, Links: links})
+func f4(r *Report) error {
+	r.Columns = []string{"step", "outcome"}
+	sys, app, err := r.ring(expand.FaultProfile{})
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	app, err := mfg.Install(sys, mfg.DefaultNodes, 10*time.Millisecond)
-	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
-	}
-	defer app.Stop()
-
-	pass := true
-	step := func(name string, ok bool, detail string) {
-		outcome := "ok"
-		if !ok {
-			outcome = "FAIL"
-			pass = false
-		}
-		if detail != "" {
-			outcome += " (" + detail + ")"
-		}
-		r.Rows = append(r.Rows, []string{name, outcome})
-	}
-
+	r.Pass = true
 	err = app.SeedItem("item-master", "disk-100", "cupertino", "rev-A")
-	step("seed global record (master=cupertino)", err == nil, "")
+	r.step("seed global record (master=cupertino)", err == nil, "")
 	err = app.UpdateItem("reston", "item-master", "disk-100", "rev-B")
-	step("update from reston via master", err == nil, "")
-	step("replicas converge", app.WaitConverged("item-master", "disk-100", 10*time.Second), "")
+	r.step("update from reston via master", err == nil, "")
+	r.step("replicas converge", app.WaitConverged("item-master", "disk-100", 10*time.Second), "")
 
 	sys.Partition("neufahrn")
 	err = app.UpdateItem("santaclara", "item-master", "disk-100", "rev-C")
-	step("update during partition (master reachable)", err == nil, "node autonomy")
+	r.step("update during partition (master reachable)", err == nil, "node autonomy")
 	errSync := app.UpdateItemSync("cupertino", "item-master", "disk-100", "sync-try")
-	step("synchronous replication during partition", errSync != nil, "correctly fails")
+	r.step("synchronous replication during partition", errSync != nil, "correctly fails")
 	for _, n := range mfg.DefaultNodes {
 		if err := app.StockMove(n, "widget", "5"); err != nil {
-			step("local transaction at "+n+" during partition", false, err.Error())
+			r.step("local transaction at "+n+" during partition", false, err.Error())
 		}
 	}
-	step("local transactions everywhere during partition", true, "")
-	depth := app.SuspenseDepth("cupertino")
-	step("deferred updates queued for neufahrn", depth > 0, fmt.Sprintf("suspense depth %d", depth))
-
-	sys.Heal()
-	conv := app.WaitConverged("item-master", "disk-100", 15*time.Second)
-	step("convergence after heal", conv, "")
-	_, payload, _ := app.ReadItem("neufahrn", "item-master", "disk-100")
-	step("neufahrn caught up to rev-C", payload == "rev-C", "got "+payload)
-
-	st := app.Stats()
-	r.Notes = append(r.Notes, fmt.Sprintf("stats: %+v", st))
-	r.Pass = pass
-	return r
+	r.step("local transactions everywhere during partition", true, "")
+	r.heal(sys, app, "convergence after heal", 15*time.Second)
+	r.Notes = append(r.Notes, fmt.Sprintf("stats: %+v", app.Stats()))
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
-	"sync"
 	"time"
 
 	"encompass"
@@ -22,13 +21,11 @@ const (
 	t11MissPenalty = 150 * time.Microsecond
 )
 
-// t11Mix describes one workload mix: out of every ten operations,
-// writeEvery are read-modify-write transactions and the rest are browse
-// reads (or vice versa).
+// t11Mix describes one workload mix: which operations are
+// read-modify-write transactions; the rest are browse reads.
 type t11Mix struct {
-	name      string
-	writeOp   func(i int) bool // does op i write?
-	readLabel string
+	name    string
+	writeOp func(i int) bool // does op i write?
 }
 
 var t11Mixes = []t11Mix{
@@ -40,36 +37,23 @@ var t11Mixes = []t11Mix{
 // and returns the elapsed time, the final volume contents, the count of
 // Figure-3-validated traces, and the node registry (for the scheduler's
 // queue-wait histogram).
-func t11Run(mix t11Mix, workers int) (time.Duration, map[string]map[string][]byte, int, *obs.Registry, error) {
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{{
-			Name: "t11", CPUs: 4,
-			Volumes: []encompass.VolumeSpec{{
-				Name: "vt11", Audited: true,
-				CacheSize: t11CacheSize, MissPenalty: t11MissPenalty,
-			}},
-		}},
-		DiscWorkers:   workers,
-		TraceCapacity: 32768,
-	})
+func t11Run(r *Report, mix t11Mix, workers int) (time.Duration, map[string]map[string][]byte, int, *obs.Registry, error) {
+	sys, files, err := r.build(cluster{cache: t11CacheSize, miss: t11MissPenalty, workers: workers, trace: 32768})
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}
-	node := sys.Node("t11")
-	if err := sys.CreateFileEverywhere(encompass.LocalFile("accts", encompass.KeySequenced, "t11", "vt11")); err != nil {
-		return 0, nil, 0, nil, err
-	}
+	node, f := sys.Node("a"), files[0]
 	seed, err := node.Begin()
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}
 	for a := 0; a < t11Accounts; a++ {
-		if err := seed.Insert("accts", fmt.Sprintf("a%04d", a), []byte(fmt.Sprintf("bal-%04d", a))); err != nil {
+		if err := seed.Insert(f, fmt.Sprintf("a%04d", a), []byte(fmt.Sprintf("bal-%04d", a))); err != nil {
 			return 0, nil, 0, nil, err
 		}
 	}
 	for h := 0; h < t11HotKeys; h++ {
-		if err := seed.Insert("accts", fmt.Sprintf("hot-%d", h), []byte("0")); err != nil {
+		if err := seed.Insert(f, fmt.Sprintf("hot-%d", h), []byte("0")); err != nil {
 			return 0, nil, 0, nil, err
 		}
 	}
@@ -77,35 +61,31 @@ func t11Run(mix t11Mix, workers int) (time.Duration, map[string]map[string][]byt
 		return 0, nil, 0, nil, err
 	}
 
-	var wg sync.WaitGroup
 	errs := make(chan error, t11Goroutines)
 	start := time.Now()
-	for g := 0; g < t11Goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+	for g := range t11Goroutines {
+		go func() {
 			rng := rand.New(rand.NewSource(int64(9000 + g)))
-			for i := 0; i < t11OpsPer; i++ {
-				if !mix.writeOp(i) {
+			for i := range t11OpsPer {
+				var err error
+				if mix.writeOp(i) {
+					err = t11Write(node, f, g, i)
+				} else {
 					// Browse read: no transaction, no lock — the fast path.
-					key := fmt.Sprintf("a%04d", rng.Intn(t11Accounts))
-					if _, err := node.FS.Read("accts", key); err != nil {
-						errs <- fmt.Errorf("g%d op%d read: %w", g, i, err)
-						return
-					}
-					continue
+					_, err = node.FS.Read(f, fmt.Sprintf("a%04d", rng.Intn(t11Accounts)))
 				}
-				if err := t11Write(node, g, i); err != nil {
-					errs <- fmt.Errorf("g%d op%d write: %w", g, i, err)
+				if err != nil {
+					errs <- fmt.Errorf("g%d op%d: %w", g, i, err)
 					return
 				}
 			}
-		}(g)
+			errs <- nil
+		}()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return 0, nil, 0, nil, err
+	for range t11Goroutines {
+		if err := <-errs; err != nil {
+			return 0, nil, 0, nil, err
+		}
 	}
 	elapsed := time.Since(start)
 
@@ -121,23 +101,23 @@ func t11Run(mix t11Mix, workers int) (time.Duration, map[string]map[string][]byt
 	if vs := node.TMF.Checker().Violations(); len(vs) > 0 {
 		return 0, nil, 0, nil, fmt.Errorf("runtime checker (workers=%d): %d violations, first: %s", workers, len(vs), vs[0])
 	}
-	if st := node.Volumes["vt11"].Proc.Stats(); st.Sched.Violations != 0 {
+	if st := node.Volumes["v-a"].Proc.Stats(); st.Sched.Violations != 0 {
 		return 0, nil, 0, nil, fmt.Errorf("scheduler (workers=%d): %d in-flight footprint violations", workers, st.Sched.Violations)
 	}
-	return elapsed, node.Volumes["vt11"].Disk.Snapshot(), validated, node.TMF.Registry(), nil
+	return elapsed, node.Volumes["v-a"].Disk.Snapshot(), validated, node.TMF.Registry(), nil
 }
 
 // t11Write runs one deterministic read-modify-write transaction:
 // a commutative delta on a shared hot record plus an insert under a
 // goroutine-private key, retrying on lock timeout.
-func t11Write(node *encompass.Node, g, i int) error {
+func t11Write(node *encompass.Node, f string, g, i int) error {
 	for attempt := 0; ; attempt++ {
 		tx, err := node.Begin()
 		if err != nil {
 			return err
 		}
 		hot := fmt.Sprintf("hot-%d", (g+i)%t11HotKeys)
-		cur, err := tx.ReadLock("accts", hot)
+		cur, err := tx.ReadLock(f, hot)
 		if err != nil {
 			_ = tx.Abort("lock timeout")
 			if attempt > 50 {
@@ -149,10 +129,10 @@ func t11Write(node *encompass.Node, g, i int) error {
 		if err != nil {
 			return fmt.Errorf("hot record corrupt: %q", cur)
 		}
-		if err := tx.Update("accts", hot, []byte(strconv.Itoa(n+g*17+i%5+1))); err != nil {
+		if err := tx.Update(f, hot, []byte(strconv.Itoa(n+g*17+i%5+1))); err != nil {
 			return err
 		}
-		if err := tx.Insert("accts", fmt.Sprintf("own-g%d-i%05d", g, i), []byte("w")); err != nil {
+		if err := tx.Insert(f, fmt.Sprintf("own-g%d-i%05d", g, i), []byte("w")); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -172,46 +152,34 @@ func t11Write(node *encompass.Node, g, i int) error {
 // Correctness is asserted, not assumed: each parallel run must leave
 // byte-identical volume contents to its single-threaded twin, pass the
 // Figure 3 trace oracle, and record zero in-flight footprint violations.
-func T11() *Report {
+func t11(r *Report) error {
 	const workers = discproc.DefaultDiscWorkers
-	r := &Report{
-		Columns: []string{
-			"mix", "discworkers", "ops", "elapsed", "ops/sec", "speedup", "state vs serial",
-		},
-	}
-	fail := func(err error) *Report {
-		r.Notes = append(r.Notes, err.Error())
-		return r
-	}
+	r.Columns = []string{"mix", "discworkers", "ops", "elapsed", "ops/sec", "speedup", "state vs serial"}
 	ops := t11Goroutines * t11OpsPer
 	pass := true
 	var readSpeedup float64
 	for mi, mix := range t11Mixes {
-		serial, serialSnap, _, _, err := t11Run(mix, 1)
+		serial, serialSnap, _, _, err := t11Run(r, mix, 1)
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		par, parSnap, validated, reg, err := t11Run(mix, workers)
+		par, parSnap, validated, reg, err := t11Run(r, mix, workers)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		stateOK := reflect.DeepEqual(serialSnap, parSnap)
-		if !stateOK {
-			pass = false
-		}
+		pass = pass && stateOK
 		speedup := float64(serial) / float64(max(par, 1))
 		if mi == 0 {
 			readSpeedup = speedup
 		}
-		rate := func(d time.Duration) string {
-			return f2s(float64(ops) / d.Seconds())
-		}
+		rate := func(d time.Duration) string { return f2s(float64(ops) / d.Seconds()) }
 		r.Rows = append(r.Rows,
 			[]string{mix.name, "1 (seed)", i2s(ops), dur(serial), rate(serial), "1.0x", "-"},
 			[]string{mix.name, i2s(workers), i2s(ops), dur(par), rate(par),
 				fmt.Sprintf("%.1fx", speedup), map[bool]string{true: "identical", false: "DIVERGED"}[stateOK]},
 		)
-		qw := reg.Histogram(obs.MDiscQueueWait("vt11")).Snapshot()
+		qw := reg.Histogram(obs.MDiscQueueWait("v-a")).Snapshot()
 		r.Notes = append(r.Notes, fmt.Sprintf("%s: queue wait (workers=%d) %s; %d traces validated",
 			mix.name, workers, qw.Summary(), validated))
 	}
@@ -219,5 +187,5 @@ func T11() *Report {
 		"browse fast path overlaps the %s simulated disc reads; read-heavy speedup %.1fx at %d workers (claim: >= 2x)",
 		t11MissPenalty, readSpeedup, workers))
 	r.Pass = pass && readSpeedup >= 2.0
-	return r
+	return nil
 }

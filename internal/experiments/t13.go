@@ -36,29 +36,22 @@ const (
 // materializes one record at a time, so its extra heap must stay a small
 // fraction of the trail size even at a million records — plus exact
 // recovered state at every size.
-func T13() *Report {
-	r := &Report{
-		Columns: []string{
-			"records", "trail", "recover", "records/sec", "peak extra heap", "heap/trail", "state",
-		},
-		Notes: []string{
-			fmt.Sprintf("%d hot keys, %d images per transaction, every %dth transaction backed out",
-				t13Keys, t13ImagesPerTx, t13AbortEvery),
-			"pass bound: peak extra heap during recovery < 0.5x trail bytes at the largest size",
-		},
+func t13(r *Report) error {
+	r.Columns = []string{"records", "trail", "recover", "records/sec", "peak extra heap", "heap/trail", "state"}
+	r.Notes = []string{
+		fmt.Sprintf("%d hot keys, %d images per transaction, every %dth transaction backed out",
+			t13Keys, t13ImagesPerTx, t13AbortEvery),
+		"pass bound: peak extra heap during recovery < 0.5x trail bytes at the largest size",
 	}
 	r.Pass = true
 	for _, n := range t13Sizes {
 		row, ratio, ok := t13One(n)
 		r.Rows = append(r.Rows, row)
-		if !ok {
-			r.Pass = false
-		}
-		if n == t13Sizes[len(t13Sizes)-1] && ratio >= 0.5 {
+		if !ok || n == t13Sizes[len(t13Sizes)-1] && ratio >= 0.5 {
 			r.Pass = false
 		}
 	}
-	return r
+	return nil
 }
 
 // t13One builds an n-record trail, recovers it, and returns the table
@@ -77,12 +70,6 @@ func t13One(n int) ([]string, float64, bool) {
 	// Fill the trail: committed transactions advance their keys' values,
 	// backed-out ones write dirt whose before-images restore them.
 	want := make(map[string][]byte, t13Keys)
-	cur := func(k string) []byte {
-		if v, ok := want[k]; ok {
-			return v
-		}
-		return nil
-	}
 	appended, txSeq := 0, uint64(0)
 	for appended < n {
 		txSeq++
@@ -92,12 +79,10 @@ func t13One(n int) ([]string, float64, bool) {
 			key := fmt.Sprintf("k%06d", (appended*7919)%t13Keys)
 			img := audit.Image{
 				Tx: id, Volume: "v13", File: "hot", Key: key,
-				Before: cur(key),
+				Kind: audit.ImageUpdate, Before: want[key],
 			}
 			if img.Before == nil {
 				img.Kind = audit.ImageInsert
-			} else {
-				img.Kind = audit.ImageUpdate
 			}
 			if aborted {
 				img.After = []byte(fmt.Sprintf("dirt-%d", appended))
@@ -177,9 +162,6 @@ func t13One(n int) ([]string, float64, bool) {
 	}
 
 	extra := peak.Load()
-	if extra < 0 {
-		extra = 0
-	}
 	ratio := float64(extra) / float64(trailBytes)
 	row := []string{
 		i2s(n),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"encompass"
 	"encompass/internal/tmf"
 	"encompass/internal/txid"
 )
@@ -31,34 +30,29 @@ const (
 // frames, and a kill pass where a phase-one hook crashes the coordinator
 // CPU and parks the END mid-protocol while the participant is watched for
 // resolution and probed for lock availability.
-func T14() *Report {
-	r := &Report{
-		Columns: []string{
-			"protocol", "healthy/commit", "net frames/commit", "resolved while dead", "resolve latency", "in-doubt at end", "participant lock",
-		},
-		Notes: []string{
-			fmt.Sprintf("coordinator CPU killed between phase one and the commit record; window %s, participant lock probe timeout %s", t14Window, t14LockTimeout),
-			"pass bound: Paxos participants reach the disposition and release locks while the coordinator is dead; abbreviated 2PC participants stay in doubt holding locks",
-		},
+func t14(r *Report) error {
+	r.Columns = []string{
+		"protocol", "healthy/commit", "net frames/commit", "resolved while dead", "resolve latency", "in-doubt at end", "participant lock",
+	}
+	r.Notes = []string{
+		fmt.Sprintf("coordinator CPU killed between phase one and the commit record; window %s, participant lock probe timeout %s", t14Window, t14LockTimeout),
+		"pass bound: Paxos participants reach the disposition and release locks while the coordinator is dead; abbreviated 2PC participants stay in doubt holding locks",
 	}
 	results := map[string]*t14Kill{}
 	for _, proto := range []string{tmf.ProtoAbbreviated, tmf.ProtoPaxos} {
-		healthy, frames, err := t14Healthy(proto)
+		healthy, frames, err := t14Healthy(r, proto)
 		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s healthy run: %v", proto, err))
-			return r
+			return fmt.Errorf("%s healthy run: %w", proto, err)
 		}
-		k, err := t14KillRun(proto)
+		k, err := t14KillRun(r, proto)
 		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s kill run: %v", proto, err))
-			return r
+			return fmt.Errorf("%s kill run: %w", proto, err)
 		}
 		results[proto] = k
 
 		resolved, latency := "no (blocked)", "> "+t14Window.String()
 		if k.resolved {
-			resolved = "yes"
-			latency = dur(k.resolveLatency)
+			resolved, latency = "yes", dur(k.resolveLatency)
 		}
 		lock := fmt.Sprintf("HELD (wait %s)", dur(k.lockWait))
 		if k.lockAvailable {
@@ -74,58 +68,25 @@ func T14() *Report {
 	r.Pass = px != nil && ab != nil &&
 		px.resolved && px.inDoubtAtEnd == 0 && px.lockAvailable &&
 		!ab.resolved && ab.inDoubtAtEnd > 0 && !ab.lockAvailable
-	return r
+	return nil
 }
 
-// t14Build assembles the two-node cluster: a (coordinator home) and b
-// (participant), one audited volume and one key-sequenced file each.
-func t14Build(proto string) (*encompass.System, error) {
-	sys, err := encompass.Build(encompass.Config{
-		Nodes: []encompass.NodeSpec{
-			{Name: "a", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "va", Audited: true, CacheSize: 1024}}},
-			{Name: "b", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "vb", Audited: true, CacheSize: 1024}}},
-		},
-		CommitProtocol: proto,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range []struct{ file, node, vol string }{{"fa", "a", "va"}, {"fb", "b", "vb"}} {
-		if err := sys.CreateFileEverywhere(encompass.LocalFile(f.file, encompass.KeySequenced, f.node, f.vol)); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
-}
-
-// t14Healthy runs t14HealthyTxs distributed commits (one record on each
-// node per transaction) and returns the per-commit latency and the EXPAND
+// t14Healthy runs t14HealthyTxs distributed commits from a, the
+// coordinator's home, each with one record on a and one on b, the
+// participant, and returns the per-commit latency and the EXPAND
 // frames each commit put on the a–b line, phase two included: the insert
 // on b and the TMP-to-TMP messages under both protocols, plus the
 // participant's vote to the home node's acceptors under Paxos Commit.
-func t14Healthy(proto string) (perCommit time.Duration, framesPerCommit float64, err error) {
-	sys, err := t14Build(proto)
+func t14Healthy(r *Report, proto string) (perCommit time.Duration, framesPerCommit float64, err error) {
+	sys, files, err := r.build(cluster{nodes: []string{"a", "b"}, cache: 1024, proto: proto})
 	if err != nil {
 		return 0, 0, err
 	}
 	home := sys.Node("a")
 	framesBefore := sys.Network.Stats().Frames
 	start := time.Now()
-	for i := 0; i < t14HealthyTxs; i++ {
-		tx, err := home.Begin()
-		if err != nil {
-			return 0, 0, err
-		}
-		key := fmt.Sprintf("k%04d", i)
-		if err := tx.Insert("fa", key, []byte("v")); err != nil {
-			return 0, 0, err
-		}
-		if err := tx.Insert("fb", key, []byte("v")); err != nil {
-			return 0, 0, err
-		}
-		if err := tx.Commit(); err != nil {
-			return 0, 0, err
-		}
+	if _, err := commit(home, 0, t14HealthyTxs, files...); err != nil {
+		return 0, 0, err
 	}
 	perCommit = time.Since(start) / t14HealthyTxs
 	if !home.TMF.WaitSafeQueueEmpty(5 * time.Second) {
@@ -148,8 +109,8 @@ type t14Kill struct {
 // t14KillRun drives one distributed transaction into the in-doubt window,
 // kills the coordinator CPU there, and measures the participant while the
 // coordinator stays dead.
-func t14KillRun(proto string) (*t14Kill, error) {
-	sys, err := t14Build(proto)
+func t14KillRun(r *Report, proto string) (*t14Kill, error) {
+	sys, files, err := r.build(cluster{nodes: []string{"a", "b"}, cache: 1024, proto: proto})
 	if err != nil {
 		return nil, err
 	}
@@ -160,11 +121,10 @@ func t14KillRun(proto string) (*t14Kill, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.Insert("fa", "hot", []byte("v0")); err != nil {
-		return nil, err
-	}
-	if err := tx.Insert("fb", "hot", []byte("v0")); err != nil {
-		return nil, err
+	for _, f := range files {
+		if err := tx.Insert(f, "hot", []byte("v0")); err != nil {
+			return nil, err
+		}
 	}
 
 	// The hook fires with every participant phase-one-acked and no commit
@@ -185,6 +145,7 @@ func t14KillRun(proto string) (*t14Kill, error) {
 	select {
 	case killedAt = <-killed:
 	case <-time.After(5 * time.Second):
+		close(park)
 		return nil, fmt.Errorf("phase-one hook never fired")
 	}
 
@@ -208,18 +169,20 @@ func t14KillRun(proto string) (*t14Kill, error) {
 	// transaction on the participant lock the record the distributed
 	// transaction wrote?
 	probe, err := b.Begin()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		probeStart := time.Now()
+		_, perr := probe.ReadLock(files[1], "hot")
+		k.lockWait = time.Since(probeStart)
+		k.lockAvailable = perr == nil
+		err = probe.Abort("t14 lock probe")
 	}
-	probeStart := time.Now()
-	_, perr := probe.ReadLock("fb", "hot")
-	k.lockWait = time.Since(probeStart)
-	k.lockAvailable = perr == nil
-	probe.Abort("t14 lock probe")
 
 	// Revive the world, let the parked END resume, and record the
 	// coordinator's final disposition so divergence would be visible.
 	close(park)
+	if err != nil {
+		return nil, err
+	}
 	if err := <-commitErr; err != nil {
 		k.finalOutcome = "END error: " + err.Error()
 	} else {

@@ -24,27 +24,20 @@ import (
 //
 // The conventional system's recovery grows with history; NonStop's stall
 // does not.
-func T8() *Report {
-	r := &Report{
-		Columns: []string{"system", "committed txs", "history at failure", "service interruption"},
-	}
+func t8(r *Report) error {
+	r.Columns = []string{"system", "committed txs", "history at failure", "service interruption"}
 	const (
 		preFailure  = 400 // transactions before the failure (the "day's history")
 		postFailure = 100
 	)
 
 	build := func() (*encompass.System, *workload.Bank, error) {
-		sys, err := encompass.Build(encompass.Config{
-			Nodes: []encompass.NodeSpec{{
-				Name: "alpha", CPUs: 4,
-				Volumes: []encompass.VolumeSpec{{Name: "v1", Audited: true, CacheSize: 2048}},
-			}},
-		})
+		sys, _, err := r.build(cluster{cache: 2048})
 		if err != nil {
 			return nil, nil, err
 		}
 		bank, err := workload.SetupBank(sys, workload.BankConfig{
-			Placement: []workload.Placement{{Node: "alpha", Volume: "v1"}},
+			Placement: []workload.Placement{{Node: "a", Volume: "v-a"}},
 			Branches:  2, Tellers: 3, Accounts: 100, Seed: 5, MaxRetries: 20,
 		})
 		return sys, bank, err
@@ -53,59 +46,47 @@ func T8() *Report {
 	// --- NonStop run: fail the DISCPROCESS primary's CPU mid-stream. ---
 	sys, bank, err := build()
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	node := sys.Node("alpha")
+	node := sys.Node("a")
 	committed := 0
-	var maxGap time.Duration
-	last := time.Now()
 	runSome := func(n int) bool {
-		res := bank.Run("alpha", n, 1)
+		res := bank.Run("a", n, 1)
 		committed += res.Committed
 		return res.Committed == n
 	}
 	ok := runSome(preFailure)
-	last = time.Now()
-	node.HW.FailCPU(node.Volumes["v1"].Proc.Pair.PrimaryCPU())
+	failed := time.Now()
+	node.HW.FailCPU(node.Volumes["v-a"].Proc.Pair.PrimaryCPU())
 	// Time the first post-failure commit: the takeover stall.
-	res := bank.Run("alpha", 1, 1)
-	stall := time.Since(last)
-	committed += res.Committed
-	ok = ok && res.Committed == 1 && runSome(postFailure-1)
-	ok = ok && bank.VerifyConsistency() == nil
-	if maxGap < stall {
-		maxGap = stall
-	}
+	ok = runSome(1) && ok
+	nonstopStall := time.Since(failed)
+	ok = ok && runSome(postFailure-1) && bank.VerifyConsistency() == nil
 	r.Rows = append(r.Rows, []string{
 		"NonStop (takeover + online backout)",
-		i2s(committed), i2s(preFailure), dur(maxGap),
+		i2s(committed), i2s(preFailure), dur(nonstopStall),
 	})
-	nonstopStall := maxGap
 
 	// --- Conventional run: the same failure halts the node. ---
 	sys2, bank2, err := build()
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return err
 	}
-	node2 := sys2.Node("alpha")
+	node2 := sys2.Node("a")
 	arch := node2.TakeArchive()
-	ok2 := true
-	res2 := bank2.Run("alpha", preFailure, 1)
-	ok2 = ok2 && res2.Committed == preFailure
+	res2 := bank2.Run("a", preFailure, 1)
+	ok2 := res2.Committed == preFailure
 	// Failure: a conventional system halts and runs restart recovery.
 	down := time.Now()
 	node2.Crash()
 	if _, err := node2.Recover(arch); err != nil {
-		r.Notes = append(r.Notes, "conventional recovery failed: "+err.Error())
-		return r
+		return fmt.Errorf("conventional recovery failed: %w", err)
 	}
 	// Service is back when the first post-restart transaction commits.
-	res3 := bank2.Run("alpha", 1, 1)
+	res3 := bank2.Run("a", 1, 1)
 	downtime := time.Since(down)
 	ok2 = ok2 && res3.Committed == 1
-	res4 := bank2.Run("alpha", postFailure-1, 1)
+	res4 := bank2.Run("a", postFailure-1, 1)
 	ok2 = ok2 && res4.Committed == postFailure-1 && bank2.VerifyConsistency() == nil
 	r.Rows = append(r.Rows, []string{
 		"conventional (halt + restore + rollforward)",
@@ -117,5 +98,5 @@ func T8() *Report {
 		fmt.Sprintf("interruption ratio: conventional is %.0fx the NonStop takeover stall", float64(downtime)/float64(max(nonstopStall, 1))),
 		"NonStop's stall is a process-pair takeover; it does not grow with history")
 	r.Pass = ok && ok2 && downtime > nonstopStall
-	return r
+	return nil
 }
