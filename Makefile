@@ -37,7 +37,7 @@ lint: $(TMFLINT)
 	$(GO) vet -vettool=$(TMFLINT) ./...
 
 # Race-detector runs over the packages with real concurrency: the TMF
-# commit/abort fan-out, the audit trail's group commit, the striped lock
+# commit/abort overlap of local and child work, the audit trail's group commit, the striped lock
 # manager, the DISCPROCESS scheduler and its handlers (admission property
 # test, browse-starvation and stale-fill regressions, takeover
 # re-completion), the record cache whose fill races those handlers'
@@ -54,7 +54,8 @@ lint: $(TMFLINT)
 # workers (pair) cross requests; a burst of commits then Stop checks that
 # those workers end. The participant vote race (a partition that starts
 # and heals while a participant forces), every abort route at a voted
-# participant, the write-behind counts, the backout's checkpoints per
+# participant, a remote begin answered after its abort, the abort's
+# ABORTING sent before the node's own backout, the write-behind counts, the backout's checkpoints per
 # volume and unreadable-record count, the takeover of an undo batch and
 # the audit trail's backout scans repeat twenty times. The experiments
 # harness runs every figure and claim: T9's concurrent committers, T11's
@@ -63,7 +64,7 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
 	$(GO) test -race ./internal/experiments/
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers|TestWriteBehind' .
-	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
+	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|TestLateChildIsAborted|TestAbortReachesChildrenFirst|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

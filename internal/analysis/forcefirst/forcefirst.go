@@ -19,11 +19,14 @@
 //
 //   - tmf: the externalizers are broadcast calls carrying a terminal state
 //     (txid.StateEnded / txid.StateAborted — Ending/Aborting intents may
-//     precede the force), safeDeliverChildren (disposition delivery down
-//     the transmission tree), and any MonitorTrail.Append outside the
-//     blessed recordOutcome wrapper, which is exempt because its append IS
-//     the force. The forcers are DecisionLog.Append, the acceptor client's
-//     RecordOutcome, and recordOutcome itself.
+//     precede the force), safeDeliverChildren carrying ENDED (the commit's
+//     delivery down the transmission tree; ABORTING may precede the abort
+//     record, because a home without a commit record recovers the
+//     transaction as never committed, so no crash can take an abort back),
+//     and any MonitorTrail.Append outside the blessed recordOutcome
+//     wrapper, which is exempt because its append IS the force. The
+//     forcers are DecisionLog.Append, the acceptor client's RecordOutcome,
+//     and recordOutcome itself.
 //
 //   - paxoscommit: the externalizer is Process.Reply (acks to the
 //     coordinator or learners; ReplyErr carries no outcome and is always
@@ -56,7 +59,7 @@ var Analyzer = &lint.Analyzer{
 // name, which matches a plain function or a method of any receiver.
 type vocabulary struct {
 	externalizers map[string]string // callee -> what it makes visible, for the diagnostic
-	terminalOnly  map[string]bool   // externalizers that count only with a terminal-state argument
+	terminalOnly  map[string]bool   // externalizers that count only with an outcome argument
 	forcers       map[string]bool   // callees that make the state durable first
 	exempt        map[string]bool   // functions that are the forcing path or replay durable state
 	message       string            // diagnostic; %s is the externalizer's description
@@ -82,10 +85,10 @@ var vocabularies = map[string]vocabulary{
 	"tmf": {
 		externalizers: map[string]string{
 			"broadcast":           "broadcast of a terminal state",
-			"safeDeliverChildren": "disposition delivery to children",
+			"safeDeliverChildren": "commit delivery to children",
 			"MonitorTrail.Append": "MonitorTrail.Append outside recordOutcome",
 		},
-		terminalOnly: set("broadcast"),
+		terminalOnly: set("broadcast", "safeDeliverChildren"),
 		forcers:      set("DecisionLog.Append", "Client.RecordOutcome", "recordOutcome"),
 		exempt:       set("recordOutcome"),
 		message:      outcomeMessage,
@@ -105,9 +108,10 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
-// terminalStates are the Figure 3 outcome states; broadcasting one
-// externalizes the disposition.
-var terminalStates = map[string]bool{"StateEnded": true, "StateAborted": true}
+// outcomeArgs name an outcome a crash could take back: the Figure 3
+// terminal states, whose broadcast externalizes the disposition, and the
+// ENDED message kind, whose delivery to the children does.
+var outcomeArgs = map[string]bool{"StateEnded": true, "StateAborted": true, "kindEnded": true}
 
 func run(pass *lint.Pass) error {
 	v, checked := vocabularies[pass.Pkg.Name()]
@@ -181,23 +185,23 @@ func (v vocabulary) externalizes(pass *lint.Pass, call *ast.CallExpr) string {
 		name = bare
 	}
 	what := v.externalizers[name]
-	if what != "" && v.terminalOnly[name] && !hasTerminalStateArg(call) {
+	if what != "" && v.terminalOnly[name] && !hasOutcomeArg(call) {
 		return ""
 	}
 	return what
 }
 
-// hasTerminalStateArg reports whether any argument names a terminal
-// Figure 3 state (txid.StateEnded / txid.StateAborted).
-func hasTerminalStateArg(call *ast.CallExpr) bool {
+// hasOutcomeArg reports whether any argument names an outcome
+// (outcomeArgs).
+func hasOutcomeArg(call *ast.CallExpr) bool {
 	for _, arg := range call.Args {
 		switch a := arg.(type) {
 		case *ast.SelectorExpr:
-			if terminalStates[a.Sel.Name] {
+			if outcomeArgs[a.Sel.Name] {
 				return true
 			}
 		case *ast.Ident:
-			if terminalStates[a.Name] {
+			if outcomeArgs[a.Name] {
 				return true
 			}
 		}

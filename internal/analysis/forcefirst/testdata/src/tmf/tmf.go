@@ -1,6 +1,7 @@
 // Test fixture for the forcefirst analyzer, tmf vocabulary: terminal-state
-// broadcasts, child delivery, and raw MonitorTrail appends must be
-// dominated by a decision-log append or trail force in the same region.
+// broadcasts, ENDED delivery to children, and raw MonitorTrail appends
+// must be dominated by a decision-log append or trail force in the same
+// region.
 package tmf
 
 type DecisionLog struct{}
@@ -19,8 +20,13 @@ const (
 	StateAborted
 )
 
-func broadcast(st state)            {}
-func safeDeliverChildren(hint bool) {}
+const (
+	kindEnded    = "tmp.ended"
+	kindAborting = "tmp.aborting"
+)
+
+func broadcast(st state)              {}
+func safeDeliverChildren(kind string) {}
 
 // recordOutcome is the blessed single MAT-write path: its own append IS
 // the force, not a leak of it.
@@ -41,11 +47,16 @@ func goodIntent() {
 func goodForced(l *DecisionLog) {
 	l.Append(1)
 	broadcast(StateAborted)
-	safeDeliverChildren(false)
+	safeDeliverChildren(kindEnded)
 }
 
 func badDeliver() {
-	safeDeliverChildren(true) // want "disposition delivery to children externalizes the outcome"
+	safeDeliverChildren(kindEnded) // want "commit delivery to children externalizes the outcome"
+}
+
+// goodAbortFirst: ABORTING may reach the children before the abort record.
+func goodAbortFirst() {
+	safeDeliverChildren(kindAborting)
 }
 
 func badTrailAppend(t *MonitorTrail) {
@@ -59,7 +70,7 @@ func handlePrologue(l *DecisionLog, kind int) {
 	case 1:
 		broadcast(StateEnded)
 	case 2:
-		safeDeliverChildren(true)
+		safeDeliverChildren(kindEnded)
 	}
 }
 
@@ -71,7 +82,7 @@ func handlePerCase(l *DecisionLog, kind int) {
 		l.Append(1)
 		broadcast(StateEnded)
 	case 2:
-		safeDeliverChildren(true) // want "disposition delivery to children externalizes the outcome"
+		safeDeliverChildren(kindEnded) // want "commit delivery to children externalizes the outcome"
 	}
 }
 

@@ -169,7 +169,7 @@ func (m *Monitor) End(tx txid.ID) error {
 	// Commit point, then phase two. The children's ENDED is "guaranteed,
 	// but not time-critical": the application's answer does not wait for it.
 	if d := m.commitLocked(tx); d != nil {
-		go d.send()
+		go d.send(nil)
 	}
 	m.observeBeginToEnded(tx)
 	return nil
@@ -224,26 +224,27 @@ func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
 		CPU: m.tmpCPUOrFirstUp(), Detail: o.String()})
 }
 
-// phase1 runs both halves of phase one — forcing this node's audit trails
-// and the critical-response request to child nodes — in parallel. Both
-// must succeed for the commit to proceed; the first error wins. A
-// transaction with no children has only the local half, which runs on the
-// caller's goroutine.
+// phase1 runs both halves of phase one together (alongside): the
+// critical-response request goes to every node this node directly
+// transmitted the transid to, then this node's audit trails are forced
+// while they serve it. "For critical response messages, the destination
+// TMP must be accessible at the time the message is initiated, and it must
+// reply with an affirmative response in order for the transaction state
+// change to proceed." Children are independent subtrees of the
+// transmission tree, so their phase-one work (which recurses to their own
+// children) proceeds concurrently. Both halves must succeed for the commit
+// to proceed: this node's error comes first, then the first child's in
+// name order.
 func (m *Monitor) phase1(tx txid.ID) error {
 	children, err := m.childrenOf(tx)
 	if err != nil {
 		return err
 	}
-	if len(children) == 0 {
-		return m.phase1Local(tx)
-	}
-	errc := make(chan error, 2)
-	go func() { errc <- m.phase1Local(tx) }()
-	go func() { errc <- m.phase1Children(tx, children) }()
-	err = <-errc
-	if e := <-errc; err == nil {
-		err = e
-	}
+	m.alongside(children, kindPhase1, tmpReq{Tx: tx}, func() { err = m.phase1Local(tx) }, func(child string, cerr error) {
+		if cerr != nil && err == nil {
+			err = fmt.Errorf("phase one to %s: %w", child, cerr)
+		}
+	})
 	return err
 }
 
@@ -272,22 +273,6 @@ func (m *Monitor) phase1Local(tx txid.ID) error {
 		m.tracer.Record(ev)
 	})
 	return first
-}
-
-// phase1Children sends the critical-response phase-one request to every
-// node this node directly transmitted the transid to, in parallel. "For
-// critical response messages, the destination TMP must be accessible at
-// the time the message is initiated, and it must reply with an affirmative
-// response in order for the transaction state change to proceed." Children
-// are independent subtrees of the transmission tree, so their phase-one
-// work (which recurses to their own children) proceeds concurrently.
-func (m *Monitor) phase1Children(tx txid.ID, children []string) error {
-	return fanOut(children, func(child string) error {
-		if err := m.tmpCall(child, kindPhase1, tmpReq{Tx: tx}); err != nil {
-			return fmt.Errorf("phase one to %s: %w", child, err)
-		}
-		return nil
-	})
 }
 
 // releaseLocal tells every participating DISCPROCESS on this node to
@@ -357,15 +342,17 @@ func (m *Monitor) abort(tx txid.ID, c abortCause, reason string) error {
 // abortLocked is the one abort path; the caller holds t.protoMu. A
 // non-home node that voted yes refuses a unilateral abort: it holds the
 // transaction's locks until it learns the disposition. Otherwise: state
-// "aborting", freeze, backout of local updates via before-images, abort
-// record, state "aborted", lock release, safe-delivery of the abort to
-// child nodes (each node backs out its own updates from its own trails,
-// "without the need for communication with other nodes"). Unlike End it
-// waits for the children's first answers: an abort returning means every
-// reachable participant has backed out, which is what lets a caller read
-// the before-images straight after. A backout that could not read every
-// trail or apply every undo is surfaced in the recorded abort reason
-// rather than dropped.
+// "aborting", then the safe-delivery of the abort to the child nodes goes
+// out, and while they back out — each node backs out its own updates from
+// its own trails, "without the need for communication with other nodes" —
+// this node does its own: freeze, backout of local updates via
+// before-images, abort record, state "aborted", lock release. Unlike End
+// it waits for the children's first answers: an abort returning means
+// every reachable participant has backed out, which is what lets a caller
+// read the before-images straight after; it costs the larger of this
+// node's backout and the slowest child's, not their sum. A backout that
+// could not read every trail or apply every undo is surfaced in the
+// recorded abort reason rather than dropped.
 func (m *Monitor) abortLocked(t *tcb, c abortCause, reason string) error {
 	tx := t.id
 	m.mu.Lock()
@@ -407,17 +394,21 @@ func (m *Monitor) abortLocked(t *tcb, c abortCause, reason string) error {
 		detail = string(c) + ": " + reason
 	}
 	m.broadcast(tx, txid.StateAborting, detail)
-	m.freezeLocal(tx)
-	if boErr := m.backoutLocal(tx); boErr != nil {
-		reason = fmt.Sprintf("%s; backout incomplete: %v", reason, boErr)
-	}
-	m.recordOutcome(tx, audit.OutcomeAborted)
-	m.broadcast(tx, txid.StateAborted, "")
-	m.mu.Lock()
-	t.abortReason = reason
-	m.mu.Unlock()
-	m.releaseLocal(tx)
-	m.safeDeliverChildren(tx, kindAborting, time.Time{}).send()
+	// ABORTING may go before the abort record: a home whose Monitor Audit
+	// Trail has no commit record recovers the transaction as never
+	// committed, so no crash can take an abort back.
+	m.safeDeliverChildren(tx, kindAborting, time.Time{}).send(func() {
+		m.freezeLocal(tx)
+		if boErr := m.backoutLocal(tx); boErr != nil {
+			reason = fmt.Sprintf("%s; backout incomplete: %v", reason, boErr)
+		}
+		m.recordOutcome(tx, audit.OutcomeAborted)
+		m.broadcast(tx, txid.StateAborted, "")
+		m.mu.Lock()
+		t.abortReason = reason
+		m.mu.Unlock()
+		m.releaseLocal(tx)
+	})
 	return nil
 }
 
@@ -591,6 +582,6 @@ func (m *Monitor) applyEndedLocked(tx txid.ID) {
 		return
 	}
 	m.closeToNewWork(tx)
-	m.commitLocked(tx).send()
+	m.commitLocked(tx).send(nil)
 	m.observeBeginToEnded(tx)
 }

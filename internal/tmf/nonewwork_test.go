@@ -120,3 +120,50 @@ func TestStragglerOpDuringCommitRejected(t *testing.T) {
 		t.Errorf("key unusable after rejected late op: %v", err)
 	}
 }
+
+// TestLateChildIsAborted: a remote begin answered after its transaction
+// closed to new work must not leave the node outside the tree, holding
+// what the request took. Here the answer is held back by a lock wait at
+// b, so a's abort finds no child; when the wait ends, b must be handed
+// ABORTING — its lock released — and the request fail with ErrAborted.
+func TestLateChildIsAborted(t *testing.T) {
+	nodes, _ := testCluster(t, "a", "b")
+	a, b := nodes["a"], nodes["b"]
+	holder, _ := b.mon.Begin(0)
+	b.insert(t, "b", holder, "k", "v")
+
+	tx, _ := a.mon.Begin(0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.callDisc("b", discproc.KindRead, &discproc.RecReq{Tx: tx, File: "data", Key: "k",
+			WithLock: true, LockTimeout: 5 * time.Second}, 5*time.Second)
+		done <- err
+	}()
+	// The begin ran at b; the read it carries waits there for holder's lock.
+	waitFor(t, func() bool { return b.mon.State(tx) == txid.StateActive })
+	if err := a.mon.Abort(tx, "abort with a begin on its way"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.mon.End(holder); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrAborted) {
+			t.Errorf("read answered after the abort: err = %v, want ErrAborted", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read never returned")
+	}
+	if st := b.mon.State(tx); st != txid.StateAborted {
+		t.Errorf("b state = %v, want aborted", st)
+	}
+	if got := a.children(t, tx); len(got) != 0 {
+		t.Errorf("children of a = %v after the abort, want none", got)
+	}
+	tx2, _ := b.mon.Begin(0)
+	if _, err := b.lockedRead(t, "b", tx2, "k"); err != nil {
+		t.Errorf("lock on k after the abort: %v", err)
+	}
+	b.mon.Abort(tx2, "cleanup")
+}

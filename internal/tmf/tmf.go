@@ -98,7 +98,12 @@ type tcb struct {
 	// consults it under the same mutex that the protocol's participant
 	// snapshots use, so an operation either lands before the snapshot
 	// (and is frozen, backed out and released with the rest) or is
-	// rejected — never applied and then orphaned. Guarded by Monitor.mu.
+	// rejected — never applied and then orphaned. Child nodes follow the
+	// same rule: a closed transaction sends no remote begin (beginFor),
+	// and a begin answered after the close — still on its way when the
+	// protocol read the children — joins no child set: addChild hands
+	// that node ABORTING and the request fails with ErrAborted. Guarded by
+	// Monitor.mu.
 	noNewWork bool
 
 	// protoMu serializes the commit/abort protocol for this transaction on

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"encompass/internal/audit"
@@ -203,33 +204,84 @@ func (m *Monitor) startTMP(primaryCPU, backupCPU int) error {
 	return nil
 }
 
-// tmpCall issues a critical-response message to another node's TMP.
-func (m *Monitor) tmpCall(destNode, kind string, req tmpReq) error {
-	_, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kind, req, criticalCallTimeout)
-	return err
+// tmpCallResp makes one TMP-to-TMP call and waits up to d for its answer.
+func (m *Monitor) tmpCallResp(cpu int, destNode, kind string, req tmpReq, d time.Duration) (msg.Message, error) {
+	p := m.tmpStart(cpu, destNode, kind, req)
+	return p.await(d)
 }
 
-// tmpCallResp is the single choke point for TMP-to-TMP calls; each call
-// traces as a child-request/child-reply event pair (the reply carries the
-// round-trip time, and an error on a safe-delivery kind means the message
-// went to the retry queue, not that it was lost).
-func (m *Monitor) tmpCallResp(cpu int, destNode, kind string, req tmpReq, d time.Duration) (msg.Message, error) {
+// tmpPending is a TMP-to-TMP call on its way: tmpStart sent it, await
+// collects its answer. The pair is the single choke point for TMP-to-TMP
+// calls; each call traces as a child-request/child-reply event pair (the
+// reply carries the time from the send until the answer was collected,
+// and an error on a safe-delivery kind means the message went to the
+// retry queue, not that it was lost).
+type tmpPending struct {
+	m          *Monitor
+	pend       msg.Pending
+	err        error // the send failed: there is nothing to await
+	cpu        int
+	tx         txid.ID
+	dest, kind string
+	start      time.Time // set only when tracing
+}
+
+// tmpStart sends kind to destNode's TMP without waiting for the answer.
+func (m *Monitor) tmpStart(cpu int, destNode, kind string, req tmpReq) tmpPending {
 	req.Source = m.node
-	if m.tracer == nil {
-		return m.sys.CallTimeout(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req, d)
+	p := tmpPending{m: m, cpu: cpu, tx: req.Tx, dest: destNode, kind: kind}
+	if m.tracer != nil {
+		m.tracer.Record(obs.Event{Tx: req.Tx, Kind: obs.EvChildRequest, Node: m.node,
+			CPU: cpu, Detail: destNode + " " + kind})
+		p.start = time.Now()
 	}
-	detail := destNode + " " + kind
-	m.tracer.Record(obs.Event{Tx: req.Tx, Kind: obs.EvChildRequest, Node: m.node,
-		CPU: cpu, Detail: detail})
-	start := time.Now()
-	resp, err := m.sys.CallTimeout(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req, d)
-	ev := obs.Event{Tx: req.Tx, Kind: obs.EvChildReply, Node: m.node,
-		CPU: cpu, Dur: time.Since(start), Detail: detail}
-	if err != nil {
-		ev.Err = err.Error()
+	p.pend, p.err = m.sys.Start(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req)
+	return p
+}
+
+// await waits up to d for the call's answer.
+func (p *tmpPending) await(d time.Duration) (msg.Message, error) {
+	var resp msg.Message
+	err := p.err
+	if err == nil {
+		resp, err = p.pend.Await(d)
 	}
-	m.tracer.Record(ev)
+	if m := p.m; m.tracer != nil {
+		ev := obs.Event{Tx: p.tx, Kind: obs.EvChildReply, Node: m.node,
+			CPU: p.cpu, Dur: time.Since(p.start), Detail: p.dest + " " + p.kind}
+		if err != nil {
+			ev.Err = err.Error()
+		}
+		m.tracer.Record(ev)
+	}
 	return resp, err
+}
+
+// alongside runs one protocol step on this node and at its children
+// together. The step's message goes to every child first, nowait and all
+// at once; local then runs on the caller's goroutine while the children
+// serve it; last, each child's answer is collected, in name order, and
+// handed to done. So the step costs the larger of this node's work and
+// the slowest child's round trip, not their sum, and spawns nothing: with
+// no children it is local alone. It returns only once every child has
+// answered or timed out — the commit/abort protocol holds protoMu across
+// its steps, and no protocol work may outlive the step that issued it
+// (End's ENDED delivery is the one step that outlives its caller, and it
+// does so as a whole, delivery.send running behind the reply).
+func (m *Monitor) alongside(children []string, kind string, req tmpReq, local func(), done func(child string, err error)) {
+	var buf [2]tmpPending
+	calls := buf[:0]
+	cpu := m.tmpCPUOrFirstUp()
+	for _, child := range children {
+		calls = append(calls, m.tmpStart(cpu, child, kind, req))
+	}
+	if local != nil {
+		local()
+	}
+	for i := range calls {
+		_, err := calls[i].await(criticalCallTimeout)
+		done(children[i], err)
+	}
 }
 
 // Call sends one request of transaction tx from the given CPU to the
@@ -248,7 +300,9 @@ func (m *Monitor) tmpCallResp(cpu int, destNode, kind string, req tmpReq, d time
 // forwarded request included: the begin ran. A call that gets no answer
 // settles membership with a begin that carries nothing, and counts the
 // node a child even if that fails too, so that an abort still reaches any
-// lock the request took.
+// lock the request took. A transaction closed to new work sends no begin,
+// and one closed while its begin was on its way fails the request with
+// ErrAborted (addChild).
 func (m *Monitor) Call(cpu int, tx txid.ID, to msg.Addr, kind string, payload any, d time.Duration) (msg.Message, error) {
 	var t *tcb
 	if !tx.IsZero() && to.Node != "" && to.Node != m.node {
@@ -266,10 +320,14 @@ func (m *Monitor) Call(cpu int, tx txid.ID, to msg.Addr, kind string, payload an
 		if br, ok := r.Payload.(beginResp); ok && br.AlreadyKnown {
 			return m.sys.CallTimeout(cpu, to, kind, payload, d)
 		}
-		m.addChild(t, to.Node)
+		if cerr := m.addChild(t, to.Node); cerr != nil {
+			return msg.Message{}, cerr
+		}
 	case errors.Is(err, msg.ErrCallTimeout):
-		if m.remoteBegin(t, to.Node) != nil {
-			m.addChild(t, to.Node)
+		if berr := m.remoteBegin(t, to.Node); errors.Is(berr, ErrNodeUnreachable) {
+			// The call has already failed with its timeout; a closed
+			// transaction's ErrAborted would say nothing more.
+			_ = m.addChild(t, to.Node)
 		}
 	default:
 		// Never sent: nothing ran there.
@@ -297,18 +355,17 @@ func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 	if err != nil || t == nil {
 		return err
 	}
-	if err := m.remoteBegin(t, destNode); err != nil {
-		return fmt.Errorf("%w: remote begin at %s: %v", ErrNodeUnreachable, destNode, err)
-	}
-	return nil
+	return m.remoteBegin(t, destNode)
 }
 
 // beginFor returns the control block of tx when a transmission of tx to
 // destNode needs a remote begin, and nil when it needs none: destNode is
 // already our child, or it is tx's home, whose answer would always be
 // "already known" (its own transaction, or one its Monitor Audit Trail
-// has resolved). Under Paxos Commit it first makes the joins that must
-// precede the transmission.
+// has resolved). A transaction closed to new work gets no new node: it
+// fails with ErrAborted, as the DISCPROCESS participation check does.
+// Under Paxos Commit it first makes the joins that must precede the
+// transmission.
 func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
 	if destNode == tx.Home {
 		return nil, nil
@@ -322,6 +379,10 @@ func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
 	if slices.Contains(t.children, destNode) {
 		m.mu.Unlock()
 		return nil, nil
+	}
+	if t.noNewWork {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s is past the point of new work", ErrAborted, tx)
 	}
 	begun := t.protoBegun
 	m.mu.Unlock()
@@ -351,23 +412,35 @@ func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
 // records destNode as our child unless it answers that it already had the
 // transid: it is elsewhere in the transmission tree, we are not its parent
 // and must not send it protocol messages. Keeping the graph a tree also
-// keeps the parent→child protocol-mutex ordering deadlock-free.
+// keeps the parent→child protocol-mutex ordering deadlock-free. A begin
+// that got no answer is ErrNodeUnreachable.
 func (m *Monitor) remoteBegin(t *tcb, destNode string) error {
 	r, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kindRemoteBegin, tmpReq{Tx: t.id}, criticalCallTimeout)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: remote begin at %s: %v", ErrNodeUnreachable, destNode, err)
 	}
 	if br, ok := r.Payload.(beginResp); !ok || !br.AlreadyKnown {
-		m.addChild(t, destNode)
+		return m.addChild(t, destNode)
 	}
 	return nil
 }
 
-// addChild records destNode as a node we transmitted t's transid to.
-func (m *Monitor) addChild(t *tcb, destNode string) {
+// addChild records destNode as a node we transmitted t's transid to. A
+// transaction closed to new work while the begin was on its way takes no
+// new child (the late-child rule beside tcb.noNewWork): destNode is handed
+// ABORTING through the safe-delivery, and the result is ErrAborted.
+func (m *Monitor) addChild(t *tcb, destNode string) error {
 	m.mu.Lock()
-	t.children = addName(t.children, destNode)
+	closed := t.noNewWork
+	if !closed {
+		t.children = addName(t.children, destNode)
+	}
 	m.mu.Unlock()
+	if !closed {
+		return nil
+	}
+	m.safeDeliver(safeMsg{dest: destNode, kind: kindAborting, req: tmpReq{Tx: t.id}})
+	return fmt.Errorf("%w: %s was closed to new work while its begin at %s was on its way", ErrAborted, t.id, destNode)
 }
 
 // phase1Inbound handles a phase-one request from the node that transmitted
@@ -467,9 +540,10 @@ type safeMsg struct {
 // delivery is one transaction's outcome message (ENDED or ABORTING) on its
 // first attempt at the children this node transmitted the transid to. It
 // is outstanding — counted in the tmf.phase2_outstanding gauge — from the
-// moment the outcome is durable here until every child has either
-// answered or been handed to the safe queue, which owns the message from
-// then on.
+// moment the outcome is decided here (an ENDED's commit record is durable;
+// an ABORTING goes before the abort record, see abortLocked) until every
+// child has either answered or been handed to the safe queue, which owns
+// the message from then on.
 type delivery struct {
 	m        *Monitor
 	kind     string
@@ -502,17 +576,23 @@ func (m *Monitor) safeDeliverChildren(tx txid.ID, kind string, start time.Time) 
 		children: children, start: start}
 }
 
-// send attempts every child concurrently, queueing for retry any that are
-// unreachable, and returns once the slowest has answered or been queued.
-// A nil delivery (no children) sends nothing.
-func (d *delivery) send() {
+// send attempts every child at once, runs local (when not nil) on the
+// caller's goroutine while they serve the message (alongside), queues for
+// retry every child that did not answer, and returns once the slowest has
+// answered or been queued. A nil delivery (no children) sends nothing and
+// runs local alone.
+func (d *delivery) send(local func()) {
 	if d == nil {
+		if local != nil {
+			local()
+		}
 		return
 	}
 	defer d.Done()
-	_ = fanOut(d.children, func(child string) error {
-		d.m.safeDeliver(safeMsg{dest: child, kind: d.kind, req: d.req})
-		return nil
+	d.m.alongside(d.children, d.kind, d.req, local, func(child string, err error) {
+		if err != nil {
+			d.m.queueSafe(safeMsg{dest: child, kind: d.kind, req: d.req})
+		}
 	})
 }
 
@@ -525,16 +605,22 @@ func (d *delivery) Done() {
 	}
 }
 
-// safeDeliver makes one attempt at one child; a failure (traced by
-// tmpCallResp as a child-reply event carrying the error, whichever
-// goroutine made the attempt) queues the message for retry.
+// safeDeliver makes one attempt at one child; a failure (traced as a
+// child-reply event carrying the error, whichever goroutine made the
+// attempt) queues the message for retry.
 func (m *Monitor) safeDeliver(sm safeMsg) {
-	if err := m.tmpCall(sm.dest, sm.kind, sm.req); err != nil {
-		m.sqMu.Lock()
-		m.safeQueue[sm.dest] = append(m.safeQueue[sm.dest], sm)
-		m.sqMu.Unlock()
-		m.scheduleSafeRetry()
+	if _, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), sm.dest, sm.kind, sm.req, criticalCallTimeout); err != nil {
+		m.queueSafe(sm)
 	}
+}
+
+// queueSafe hands a safe-delivery message whose attempt failed to the
+// safe queue and arms its retry.
+func (m *Monitor) queueSafe(sm safeMsg) {
+	m.sqMu.Lock()
+	m.safeQueue[sm.dest] = append(m.safeQueue[sm.dest], sm)
+	m.sqMu.Unlock()
+	m.scheduleSafeRetry()
 }
 
 // Safe-queue retry pacing: delivery "whenever transmission becomes
@@ -584,22 +670,25 @@ func (m *Monitor) FlushSafeQueue() {
 	m.sqMu.Lock()
 	queued := m.safeQueue
 	m.safeQueue = make(map[string][]safeMsg)
-	dests := make([]string, 0, len(queued))
-	for dest, q := range queued {
-		dests = append(dests, dest)
+	for _, q := range queued {
 		m.sqRetrying += len(q)
 	}
 	m.sqMu.Unlock()
-	_ = fanOut(dests, func(dest string) error {
-		for _, sm := range queued[dest] {
-			m.cSafeRetries.Inc()
-			m.safeDeliver(sm)
-			m.sqMu.Lock()
-			m.sqRetrying--
-			m.sqMu.Unlock()
-		}
-		return nil
-	})
+	var wg sync.WaitGroup
+	for _, q := range queued {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, sm := range q {
+				m.cSafeRetries.Inc()
+				m.safeDeliver(sm)
+				m.sqMu.Lock()
+				m.sqRetrying--
+				m.sqMu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
 	m.sqMu.Lock()
 	if len(m.safeQueue) == 0 {
 		m.sqRetryDelay = 0

@@ -219,12 +219,17 @@ func hasLocalBranch(cfg *BankConfig, node string) bool {
 	return false
 }
 
+// isRetryable reports whether a transaction that failed with err is
+// restarted at BEGIN-TRANSACTION: its lock wait timed out, or was cancelled
+// because TMF aborted it (lock.ErrReleased), or it was aborted. A lock
+// error from another node's DISCPROCESS arrives as remote text, so the
+// sentinel's own text is matched too.
 func isRetryable(err error) bool {
-	if errors.Is(err, lock.ErrTimeout) {
+	if errors.Is(err, lock.ErrTimeout) || errors.Is(err, lock.ErrReleased) {
 		return true
 	}
 	s := err.Error()
-	return containsAny(s, "timed out", "aborted", "already ended")
+	return containsAny(s, "timed out", "aborted", "already ended", lock.ErrReleased.Error())
 }
 
 func containsAny(s string, subs ...string) bool {
