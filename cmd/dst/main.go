@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,6 +90,7 @@ func explore(seed int64, schedules, par int, shape dst.Shape, minimize bool, min
 		seed    int64
 		verdict *dst.Verdict
 		err     error
+		wall    time.Duration
 	}
 	start := time.Now()
 	seeds := make(chan int64)
@@ -103,8 +105,9 @@ func explore(seed int64, schedules, par int, shape dst.Shape, minimize bool, min
 				if verbose {
 					opt.Log = os.Stdout
 				}
+				t0 := time.Now()
 				v, err := dst.Run(dst.GenerateShaped(s, shape), opt)
-				results <- result{s, v, err}
+				results <- result{s, v, err, time.Since(t0)}
 			}
 		}()
 	}
@@ -119,7 +122,13 @@ func explore(seed int64, schedules, par int, shape dst.Shape, minimize bool, min
 
 	clean, failed := 0, 0
 	var failedSeeds []int64
+	var walls []time.Duration
+	var slowest result
 	for r := range results {
+		walls = append(walls, r.wall)
+		if r.wall > slowest.wall {
+			slowest = r
+		}
 		if r.err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: %v\n", r.seed, r.err)
 			failed++
@@ -151,6 +160,11 @@ func explore(seed int64, schedules, par int, shape dst.Shape, minimize bool, min
 		schedules, elapsed.Round(time.Millisecond), float64(schedules)/elapsed.Seconds(), clean, failed)
 	for _, s := range failedSeeds {
 		fmt.Printf("failing seed: %d  (repro: go run ./cmd/dst -seed %d -v)\n", s, s)
+	}
+	if len(walls) > 0 {
+		slices.Sort(walls)
+		fmt.Printf("slowest schedule: seed %d in %s; median %s per schedule\n",
+			slowest.seed, slowest.wall.Round(time.Millisecond), walls[len(walls)/2].Round(time.Millisecond))
 	}
 	if failed > 0 {
 		return 1

@@ -17,16 +17,15 @@
 //     when it was first produced (applyOp, applyVolume, reloadFromVolume,
 //     Restore) are exempt.
 //
-//   - tmf: the externalizers are broadcast calls carrying a terminal state
-//     (txid.StateEnded / txid.StateAborted — Ending/Aborting intents may
-//     precede the force), safeDeliverChildren carrying ENDED (the commit's
-//     delivery down the transmission tree; ABORTING may precede the abort
-//     record, because a home without a commit record recovers the
-//     transaction as never committed, so no crash can take an abort back),
-//     and any MonitorTrail.Append outside the blessed recordOutcome
-//     wrapper, which is exempt because its append IS the force. The
-//     forcers are DecisionLog.Append, the acceptor client's RecordOutcome,
-//     and recordOutcome itself.
+//   - tmf: only the commit's externalizations need a dominating force,
+//     because recordOutcome forces only a commit record: a home whose
+//     Monitor Audit Trail holds no commit record recovers the transaction
+//     as aborted, so no crash can take an abort back. The externalizers
+//     are the broadcast of txid.StateEnded, safeDeliverChildren carrying
+//     ENDED (the commit's delivery down the transmission tree), and any
+//     MonitorTrail.Append outside the blessed recordOutcome wrapper, whose
+//     append IS the force. The forcers are DecisionLog.Append, the
+//     acceptor client's RecordOutcome, and recordOutcome itself.
 //
 //   - paxoscommit: the externalizer is Process.Reply (acks to the
 //     coordinator or learners; ReplyErr carries no outcome and is always
@@ -50,7 +49,7 @@ import (
 // Analyzer is the forcefirst analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "forcefirst",
-	Doc:  "flags a volume mutation not preceded by a checkpoint, and an outcome externalization (terminal-state broadcast, child delivery, acceptor reply) not dominated by a decision-log append or trail force",
+	Doc:  "flags a volume mutation not preceded by a checkpoint, and a commit externalization (ENDED broadcast, ENDED delivery to children, acceptor reply) not dominated by a decision-log append or trail force",
 	Run:  run,
 }
 
@@ -108,10 +107,10 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
-// outcomeArgs name an outcome a crash could take back: the Figure 3
-// terminal states, whose broadcast externalizes the disposition, and the
-// ENDED message kind, whose delivery to the children does.
-var outcomeArgs = map[string]bool{"StateEnded": true, "StateAborted": true, "kindEnded": true}
+// outcomeArgs name an outcome a crash could take back, the commit: the
+// ENDED state, whose broadcast externalizes it, and the ENDED message kind,
+// whose delivery to the children does.
+var outcomeArgs = map[string]bool{"StateEnded": true, "kindEnded": true}
 
 func run(pass *lint.Pass) error {
 	v, checked := vocabularies[pass.Pkg.Name()]

@@ -1,4 +1,4 @@
-// Test fixture for the forcefirst analyzer, tmf vocabulary: terminal-state
+// Test fixture for the forcefirst analyzer, tmf vocabulary: ENDED
 // broadcasts, ENDED delivery to children, and raw MonitorTrail appends
 // must be dominated by a decision-log append or trail force in the same
 // region.
@@ -57,6 +57,12 @@ func badDeliver() {
 // goodAbortFirst: ABORTING may reach the children before the abort record.
 func goodAbortFirst() {
 	safeDeliverChildren(kindAborting)
+}
+
+// goodAbortedBeforeRecord: the abort record is not forced, so ABORTED may
+// be announced without a force (presumed abort).
+func goodAbortedBeforeRecord() {
+	broadcast(StateAborted)
 }
 
 func badTrailAppend(t *MonitorTrail) {

@@ -142,6 +142,48 @@ func TestMonitorTrailCommitPoint(t *testing.T) {
 	}
 }
 
+// TestMonitorTrailLosesOnlyUnforcedAborts: a commit record is forced and
+// makes every earlier record durable; an abort after the last commit lives
+// in the volatile tail, and a crash loses exactly that tail.
+func TestMonitorTrailLosesOnlyUnforcedAborts(t *testing.T) {
+	m := NewMonitorTrail(0)
+	m.Append(tx(1), OutcomeCommitted)
+	m.Append(tx(2), OutcomeAborted) // forced by the commit after it
+	m.Append(tx(3), OutcomeCommitted)
+	m.Append(tx(4), OutcomeAborted) // after the last force
+	m.Append(tx(5), OutcomeAborted)
+	if lost := m.CrashLoseUnforced(); lost != 2 {
+		t.Errorf("CrashLoseUnforced = %d, want 2", lost)
+	}
+	want := map[uint64]Outcome{1: OutcomeCommitted, 2: OutcomeAborted, 3: OutcomeCommitted}
+	for n := uint64(1); n <= 5; n++ {
+		o, ok := m.OutcomeOf(tx(n))
+		if w, kept := want[n]; ok != kept || o != w {
+			t.Errorf("OutcomeOf(%d) = %v, %v; want %v, %v", n, o, ok, w, kept)
+		}
+	}
+	recs := m.Records()
+	if m.Len() != len(want) || len(recs) != len(want) {
+		t.Fatalf("Len = %d, Records = %d, want %d", m.Len(), len(recs), len(want))
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) || r.Tx != tx(uint64(i+1)) || r.Outcome != want[uint64(i+1)] {
+			t.Errorf("record %d = %+v", i, r)
+		}
+	}
+	// A second crash loses nothing more, and the trail goes on from the
+	// surviving prefix: a lost transaction may be recorded anew.
+	if lost := m.CrashLoseUnforced(); lost != 0 {
+		t.Errorf("second CrashLoseUnforced = %d, want 0", lost)
+	}
+	if _, isNew := m.Append(tx(4), OutcomeAborted); !isNew {
+		t.Error("an abort lost in the crash is still recorded")
+	}
+	if recs := m.Records(); recs[len(recs)-1].Seq != 4 {
+		t.Errorf("record after the crash has Seq %d, want 4", recs[len(recs)-1].Seq)
+	}
+}
+
 func TestAuditProcessRoundTrip(t *testing.T) {
 	node, err := hw.NewNode("n", 3)
 	if err != nil {

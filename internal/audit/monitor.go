@@ -37,12 +37,15 @@ type Completion struct {
 }
 
 // MonitorTrail is the per-node history of transaction completion statuses.
-// Writing a commit record here IS the commit point, so Append forces.
+// Only a commit record, the commit point, is forced, and a force makes all
+// earlier records durable. A crash may lose the aborts after it: recovery
+// presumes abort without a commit record.
 type MonitorTrail struct {
 	forceDelay time.Duration
 
 	mu       sync.Mutex
 	records  []Completion        // guarded by mu
+	forced   int                 // guarded by mu; records[:forced] are durable
 	bySeq    map[txid.ID]Outcome // guarded by mu
 	nextSeq  uint64              // guarded by mu
 	restarts uint64              // guarded by mu
@@ -54,10 +57,8 @@ func NewMonitorTrail(forceDelay time.Duration) *MonitorTrail {
 	return &MonitorTrail{forceDelay: forceDelay, bySeq: make(map[txid.ID]Outcome), nextSeq: 1}
 }
 
-// Append durably records a completion, reporting the winning outcome and
-// whether this call recorded it. Re-recording the same outcome is
-// idempotent; the first recorded outcome wins (a transaction never changes
-// disposition once written).
+// Append records a completion, reporting the winning outcome and whether
+// this call recorded it: the first recorded outcome wins.
 func (m *MonitorTrail) Append(tx txid.ID, o Outcome) (Outcome, bool) {
 	m.mu.Lock()
 	if prev, ok := m.bySeq[tx]; ok {
@@ -67,13 +68,30 @@ func (m *MonitorTrail) Append(tx txid.ID, o Outcome) (Outcome, bool) {
 	m.records = append(m.records, Completion{Seq: m.nextSeq, Tx: tx, Outcome: o})
 	m.bySeq[tx] = o
 	m.nextSeq++
+	if o != OutcomeCommitted {
+		m.mu.Unlock()
+		return o, true
+	}
+	m.forced = len(m.records)
 	m.mu.Unlock()
-	// The caller blocks for the force latency: the record is the commit
-	// point and must be on disc before the commit call completes.
 	if m.forceDelay > 0 {
 		time.Sleep(m.forceDelay)
 	}
 	return o, true
+}
+
+// CrashLoseUnforced simulates total node failure: the records appended
+// after the last force, all of them aborts, are lost. It returns how many.
+func (m *MonitorTrail) CrashLoseUnforced() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lost := m.records[m.forced:]
+	for _, c := range lost {
+		delete(m.bySeq, c.Tx)
+	}
+	m.nextSeq -= uint64(len(lost))
+	m.records = m.records[:m.forced]
+	return len(lost)
 }
 
 // NoteRestart durably counts one more start of a TMF monitor over a trail

@@ -384,6 +384,9 @@ const (
 	MUnreleasedVolumes   = "tmf.unreleased_volumes"
 	MBackoutScanFailures = "tmf.backout_scan_failures"
 	MStateViolations     = "tmf.state_violations"
+	// Forced Monitor Audit Trail appends: one per commit record, none per
+	// abort record (presumed abort).
+	MOutcomeForces = "tmf.outcome_forces"
 
 	MBeginToEnded = "tmf.latency.begin_to_ended"
 	MPhaseOne     = "tmf.latency.phase_one"

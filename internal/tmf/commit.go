@@ -205,8 +205,9 @@ func (m *Monitor) observeBeginToEnded(tx txid.ID) {
 }
 
 // recordOutcome writes the transaction's completion record to the Monitor
-// Audit Trail and bumps the matching counter only when the record is new,
-// so the committed/aborted counters always equal the trail's contents.
+// Audit Trail, forcing it only for a commit, and bumps the matching
+// counters only when the record is new, so the committed/aborted counters
+// always equal the trail's contents.
 // (End previously counted committed before phase two ran, and applyEnded
 // recorded the outcome without counting at all.)
 func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
@@ -217,6 +218,7 @@ func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
 	switch o {
 	case audit.OutcomeCommitted:
 		m.cCommitted.Inc()
+		m.cOutcomeForces.Inc()
 	case audit.OutcomeAborted:
 		m.cAborted.Inc()
 	}
@@ -394,9 +396,10 @@ func (m *Monitor) abortLocked(t *tcb, c abortCause, reason string) error {
 		detail = string(c) + ": " + reason
 	}
 	m.broadcast(tx, txid.StateAborting, detail)
-	// ABORTING may go before the abort record: a home whose Monitor Audit
-	// Trail has no commit record recovers the transaction as never
-	// committed, so no crash can take an abort back.
+	// ABORTING may go before the abort record, and the record is not
+	// forced: a home whose Monitor Audit Trail has no commit record
+	// recovers the transaction as never committed, so no crash can take an
+	// abort back.
 	m.safeDeliverChildren(tx, kindAborting, time.Time{}).send(func() {
 		m.freezeLocal(tx)
 		if boErr := m.backoutLocal(tx); boErr != nil {

@@ -145,8 +145,10 @@ func (m *Monitor) InDoubt() []txid.ID {
 
 // Disposition reports a transaction's outcome as this node can currently
 // determine it: the local Monitor Audit Trail first, then — under Paxos
-// Commit — what the home node's acceptors have chosen. decider names the
-// evidence.
+// Commit — what the home node's acceptors have chosen, and last the
+// presumption: a transaction this node began in an earlier incarnation
+// that left no record never committed (only a commit record is forced, so
+// a crash may have lost its abort record). decider names the evidence.
 func (m *Monitor) Disposition(tx txid.ID) (o audit.Outcome, decider string, known bool) {
 	if o, ok := m.mat.OutcomeOf(tx); ok {
 		return o, "monitor audit trail on " + m.node, true
@@ -155,6 +157,9 @@ func (m *Monitor) Disposition(tx txid.ID) (o audit.Outcome, decider string, know
 		if o, d, err := m.paxos.client(tx.Home).Learn(tx); err == nil {
 			return o, d, true
 		}
+	}
+	if tx.Home == m.node && tx.Seq>>restartSeqShift < m.incarnation {
+		return audit.OutcomeAborted, "presumed abort on " + m.node, true
 	}
 	return 0, "", false
 }

@@ -8,8 +8,8 @@
 //     change over the interprocessor bus to all processors of the node
 //     ("this is done regardless of which processors actually participated
 //     in the transaction");
-//   - the Monitor Audit Trail of commit/abort records — writing the commit
-//     record is the commit point;
+//   - the Monitor Audit Trail of commit/abort records — forcing the commit
+//     record is the commit point, and an abort record is not forced;
 //   - the Transaction Monitor Process (TMP) pair, which coordinates
 //     distributed transactions with TMPs on other nodes using
 //     critical-response messages (remote begin, phase one) and
@@ -164,6 +164,9 @@ type Monitor struct {
 	node string
 	net  *expand.Network // nil on an un-networked node
 	mat  *audit.MonitorTrail
+	// incarnation counts the restarts of the node's monitor over mat; it
+	// is the high part of the Seq of every transid this monitor issues.
+	incarnation uint64
 
 	mu      sync.Mutex
 	txs     map[txid.ID]*tcb      // guarded by mu
@@ -194,7 +197,7 @@ type Monitor struct {
 	// Pre-resolved metric handles (hot path: no map lookups per event).
 	cBegun, cCommitted, cAborted, cBackouts   *obs.Counter
 	cBroadcast, cUnreleased, cScanFails       *obs.Counter
-	cSafeRetries                              *obs.Counter
+	cSafeRetries, cOutcomeForces              *obs.Counter
 	cStateViolations                          *obs.Counter
 	gP2Outstanding                            *obs.Gauge
 	hBeginToEnded, hPhase1, hPhase2, hBackout *obs.Histogram
@@ -298,6 +301,7 @@ func New(cfg Config) (*Monitor, error) {
 		cUnreleased:      reg.Counter(obs.MUnreleasedVolumes),
 		cScanFails:       reg.Counter(obs.MBackoutScanFailures),
 		cSafeRetries:     reg.Counter(obs.MSafeRetries),
+		cOutcomeForces:   reg.Counter(obs.MOutcomeForces),
 		cStateViolations: reg.Counter(obs.MStateViolations),
 		gP2Outstanding:   reg.Gauge(obs.MPhase2Outstanding),
 		hBeginToEnded:    reg.Histogram(obs.MBeginToEnded),
@@ -314,9 +318,9 @@ func New(cfg Config) (*Monitor, error) {
 	// child node may still hold it. So the trail counts restarts, and each
 	// incarnation numbers its transactions from its own range.
 	if cfg.Previous != nil {
-		base := mat.NoteRestart() << restartSeqShift
+		m.incarnation = mat.NoteRestart()
 		for cpu := range m.tables {
-			m.seq[cpu] = base
+			m.seq[cpu] = m.incarnation << restartSeqShift
 		}
 	}
 	var err error

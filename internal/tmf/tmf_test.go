@@ -13,6 +13,7 @@ import (
 	"encompass/internal/expand"
 	"encompass/internal/hw"
 	"encompass/internal/msg"
+	"encompass/internal/obs"
 	"encompass/internal/txid"
 )
 
@@ -613,6 +614,70 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.BroadcastMsgs == 0 {
 		t.Error("no broadcasts counted")
+	}
+}
+
+// TestOnlyCommitRecordsAreForced pins tmf.outcome_forces: every node that
+// records a commit forces its Monitor Audit Trail once, and no abort
+// record is forced anywhere (presumed abort).
+func TestOnlyCommitRecordsAreForced(t *testing.T) {
+	forces := func(nodes map[string]*testNode) uint64 {
+		var n uint64
+		for _, tn := range nodes {
+			n += tn.mon.Registry().Counter(obs.MOutcomeForces).Value()
+		}
+		return n
+	}
+	run := func(t *testing.T, names []string, commit bool) uint64 {
+		nodes, _ := testCluster(t, names...)
+		a := nodes["a"]
+		tx, _ := a.mon.Begin(0)
+		for i := 1; i < len(names); i++ { // a chain: each node sends to the next
+			if err := nodes[names[i-1]].mon.NoteRemoteSend(tx, names[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range names {
+			a.insert(t, name, tx, "k", "v")
+		}
+		before := forces(nodes)
+		if commit {
+			if err := a.mon.End(tx); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				nodes[name].drain(t)
+			}
+		} else if err := a.mon.Abort(tx, "test"); err != nil {
+			t.Fatal(err)
+		}
+		want := audit.OutcomeAborted
+		if commit {
+			want = audit.OutcomeCommitted
+		}
+		for _, name := range names { // every node recorded the outcome
+			if o, ok := nodes[name].mon.Outcome(tx); !ok || o != want {
+				t.Errorf("%s outcome = %v, %v; want %v", name, o, ok, want)
+			}
+		}
+		return forces(nodes) - before
+	}
+	for _, c := range []struct {
+		name   string
+		nodes  []string
+		commit bool
+		want   uint64
+	}{
+		{"single-node commit", []string{"a"}, true, 1},
+		{"single-node abort", []string{"a"}, false, 0},
+		{"three-node commit", []string{"a", "b", "c"}, true, 3},
+		{"three-node abort", []string{"a", "b", "c"}, false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := run(t, c.nodes, c.commit); got != c.want {
+				t.Errorf("%s = %d, want %d", obs.MOutcomeForces, got, c.want)
+			}
+		})
 	}
 }
 

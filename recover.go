@@ -51,9 +51,9 @@ func (n *Node) PurgeAuditTrails(a *rollforward.Archive) int {
 
 // Crash simulates total node failure: every processor fails
 // simultaneously, so all process-pairs die and the unforced tails of the
-// audit trails — which lived only in AUDITPROCESS memory — are lost. The
-// mirrored discs survive but may carry updates of transactions that can no
-// longer be backed out.
+// audit trails and of the Monitor Audit Trail are lost. The mirrored discs
+// survive but may carry updates of transactions that can no longer be
+// backed out.
 func (n *Node) Crash() {
 	n.halt()
 	// Fence the discs: stragglers from dying processors must not touch
@@ -65,6 +65,7 @@ func (n *Node) Crash() {
 	for _, t := range trails {
 		t.CrashLoseUnforced()
 	}
+	n.TMF.MonitorTrail().CrashLoseUnforced()
 }
 
 // Recover brings a crashed node back: halt whatever of the old software

@@ -1,10 +1,12 @@
 package encompass_test
 
 import (
-	"encompass/internal/txid"
+	"reflect"
 	"testing"
+	"time"
 
 	"encompass"
+	"encompass/internal/txid"
 )
 
 func TestTotalNodeFailureRollforward(t *testing.T) {
@@ -111,5 +113,87 @@ func TestRollforwardNegotiatesWithHomeNode(t *testing.T) {
 	v, err := a.FS.Read("fa", "k")
 	if err != nil || string(v) != "v" {
 		t.Errorf("k = %q, %v (committed work lost)", v, err)
+	}
+}
+
+// TestAbortedTransferSurvivesHomeCrash: the home's abort record is not
+// forced, so a crash right after a three-node abort loses it. Recovery
+// must presume the abort and leave every volume byte-identical to a run
+// without the crash.
+func TestAbortedTransferSurvivesHomeCrash(t *testing.T) {
+	run := func(crash bool) map[string]map[string]map[string][]byte {
+		sys := build(t, encompass.Config{
+			Nodes: []encompass.NodeSpec{
+				{Name: "a", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "va", Audited: true}}},
+				{Name: "b", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "vb", Audited: true}}},
+				{Name: "c", CPUs: 4, Volumes: []encompass.VolumeSpec{{Name: "vc", Audited: true}}},
+			},
+		})
+		defer sys.Stop()
+		files := []string{"fa", "fb", "fc"}
+		for i, n := range []string{"a", "b", "c"} {
+			if err := sys.CreateFileEverywhere(encompass.LocalFile(files[i], encompass.KeySequenced, n, "v"+n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := sys.Node("a")
+		transfer := func(val string) *encompass.Tx {
+			tx, err := a.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				if _, err := tx.ReadLock(f, "acct"); err != nil {
+					t.Fatalf("read %s: %v", f, err)
+				}
+				if err := tx.Update(f, "acct", []byte(val)); err != nil {
+					t.Fatalf("update %s: %v", f, err)
+				}
+			}
+			return tx
+		}
+		setup, _ := a.Begin()
+		for _, f := range files {
+			if err := setup.Insert(f, "acct", []byte("100")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		arch := a.TakeArchive()
+		if err := transfer("90").Commit(); err != nil { // replayed by ROLLFORWARD
+			t.Fatal(err)
+		}
+		if !a.TMF.WaitSafeQueueEmpty(5 * time.Second) {
+			t.Fatal("phase two did not drain")
+		}
+		aborted := transfer("0")
+		if err := aborted.Abort("test"); err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			a.Crash()
+			if o, ok := a.TMF.Outcome(aborted.ID); ok {
+				t.Fatalf("the home kept its unforced abort record (%v) across the crash", o)
+			}
+			if _, err := a.Recover(arch); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+		}
+		vols := make(map[string]map[string]map[string][]byte)
+		for _, n := range sys.Nodes() {
+			for name, v := range n.Volumes {
+				vols[name] = v.Disk.Snapshot()
+			}
+		}
+		return vols
+	}
+	want, got := run(false), run(true)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("volumes after the home's crash and recovery:\n%v\nwithout the crash:\n%v", got, want)
+	}
+	if v := want["va"]["fa"]["acct"]; string(v) != "90" {
+		t.Errorf("fa/acct = %q, want the committed 90", v)
 	}
 }
