@@ -52,19 +52,23 @@ lint: $(TMFLINT)
 # interpreter and the load harness run too, because their pooled
 # requesters cross terminal goroutines, as the parked flush and force
 # workers (pair) cross requests; a burst of commits then Stop checks that
-# those workers end. The participant vote race (a partition that starts
-# and heals while a participant forces), every abort route at a voted
+# those workers end, as Stop with an outcome undelivered or a participant
+# in doubt checks that its owner and watcher end. The participant vote
+# race (a partition that starts and heals while a participant forces),
+# every abort route at a voted
 # participant, a remote begin answered after its abort, the abort's
 # ABORTING sent before the node's own backout, the write-behind counts, the backout's checkpoints per
 # volume and unreadable-record count, the takeover of an undo batch and
-# the audit trail's backout scans repeat twenty times. The experiments
-# harness runs every figure and claim: T9's concurrent committers, T11's
-# DISCPROCESS workers and T14's phase-one hook goroutine.
+# the audit trail's backout scans repeat twenty times, and so do the
+# safe-delivery tests: a heal resends a swallowed ENDED or ABORTING, a
+# flapping link delivers once, and an unreachable child holds back none.
+# The experiments harness runs every figure and claim: T9's concurrent
+# committers, T11's DISCPROCESS workers and T14's phase-one hook goroutine.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/dbfile/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/... ./internal/msg/... ./internal/fsys/... ./internal/appserver/... ./internal/scobol/... ./internal/load/...
 	$(GO) test -race ./internal/experiments/
-	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestStopEndsEveryGoroutine|TestStopEndsParkedWorkers|TestWriteBehind' .
-	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|TestLateChildIsAborted|TestAbortReachesChildrenFirst|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
+	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestArchiveAfterPresumedAbort|TestStopEnds|TestWriteBehind' .
+	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|TestLateChildIsAborted|TestAbortReachesChildrenFirst|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan|TestHealResendsSwallowedEnded|TestHealResendsSwallowedAborting|TestSafeDeliverySurvivesRepeatedPartitions|TestFlushSafeQueueNoHeadOfLineBlocking' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

@@ -24,7 +24,7 @@
 //	                        disposition: outcome, who decided it, and what the
 //	                        node still lists as in doubt
 //	tmfctl disposition <id> the same for a specific transid
-//	tmfctl metrics          print both nodes' counter/histogram registries
+//	tmfctl metrics          print both nodes' metrics registries
 //
 // The audit-integrity utility walks every audit trail's hash chain:
 //
@@ -210,7 +210,8 @@ func runDisposition(args []string) error {
 }
 
 // runMetrics replays the scenario and prints each node's metrics registry
-// — the counters and per-phase latency histograms the TMF recorded —
+// — the TMF's counters, its gauges of outcomes still on their way and its
+// per-phase latency histograms —
 // followed by the EXPAND network's frame-level counters (retransmits,
 // duplicates dropped, frames lost to injected faults or failed lines).
 func runMetrics(w io.Writer) error {
@@ -316,7 +317,7 @@ func scenario(verbose bool) (*encompass.System, txid.ID, error) {
 	if !home.TMF.WaitSafeQueueEmpty(2 * time.Second) {
 		return nil, txid.ID{}, fmt.Errorf("phase two still outstanding after heal")
 	}
-	out("network healed; queued safe-delivery messages drained\n")
+	out("network healed; every undelivered outcome delivered\n")
 	if bo != ho {
 		return nil, txid.ID{}, fmt.Errorf("dispositions diverged")
 	}

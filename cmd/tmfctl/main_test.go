@@ -32,8 +32,8 @@ func TestVerifyTrailDetectsCorruption(t *testing.T) {
 }
 
 // TestMetricsShowsPhase2Outstanding requires the metrics dump to carry the
-// phase-two-outstanding gauge, back at zero once the scenario has healed
-// the partition and drained.
+// phase-two-outstanding and safe-queue-depth gauges, both back at zero
+// once the scenario has healed the partition and drained.
 func TestMetricsShowsPhase2Outstanding(t *testing.T) {
 	var out bytes.Buffer
 	if err := runMetrics(&out); err != nil {
@@ -41,6 +41,9 @@ func TestMetricsShowsPhase2Outstanding(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "tmf.phase2_outstanding       0\n") {
 		t.Fatalf("metrics dump has no drained tmf.phase2_outstanding line:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "tmf.safe_queue_depth         0\n") {
+		t.Fatalf("metrics dump has no drained tmf.safe_queue_depth line:\n%s", out.String())
 	}
 }
 

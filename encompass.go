@@ -342,10 +342,12 @@ func (s *System) Partition(group ...string) { s.Network.Partition(group...) }
 func (s *System) Heal() { s.Network.HealAll() }
 
 // Stop halts every node. The simulation's goroutines are owned by CPU
-// contexts and exit once their processors have failed.
+// contexts and exit once their processors have failed; the monitor's own
+// (owners of undelivered outcomes, in-doubt watchers) end with its Stop.
 func (s *System) Stop() {
 	for _, n := range s.nodes {
 		n.halt()
+		n.TMF.Stop()
 	}
 }
 

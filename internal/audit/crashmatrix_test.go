@@ -90,7 +90,8 @@ func buildMatrixFixture(n int) *matrixFixture {
 	f.trail.SetSegmentCapacity(8)
 	f.arch = rollforward.Take("home",
 		map[string]*disk.Volume{"v1": f.vol},
-		map[string]*audit.Trail{"a1": f.trail}, f.mat)
+		map[string]*audit.Trail{"a1": f.trail},
+		func(id txid.ID) bool { _, ok := f.mat.OutcomeOf(id); return ok })
 	for i := 0; i < n; i++ {
 		id := txid.ID{Home: "home", CPU: 0, Seq: uint64(i + 1)}
 		key := fmt.Sprintf("k%03d", i)

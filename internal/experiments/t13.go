@@ -65,7 +65,7 @@ func t13One(n int) ([]string, float64, bool) {
 	trails := map[string]*audit.Trail{"a13": trail}
 
 	// Archive the empty volume; everything is then replayed from the trail.
-	arch := rollforward.Take("n13", vols, trails, mat)
+	arch := rollforward.Take("n13", vols, trails, func(id txid.ID) bool { _, ok := mat.OutcomeOf(id); return ok })
 
 	// Fill the trail: committed transactions advance their keys' values,
 	// backed-out ones write dirt whose before-images restore them.

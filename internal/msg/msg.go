@@ -165,7 +165,7 @@ func (p *Process) Call(ctx context.Context, to Addr, kind string, payload any) (
 	if err != nil {
 		return Message{}, err
 	}
-	return pend.await(ctx, 0)
+	return pend.AwaitContext(ctx, 0)
 }
 
 // Send delivers a one-way message (no reply expected).
@@ -345,7 +345,7 @@ func (s *System) ClientCall(ctx context.Context, fromCPU int, to Addr, kind stri
 	if err != nil {
 		return Message{}, err
 	}
-	return p.await(ctx, 0)
+	return p.AwaitContext(ctx, 0)
 }
 
 // CallTimeout is ClientCall bounded by a duration instead of a context: the
@@ -429,12 +429,12 @@ func (s *System) start(from PID, to Addr, kind string, payload any) (Pending, er
 // out of time is ErrCallTimeout, and a reply that arrives after it is
 // dropped.
 func (p Pending) Await(d time.Duration) (Message, error) {
-	return p.await(context.Background(), d)
+	return p.AwaitContext(context.Background(), d)
 }
 
-// await waits for the reply until ctx is done or, when d > 0, until d has
-// passed. Either ending is ErrCallTimeout.
-func (p Pending) await(ctx context.Context, d time.Duration) (Message, error) {
+// AwaitContext waits for the reply until ctx is done or, when d > 0,
+// until d has passed. Either ending is ErrCallTimeout.
+func (p Pending) AwaitContext(ctx context.Context, d time.Duration) (Message, error) {
 	w := p.w
 	var deadline <-chan time.Time
 	if d > 0 {

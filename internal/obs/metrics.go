@@ -400,15 +400,17 @@ const (
 	// subset of MAuditForces; the rest are phase-one and ablation forces).
 	MAuditBehindForces = "audit.behind_forces"
 
-	// Safe-delivery retry counter: messages re-sent from the TMF safe queue
-	// by the bounded-backoff retry loop or a topology-change flush.
+	// Safe-delivery retry counter: attempts the owner of an undelivered
+	// outcome made after the message's first attempt failed.
 	MSafeRetries = "tmf.safe_retries"
+	// Gauge: owners of undelivered outcomes (Stats.SafeQueueDepth).
+	MSafeQueueDepth = "tmf.safe_queue_depth"
 
 	// Gauge: transactions whose outcome (ENDED or ABORTING) is durable on
 	// this node while its first delivery to the children is still in
-	// flight. A child that could not be reached moves to the safe queue
-	// (Stats.SafeQueueDepth); the two together are the children that may
-	// still hold the transaction's locks.
+	// flight. A child that could not be reached passes to an owner
+	// (MSafeQueueDepth); the two together are the children that may still
+	// hold the transaction's locks.
 	MPhase2Outstanding = "tmf.phase2_outstanding"
 
 	// Message-system counter (see msg.System.SetObs): messages dropped

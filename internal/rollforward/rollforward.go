@@ -80,10 +80,11 @@ type Archive struct {
 // Take produces an archive of the given volumes and trails. It can run
 // during normal transaction processing; the fuzziness is repaired at
 // recovery from the recorded Undo set and by replaying the trail from the
-// recorded positions. mat is the node's Monitor Audit Trail, consulted to
-// find which transactions are unresolved at copy time.
+// recorded positions. resolved reports whether the node knows a
+// transaction's outcome — its Monitor Audit Trail's record, or an abort
+// the node presumes — and so which are unresolved at copy time.
 func Take(node string, vols map[string]*disk.Volume, trails map[string]*audit.Trail,
-	mat *audit.MonitorTrail) *Archive {
+	resolved func(txid.ID) bool) *Archive {
 
 	a := &Archive{
 		Node:      node,
@@ -101,7 +102,7 @@ func Take(node string, vols map[string]*disk.Volume, trails map[string]*audit.Tr
 		// and a later crash may destroy their unforced audit records),
 		// and widen the replay window to cover their records.
 		for _, id := range tr.Transactions() {
-			if _, resolved := mat.OutcomeOf(id); resolved {
+			if resolved(id) {
 				continue
 			}
 			imgs := tr.ImagesForUnforced(id)

@@ -69,7 +69,8 @@ func (f *fixture) recover(t *testing.T, a *Archive, r Resolver) Stats {
 }
 
 func (f *fixture) archive() *Archive {
-	return Take("home", map[string]*disk.Volume{"v1": f.vol}, map[string]*audit.Trail{"a1": f.trail}, f.mat)
+	return Take("home", map[string]*disk.Volume{"v1": f.vol}, map[string]*audit.Trail{"a1": f.trail},
+		func(id txid.ID) bool { _, ok := f.mat.OutcomeOf(id); return ok })
 }
 
 func TestRecoverRedoesCommittedWork(t *testing.T) {

@@ -146,9 +146,7 @@ func (m *Monitor) InDoubt() []txid.ID {
 // Disposition reports a transaction's outcome as this node can currently
 // determine it: the local Monitor Audit Trail first, then — under Paxos
 // Commit — what the home node's acceptors have chosen, and last the
-// presumption: a transaction this node began in an earlier incarnation
-// that left no record never committed (only a commit record is forced, so
-// a crash may have lost its abort record). decider names the evidence.
+// presumption (PresumedAbort). decider names the evidence.
 func (m *Monitor) Disposition(tx txid.ID) (o audit.Outcome, decider string, known bool) {
 	if o, ok := m.mat.OutcomeOf(tx); ok {
 		return o, "monitor audit trail on " + m.node, true
@@ -158,10 +156,18 @@ func (m *Monitor) Disposition(tx txid.ID) (o audit.Outcome, decider string, know
 			return o, d, true
 		}
 	}
-	if tx.Home == m.node && tx.Seq>>restartSeqShift < m.incarnation {
+	if m.PresumedAbort(tx) {
 		return audit.OutcomeAborted, "presumed abort on " + m.node, true
 	}
 	return 0, "", false
+}
+
+// PresumedAbort reports whether tx is a transaction this node began in an
+// earlier incarnation. One that left no record in the Monitor Audit Trail
+// never committed: only a commit record is forced, so a crash may have
+// lost its abort record, or it was live at the crash.
+func (m *Monitor) PresumedAbort(tx txid.ID) bool {
+	return tx.Home == m.node && tx.Seq>>restartSeqShift < m.incarnation
 }
 
 // in-doubt watcher pacing: the first probe is quick (an in-doubt
@@ -185,9 +191,6 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 		return
 	}
 	m.watchMu.Lock()
-	if m.watchers == nil {
-		m.watchers = make(map[txid.ID]bool)
-	}
 	if m.watchers[tx] {
 		m.watchMu.Unlock()
 		return
@@ -202,12 +205,16 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 			delete(m.watchers, tx)
 			m.watchMu.Unlock()
 		}()
-		delay := watcherBaseDelay
+		delay, ep := watcherBaseDelay, m.topology()
 		for probe := 0; probe < watcherMaxProbes; probe++ {
-			time.Sleep(delay)
-			if delay < watcherMaxDelay {
-				delay *= 2
+			select {
+			case <-time.After(delay):
+			case <-ep.Done(): // a topology change: probe at once
 			}
+			if m.life.Err() != nil {
+				return
+			}
+			delay, ep = min(2*delay, watcherMaxDelay), m.topology()
 			if _, resolved := m.mat.OutcomeOf(tx); resolved {
 				return
 			}

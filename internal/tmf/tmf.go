@@ -24,6 +24,7 @@
 package tmf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -132,9 +133,9 @@ func addName(s []string, name string) []string {
 	return s
 }
 
-// Stats counts TMF activity on a node. Every field except SafeQueueDepth
-// is a thin alias over the node's obs.Registry counters and gauges (the
-// single source of truth); new code should read the registry directly via
+// Stats counts TMF activity on a node. Every field is a thin alias over
+// the node's obs.Registry counters and gauges (the single source of
+// truth); new code should read the registry directly via
 // Monitor.Registry() and the obs.M* metric names.
 type Stats struct {
 	Begun         uint64
@@ -148,13 +149,13 @@ type Stats struct {
 	// BackoutScanFailures counts audit-trail scans the BACKOUTPROCESS
 	// could not complete after bounded retry (backout incomplete).
 	BackoutScanFailures uint64
-	// SafeQueueDepth counts the safe-delivery messages waiting for a retry
-	// or being retried right now.
+	// SafeQueueDepth counts the safe-delivery messages whose first attempt
+	// failed and whose owner is still retrying them.
 	SafeQueueDepth int
 	// Phase2Outstanding counts transactions whose outcome is durable here
 	// while its first delivery to the children is in flight; with
-	// SafeQueueDepth (children queued for retry) it bounds the children
-	// that may still hold a resolved transaction's locks.
+	// SafeQueueDepth (children whose message an owner retries) it bounds
+	// the children that may still hold a resolved transaction's locks.
 	Phase2Outstanding int
 }
 
@@ -177,14 +178,14 @@ type Monitor struct {
 	tabMu  sync.Mutex
 	tables []map[txid.ID]txid.State // guarded by tabMu
 
-	// safe-delivery queue per destination node, with a self-arming
-	// bounded-backoff retry so queued messages don't wait for a topology
-	// event that may never come (e.g. a lossy-but-up link).
-	sqMu         sync.Mutex
-	safeQueue    map[string][]safeMsg // guarded by sqMu
-	sqRetrying   int                  // guarded by sqMu; messages a flush took off the queue and has not yet delivered or re-queued
-	sqRetryArmed bool                 // guarded by sqMu
-	sqRetryDelay time.Duration        // guarded by sqMu
+	// life ends at Stop. It is shared by every incarnation of the node's
+	// monitor, so Stop also ends what a crashed one left waiting. epoch is
+	// the current topology epoch, a child of life that the next topology
+	// change or FlushSafeQueue ends: the safe-delivery attempts, the
+	// owners of undelivered outcomes and the in-doubt watchers wait on it.
+	life  context.Context
+	stop  context.CancelFunc
+	epoch atomic.Pointer[epoch]
 
 	// Observability: the registry is the single source of truth for
 	// activity counters (Stats is a thin alias view), the tracer captures
@@ -199,7 +200,7 @@ type Monitor struct {
 	cBroadcast, cUnreleased, cScanFails       *obs.Counter
 	cSafeRetries, cOutcomeForces              *obs.Counter
 	cStateViolations                          *obs.Counter
-	gP2Outstanding                            *obs.Gauge
+	gP2Outstanding, gSafeQueue                *obs.Gauge
 	hBeginToEnded, hPhase1, hPhase2, hBackout *obs.Histogram
 
 	tmpPair *tmpApp
@@ -280,18 +281,18 @@ func New(cfg Config) (*Monitor, error) {
 		reg = obs.NewRegistry()
 	}
 	m := &Monitor{
-		sys:       cfg.System,
-		node:      node.Name(),
-		net:       cfg.Network,
-		mat:       mat,
-		txs:       make(map[txid.ID]*tcb),
-		seq:       make(map[int]uint64),
-		volumes:   make(map[string]VolumeInfo),
-		safeQueue: make(map[string][]safeMsg),
-		tables:    make([]map[txid.ID]txid.State, node.NumCPUs()),
-		reg:       reg,
-		tracer:    cfg.Tracer,
-		checker:   checker,
+		sys:      cfg.System,
+		node:     node.Name(),
+		net:      cfg.Network,
+		mat:      mat,
+		txs:      make(map[txid.ID]*tcb),
+		seq:      make(map[int]uint64),
+		volumes:  make(map[string]VolumeInfo),
+		watchers: make(map[txid.ID]bool),
+		tables:   make([]map[txid.ID]txid.State, node.NumCPUs()),
+		reg:      reg,
+		tracer:   cfg.Tracer,
+		checker:  checker,
 
 		cBegun:           reg.Counter(obs.MBegun),
 		cCommitted:       reg.Counter(obs.MCommitted),
@@ -304,6 +305,7 @@ func New(cfg Config) (*Monitor, error) {
 		cOutcomeForces:   reg.Counter(obs.MOutcomeForces),
 		cStateViolations: reg.Counter(obs.MStateViolations),
 		gP2Outstanding:   reg.Gauge(obs.MPhase2Outstanding),
+		gSafeQueue:       reg.Gauge(obs.MSafeQueueDepth),
 		hBeginToEnded:    reg.Histogram(obs.MBeginToEnded),
 		hPhase1:          reg.Histogram(obs.MPhaseOne),
 		hPhase2:          reg.Histogram(obs.MPhaseTwo),
@@ -318,11 +320,15 @@ func New(cfg Config) (*Monitor, error) {
 	// child node may still hold it. So the trail counts restarts, and each
 	// incarnation numbers its transactions from its own range.
 	if cfg.Previous != nil {
+		m.life, m.stop = cfg.Previous.life, cfg.Previous.stop
 		m.incarnation = mat.NoteRestart()
 		for cpu := range m.tables {
 			m.seq[cpu] = m.incarnation << restartSeqShift
 		}
+	} else {
+		m.life, m.stop = context.WithCancel(context.Background())
 	}
+	m.newEpoch()
 	var err error
 	if m.paxos, err = startPaxosCommit(cfg.System, cfg.CommitProtocol, logs); err != nil {
 		return nil, err
@@ -555,7 +561,7 @@ func (m *Monitor) Forget(tx txid.ID) {
 // Stats returns activity counters: an alias view over the obs registry,
 // kept for existing callers.
 func (m *Monitor) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Begun:               m.cBegun.Value(),
 		Committed:           m.cCommitted.Value(),
 		Aborted:             m.cAborted.Value(),
@@ -564,17 +570,11 @@ func (m *Monitor) Stats() Stats {
 		UnreleasedVolumes:   m.cUnreleased.Value(),
 		BackoutScanFailures: m.cScanFails.Value(),
 		Phase2Outstanding:   int(m.gP2Outstanding.Value()),
+		// Read after the gauge above: a message moves only from a first
+		// attempt to an owner, counted by the owner before it leaves the
+		// first attempt, so the two reads never both miss it.
+		SafeQueueDepth: int(m.gSafeQueue.Value()),
 	}
-	// The queue is read after the gauge above: a message only ever moves
-	// from a first attempt (gauge) to the queue, joining the queue before it
-	// leaves the gauge, so the two never both miss it.
-	m.sqMu.Lock()
-	s.SafeQueueDepth = m.sqRetrying
-	for _, q := range m.safeQueue {
-		s.SafeQueueDepth += len(q)
-	}
-	m.sqMu.Unlock()
-	return s
 }
 
 // Registry exposes the monitor's metrics registry.

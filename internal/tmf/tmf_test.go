@@ -38,14 +38,15 @@ func testCluster(t *testing.T, names ...string) (map[string]*testNode, *expand.N
 // testClusterProto is testCluster with an explicit disposition protocol.
 func testClusterProto(t *testing.T, proto string, names ...string) (map[string]*testNode, *expand.Network) {
 	t.Helper()
-	return buildCluster(t, proto, nil, names...)
+	return buildCluster(t, proto, 0, nil, names...)
 }
 
-// buildCluster builds the line topology; force gives a node's audit trail
-// a simulated force delay (none for a node it does not name).
-func buildCluster(t *testing.T, proto string, force map[string]time.Duration, names ...string) (map[string]*testNode, *expand.Network) {
+// buildCluster builds the line topology with the given per-hop latency;
+// force gives a node's audit trail a simulated force delay (none for a
+// node it does not name).
+func buildCluster(t *testing.T, proto string, latency time.Duration, force map[string]time.Duration, names ...string) (map[string]*testNode, *expand.Network) {
 	t.Helper()
-	net := expand.NewNetwork(0)
+	net := expand.NewNetwork(latency)
 	nodes := make(map[string]*testNode)
 	for _, name := range names {
 		n, err := hw.NewNode(name, 4)
@@ -703,14 +704,17 @@ func (tn *testNode) drain(t *testing.T) {
 	}
 }
 
+// waitWithin polls cond every millisecond for up to d.
+func waitWithin(t *testing.T, what string, d time.Duration, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within %v", what, d)
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached within deadline")
+	waitWithin(t, "condition", 3*time.Second, cond)
 }

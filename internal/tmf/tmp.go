@@ -1,11 +1,11 @@
 package tmf
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"encompass/internal/audit"
@@ -214,40 +214,61 @@ func (m *Monitor) tmpCallResp(cpu int, destNode, kind string, req tmpReq, d time
 // collects its answer. The pair is the single choke point for TMP-to-TMP
 // calls; each call traces as a child-request/child-reply event pair (the
 // reply carries the time from the send until the answer was collected,
-// and an error on a safe-delivery kind means the message went to the
-// retry queue, not that it was lost).
+// and an error on a safe-delivery kind means the message passed to an
+// owner, not that it was lost).
 type tmpPending struct {
 	m          *Monitor
 	pend       msg.Pending
 	err        error // the send failed: there is nothing to await
 	cpu        int
-	tx         txid.ID
+	req        tmpReq
 	dest, kind string
-	start      time.Time // set only when tracing
+	epoch      context.Context // a safe-delivery message's topology epoch when last sent
+	start      time.Time       // set only when tracing
 }
 
 // tmpStart sends kind to destNode's TMP without waiting for the answer.
 func (m *Monitor) tmpStart(cpu int, destNode, kind string, req tmpReq) tmpPending {
 	req.Source = m.node
-	p := tmpPending{m: m, cpu: cpu, tx: req.Tx, dest: destNode, kind: kind}
+	p := tmpPending{m: m, cpu: cpu, req: req, dest: destNode, kind: kind}
 	if m.tracer != nil {
 		m.tracer.Record(obs.Event{Tx: req.Tx, Kind: obs.EvChildRequest, Node: m.node,
 			CPU: cpu, Detail: destNode + " " + kind})
 		p.start = time.Now()
 	}
-	p.pend, p.err = m.sys.Start(cpu, msg.Addr{Node: destNode, Name: tmpName}, kind, req)
+	p.send()
 	return p
 }
 
-// await waits up to d for the call's answer.
+// send sends the call's message. A safe-delivery message notes the
+// topology epoch first, so that no change after it leaves goes unseen;
+// the other kinds wait for their answer alone.
+func (p *tmpPending) send() {
+	p.epoch = context.Background()
+	if p.kind == kindEnded || p.kind == kindAborting {
+		p.epoch = p.m.topology()
+	}
+	p.pend, p.err = p.m.sys.Start(p.cpu, msg.Addr{Node: p.dest, Name: tmpName}, p.kind, p.req)
+}
+
+// await waits up to d for the call's answer. A safe-delivery message
+// whose topology epoch ends while it or its answer is on its way — a
+// partition may have swallowed it, a heal may carry it now — is sent
+// again and waited for afresh; ENDED and ABORTING apply once however
+// often they arrive.
 func (p *tmpPending) await(d time.Duration) (msg.Message, error) {
 	var resp msg.Message
 	err := p.err
-	if err == nil {
-		resp, err = p.pend.Await(d)
+	for err == nil {
+		resp, err = p.pend.AwaitContext(p.epoch, d)
+		if !errors.Is(err, msg.ErrCallTimeout) || p.epoch.Err() == nil || p.m.life.Err() != nil {
+			break
+		}
+		p.send()
+		err = p.err
 	}
 	if m := p.m; m.tracer != nil {
-		ev := obs.Event{Tx: p.tx, Kind: obs.EvChildReply, Node: m.node,
+		ev := obs.Event{Tx: p.req.Tx, Kind: obs.EvChildReply, Node: m.node,
 			CPU: p.cpu, Dur: time.Since(p.start), Detail: p.dest + " " + p.kind}
 		if err != nil {
 			ev.Err = err.Error()
@@ -439,7 +460,10 @@ func (m *Monitor) addChild(t *tcb, destNode string) error {
 	if !closed {
 		return nil
 	}
-	m.safeDeliver(safeMsg{dest: destNode, kind: kindAborting, req: tmpReq{Tx: t.id}})
+	req := tmpReq{Tx: t.id}
+	if _, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kindAborting, req, criticalCallTimeout); err != nil {
+		m.own(destNode, kindAborting, req)
+	}
 	return fmt.Errorf("%w: %s was closed to new work while its begin at %s was on its way", ErrAborted, t.id, destNode)
 }
 
@@ -531,18 +555,12 @@ func (m *Monitor) QueryRemote(node string, tx txid.ID) (QueryResp, error) {
 
 // --- safe-delivery machinery ---
 
-type safeMsg struct {
-	dest string
-	kind string
-	req  tmpReq
-}
-
 // delivery is one transaction's outcome message (ENDED or ABORTING) on its
 // first attempt at the children this node transmitted the transid to. It
 // is outstanding — counted in the tmf.phase2_outstanding gauge — from the
 // moment the outcome is decided here (an ENDED's commit record is durable;
 // an ABORTING goes before the abort record, see abortLocked) until every
-// child has either answered or been handed to the safe queue, which owns
+// child has either answered or passed to an owner (own), which retries
 // the message from then on.
 type delivery struct {
 	m        *Monitor
@@ -577,10 +595,10 @@ func (m *Monitor) safeDeliverChildren(tx txid.ID, kind string, start time.Time) 
 }
 
 // send attempts every child at once, runs local (when not nil) on the
-// caller's goroutine while they serve the message (alongside), queues for
-// retry every child that did not answer, and returns once the slowest has
-// answered or been queued. A nil delivery (no children) sends nothing and
-// runs local alone.
+// caller's goroutine while they serve the message (alongside), hands every
+// child that did not answer to an owner, and returns once the slowest has
+// answered or been handed over. A nil delivery (no children) sends nothing
+// and runs local alone.
 func (d *delivery) send(local func()) {
 	if d == nil {
 		if local != nil {
@@ -591,7 +609,7 @@ func (d *delivery) send(local func()) {
 	defer d.Done()
 	d.m.alongside(d.children, d.kind, d.req, local, func(child string, err error) {
 		if err != nil {
-			d.m.queueSafe(safeMsg{dest: child, kind: d.kind, req: d.req})
+			d.m.own(child, d.kind, d.req)
 		}
 	})
 }
@@ -605,106 +623,71 @@ func (d *delivery) Done() {
 	}
 }
 
-// safeDeliver makes one attempt at one child; a failure (traced as a
-// child-reply event carrying the error, whichever goroutine made the
-// attempt) queues the message for retry.
-func (m *Monitor) safeDeliver(sm safeMsg) {
-	if _, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), sm.dest, sm.kind, sm.req, criticalCallTimeout); err != nil {
-		m.queueSafe(sm)
-	}
-}
-
-// queueSafe hands a safe-delivery message whose attempt failed to the
-// safe queue and arms its retry.
-func (m *Monitor) queueSafe(sm safeMsg) {
-	m.sqMu.Lock()
-	m.safeQueue[sm.dest] = append(m.safeQueue[sm.dest], sm)
-	m.sqMu.Unlock()
-	m.scheduleSafeRetry()
-}
-
-// Safe-queue retry pacing: delivery "whenever transmission becomes
-// possible" must not depend solely on a topology-change callback — on a
-// lossy-but-up line a safe-delivery call can time out with no topology
-// event ever firing. The queue therefore retries itself with exponential
-// backoff, reset whenever it fully drains.
+// Owner retry pacing: delivery "whenever transmission becomes possible"
+// must not depend solely on a topology change — on a lossy-but-up line a
+// safe-delivery call can time out with no topology event ever firing.
 const (
 	safeRetryBase = 25 * time.Millisecond
 	safeRetryMax  = 2 * time.Second
 )
 
-// scheduleSafeRetry arms (at most one) delayed retry of the safe queue,
-// doubling the delay up to the cap while the queue stays non-empty.
-func (m *Monitor) scheduleSafeRetry() {
-	m.sqMu.Lock()
-	if m.sqRetryArmed || len(m.safeQueue) == 0 {
-		m.sqMu.Unlock()
-		return
-	}
-	m.sqRetryArmed = true
-	if m.sqRetryDelay <= 0 {
-		m.sqRetryDelay = safeRetryBase
-	}
-	d := m.sqRetryDelay
-	m.sqRetryDelay *= 2
-	if m.sqRetryDelay > safeRetryMax {
-		m.sqRetryDelay = safeRetryMax
-	}
-	m.sqMu.Unlock()
-	time.AfterFunc(d, func() {
-		m.sqMu.Lock()
-		m.sqRetryArmed = false
-		m.sqMu.Unlock()
-		m.FlushSafeQueue()
-	})
-}
-
-// FlushSafeQueue retries queued safe-delivery messages; invoked on
-// topology change, by the backoff retry loop, and callable directly
-// (tests, tmfctl). Destinations are retried concurrently, each in FIFO
-// order, so a child that is still unreachable — every attempt at it can
-// take criticalCallTimeout — does not hold back the outcomes queued for
-// the children that are back. Messages that fail again re-queue and
-// re-arm the backoff; a full drain resets it.
-func (m *Monitor) FlushSafeQueue() {
-	m.sqMu.Lock()
-	queued := m.safeQueue
-	m.safeQueue = make(map[string][]safeMsg)
-	for _, q := range queued {
-		m.sqRetrying += len(q)
-	}
-	m.sqMu.Unlock()
-	var wg sync.WaitGroup
-	for _, q := range queued {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, sm := range q {
-				m.cSafeRetries.Inc()
-				m.safeDeliver(sm)
-				m.sqMu.Lock()
-				m.sqRetrying--
-				m.sqMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	m.sqMu.Lock()
-	if len(m.safeQueue) == 0 {
-		m.sqRetryDelay = 0
-	}
-	m.sqMu.Unlock()
-}
-
-// onTopologyChange reacts to partitions and heals: queued safe-delivery
-// messages are retried, and transactions that involve now-unreachable
-// nodes are aborted where the protocol permits.
-func (m *Monitor) onTopologyChange() {
-	//lint:allow spawnlifecycle fire-and-forget by design: both calls are idempotent sweeps that terminate on their own; a lost sweep is re-triggered by the next topology event or the safe-queue retry timer
+// own hands a safe-delivery message whose attempt failed to a goroutine
+// of its own, which tries it again until dest answers: at once, then
+// after a backoff that doubles from safeRetryBase to safeRetryMax. A
+// topology change or FlushSafeQueue ends a wait early; Stop ends the
+// owner. The tmf.safe_queue_depth gauge counts owners, and moves before
+// the caller's first attempt stops being outstanding.
+func (m *Monitor) own(dest, kind string, req tmpReq) {
+	m.gSafeQueue.Add(1)
 	go func() {
-		m.FlushSafeQueue()
-		m.abortUnreachable()
+		defer m.gSafeQueue.Add(-1)
+		for delay := safeRetryBase; m.life.Err() == nil; delay = min(2*delay, safeRetryMax) {
+			ep := m.topology()
+			m.cSafeRetries.Inc()
+			if _, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), dest, kind, req, criticalCallTimeout); err == nil {
+				return
+			}
+			select {
+			case <-time.After(delay):
+			case <-ep.Done():
+			}
+		}
 	}()
+}
+
+// epoch is one topology epoch: ctx ends when the next one begins.
+type epoch struct {
+	ctx context.Context
+	end context.CancelFunc
+}
+
+// newEpoch begins a topology epoch and ends the current one, waking
+// whatever waits on it.
+func (m *Monitor) newEpoch() {
+	ctx, end := context.WithCancel(m.life)
+	if old := m.epoch.Swap(&epoch{ctx, end}); old != nil {
+		old.end()
+	}
+}
+
+// topology returns the current topology epoch's context.
+func (m *Monitor) topology() context.Context { return m.epoch.Load().ctx }
+
+// FlushSafeQueue ends the topology epoch by hand: every owner retries at
+// once, and every safe-delivery attempt in flight sends again.
+func (m *Monitor) FlushSafeQueue() { m.newEpoch() }
+
+// Stop ends what every incarnation of the node's monitor left waiting:
+// the owners of undelivered outcomes and the in-doubt watchers.
+func (m *Monitor) Stop() { m.stop() }
+
+// onTopologyChange reacts to partitions and heals: a new topology epoch
+// wakes the safe-delivery attempts and owners, and transactions that
+// involve now-unreachable nodes are aborted where the protocol permits.
+func (m *Monitor) onTopologyChange() {
+	m.newEpoch()
+	//lint:allow spawnlifecycle fire-and-forget by design: abortUnreachable is an idempotent sweep that terminates on its own; a lost sweep is re-triggered by the next topology event
+	go m.abortUnreachable()
 }
 
 // abortUnreachable aborts transactions affected by "complete loss of
@@ -783,8 +766,8 @@ func (m *Monitor) onHWEvent(e hw.Event) {
 }
 
 // WaitSafeQueueEmpty polls until this node has no outcome left to deliver
-// — no first attempt in flight behind an End that already returned and
-// nothing in the safe queue — or the timeout passes. After it reports true
+// — no first attempt in flight behind an End that already returned and no
+// owner retrying — or the timeout passes. After it reports true
 // every child this node owed an outcome has applied it and released its
 // locks.
 func (m *Monitor) WaitSafeQueueEmpty(timeout time.Duration) bool {

@@ -131,12 +131,11 @@ func TestSafeDeliverySurvivesRepeatedPartitions(t *testing.T) {
 		net.Partition("b")
 	}
 	net.HealAll()
-	waitFor(t, func() bool {
-		o, ok := b.mon.Outcome(tx)
-		return ok && o == audit.OutcomeCommitted
-	})
-	if st := b.mon.State(tx); st != txid.StateEnded {
-		t.Errorf("b state = %v", st)
+	// b records the outcome before it broadcasts "ended": wait for the
+	// state, which implies the record.
+	waitFor(t, func() bool { return b.mon.State(tx) == txid.StateEnded })
+	if o, ok := b.mon.Outcome(tx); !ok || o != audit.OutcomeCommitted {
+		t.Errorf("b outcome = %v, %v", o, ok)
 	}
 	if !a.mon.WaitSafeQueueEmpty(2 * time.Second) {
 		t.Error("safe queue never drained")

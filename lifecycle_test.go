@@ -324,6 +324,65 @@ func TestRecoverReleasesOldIncarnation(t *testing.T) {
 	}
 }
 
+// goroutinesBackTo fails the test unless the goroutine count falls back
+// to before within d.
+func goroutinesBackTo(t *testing.T, before int, d time.Duration) {
+	t.Helper()
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(d); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d goroutines %v after Stop, %d before Build", after, d, before)
+	}
+}
+
+// inDoubtAtB commits one a-homed transaction that inserts on both nodes,
+// partitioning b after phase one: b has voted and cannot learn the
+// outcome, and a hands its ENDED to an owner.
+func inDoubtAtB(t *testing.T, sys *encompass.System, a, b *encompass.Node) {
+	t.Helper()
+	a.TMF.SetPhase1Hook(func(txid.ID) { sys.Partition("b") })
+	defer a.TMF.SetPhase1Hook(nil)
+	tx, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"fa", "fb"} {
+		if err := tx.Insert(f, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); a.TMF.Stats().SafeQueueDepth == 0 || len(b.TMF.InDoubt()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("b never in doubt with a's ENDED owned")
+		}
+	}
+}
+
+// TestStopEndsOwners: Stop while the owner of an undelivered ENDED is
+// still retrying leaves none of the system's goroutines behind.
+func TestStopEndsOwners(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sys, a, b := lifecyclePair(t, encompass.Config{})
+	inDoubtAtB(t, sys, a, b)
+	sys.Stop()
+	goroutinesBackTo(t, before, time.Second)
+}
+
+// TestStopEndsInDoubtWatcher: under Paxos Commit an in-doubt participant
+// runs a watcher that probes the acceptors for minutes; Stop ends it.
+func TestStopEndsInDoubtWatcher(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sys, a, b := lifecyclePair(t, encompass.Config{CommitProtocol: tmf.ProtoPaxos})
+	inDoubtAtB(t, sys, a, b)
+	sys.Stop()
+	goroutinesBackTo(t, before, time.Second)
+}
+
 // TestStopEndsEveryGoroutine: Stop leaves none of the system's goroutines
 // behind.
 func TestStopEndsEveryGoroutine(t *testing.T) {
@@ -334,13 +393,7 @@ func TestStopEndsEveryGoroutine(t *testing.T) {
 		t.Fatalf("%d goroutines with a system running, %d before Build", running, before)
 	}
 	sys.Stop()
-	after := runtime.NumGoroutine()
-	for deadline := time.Now().Add(10 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after > before {
-		t.Errorf("%d goroutines after Stop, %d before Build", after, before)
-	}
+	goroutinesBackTo(t, before, 10*time.Second)
 }
 
 // TestStopEndsParkedWorkers: a burst of concurrent commits over two
@@ -381,11 +434,5 @@ func TestStopEndsParkedWorkers(t *testing.T) {
 		}
 	}
 	sys.Stop()
-	after := runtime.NumGoroutine()
-	for deadline := time.Now().Add(10 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after > before {
-		t.Errorf("%d goroutines after Stop, %d before Build", after, before)
-	}
+	goroutinesBackTo(t, before, 10*time.Second)
 }

@@ -29,7 +29,11 @@ func (n *Node) audited() (map[string]*disk.Volume, map[string]*audit.Trail) {
 // during normal transaction processing.
 func (n *Node) TakeArchive() *rollforward.Archive {
 	vols, trails := n.audited()
-	return rollforward.Take(n.Name, vols, trails, n.TMF.MonitorTrail())
+	mon := n.TMF
+	return rollforward.Take(n.Name, vols, trails, func(tx txid.ID) bool {
+		_, recorded := mon.MonitorTrail().OutcomeOf(tx)
+		return recorded || mon.PresumedAbort(tx)
+	})
 }
 
 // PurgeAuditTrails trims every audit trail below the replay position of
@@ -89,9 +93,7 @@ func (n *Node) Recover(a *rollforward.Archive) (rollforward.Stats, error) {
 	}
 	err := n.start(func(mon *tmf.Monitor) (err error) {
 		resolve := func(tx txid.ID) (bool, error) {
-			if tx.Home == n.Name {
-				// We are the home node and our Monitor Audit Trail has no
-				// commit record: the transaction never committed.
+			if mon.PresumedAbort(tx) {
 				return false, nil
 			}
 			r, err := mon.QueryRemote(tx.Home, tx)

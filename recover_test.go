@@ -1,6 +1,7 @@
 package encompass_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -195,5 +196,51 @@ func TestAbortedTransferSurvivesHomeCrash(t *testing.T) {
 	}
 	if v := want["va"]["fa"]["acct"]; string(v) != "90" {
 		t.Errorf("fa/acct = %q, want the committed 90", v)
+	}
+}
+
+// TestArchiveAfterPresumedAbort: a crash loses the unforced abort record
+// of a transaction whose image a later commit forced. Recovery presumes it
+// aborted and undoes it, so later archives must presume so too: each
+// replays from its own generation, not from that transaction, and none
+// puts its key in Undo again.
+func TestArchiveAfterPresumedAbort(t *testing.T) {
+	sys := oneNode(t)
+	defer sys.Stop()
+	n := sys.Node("alpha")
+	if err := n.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1")); err != nil {
+		t.Fatal(err)
+	}
+	arch := n.TakeArchive()
+	insert := func(key string) *encompass.Tx {
+		tx, err := n.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Insert("f", key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	aborted := insert("lost")
+	if err := insert("c0").Commit(); err != nil { // forces the trail, aborted's image too
+		t.Fatal(err)
+	}
+	if err := aborted.Abort("test"); err != nil {
+		t.Fatal(err)
+	}
+	crashRecover(t, n, arch)
+	trail := n.Volumes["v1"].Trail
+	for i := 1; i <= 3; i++ {
+		if err := insert(fmt.Sprintf("c%d", i)).Commit(); err != nil {
+			t.Fatal(err)
+		}
+		a := n.TakeArchive()
+		if got, gen := a.TrailLSNs[trail.Name()], trail.GenFirstLSN(a.TrailGens[trail.Name()]); got != gen {
+			t.Errorf("archive %d replays from %d, not from its generation's first record %d", i, got, gen)
+		}
+		if u := a.Undo["v1"]["f"]; len(u) != 0 {
+			t.Errorf("archive %d undoes %v", i, u)
+		}
 	}
 }
