@@ -62,6 +62,9 @@ lint: $(TMFLINT)
 # the audit trail's backout scans repeat twenty times, and so do the
 # safe-delivery tests: a heal resends a swallowed ENDED or ABORTING, a
 # flapping link delivers once, and an unreachable child holds back none.
+# So do a request to a crashed node, answered at once, and every
+# registered error's identity over a local, a two-node and a relayed call
+# (a line of their own: the regex above would pick up root tests).
 # The experiments harness runs every figure and claim: T9's concurrent
 # committers, T11's DISCPROCESS workers and T14's phase-one hook goroutine.
 race:
@@ -69,6 +72,7 @@ race:
 	$(GO) test -race ./internal/experiments/
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestArchiveAfterPresumedAbort|TestStopEnds|TestWriteBehind' .
 	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|TestLateChildIsAborted|TestAbortReachesChildrenFirst|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan|TestHealResendsSwallowedEnded|TestHealResendsSwallowedAborting|TestSafeDeliverySurvivesRepeatedPartitions|TestFlushSafeQueueNoHeadOfLineBlocking' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
+	$(GO) test -race -count=20 -run 'TestCrashedNodeRequestFailsFast|TestRegisteredErrorsKeepIdentity|TestUndeliveredIsCompletedNo' . ./internal/msg/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

@@ -26,6 +26,7 @@
 package encompass
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"encompass/internal/expand"
 	"encompass/internal/fsys"
 	"encompass/internal/hw"
+	"encompass/internal/lock"
 	"encompass/internal/msg"
 	"encompass/internal/obs"
 	"encompass/internal/tmf"
@@ -480,3 +482,13 @@ func (t *Tx) Abort(reason string) error { return t.node.TMF.Abort(t.ID, reason) 
 
 // State reports the transaction's current state on its home node.
 func (t *Tx) State() txid.State { return t.node.TMF.State(t.ID) }
+
+// Restartable is the paper's RESTART-TRANSACTION rule: a transaction that
+// failed with err restarts at BEGIN-TRANSACTION when a lock wait timed out
+// (deadlock) or was cancelled by TMF's abort, when it was aborted or had
+// ended on a volume, or when a call of it timed out. It decides by
+// identity, so another node's answer counts too.
+func Restartable(err error) bool {
+	return errors.Is(err, lock.ErrTimeout) || errors.Is(err, lock.ErrReleased) || errors.Is(err, tmf.ErrAborted) ||
+		errors.Is(err, discproc.ErrTxEnded) || errors.Is(err, msg.ErrCallTimeout)
+}

@@ -1,14 +1,19 @@
 package encompass_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"encompass"
+	"encompass/internal/dbfile"
+	"encompass/internal/discproc"
 	"encompass/internal/fsys"
 	"encompass/internal/lock"
+	"encompass/internal/msg"
+	"encompass/internal/tmf"
 	"encompass/internal/txid"
 )
 
@@ -202,24 +207,82 @@ func TestLockTimeoutSurfacesThroughFacade(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected lock timeout")
 	}
-	if !errors.Is(err, lock.ErrTimeout) && !isTimeoutMsg(err) {
-		t.Errorf("err = %v, want lock timeout", err)
+	if !errors.Is(err, lock.ErrTimeout) || !encompass.Restartable(err) {
+		t.Errorf("err = %v, want a restartable lock timeout", err)
 	}
 	tx1.Commit()
 	tx2.Abort("deadlock recovery")
 }
 
-func isTimeoutMsg(err error) bool {
-	return err != nil && (errors.Is(err, lock.ErrTimeout) || containsStr(err.Error(), "timed out"))
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+// TestRestartable: a transaction is restarted when its lock wait timed
+// out or was cancelled by TMF's abort, when it was aborted or had already
+// ended on a volume, or when a call of it timed out — whether the error
+// is the sentinel itself, wraps it, or is another node's answer — and not
+// for an application error. The remote rows are real two-node calls to a
+// process on b that answers with the sentinel, and a lock timeout on b
+// answered through b's TMP.
+func TestRestartable(t *testing.T) {
+	sys, _ := chain(t, 2)
+	answers := map[string]error{
+		"released": fmt.Errorf("fsys: readlock: %w", lock.ErrReleased),
+		"timeout":  lock.ErrTimeout,
+		"aborted":  fmt.Errorf("%w: \\b(0).7 previously aborted on b", tmf.ErrAborted),
+		"ended":    discproc.ErrTxEnded,
+		"notfound": fmt.Errorf("%w: k in fb", dbfile.ErrNotFound),
+	}
+	if _, err := sys.Node("b").Msg.Spawn(1, "answer", func(p *msg.Process) {
+		for {
+			m, err := p.Recv(context.Background())
+			if err != nil {
+				return
+			}
+			p.ReplyErr(m, answers[m.Kind])
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	remote := func(kind string) error {
+		_, err := sys.Node("a").Msg.CallTimeout(0, msg.Addr{Node: "b", Name: "answer"}, kind, nil, time.Second)
+		return err
+	}
+	// Through b's TMP: tx2's first request to b rides its remote begin,
+	// which the TMP forwards to the DISCPROCESS, whose lock timeout comes
+	// straight back.
+	a := sys.Node("a")
+	a.FS.LockTimeout = 50 * time.Millisecond
+	tx1, _ := a.Begin()
+	if err := tx1.Insert("fb", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	tx2, _ := a.Begin()
+	_, relayed := tx2.ReadLock("fb", "k")
+	if !errors.Is(relayed, lock.ErrTimeout) {
+		t.Errorf("ReadLock through the TMP = %v, want lock.ErrTimeout", relayed)
+	}
+	tx1.Abort("test done")
+	tx2.Abort("test done")
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{lock.ErrReleased, true},
+		{fmt.Errorf("fsys: readlock: %w", lock.ErrReleased), true},
+		{remote("released"), true},
+		{lock.ErrTimeout, true},
+		{remote("timeout"), true},
+		{relayed, true},
+		{fmt.Errorf("%w: \\a(0).7 (aborted while END was stalled)", tmf.ErrAborted), true},
+		{remote("aborted"), true},
+		{discproc.ErrTxEnded, true},
+		{remote("ended"), true},
+		{fmt.Errorf("%w: \\b.$disc-vb disc.read: context deadline exceeded", msg.ErrCallTimeout), true},
+		{remote("notfound"), false},
+		{errors.New("encompass: node a has no up CPUs"), false},
+	} {
+		if got := encompass.Restartable(tc.err); got != tc.want {
+			t.Errorf("Restartable(%q) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
-	return false
 }
 
 func TestAltKeysThroughFacade(t *testing.T) {

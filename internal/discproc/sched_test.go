@@ -1,6 +1,7 @@
 package discproc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -423,7 +424,7 @@ func TestBrowseCompletesWhileFileLockHeld(t *testing.T) {
 			}
 			// The file lock is still held; a locked read must still wait.
 			_, err := e.call(t, KindRead, &RecReq{Tx: tx(502), File: "f", Key: "k1", WithLock: true, LockTimeout: 30 * time.Millisecond})
-			if err == nil || !strings.Contains(err.Error(), "timed out") {
+			if !errors.Is(err, ErrLockTimeout) {
 				t.Fatalf("locked read under file lock: err = %v, want timeout", err)
 			}
 			e.mustCall(t, KindEndTx, &TxReq{Tx: holder})
@@ -442,7 +443,7 @@ func TestAppendParksBehindFileLock(t *testing.T) {
 	e.mustCall(t, KindLockFile, &RecReq{Tx: holder, File: "h"})
 
 	_, err := e.call(t, KindAppend, &RecReq{Tx: tx(601), File: "h", Val: []byte("x"), LockTimeout: 50 * time.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
+	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("append under foreign file lock: err = %v, want lock timeout", err)
 	}
 	e.mustCall(t, KindEndTx, &TxReq{Tx: holder})

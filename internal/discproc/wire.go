@@ -25,6 +25,12 @@ func init() {
 	msg.RegisterPayload(7,
 		func(b []byte, r *UndoReq) []byte { return audit.AppendImages(txid.AppendID(b, r.Tx), r.Images) },
 		func(r *msg.Reader) *UndoReq { return &UndoReq{Tx: txid.ReadID(r), Images: audit.ReadImages(r)} })
+	// Error codes share the block; dbfile's errors, which it answers with, too.
+	msg.RegisterError(1, ErrFileExists)
+	msg.RegisterError(2, ErrNoSuchFile)
+	msg.RegisterError(3, ErrTxEnded)
+	msg.RegisterError(4, dbfile.ErrNotFound)
+	msg.RegisterError(5, dbfile.ErrDuplicateKey)
 }
 
 // A record frame is flat: transid, file, key, value, lock flag and lock

@@ -449,7 +449,7 @@ func (n *Network) deliverPayload(to string, frame []byte) {
 	}
 	n.frames.Add(1)
 	n.bytes.Add(uint64(len(frame)))
-	_ = dest.DeliverFromNetwork(dm)
+	dest.DeliverFromNetwork(dm)
 }
 
 // Stats returns cumulative traffic counters.

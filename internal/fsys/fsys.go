@@ -14,13 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"encompass/internal/dbfile"
 	"encompass/internal/discproc"
-	"encompass/internal/hw"
 	"encompass/internal/msg"
 	"encompass/internal/tmf"
 	"encompass/internal/txid"
@@ -129,16 +127,11 @@ func (fs *FS) Create(fi FileInfo) error {
 		_, err := fs.callPart(txid.ID{}, p, discproc.KindCreate, discproc.CreateReq{
 			File: fi.Name, Org: fi.Org, AltKeys: fi.AltKeys, AllowNodes: fi.AllowNodes,
 		})
-		if err != nil && !isExists(err) {
+		if err != nil && !errors.Is(err, discproc.ErrFileExists) {
 			return err
 		}
 	}
 	return nil
-}
-
-func isExists(err error) bool {
-	var re *msg.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "already exists")
 }
 
 func (fs *FS) info(file string) (*FileInfo, error) {
@@ -160,8 +153,7 @@ func (fs *FS) callPart(tx txid.ID, p Partition, kind string, payload any) (msg.M
 	if p.Node != fs.node {
 		addr.Node = p.Node
 	}
-	var last error
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 1; ; attempt++ {
 		var (
 			r   msg.Message
 			err error
@@ -171,18 +163,13 @@ func (fs *FS) callPart(tx txid.ID, p Partition, kind string, payload any) (msg.M
 		} else {
 			r, err = fs.sys.CallTimeout(fs.CallCPU, addr, kind, payload, fs.Timeout)
 		}
-		if err == nil {
-			return r, nil
-		}
-		last = err
-		// Retry only infrastructure failures (takeover windows), never
-		// application-level rejections.
-		if !errors.Is(err, hw.ErrCPUDown) && !errors.Is(err, msg.ErrNoSuchName) {
-			return msg.Message{}, err
+		// Retry only a request that reached no process (a takeover
+		// window), never an answer or a call that may have run.
+		if err == nil || attempt == 3 || !msg.Undelivered(err) {
+			return r, err
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return msg.Message{}, last
 }
 
 // frames recycles record-request frames (discproc.RecReq), which the

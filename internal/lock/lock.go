@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"encompass/internal/msg"
 	"encompass/internal/txid"
 )
 
@@ -40,6 +41,12 @@ var (
 	// transaction released its locks (e.g. it was aborted while waiting).
 	ErrReleased = errors.New("lock: wait cancelled by transaction release")
 )
+
+// Requesters restart on either lock error; lock's error codes are 32-39.
+func init() {
+	msg.RegisterError(32, ErrTimeout)
+	msg.RegisterError(33, ErrReleased)
+}
 
 // Key names a lockable object on a volume: a whole file, or one record by
 // primary key. Record locking "operates on the primary key of an

@@ -20,3 +20,14 @@ func PayloadTags() ([]uint16, []reflect.Type) {
 	}
 	return tags, types
 }
+
+// ErrorCodes returns every registered error code in order, with its
+// sentinel, for the tests in package msg_test.
+func ErrorCodes() ([]uint16, []error) {
+	s := slices.SortedFunc(slices.Values(errorTable), func(a, b coded) int { return int(a.code) - int(b.code) })
+	codes, errs := make([]uint16, len(s)), make([]error, len(s))
+	for i, e := range s {
+		codes[i], errs[i] = e.code, e.err
+	}
+	return codes, errs
+}

@@ -15,7 +15,8 @@ import (
 )
 
 // realFrames are seeds built from payloads the system really sends: a
-// remote record request, its reply, and a header-only reply.
+// remote record request, its reply, a header-only reply, and error replies
+// with and without a code.
 func realFrames(f *testing.F) [][]byte {
 	f.Helper()
 	tx := txid.ID{Home: "west", CPU: 1, Seq: 42}
@@ -31,6 +32,13 @@ func realFrames(f *testing.F) [][]byte {
 		{From: msg.PID{Node: "west", CPU: 1}, FromSys: "west", To: msg.Addr{Node: "east", Name: "tmp"}, Kind: "tmp.begin", Corr: 11,
 			Payload: carriedBegin(f, &appserver.Req{Tx: tx, Fields: map[string]string{"ACCT": "7", "AMT": "-5"}})},
 	} {
+		b, err := msg.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, b)
+	}
+	for _, m := range errorFrames {
 		b, err := msg.Marshal(m)
 		if err != nil {
 			f.Fatal(err)

@@ -36,6 +36,39 @@ var (
 	ErrInboxBlocked = errors.New("msg: destination inbox blocked")
 )
 
+// The message system's error codes are its block of the error table
+// (16-23, wire.go). hw cannot import msg, so its CPU-down sentinel is
+// registered here.
+func init() {
+	RegisterError(16, ErrNoSuchName)
+	RegisterError(17, ErrProcessDead)
+	RegisterError(18, ErrInboxBlocked)
+	RegisterError(19, ErrCallTimeout)
+	RegisterError(20, hw.ErrCPUDown)
+}
+
+// undeliveredCauses are the sentinels of a request that reached no process.
+var undeliveredCauses = [...]error{ErrNoSuchName, ErrProcessDead, ErrInboxBlocked, hw.ErrCPUDown}
+
+// Undelivered reports whether a call failed with "completed: no": its
+// request never reached a process, so nothing ran. That is a send that
+// failed at this node (the sentinel itself), or the destination node's
+// message system answering in the server's place. An error a server
+// replied with is an answer, whatever sentinel it carries: its request
+// ran. A timeout (ErrCallTimeout) is "completed: maybe".
+func Undelivered(err error) bool {
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return re.undelivered
+	}
+	for _, s := range undeliveredCauses {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
+	return false
+}
+
 // PID identifies a process instance: the node it runs on, the CPU hosting
 // it, and a node-unique sequence number.
 type PID struct {
@@ -68,16 +101,31 @@ type Message struct {
 	Kind    string
 	Corr    uint64 // correlation id for request/reply matching
 	IsReply bool
-	Err     string // non-empty on an error reply
-	Payload any
+	// Undelivered marks an error reply the destination's message system
+	// sent because the request reached no process (Undelivered).
+	Undelivered bool
+	Code        uint16 // Err's code in the error table (RegisterError), 0 if none
+	Err         string // non-empty on an error reply
+	Payload     any
 }
 
-// RemoteError is returned by Call when the remote server replied with an
-// application-level error.
-type RemoteError struct{ Msg string }
+// RemoteError is returned by Call when the server replied with an error,
+// on a call within the node and across nodes alike. It satisfies
+// errors.Is for the registered sentinel the server's error carried.
+type RemoteError struct {
+	Msg         string
+	code        uint16
+	undelivered bool
+}
 
 // Error implements the error interface.
 func (e *RemoteError) Error() string { return "msg: remote error: " + e.Msg }
+
+// Is reports whether target is the registered sentinel the server's error
+// carried.
+func (e *RemoteError) Is(target error) bool {
+	return e.code != 0 && e.code == sentinelCode(target)
+}
 
 // RemoteSender moves a message to another node. Implemented by the network
 // layer.
@@ -195,7 +243,7 @@ func (p *Process) Reply(req Message, payload any) error {
 	if p.halted() {
 		return fmt.Errorf("%w: %s (cpu halted)", ErrProcessDead, p.pid)
 	}
-	return p.sys.reply(&req, payload, "")
+	return p.sys.reply(&req, payload, nil, false)
 }
 
 // ReplyErr answers a request with an application error.
@@ -206,7 +254,7 @@ func (p *Process) ReplyErr(req Message, err error) error {
 	if err == nil {
 		err = errors.New("unknown error")
 	}
-	return p.sys.reply(&req, nil, err.Error())
+	return p.sys.reply(&req, nil, err, false)
 }
 
 // Exit marks the process dead and unregisters its name if it still owns it.
@@ -464,7 +512,7 @@ func (p Pending) AwaitContext(ctx context.Context, d time.Duration) (Message, er
 	}
 	w.put()
 	if r.Err != "" {
-		return r, &RemoteError{Msg: r.Err}
+		return r, &RemoteError{Msg: r.Err, code: r.Code, undelivered: r.Undelivered}
 	}
 	return r, nil
 }
@@ -534,45 +582,46 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 
 // DeliverFromNetwork injects a message that arrived from another node. The
 // network layer calls it on the destination node's system. Replies are
-// routed to local waiters; requests are resolved by name locally.
-func (s *System) DeliverFromNetwork(m Message) error {
+// routed to local waiters; requests are resolved by name locally. A
+// request that reaches no process (no such name, a dead process, a down
+// CPU) is answered in the server's place, marked undelivered, so the
+// caller fails fast knowing nothing ran rather than timing out.
+func (s *System) DeliverFromNetwork(m Message) {
 	if m.IsReply {
 		s.completeCall(&m)
-		return nil
+		return
 	}
 	p, err := s.Lookup(m.To.Name)
-	if err != nil {
-		// Send an error reply home so the caller fails fast rather than
-		// timing out.
-		if m.Corr != 0 {
-			s.routeReply(&m, nil, err.Error())
-		}
-		return err
+	if err == nil {
+		// Deliver on behalf of a CPU-less network entity: use the
+		// receiver's own CPU as the transfer source so only receiver
+		// liveness matters.
+		err = s.deliverLocal(p.pid.CPU, p, m)
 	}
-	// Deliver on behalf of a CPU-less network entity: use the receiver's
-	// own CPU as the transfer source so only receiver liveness matters.
-	return s.deliverLocal(p.pid.CPU, p, m)
+	if err != nil {
+		_ = s.reply(&m, nil, err, true) // a reply the network loses ends in the caller's timeout
+	}
 }
 
 // reply and the functions it calls take the request and the reply by
 // pointer: every answer passes through them, and copying the 144-byte
 // Message at each step would cost every served request time and stack.
-func (s *System) reply(req *Message, payload any, errStr string) error {
+// An error reply carries err's text and the code of the first registered
+// sentinel in its chain.
+func (s *System) reply(req *Message, payload any, err error, undelivered bool) error {
 	if req.Corr == 0 {
 		return nil // one-way message, nothing to answer
 	}
-	return s.routeReply(req, payload, errStr)
-}
-
-func (s *System) routeReply(req *Message, payload any, errStr string) error {
 	r := Message{
 		FromSys: s.node.Name(),
 		To:      Addr{Node: req.FromSys},
 		Kind:    req.Kind,
 		Corr:    req.Corr,
 		IsReply: true,
-		Err:     errStr,
 		Payload: payload,
+	}
+	if err != nil {
+		r.Err, r.Code, r.Undelivered = err.Error(), errorCode(err), undelivered
 	}
 	if req.FromSys != "" && req.FromSys != s.node.Name() {
 		return s.sendRemote(req.FromSys, &r)

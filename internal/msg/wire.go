@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -13,7 +14,19 @@ import (
 // The layout is flat, varint integers and length-prefixed strings:
 //
 //	From.Node From.CPU From.Seq FromSys To.Node To.Name Kind Corr IsReply Err
+//	[Code Undelivered], only when Err is non-empty
 //	payload tag, payload
+//
+// Code is the error code of the first registered sentinel in the chain of
+// the error an error reply carries, from the error table RegisterError
+// fills; 0 is none. Codes, like tags, are part of the wire format and
+// never reused, and each package owns a block:
+//
+//	1-15     discproc (and dbfile's errors, which it answers with)
+//	16-23    msg (and hw's, which cannot import msg)
+//	24-31    tmf
+//	32-39    lock
+//	200-255  tests
 //
 // The payload tag names the payload's type in the tag table RegisterPayload
 // fills; tag 0 is a nil payload. The payload's own codec writes the rest of
@@ -77,6 +90,75 @@ func RegisterPayload[T any](tag uint16, enc func(b []byte, v T) []byte, dec func
 	codecByType[typ] = c
 }
 
+// coded is one row of the error table: a sentinel callers branch on and
+// its code.
+type coded struct {
+	code uint16
+	err  error
+}
+
+// The error table, filled by RegisterError from init functions and only
+// read afterwards.
+var errorTable []coded
+
+// RegisterError gives sentinel an identity that survives a reply: an error
+// reply whose chain holds it carries code beside the text, and the
+// caller's RemoteError satisfies errors.Is(err, sentinel), within the node
+// and across nodes alike. Register only sentinels that callers branch on.
+// Call it from an init function; code 0, a non-comparable sentinel, and a
+// code or sentinel registered twice panic.
+func RegisterError(code uint16, sentinel error) {
+	if code == 0 || !reflect.TypeOf(sentinel).Comparable() {
+		panic(fmt.Sprintf("msg: RegisterError(%d, %v): code 0 and non-comparable errors are reserved", code, sentinel))
+	}
+	for _, c := range errorTable {
+		if c.code == code || c.err == sentinel {
+			panic(fmt.Sprintf("msg: RegisterError(%d, %v) collides with (%d, %v)", code, sentinel, c.code, c.err))
+		}
+	}
+	errorTable = append(errorTable, coded{code, sentinel})
+}
+
+// sentinelCode returns err's code if err is a registered sentinel itself,
+// else 0. A registered sentinel's type is comparable, so == cannot panic.
+func sentinelCode(err error) uint16 {
+	for _, c := range errorTable {
+		if err == c.err {
+			return c.code
+		}
+	}
+	return 0
+}
+
+// errorCode returns the code of the first registered sentinel in err's
+// chain, walked in the order errors.Is walks it, or 0. A RemoteError in
+// the chain gives its own code: a server relaying an error it was
+// answered with keeps the error's identity.
+func errorCode(err error) uint16 {
+	for err != nil {
+		if re, ok := err.(*RemoteError); ok {
+			return re.code
+		}
+		if c := sentinelCode(err); c != 0 {
+			return c
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if c := errorCode(e); c != 0 {
+					return c
+				}
+			}
+			return 0
+		default:
+			return 0
+		}
+	}
+	return 0
+}
+
 // frameSlack is the room Marshal leaves beyond the header's strings: the
 // header's integers and a small payload fit without growing the frame.
 const frameSlack = 160
@@ -95,6 +177,9 @@ func Marshal(m Message) ([]byte, error) {
 	b = binary.AppendUvarint(b, m.Corr)
 	b = AppendBool(b, m.IsReply)
 	b = AppendBytes(b, m.Err)
+	if m.Err != "" {
+		b = AppendBool(binary.AppendUvarint(b, uint64(m.Code)), m.Undelivered)
+	}
 	return AppendPayload(b, m.Payload)
 }
 
@@ -114,6 +199,13 @@ func Unmarshal(b []byte) (Message, error) {
 	m.Corr = r.Uvarint()
 	m.IsReply = r.Bool()
 	errText := r.span(b)
+	if errText[1] > errText[0] {
+		code := r.Uvarint()
+		if code > math.MaxUint16 {
+			r.Fail(errShortFrame)
+		}
+		m.Code, m.Undelivered = uint16(code), r.Bool()
+	}
 	if r.err != nil {
 		return Message{}, r.err
 	}

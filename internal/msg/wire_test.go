@@ -232,3 +232,73 @@ func TestMalformedCarriedPayloadIsAnError(t *testing.T) {
 		t.Error("a begin carrying a string payload marshaled without a registered tag")
 	}
 }
+
+// errorFrames are error replies as the system sends them: a server's
+// answer with a registered code, a message system's undelivered answer,
+// and an answer whose error carries no registered sentinel.
+var errorFrames = []msg.Message{
+	{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: discproc.KindRead, Corr: 9, IsReply: true, Err: "dbfile: record not found", Code: 4},
+	{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: "tmp.begin", Corr: 10, IsReply: true, Err: "hw: cpu down: cpu 3 (receiver)", Code: 20, Undelivered: true},
+	{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: "tmp.phase1", Corr: 11, IsReply: true, Err: "boom"},
+}
+
+// TestErrorFrameGolden pins the frame layout: a success reply carries no
+// code (its bytes are those of the frame before codes existed), and an
+// error reply carries its code and completion after the text.
+func TestErrorFrameGolden(t *testing.T) {
+	for _, c := range []struct {
+		m   msg.Message
+		hex string
+	}{
+		{msg.Message{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: "disc.read", Corr: 9, IsReply: true},
+			"000000046561737404776573740009646973632e7265616409010000"},
+		{msg.Message{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: "disc.read", Corr: 9, IsReply: true, Err: "boom", Code: 4},
+			"000000046561737404776573740009646973632e72656164090104626f6f6d040000"},
+		{msg.Message{FromSys: "east", To: msg.Addr{Node: "west"}, Kind: "tmp.begin", Corr: 9, IsReply: true, Err: "cpu down", Code: 300, Undelivered: true},
+			"000000046561737404776573740009746d702e626567696e09010863707520646f776eac020100"},
+	} {
+		b, err := msg.Marshal(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", b); got != c.hex {
+			t.Errorf("frame of %+v = %s, want %s", c.m, got, c.hex)
+		}
+	}
+}
+
+// TestErrorFramesRoundTrip: an error reply's text, code and completion
+// cross a frame intact, every truncation of it is an error, and so are a
+// code past 16 bits and a completion byte that is not a bool.
+func TestErrorFramesRoundTrip(t *testing.T) {
+	for _, m := range errorFrames {
+		b, err := msg.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := msg.Unmarshal(b)
+		if err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip of %+v = %+v, %v", m, got, err)
+		}
+		for n := range len(b) {
+			if _, err := msg.Unmarshal(b[:n]); err == nil {
+				t.Errorf("%q truncated to %d of %d bytes decoded without error", m.Err, n, len(b))
+			}
+		}
+	}
+	m := errorFrames[0]
+	b, err := msg.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(b) - 3 // code (one byte), completion, tag
+	wide := slices.Concat(b[:at], []byte{0x80, 0x80, 0x04}, b[at+1:])
+	if _, err := msg.Unmarshal(wide); err == nil {
+		t.Error("a code past 16 bits decoded without error")
+	}
+	notBool := bytes.Clone(b)
+	notBool[at+1] = 2
+	if _, err := msg.Unmarshal(notBool); err == nil {
+		t.Error("a completion byte of 2 decoded without error")
+	}
+}

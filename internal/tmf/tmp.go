@@ -61,7 +61,7 @@ type beginResp struct {
 	AlreadyKnown bool
 }
 
-// The TMP messages cross nodes; their tags are tmf's block (24-31).
+// The TMP messages cross nodes; their tags and tmf's error codes are 24-31.
 func init() {
 	msg.RegisterPayload(24,
 		func(b []byte, r tmpReq) []byte {
@@ -90,6 +90,9 @@ func init() {
 	msg.RegisterPayload(26,
 		func(b []byte, r beginResp) []byte { return msg.AppendBool(b, r.AlreadyKnown) },
 		func(r *msg.Reader) beginResp { return beginResp{AlreadyKnown: r.Bool()} })
+	msg.RegisterError(24, ErrAborted)
+	msg.RegisterError(25, ErrInDoubt)
+	msg.RegisterError(26, ErrNodeUnreachable)
 }
 
 // tmpApp is the TMP pair application. All durable coordination state lives
@@ -318,12 +321,13 @@ func (m *Monitor) alongside(children []string, kind string, req tmpReq, local fu
 // The caller becomes the destination's parent in the transmission tree on
 // any answer except "already known" (then the node has tx from elsewhere,
 // never saw the request, and gets it directly), an error from the
-// forwarded request included: the begin ran. A call that gets no answer
+// forwarded request included: the begin ran. A call that timed out
 // settles membership with a begin that carries nothing, and counts the
 // node a child even if that fails too, so that an abort still reaches any
-// lock the request took. A transaction closed to new work sends no begin,
-// and one closed while its begin was on its way fails the request with
-// ErrAborted (addChild).
+// lock the request took. An undelivered call (msg.Undelivered) ran
+// nothing there: it fails with ErrNodeUnreachable wrapping its cause. A
+// transaction closed to new work sends no begin, and one closed while its
+// begin was on its way fails the request with ErrAborted (addChild).
 func (m *Monitor) Call(cpu int, tx txid.ID, to msg.Addr, kind string, payload any, d time.Duration) (msg.Message, error) {
 	var t *tcb
 	if !tx.IsZero() && to.Node != "" && to.Node != m.node {
@@ -351,17 +355,17 @@ func (m *Monitor) Call(cpu int, tx txid.ID, to msg.Addr, kind string, payload an
 			_ = m.addChild(t, to.Node)
 		}
 	default:
-		// Never sent: nothing ran there.
+		// Undelivered or never sent: nothing ran there.
 		err = fmt.Errorf("%w: remote begin at %s: %w", ErrNodeUnreachable, to.Node, err)
 	}
 	return r, err
 }
 
-// answered reports whether a call's error is an answer: the server
-// replied with an error, rather than the call timing out or never leaving.
+// answered reports whether a call's error is an answer: the server ran and
+// replied with an error, rather than the call going undelivered or timing out.
 func answered(err error) bool {
 	var re *msg.RemoteError
-	return errors.As(err, &re)
+	return errors.As(err, &re) && !msg.Undelivered(err)
 }
 
 // NoteRemoteSend performs the remote transaction begin at destNode on its

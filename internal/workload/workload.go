@@ -11,12 +11,10 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"encompass"
-	"encompass/internal/lock"
 )
 
 // BankConfig sizes the banking schema.
@@ -183,7 +181,7 @@ func (b *Bank) OneTx(fromNode string, rng *rand.Rand) (retries int, err error) {
 		if err == nil {
 			return attempt, nil
 		}
-		if attempt >= cfg.MaxRetries || !isRetryable(err) {
+		if attempt >= cfg.MaxRetries || !encompass.Restartable(err) {
 			return attempt, err
 		}
 	}
@@ -213,28 +211,6 @@ func (b *Bank) OneAbort(fromNode string, rng *rand.Rand) error {
 func hasLocalBranch(cfg *BankConfig, node string) bool {
 	for _, pl := range cfg.Placement {
 		if pl.Node == node {
-			return true
-		}
-	}
-	return false
-}
-
-// isRetryable reports whether a transaction that failed with err is
-// restarted at BEGIN-TRANSACTION: its lock wait timed out, or was cancelled
-// because TMF aborted it (lock.ErrReleased), or it was aborted. A lock
-// error from another node's DISCPROCESS arrives as remote text, so the
-// sentinel's own text is matched too.
-func isRetryable(err error) bool {
-	if errors.Is(err, lock.ErrTimeout) || errors.Is(err, lock.ErrReleased) {
-		return true
-	}
-	s := err.Error()
-	return containsAny(s, "timed out", "aborted", "already ended", lock.ErrReleased.Error())
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if strings.Contains(s, sub) {
 			return true
 		}
 	}

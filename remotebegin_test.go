@@ -1,11 +1,15 @@
 package encompass_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"encompass"
+	"encompass/internal/hw"
+	"encompass/internal/msg"
+	"encompass/internal/tmf"
 	"encompass/internal/txid"
 )
 
@@ -28,6 +32,43 @@ func chain(t *testing.T, nodes int) (*encompass.System, []string) {
 		}
 	}
 	return sys, names
+}
+
+// TestCrashedNodeRequestFailsFast: a transaction's first request to a
+// crashed node whose TMP is still registered on a down CPU is answered by
+// that node's message system at once: it fails as ErrNodeUnreachable
+// wrapping hw.ErrCPUDown instead of waiting out its timeout, and the node
+// joins no transmission tree, so the transaction still commits without
+// it. A crashed node's processes leave the name registry only once their
+// goroutines see the failure, and one blocked inside a handler keeps its
+// name meanwhile; the test holds that window open with a process that
+// never returns to Recv.
+func TestCrashedNodeRequestFailsFast(t *testing.T) {
+	sys, _ := chain(t, 2)
+	a, b := sys.Node("a"), sys.Node("b")
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	stuck, err := b.Msg.Spawn(0, "", func(*msg.Process) { <-hold })
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Crash()
+	b.Msg.Register("tmp", stuck)
+	tx, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = tx.ReadLock("fb", "k")
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("ReadLock on the crashed node took %v, want an answer within 100ms", d)
+	}
+	if !errors.Is(err, tmf.ErrNodeUnreachable) || !errors.Is(err, hw.ErrCPUDown) {
+		t.Errorf("ReadLock on the crashed node = %v, want ErrNodeUnreachable and hw.ErrCPUDown", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Errorf("commit = %v, want nil: the crashed node is no child", err)
+	}
 }
 
 // TestDistributedCommitFrames pins the EXPAND frames of a transaction
