@@ -313,16 +313,17 @@ func (n *Node) start(repair func(*tmf.Monitor) error) error {
 	return nil
 }
 
-// halt stops the node's software, all of it: every processor fails, which
-// cancels every process on it, and the listeners this incarnation left with
-// the hardware and the network are detached, so that nothing wakes it when
-// the processors come back and nothing keeps it reachable.
+// halt stops the node's software, all of it: its hardware and network
+// listeners are detached, then every processor fails, cancelling every
+// process on it. Detached first, nothing takes the node's failure for one
+// processor's (aborting, late, over the next incarnation's work), wakes
+// when the processors come back or keeps the software reachable.
 func (n *Node) halt() {
+	n.HW.Unwatch()
+	n.netw.UnwatchTopology(n.Name)
 	for _, cpu := range n.HW.UpCPUs() {
 		n.HW.FailCPU(cpu)
 	}
-	n.HW.Unwatch()
-	n.netw.UnwatchTopology(n.Name)
 }
 
 // Node returns a node by name, or nil.

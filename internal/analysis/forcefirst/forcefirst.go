@@ -20,12 +20,13 @@
 //   - tmf: only the commit's externalizations need a dominating force,
 //     because recordOutcome forces only a commit record: a home whose
 //     Monitor Audit Trail holds no commit record recovers the transaction
-//     as aborted, so no crash can take an abort back. The externalizers
-//     are the broadcast of txid.StateEnded, safeDeliverChildren carrying
+//     as aborted, so no crash can take an abort back. The order is decided
+//     where the protocol's core builds its effects (core.go): the
+//     externalizers are the broadcast of txid.StateEnded, the deliver of
 //     ENDED (the commit's delivery down the transmission tree), and any
 //     MonitorTrail.Append outside the blessed recordOutcome wrapper, whose
-//     append IS the force. The forcers are DecisionLog.Append, the
-//     acceptor client's RecordOutcome, and recordOutcome itself.
+//     append IS the force. The forcers are the core's record, recordOutcome
+//     itself, DecisionLog.Append and the acceptor client's RecordOutcome.
 //
 //   - paxoscommit: the externalizer is Process.Reply (acks to the
 //     coordinator or learners; ReplyErr carries no outcome and is always
@@ -84,11 +85,11 @@ var vocabularies = map[string]vocabulary{
 	"tmf": {
 		externalizers: map[string]string{
 			"broadcast":           "broadcast of a terminal state",
-			"safeDeliverChildren": "commit delivery to children",
+			"deliver":             "commit delivery to children",
 			"MonitorTrail.Append": "MonitorTrail.Append outside recordOutcome",
 		},
-		terminalOnly: set("broadcast", "safeDeliverChildren"),
-		forcers:      set("DecisionLog.Append", "Client.RecordOutcome", "recordOutcome"),
+		terminalOnly: set("broadcast", "deliver"),
+		forcers:      set("DecisionLog.Append", "Client.RecordOutcome", "recordOutcome", "record"),
 		exempt:       set("recordOutcome"),
 		message:      outcomeMessage,
 	},

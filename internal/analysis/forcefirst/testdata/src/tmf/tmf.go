@@ -25,8 +25,11 @@ const (
 	kindAborting = "tmp.aborting"
 )
 
-func broadcast(st state)              {}
-func safeDeliverChildren(kind string) {}
+func broadcast(st state)  {}
+func deliver(kind string) {}
+
+// record is the core's commit-record effect: it forces, as recordOutcome.
+func record() {}
 
 // recordOutcome is the blessed single MAT-write path: its own append IS
 // the force, not a leak of it.
@@ -47,16 +50,29 @@ func goodIntent() {
 func goodForced(l *DecisionLog) {
 	l.Append(1)
 	broadcast(StateAborted)
-	safeDeliverChildren(kindEnded)
+	deliver(kindEnded)
+}
+
+// goodRecorded: the core's commit order, record first.
+func goodRecorded() {
+	record()
+	broadcast(StateEnded)
+	deliver(kindEnded)
+}
+
+// badRecordAfter: ENDED before the commit record.
+func badRecordAfter() {
+	broadcast(StateEnded) // want "broadcast of a terminal state externalizes the outcome"
+	record()
 }
 
 func badDeliver() {
-	safeDeliverChildren(kindEnded) // want "commit delivery to children externalizes the outcome"
+	deliver(kindEnded) // want "commit delivery to children externalizes the outcome"
 }
 
 // goodAbortFirst: ABORTING may reach the children before the abort record.
 func goodAbortFirst() {
-	safeDeliverChildren(kindAborting)
+	deliver(kindAborting)
 }
 
 // goodAbortedBeforeRecord: the abort record is not forced, so ABORTED may
@@ -76,7 +92,7 @@ func handlePrologue(l *DecisionLog, kind int) {
 	case 1:
 		broadcast(StateEnded)
 	case 2:
-		safeDeliverChildren(kindEnded)
+		deliver(kindEnded)
 	}
 }
 
@@ -88,7 +104,7 @@ func handlePerCase(l *DecisionLog, kind int) {
 		l.Append(1)
 		broadcast(StateEnded)
 	case 2:
-		safeDeliverChildren(kindEnded) // want "commit delivery to children externalizes the outcome"
+		deliver(kindEnded) // want "commit delivery to children externalizes the outcome"
 	}
 }
 

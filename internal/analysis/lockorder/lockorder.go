@@ -38,10 +38,11 @@ var rank = map[string]int{
 	"Manager.heldMu":  30,
 
 	// internal/tmf: the Monitor's transaction-set guard (mu) is taken
-	// before the per-CPU state-table guard (tabMu) when abort/HW-event
-	// sweeps peek table state under mu. The table paths (broadcast,
-	// State, Forget) take tabMu alone or strictly after releasing mu —
-	// the reverse edge does not exist, so the ordering is acyclic.
+	// before the per-CPU state-table guard (tabMu) when a revived CPU's
+	// table is rebuilt from the transactions' states. The table paths
+	// (broadcast, State, Forget) take tabMu alone or strictly after
+	// releasing mu — the reverse edge does not exist, so the ordering is
+	// acyclic.
 	"Monitor.mu":    110,
 	"Monitor.tabMu": 120,
 	// The in-doubt watcher set guard is leaf-like: armed/cleared from

@@ -10,14 +10,10 @@
 // parks the caller on another process's mailbox — holding a lock-manager
 // shard, a scheduler mutex, or any other lock across that wait couples
 // unrelated transactions' progress and is one failed process away from a
-// node-wide stall. The walk is intraprocedural, and that leaves one known
-// blind spot: tcb.protoMu, held across TMP calls and trail forces. It is
-// taken inside lockProto, which returns with the mutex held, so no caller
-// ever shows the Lock this analyzer would pair with a call; no allow
-// directive exists for it. The argument that it is safe (the transmission
-// graph is a tree, so protocol calls flow parent to child) lives on
-// tcb.protoMu. Until protoMu becomes a per-transaction turn that this
-// analyzer can see, a wait under it is checked by review, not here.
+// node-wide stall. The walk is intraprocedural. TMF's commit protocol
+// holds no mutex across its calls: a transaction's turn is a flag set
+// under the Monitor's mutex, which covers one protocol step and nothing
+// else.
 package mailboxblock
 
 import (

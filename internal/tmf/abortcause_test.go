@@ -50,13 +50,13 @@ func TestVotedParticipantAbortCauses(t *testing.T) {
 				t.Fatal(err)
 			}
 			a.insert(t, "b", tx, "k", "v")
-			if err := b.mon.phase1Inbound(tx); err != nil {
+			if err := b.mon.serve(tx, kindPhase1); err != nil {
 				t.Fatal(err)
 			}
 
 			err := tc.abort(a, b, net, tx)
 			b.mon.mu.Lock()
-			voted := b.mon.txs[tx].phase1Acked
+			voted := b.mon.txs[tx].s.voted
 			b.mon.mu.Unlock()
 			if !voted {
 				t.Error("the vote was forgotten")

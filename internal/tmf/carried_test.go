@@ -25,11 +25,13 @@ func (tn *testNode) callDisc(destNode, kind string, req *discproc.RecReq, d time
 // children is tx's child set on this node.
 func (tn *testNode) children(t *testing.T, tx txid.ID) []string {
 	t.Helper()
-	c, err := tn.mon.childrenOf(tx)
-	if err != nil {
-		t.Fatal(err)
+	tn.mon.mu.Lock()
+	tb, ok := tn.mon.txs[tx]
+	tn.mon.mu.Unlock()
+	if !ok {
+		t.Fatalf("%s does not know %s", tn.name, tx)
 	}
-	return c
+	return tn.mon.childrenOf(tb)
 }
 
 // begins counts the remote begins this node's monitor sent for tx to

@@ -36,16 +36,13 @@ type volCall struct {
 	err   error
 }
 
-// callVolumes sends kind to the DISCPROCESS of every volume in vols and
-// collects the replies on the caller's goroutine. The calls are nowait:
-// every request is on its way before the first wait, so the volumes serve
-// them — and their trails force — concurrently, without a goroutine per
-// volume. payload(i) is volume i's request, a pointer the volume only
-// reads, so a retry sends the same one. A volume whose call failed is sent
-// its request again, up to attempts times in all, with linear backoff
-// between rounds. done then sees every volume once, in order, with its
-// last error and the time from its first send until its reply was
-// collected.
+// callVolumes sends kind to the DISCPROCESS of every volume in vols,
+// nowait, and collects the replies on the caller's goroutine, so the
+// volumes serve them — and their trails force — concurrently. payload(i)
+// is volume i's request, which a retry sends again: a failed call is
+// retried up to attempts times in all, with linear backoff. done then sees
+// every volume once, in order, with its last error and the time from its
+// first send until its reply.
 func (m *Monitor) callVolumes(vols []VolumeInfo, kind string, payload func(i int) any, attempts int, done func(i int, d time.Duration, err error)) {
 	var buf [4]volCall
 	calls := buf[:]
@@ -89,127 +86,19 @@ func (m *Monitor) callVolumes(vols []VolumeInfo, kind string, payload func(i int
 	}
 }
 
-// lockProto acquires the transaction's protocol mutex, serializing
-// commit/abort/phase-one work for this transid on this node.
-func (m *Monitor) lockProto(tx txid.ID) (*tcb, error) {
-	t, err := m.tcb(tx)
-	if err != nil {
-		return nil, err
-	}
-	t.protoMu.Lock()
-	return t, nil
-}
-
-// End runs END-TRANSACTION: the two-phase commit protocol. It must be
-// called on the transaction's home node. It returns at the commit point:
-// on success the commit record is forced, ENDED is broadcast and the home
-// node's locks are released, while the child nodes — bound by their
-// phase-one votes — learn the outcome from a safe-delivery that is still
-// on its way (Stats.Phase2Outstanding counts it; WaitSafeQueueEmpty waits
-// for it). On failure the transaction has been aborted and backed out on
-// every reachable participant, and the caller (typically a TCP) may
-// restart it.
+// End runs END-TRANSACTION, the two-phase commit, on the transaction's
+// home node. It returns at the commit point: the commit record forced,
+// ENDED broadcast, the home node's locks released, and ENDED on its way to
+// the children (WaitSafeQueueEmpty waits for it). On failure the
+// transaction has been backed out on every reachable participant, and the
+// caller (typically a TCP) may restart it.
 func (m *Monitor) End(tx txid.ID) error {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		return err
-	}
-	defer t.protoMu.Unlock()
-	if !t.isHome {
-		return fmt.Errorf("%w: END of %s attempted on %s", ErrNotHome, tx, m.node)
-	}
-	// A transaction the system already aborted rejects END; the Screen
-	// COBOL program is then restarted at BEGIN-TRANSACTION.
-	if st := m.State(tx); st != txid.StateActive {
-		if st == txid.StateAborting || st == txid.StateAborted {
-			return fmt.Errorf("%w: %s (state %s at END)", ErrAborted, tx, st)
-		}
-		return fmt.Errorf("%w: END of %s in state %s", ErrBadState, tx, st)
-	}
-	// A coordinator resuming after a stall must honor an abort the
-	// recovery path (or the operator) already recorded: the abort record
-	// in the MAT is final, exactly as the commit record is in abortLocked.
-	if o, ok := m.mat.OutcomeOf(tx); ok && o == audit.OutcomeAborted {
-		return fmt.Errorf("%w: %s (aborted while END was stalled)", ErrAborted, tx)
-	}
-
-	// END-TRANSACTION: the transaction accepts no further data-base work.
-	m.closeToNewWork(tx)
-	// Phase one: enter "ending", force audit records everywhere.
-	m.broadcast(tx, txid.StateEnding, "")
-	p1Start := time.Now()
-	if err := m.phase1(tx); err != nil {
-		m.abortLocked(t, unilateral, fmt.Sprintf("phase one failed: %v", err))
-		return fmt.Errorf("%w: %s: phase one failed: %v", ErrAborted, tx, err)
-	}
-	// The home node's own Prepared vote: under Paxos Commit this is the
-	// last ballot-0 fast-path accept — after it succeeds, every instance
-	// of the transaction is chosen Prepared and no recovery ballot can
-	// decide anything but commit.
-	acceptors := m.paxosCoordinator(tx)
-	if acceptors != nil {
-		if err := acceptors.Vote(tx, m.node, true); err != nil {
-			m.abortLocked(t, unilateral, fmt.Sprintf("disposition vote failed: %v", err))
-			return fmt.Errorf("%w: %s: disposition vote failed: %v", ErrAborted, tx, err)
-		}
-	}
-	m.hPhase1.Observe(time.Since(p1Start))
-	if hp := m.phase1Hook.Load(); hp != nil {
-		// Fault-injection point between phase one and the commit record,
-		// used by the in-doubt experiments.
-		(*hp)(tx)
-	}
-	// Abbreviated 2PC decides by fiat: writing the commit record below IS
-	// the decision. Under Paxos Commit the votes already chose Committed;
-	// recording that with the acceptors lets a learner resolve in one round
-	// trip instead of collecting every instance.
-	if acceptors != nil {
-		acceptors.RecordOutcome(tx, audit.OutcomeCommitted)
-	}
-	// Commit point, then phase two. The children's ENDED is "guaranteed,
-	// but not time-critical": the application's answer does not wait for it.
-	if d := m.commitLocked(tx); d != nil {
-		go d.send(nil)
-	}
-	m.observeBeginToEnded(tx)
-	return nil
-}
-
-// commitLocked commits tx on this node with the protocol mutex held. The
-// commit record in the Monitor Audit Trail is the commit point; the
-// committed counter moves with it (recordOutcome), so Stats agrees with
-// the trail however far phase two has got. Then ENDED is broadcast, the
-// local locks are released and the ENDED delivery to the children is
-// built, for the caller to send.
-func (m *Monitor) commitLocked(tx txid.ID) *delivery {
-	m.recordOutcome(tx, audit.OutcomeCommitted)
-	m.broadcast(tx, txid.StateEnded, "")
-	p2Start := time.Now()
-	m.releaseLocal(tx)
-	return m.safeDeliverChildren(tx, kindEnded, p2Start)
-}
-
-// observeBeginToEnded records the begin→terminal latency for a transaction
-// whose begin this node witnessed.
-func (m *Monitor) observeBeginToEnded(tx txid.ID) {
-	m.mu.Lock()
-	t, ok := m.txs[tx]
-	var begin time.Time
-	if ok {
-		begin = t.beginAt
-	}
-	m.mu.Unlock()
-	if !begin.IsZero() {
-		m.hBeginToEnded.Observe(time.Since(begin))
-	}
+	return m.run(tx, event{kind: evEnd}, "")
 }
 
 // recordOutcome writes the transaction's completion record to the Monitor
 // Audit Trail, forcing it only for a commit, and bumps the matching
-// counters only when the record is new, so the committed/aborted counters
-// always equal the trail's contents.
-// (End previously counted committed before phase two ran, and applyEnded
-// recorded the outcome without counting at all.)
+// counters only when the record is new, so they equal the trail.
 func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
 	got, isNew := m.mat.Append(tx, o)
 	if !isNew || got != o {
@@ -226,23 +115,17 @@ func (m *Monitor) recordOutcome(tx txid.ID, o audit.Outcome) {
 		CPU: m.tmpCPUOrFirstUp(), Detail: o.String()})
 }
 
-// phase1 runs both halves of phase one together (alongside): the
-// critical-response request goes to every node this node directly
-// transmitted the transid to, then this node's audit trails are forced
-// while they serve it. "For critical response messages, the destination
-// TMP must be accessible at the time the message is initiated, and it must
-// reply with an affirmative response in order for the transaction state
-// change to proceed." Children are independent subtrees of the
-// transmission tree, so their phase-one work (which recurses to their own
-// children) proceeds concurrently. Both halves must succeed for the commit
-// to proceed: this node's error comes first, then the first child's in
-// name order.
-func (m *Monitor) phase1(tx txid.ID) error {
-	children, err := m.childrenOf(tx)
-	if err != nil {
-		return err
-	}
-	m.alongside(children, kindPhase1, tmpReq{Tx: tx}, func() { err = m.phase1Local(tx) }, func(child string, cerr error) {
+// phase1 runs both halves of phase one together: the critical-response
+// request goes to every child — "the destination TMP must be accessible
+// ... and it must reply with an affirmative response" — and this node's
+// audit trails are forced while they serve it (their subtrees recurse
+// concurrently). Both halves must succeed: this node's error comes first,
+// then the first child's in name order.
+func (m *Monitor) phase1(t *tcb) error {
+	var buf [2]tmpPending
+	calls := m.sendAll(buf[:0], m.childrenOf(t), kindPhase1, tmpReq{Tx: t.id})
+	err := m.phase1Local(t)
+	awaitAll(calls, func(child string, cerr error) {
 		if cerr != nil && err == nil {
 			err = fmt.Errorf("phase one to %s: %w", child, cerr)
 		}
@@ -251,20 +134,15 @@ func (m *Monitor) phase1(tx txid.ID) error {
 }
 
 // phase1Local forces this node's audit trails for the transaction: one
-// flush per participating volume, all sent before the first is awaited
-// (each flush blocks for the trail's simulated disc-force latency, so the
-// sequential seed paid the sum of the forces; overlapped flushes pay the
-// max, and flushes that share a trail are coalesced by the trail's group
-// commit). The first volume that failed, in name order, is the error.
-func (m *Monitor) phase1Local(tx txid.ID) error {
+// flush per participating volume, all sent before the first is awaited, so
+// the forces overlap and a shared trail's group commit coalesces them. The
+// first volume that failed, in name order, is the error.
+func (m *Monitor) phase1Local(t *tcb) error {
 	var buf [4]VolumeInfo
-	vols, req, err := m.volumesOf(tx, buf[:0])
-	if err != nil || len(vols) == 0 {
-		return err
-	}
+	vols := m.volumesOf(t, buf[:0])
 	var first error
-	m.callVolumes(vols, discproc.KindFlush, func(int) any { return req }, 1, func(i int, d time.Duration, err error) {
-		ev := obs.Event{Tx: tx, Kind: obs.EvForce, Node: m.node,
+	m.callVolumes(vols, discproc.KindFlush, func(int) any { return &t.req }, 1, func(i int, d time.Duration, err error) {
+		ev := obs.Event{Tx: t.id, Kind: obs.EvForce, Node: m.node,
 			CPU: m.tmpCPUOrFirstUp(), Dur: d, Detail: vols[i].Name}
 		if err != nil {
 			ev.Err = err.Error()
@@ -279,18 +157,13 @@ func (m *Monitor) phase1Local(tx txid.ID) error {
 
 // releaseLocal tells every participating DISCPROCESS on this node to
 // release the transaction's locks (phase two), all at once and with
-// bounded retry: the seed discarded these errors, so one transient
-// DISCPROCESS timeout leaked the transaction's locks on that volume until
-// manual intervention. A volume that still fails after the retries is
-// counted in Stats.UnreleasedVolumes.
-func (m *Monitor) releaseLocal(tx txid.ID) {
+// bounded retry, so a transient timeout leaks no lock. A volume that still
+// fails is counted in Stats.UnreleasedVolumes.
+func (m *Monitor) releaseLocal(t *tcb) {
 	var buf [4]VolumeInfo
-	vols, req, err := m.volumesOf(tx, buf[:0])
-	if err != nil || len(vols) == 0 {
-		return
-	}
-	m.callVolumes(vols, discproc.KindEndTx, func(int) any { return req }, volRetries, func(i int, d time.Duration, err error) {
-		ev := obs.Event{Tx: tx, Kind: obs.EvPhase2Release, Node: m.node,
+	vols := m.volumesOf(t, buf[:0])
+	m.callVolumes(vols, discproc.KindEndTx, func(int) any { return &t.req }, volRetries, func(i int, d time.Duration, err error) {
+		ev := obs.Event{Tx: t.id, Kind: obs.EvPhase2Release, Node: m.node,
 			CPU: m.tmpCPUOrFirstUp(), Dur: d, Detail: vols[i].Name}
 		if err != nil {
 			ev.Err = err.Error()
@@ -298,19 +171,6 @@ func (m *Monitor) releaseLocal(tx txid.ID) {
 		}
 		m.tracer.Record(ev)
 	})
-}
-
-// freezeLocal marks the transaction ended-for-new-work at every
-// participating DISCPROCESS, while its locks stay held. Run before backout
-// so no straggler operation can interleave with the undo. Freezes go to
-// every volume at once, with bounded retry.
-func (m *Monitor) freezeLocal(tx txid.ID) {
-	var buf [4]VolumeInfo
-	vols, req, err := m.volumesOf(tx, buf[:0])
-	if err != nil || len(vols) == 0 {
-		return
-	}
-	m.callVolumes(vols, discproc.KindFreeze, func(int) any { return req }, volRetries, func(int, time.Duration, error) {})
 }
 
 // abortCause says who decided an abort. A node may abort a transaction
@@ -327,92 +187,15 @@ const (
 // Abort backs out a transaction, voluntarily (ABORT-TRANSACTION /
 // RESTART-TRANSACTION) or on a failure the caller saw: a unilateral abort,
 // refused with ErrInDoubt on a non-home node that voted yes.
+//
+// Every backout is the core's abort (core.go): each node backs out its own
+// updates "without the need for communication with other nodes", while
+// its children back out theirs. It returns once every reachable
+// participant has backed out, so a caller may read the before-images
+// straight after. A backout that could not read every trail or apply
+// every undo is surfaced in the recorded abort reason.
 func (m *Monitor) Abort(tx txid.ID, reason string) error {
-	return m.abort(tx, unilateral, reason)
-}
-
-// abort takes tx's protocol mutex and aborts it.
-func (m *Monitor) abort(tx txid.ID, c abortCause, reason string) error {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		return err
-	}
-	defer t.protoMu.Unlock()
-	return m.abortLocked(t, c, reason)
-}
-
-// abortLocked is the one abort path; the caller holds t.protoMu. A
-// non-home node that voted yes refuses a unilateral abort: it holds the
-// transaction's locks until it learns the disposition. Otherwise: state
-// "aborting", then the safe-delivery of the abort to the child nodes goes
-// out, and while they back out — each node backs out its own updates from
-// its own trails, "without the need for communication with other nodes" —
-// this node does its own: freeze, backout of local updates via
-// before-images, abort record, state "aborted", lock release. Unlike End
-// it waits for the children's first answers: an abort returning means
-// every reachable participant has backed out, which is what lets a caller
-// read the before-images straight after; it costs the larger of this
-// node's backout and the slowest child's, not their sum. A backout that
-// could not read every trail or apply every undo is surfaced in the
-// recorded abort reason rather than dropped.
-func (m *Monitor) abortLocked(t *tcb, c abortCause, reason string) error {
-	tx := t.id
-	m.mu.Lock()
-	voted := !t.isHome && t.phase1Acked
-	m.mu.Unlock()
-	if voted && c == unilateral {
-		return fmt.Errorf("%w: %s", ErrInDoubt, tx)
-	}
-	if st := m.State(tx); st == txid.StateAborting || st.Terminal() {
-		return nil
-	}
-	// The commit record in the Monitor Audit Trail is the commit point: a
-	// transaction whose commit record exists can never be backed out, no
-	// matter what the volatile state tables claim (a replica on a reloaded
-	// processor may be stale and report the transaction unknown).
-	if o, ok := m.mat.OutcomeOf(tx); ok && o == audit.OutcomeCommitted {
-		return nil
-	}
-	// A home-node abort of a transaction that entered Paxos Commit must
-	// resolve it with the acceptors: a recovery ballot may already have
-	// chosen Commit (every participant's vote landed before the coordinator
-	// stalled), in which case aborting here would diverge from what the rest
-	// of the network has learned; otherwise the ballot drives the free
-	// instances to Aborted, once, for every future learner. An unreachable
-	// quorum falls through to the local abort — availability over waiting,
-	// matching the paper's manual-override semantics — with the failure
-	// recorded in the abort reason.
-	if acceptors := m.paxosCoordinator(tx); acceptors != nil {
-		if out, _, rerr := acceptors.Resolve(tx); rerr == nil && out == audit.OutcomeCommitted {
-			m.applyEndedLocked(tx)
-			return nil
-		} else if rerr != nil {
-			reason = fmt.Sprintf("%s (decision quorum unavailable: %v)", reason, rerr)
-		}
-	}
-	m.closeToNewWork(tx)
-	var detail string
-	if m.tracer != nil {
-		detail = string(c) + ": " + reason
-	}
-	m.broadcast(tx, txid.StateAborting, detail)
-	// ABORTING may go before the abort record, and the record is not
-	// forced: a home whose Monitor Audit Trail has no commit record
-	// recovers the transaction as never committed, so no crash can take an
-	// abort back.
-	m.safeDeliverChildren(tx, kindAborting, time.Time{}).send(func() {
-		m.freezeLocal(tx)
-		if boErr := m.backoutLocal(tx); boErr != nil {
-			reason = fmt.Sprintf("%s; backout incomplete: %v", reason, boErr)
-		}
-		m.recordOutcome(tx, audit.OutcomeAborted)
-		m.broadcast(tx, txid.StateAborted, "")
-		m.mu.Lock()
-		t.abortReason = reason
-		m.mu.Unlock()
-		m.releaseLocal(tx)
-	})
-	return nil
+	return m.run(tx, event{kind: evAbort, cause: unilateral}, reason)
 }
 
 // AbortReason returns the reason recorded when tx was aborted on this
@@ -426,22 +209,22 @@ func (m *Monitor) AbortReason(tx txid.ID) string {
 	return ""
 }
 
-// backoutLocal is the BACKOUTPROCESS: it collects the transaction's
-// before-images from every local audit trail and applies them, newest
-// first, through the owning DISCPROCESSes. Trail scans are retried with
-// bounded backoff; a trail that still cannot be read, or whose scan met
-// records it could not decode, is counted in Stats.BackoutScanFailures
-// and reported to the caller: either leaves updates un-undone, and a
-// silent skip would leave no trace of them. Per-volume undos are all sent
-// before the first is awaited (volumes are independent; each applies its
-// own images in reverse LSN order), best-effort with every failure
+// backoutLocal is the BACKOUTPROCESS. It first freezes the transaction at
+// every participating DISCPROCESS, locks held, so no straggler operation
+// interleaves with the undo. Then it collects the before-images from every
+// local audit trail and applies them, newest first, through the owning
+// DISCPROCESSes. Trail scans are retried with bounded backoff; a trail
+// that still cannot be read, or whose scan met undecodable records, is
+// counted in Stats.BackoutScanFailures and reported. Per-volume undos are
+// all sent before the first is awaited, best-effort, with every failure
 // collected into the returned error.
-func (m *Monitor) backoutLocal(tx txid.ID) error {
+func (m *Monitor) backoutLocal(t *tcb) error {
 	var buf [4]VolumeInfo
-	vols, _, err := m.volumesOf(tx, buf[:0])
-	if err != nil || len(vols) == 0 {
+	vols, tx := m.volumesOf(t, buf[:0]), t.id
+	if len(vols) == 0 {
 		return nil
 	}
+	m.callVolumes(vols, discproc.KindFreeze, func(int) any { return &t.req }, volRetries, func(int, time.Duration, error) {})
 	m.cBackouts.Inc()
 	backoutStart := time.Now()
 	defer func() { m.hBackout.Observe(time.Since(backoutStart)) }()
@@ -555,36 +338,9 @@ func (m *Monitor) Outcome(tx txid.ID) (audit.Outcome, bool) {
 // determines the disposition on the home node (by telephone, in 1981) and
 // forces it locally.
 func (m *Monitor) ForceDisposition(tx txid.ID, commit bool) error {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		return err
-	}
-	defer t.protoMu.Unlock()
+	o := audit.OutcomeAborted
 	if commit {
-		m.applyEndedLocked(tx)
-		return nil
+		o = audit.OutcomeCommitted
 	}
-	return m.abortLocked(t, imposed, "operator forced abort")
-}
-
-// applyEnded performs the phase-two work on this node for a committed
-// transaction and propagates to children via safe-delivery, waiting for
-// their first answers: this node's reply to its parent means its whole
-// reachable subtree has released.
-func (m *Monitor) applyEnded(tx txid.ID) {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		return
-	}
-	defer t.protoMu.Unlock()
-	m.applyEndedLocked(tx)
-}
-
-func (m *Monitor) applyEndedLocked(tx txid.ID) {
-	if st := m.State(tx); st == txid.StateEnded {
-		return
-	}
-	m.closeToNewWork(tx)
-	m.commitLocked(tx).send(nil)
-	m.observeBeginToEnded(tx)
+	return m.run(tx, event{kind: evOutcome, outcome: o}, "operator forced abort")
 }

@@ -22,7 +22,7 @@ const healLatency = 100 * time.Millisecond
 // a's with an insert on each node.
 func healPair(t *testing.T) (a, b *testNode, net *expand.Network, tx txid.ID) {
 	t.Helper()
-	nodes, net := buildCluster(t, "", healLatency, nil, "a", "b")
+	nodes, net := buildCluster(t, "", healLatency, nil, nil, "a", "b")
 	a, b = nodes["a"], nodes["b"]
 	a.mon.tracer = obs.NewTracer(16) // the cluster is idle: nothing reads the field yet
 	tx, _ = a.mon.Begin(0)

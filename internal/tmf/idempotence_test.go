@@ -47,7 +47,7 @@ func TestDuplicatePhase1AfterCommitReacks(t *testing.T) {
 	committed := b.mon.Stats().Committed
 	// A straggler/duplicate phase one arriving after the outcome applied:
 	// must re-ack affirmatively without redoing phase-one work.
-	if err := b.mon.phase1Inbound(tx); err != nil {
+	if err := b.mon.serve(tx, kindPhase1); err != nil {
 		t.Fatalf("duplicate phase one after commit: %v, want nil re-ack", err)
 	}
 	if got := b.mon.Stats().Committed; got != committed {
@@ -74,7 +74,7 @@ func TestDuplicatePhase1AfterAbortResendsAbort(t *testing.T) {
 	}
 	// Reordered phase one arriving after the abort already applied on b:
 	// the reply must be the abort outcome, not fresh phase-one work.
-	if err := b.mon.phase1Inbound(tx); !errors.Is(err, ErrAborted) {
+	if err := b.mon.serve(tx, kindPhase1); !errors.Is(err, ErrAborted) {
 		t.Fatalf("duplicate phase one after abort: %v, want ErrAborted", err)
 	}
 }
@@ -86,8 +86,8 @@ func TestDuplicatePhase2AppliesOnce(t *testing.T) {
 	committed := b.mon.Stats().Committed
 	recs := len(b.mon.MonitorTrail().Records())
 	// Duplicate safe-delivery "ended": must be a no-op.
-	b.mon.applyEnded(tx)
-	b.mon.applyEnded(tx)
+	_ = b.mon.serve(tx, kindEnded)
+	_ = b.mon.serve(tx, kindEnded)
 	if got := b.mon.Stats().Committed; got != committed {
 		t.Errorf("Committed moved %d→%d on duplicate phase two", committed, got)
 	}
@@ -115,8 +115,8 @@ func TestDuplicateAbortAppliesOnce(t *testing.T) {
 	}
 	aborted := b.mon.Stats().Aborted
 	backouts := b.mon.Stats().Backouts
-	_ = b.mon.abort(tx, imposed, "aborted by home node")
-	_ = b.mon.abort(tx, imposed, "aborted by home node")
+	_ = b.mon.serve(tx, kindAborting)
+	_ = b.mon.serve(tx, kindAborting)
 	if got := b.mon.Stats().Aborted; got != aborted {
 		t.Errorf("Aborted moved %d→%d on duplicate abort", aborted, got)
 	}
@@ -155,7 +155,10 @@ func TestLateBeginAfterResolutionDoesNotResurrect(t *testing.T) {
 	if known := b.mon.beginRemote(tx, "a"); !known {
 		t.Error("late begin after resolution not reported as known")
 	}
-	if _, err := b.mon.tcb(tx); err == nil {
+	b.mon.mu.Lock()
+	_, resurrected := b.mon.txs[tx]
+	b.mon.mu.Unlock()
+	if resurrected {
 		t.Error("late begin resurrected a control block for a resolved transid")
 	}
 	if st := b.mon.State(tx); st != txid.StateNone {

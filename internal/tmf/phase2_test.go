@@ -412,17 +412,13 @@ func TestSnapshotTxSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	children, err := m.childrenOf(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(children, ",") != "n1,n2,n3,n4,n5" {
+	m.mu.Lock()
+	tb := m.txs[tx]
+	m.mu.Unlock()
+	if children := m.childrenOf(tb); strings.Join(children, ",") != "n1,n2,n3,n4,n5" {
 		t.Fatalf("children = %v, want n1..n5 in name order", children)
 	}
-	vols, _, err := m.volumesOf(tx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vols := m.volumesOf(tb, nil)
 	var names []string
 	for _, vi := range vols {
 		names = append(names, vi.Name)

@@ -33,16 +33,14 @@ const (
 // decides the transactions homed here, and one client per home node whose
 // acceptors this node registers with, votes at and learns from. A Monitor
 // holds one under ProtoPaxos and nil under ProtoAbbreviated, where the
-// Monitor Audit Trail is the only decision procedure; that nil is the one
-// thing the commit and abort paths test.
+// Monitor Audit Trail is the only decision procedure; the core reads that
+// nil as txState.paxos.
 //
-// Call discipline (kept by the Monitor): a node joins its own instance and
-// the child's with the home acceptors before it first transmits the
-// transid to that child, so a recovery proposer discovers every
-// participant; a node's Vote follows its own successful phase one (the
-// ballot-0 fast path: once a majority accepted Prepared, no recovery
-// ballot can choose differently); the home node records Committed only
-// after every instance voted, and resolves — never assumes — Aborted.
+// Call discipline (kept by the core): a node joins its own instance and
+// the child's before it first transmits the transid to that child, so a
+// recovery proposer discovers every participant; a node votes after its
+// own phase one (the ballot-0 fast path); the home node records Committed
+// only after every instance voted, and resolves — never assumes — Aborted.
 type paxosCommit struct {
 	sys       *msg.System
 	acceptors *paxoscommit.AcceptorSet
@@ -99,25 +97,6 @@ func (m *Monitor) AcceptorLogs() []*audit.DecisionLog {
 	return m.paxos.acceptors.Logs()
 }
 
-// paxosCoordinator returns the client for tx's acceptors when this node is
-// tx's home and tx entered Paxos Commit here (it was transmitted to a
-// child, so its instances are registered). Otherwise — always, under the
-// abbreviated protocol — it is nil and the Monitor Audit Trail alone
-// decides.
-func (m *Monitor) paxosCoordinator(tx txid.ID) *paxoscommit.Client {
-	if m.paxos == nil {
-		return nil
-	}
-	m.mu.Lock()
-	t, ok := m.txs[tx]
-	begun := ok && t.isHome && t.protoBegun
-	m.mu.Unlock()
-	if !begun {
-		return nil
-	}
-	return m.paxos.client(tx.Home)
-}
-
 // InDoubt lists transactions this node holds locks for without knowing
 // the disposition: non-home, phase one acknowledged, no local outcome.
 // The T14 experiment and the DST non-blocking checker poll it.
@@ -125,22 +104,12 @@ func (m *Monitor) InDoubt() []txid.ID {
 	var ids []txid.ID
 	m.mu.Lock()
 	for id, t := range m.txs {
-		if !t.isHome && t.phase1Acked {
+		if !t.s.home && t.s.voted && !t.s.st.Terminal() {
 			ids = append(ids, id)
 		}
 	}
 	m.mu.Unlock()
-	out := ids[:0]
-	for _, id := range ids {
-		if _, resolved := m.mat.OutcomeOf(id); resolved {
-			continue
-		}
-		if m.State(id).Terminal() {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
+	return ids
 }
 
 // Disposition reports a transaction's outcome as this node can currently
@@ -170,10 +139,9 @@ func (m *Monitor) PresumedAbort(tx txid.ID) bool {
 	return tx.Home == m.node && tx.Seq>>restartSeqShift < m.incarnation
 }
 
-// in-doubt watcher pacing: the first probe is quick (an in-doubt
-// participant under a dead coordinator should release its locks in
-// fractions of a second, not minutes), then backs off; read-only learns
-// escalate to a recovery ballot after resolveAfter probes.
+// in-doubt watcher pacing: the first probe is quick (a participant under a
+// dead coordinator should release its locks in a fraction of a second),
+// then backs off; learns escalate to recovery ballots at watcherResolveAt.
 const (
 	watcherBaseDelay = 120 * time.Millisecond
 	watcherMaxDelay  = 2 * time.Second
@@ -181,11 +149,10 @@ const (
 	watcherMaxProbes = 150 // give up (the operator sweep will catch it)
 )
 
-// armInDoubtWatcher starts (once per transaction) a background resolver
-// for an in-doubt participant under Paxos Commit: it polls the acceptors'
-// learner path and, failing that, runs recovery ballots, then applies the
-// learned disposition locally. This is what makes takeover never block on
-// a dead coordinator. The abbreviated protocol has nobody to ask.
+// armInDoubtWatcher starts, once per transaction, a resolver for an
+// in-doubt participant under Paxos Commit: it asks the acceptors' learner
+// path and, failing that, runs recovery ballots, then applies what it
+// learned — so takeover never blocks on a dead coordinator.
 func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 	if m.paxos == nil {
 		return
@@ -215,19 +182,12 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 				return
 			}
 			delay, ep = min(2*delay, watcherMaxDelay), m.topology()
-			if _, resolved := m.mat.OutcomeOf(tx); resolved {
-				return
-			}
 			m.mu.Lock()
-			t, ok := m.txs[tx]
-			if !ok {
-				m.mu.Unlock()
-				return // forgotten: resolved and left the system
-			}
-			stillBound := t.phase1Acked || t.isHome
+			t := m.txs[tx]
+			bound := t != nil && (t.s.home || t.s.voted) && !t.s.st.Terminal()
 			m.mu.Unlock()
-			if !stillBound || m.State(tx).Terminal() {
-				return
+			if !bound {
+				return // resolved, or forgotten: left the system
 			}
 			o, decider, err := acceptors.Learn(tx)
 			if err != nil && probe >= watcherResolveAt {
@@ -242,15 +202,11 @@ func (m *Monitor) armInDoubtWatcher(tx txid.ID) {
 	}()
 }
 
-// applyLearnedDisposition applies a disposition obtained from the
-// acceptors' learner path, exactly as the home node's safe-delivery ENDED
-// or ABORTING would be: an abort learned here is imposed.
+// applyLearnedDisposition applies a disposition learned from the
+// acceptors as the parent's ENDED or ABORTING would be applied.
 func (m *Monitor) applyLearnedDisposition(tx txid.ID, o audit.Outcome, decider string) {
 	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvOutcome, Node: m.node,
 		CPU: m.tmpCPUOrFirstUp(), Detail: "learned " + o.String() + " via " + decider})
-	if o == audit.OutcomeCommitted {
-		m.applyEnded(tx)
-		return
-	}
-	_ = m.abort(tx, imposed, "disposition learned from commit acceptors: aborted ("+decider+")")
+	// The answer is for nobody: a resolved transaction steps to no effect.
+	_ = m.run(tx, event{kind: evOutcome, outcome: o}, "disposition learned from commit acceptors: aborted ("+decider+")")
 }

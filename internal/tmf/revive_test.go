@@ -1,9 +1,12 @@
 package tmf
 
 import (
+	"errors"
 	"testing"
 
 	"encompass/internal/audit"
+	"encompass/internal/hw"
+	"encompass/internal/obs"
 	"encompass/internal/txid"
 )
 
@@ -87,5 +90,60 @@ func TestCommitRecordBlocksBackout(t *testing.T) {
 	}
 	if a.mon.State(tx) == txid.StateAborting {
 		t.Fatal("abort proceeded past the MAT commit-record guard")
+	}
+}
+
+// TestDecisionsIgnoreStaleReplica: a processor that reloads comes back
+// with an empty state table, and the monitor reseeds it only after every
+// hardware watcher registered before it has run. A decision made in that
+// window must not read the table: an END must commit, and an abort must
+// take the transaction active → aborting, not none → aborting.
+func TestDecisionsIgnoreStaleReplica(t *testing.T) {
+	for _, op := range []string{"End", "Abort"} {
+		t.Run(op, func(t *testing.T) {
+			var (
+				a     *testNode
+				tx    txid.ID
+				opErr = errors.New("CPU 0 never came back up")
+			)
+			nodes, _ := buildCluster(t, "", 0, nil, func(n *hw.Node) {
+				n.Watch(func(e hw.Event) {
+					if e.Kind != hw.EventCPUUp || e.CPU != 0 || a == nil {
+						return
+					}
+					// CPU 0 is up, and its table is still empty.
+					if op == "End" {
+						opErr = a.mon.End(tx)
+					} else {
+						opErr = a.mon.Abort(tx, "test")
+					}
+				})
+			}, "a")
+			a = nodes["a"]
+			a.mon.tracer = obs.NewTracer(16)
+			a.hw.FailCPU(0)
+			var err error
+			if tx, err = a.mon.Begin(1); err != nil {
+				t.Fatal(err)
+			}
+			a.insert(t, "a", tx, "k", "v")
+			a.hw.ReviveCPU(0)
+			if opErr != nil {
+				t.Fatalf("%s while CPU 0's table was empty: %v", op, opErr)
+			}
+			want := audit.OutcomeCommitted
+			if op == "Abort" {
+				want = audit.OutcomeAborted
+			}
+			if o, ok := a.mon.Outcome(tx); !ok || o != want {
+				t.Errorf("outcome = %v, %v; want %v", o, ok, want)
+			}
+			if v := a.mon.Checker().Violations(); len(v) != 0 {
+				t.Errorf("Figure-3 violations: %v", v)
+			}
+			if err := obs.CheckTrace(a.mon.Tracer().Trace(tx)); err != nil {
+				t.Errorf("%v\n%s", err, a.mon.Tracer().Dump(tx))
+			}
+		})
 	}
 }

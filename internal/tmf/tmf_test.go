@@ -38,13 +38,15 @@ func testCluster(t *testing.T, names ...string) (map[string]*testNode, *expand.N
 // testClusterProto is testCluster with an explicit disposition protocol.
 func testClusterProto(t *testing.T, proto string, names ...string) (map[string]*testNode, *expand.Network) {
 	t.Helper()
-	return buildCluster(t, proto, 0, nil, names...)
+	return buildCluster(t, proto, 0, nil, nil, names...)
 }
 
 // buildCluster builds the line topology with the given per-hop latency;
 // force gives a node's audit trail a simulated force delay (none for a
-// node it does not name).
-func buildCluster(t *testing.T, proto string, latency time.Duration, force map[string]time.Duration, names ...string) (map[string]*testNode, *expand.Network) {
+// node it does not name). hook, when not nil, sees each node's hardware
+// before its monitor starts, so a watcher it registers runs before the
+// monitor's.
+func buildCluster(t *testing.T, proto string, latency time.Duration, force map[string]time.Duration, hook func(*hw.Node), names ...string) (map[string]*testNode, *expand.Network) {
 	t.Helper()
 	net := expand.NewNetwork(latency)
 	nodes := make(map[string]*testNode)
@@ -60,6 +62,9 @@ func buildCluster(t *testing.T, proto string, latency time.Duration, force map[s
 		tn.trail = audit.NewTrail("a-"+name, force[name])
 		if _, err := audit.StartProcess(sys, "audit", 0, 1, tn.trail); err != nil {
 			t.Fatal(err)
+		}
+		if hook != nil {
+			hook(n)
 		}
 		tn.mon, err = New(Config{System: sys, Network: net, TMPPrimaryCPU: 0, TMPBackupCPU: 1, CommitProtocol: proto})
 		if err != nil {

@@ -95,21 +95,19 @@ func init() {
 	msg.RegisterError(26, ErrNodeUnreachable)
 }
 
-// tmpApp is the TMP pair application. All durable coordination state lives
-// in the Monitor (whose authority is the replicated state tables and the
-// Monitor Audit Trail), so checkpoints are empty and takeover is trivial.
+// tmpApp is the TMP pair application. All coordination state lives in the
+// Monitor (the transactions' protocol states and the Monitor Audit Trail),
+// so checkpoints are empty and takeover is trivial.
 type tmpApp struct {
 	m *Monitor
 }
 
 // Handle serves one TMP request. Phase one and the two outcome messages
 // block for trail forces, lock releases and hops to this node's own
-// children, so they run on their own goroutine and reply from there:
-// served inline, one transaction's Monitor-Audit-Trail force would stall
-// the remote-begin and phase one of every other transaction behind it in
-// this single-goroutine TMP. The goroutines touch only the Monitor, whose
-// tcb.protoMu keeps each transaction's protocol steps in order, and each
-// gets its own copy of ctx as an argument.
+// children, so each runs on a goroutine of its own, with its own copy of
+// ctx, and replies from there: served inline, one transaction's force
+// would stall every other transaction's requests in this TMP. The
+// transaction's turn keeps its protocol steps in order.
 func (a *tmpApp) Handle(ctx pair.Ctx) {
 	req := ctx.Req()
 	switch req.Kind {
@@ -146,20 +144,30 @@ func (a *tmpApp) Handle(ctx pair.Ctx) {
 	}
 }
 
-// serveAsync runs phase one, ENDED or ABORTING for tx and answers ctx.
+// serveAsync serves phase one, ENDED or ABORTING for tx and answers ctx:
+// only phase one's refusal is the parent's business.
 func (a *tmpApp) serveAsync(ctx pair.Ctx, kind string, tx txid.ID) {
-	switch kind {
-	case kindPhase1:
-		if err := a.m.phase1Inbound(tx); err != nil {
-			ctx.ReplyErr(err)
-			return
-		}
-	case kindEnded:
-		a.m.applyEnded(tx)
-	case kindAborting:
-		_ = a.m.abort(tx, imposed, "aborted by home node")
+	if err := a.m.serve(tx, kind); err != nil && kind == kindPhase1 {
+		ctx.ReplyErr(err)
+		return
 	}
 	ctx.Reply(nil)
+}
+
+// serve applies a message of kind from tx's parent. Phase one is refused
+// if we already aborted; otherwise it brings "ending", our trails forced
+// and the request passed to our children, and a yes vote. A duplicate
+// re-acks without redoing the forces, and a straggler after the outcome —
+// even after the transaction left the system — answers the outcome.
+// ENDED and ABORTING apply the parent's disposition, once.
+func (m *Monitor) serve(tx txid.ID, kind string) error {
+	switch kind {
+	case kindEnded:
+		return m.run(tx, event{kind: evOutcome, outcome: audit.OutcomeCommitted}, "")
+	case kindAborting:
+		return m.run(tx, event{kind: evOutcome, outcome: audit.OutcomeAborted}, "aborted by home node")
+	}
+	return m.run(tx, event{kind: evPhase1}, "")
 }
 
 func (a *tmpApp) ApplyCheckpoint(any) {}
@@ -167,11 +175,9 @@ func (a *tmpApp) Snapshot() any       { return nil }
 func (a *tmpApp) Restore(any)         {}
 
 // TakeOver runs when the backup TMP is promoted after the primary's CPU
-// failed. Under Paxos Commit the promoted TMP re-arms an in-doubt watcher
-// for every transaction this node is still bound to without a known
-// disposition — the learner path resolves them from the acceptor quorum
-// even though the coordinator that was driving them may have died with
-// the failed CPU.
+// failed. Under Paxos Commit it re-arms an in-doubt watcher for every
+// transaction still bound here without a known disposition: the acceptor
+// quorum resolves it even if its coordinator died with the failed CPU.
 func (a *tmpApp) TakeOver() {
 	m := a.m
 	if m.paxos == nil {
@@ -180,25 +186,18 @@ func (a *tmpApp) TakeOver() {
 	var pending []txid.ID
 	m.mu.Lock()
 	for id, t := range m.txs {
-		if t.protoBegun || (!t.isHome && t.phase1Acked) {
+		if (t.s.joined || (!t.s.home && t.s.voted)) && !t.s.st.Terminal() {
 			pending = append(pending, id)
 		}
 	}
 	m.mu.Unlock()
 	for _, id := range pending {
-		if _, resolved := m.mat.OutcomeOf(id); resolved {
-			continue
-		}
-		if m.State(id).Terminal() {
-			continue
-		}
 		m.armInDoubtWatcher(id)
 	}
 }
 
 func (m *Monitor) startTMP(primaryCPU, backupCPU int) error {
 	app := &tmpApp{m: m}
-	m.tmpPair = app
 	p, err := pair.Start(m.sys, tmpName, primaryCPU, backupCPU, func() pair.App { return app })
 	if err != nil {
 		return err
@@ -214,11 +213,9 @@ func (m *Monitor) tmpCallResp(cpu int, destNode, kind string, req tmpReq, d time
 }
 
 // tmpPending is a TMP-to-TMP call on its way: tmpStart sent it, await
-// collects its answer. The pair is the single choke point for TMP-to-TMP
-// calls; each call traces as a child-request/child-reply event pair (the
-// reply carries the time from the send until the answer was collected,
-// and an error on a safe-delivery kind means the message passed to an
-// owner, not that it was lost).
+// collects its answer. Every TMP-to-TMP call goes through the pair, and
+// traces as a child-request/child-reply event pair (an error on a
+// safe-delivery kind means the message passed to an owner).
 type tmpPending struct {
 	m          *Monitor
 	pend       msg.Pending
@@ -281,53 +278,43 @@ func (p *tmpPending) await(d time.Duration) (msg.Message, error) {
 	return resp, err
 }
 
-// alongside runs one protocol step on this node and at its children
-// together. The step's message goes to every child first, nowait and all
-// at once; local then runs on the caller's goroutine while the children
-// serve it; last, each child's answer is collected, in name order, and
-// handed to done. So the step costs the larger of this node's work and
-// the slowest child's round trip, not their sum, and spawns nothing: with
-// no children it is local alone. It returns only once every child has
-// answered or timed out — the commit/abort protocol holds protoMu across
-// its steps, and no protocol work may outlive the step that issued it
-// (End's ENDED delivery is the one step that outlives its caller, and it
-// does so as a whole, delivery.send running behind the reply).
-func (m *Monitor) alongside(children []string, kind string, req tmpReq, local func(), done func(child string, err error)) {
-	var buf [2]tmpPending
-	calls := buf[:0]
+// sendAll starts kind to every child at once, nowait, appending the calls
+// to calls in name order; awaitAll collects them. Between the two, this
+// node does its half of the step while the children serve theirs: the
+// step costs the larger of the two, and spawns nothing.
+func (m *Monitor) sendAll(calls []tmpPending, children []string, kind string, req tmpReq) []tmpPending {
 	cpu := m.tmpCPUOrFirstUp()
 	for _, child := range children {
 		calls = append(calls, m.tmpStart(cpu, child, kind, req))
 	}
-	if local != nil {
-		local()
-	}
+	return calls
+}
+
+// awaitAll hands each call's answer, or its timeout, to done, in order.
+func awaitAll(calls []tmpPending, done func(child string, err error)) {
 	for i := range calls {
 		_, err := calls[i].await(criticalCallTimeout)
-		done(children[i], err)
+		done(calls[i].dest, err)
 	}
 }
 
 // Call sends one request of transaction tx from the given CPU to the
-// process at to and waits up to d for its reply. It is how the File
-// System, a server-class SEND and the TCP transmit a transid. The first
-// transmission of tx to another node rides the critical-response remote
-// transaction begin: that node's TMP installs the transid and only then
-// forwards the request to its server, whose reply comes straight back. So
-// the begin still precedes every use of the transid there, and costs no
-// round trip of its own. A call without a transid, to this node, to tx's
-// home or to a node that is already our child goes directly.
+// process at to and waits up to d for its reply: how the File System, a
+// server-class SEND and the TCP transmit a transid. The first transmission
+// of tx to another node rides the critical-response remote begin: that
+// node's TMP installs the transid, then forwards the request to its
+// server, whose reply comes straight back. A call without a transid, to
+// this node, to tx's home or to a child goes directly.
 //
-// The caller becomes the destination's parent in the transmission tree on
-// any answer except "already known" (then the node has tx from elsewhere,
-// never saw the request, and gets it directly), an error from the
-// forwarded request included: the begin ran. A call that timed out
-// settles membership with a begin that carries nothing, and counts the
-// node a child even if that fails too, so that an abort still reaches any
-// lock the request took. An undelivered call (msg.Undelivered) ran
-// nothing there: it fails with ErrNodeUnreachable wrapping its cause. A
-// transaction closed to new work sends no begin, and one closed while its
-// begin was on its way fails the request with ErrAborted (addChild).
+// The caller becomes the destination's parent on any answer except
+// "already known" (the node has tx from elsewhere and gets the request
+// directly), an error from the forwarded request included. A call that
+// timed out settles membership with a begin that carries nothing, and
+// counts the node a child even if that fails too, so an abort reaches any
+// lock the request took. An undelivered call ran nothing there: it fails
+// with ErrNodeUnreachable. A transaction closed to new work sends no
+// begin, and one closed while its begin was on its way fails with
+// ErrAborted (addChild).
 func (m *Monitor) Call(cpu int, tx txid.ID, to msg.Addr, kind string, payload any, d time.Duration) (msg.Message, error) {
 	var t *tcb
 	if !tx.IsZero() && to.Node != "" && to.Node != m.node {
@@ -385,12 +372,9 @@ func (m *Monitor) NoteRemoteSend(tx txid.ID, destNode string) error {
 
 // beginFor returns the control block of tx when a transmission of tx to
 // destNode needs a remote begin, and nil when it needs none: destNode is
-// already our child, or it is tx's home, whose answer would always be
-// "already known" (its own transaction, or one its Monitor Audit Trail
-// has resolved). A transaction closed to new work gets no new node: it
-// fails with ErrAborted, as the DISCPROCESS participation check does.
-// Under Paxos Commit it first makes the joins that must precede the
-// transmission.
+// already our child, or tx's home (whose answer is always "already
+// known"). The core refuses a transaction closed to new work, and under
+// Paxos Commit makes the joins that must precede the transmission first.
 func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
 	if destNode == tx.Home {
 		return nil, nil
@@ -405,28 +389,20 @@ func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
 		m.mu.Unlock()
 		return nil, nil
 	}
-	if t.noNewWork {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is past the point of new work", ErrAborted, tx)
-	}
-	begun := t.protoBegun
+	_, out := step(t.s, event{kind: evTransmit})
 	m.mu.Unlock()
-	// Under Paxos Commit the child's consensus instance (and, once, our
-	// own) must be durably registered with the home node's acceptors BEFORE
-	// the transid is first transmitted: a recovery proposer discovers the
-	// participant set from the acceptors, and an unregistered participant
-	// would be invisible to it. Joins are idempotent at the acceptors.
-	if m.paxos != nil {
-		acceptors := m.paxos.client(tx.Home)
-		if !begun {
-			if err := acceptors.Join(tx, m.node); err != nil {
+	if out.err != nil {
+		return nil, fmt.Errorf("%w: %s is past the point of new work", out.err, tx)
+	}
+	for _, e := range out.all() { // fxJoin
+		if e.self {
+			if err := m.paxos.client(tx.Home).Join(tx, m.node); err != nil {
 				return nil, err
 			}
 			m.mu.Lock()
-			t.protoBegun = true
+			t.s, _ = step(t.s, event{kind: evJoined})
 			m.mu.Unlock()
-		}
-		if err := acceptors.Join(tx, destNode); err != nil {
+		} else if err := m.paxos.client(tx.Home).Join(tx, destNode); err != nil {
 			return nil, fmt.Errorf("%w: disposition join of %s: %v", ErrNodeUnreachable, destNode, err)
 		}
 	}
@@ -434,11 +410,10 @@ func (m *Monitor) beginFor(tx txid.ID, destNode string) (*tcb, error) {
 }
 
 // remoteBegin sends destNode a remote begin that carries no request and
-// records destNode as our child unless it answers that it already had the
-// transid: it is elsewhere in the transmission tree, we are not its parent
-// and must not send it protocol messages. Keeping the graph a tree also
-// keeps the parent→child protocol-mutex ordering deadlock-free. A begin
-// that got no answer is ErrNodeUnreachable.
+// records destNode as our child unless it already had the transid (then
+// it is elsewhere in the transmission tree). Keeping the graph a tree
+// keeps the parent→child order of transaction turns deadlock-free. A
+// begin that got no answer is ErrNodeUnreachable.
 func (m *Monitor) remoteBegin(t *tcb, destNode string) error {
 	r, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kindRemoteBegin, tmpReq{Tx: t.id}, criticalCallTimeout)
 	if err != nil {
@@ -452,99 +427,25 @@ func (m *Monitor) remoteBegin(t *tcb, destNode string) error {
 
 // addChild records destNode as a node we transmitted t's transid to. A
 // transaction closed to new work while the begin was on its way takes no
-// new child (the late-child rule beside tcb.noNewWork): destNode is handed
-// ABORTING through the safe-delivery, and the result is ErrAborted.
+// new child: the protocol already read the children, so destNode is
+// handed ABORTING through the safe-delivery, and the result is ErrAborted.
 func (m *Monitor) addChild(t *tcb, destNode string) error {
 	m.mu.Lock()
-	closed := t.noNewWork
-	if !closed {
+	var out effects
+	t.s, out = step(t.s, event{kind: evChild})
+	if out.err == nil {
 		t.children = addName(t.children, destNode)
 	}
 	m.mu.Unlock()
-	if !closed {
-		return nil
-	}
-	req := tmpReq{Tx: t.id}
-	if _, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kindAborting, req, criticalCallTimeout); err != nil {
-		m.own(destNode, kindAborting, req)
-	}
-	return fmt.Errorf("%w: %s was closed to new work while its begin at %s was on its way", ErrAborted, t.id, destNode)
-}
-
-// phase1Inbound handles a phase-one request from the node that transmitted
-// the transid to us: refuse if we already aborted unilaterally; otherwise
-// enter "ending", force our trails, recurse to our children, and mark the
-// affirmative reply (after which we can no longer abort unilaterally).
-//
-// The handler is idempotent under duplicate and reordered delivery: a
-// repeat of an already-acknowledged phase one re-acks without redoing the
-// forces, and a straggler arriving after the outcome re-sends the outcome
-// (affirmative for ENDED, ErrAborted for an abort) instead of corrupting
-// state.
-func (m *Monitor) phase1Inbound(tx txid.ID) error {
-	t, err := m.lockProto(tx)
-	if err != nil {
-		// A straggler phase one can arrive after the transaction resolved
-		// and left the system (Forget). The Monitor Audit Trail still knows
-		// the disposition: re-send it instead of erroring.
-		if o, ok := m.mat.OutcomeOf(tx); ok {
-			if o == audit.OutcomeCommitted {
-				return nil
-			}
-			return fmt.Errorf("%w: %s previously aborted on %s", ErrAborted, tx, m.node)
-		}
-		return err
-	}
-	defer t.protoMu.Unlock()
-	st := m.State(tx)
-	if st == txid.StateAborting || st == txid.StateAborted {
-		return fmt.Errorf("%w: %s previously aborted on %s", ErrAborted, tx, m.node)
-	}
-	if st == txid.StateEnded {
-		// Duplicate phase one after the commit outcome already applied
-		// here: the trails were forced long ago; re-ack affirmatively.
-		return nil
-	}
-	m.mu.Lock()
-	acked := t.phase1Acked
-	m.mu.Unlock()
-	if acked {
-		// Duplicated or retransmitted phase one: the first copy did the
-		// work and we are already bound by our affirmative vote.
-		return nil
-	}
-	m.closeToNewWork(tx)
-	if st == txid.StateActive {
-		m.broadcast(tx, txid.StateEnding, "")
-	}
-	// Local trail forces and the recursive phase one to our own children
-	// run in parallel, exactly as on the home node.
-	p1Start := time.Now()
-	if err := m.phase1(tx); err != nil {
-		m.abortLocked(t, unilateral, fmt.Sprintf("phase one failed: %v", err))
-		return err
-	}
-	// Under Paxos Commit the affirmative reply is a vote and must be
-	// durable before it is sent: this is the ballot-0 fast path — the vote
-	// IS the phase-2a/2b of our consensus instance at the home node's
-	// acceptors. A vote that cannot reach a majority is a refusal: abort
-	// unilaterally while we still may.
-	if m.paxos != nil {
-		if err := m.paxos.client(tx.Home).Vote(tx, m.node, true); err != nil {
-			m.abortLocked(t, unilateral, fmt.Sprintf("disposition vote failed: %v", err))
-			return fmt.Errorf("%w: %s: disposition vote failed on %s: %v", ErrAborted, tx, m.node, err)
+	for range out.all() { // fxAbortChild
+		req := tmpReq{Tx: t.id}
+		if _, err := m.tmpCallResp(m.tmpCPUOrFirstUp(), destNode, kindAborting, req, criticalCallTimeout); err != nil {
+			m.own(destNode, kindAborting, req)
 		}
 	}
-	m.hPhase1.Observe(time.Since(p1Start))
-	m.mu.Lock()
-	t.phase1Acked = true
-	t.protoBegun = t.protoBegun || m.paxos != nil
-	m.mu.Unlock()
-	m.tracer.Record(obs.Event{Tx: tx, Kind: obs.EvVote, Node: m.node, CPU: m.tmpCPUOrFirstUp()})
-	// In-doubt insurance: if the disposition never arrives (dead
-	// coordinator, partition), the watcher learns it from the acceptor
-	// quorum instead of holding locks until an operator intervenes.
-	m.armInDoubtWatcher(tx)
+	if out.err != nil {
+		return fmt.Errorf("%w: %s was closed to new work while its begin at %s was on its way", out.err, t.id, destNode)
+	}
 	return nil
 }
 
@@ -560,87 +461,82 @@ func (m *Monitor) QueryRemote(node string, tx txid.ID) (QueryResp, error) {
 // --- safe-delivery machinery ---
 
 // delivery is one transaction's outcome message (ENDED or ABORTING) on its
-// first attempt at the children this node transmitted the transid to. It
-// is outstanding — counted in the tmf.phase2_outstanding gauge — from the
-// moment the outcome is decided here (an ENDED's commit record is durable;
-// an ABORTING goes before the abort record, see abortLocked) until every
-// child has either answered or passed to an owner (own), which retries
-// the message from then on.
+// first attempt at the children. It is outstanding — counted in the
+// tmf.phase2_outstanding gauge — from the moment the outcome is decided
+// here until every child has answered or passed to an owner (own).
 type delivery struct {
 	m        *Monitor
 	kind     string
 	req      tmpReq
 	children []string
-	start    time.Time // phase-two start; read for kindEnded only
+	p2Start  time.Time // phase-two start; read for kindEnded only
 }
 
 // safeDeliverChildren prepares the safe-delivery of a transaction's
-// outcome to each child node. "The sending of safe-delivery messages —
-// whenever transmission becomes possible — is guaranteed, but their
-// delivery is not time-critical": the caller decides whether to wait for
-// send (abort, a child applying its parent's ENDED) or let it run behind
-// the reply (End). A transaction with no children has nothing to deliver:
-// the result is nil and phase two ends here. start anchors the phase-two
-// histogram, which times commits only.
-func (m *Monitor) safeDeliverChildren(tx txid.ID, kind string, start time.Time) *delivery {
-	children, err := m.childrenOf(tx)
-	if err != nil {
-		return nil
-	}
+// outcome to each child node: "guaranteed, but ... not time-critical".
+// With no children the result is nil and phase two ends here. p2Start
+// anchors the phase-two histogram, which times commits only.
+func (m *Monitor) safeDeliverChildren(t *tcb, kind string, p2Start time.Time) *delivery {
+	children := m.childrenOf(t)
 	if len(children) == 0 {
 		if kind == kindEnded {
-			m.hPhase2.Observe(time.Since(start))
+			m.hPhase2.Observe(time.Since(p2Start))
 		}
 		return nil
 	}
 	m.gP2Outstanding.Add(1)
-	return &delivery{m: m, kind: kind, req: tmpReq{Tx: tx, Source: m.node},
-		children: children, start: start}
+	return &delivery{m: m, kind: kind, req: tmpReq{Tx: t.id, Source: m.node},
+		children: children, p2Start: p2Start}
 }
 
-// send attempts every child at once, runs local (when not nil) on the
-// caller's goroutine while they serve the message (alongside), hands every
-// child that did not answer to an owner, and returns once the slowest has
-// answered or been handed over. A nil delivery (no children) sends nothing
-// and runs local alone.
-func (d *delivery) send(local func()) {
+// start sends the message to every child at once (sendAll).
+func (d *delivery) start(calls []tmpPending) []tmpPending {
 	if d == nil {
-		if local != nil {
-			local()
-		}
-		return
+		return calls
 	}
-	defer d.Done()
-	d.m.alongside(d.children, d.kind, d.req, local, func(child string, err error) {
+	return d.m.sendAll(calls, d.children, d.kind, d.req)
+}
+
+// collect hands every child that did not answer to an owner.
+func (d *delivery) collect(calls []tmpPending) {
+	awaitAll(calls, func(child string, err error) {
 		if err != nil {
 			d.m.own(child, d.kind, d.req)
 		}
 	})
 }
 
+// send runs the delivery on a goroutine of its own, behind End's reply.
+func (d *delivery) send() {
+	defer d.Done()
+	var buf [2]tmpPending
+	d.collect(d.start(buf[:0]))
+}
+
 // Done ends the delivery's phase two: it is no longer outstanding, and a
 // commit's phase-two time — that of its slowest child — is observed.
 func (d *delivery) Done() {
+	if d == nil {
+		return
+	}
 	d.m.gP2Outstanding.Add(-1)
 	if d.kind == kindEnded {
-		d.m.hPhase2.Observe(time.Since(d.start))
+		d.m.hPhase2.Observe(time.Since(d.p2Start))
 	}
 }
 
-// Owner retry pacing: delivery "whenever transmission becomes possible"
-// must not depend solely on a topology change — on a lossy-but-up line a
-// safe-delivery call can time out with no topology event ever firing.
+// Owner retry pacing: on a lossy-but-up line a safe-delivery call can time
+// out with no topology event ever firing.
 const (
 	safeRetryBase = 25 * time.Millisecond
 	safeRetryMax  = 2 * time.Second
 )
 
 // own hands a safe-delivery message whose attempt failed to a goroutine
-// of its own, which tries it again until dest answers: at once, then
-// after a backoff that doubles from safeRetryBase to safeRetryMax. A
-// topology change or FlushSafeQueue ends a wait early; Stop ends the
-// owner. The tmf.safe_queue_depth gauge counts owners, and moves before
-// the caller's first attempt stops being outstanding.
+// of its own, which retries it until dest answers, backing off from
+// safeRetryBase to safeRetryMax; a topology change or FlushSafeQueue ends
+// a wait early, Stop the owner. The tmf.safe_queue_depth gauge counts
+// owners, moved before the first attempt stops being outstanding.
 func (m *Monitor) own(dest, kind string, req tmpReq) {
 	m.gSafeQueue.Add(1)
 	go func() {
@@ -696,10 +592,9 @@ func (m *Monitor) onTopologyChange() {
 
 // abortUnreachable aborts transactions affected by "complete loss of
 // communication with a network node which participated in the
-// transaction": at the home node, any non-terminal transaction with an
-// unreachable child; at a non-home node, any transaction whose source
-// became unreachable. Each abort is unilateral, so a non-home node that
-// acknowledged phase one refuses it and holds its locks (in-doubt).
+// transaction": at the home node, one with an unreachable child; at a
+// non-home node, one whose source is unreachable. Each abort is
+// unilateral: a participant that voted yes refuses it (in doubt).
 func (m *Monitor) abortUnreachable() {
 	if m.net == nil {
 		return
@@ -711,14 +606,10 @@ func (m *Monitor) abortUnreachable() {
 	var victims []victim
 	m.mu.Lock()
 	for id, t := range m.txs {
-		// peek table state without broadcast
-		m.tabMu.Lock()
-		st := m.stateLocked(id)
-		m.tabMu.Unlock()
-		if st.Terminal() || st == txid.StateAborting {
+		if st := t.s.st; st.Terminal() || st == txid.StateAborting {
 			continue
 		}
-		if t.isHome {
+		if t.s.home {
 			for _, child := range t.children {
 				if !m.net.Reachable(m.node, child) {
 					victims = append(victims, victim{id, "lost communication with participant " + child})
@@ -736,12 +627,10 @@ func (m *Monitor) abortUnreachable() {
 	}
 }
 
-// onHWEvent aborts home transactions that began on a failed CPU: "failure
-// of an application server's processor while that server was working on
-// the transaction" and TCP-primary failures both surface as the CPU-down
-// of the processor coordinating the transaction. The facade may install
-// finer-grained policies; this default covers transactions whose
-// BEGIN-TRANSACTION processor died.
+// onHWEvent reseeds a revived CPU's table, and aborts home transactions
+// that began on a failed CPU: "failure of an application server's
+// processor while that server was working on the transaction" and
+// TCP-primary failures both surface as that processor's failure.
 func (m *Monitor) onHWEvent(e hw.Event) {
 	if e.Kind == hw.EventCPUUp {
 		m.reseedTable(e.CPU)
@@ -753,27 +642,20 @@ func (m *Monitor) onHWEvent(e hw.Event) {
 	var victims []txid.ID
 	m.mu.Lock()
 	for id, t := range m.txs {
-		if t.isHome && id.CPU == e.CPU {
-			m.tabMu.Lock()
-			st := m.stateLocked(id)
-			m.tabMu.Unlock()
-			if st == txid.StateActive || st == txid.StateEnding {
-				victims = append(victims, id)
-			}
+		if st := t.s.st; t.s.home && id.CPU == e.CPU && (st == txid.StateActive || st == txid.StateEnding) {
+			victims = append(victims, id)
 		}
 	}
 	m.mu.Unlock()
 	for _, id := range victims {
-		//lint:allow spawnlifecycle fire-and-forget by design: Abort is idempotent and serialized per-transaction by tcb.protoMu; the in-doubt watcher re-drives any abort this goroutine fails to finish
+		//lint:allow spawnlifecycle fire-and-forget by design: Abort is idempotent and waits for the transaction's turn, so it ends once that turn is free; the in-doubt watcher re-drives any abort this goroutine fails to finish
 		go m.Abort(id, fmt.Sprintf("processor %d failed", e.CPU))
 	}
 }
 
 // WaitSafeQueueEmpty polls until this node has no outcome left to deliver
-// — no first attempt in flight behind an End that already returned and no
-// owner retrying — or the timeout passes. After it reports true
-// every child this node owed an outcome has applied it and released its
-// locks.
+// — no first attempt in flight and no owner retrying — or the timeout
+// passes. After true, every child owed an outcome has applied it.
 func (m *Monitor) WaitSafeQueueEmpty(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

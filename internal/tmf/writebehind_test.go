@@ -20,7 +20,7 @@ func (tn *testNode) durable() bool { return tn.trail.Forced(tn.trail.AppendedLSN
 // voted yes holds its locks until it learns the disposition, so both
 // nodes resolve the same way and a commit keeps the participant's insert.
 func TestVotedParticipantNeverBacksOutAlone(t *testing.T) {
-	nodes, net := buildCluster(t, "", 0, map[string]time.Duration{"b": 300 * time.Millisecond}, "a", "b")
+	nodes, net := buildCluster(t, "", 0, map[string]time.Duration{"b": 300 * time.Millisecond}, nil, "a", "b")
 	a, b := nodes["a"], nodes["b"]
 	b.mon.tracer = obs.NewTracer(obs.DefaultTraceCapacity) // before b's first transaction
 
@@ -117,7 +117,7 @@ func TestHomeDoesNotWriteBehind(t *testing.T) {
 // that arrives mid-force queues, not one force per update.
 func TestWriteBehindCoalesces(t *testing.T) {
 	const delay = 50 * time.Millisecond
-	nodes, _ := buildCluster(t, "", 0, map[string]time.Duration{"b": delay}, "a", "b")
+	nodes, _ := buildCluster(t, "", 0, map[string]time.Duration{"b": delay}, nil, "a", "b")
 	a, b := nodes["a"], nodes["b"]
 
 	tx, _ := a.mon.Begin(0)

@@ -279,6 +279,56 @@ func TestRecoveredNodeIssuesNoOldTransid(t *testing.T) {
 	}
 }
 
+// TestCrashLeavesNoAbortBehind: a transaction active at a crash is
+// settled by recovery, never by the crashed incarnation's monitor. Its
+// BEGIN-TRANSACTION ran on CPU 0, the first processor the crash fails: a
+// monitor that took that for one processor's failure would back the
+// transaction out late, its before-image landing over what the next
+// incarnation committed.
+func TestCrashLeavesNoAbortBehind(t *testing.T) {
+	sys := oneNode(t)
+	defer sys.Stop()
+	n := sys.Node("alpha")
+	if err := n.FS.Create(encompass.LocalFile("f", encompass.KeySequenced, "alpha", "v1")); err != nil {
+		t.Fatal(err)
+	}
+	seed, _ := n.Begin()
+	seed.Insert("f", "A", []byte("a0"))
+	seed.Insert("f", "C", []byte("c0"))
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	arch := n.TakeArchive()
+	update := func(cpu int, key, val string) txid.ID {
+		t.Helper()
+		tx, err := n.TMF.Begin(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.FS.ReadLock(tx, "f", key); err != nil {
+			t.Fatalf("%s: lock %s: %v", tx, key, err)
+		}
+		if err := n.FS.Update(tx, "f", key, []byte(val)); err != nil {
+			t.Fatalf("%s: update %s: %v", tx, key, err)
+		}
+		return tx
+	}
+	update(0, "A", "ghost") // never ends
+	// Another commit forces the shared trail: the ghost's image is durable.
+	if err := n.TMF.End(update(1, "C", "c1")); err != nil {
+		t.Fatal(err)
+	}
+	crashRecover(t, n, arch)
+	if err := n.TMF.End(update(1, "A", "a1")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if v, err := n.FS.Read("f", "A"); err != nil || string(v) != "a1" {
+			t.Fatalf("A = %q, %v after the next incarnation committed a1", v, err)
+		}
+	}
+}
+
 // TestRecoverReleasesOldIncarnation: nothing keeps the software a Recover
 // replaced reachable, so the live heap does not grow by a copy of the
 // node's in-memory file structures per recovery.
