@@ -160,8 +160,10 @@ bench:
 
 # One-command hot-path hunt through the standard toolchain: run one root
 # benchmark under the CPU and heap profilers and print the top consumers —
-# of CPU time, and of allocated objects (the count allocs_per_op measures)
-# line by line, every allocation recorded. The default is the TP1 record
+# of CPU time, of allocated objects (the count allocs_per_op measures) and
+# of allocated bytes, line by line, every allocation recorded.
+# alloc_kb_per_op follows bytes, not objects: a slice regrown by append is
+# a few objects but several times its bytes. The default is the TP1 record
 # path: BEGIN, three locked reads and updates over two audited volumes, a
 # history append and END.
 PROFILE_BENCH ?= BenchmarkTP1RecordPath
@@ -169,6 +171,7 @@ profile:
 	$(GO) test -run '^$$' -bench $(PROFILE_BENCH) -benchmem -cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 1 .
 	$(GO) tool pprof -top -nodecount 20 cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -lines -top -nodecount 30 mem.pprof
+	$(GO) tool pprof -sample_index=alloc_space -lines -top -nodecount 20 mem.pprof
 
 experiments:
 	$(GO) run ./cmd/tmfbench -exp all

@@ -116,6 +116,30 @@ func TestImagesFromAndTrim(t *testing.T) {
 	}
 }
 
+// TestSegmentSizedOnlyFromFullSegments: a segment sealed before it filled
+// sizes nothing, so one huge image is never reserved again for the next
+// segment; a full segment sizes the next at 9/8 of its bytes.
+func TestSegmentSizedOnlyFromFullSegments(t *testing.T) {
+	tr := NewTrail("sized", 0)
+	tr.SetSegmentCapacity(4)
+	huge := img(tx(1), "k", ImageUpdate)
+	huge.After = make([]byte, 1<<20)
+	tr.Append(huge)
+	tr.BeginGeneration() // seals segment 0 after one record
+	for range 5 {        // fills segment 1, then rolls to segment 2
+		tr.Append(img(tx(2), "k", ImageUpdate))
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if c := cap(tr.segments[1].buf); c >= len(huge.After) {
+		t.Errorf("the segment after an early seal reserved %d bytes", c)
+	}
+	full := len(tr.segments[1].buf)
+	if c, want := cap(tr.segments[2].buf), full+full/8; c != want {
+		t.Errorf("the segment after a full one reserved %d bytes, want %d", c, want)
+	}
+}
+
 func TestMonitorTrailCommitPoint(t *testing.T) {
 	m := NewMonitorTrail(0)
 	if _, ok := m.OutcomeOf(tx(1)); ok {

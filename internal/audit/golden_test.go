@@ -75,7 +75,7 @@ func TestRecordFormatGolden(t *testing.T) {
 // it allocates nothing beyond the amortized growth of the segment's
 // buffer, record index and transaction map.
 func TestSegmentAppendAllocs(t *testing.T) {
-	seg := newSegment(0, 1, 0, [chainLen]byte{})
+	seg := newSegment(0, 1, 0, [chainLen]byte{}, segSize{})
 	img := goldenImages[0]
 	lsn := uint64(0)
 	n := testing.AllocsPerRun(DefaultSegmentRecords-1, func() {

@@ -332,8 +332,8 @@ func decodeRecord(b []byte, prev [chainLen]byte, wantLSN uint64, names *nameSet)
 // next, parallel to offsets, links every record to its transaction's
 // following one. Indexing a record therefore writes two slots and, for a
 // transaction's first record in the segment, one map entry; nothing is
-// allocated per record beyond the amortized growth of the slices and the
-// map.
+// allocated per record beyond the growth of the slices and the map, which
+// a segment sized by its trail (segSize) does not pay.
 type segment struct {
 	num       int
 	base      uint64 // LSN of first record
@@ -350,11 +350,20 @@ type segment struct {
 // txSpan bounds one transaction's list of records within a segment.
 type txSpan struct{ first, last int32 }
 
-func newSegment(num int, base, gen uint64, prevChain [chainLen]byte) *segment {
+// segSize is what a new segment reserves up front: buffer bytes, record
+// index entries and transaction map entries. The zero value reserves
+// nothing, and the segment grows by append; a record past the reserve
+// still fits, by the same growth.
+type segSize struct{ bytes, records, txs int }
+
+func newSegment(num int, base, gen uint64, prevChain [chainLen]byte, size segSize) *segment {
 	return &segment{
 		num: num, base: base, gen: gen,
 		prevChain: prevChain, endChain: prevChain,
-		byTx: make(map[txid.ID]txSpan),
+		buf:     make([]byte, 0, size.bytes),
+		offsets: make([]int, 0, size.records),
+		next:    make([]int32, 0, size.records),
+		byTx:    make(map[txid.ID]txSpan, size.txs),
 	}
 }
 

@@ -82,8 +82,8 @@ func OpenTrail(name string, forceDelay time.Duration, segs [][]byte) (*Trail, *T
 				continue
 			}
 		}
-		seg := newSegment(num, base, gen, prevChain)
 		body := raw[segHeaderLen:]
+		seg := newSegment(num, base, gen, prevChain, segSize{bytes: len(body)})
 		off := 0
 		var names nameSet
 		for off < len(body) {

@@ -136,8 +136,8 @@ type RemoteSender interface {
 const inboxDepth = 1024
 
 // inboxFullTimeout bounds how long a sender waits on a full inbox before
-// dropping the message (the destination is stuck; the caller's timeout
-// fires).
+// dropping the message (the destination is stuck; the send fails with
+// ErrInboxBlocked).
 const inboxFullTimeout = 5 * time.Second
 
 // Process is a simulated Guardian process: a goroutine with an inbox,
@@ -556,7 +556,8 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 		// again. With the CPU still down, Transfer reports ErrCPUDown.
 		return fmt.Errorf("%w: %s", ErrProcessDead, p.pid)
 	}
-	return s.node.Transfer(fromCPU, p.pid.CPU, func() {
+	blocked := false
+	err := s.node.Transfer(fromCPU, p.pid.CPU, func() {
 		// The inbox almost always has room: try a plain send first so the
 		// common delivery does not arm the full-inbox timer below. A
 		// message queued to a halted process is never served — Recv
@@ -572,12 +573,17 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 		case <-p.done:
 		case <-time.After(inboxFullTimeout):
 			// A full inbox for this long indicates a stuck server; the
-			// message is dropped and the caller's timeout fires.
+			// message is dropped and the sender told so.
+			blocked = true
 			if s.inboxDrops != nil {
 				s.inboxDrops.Inc()
 			}
 		}
 	})
+	if err == nil && blocked {
+		err = fmt.Errorf("%w: %s", ErrInboxBlocked, p.pid)
+	}
+	return err
 }
 
 // DeliverFromNetwork injects a message that arrived from another node. The

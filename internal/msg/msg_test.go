@@ -622,8 +622,9 @@ type counter struct{ n atomic.Int64 }
 func (c *counter) Inc() { c.n.Add(1) }
 
 // TestFullInboxDropIsCounted: a process that stops receiving fills its
-// inbox; the next message waits inboxFullTimeout, is dropped, and the
-// drop shows in the counter SetObs installed.
+// inbox; the next message waits inboxFullTimeout, is dropped, the send
+// fails "completed: no" with ErrInboxBlocked, and the drop shows in the
+// counter SetObs installed.
 func TestFullInboxDropIsCounted(t *testing.T) {
 	t.Parallel() // the dropped send waits out inboxFullTimeout
 	s := newSys(t, 2)
@@ -646,8 +647,8 @@ func TestFullInboxDropIsCounted(t *testing.T) {
 		t.Fatalf("%d drops while the inbox still had room", n)
 	}
 	start := time.Now()
-	if err := send(); err != nil {
-		t.Fatalf("send to the full inbox: %v", err)
+	if err := send(); !errors.Is(err, ErrInboxBlocked) || !Undelivered(err) {
+		t.Fatalf("send to the full inbox: err = %v, want undelivered ErrInboxBlocked", err)
 	}
 	if waited := time.Since(start); waited < inboxFullTimeout {
 		t.Errorf("the send to a full inbox returned after %v, before inboxFullTimeout", waited)
