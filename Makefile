@@ -68,6 +68,10 @@ lint: $(TMFLINT)
 # So do a request to a crashed node, answered at once, and every
 # registered error's identity over a local, a two-node and a relayed call
 # (a line of their own: the regex above would pick up root tests).
+# So do the DISCPROCESS scheduler's wake paths: each event that can make a
+# job admissible wakes one idle worker, not all of them, so a lost wakeup
+# would leave a job queued with idle workers. The admission property test
+# and the browse-door tests repeat beside them.
 # The experiments harness runs every figure and claim: T9's concurrent
 # committers, T11's DISCPROCESS workers and T14's phase-one hook goroutine.
 race:
@@ -76,6 +80,7 @@ race:
 	$(GO) test -race -run 'TestChaosTraceOracle|TestHotPathMixScheduleOracle|Recover|Rollforward|TestPurgeAuditTrails|TestSharedAuditGroup|TestArchiveAfterPresumedAbort|TestStopEnds|TestWriteBehind|TestCrashLeavesNoAbortBehind' .
 	$(GO) test -race -count=20 -run 'TestVotedParticipantNeverBacksOutAlone|TestVotedParticipantAbortCauses|TestLateChildIsAborted|TestAbortReachesChildrenFirst|WritesBehind|WriteBehind|TestAbortCheckpointsPerVolume|TestBackoutCountsUnreadableRecords|TestTakeoverCompletesUndoBatch|TestUndoAfterTakeoverIsIdempotent|TestScan|TestHealResendsSwallowedEnded|TestHealResendsSwallowedAborting|TestSafeDeliverySurvivesRepeatedPartitions|TestFlushSafeQueueNoHeadOfLineBlocking|TestDecisionsIgnoreStaleReplica|TestGoldenProtocolTraces' ./internal/tmf/ ./internal/discproc/ ./internal/audit/
 	$(GO) test -race -count=20 -run 'TestCrashedNodeRequestFailsFast|TestRegisteredErrorsKeepIdentity|TestUndeliveredIsCompletedNo' . ./internal/msg/
+	$(GO) test -race -count=20 -run 'TestSerialStreamWakesOneWorkerPerJob|TestOneCompletionRunsTwoQueuedJobs|TestWideJobRunsWhenBrowseEnds|TestJobsQueuedDuringQuiesceRunAfterResume|TestWorkersEndWithTheirCPU|TestSchedulerAdmissionInvariant|TestWideOpsNotStarvedByBrowses|TestTxScopedOpsDoNotWaitForBrowses' ./internal/discproc/
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips (the frame header and every registered payload

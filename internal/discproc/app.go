@@ -182,14 +182,16 @@ type app struct {
 	locks *lock.Manager
 	cache *dbfile.Cache
 
-	// stateMu guards participated and endedSet (written by concurrent
-	// workers via participate/markEnded).
+	// stateMu guards participated, endedSet and endedOld (written by
+	// concurrent workers via participate/markEnded).
 	stateMu sync.Mutex
 	// participated tracks transactions already reported to TMF.
 	participated map[txid.ID]bool // guarded by stateMu
-	// endedSet remembers recently ended transactions so straggler
-	// operations are rejected rather than re-acquiring locks post-release.
+	// endedSet and endedOld, its previous generation, remember recently
+	// ended transactions so straggler operations are rejected rather than
+	// re-acquiring locks post-release.
 	endedSet map[txid.ID]bool // guarded by stateMu
+	endedOld map[txid.ID]bool // guarded by stateMu
 
 	// pendMu guards pending and nextToken (workers park, the member
 	// goroutine resumes).
@@ -223,6 +225,7 @@ func newApp(pr *Proc) *app {
 		cache:        dbfile.NewCache(pr.cfg.CacheSize),
 		participated: make(map[txid.ID]bool),
 		endedSet:     make(map[txid.ID]bool),
+		endedOld:     make(map[txid.ID]bool),
 		pending:      make(map[uint64]pair.Ctx),
 		acl:          make(map[string]map[string]bool),
 	}
@@ -540,7 +543,8 @@ func (a *app) reloadFromVolume() error {
 	a.locks = lock.NewManager()
 	a.stateMu.Lock()
 	a.participated = make(map[txid.ID]bool)
-	a.endedSet = make(map[txid.ID]bool)
+	clear(a.endedSet)
+	clear(a.endedOld)
 	a.stateMu.Unlock()
 	a.pendMu.Lock()
 	a.pending = make(map[uint64]pair.Ctx)

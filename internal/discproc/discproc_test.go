@@ -316,6 +316,28 @@ func TestEndTxRejectsStragglers(t *testing.T) {
 	}
 }
 
+// TestEndedGuardSurvivesItsReset: the ended-transaction guard is bounded,
+// but a full generation is kept beside the new one, so right after the
+// bound is crossed the transactions that ended just before are still
+// remembered and their stragglers still rejected.
+func TestEndedGuardSurvivesItsReset(t *testing.T) {
+	e := newEnv(t, 3, true)
+	e.create(t, "f", dbfile.KeySequenced)
+	a := e.proc.primApp.Load()
+	for n := uint64(1); n <= endedCap+1; n++ {
+		a.markEnded(tx(n))
+	}
+	for _, n := range []uint64{endedCap, 2} {
+		if !a.ended(tx(n)) {
+			t.Errorf("tx %d forgotten after %d transactions ended", n, endedCap+1)
+		}
+	}
+	_, err := e.call(t, KindInsert, &RecReq{Tx: tx(endedCap), File: "f", Key: "k", Val: []byte("v")})
+	if !errors.Is(err, ErrTxEnded) {
+		t.Errorf("straggler insert: err = %v, want already-ended rejection", err)
+	}
+}
+
 func TestAppendEntrySequenced(t *testing.T) {
 	e := newEnv(t, 3, true)
 	e.create(t, "hist", dbfile.EntrySequenced)

@@ -446,12 +446,16 @@ func (a *app) flush(ctx pair.Ctx, tx txid.ID) error {
 }
 
 // endedSet guards against operations arriving after end-of-transaction.
+// It keeps two generations of up to endedCap transactions each: a full
+// generation becomes the old one (whose map is cleared and reused), so the
+// last endedCap ended transactions are always remembered.
 const endedCap = 4096
 
 func (a *app) markEnded(tx txid.ID) {
 	a.stateMu.Lock()
 	if len(a.endedSet) >= endedCap {
-		a.endedSet = make(map[txid.ID]bool, endedCap)
+		clear(a.endedOld)
+		a.endedSet, a.endedOld = a.endedOld, a.endedSet
 	}
 	a.endedSet[tx] = true
 	a.stateMu.Unlock()
@@ -460,5 +464,5 @@ func (a *app) markEnded(tx txid.ID) {
 func (a *app) ended(tx txid.ID) bool {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
-	return a.endedSet[tx]
+	return a.endedSet[tx] || a.endedOld[tx]
 }

@@ -52,6 +52,14 @@ import (
 // pool quiesced) new browses wait at the door until it has run: overlapping
 // browses cannot starve it, and a browse waits for at most one such
 // operation.
+//
+// One wake per admissible job. Idle workers wait on work, and each event
+// that can make a job admissible wakes one of them: an enqueue; a worker
+// that takes a job while others stay queued (so one completion that
+// unblocks two jobs runs both); the last browse ending under a queued wide
+// job. A finishing worker looks for its next job itself. Browses held at
+// the door and quiesce wait on cond, which is broadcast only while paused
+// or when a wide job ends. A closed pool and quiesce's resume wake all.
 
 // scope is a footprint's conflict class.
 type scope uint8
@@ -163,6 +171,9 @@ type SchedStats struct {
 	// in-flight one — the in-flight footprint assertion. Always zero; the
 	// conflict property test fails the build of trust if it ever is not.
 	Violations uint64
+	// Wakeups counts idle workers woken to look for a job; with one wake
+	// per admissible job it stays close to Admitted.
+	Wakeups uint64
 }
 
 // scheduler admits queued jobs onto a bounded worker pool such that no two
@@ -175,7 +186,8 @@ type scheduler struct {
 	reg     *obs.Registry
 
 	mu       sync.Mutex
-	cond     *sync.Cond // shares mu
+	work     *sync.Cond // shares mu; idle workers wait here
+	cond     *sync.Cond // shares mu; browses at the door and quiesce wait here
 	queue    []*job     // guarded by mu
 	inflight []*job     // guarded by mu
 	free     []*job     // guarded by mu; finished jobs, zeroed, for reuse
@@ -192,6 +204,7 @@ type scheduler struct {
 	browseOps  *obs.Counter
 	wideOps    *obs.Counter
 	stalls     *obs.Counter
+	wakes      *obs.Counter
 	fileStalls map[string]*obs.Counter
 }
 
@@ -208,8 +221,10 @@ func newScheduler(a *app, workers int) *scheduler {
 		browseOps:  reg.Counter(obs.MDiscBrowse(vol)),
 		wideOps:    reg.Counter(obs.MDiscWideBarriers(vol)),
 		stalls:     reg.Counter(obs.MDiscConflictStalls(vol)),
+		wakes:      reg.Counter(obs.MDiscWorkerWakes(vol)),
 		fileStalls: make(map[string]*obs.Counter),
 	}
+	s.work = sync.NewCond(&s.mu)
 	s.cond = sync.NewCond(&s.mu)
 	s.stats.Workers = workers
 	return s
@@ -224,7 +239,7 @@ func (s *scheduler) enqueue(ctx *pair.Ctx, fp footprint) {
 	if !s.spawned {
 		s.spawned = true
 		for i := 0; i < s.workers; i++ {
-			//lint:allow spawnlifecycle workers retire via the closed flag: watch() observes the member context ending and cond-broadcasts every worker out of its loop
+			//lint:allow spawnlifecycle workers retire via the closed flag: watch() observes the member context ending and broadcasts every worker out of its loop
 			go s.run()
 		}
 		go s.watch(ctx.Proc().Context())
@@ -241,7 +256,7 @@ func (s *scheduler) enqueue(ctx *pair.Ctx, fp footprint) {
 		s.stats.MaxQueued = n
 	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	s.work.Signal()
 	if fp.scope == scopeWide {
 		s.wideOps.Inc()
 	}
@@ -280,13 +295,17 @@ func (s *scheduler) watch(member context.Context) {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	s.work.Broadcast()
 	s.cond.Broadcast()
 }
 
-// run is one worker: admit a conflict-free job, dispatch it, repeat.
+// run is one worker: admit a conflict-free job, dispatch it, repeat. A
+// worker that takes a job while others stay queued wakes one more idle
+// worker, which admits the next job if it can run now; a finishing worker
+// wakes nobody, since it looks for its next job itself.
 func (s *scheduler) run() {
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
 		var j *job
 		for {
 			if s.closed {
@@ -299,7 +318,12 @@ func (s *scheduler) run() {
 			if j != nil {
 				break
 			}
-			s.cond.Wait()
+			s.work.Wait()
+			s.stats.Wakeups++
+			s.wakes.Inc()
+		}
+		if len(s.queue) > 0 {
+			s.work.Signal()
 		}
 		s.mu.Unlock()
 		s.queueWait.Observe(time.Since(j.enqueued))
@@ -310,9 +334,10 @@ func (s *scheduler) run() {
 		if j.fp.scope == scopeWide {
 			s.wide--
 		}
+		if s.paused || j.fp.scope == scopeWide {
+			s.cond.Broadcast()
+		}
 		s.recycleLocked(j)
-		s.mu.Unlock()
-		s.cond.Broadcast()
 	}
 }
 
@@ -424,8 +449,13 @@ func (s *scheduler) endBrowse(j *job) {
 	s.mu.Lock()
 	s.browsing--
 	s.recycleLocked(j)
+	if s.browsing == 0 && s.wide > 0 {
+		s.work.Signal() // a queued wide job may run now
+	}
+	if s.paused {
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // quiesce pauses admission and waits for in-flight work (scheduled and
@@ -442,6 +472,7 @@ func (s *scheduler) quiesce() func() {
 		s.mu.Lock()
 		s.paused = false
 		s.mu.Unlock()
+		s.work.Broadcast()
 		s.cond.Broadcast()
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +26,7 @@ func newEnvWorkers(t *testing.T, cpus int, audited bool, workers int) *env {
 
 func newBareScheduler() *scheduler {
 	s := &scheduler{workers: 4, fileStalls: make(map[string]*obs.Counter)}
+	s.work = sync.NewCond(&s.mu)
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -687,4 +690,201 @@ func TestSerialModeMatchesSeedShape(t *testing.T) {
 	if st.Sched.Enqueued != 0 || st.Sched.BrowseOps != 0 {
 		t.Fatalf("serial mode used the scheduler: %+v", st.Sched)
 	}
+}
+
+// The wake-path tests pin the scheduler's one-wake rule: each event that
+// can make a job admissible wakes one idle worker, and the events that
+// must wake them all (resume, a closed pool) do.
+
+// TestSerialStreamWakesOneWorkerPerJob: eight workers serving one request
+// at a time wake about once per request, not once per idle worker.
+func TestSerialStreamWakesOneWorkerPerJob(t *testing.T) {
+	const n = 200
+	e := newEnvWorkers(t, 4, true, 8)
+	e.create(t, "f", dbfile.KeySequenced)
+	before := e.proc.Stats().Sched
+	for i := 0; i < n; i++ {
+		e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: kname(i), Val: []byte("v")})
+	}
+	after := e.proc.Stats().Sched
+	if got := after.Admitted - before.Admitted; got != n {
+		t.Fatalf("admitted %d jobs, want %d", got, n)
+	}
+	if wakes := after.Wakeups - before.Wakeups; wakes > n*11/10 {
+		t.Errorf("%d worker wakeups for %d serial requests, want at most %d", wakes, n, n*11/10)
+	}
+}
+
+// TestOneCompletionRunsTwoQueuedJobs: a file lock holds a worker while two
+// locked reads of records in that file queue behind it; they conflict with
+// the file lock but not with each other. The worker that finishes the file
+// lock takes one read and must wake another for the second, so both are
+// under way together. The hold is OnParticipate, which every request of
+// transaction 800 calls on its worker.
+func TestOneCompletionRunsTwoQueuedJobs(t *testing.T) {
+	var calls atomic.Int32
+	entered := make(chan struct{}, 3)
+	releaseFile, releaseReads := make(chan struct{}), make(chan struct{})
+	e := newEnvCfg(t, 4, true, func(_ *env, c *Config) {
+		c.DiscWorkers = 8
+		c.OnParticipate = func(id txid.ID, _ string) error {
+			if id != tx(800) {
+				return nil
+			}
+			entered <- struct{}{}
+			if calls.Add(1) == 1 {
+				<-releaseFile
+			} else {
+				<-releaseReads
+			}
+			return nil
+		}
+	})
+	defer close(releaseReads)
+	e.create(t, "f", dbfile.KeySequenced)
+	for _, k := range []string{"k1", "k2"} {
+		e.mustCall(t, KindInsert, &RecReq{Tx: tx(1), File: "f", Key: k, Val: []byte("v")})
+	}
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(1)})
+
+	enqueued := e.proc.Stats().Sched.Enqueued
+	done := make(chan error, 3)
+	send := func(kind string, payload any) {
+		go func() { _, err := e.call(t, kind, payload); done <- err }()
+	}
+	send(KindLockFile, &RecReq{Tx: tx(800), File: "f"})
+	<-entered
+	send(KindRead, &RecReq{Tx: tx(800), File: "f", Key: "k1", WithLock: true})
+	send(KindRead, &RecReq{Tx: tx(800), File: "f", Key: "k2", WithLock: true})
+	waitFor(t, "both reads to queue behind the file lock", func() bool {
+		return e.proc.Stats().Sched.Enqueued == enqueued+3
+	})
+	close(releaseFile)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of the two unblocked reads started; the other waits behind it", i)
+		}
+	}
+	releaseReads <- struct{}{}
+	releaseReads <- struct{}{}
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Errorf("request %d: %v", i, err)
+		}
+	}
+	e.mustCall(t, KindEndTx, &TxReq{Tx: tx(800)})
+}
+
+// TestWideJobRunsWhenBrowseEnds: a wide job queued behind an in-flight
+// browse is admitted as soon as that browse ends; nothing else happens on
+// the volume that would wake a worker for it.
+func TestWideJobRunsWhenBrowseEnds(t *testing.T) {
+	e := newEnvWorkers(t, 4, true, 8)
+	e.create(t, "f", dbfile.KeySequenced)
+	s := e.proc.primApp.Load().sched
+	stalls := e.proc.Stats().Sched.ConflictStalls
+	s.startBrowse()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.call(t, KindCreate, CreateReq{File: "g", Org: dbfile.KeySequenced})
+		done <- err
+	}()
+	waitFor(t, "the create to stall behind the browse", func() bool {
+		return e.proc.Stats().Sched.ConflictStalls > stalls
+	})
+	s.endBrowse(new(job))
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the create was not admitted after the browse ended")
+	}
+}
+
+// TestJobsQueuedDuringQuiesceRunAfterResume: requests that arrive while a
+// Snapshot has the pool quiesced wait, and all of them run on resume.
+func TestJobsQueuedDuringQuiesceRunAfterResume(t *testing.T) {
+	const n = 3
+	e := newEnvWorkers(t, 4, true, 8)
+	e.create(t, "f", dbfile.KeySequenced)
+	before := e.proc.Stats().Sched
+	enqueued, admitted := before.Enqueued, before.Admitted
+	resume := e.proc.primApp.Load().sched.quiesce()
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := e.call(t, KindInsert, &RecReq{Tx: tx(uint64(10 + i)), File: "f", Key: kname(i), Val: []byte("v")})
+			done <- err
+		}(i)
+	}
+	waitFor(t, "the requests to queue", func() bool {
+		return e.proc.Stats().Sched.Enqueued == enqueued+n
+	})
+	if got := e.proc.Stats().Sched.Admitted; got != admitted {
+		t.Fatalf("%d jobs admitted while quiesced", got-admitted)
+	}
+	resume()
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d requests queued during quiesce ran after resume", i, n)
+		}
+	}
+}
+
+// TestWorkersEndWithTheirCPU: when the serving member's CPU fails, every
+// worker goroutine of its pool returns.
+func TestWorkersEndWithTheirCPU(t *testing.T) {
+	before := schedWorkers()
+	e := newEnvWorkers(t, 4, true, 8)
+	e.create(t, "f", dbfile.KeySequenced) // the first request spawns the pool
+	var ours []string
+	waitFor(t, "the pool's 8 workers to start", func() bool {
+		ours = ours[:0]
+		for id := range schedWorkers() {
+			if !before[id] {
+				ours = append(ours, id)
+			}
+		}
+		return len(ours) == 8
+	})
+	e.sys.Node().FailCPU(0)
+	waitFor(t, "the pool's workers to return", func() bool {
+		now := schedWorkers()
+		for _, id := range ours {
+			if now[id] {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// schedWorkers returns the ids of the goroutines in a scheduler's worker
+// loop. Goroutine ids are never reused.
+func schedWorkers() map[string]bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := make(map[string]bool)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "discproc.(*scheduler).run(") {
+			ids[strings.Fields(g)[1]] = true
+		}
+	}
+	return ids
 }

@@ -436,6 +436,7 @@ func MDiscAdmitted(vol string) string       { return "disc." + vol + ".sched_adm
 func MDiscBrowse(vol string) string         { return "disc." + vol + ".browse_fastpath" }
 func MDiscWideBarriers(vol string) string   { return "disc." + vol + ".wide_barriers" }
 func MDiscConflictStalls(vol string) string { return "disc." + vol + ".conflict_stalls" }
+func MDiscWorkerWakes(vol string) string    { return "disc." + vol + ".worker_wakes" }
 
 // MDiscFileStalls names the per-file conflict-stall counter.
 func MDiscFileStalls(vol, file string) string {
