@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out beyond
-// the numbered experiments: the DISCPROCESS record cache, audit-trail
-// sharing (one AUDITPROCESS per controller group), and key prefix
-// compression.
+// the numbered experiments: the DISCPROCESS record cache and audit-trail
+// sharing (one AUDITPROCESS per controller group).
 package encompass_test
 
 import (
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"encompass"
-	"encompass/internal/dbfile"
 )
 
 // benchCache builds one node whose volume charges a simulated disc read
@@ -105,29 +103,3 @@ func BenchmarkAblationAuditGroupShared(b *testing.B) { benchAuditGroups(b, true)
 // BenchmarkAblationAuditGroupSeparate: one trail per volume — phase one
 // pays a force per trail.
 func BenchmarkAblationAuditGroupSeparate(b *testing.B) { benchAuditGroups(b, false) }
-
-// BenchmarkAblationCompression measures the prefix-compression codec on a
-// realistic key-sequenced run and reports the achieved ratio.
-func BenchmarkAblationCompression(b *testing.B) {
-	recs := make([]dbfile.Rec, 2048)
-	for i := range recs {
-		recs[i] = dbfile.Rec{
-			Key: fmt.Sprintf("customer-account-%08d", i),
-			Val: []byte(fmt.Sprintf("branch=%03d balance=%08d", i%50, i*13)),
-		}
-	}
-	b.ResetTimer()
-	var blob []byte
-	for i := 0; i < b.N; i++ {
-		blob = dbfile.CompressRecords(recs)
-	}
-	b.StopTimer()
-	raw := 0
-	for _, r := range recs {
-		raw += len(r.Key) + len(r.Val)
-	}
-	b.ReportMetric(float64(len(blob))/float64(raw)*100, "size%")
-	if _, err := dbfile.DecompressRecords(blob); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -245,18 +245,18 @@ func BenchmarkT4Contention(b *testing.B) {
 	bank, err := workload.SetupBank(sys, workload.BankConfig{
 		Placement: []workload.Placement{{Node: names[0], Volume: "v" + names[0]}},
 		Branches:  1, Tellers: 2, Accounts: 4,
-		HotAccounts: 0.8, MaxRetries: 50, Seed: 17,
+		HotAccounts: 0.8, Seed: 17,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	res := bank.Run(names[0], b.N, 4)
+	res := drive(b, bank, names[0], b.N, 4, 50)
 	b.StopTimer()
 	if res.Committed != b.N {
 		b.Fatalf("committed %d/%d", res.Committed, b.N)
 	}
-	b.ReportMetric(float64(res.Retries)/float64(b.N), "retries/tx")
+	b.ReportMetric(float64(res.Restarts)/float64(b.N), "retries/tx")
 	if err := bank.VerifyConsistency(); err != nil {
 		b.Fatal(err)
 	}

@@ -49,7 +49,6 @@ func TestChaosSoak(t *testing.T) {
 		},
 		Branches: 4, Tellers: 3, Accounts: 40,
 		RemoteFraction: 0.25,
-		MaxRetries:     40,
 		Seed:           dst.SubSeed(root, "workload"),
 	})
 	if err != nil {
@@ -103,21 +102,15 @@ func TestChaosSoak(t *testing.T) {
 	}()
 
 	// Two independent requesters, one per node.
-	type out struct {
-		res workload.Result
-	}
-	results := make(chan out, 2)
+	results := make(chan workload.Result, 2)
 	for _, node := range []string{"west", "east"} {
-		node := node
-		go func() {
-			results <- out{res: bank.Run(node, 150, 3)}
-		}()
+		go func() { results <- drive(t, bank, node, 150, 3, 40) }()
 	}
 	totalCommitted, totalAborted := 0, 0
 	for i := 0; i < 2; i++ {
-		o := <-results
-		totalCommitted += o.res.Committed
-		totalAborted += o.res.Aborted
+		res := <-results
+		totalCommitted += res.Committed
+		totalAborted += res.Failed
 	}
 	stop.Store(true)
 	sys.Heal()
@@ -132,7 +125,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("ATOMICITY VIOLATED: %v", err)
 	}
 	// And the system still works afterwards.
-	res := bank.Run("west", 20, 2)
+	res := drive(t, bank, "west", 20, 2, 40)
 	if res.Committed != 20 {
 		t.Errorf("post-chaos run: %d/20 committed", res.Committed)
 	}
@@ -166,7 +159,6 @@ func TestChaosTraceOracle(t *testing.T) {
 		},
 		Branches: 4, Tellers: 3, Accounts: 40,
 		RemoteFraction: 0.3,
-		MaxRetries:     40,
 		Seed:           dst.SubSeed(root, "workload"),
 	})
 	if err != nil {
@@ -219,8 +211,7 @@ func TestChaosTraceOracle(t *testing.T) {
 
 	results := make(chan workload.Result, 2)
 	for _, node := range []string{"west", "east"} {
-		node := node
-		go func() { results <- bank.Run(node, 120, 3) }()
+		go func() { results <- drive(t, bank, node, 120, 3, 40) }()
 	}
 	committed := 0
 	for i := 0; i < 2; i++ {
@@ -310,7 +301,6 @@ func TestChaosLossyLink(t *testing.T) {
 		},
 		Branches: 4, Tellers: 3, Accounts: 40,
 		RemoteFraction: 0.3,
-		MaxRetries:     40,
 		Seed:           dst.SubSeed(root, "workload"),
 	})
 	if err != nil {
@@ -339,8 +329,7 @@ func TestChaosLossyLink(t *testing.T) {
 
 	results := make(chan workload.Result, 2)
 	for _, node := range []string{"west", "east"} {
-		node := node
-		go func() { results <- bank.Run(node, perNode, workers) }()
+		go func() { results <- drive(t, bank, node, perNode, workers, 40) }()
 	}
 	committed := 0
 	for i := 0; i < 2; i++ {
@@ -380,4 +369,14 @@ func padAcct(a int) string {
 		s = "0" + s
 	}
 	return s
+}
+
+// drive runs n bank transactions from node over terminals closed-loop
+// terminals, restarting each up to restarts times.
+func drive(tb testing.TB, bank *workload.Bank, node string, n, terminals, restarts int) workload.Result {
+	res, err := workload.Driver{Terminals: terminals, Count: n, Restarts: restarts}.Run(bank.Body(node))
+	if err != nil {
+		tb.Error(err)
+	}
+	return res
 }

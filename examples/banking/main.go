@@ -32,7 +32,6 @@ func main() {
 		},
 		Branches: 4, Tellers: 5, Accounts: 200,
 		RemoteFraction: 0.3, // 30% of transactions commit across both nodes
-		MaxRetries:     10,
 		Seed:           42,
 	})
 	if err != nil {
@@ -40,27 +39,38 @@ func main() {
 	}
 	fmt.Println("bank installed: 4 branches over 2 nodes, 30% distributed transactions")
 
+	// 100 transactions from 4 terminals at west, each restarted up to 10
+	// times on a deadlock timeout or a backout (RESTART-TRANSACTION).
+	terminals := workload.Driver{Terminals: 4, Count: 100, Restarts: 10}
+	run := func() workload.Result {
+		res, err := terminals.Run(bank.Body("west"))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	// Phase 1: healthy run.
-	res := bank.Run("west", 100, 4)
+	res := run()
 	fmt.Printf("healthy:      %d committed, %d aborted, %.0f tx/s, p95=%v\n",
-		res.Committed, res.Aborted, res.TPS(), res.Percentile(95))
+		res.Committed, res.Failed, res.TPS(), res.Hist.Quantile(0.95))
 
 	// Phase 2: fail a processor mid-run. Transactions on that CPU are
 	// backed out and retried; everything else continues.
 	done := make(chan workload.Result, 1)
-	go func() { done <- bank.Run("west", 100, 4) }()
+	go func() { done <- run() }()
 	time.Sleep(10 * time.Millisecond)
 	fmt.Println("*** failing CPU 1 on node west mid-run ***")
 	sys.Node("west").HW.FailCPU(1)
 	res = <-done
 	fmt.Printf("through fail: %d committed, %d aborted, %d retries\n",
-		res.Committed, res.Aborted, res.Retries)
+		res.Committed, res.Failed, res.Restarts)
 
 	// Phase 3: also degrade a mirrored disc; service continues.
 	fmt.Println("*** failing mirror drive 0 of v-west ***")
 	sys.Node("west").Volumes["v-west"].Disk.FailDrive(0)
-	res = bank.Run("west", 100, 4)
-	fmt.Printf("degraded:     %d committed, %d aborted\n", res.Committed, res.Aborted)
+	res = run()
+	fmt.Printf("degraded:     %d committed, %d aborted\n", res.Committed, res.Failed)
 
 	// The invariant that makes it all meaningful.
 	if err := bank.VerifyConsistency(); err != nil {

@@ -4,10 +4,10 @@
 // replays byte-identically; Gray & Lamport's point that commit protocols
 // fail on the unexercised path only has teeth if the seeded simulation
 // actually replays the same way twice. Flagged in the seeded simulation
-// packages (workload, expand, dst, load, paxoscommit):
+// packages (workload, expand, dst, paxoscommit):
 //
-//   - time.Now — called, or captured as a value (the load harness's
-//     `now := cfg.Now; if now == nil { now = time.Now }` seam): wall-clock
+//   - time.Now — called, or captured as a value (workload.Driver's
+//     `now := d.Now; if now == nil { now = time.Now }` seam): wall-clock
 //     values leaking into simulation decisions make replays diverge;
 //     thread the simulated clock or measure latency only (and say so in a
 //     //lint:allow nodeterminism reason);
@@ -47,19 +47,19 @@ var Analyzer = &lint.Analyzer{
 
 // seededPkgs are the simulation packages whose behaviour must replay
 // byte-identically from a seed. dst is the fault-schedule explorer (a
-// schedule and its verdict must be pure functions of the root seed), load
-// drives the seeded open-loop terminal schedules, and paxoscommit's
-// acceptor/retry paths run inside DST schedules.
+// schedule and its verdict must be pure functions of the root seed),
+// workload's driver runs the seeded open-loop terminal schedules and the
+// bank's seeded transaction mix, and paxoscommit's acceptor/retry paths
+// run inside DST schedules.
 var seededPkgs = map[string]bool{
-	"workload": true, "expand": true, "dst": true,
-	"load": true, "paxoscommit": true,
+	"workload": true, "expand": true, "dst": true, "paxoscommit": true,
 }
 
 // emitPkgs additionally build reports/routes/frames whose contents must
 // not depend on map order.
 var emitPkgs = map[string]bool{
 	"workload": true, "expand": true, "experiments": true, "obs": true,
-	"dst": true, "load": true, "paxoscommit": true,
+	"dst": true, "paxoscommit": true,
 }
 
 // globalRandConstructors are the math/rand functions that do NOT touch
@@ -247,7 +247,7 @@ func checkLaundering(pass *lint.Pass, fn *lint.FuncInfo, taint map[string]string
 }
 
 // localCallee resolves a call to a same-package function or method name
-// ("gap" or "Bank.OneTx"), "" otherwise.
+// ("runRound" or "Bank.OneTx"), "" otherwise.
 func localCallee(pass *lint.Pass, call *ast.CallExpr) string {
 	if id, isIdent := call.Fun.(*ast.Ident); isIdent {
 		if obj, isFunc := pass.TypesInfo.Uses[id].(*types.Func); isFunc && obj.Pkg() == pass.Pkg {

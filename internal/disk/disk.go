@@ -51,9 +51,6 @@ type Controller struct {
 	up bool
 }
 
-// NewController returns an operational controller.
-func NewController() *Controller { return &Controller{up: true} }
-
 // Up reports controller health.
 func (c *Controller) Up() bool {
 	c.mu.Lock()
@@ -104,7 +101,7 @@ func NewVolume(name string) *Volume {
 	return &Volume{
 		name:   name,
 		drives: [2]*drive{newDrive(), newDrive()},
-		ctrls:  [2]*Controller{NewController(), NewController()},
+		ctrls:  [2]*Controller{{up: true}, {up: true}},
 	}
 }
 

@@ -302,7 +302,10 @@ func diffSnapshots(vol, node string, want, got map[string]map[string][]byte) err
 func checkLiveness(sys *encompass.System, bank *workload.Bank, spec *Spec) error {
 	const perNode = 5
 	for i := 0; i < spec.Nodes; i++ {
-		res := bank.Run(NodeName(i), perNode, 1)
+		res, err := workload.Driver{Terminals: 1, Count: perNode, Restarts: maxRestarts}.Run(bank.Body(NodeName(i)))
+		if err != nil {
+			return err
+		}
 		if res.Committed != perNode {
 			return fmt.Errorf("post-chaos run on %s: %d/%d committed",
 				NodeName(i), res.Committed, perNode)

@@ -28,15 +28,11 @@ func t1(r *Report) error {
 			return err
 		}
 		frames := sys.Network.Stats().Frames - f0
-		var total time.Duration
-		for _, d := range lats {
-			total += d
-		}
-		avg = total / txs
+		avg = lats.Mean()
 		if participants == 1 {
 			lat1 = avg
 		}
-		r.Rows = append(r.Rows, []string{i2s(participants), dur(avg), dur(percentile(lats, 95)),
+		r.Rows = append(r.Rows, []string{i2s(participants), dur(avg), dur(lats.Quantile(0.95)),
 			f2s(float64(frames) / txs)})
 	}
 	r.Notes = append(r.Notes,
@@ -45,15 +41,6 @@ func t1(r *Report) error {
 	// Shape: distributed (four participants) costs more than single-node.
 	r.Pass = avg > lat1
 	return nil
-}
-
-func percentile(d []time.Duration, p int) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	sorted := slices.Clone(d)
-	slices.Sort(sorted)
-	return sorted[p*(len(sorted)-1)/100]
 }
 
 // T2: the WAL ablation. The paper replaces Write-Ahead-Log forcing with
@@ -167,16 +154,19 @@ func t4(r *Report) error {
 		bank, err := workload.SetupBank(sys, workload.BankConfig{
 			Placement: []workload.Placement{{Node: "a", Volume: "v-a"}},
 			Branches:  1, Tellers: 2, Accounts: 4,
-			HotAccounts: 0.8, MaxRetries: 30, Seed: 11,
+			HotAccounts: 0.8, Seed: 11,
 		})
 		if err != nil {
 			return err
 		}
-		res := bank.Run("a", 40, conc)
+		res, err := workload.Driver{Terminals: conc, Count: 40, Restarts: 30}.Run(bank.Body("a"))
+		if err != nil {
+			return err
+		}
 		timeouts := sys.Node("a").Volumes["v-a"].Proc.Stats().LockStats.Timeouts
 		pass = pass && res.Committed == 40 && bank.VerifyConsistency() == nil
 		r.Rows = append(r.Rows, []string{
-			i2s(conc), i2s(res.Committed), i2s(res.Retries), fmt.Sprint(timeouts), f2s(res.TPS()),
+			i2s(conc), i2s(res.Committed), i2s(res.Restarts), fmt.Sprint(timeouts), f2s(res.TPS()),
 		})
 	}
 	r.Notes = append(r.Notes,

@@ -13,45 +13,6 @@ import (
 // independent of the timing-noisy experiment runs that experiments_test.go
 // exercises end to end.
 
-func TestPercentile(t *testing.T) {
-	ms := func(ns ...int) []time.Duration {
-		var out []time.Duration
-		for _, n := range ns {
-			out = append(out, time.Duration(n)*time.Millisecond)
-		}
-		return out
-	}
-	cases := []struct {
-		name string
-		d    []time.Duration
-		p    int
-		want time.Duration
-	}{
-		{"empty", nil, 95, 0},
-		{"single p0", ms(5), 0, 5 * time.Millisecond},
-		{"single p100", ms(5), 100, 5 * time.Millisecond},
-		{"sorted p0", ms(1, 2, 3, 4, 5), 0, 1 * time.Millisecond},
-		{"sorted p50", ms(1, 2, 3, 4, 5), 50, 3 * time.Millisecond},
-		{"sorted p95", ms(1, 2, 3, 4, 5), 95, 4 * time.Millisecond},
-		{"sorted p100", ms(1, 2, 3, 4, 5), 100, 5 * time.Millisecond},
-		{"unsorted p50", ms(5, 1, 4, 2, 3), 50, 3 * time.Millisecond},
-		{"duplicates p50", ms(7, 7, 7, 7), 50, 7 * time.Millisecond},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := percentile(c.d, c.p); got != c.want {
-				t.Errorf("percentile(%v, %d) = %v, want %v", c.d, c.p, got, c.want)
-			}
-		})
-	}
-	// percentile sorts a copy; the caller's slice must come back untouched.
-	in := ms(5, 1, 3)
-	percentile(in, 50)
-	if in[0] != 5*time.Millisecond || in[1] != 1*time.Millisecond || in[2] != 3*time.Millisecond {
-		t.Errorf("percentile mutated its input: %v", in)
-	}
-}
-
 func TestClassifyTransitions(t *testing.T) {
 	type tr = [2]txid.State
 	cases := []struct {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -28,7 +29,7 @@ func f1(r *Report) error {
 	}
 	bank, err := workload.SetupBank(sys, workload.BankConfig{
 		Placement: []workload.Placement{{Node: "a", Volume: "v-a"}},
-		Branches:  2, Tellers: 3, Accounts: 50, Seed: 1, MaxRetries: 10,
+		Branches:  2, Tellers: 3, Accounts: 50, Seed: 1,
 	})
 	if err != nil {
 		return err
@@ -36,21 +37,27 @@ func f1(r *Report) error {
 	node := sys.Node("a")
 	vol := node.Volumes["v-a"]
 
+	drive := workload.Driver{Terminals: 4, Count: 40, Restarts: 10}
 	phase := func(name string, inject func()) bool {
-		done := make(chan workload.Result, 1)
-		go func() { done <- bank.Run("a", 40, 4) }()
+		var res workload.Result
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, err = drive.Run(bank.Body("a"))
+		}()
 		if inject != nil {
 			time.Sleep(10 * time.Millisecond)
 			inject()
 		}
-		res := <-done
-		okErr := bank.VerifyConsistency()
+		<-done
+		okErr := errors.Join(err, bank.VerifyConsistency())
 		ok := okErr == nil && res.Committed == 40
 		inv := "holds"
 		if okErr != nil {
 			inv = "VIOLATED: " + okErr.Error()
 		}
-		r.Rows = append(r.Rows, []string{name, i2s(res.Committed), i2s(res.Aborted), i2s(res.Retries), inv})
+		r.Rows = append(r.Rows, []string{name, i2s(res.Committed), i2s(res.Failed), i2s(res.Restarts), inv})
 		return ok
 	}
 

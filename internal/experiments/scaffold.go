@@ -7,6 +7,7 @@ import (
 	"encompass"
 	"encompass/internal/expand"
 	"encompass/internal/mfg"
+	"encompass/internal/obs"
 )
 
 // harness adapts an experiment body to Experiment.Run. The body fills a
@@ -86,29 +87,29 @@ func (r *Report) build(c cluster) (*encompass.System, []string, error) {
 	return sys, names, nil
 }
 
-// commit is the one commit driver: n transactions at node, numbered from
-// first, each inserting key(i, j) into the j-th listed file (a file listed
-// twice gets two records) and committing. It returns each END's latency
+// commit runs n transactions at node, numbered from first, each inserting
+// key(i, j) into the j-th listed file (a file listed twice gets two
+// records) and committing. It returns the distribution of END's latency
 // and stops at the first error.
-func commit(node *encompass.Node, first, n int, files ...string) ([]time.Duration, error) {
-	var lats []time.Duration
+func commit(node *encompass.Node, first, n int, files ...string) (obs.HistogramSnapshot, error) {
+	lats := obs.NewHistogram()
 	for i := first; i < first+n; i++ {
 		tx, err := node.Begin()
 		if err != nil {
-			return lats, fmt.Errorf("transaction %d: begin: %w", i, err)
+			return lats.Snapshot(), fmt.Errorf("transaction %d: begin: %w", i, err)
 		}
 		for j, f := range files {
 			if err := tx.Insert(f, key(i, j), []byte("v")); err != nil {
-				return lats, fmt.Errorf("transaction %d: insert into %s: %w", i, f, err)
+				return lats.Snapshot(), fmt.Errorf("transaction %d: insert into %s: %w", i, f, err)
 			}
 		}
 		t0 := time.Now()
 		if err := tx.Commit(); err != nil {
-			return lats, fmt.Errorf("transaction %d: commit: %w", i, err)
+			return lats.Snapshot(), fmt.Errorf("transaction %d: commit: %w", i, err)
 		}
-		lats = append(lats, time.Since(t0))
+		lats.Observe(time.Since(t0))
 	}
-	return lats, nil
+	return lats.Snapshot(), nil
 }
 
 // key names the record commit inserts for transaction i in its j-th file.

@@ -38,9 +38,18 @@ func t8(r *Report) error {
 		}
 		bank, err := workload.SetupBank(sys, workload.BankConfig{
 			Placement: []workload.Placement{{Node: "a", Volume: "v-a"}},
-			Branches:  2, Tellers: 3, Accounts: 100, Seed: 5, MaxRetries: 20,
+			Branches:  2, Tellers: 3, Accounts: 100, Seed: 5,
 		})
 		return sys, bank, err
+	}
+	// run drives n bank transactions from one terminal and returns how
+	// many committed.
+	run := func(bank *workload.Bank, n int) int {
+		res, err := workload.Driver{Terminals: 1, Count: n, Restarts: 20}.Run(bank.Body("a"))
+		if err != nil {
+			return 0
+		}
+		return res.Committed
 	}
 
 	// --- NonStop run: fail the DISCPROCESS primary's CPU mid-stream. ---
@@ -51,9 +60,9 @@ func t8(r *Report) error {
 	node := sys.Node("a")
 	committed := 0
 	runSome := func(n int) bool {
-		res := bank.Run("a", n, 1)
-		committed += res.Committed
-		return res.Committed == n
+		c := run(bank, n)
+		committed += c
+		return c == n
 	}
 	ok := runSome(preFailure)
 	failed := time.Now()
@@ -74,8 +83,8 @@ func t8(r *Report) error {
 	}
 	node2 := sys2.Node("a")
 	arch := node2.TakeArchive()
-	res2 := bank2.Run("a", preFailure, 1)
-	ok2 := res2.Committed == preFailure
+	c2 := run(bank2, preFailure)
+	ok2 := c2 == preFailure
 	// Failure: a conventional system halts and runs restart recovery.
 	down := time.Now()
 	node2.Crash()
@@ -83,14 +92,14 @@ func t8(r *Report) error {
 		return fmt.Errorf("conventional recovery failed: %w", err)
 	}
 	// Service is back when the first post-restart transaction commits.
-	res3 := bank2.Run("a", 1, 1)
+	c3 := run(bank2, 1)
 	downtime := time.Since(down)
-	ok2 = ok2 && res3.Committed == 1
-	res4 := bank2.Run("a", postFailure-1, 1)
-	ok2 = ok2 && res4.Committed == postFailure-1 && bank2.VerifyConsistency() == nil
+	ok2 = ok2 && c3 == 1
+	c4 := run(bank2, postFailure-1)
+	ok2 = ok2 && c4 == postFailure-1 && bank2.VerifyConsistency() == nil
 	r.Rows = append(r.Rows, []string{
 		"conventional (halt + restore + rollforward)",
-		i2s(res2.Committed + res3.Committed + res4.Committed), i2s(preFailure), dur(downtime),
+		i2s(c2 + c3 + c4), i2s(preFailure), dur(downtime),
 	})
 
 	r.Notes = append(r.Notes,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"encompass/internal/obs"
+	"encompass/internal/workload"
 )
 
 const (
@@ -68,21 +69,18 @@ func t9(r *Report) error {
 		return err
 	}
 	node := sys.Node("a")
-	errs := make(chan error, t9Committers)
-	gcStart := time.Now()
-	for w := range t9Committers {
-		go func() {
-			_, err := commit(node, w*t9PerWorker, t9PerWorker, files...)
-			errs <- err
-		}()
-	}
-	for range t9Committers {
-		if err := <-errs; err != nil {
-			return err
-		}
-	}
-	gcElapsed := time.Since(gcStart)
 	gcTxs := t9Committers * t9PerWorker
+	res, err := workload.Driver{Terminals: t9Committers, Count: gcTxs}.Run(func(term, seq int) error {
+		_, err := commit(node, term*t9PerWorker+seq, 1, files...)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if res.Failed > 0 {
+		return fmt.Errorf("group commit: %d of %d transactions failed", res.Failed, gcTxs)
+	}
+	gcElapsed := res.Elapsed
 	st := node.Volumes["v-a"].Trail.ForceStats()
 	r.Rows = append(r.Rows, []string{
 		fmt.Sprintf("group commit (%d concurrent committers)", t9Committers),

@@ -1,3 +1,7 @@
+// Package load fronts a node with the paper's requester shape: ScobolTx
+// runs a ScreenCOBOL requester program as a transaction body, standing in
+// for the Terminal Control Process. The driver that issues the bodies is
+// workload.Driver.
 package load
 
 import (
@@ -7,7 +11,11 @@ import (
 	"encompass"
 	"encompass/internal/scobol"
 	"encompass/internal/txid"
+	"encompass/internal/workload"
 )
+
+// Tx is the transaction body ScobolTx returns.
+type Tx = workload.Body
 
 // ScobolTx returns a Tx that runs one execution of a ScreenCOBOL requester
 // program per transaction, fronting the load with the paper's requester

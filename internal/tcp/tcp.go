@@ -45,6 +45,9 @@ var (
 	ErrTooManyTerminals = errors.New("tcp: terminal limit reached")
 	ErrDupTerminal      = errors.New("tcp: terminal already attached")
 	ErrNoTerminal       = errors.New("tcp: no such terminal")
+	// ErrNotFinished is Wait's error when the program is still running
+	// at the timeout; any other error is the program's own.
+	ErrNotFinished = errors.New("tcp: program did not finish")
 )
 
 // The TCP's own requests go only to its own pair, on the same node
@@ -91,13 +94,17 @@ type Terminal struct {
 }
 
 // Input supplies one screen's worth of field values (an ACCEPT consumes
-// one entry).
+// one entry). Once the program has finished, nothing reads the entry and
+// Input returns at once.
 func (t *Terminal) Input(fields map[string]string) {
 	cp := make(map[string]string, len(fields))
 	for k, v := range fields {
 		cp[strings.ToUpper(k)] = v
 	}
-	t.inputs <- cp
+	select {
+	case t.inputs <- cp:
+	case <-t.done:
+	}
 }
 
 // Outputs returns everything the program has DISPLAYed so far.
@@ -108,7 +115,7 @@ func (t *Terminal) Outputs() []string {
 }
 
 // Wait blocks until the program finishes (STOP RUN or END-PROC) and
-// returns its error, or times out.
+// returns its error, or returns ErrNotFinished after timeout.
 func (t *Terminal) Wait(timeout time.Duration) error {
 	select {
 	case <-t.done:
@@ -116,7 +123,7 @@ func (t *Terminal) Wait(timeout time.Duration) error {
 		defer t.mu.Unlock()
 		return t.err
 	case <-time.After(timeout):
-		return fmt.Errorf("tcp: terminal %s: program did not finish within %v", t.ID, timeout)
+		return fmt.Errorf("%w: terminal %s, within %v", ErrNotFinished, t.ID, timeout)
 	}
 }
 

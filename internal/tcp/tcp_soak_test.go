@@ -1,9 +1,12 @@
 package tcp_test
 
 import (
+	"errors"
 	"strconv"
 	"testing"
 	"time"
+
+	"encompass/internal/tcp"
 )
 
 // TestTCPSoakRepeatedTakeovers runs a wave of Screen COBOL terminals while
@@ -106,12 +109,18 @@ type termDriver struct {
 }
 
 // driveToCompletion keeps supplying the s2 screen until the program
-// finishes; restarts after takeover consume a fresh ACCEPT each time.
+// finishes; restarts after takeover consume a fresh ACCEPT each time. A
+// program that finished with an error fails the test with that error.
 func (td *termDriver) driveToCompletion() {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		td.term.Input(map[string]string{"go": "y"})
-		if err := td.term.Wait(300 * time.Millisecond); err == nil {
+		err := td.term.Wait(300 * time.Millisecond)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, tcp.ErrNotFinished) {
+			td.t.Errorf("terminal finished with an error: %v", err)
 			return
 		}
 	}

@@ -103,6 +103,39 @@ PROC.
 END-PROC.
 `
 
+// TestInputAfterFinishReturns: Wait tells a running program from a
+// finished one, and once a program has finished — here with its own
+// error, at its restart limit — Input returns at once, even after the
+// terminal's input buffer would have filled.
+func TestInputAfterFinishReturns(t *testing.T) {
+	e := newEnv(t)
+	term, err := e.tcp.Attach("t1", depositProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := term.Wait(20 * time.Millisecond); !errors.Is(err, tcp.ErrNotFinished) {
+		t.Fatalf("Wait before any input = %v, want ErrNotFinished", err)
+	}
+	// No such account: every SEND fails and the program restarts until
+	// its limit.
+	term.Input(map[string]string{"acct": "999", "amount": "1"})
+	if err := term.Wait(10 * time.Second); err == nil || errors.Is(err, tcp.ErrNotFinished) {
+		t.Fatalf("program ended with %v, want its own error", err)
+	}
+	for i := range 20 {
+		done := make(chan struct{})
+		go func() {
+			term.Input(map[string]string{"go": "y"})
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("Input %d still blocked after 1s on a finished program", i)
+		}
+	}
+}
+
 func TestScreenProgramEndToEnd(t *testing.T) {
 	e := newEnv(t)
 	term, err := e.tcp.Attach("t1", depositProgram)

@@ -1,5 +1,7 @@
-// Package workload generates the banking (debit/credit, TP1-style)
-// transaction mix used by the experiments: the archetypal online
+// Package workload drives transactions: Driver runs a body from a
+// population of terminals, closed or open loop, for the tests, the
+// experiments, DST and the examples. Bank is the body they mostly run,
+// the banking (debit/credit, TP1-style) mix: the archetypal online
 // transaction processing workload of the paper's era. Each transaction
 // reads and updates an account, its teller and its branch, and appends a
 // history record — four record touches, three of them updates.
@@ -9,10 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"encompass"
 )
@@ -31,9 +31,8 @@ type BankConfig struct {
 	// RemoteFraction directs that fraction of transactions at a branch
 	// homed on a different node than the requester (distributed commits).
 	RemoteFraction float64
-	// MaxRetries bounds RESTART-TRANSACTION-style retries on deadlock.
-	MaxRetries int
-	Seed       int64
+	// Seed seeds the terminals' rngs (Body).
+	Seed int64
 }
 
 // Placement is one (node, volume) location for bank branches.
@@ -70,9 +69,6 @@ func SetupBank(sys *encompass.System, cfg BankConfig) (*Bank, error) {
 	}
 	if cfg.Accounts <= 0 {
 		cfg.Accounts = 100
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 5
 	}
 	b := &Bank{sys: sys, cfg: cfg}
 
@@ -125,100 +121,48 @@ func SetupBank(sys *encompass.System, cfg BankConfig) (*Bank, error) {
 
 func partSuffix(i int) string { return "-p" + strconv.Itoa(i) }
 
-// Result summarizes a workload run.
-type Result struct {
-	Committed int
-	Aborted   int
-	Retries   int
-	Elapsed   time.Duration
-	latencies []time.Duration
-}
-
-// TPS returns committed transactions per second.
-func (r Result) TPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Committed) / r.Elapsed.Seconds()
-}
-
-// Percentile returns the given commit-latency percentile (0-100).
-func (r Result) Percentile(p float64) time.Duration {
-	if len(r.latencies) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// OneTx runs a single debit/credit transaction originated at fromNode.
-// amount is applied to a pseudo-randomly chosen account/teller/branch.
-func (b *Bank) OneTx(fromNode string, rng *rand.Rand) (retries int, err error) {
-	cfg := &b.cfg
-	from := b.sys.Node(fromNode)
-	for attempt := 0; ; attempt++ {
-		br := rng.Intn(cfg.Branches)
-		if cfg.RemoteFraction > 0 && rng.Float64() < cfg.RemoteFraction {
-			// Pick a branch homed elsewhere, if one exists.
-			for tries := 0; tries < 8 && cfg.nodeOf(br).Node == fromNode; tries++ {
-				br = rng.Intn(cfg.Branches)
-			}
-		} else {
-			for tries := 0; tries < 8 && cfg.nodeOf(br).Node != fromNode && hasLocalBranch(cfg, fromNode); tries++ {
-				br = rng.Intn(cfg.Branches)
-			}
+// Body returns the debit/credit body of terminals at fromNode: terminal t
+// draws every transaction from its own rng, seeded Seed+t.
+func (b *Bank) Body(fromNode string) Body {
+	var mu sync.Mutex
+	rngs := map[int]*rand.Rand{}
+	return func(term, _ int) error {
+		mu.Lock()
+		rng := rngs[term]
+		if rng == nil {
+			rng = rand.New(rand.NewSource(b.cfg.Seed + int64(term)))
+			rngs[term] = rng
 		}
-		acct := rng.Intn(cfg.Accounts)
-		if cfg.HotAccounts > 0 && rng.Float64() < cfg.HotAccounts {
-			br, acct = 0, 0
-		}
-		teller := rng.Intn(cfg.Tellers)
-		amount := rng.Intn(1999) - 999 // classic TP1 delta
-
-		err := b.runOnce(from, br, teller, acct, amount)
-		if err == nil {
-			return attempt, nil
-		}
-		if attempt >= cfg.MaxRetries || !encompass.Restartable(err) {
-			return attempt, err
-		}
+		mu.Unlock()
+		return b.OneTx(fromNode, rng)
 	}
 }
 
-// OneAbort runs a single voluntary-abort transaction from fromNode: it
-// read-locks and updates a pseudo-randomly chosen account, then calls
-// ABORT-TRANSACTION, exercising the backout path. The update never lands,
-// so consistency invariants are unaffected.
-func (b *Bank) OneAbort(fromNode string, rng *rand.Rand) error {
+// OneTx runs one attempt of a debit/credit transaction originated at
+// fromNode: it adds a pseudo-random amount to a pseudo-randomly chosen
+// account, its teller and its branch, and appends a history record.
+func (b *Bank) OneTx(fromNode string, rng *rand.Rand) error {
 	cfg := &b.cfg
 	br := rng.Intn(cfg.Branches)
-	acct := rng.Intn(cfg.Accounts)
-	from := b.sys.Node(fromNode)
-	suffix := partSuffix(br % len(cfg.Placement))
-	tx, err := from.Begin()
-	if err != nil {
-		return err
-	}
-	if cur, err := from.FS.ReadLock(tx.ID, "accounts"+suffix, accountKey(br, acct)); err == nil {
-		n, _ := strconv.Atoi(string(cur))
-		from.FS.Update(tx.ID, "accounts"+suffix, accountKey(br, acct), []byte(strconv.Itoa(n+1)))
-	}
-	return tx.Abort("voluntary abort (dst workload mix)")
-}
-
-func hasLocalBranch(cfg *BankConfig, node string) bool {
-	for _, pl := range cfg.Placement {
-		if pl.Node == node {
-			return true
+	if cfg.RemoteFraction > 0 && rng.Float64() < cfg.RemoteFraction {
+		// Pick a branch homed elsewhere, if one exists.
+		for tries := 0; tries < 8 && cfg.nodeOf(br).Node == fromNode; tries++ {
+			br = rng.Intn(cfg.Branches)
+		}
+	} else {
+		for tries := 0; tries < 8 && cfg.nodeOf(br).Node != fromNode && hasLocalBranch(cfg, fromNode); tries++ {
+			br = rng.Intn(cfg.Branches)
 		}
 	}
-	return false
-}
+	acct := rng.Intn(cfg.Accounts)
+	if cfg.HotAccounts > 0 && rng.Float64() < cfg.HotAccounts {
+		br, acct = 0, 0
+	}
+	teller := rng.Intn(cfg.Tellers)
+	amount := rng.Intn(1999) - 999 // classic TP1 delta
 
-func (b *Bank) runOnce(from *encompass.Node, br, teller, acct, amount int) error {
-	suffix := partSuffix(br % len(b.cfg.Placement))
+	from := b.sys.Node(fromNode)
+	suffix := partSuffix(br % len(cfg.Placement))
 	tx, err := from.Begin()
 	if err != nil {
 		return err
@@ -251,47 +195,34 @@ func (b *Bank) runOnce(from *encompass.Node, br, teller, acct, amount int) error
 	return tx.Commit()
 }
 
-// Run executes n transactions from fromNode with the given concurrency and
-// returns aggregate results.
-func (b *Bank) Run(fromNode string, n, concurrency int) Result {
-	if concurrency <= 0 {
-		concurrency = 1
+// OneAbort runs a single voluntary-abort transaction from fromNode: it
+// read-locks and updates a pseudo-randomly chosen account, then calls
+// ABORT-TRANSACTION, exercising the backout path. The update never lands,
+// so consistency invariants are unaffected.
+func (b *Bank) OneAbort(fromNode string, rng *rand.Rand) error {
+	cfg := &b.cfg
+	br := rng.Intn(cfg.Branches)
+	acct := rng.Intn(cfg.Accounts)
+	from := b.sys.Node(fromNode)
+	suffix := partSuffix(br % len(cfg.Placement))
+	tx, err := from.Begin()
+	if err != nil {
+		return err
 	}
-	var mu sync.Mutex
-	res := Result{}
-	//lint:allow nodeterminism wall clock feeds the throughput metric only, never transaction content or control flow
-	start := time.Now()
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(b.cfg.Seed + int64(w)))
-			for range work {
-				//lint:allow nodeterminism wall clock measures per-transaction latency only; record bytes come from the seeded rng
-				t0 := time.Now()
-				retries, err := b.OneTx(fromNode, rng)
-				lat := time.Since(t0)
-				mu.Lock()
-				res.Retries += retries
-				if err != nil {
-					res.Aborted++
-				} else {
-					res.Committed++
-					res.latencies = append(res.latencies, lat)
-				}
-				mu.Unlock()
-			}
-		}(w)
+	if cur, err := from.FS.ReadLock(tx.ID, "accounts"+suffix, accountKey(br, acct)); err == nil {
+		n, _ := strconv.Atoi(string(cur))
+		from.FS.Update(tx.ID, "accounts"+suffix, accountKey(br, acct), []byte(strconv.Itoa(n+1)))
 	}
-	for i := 0; i < n; i++ {
-		work <- i
+	return tx.Abort("voluntary abort (dst workload mix)")
+}
+
+func hasLocalBranch(cfg *BankConfig, node string) bool {
+	for _, pl := range cfg.Placement {
+		if pl.Node == node {
+			return true
+		}
 	}
-	close(work)
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	return res
+	return false
 }
 
 // VerifyConsistency checks the TP1 invariant: for each branch, the branch

@@ -24,6 +24,16 @@ func buildSys(t *testing.T, nodes ...string) *encompass.System {
 	return sys
 }
 
+// run drives n bank transactions from node over terminals closed-loop
+// terminals, restarting each up to restarts times.
+func run(t *testing.T, bank *Bank, node string, n, terminals, restarts int) Result {
+	res, err := Driver{Terminals: terminals, Count: n, Restarts: restarts}.Run(bank.Body(node))
+	if err != nil {
+		t.Error(err)
+	}
+	return res
+}
+
 func TestBankSingleNode(t *testing.T) {
 	sys := buildSys(t, "a")
 	bank, err := SetupBank(sys, BankConfig{
@@ -33,15 +43,15 @@ func TestBankSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := bank.Run("a", 50, 4)
+	res := run(t, bank, "a", 50, 4, 5)
 	if res.Committed != 50 {
-		t.Errorf("committed = %d/%d (aborted %d)", res.Committed, 50, res.Aborted)
+		t.Errorf("committed = %d/%d (failed %d)", res.Committed, 50, res.Failed)
 	}
 	if res.TPS() <= 0 {
 		t.Error("TPS not positive")
 	}
-	if res.Percentile(50) <= 0 || res.Percentile(95) < res.Percentile(50) {
-		t.Errorf("latency percentiles: p50=%v p95=%v", res.Percentile(50), res.Percentile(95))
+	if p50, p95 := res.Hist.Quantile(0.5), res.Hist.Quantile(0.95); p50 <= 0 || p95 < p50 {
+		t.Errorf("latency quantiles: p50=%v p95=%v", p50, p95)
 	}
 	if err := bank.VerifyConsistency(); err != nil {
 		t.Error(err)
@@ -60,9 +70,9 @@ func TestBankDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	framesBefore := sys.Network.Stats().Frames
-	res := bank.Run("a", 30, 2)
+	res := run(t, bank, "a", 30, 2, 5)
 	if res.Committed != 30 {
-		t.Errorf("committed = %d (aborted %d)", res.Committed, res.Aborted)
+		t.Errorf("committed = %d (failed %d)", res.Committed, res.Failed)
 	}
 	if sys.Network.Stats().Frames == framesBefore {
 		t.Error("distributed workload exchanged no frames")
@@ -79,15 +89,14 @@ func TestBankHotSpotContention(t *testing.T) {
 		Placement: []Placement{{Node: "a", Volume: "v-a"}},
 		Branches:  1, Tellers: 2, Accounts: 4,
 		HotAccounts: 1.0, // everyone fights for account 0
-		MaxRetries:  20,
 		Seed:        3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := bank.Run("a", 40, 8)
+	res := run(t, bank, "a", 40, 8, 20)
 	if res.Committed != 40 {
-		t.Errorf("committed = %d (aborted %d, retries %d)", res.Committed, res.Aborted, res.Retries)
+		t.Errorf("committed = %d (failed %d, restarts %d)", res.Committed, res.Failed, res.Restarts)
 	}
 	if err := bank.VerifyConsistency(); err != nil {
 		t.Error(err)
@@ -105,7 +114,7 @@ func TestOneTxDeterministicWithSeed(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10; i++ {
-		if _, err := bank.OneTx("a", rng); err != nil {
+		if err := bank.OneTx("a", rng); err != nil {
 			t.Fatalf("tx %d: %v", i, err)
 		}
 	}
@@ -120,13 +129,13 @@ func TestConsistencySurvivesCPUFailureMidRun(t *testing.T) {
 	sys := buildSys(t, "a")
 	bank, err := SetupBank(sys, BankConfig{
 		Placement: []Placement{{Node: "a", Volume: "v-a"}},
-		Branches:  2, Tellers: 3, Accounts: 20, Seed: 9, MaxRetries: 10,
+		Branches:  2, Tellers: 3, Accounts: 20, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan Result, 1)
-	go func() { done <- bank.Run("a", 60, 4) }()
+	go func() { done <- run(t, bank, "a", 60, 4, 10) }()
 	time.Sleep(20 * time.Millisecond)
 	sys.Node("a").HW.FailCPU(1)
 	res := <-done
@@ -136,5 +145,5 @@ func TestConsistencySurvivesCPUFailureMidRun(t *testing.T) {
 	if err := bank.VerifyConsistency(); err != nil {
 		t.Errorf("invariant violated after CPU failure: %v", err)
 	}
-	t.Logf("committed=%d aborted=%d retries=%d", res.Committed, res.Aborted, res.Retries)
+	t.Logf("committed=%d failed=%d restarts=%d", res.Committed, res.Failed, res.Restarts)
 }
